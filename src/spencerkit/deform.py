@@ -17,16 +17,15 @@ from .certs import Certificate
 from .errors import (FiltrationViolation, JacobiViolation,
                      NotHighlySusy, NotSymmetric, OracleMismatch)
 from .exactla import (ExactMatrix, NoSolution, Subspace, basis_vec, hstack,
-                      rat_str, solve_affine, tensor_index_maps, vec,
-                      vec_add, vec_is_zero, vec_scale, zero_vec)
+                      lincomb, rat_str, solve_affine, tensor_index_maps, vec,
+                      vec_add, vec_is_zero, vec_scale, vec_sub, zero_vec)
 from .flatmodel import (EndoSubalgebra, ExtendedFlatModel, GradedBracketTensor,
                         GradedSubalgebra, faithful_split, graded_jacobi_check,
                         kappa_restriction_matrix, make_graded_subalgebra)
 from .spencer import (Cochain22, FullModelCohomology, NormalisedCocycle,
                       SpencerComplex, build_spencer_complex,
                       cochain_action_matrix, inclusion_matrix,
-                      restriction_kernel, restriction_matrix,
-                      subalgebra_action_matrices)
+                      restriction_matrix, subalgebra_action_matrices)
 
 
 # ---------------------------------------------------------------------------
@@ -76,18 +75,14 @@ class AdmissibleDatum:
         return self.model.r_matrix(self.lam2_coords(b))
 
     def lam1_vec(self, vcoords: Sequence[Fraction]) -> tuple:
-        out = zero_vec(self.model.dim_so)
-        for b, c in enumerate(vcoords):
-            if c:
-                out = vec_add(out, vec_scale(self.lam1_coords(b), c))
-        return out
+        return lincomb(((c, self.lam1_coords(b))
+                        for b, c in enumerate(vcoords) if c),
+                       self.model.dim_so)
 
     def lam2_vec(self, vcoords: Sequence[Fraction]) -> tuple:
-        out = zero_vec(self.model.dim_r)
-        for b, c in enumerate(vcoords):
-            if c:
-                out = vec_add(out, vec_scale(self.lam2_coords(b), c))
-        return out
+        return lincomb(((c, self.lam2_coords(b))
+                        for b, c in enumerate(vcoords) if c),
+                       self.model.dim_r)
 
     def acted_hats(self) -> list:
         """lambda(v_b) . hat as cochains of the full complex, per direction."""
@@ -172,12 +167,8 @@ def check_admissibility(sub: GradedSubalgebra,
     sol = solve_affine(system, target)
     if isinstance(sol, NoSolution):
         return NotAdmissible(combination=sol.combination, rhs=sol.rhs)
-    hat_coeffs = zero_vec(fullco.complex.layouts[2].dim)
-    for k in range(inv.dim):
-        c = sol.x[k]
-        if c:
-            hat_coeffs = vec_add(hat_coeffs,
-                                 vec_scale(inv.basis.row_tuple(k), c))
+    hat_coeffs = lincomb(zip(sol.x[:inv.dim], inv.basis_vectors()),
+                         fullco.complex.layouts[2].dim)
     lam = tuple(sol.x[inv.dim:])
     datum = AdmissibleDatum(
         subalgebra=sub, fullco=fullco, sub_complex=sub_cx,
@@ -218,7 +209,7 @@ def _verify_admissibility_memberships(datum: AdmissibleDatum) -> None:
         A_v = model.so_matrix(sub.h.basis.row_tuple(k))
         for b in range(model.dim_v):
             av = A_v.apply(basis_vec(model.dim_v, b))
-            d1 = vec_sub_coords(
+            d1 = vec_sub(
                 model.gens.so_coordinates(
                     A_v.commutator(datum.lam1_matrix(b))),
                 datum.lam1_vec(av))
@@ -233,10 +224,6 @@ def _verify_admissibility_memberships(datum: AdmissibleDatum) -> None:
             cc = model.r.coordinates(comm)
             if cc is None or sub.rp.coordinates(cc) is None:
                 raise OracleMismatch("[r', lambda2(v)] leaves r'")
-
-
-def vec_sub_coords(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple:
-    return tuple(x - y for x, y in zip(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -257,27 +244,18 @@ class DeltaMap:
 
     def delta1_vec(self, h_coeffs: Sequence[Fraction], b: int) -> tuple:
         dim = len(self.delta1[0][b]) if self.delta1 else 0
-        out = zero_vec(dim)
-        for k, c in enumerate(h_coeffs):
-            if c:
-                out = vec_add(out, vec_scale(self.delta1[k][b], c))
-        return out
+        return lincomb(((c, self.delta1[k][b])
+                        for k, c in enumerate(h_coeffs)), dim)
 
     def delta2_vec(self, h_coeffs: Sequence[Fraction], b: int) -> tuple:
         dim = len(self.delta2[0][b]) if self.delta2 else 0
-        out = zero_vec(dim)
-        for k, c in enumerate(h_coeffs):
-            if c:
-                out = vec_add(out, vec_scale(self.delta2[k][b], c))
-        return out
+        return lincomb(((c, self.delta2[k][b])
+                        for k, c in enumerate(h_coeffs)), dim)
 
     def delta4_vec(self, r_coeffs: Sequence[Fraction], b: int) -> tuple:
         dim = len(self.delta4[0][b]) if self.delta4 else 0
-        out = zero_vec(dim)
-        for p, c in enumerate(r_coeffs):
-            if c:
-                out = vec_add(out, vec_scale(self.delta4[p][b], c))
-        return out
+        return lincomb(((c, self.delta4[p][b])
+                        for p, c in enumerate(r_coeffs)), dim)
 
 
 def solve_delta(datum: AdmissibleDatum) -> DeltaMap:
@@ -292,7 +270,7 @@ def solve_delta(datum: AdmissibleDatum) -> DeltaMap:
         row1, row2 = [], []
         for b in range(n):
             av = A_v.apply(basis_vec(n, b))
-            val1 = vec_sub_coords(
+            val1 = vec_sub(
                 model.gens.so_coordinates(A_v.commutator(datum.lam1_matrix(b))),
                 datum.lam1_vec(av))
             c1 = sub.h.coordinates(val1)
@@ -328,14 +306,14 @@ def _check_delta_generic(datum: AdmissibleDatum, closed: DeltaMap) -> None:
     d21 = cx.differentials[1]
     gens = subalgebra_action_matrices(cx)
     n = datum.model.dim_v
+    if d21.rank() != d21.cols:
+        raise OracleMismatch("degree-(2,1) differential is not injective")
     for idx, act in enumerate(gens):
         rhs = act.apply(datum.mu_minus.coeffs)
         sol = solve_affine(d21, rhs)
         if isinstance(sol, NoSolution):
             raise OracleMismatch("X.mu is not a coboundary; invariance of the "
                                  "class must have been violated")
-        if d21.kernel().dim != 0:
-            raise OracleMismatch("degree-(2,1) differential is not injective")
         chi = sol.x
         for b in range(n):
             got_h = tuple(chi[lay1.index("lambda_so", b, t)]
@@ -387,15 +365,9 @@ class ThetaData:
 
 
 def _bilinear(table, x, y) -> tuple:
-    dim = len(table[0][0])
-    out = zero_vec(dim)
-    for b, cb in enumerate(x):
-        if not cb:
-            continue
-        for c, cc in enumerate(y):
-            if cc:
-                out = vec_add(out, vec_scale(table[b][c], cb * cc))
-    return out
+    return lincomb(((cb * cc, table[b][c])
+                    for b, cb in enumerate(x) if cb
+                    for c, cc in enumerate(y) if cc), len(table[0][0]))
 
 
 def compute_theta(datum: AdmissibleDatum) -> ThetaData:
@@ -418,11 +390,11 @@ def compute_theta(datum: AdmissibleDatum) -> ThetaData:
             bvj = hat.beta_vec(vb, svecs[j])
             t1 = vec_add(hat.gamma_vec(svecs[i], bvj),
                          hat.gamma_vec(svecs[j], bvi))
-            t1 = vec_sub_coords(t1, acted[b].gamma_vec(svecs[i], svecs[j]))
+            t1 = vec_sub(t1, acted[b].gamma_vec(svecs[i], svecs[j]))
             row1.append(t1)
             t2 = vec_add(hat.rho_vec(svecs[i], bvj),
                          hat.rho_vec(svecs[j], bvi))
-            t2 = vec_sub_coords(t2, acted[b].rho_vec(svecs[i], svecs[j]))
+            t2 = vec_sub(t2, acted[b].rho_vec(svecs[i], svecs[j]))
             row2.append(t2)
         th1.append(row1)
         th2.append(row2)
@@ -432,12 +404,8 @@ def compute_theta(datum: AdmissibleDatum) -> ThetaData:
     for k in range(dirac_kernel.dim):
         d = dirac_kernel.basis.row_tuple(k)
         for b in range(n):
-            v1 = zero_vec(model.dim_so)
-            v2 = zero_vec(model.dim_r)
-            for p, c in enumerate(d):
-                if c:
-                    v1 = vec_add(v1, vec_scale(th1[b][p], c))
-                    v2 = vec_add(v2, vec_scale(th2[b][p], c))
+            v1 = lincomb(zip(d, th1[b]), model.dim_so)
+            v2 = lincomb(zip(d, th2[b]), model.dim_r)
             if not (vec_is_zero(v1) and vec_is_zero(v2)):
                 annihilated = False
                 break
@@ -458,14 +426,10 @@ def compute_theta(datum: AdmissibleDatum) -> ThetaData:
         theta2 = [[None] * n for _ in range(n)]
         for b in range(n):
             for c in range(n):
-                v1 = zero_vec(model.dim_so)
-                v2 = zero_vec(model.dim_r)
-                for p, w in enumerate(preimages[c]):
-                    if w:
-                        v1 = vec_add(v1, vec_scale(th1[b][p], w))
-                        v2 = vec_add(v2, vec_scale(th2[b][p], w))
-                theta1[b][c] = v1
-                theta2[b][c] = v2
+                theta1[b][c] = lincomb(zip(preimages[c], th1[b]),
+                                       model.dim_so)
+                theta2[b][c] = lincomb(zip(preimages[c], th2[b]),
+                                       model.dim_r)
         alternating = all(
             vec_is_zero(vec_add(theta1[b][c], theta1[c][b]))
             and vec_is_zero(vec_add(theta2[b][c], theta2[c][b]))
@@ -494,7 +458,7 @@ def _second_defining_relation(datum: AdmissibleDatum, th1_spinor,
             for p, (i, j) in enumerate(pairs.tuples):
                 kv = model.kappa_vec(svecs[i], svecs[j])
                 lhs = mat.apply(kv)
-                rhs = vec_sub_coords(
+                rhs = vec_sub(
                     model.so_matrix(th1_spinor[b][p]).apply(
                         basis_vec(n, c)),
                     model.so_matrix(th1_spinor[c][p]).apply(
@@ -553,11 +517,11 @@ def check_integrability(datum: AdmissibleDatum,
             vb, vc = basis_vec(n, b), basis_vec(n, c)
             for k, s in enumerate(svecs):
                 lhs = vec_add(sp_mat.apply(s), r_mat.apply(s))
-                rhs = vec_sub_coords(
+                rhs = vec_sub(
                     hat.beta_vec(vb, hat.beta_vec(vc, s)),
                     hat.beta_vec(vc, hat.beta_vec(vb, s)))
                 rhs = vec_add(rhs, acted[b].beta_vec(vc, s))
-                rhs = vec_sub_coords(rhs, acted[c].beta_vec(vb, s))
+                rhs = vec_sub(rhs, acted[c].beta_vec(vb, s))
                 if tuple(lhs) != tuple(rhs):
                     return IntegrabilityReport(
                         False, True, False,
@@ -577,13 +541,11 @@ def _theta_in_a0(datum: AdmissibleDatum, theta: ThetaData):
     for b in range(n):
         for c in range(n):
             alpha_bc = mu.alpha(b, c)
-            v1 = vec_sub_coords(theta.theta1[b][c],
-                                datum.lam1_vec(alpha_bc))
+            v1 = vec_sub(theta.theta1[b][c], datum.lam1_vec(alpha_bc))
             v1 = vec_add(v1, model.gens.so_coordinates(
                 datum.lam1_matrix(b).commutator(datum.lam1_matrix(c))))
             c1 = sub.h.coordinates(v1)
-            v2 = vec_sub_coords(theta.theta2[b][c],
-                                datum.lam2_vec(alpha_bc))
+            v2 = vec_sub(theta.theta2[b][c], datum.lam2_vec(alpha_bc))
             comm = datum.lam2_matrix(b).commutator(datum.lam2_matrix(c))
             rc = model.r.coordinates(comm)
             if rc is None:
@@ -625,13 +587,12 @@ def _verify_integrability_theorems(datum: AdmissibleDatum,
                 ac = A_v.apply(basis_vec(n, c))
                 val = model.gens.so_coordinates(
                     A_v.commutator(model.so_matrix(theta.theta1[b][c])))
-                val = vec_sub_coords(val, theta.theta1_vec(ab, basis_vec(n, c)))
-                val = vec_sub_coords(val, theta.theta1_vec(basis_vec(n, b), ac))
+                val = vec_sub(val, theta.theta1_vec(ab, basis_vec(n, c)))
+                val = vec_sub(val, theta.theta1_vec(basis_vec(n, b), ac))
                 if not vec_is_zero(val):
                     fail("h-invariance of theta1")
                 val2 = vec_scale(theta.theta2_vec(ab, basis_vec(n, c)), -1)
-                val2 = vec_sub_coords(val2,
-                                      theta.theta2_vec(basis_vec(n, b), ac))
+                val2 = vec_sub(val2, theta.theta2_vec(basis_vec(n, b), ac))
                 if not vec_is_zero(val2):
                     fail("h-invariance of theta2")
     for p in range(sub.rp.dim):
@@ -668,16 +629,16 @@ def _verify_integrability_theorems(datum: AdmissibleDatum,
         if which == 1:
             out = model.gens.so_coordinates(
                 l1u.commutator(model.so_matrix(theta.theta1[v][w])))
-            out = vec_sub_coords(out, theta.theta1_vec(av, basis_vec(n, w)))
-            out = vec_sub_coords(out, theta.theta1_vec(basis_vec(n, v), aw))
+            out = vec_sub(out, theta.theta1_vec(av, basis_vec(n, w)))
+            out = vec_sub(out, theta.theta1_vec(basis_vec(n, v), aw))
             return out
         l2u = datum.lam2_matrix(u)
         comm = l2u.commutator(model.r_matrix(theta.theta2[v][w]))
         rc = model.r.coordinates(comm)
         if rc is None:
             raise OracleMismatch("[lambda2, theta2] leaves r")
-        out = vec_sub_coords(rc, theta.theta2_vec(av, basis_vec(n, w)))
-        out = vec_sub_coords(out, theta.theta2_vec(basis_vec(n, v), aw))
+        out = vec_sub(rc, theta.theta2_vec(av, basis_vec(n, w)))
+        out = vec_sub(out, theta.theta2_vec(basis_vec(n, v), aw))
         return out
 
     for a in range(n):
@@ -703,25 +664,16 @@ def _verify_integrability_theorems(datum: AdmissibleDatum,
         return _bilinear(th2_rp, x, y) if sub.rp.dim else zero_vec(0)
 
     def delta1_at(h_coeffs, vvec):
-        out = zero_vec(sub.h.dim)
-        for b, c in enumerate(vvec):
-            if c:
-                out = vec_add(out, vec_scale(delta.delta1_vec(h_coeffs, b), c))
-        return out
+        return lincomb(((c, delta.delta1_vec(h_coeffs, b))
+                        for b, c in enumerate(vvec) if c), sub.h.dim)
 
     def delta2_at(h_coeffs, vvec):
-        out = zero_vec(sub.rp.dim)
-        for b, c in enumerate(vvec):
-            if c:
-                out = vec_add(out, vec_scale(delta.delta2_vec(h_coeffs, b), c))
-        return out
+        return lincomb(((c, delta.delta2_vec(h_coeffs, b))
+                        for b, c in enumerate(vvec) if c), sub.rp.dim)
 
     def delta4_at(r_coeffs, vvec):
-        out = zero_vec(sub.rp.dim)
-        for b, c in enumerate(vvec):
-            if c:
-                out = vec_add(out, vec_scale(delta.delta4_vec(r_coeffs, b), c))
-        return out
+        return lincomb(((c, delta.delta4_vec(r_coeffs, b))
+                        for b, c in enumerate(vvec) if c), sub.rp.dim)
 
     def h_bracket(x, y):
         cm = model.so_matrix(_h_to_so(sub, x)).commutator(
@@ -744,20 +696,20 @@ def _verify_integrability_theorems(datum: AdmissibleDatum,
                 ab, ac = A_v.apply(vb), A_v.apply(vc)
                 alpha_bc = mu.alpha(b, c)
                 lhs = h_bracket(hk, th1_h[b][c])
-                lhs = vec_sub_coords(lhs, th1_h_vec(ab, vc))
-                lhs = vec_sub_coords(lhs, th1_h_vec(vb, ac))
+                lhs = vec_sub(lhs, th1_h_vec(ab, vc))
+                lhs = vec_sub(lhs, th1_h_vec(vb, ac))
                 rhs = delta1_at(delta.delta1[k][b], vc)
-                rhs = vec_sub_coords(rhs, delta1_at(delta.delta1[k][c], vb))
-                rhs = vec_sub_coords(rhs, delta1_at(hk, alpha_bc))
+                rhs = vec_sub(rhs, delta1_at(delta.delta1[k][c], vb))
+                rhs = vec_sub(rhs, delta1_at(hk, alpha_bc))
                 if tuple(lhs) != tuple(rhs):
                     fail("quadratic identity [h,V,V] in h")
                 lhs2 = vec_scale(th2_rp_vec(ab, vc), -1)
-                lhs2 = vec_sub_coords(lhs2, th2_rp_vec(vb, ac))
+                lhs2 = vec_sub(lhs2, th2_rp_vec(vb, ac))
                 rhs2 = delta2_at(delta.delta1[k][b], vc)
                 rhs2 = vec_add(rhs2, delta4_at(delta.delta2[k][b], vc))
-                rhs2 = vec_sub_coords(rhs2, delta2_at(delta.delta1[k][c], vb))
-                rhs2 = vec_sub_coords(rhs2, delta4_at(delta.delta2[k][c], vb))
-                rhs2 = vec_sub_coords(rhs2, delta2_at(hk, alpha_bc))
+                rhs2 = vec_sub(rhs2, delta2_at(delta.delta1[k][c], vb))
+                rhs2 = vec_sub(rhs2, delta4_at(delta.delta2[k][c], vb))
+                rhs2 = vec_sub(rhs2, delta2_at(hk, alpha_bc))
                 if tuple(lhs2) != tuple(rhs2):
                     fail("quadratic identity [h,V,V] in r'")
     # [r', V, V]  (jacobi-022d; 022c is trivial since delta3 = 0)
@@ -768,8 +720,8 @@ def _verify_integrability_theorems(datum: AdmissibleDatum,
                 vb, vc = basis_vec(n, b), basis_vec(n, c)
                 lhs = _rp_bracket(sub, model, rp_unit, th2_rp[b][c])
                 rhs = delta4_at(delta.delta4[p][b], vc)
-                rhs = vec_sub_coords(rhs, delta4_at(delta.delta4[p][c], vb))
-                rhs = vec_sub_coords(rhs, delta4_at(rp_unit, mu.alpha(b, c)))
+                rhs = vec_sub(rhs, delta4_at(delta.delta4[p][c], vb))
+                rhs = vec_sub(rhs, delta4_at(rp_unit, mu.alpha(b, c)))
                 if tuple(lhs) != tuple(rhs):
                     fail("quadratic identity [r',V,V]")
     # [S', S', V]  (jacobi-112a, 112b), depolarised
@@ -807,11 +759,10 @@ def _verify_integrability_theorems(datum: AdmissibleDatum,
                 valc = sub.Sp.coordinates(val)
                 if valc is None:
                     raise OracleMismatch("theta action leaves S'")
-                acc = vec(valc)
-                for a, ca in enumerate(alpha_bc):
-                    if ca:
-                        acc = vec_add(acc, vec_scale(mu.beta(a, k), ca))
-                acc = vec_sub_coords(acc, mu.beta_vec(
+                acc = vec_add(vec(valc), lincomb(
+                    ((ca, mu.beta(a, k))
+                     for a, ca in enumerate(alpha_bc) if ca), nsp))
+                acc = vec_sub(acc, mu.beta_vec(
                     vb, mu.beta(c, k)))
                 acc = vec_add(acc, mu.beta_vec(vc, mu.beta(b, k)))
                 if not vec_is_zero(acc):
@@ -843,19 +794,11 @@ def _verify_integrability_theorems(datum: AdmissibleDatum,
 
 
 def _h_to_so(sub: GradedSubalgebra, h_coords: Sequence[Fraction]) -> tuple:
-    out = zero_vec(sub.model.dim_so)
-    for k, c in enumerate(h_coords):
-        if c:
-            out = vec_add(out, vec_scale(sub.h.basis.row_tuple(k), c))
-    return out
+    return lincomb(zip(h_coords, sub.h.basis_vectors()), sub.model.dim_so)
 
 
 def _rp_to_r(sub: GradedSubalgebra, rp_coords: Sequence[Fraction]) -> tuple:
-    out = zero_vec(sub.model.dim_r)
-    for k, c in enumerate(rp_coords):
-        if c:
-            out = vec_add(out, vec_scale(sub.rp.basis.row_tuple(k), c))
-    return out
+    return lincomb(zip(rp_coords, sub.rp.basis_vectors()), sub.model.dim_r)
 
 
 def _rp_bracket(sub: GradedSubalgebra, model: ExtendedFlatModel,
@@ -894,11 +837,6 @@ class FilteredDeformation:
     @property
     def total_dim(self) -> int:
         return self.tensor.total_dim
-
-    def even_part_indices(self) -> list:
-        offs = self.tensor.offsets()
-        n, k, dh, dr = self.tensor.component_dims
-        return list(range(n)) + list(range(offs[2], offs[2] + dh + dr))
 
     def to_json(self) -> dict:
         return {
@@ -988,10 +926,10 @@ def build_filtered_deformation(datum: AdmissibleDatum, theta: ThetaData,
     for i in range(nsp):
         for j in range(i, nsp):
             kv = model.kappa_vec(svecs[i], svecs[j])
-            gval = vec_sub_coords(hat.gamma_vec(svecs[i], svecs[j]),
-                                  datum.lam1_vec(kv))
-            rval = vec_sub_coords(hat.rho_vec(svecs[i], svecs[j]),
-                                  datum.lam2_vec(kv))
+            gval = vec_sub(hat.gamma_vec(svecs[i], svecs[j]),
+                           datum.lam1_vec(kv))
+            rval = vec_sub(hat.rho_vec(svecs[i], svecs[j]),
+                           datum.lam2_vec(kv))
             gh = sub.h.coordinates(gval)
             rr = sub.rp.coordinates(rval)
             if gh is None or rr is None:
@@ -1175,16 +1113,6 @@ def _check_assoc_graded(datum: AdmissibleDatum,
 # ---------------------------------------------------------------------------
 
 
-def invariant_restriction_kernel(datum: AdmissibleDatum) -> Subspace:
-    """K^{2,2}(a_-) intersected with the a0-invariant normalised cocycles."""
-    sub = datum.subalgebra
-    K = restriction_kernel(sub, datum.fullco)
-    inv = datum.fullco.invariant_normalised(
-        [sub.h.basis.row_tuple(i) for i in range(sub.h.dim)],
-        [sub.rp.basis.row_tuple(i) for i in range(sub.rp.dim)])
-    return K.intersect(inv)
-
-
 def class_gauge_generators(datum: AdmissibleDatum) -> List[tuple]:
     """Generators (k, lambda_k) of the full gauge freedom of the normalised
     cocycle within a fixed admissible class: k runs over a basis of the
@@ -1332,13 +1260,11 @@ def check_geometric_realisability(datum: AdmissibleDatum,
     cxs, cxm = datum.sub_complex, datum.mixed_complex
     lay_sub = cxs.layouts[1]
     nu_sub = [Fraction(0)] * lay_sub.dim
-    lam2 = list(datum.lam)
-    hat2 = datum.hat.coeffs
-    for g, (kvec, lam_k) in enumerate(generators):
-        c = sol.x[g]
-        if c:
-            hat2 = vec_add(hat2, vec_scale(kvec, c))
-            lam2 = [a - c * b for a, b in zip(lam2, lam_k)]
+    shifts = sol.x[:len(generators)]
+    hat2 = vec_add(datum.hat.coeffs, lincomb(
+        zip(shifts, [kvec for kvec, _ in generators]), len(datum.hat.coeffs)))
+    lam2 = list(vec_sub(datum.lam, lincomb(
+        zip(shifts, [lam_k for _, lam_k in generators]), len(datum.lam))))
     for b in range(n):
         for tr in range(sub.rp.dim):
             c = sol.x[len(generators) + b * sub.rp.dim + tr]
@@ -1437,10 +1363,7 @@ def canonical_gauge(datum: AdmissibleDatum) -> AdmissibleDatum:
     sol = solve_affine(system, datum.mu_minus.coeffs)
     if isinstance(sol, NoSolution):
         raise OracleMismatch("cocycle is not in Z^{2,2}")
-    canonical_mu = zero_vec(cx.layouts[2].dim)
-    for k, rep in enumerate(reps):
-        if sol.x[k]:
-            canonical_mu = vec_add(canonical_mu, vec_scale(rep, sol.x[k]))
+    canonical_mu = lincomb(zip(sol.x, reps), cx.layouts[2].dim)
     out = check_admissibility(datum.subalgebra, canonical_mu, datum.fullco)
     if isinstance(out, NotAdmissible):
         raise OracleMismatch("canonical representative of an admissible "
@@ -1497,15 +1420,10 @@ def compute_envelope(fullco: FullModelCohomology, Sp: Subspace,
     joint_vecs, g_vecs, r_vecs = [], [], []
     for k in range(dirac_kernel.dim):
         d = dirac_kernel.basis.row_tuple(k)
-        gval = zero_vec(nso)
-        rval = zero_vec(nr)
-        for p, c in enumerate(d):
-            if c:
-                i, j = pairs.tuples[p]
-                gval = vec_add(gval, vec_scale(z.gamma_vec(svecs[i],
-                                                           svecs[j]), c))
-                rval = vec_add(rval, vec_scale(z.rho_vec(svecs[i],
-                                                         svecs[j]), c))
+        gval = lincomb(((c, z.gamma_vec(svecs[i], svecs[j]))
+                        for c, (i, j) in zip(d, pairs.tuples) if c), nso)
+        rval = lincomb(((c, z.rho_vec(svecs[i], svecs[j]))
+                        for c, (i, j) in zip(d, pairs.tuples) if c), nr)
         joint_vecs.append(tuple(gval) + tuple(rval))
         g_vecs.append(tuple(gval) + zero_vec(nr))
         r_vecs.append(zero_vec(nso) + tuple(rval))

@@ -68,10 +68,6 @@ class NotHighlySusy(SpencerKitError):
     pass
 
 
-class NotAdmissibleError(SpencerKitError):
-    """Raised only when an operation requires an admissible datum and none exists."""
-
-
 class OracleMismatch(SpencerKitError):
     """Two independent computation routes disagree; always an implementation bug."""
 
@@ -103,7 +99,3 @@ class StageError(SpencerKitError):
         super().__init__(f"stage {stage!r}: {original}")
         self.stage = stage
         self.original = original
-
-
-class CacheCorrupt(SpencerKitError):
-    pass

@@ -163,13 +163,6 @@ class ExactMatrix:
     def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
         return cls(rows, cols)
 
-    @classmethod
-    def from_row_dicts(cls, row_dicts: Sequence[dict], cols: int) -> "ExactMatrix":
-        m = cls(len(row_dicts), cols)
-        for i, rd in enumerate(row_dicts):
-            m._rows[i] = {j: rat(v) for j, v in rd.items() if rat(v)}
-        return m
-
     # -- access ------------------------------------------------------------
 
     def entry(self, i: int, j: int) -> Fraction:
@@ -414,6 +407,20 @@ def vec_scale(a: Sequence[Fraction], c: RationalLike) -> tuple:
     return tuple(x * q for x in a)
 
 
+def lincomb(terms: Iterable[tuple], dim: int) -> tuple:
+    """Exact sum of c*v over `(c, v)` pairs, as a tuple of `dim` Fractions.
+
+    A pair with c == 0 is skipped without reading v; an empty sum is the
+    zero vector."""
+    out = [Fraction(0)] * dim
+    for c, v in terms:
+        if c:
+            if len(v) != dim:
+                raise DimensionMismatch("lincomb: vector has the wrong length")
+            out = [o + c * x if x else o for o, x in zip(out, v)]
+    return tuple(out)
+
+
 def vec_is_zero(a: Sequence[Fraction]) -> bool:
     return all(x == 0 for x in a)
 
@@ -501,14 +508,10 @@ class Subspace:
         joint = hstack([self.basis.transpose(),
                         other.basis.transpose().scale(-1)])
         sol = joint.kernel()
-        vectors = []
-        for k in range(sol.dim):
-            coeffs = sol.basis.row_tuple(k)[: self.dim]
-            v = zero_vec(self.ambient_dim)
-            for i, c in enumerate(coeffs):
-                if c:
-                    v = vec_add(v, vec_scale(self.basis.row_tuple(i), c))
-            vectors.append(v)
+        own = self.basis_vectors()
+        vectors = [lincomb(zip(sol.basis.row_tuple(k)[: self.dim], own),
+                           self.ambient_dim)
+                   for k in range(sol.dim)]
         return Subspace.from_vectors(self.ambient_dim, vectors)
 
     def __eq__(self, other) -> bool:

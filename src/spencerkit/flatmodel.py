@@ -12,9 +12,8 @@ from .certs import Certificate
 from .cliffspin import CliffordRep, DiracCurrent, spin_generators
 from .errors import (DimensionMismatch, JacobiViolation, NotClosed,
                      NotCompactForm)
-from .exactla import (ExactMatrix, Subspace, is_positive_definite,
-                      rat_str, tensor_index_maps, vec_add,
-                      vec_scale, zero_vec)
+from .exactla import (ExactMatrix, Subspace, is_positive_definite, lincomb,
+                      rat_str, tensor_index_maps)
 
 
 # ---------------------------------------------------------------------------
@@ -69,15 +68,9 @@ class EndoSubalgebra:
 
     def bracket_coords(self, x: Sequence[Fraction],
                        y: Sequence[Fraction]) -> tuple:
-        out = zero_vec(self.dim)
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if yj:
-                    out = vec_add(out, vec_scale(self.bracket_table[i][j],
-                                                 xi * yj))
-        return out
+        return lincomb(((xi * yj, self.bracket_table[i][j])
+                        for i, xi in enumerate(x) if xi
+                        for j, yj in enumerate(y) if yj), self.dim)
 
     def __repr__(self):
         return f"EndoSubalgebra(dim={self.dim}, on S^{self.spinor_dim})"
@@ -180,14 +173,6 @@ class GradedBracketTensor:
             out.append(acc)
             acc += d
         return tuple(out)
-
-    def component_of(self, k: int) -> str:
-        acc = 0
-        for name, d in zip(self.component_names, self.component_dims):
-            acc += d
-            if k < acc:
-                return name
-        raise IndexError(k)
 
     def bracket(self, i: int, j: int) -> dict:
         return self.table.get((i, j), {})

@@ -25,8 +25,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import (DimensionMismatch, KappaZero, NoEquivariantSplitting,
                      NotACocycle, NotHighlySusy, NotSymmetric,
                      OracleMismatch)
-from .exactla import (ExactMatrix, NoSolution, Subspace, basis_vec,
-                      solve_affine, tensor_index_maps, vec_add, vec_is_zero,
+from .exactla import (ExactMatrix, NoSolution, Subspace, basis_vec, lincomb,
+                      solve_affine, tensor_index_maps, vec_is_zero,
                       vec_scale, vstack, zero_vec)
 from .flatmodel import (ExtendedFlatModel, GradedSubalgebra, full_subalgebra)
 
@@ -577,14 +577,9 @@ class Cochain22:
     # bilinear evaluations on source-coordinate vectors
     def beta_vec(self, vcoords: Sequence[Fraction],
                  scoords: Sequence[Fraction]) -> tuple:
-        out = zero_vec(self.cx.dWs)
-        for a, cv in enumerate(vcoords):
-            if not cv:
-                continue
-            for i, cs in enumerate(scoords):
-                if cs:
-                    out = vec_add(out, vec_scale(self.beta(a, i), cv * cs))
-        return out
+        return lincomb(((cv * cs, self.beta(a, i))
+                        for a, cv in enumerate(vcoords) if cv
+                        for i, cs in enumerate(scoords) if cs), self.cx.dWs)
 
     def gamma_vec(self, x: Sequence[Fraction],
                   y: Sequence[Fraction]) -> tuple:
@@ -595,41 +590,14 @@ class Cochain22:
 
     def alpha_vec(self, x: Sequence[Fraction],
                   y: Sequence[Fraction]) -> tuple:
-        out = zero_vec(self.cx.dWv)
-        for a, cx_ in enumerate(x):
-            if not cx_:
-                continue
-            for b, cy in enumerate(y):
-                if cy:
-                    out = vec_add(out, vec_scale(self.alpha(a, b), cx_ * cy))
-        return out
+        return lincomb(((cx_ * cy, self.alpha(a, b))
+                        for a, cx_ in enumerate(x) if cx_
+                        for b, cy in enumerate(y) if cy), self.cx.dWv)
 
     def _sym_eval(self, pair_fn, dim, x, y) -> tuple:
-        out = zero_vec(dim)
-        for i, ci in enumerate(x):
-            if not ci:
-                continue
-            for j, cj in enumerate(y):
-                if cj:
-                    out = vec_add(out, vec_scale(pair_fn(i, j), ci * cj))
-        return out
-
-    # ambient-valued variants
-    def beta_ambient(self, vcoords, scoords) -> tuple:
-        return _through_basis(self.cx.Ws_vecs, self.cx.model.dim_s,
-                              self.beta_vec(vcoords, scoords))
-
-    def gamma_ambient(self, x, y) -> tuple:
-        return _through_basis(self.cx.Wso_vecs, self.cx.model.dim_so,
-                              self.gamma_vec(x, y))
-
-    def rho_ambient(self, x, y) -> tuple:
-        return _through_basis(self.cx.Wr_vecs, self.cx.model.dim_r,
-                              self.rho_vec(x, y))
-
-    def alpha_ambient(self, x, y) -> tuple:
-        return _through_basis(self.cx.Wv_vecs, self.cx.model.dim_v,
-                              self.alpha_vec(x, y))
+        return lincomb(((ci * cj, pair_fn(i, j))
+                        for i, ci in enumerate(x) if ci
+                        for j, cj in enumerate(y) if cj), dim)
 
     def block(self, name: str) -> tuple:
         return self._lay.block_of(self.coeffs, name)
@@ -637,14 +605,6 @@ class Cochain22:
     def is_cocycle(self) -> bool:
         image = self.cx.differentials[2].apply(self.coeffs)
         return vec_is_zero(image)
-
-
-def _through_basis(basis_vecs, ambient_dim, coords) -> tuple:
-    out = zero_vec(ambient_dim)
-    for c, bvec in zip(coords, basis_vecs):
-        if c:
-            out = vec_add(out, vec_scale(bvec, c))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -671,15 +631,10 @@ class CohomologyReport:
             kernel = Subspace.full(self.dim_h)
         else:
             kernel = vstack(list(self.action_matrices)).kernel()
-        out = []
-        for k in range(kernel.dim):
-            coeffs = kernel.basis.row_tuple(k)
-            v = zero_vec(len(self.representatives[0]))
-            for c, rep_vec in zip(coeffs, self.representatives):
-                if c:
-                    v = vec_add(v, vec_scale(rep_vec, c))
-            out.append(v)
-        return out
+        dim = len(self.representatives[0])
+        return [lincomb(zip(kernel.basis.row_tuple(k), self.representatives),
+                        dim)
+                for k in range(kernel.dim)]
 
     def to_json(self) -> dict:
         from .exactla import rat_str
@@ -706,13 +661,10 @@ def compute_cohomology(cx: SpencerComplex, p: int,
         d_in = cx.differentials[1]
     Z = d_out.kernel()
     B = d_in.column_space()
-    reps = []
-    span = B
-    for k in range(Z.dim):
-        vecrow = Z.basis.row_tuple(k)
-        if not span.contains(vecrow):
-            reps.append(vecrow)
-            span = span.add(Subspace.from_vectors(len(vecrow), [vecrow]))
+    # pivot columns are the greedy left-to-right independent columns, so
+    # these are the Z-basis rows that extend B one new class at a time
+    pivots = vstack([B.basis, Z.basis]).transpose().pivot_columns()
+    reps = [Z.basis.row_tuple(c - B.dim) for c in pivots if c >= B.dim]
     actions = []
     if with_action and p == 2 and reps:
         gens = subalgebra_action_matrices(cx)
@@ -750,10 +702,6 @@ class SpinorSquareSplitting:
     section: ExactMatrix          # sym2(S) x dim V, columns = section(e_b)
     projector: ExactMatrix        # onto ker kappa along the image
     r_equivariant: bool
-
-    @property
-    def so_equivariant(self) -> bool:
-        return True
 
     def apply(self, v: Sequence[Fraction]) -> tuple:
         return self.section.apply(v)
@@ -937,14 +885,11 @@ class FullModelCohomology:
         lam = list(sol.x)
         # lambda_r = -(rho o section)
         if cx.dWr:
-            n = self.model.dim_v
-            for b in range(n):
-                img = zero_vec(cx.dWr)
-                for p in range(cx.s2.size):
-                    c = self.splitting.section.entry(p, b)
-                    if c:
-                        img = vec_add(img, vec_scale(
-                            z.rho_pair(*cx.s2.tuples[p]), c))
+            section_cols = self.splitting.section.transpose()
+            for b in range(self.model.dim_v):
+                img = lincomb(((c, z.rho_pair(*cx.s2.tuples[p]))
+                               for p, c in section_cols.row_dict(b).items()),
+                              cx.dWr)
                 for t in range(cx.dWr):
                     lam[lay1.index("lambda_r", b, t)] = -img[t]
         correction = d21.apply(lam)
@@ -985,14 +930,9 @@ class FullModelCohomology:
             stacked.append(ExactMatrix.from_rows(
                 rows, cols=(b_hi - b_lo) + (r_hi - r_lo)).transpose())
         kernel = vstack(stacked).kernel()
-        vectors = []
-        for k in range(kernel.dim):
-            coeff = kernel.basis.row_tuple(k)
-            v = zero_vec(lay.dim)
-            for c, i in zip(coeff, range(basis.dim)):
-                if c:
-                    v = vec_add(v, vec_scale(basis.basis.row_tuple(i), c))
-            vectors.append(v)
+        basis_vecs = basis.basis_vectors()
+        vectors = [lincomb(zip(kernel.basis.row_tuple(k), basis_vecs), lay.dim)
+                   for k in range(kernel.dim)]
         # gamma-invariance is implied by beta-invariance: verify on the nose
         for v in vectors:
             for act in action_mats:
@@ -1137,16 +1077,14 @@ def restriction_kernel_report(sub: GradedSubalgebra,
     lay = cx.layouts[2]
     basis = fullco.normalised_space
 
-    def expand(coeff, dim):
-        v = zero_vec(lay.dim)
-        for c, i in zip(coeff, range(dim)):
-            if c:
-                v = vec_add(v, vec_scale(basis.basis.row_tuple(i), c))
-        return v
-
     if basis.dim == 0:
         trivial = Subspace.trivial(lay.dim)
         return RestrictionKernelReport(trivial, trivial)
+    basis_vecs = basis.basis_vectors()
+
+    def expand(coeff):
+        return lincomb(zip(coeff, basis_vecs), lay.dim)
+
     svecs = sub.Sp.basis_vectors()
     rows = []
     for k in range(basis.dim):
@@ -1163,7 +1101,7 @@ def restriction_kernel_report(sub: GradedSubalgebra,
         else ExactMatrix(0, basis.dim)
     kernel = conditions.kernel()
     direct = Subspace.from_vectors(
-        lay.dim, [expand(kernel.basis.row_tuple(k), basis.dim)
+        lay.dim, [expand(kernel.basis.row_tuple(k))
                   for k in range(kernel.dim)])
     # the kernel of i^* into H^{2,2}(a_-; model)
     from .exactla import hstack
@@ -1176,7 +1114,7 @@ def restriction_kernel_report(sub: GradedSubalgebra,
     for k in range(ker.dim):
         coeff = ker.basis.row_tuple(k)[:basis.dim]
         if not vec_is_zero(coeff):
-            vecs2.append(expand(coeff, basis.dim))
+            vecs2.append(expand(coeff))
     via_istar = Subspace.from_vectors(lay.dim, vecs2)
     if not via_istar.contains_subspace(direct):
         raise OracleMismatch("componentwise restriction kernel is not "

@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 from spencerkit.errors import DimensionMismatch
 from spencerkit.exactla import (ExactMatrix, NoSolution, ParticularSolution,
                                 Subspace, is_positive_definite, ldlt_pivots,
-                                rat, rat_str, solve_affine,
-                                tensor_index_maps, vec, vec_is_zero, vstack)
+                                lincomb, rat, rat_str, solve_affine,
+                                tensor_index_maps, vec, vec_add, vec_is_zero,
+                                vec_scale, vstack, zero_vec)
 
 
 def test_rational_serialisation():
@@ -132,6 +133,53 @@ def test_solvability_matches_rank_criterion(m, rhs):
     else:
         assert augmented.rank() == m.rank()
         assert m.apply(sol.x) == b
+
+
+small_rationals = st.fractions(min_value=-4, max_value=4,
+                                max_denominator=5)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(min_value=0, max_value=5).flatmap(
+    lambda dim: st.tuples(st.just(dim), st.lists(
+        st.tuples(small_rationals, st.lists(small_rationals, min_size=dim,
+                                            max_size=dim)),
+        max_size=5))))
+def test_lincomb_equals_scale_and_add_fold(dim_terms):
+    dim, terms = dim_terms
+    fold = zero_vec(dim)
+    for c, v in terms:
+        fold = vec_add(fold, vec_scale(v, c))
+    got = lincomb(terms, dim)
+    assert got == fold
+    assert all(type(x) is Fraction for x in got)
+
+
+class TestLincomb:
+    def test_zero_coefficient_never_reads_its_vector(self):
+        class Unreadable:
+            def __len__(self):
+                raise AssertionError("vector of a zero coefficient was read")
+
+            def __iter__(self):
+                raise AssertionError("vector of a zero coefficient was read")
+
+        terms = [(Fraction(0), Unreadable()), (2, (1, 0)), (0, Unreadable())]
+        assert lincomb(iter(terms), 2) == (Fraction(2), Fraction(0))
+
+    def test_empty_sum_is_zero_vector(self):
+        assert lincomb([], 3) == zero_vec(3)
+        assert lincomb(iter(()), 0) == ()
+
+    def test_entries_are_fractions(self):
+        out = lincomb([(1, (1, 2)), (3, (0, -1))], 2)
+        assert out == (Fraction(1), Fraction(-1))
+        assert all(type(x) is Fraction for x in out)
+        assert all(type(x) is Fraction for x in lincomb([], 2))
+
+    def test_wrong_length_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            lincomb([(1, (1, 2, 3))], 2)
 
 
 class TestSubspace:

@@ -79,6 +79,15 @@ class TestCohomology:
         for r in co.representatives:
             assert co.cocycles.contains(r)
             assert not co.boundaries.contains(r)
+        # and they are the greedy choice: each Z-basis row, in order, that
+        # is independent of B and of the rows chosen before it
+        greedy = []
+        span = co.boundaries
+        for vecrow in co.cocycles.basis_vectors():
+            if not span.contains(vecrow):
+                greedy.append(vecrow)
+                span = span.add(Subspace.from_vectors(len(vecrow), [vecrow]))
+        assert list(co.representatives) == greedy
 
     def test_action_matrices_shape(self):
         sub = get_sampled_subalgebra(3, 1, 1, 7)
