@@ -16,9 +16,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .certs import Certificate
 from .errors import (FiltrationViolation, JacobiViolation,
                      NotHighlySusy, NotSymmetric, OracleMismatch)
-from .exactla import (ExactMatrix, NoSolution, Subspace, basis_vec, hstack,
-                      lincomb, rat_str, solve_affine, tensor_index_maps, vec,
-                      vec_add, vec_is_zero, vec_scale, vec_sub, zero_vec)
+from .exactla import (AffineSolver, ExactMatrix, NoSolution, Subspace,
+                      basis_vec, hstack, lincomb, rat_str, solve_affine,
+                      tensor_index_maps, vec, vec_add, vec_is_zero, vec_scale,
+                      vec_sub, zero_vec)
 from .flatmodel import (EndoSubalgebra, ExtendedFlatModel, GradedBracketTensor,
                         GradedSubalgebra, faithful_split, graded_jacobi_check,
                         kappa_restriction_matrix, make_graded_subalgebra)
@@ -236,11 +237,12 @@ class DeltaMap:
     """Degree-2 deformation map on a0 x V: values in h/r' coordinates."""
     delta1: list   # [h index][v index] -> h coords
     delta2: list   # [h index][v index] -> r' coords
+    delta3: list   # [r' index][v index] -> h coords (generic solve)
     delta4: list   # [r' index][v index] -> r' coords
 
     @property
     def delta3_is_zero(self) -> bool:
-        return True
+        return all(vec_is_zero(v) for row in self.delta3 for v in row)
 
     def delta1_vec(self, h_coeffs: Sequence[Fraction], b: int) -> tuple:
         dim = len(self.delta1[0][b]) if self.delta1 else 0
@@ -292,14 +294,20 @@ def solve_delta(datum: AdmissibleDatum) -> DeltaMap:
                 raise OracleMismatch("closed-form delta4 leaves r'")
             row4.append(c4)
         delta4.append(row4)
-    closed = DeltaMap(delta1=delta1, delta2=delta2, delta4=delta4)
-    _check_delta_generic(datum, closed)
-    return closed
+    delta3 = _check_delta_generic(datum, delta1, delta2, delta4)
+    delta = DeltaMap(delta1=delta1, delta2=delta2, delta3=delta3,
+                     delta4=delta4)
+    if not delta.delta3_is_zero:
+        raise OracleMismatch("generic solver gives a nonzero delta3: "
+                             "[r', V] has an h component")
+    return delta
 
 
-def _check_delta_generic(datum: AdmissibleDatum, closed: DeltaMap) -> None:
+def _check_delta_generic(datum: AdmissibleDatum, delta1: list, delta2: list,
+                         delta4: list) -> list:
     """Generic route: solve the injective degree-(2,1) differential for each
-    generator and compare with the closed form."""
+    generator and compare with the closed form delta1, delta2, delta4.
+    Returns delta3, the h part of the solution for each r' generator."""
     sub = datum.subalgebra
     cx = datum.sub_complex
     lay1 = cx.layouts[1]
@@ -308,27 +316,32 @@ def _check_delta_generic(datum: AdmissibleDatum, closed: DeltaMap) -> None:
     n = datum.model.dim_v
     if d21.rank() != d21.cols:
         raise OracleMismatch("degree-(2,1) differential is not injective")
+    solver = AffineSolver(d21)
+    delta3 = []
     for idx, act in enumerate(gens):
-        rhs = act.apply(datum.mu_minus.coeffs)
-        sol = solve_affine(d21, rhs)
+        sol = solver.solve(act.apply(datum.mu_minus.coeffs))
         if isinstance(sol, NoSolution):
             raise OracleMismatch("X.mu is not a coboundary; invariance of the "
                                  "class must have been violated")
         chi = sol.x
+        row3 = []
         for b in range(n):
             got_h = tuple(chi[lay1.index("lambda_so", b, t)]
                           for t in range(sub.h.dim))
             got_r = tuple(chi[lay1.index("lambda_r", b, t)]
                           for t in range(sub.rp.dim))
             if idx < sub.h.dim:
-                want_h = closed.delta1[idx][b]
-                want_r = closed.delta2[idx][b]
+                agree = (got_h == tuple(delta1[idx][b])
+                         and got_r == tuple(delta2[idx][b]))
             else:
-                want_h = zero_vec(sub.h.dim)
-                want_r = closed.delta4[idx - sub.h.dim][b]
-            if tuple(want_h) != got_h or tuple(want_r) != got_r:
+                row3.append(got_h)
+                agree = got_r == tuple(delta4[idx - sub.h.dim][b])
+            if not agree:
                 raise OracleMismatch(
                     "closed-form delta disagrees with the generic solver")
+        if idx >= sub.h.dim:
+            delta3.append(row3)
+    return delta3
 
 
 # ---------------------------------------------------------------------------
@@ -416,8 +429,9 @@ def compute_theta(datum: AdmissibleDatum) -> ThetaData:
     second_rel = False
     if annihilated:
         preimages = []
+        solver = AffineSolver(kappa_sp)
         for c in range(n):
-            sol = solve_affine(kappa_sp, basis_vec(n, c))
+            sol = solver.solve(basis_vec(n, c))
             if isinstance(sol, NoSolution):
                 raise OracleMismatch("kappa restricted to Sym^2 S' is not "
                                      "surjective on a highly susy subalgebra")
@@ -1131,11 +1145,11 @@ def class_gauge_generators(datum: AdmissibleDatum) -> List[tuple]:
         [sub.rp.basis.row_tuple(i) for i in range(sub.rp.dim)])
     gauge = report.via_istar.intersect(inv)
     res = restriction_matrix(fullco.complex, datum.mixed_complex)
-    d21 = datum.mixed_complex.differentials[1]
+    solver = AffineSolver(datum.mixed_complex.differentials[1])
     out = []
     for k in range(gauge.dim):
         kvec = gauge.basis.row_tuple(k)
-        sol = solve_affine(d21, res.apply(kvec))
+        sol = solver.solve(res.apply(kvec))
         if isinstance(sol, NoSolution):
             raise OracleMismatch("gauge generator restriction is not a "
                                  "coboundary")

@@ -452,6 +452,8 @@ class Subspace:
     @classmethod
     def from_vectors(cls, ambient_dim: int,
                      vectors: Sequence[Sequence[RationalLike]]) -> "Subspace":
+        if any(len(v) != ambient_dim for v in vectors):
+            raise DimensionMismatch("basis vectors have the wrong length")
         mat = ExactMatrix(len(vectors), ambient_dim,
                           [(i, j, v) for i, row in enumerate(vectors)
                            for j, v in enumerate(row)])
@@ -572,6 +574,72 @@ def solve_affine(A: ExactMatrix, b: Sequence[RationalLike]):
     for i, pc in enumerate(pivots):
         x[pc] = rref._rows[i].get(bcol, Fraction(0))
     return ParticularSolution(x=tuple(x))
+
+
+def _scaled_row(row: dict) -> tuple:
+    """(d, ints) with row[j] == ints[j] / d, d the lcm of the denominators."""
+    d = 1
+    for v in row.values():
+        d = d // gcd(d, v.denominator) * v.denominator
+    return d, {j: v.numerator * (d // v.denominator) for j, v in row.items()}
+
+
+class AffineSolver:
+    """Factor A once, then solve Ax = b for many right-hand sides.
+
+    Let P be A restricted to r independent rows and to the pivot columns of
+    its RREF; P is invertible.  The canonical solution (free variables zero)
+    of a consistent system is unique, so it is x[pivots] = P^-1 b[rows].
+    `solve` computes that, checks A x == b exactly, and hands a failed
+    check to `solve_affine` for its NoSolution certificate: the result
+    always equals `solve_affine(A, b)`.  A is factored at the first solve,
+    so a solver that is never asked costs nothing.
+    """
+
+    __slots__ = ("A", "_pivots", "_rows", "_inv", "_scaled")
+
+    def __init__(self, A: ExactMatrix):
+        self.A = A
+        self._inv = None
+
+    def _factor(self) -> None:
+        A = self.A
+        pivots = A.pivot_columns()
+        r = len(pivots)
+        sub = ExactMatrix(A.rows, r)
+        for i, row in enumerate(A._rows):
+            sub._rows[i] = {k: row[pc] for k, pc in enumerate(pivots)
+                            if pc in row}
+        rows = sub.transpose().pivot_columns()
+        aug = ExactMatrix(r, 2 * r)
+        for i, ri in enumerate(rows):
+            aug._rows[i] = {**sub._rows[ri], r + i: Fraction(1)}
+        # RREF of [P | I] is [I | P^-1]; rows of P^-1 kept integer-scaled
+        self._inv = [_scaled_row({j - r: v for j, v in row.items() if j >= r})
+                     for row in aug.rref()._rows]
+        self._pivots = pivots
+        self._rows = rows
+        self._scaled = [_scaled_row(row) for row in A._rows]
+
+    def solve(self, b: Sequence[RationalLike]):
+        A = self.A
+        if A.rows != len(b):
+            raise DimensionMismatch("solve: rhs length differs from rows")
+        if self._inv is None:
+            self._factor()
+        b = [rat(v) for v in b]
+        bd, bn = _scaled_row(dict(enumerate(b[i] for i in self._rows)))
+        x = [Fraction(0)] * A.cols
+        for pc, (d, inv_row) in zip(self._pivots, self._inv):
+            x[pc] = Fraction(sum(v * bn[j] for j, v in inv_row.items()),
+                             d * bd)
+        xd, xn = _scaled_row(dict(enumerate(x)))
+        for (d, row), q in zip(self._scaled, b):
+            # A_i x == b_i with the denominators of A_i and x cleared
+            s = sum(v * xn[j] for j, v in row.items())
+            if s * q.denominator != q.numerator * d * xd:
+                return solve_affine(A, b)
+        return ParticularSolution(x=tuple(x))
 
 
 def ldlt_pivots(M: ExactMatrix) -> list:

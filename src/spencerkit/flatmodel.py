@@ -617,6 +617,9 @@ def _stabiliser(mats: Sequence[ExactMatrix], dim: int,
 def random_subspace(ambient_dim: int, dim: int, seed: int,
                     coeff_bound: int = 3) -> Subspace:
     """Seeded random subspace of the requested dimension (retry on rank loss)."""
+    if not 0 <= dim <= ambient_dim:
+        raise DimensionMismatch(f"no {dim}-dimensional subspace of a "
+                                f"{ambient_dim}-dimensional space")
     rnd = random.Random(seed)
     while True:
         vectors = [[rnd.randint(-coeff_bound, coeff_bound)

@@ -19,7 +19,8 @@ from .deform import (NotAdmissible, build_filtered_deformation,
                      check_admissibility, check_geometric_realisability,
                      check_integrability, compute_envelope, compute_theta,
                      deformation_report, solve_delta, zero_cocycle)
-from .errors import (ConfigError, NotClosed, SpencerKitError, StageError)
+from .errors import (ConfigError, DimensionMismatch, NotClosed,
+                     SpencerKitError, StageError)
 from .exactla import ExactMatrix, Subspace, rat, vec_is_zero
 from .flatmodel import (build_extended_flat_model, compute_r_symmetry_algebra,
                         compute_schur_algebra, make_graded_subalgebra,
@@ -34,6 +35,11 @@ STAGES = ("clifford", "dirac_current", "r_symmetry", "flat_model",
           "deformation", "realisability", "reconstruction")
 
 _SUBSPACE_KEYS = {"S_prime", "h", "r_prime"}
+
+
+def _is_int(value) -> bool:
+    """A JSON integer; booleans are not accepted as 0 and 1."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def validate_config(raw: dict) -> dict:
@@ -51,9 +57,9 @@ def validate_config(raw: dict) -> dict:
             raise ConfigError(f"missing config key {key!r}")
     sig = raw["signature"]
     if not (isinstance(sig, dict) and set(sig) == {"s", "t"}
-            and all(isinstance(sig[k], int) and sig[k] >= 0 for k in sig)):
+            and all(_is_int(sig[k]) and sig[k] >= 0 for k in sig)):
         raise ConfigError("signature must be {\"s\": int>=0, \"t\": int>=0}")
-    if not isinstance(raw["N"], int) or raw["N"] < 1:
+    if not _is_int(raw["N"]) or raw["N"] < 1:
         raise ConfigError("N must be a positive integer")
     dc = raw["dirac_current"]
     if not isinstance(dc, dict) or dc.get("kind") not in ("standard",
@@ -75,6 +81,8 @@ def validate_config(raw: dict) -> dict:
     elif isinstance(sp, dict) and set(sp) == {"random"} and \
             isinstance(sp["random"], dict) and \
             set(sp["random"]) == {"dim", "seed"}:
+        if not _is_int(sp["random"]["dim"]):
+            raise ConfigError("S_prime.random.dim must be an integer")
         needs_seed = True
     else:
         raise ConfigError("S_prime must be full, {basis: [...]} or "
@@ -101,7 +109,7 @@ def validate_config(raw: dict) -> dict:
         raise ConfigError("a top-level seed is mandatory when any random "
                           "subspace is requested")
     seed = raw.get("seed", 0)
-    if not isinstance(seed, int):
+    if not _is_int(seed):
         raise ConfigError("seed must be an integer")
     out = {
         "signature": {"s": sig["s"], "t": sig["t"]},
@@ -187,10 +195,18 @@ def _stage_dirac_current(config, state):
     if dc["kind"] == "standard":
         current = build_dirac_current(rep, "standard")
     else:
-        mats = [ExactMatrix.from_rows([[rat(v) for v in row]
-                                       for row in comp])
-                for comp in dc["tensor"]]
-        current = build_dirac_current(rep, mats)
+        comps = dc["tensor"]
+        if not isinstance(comps, list) or \
+                not all(isinstance(comp, list) for comp in comps):
+            raise ConfigError("dirac_current.tensor must be a list of "
+                              "matrices")
+        try:
+            mats = [ExactMatrix.from_rows(
+                [_rationals(row, "dirac_current.tensor row")
+                 for row in comp]) for comp in comps]
+            current = build_dirac_current(rep, mats)
+        except DimensionMismatch as err:
+            raise ConfigError(f"bad dirac_current.tensor: {err}") from err
     state["current"] = current
     data = {"symmetry": current.symmetry,
             "rank": current.component_matrix().rank(),
@@ -218,13 +234,32 @@ def _stage_flat_model(config, state):
             "odd_spinors": model.odd_spinors}
 
 
+def _rationals(values, what: str) -> list:
+    """A config list of exact rationals (ints or "p/q" strings)."""
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"{what} must be a list, not {values!r}")
+    out = []
+    for v in values:
+        if isinstance(v, bool):
+            raise ConfigError(f"{what}: {v!r} is not a rational")
+        try:
+            out.append(rat(v))
+        except (ValueError, TypeError, ZeroDivisionError) as err:
+            raise ConfigError(f"{what}: bad entry {v!r}: {err}") from err
+    return out
+
+
 def _parse_subspace(spec, ambient: int, what: str) -> Subspace:
     if isinstance(spec, dict) and "basis" in spec:
+        rows = spec["basis"]
+        if not isinstance(rows, (list, tuple)):
+            raise ConfigError(f"{what} basis must be a list of vectors")
+        vectors = [_rationals(row, f"{what} basis vector") for row in rows]
         try:
-            vectors = [[rat(v) for v in row] for row in spec["basis"]]
             return Subspace.from_vectors(ambient, vectors)
-        except (ValueError, TypeError) as err:
-            raise ConfigError(f"bad {what} basis: {err}") from err
+        except DimensionMismatch as err:
+            raise ConfigError(f"bad {what} basis (ambient dimension "
+                              f"{ambient}): {err}") from err
     raise ConfigError(f"unsupported {what} spec {spec!r}")
 
 
@@ -235,8 +270,11 @@ def _stage_subalgebra(config, state):
     if sp == "full":
         Sp = Subspace.full(model.dim_s)
     elif "random" in sp:
-        Sp = random_subspace(model.dim_s, sp["random"]["dim"],
-                             sp["random"]["seed"])
+        try:
+            Sp = random_subspace(model.dim_s, sp["random"]["dim"],
+                                 sp["random"]["seed"])
+        except DimensionMismatch as err:
+            raise ConfigError(f"bad S_prime.random.dim: {err}") from err
     else:
         Sp = _parse_subspace(sp, model.dim_s, "S_prime")
     hspec = spec["h"]
@@ -309,12 +347,15 @@ def _resolve_cocycle(config, state) -> tuple:
     if "basis_element" in spec:
         classes = state["invariant_classes"]
         idx = spec["basis_element"]
-        if not (isinstance(idx, int) and 0 <= idx < len(classes)):
+        if not _is_int(idx):
+            raise ConfigError(f"basis_element must be an integer, not "
+                              f"{idx!r}")
+        if not 0 <= idx < len(classes):
             raise ConfigError(
                 f"basis_element {idx} out of range: the invariant part of "
                 f"H22 has dimension {len(classes)}")
         return classes[idx]
-    coeffs = [rat(v) for v in spec["coefficients"]]
+    coeffs = _rationals(spec["coefficients"], "cocycle coefficients")
     cx = state["sub_cx"]
     if len(coeffs) != cx.layouts[2].dim:
         raise ConfigError("cocycle coefficient vector has the wrong length "

@@ -25,9 +25,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import (DimensionMismatch, KappaZero, NoEquivariantSplitting,
                      NotACocycle, NotHighlySusy, NotSymmetric,
                      OracleMismatch)
-from .exactla import (ExactMatrix, NoSolution, Subspace, basis_vec, lincomb,
-                      solve_affine, tensor_index_maps, vec_is_zero,
-                      vec_scale, vstack, zero_vec)
+from .exactla import (AffineSolver, ExactMatrix, NoSolution, Subspace,
+                      basis_vec, lincomb, solve_affine, tensor_index_maps,
+                      vec_is_zero, vec_scale, vstack, zero_vec)
 from .flatmodel import (ExtendedFlatModel, GradedSubalgebra, full_subalgebra)
 
 
@@ -668,13 +668,13 @@ def compute_cohomology(cx: SpencerComplex, p: int,
     actions = []
     if with_action and p == 2 and reps:
         gens = subalgebra_action_matrices(cx)
-        basis_cols = vstack([ExactMatrix.from_rows([r]) for r in reps] +
-                            ([B.basis] if B.dim else [])).transpose()
+        solver = AffineSolver(vstack(
+            [ExactMatrix.from_rows([r]) for r in reps] +
+            ([B.basis] if B.dim else [])).transpose())
         for g in gens:
             cols = []
             for r in reps:
-                image = g.apply(r)
-                sol = solve_affine(basis_cols, image)
+                sol = solver.solve(g.apply(r))
                 if isinstance(sol, NoSolution):
                     raise OracleMismatch(
                         "a0-action does not preserve the cocycle space")

@@ -6,8 +6,8 @@ import pytest
 from instances import (GRID, admissible_data_for_cell, get_full_subalgebra,
                        get_fullco, get_model, get_sampled_subalgebra,
                        invariant_basis)
-from spencerkit.deform import (AdmissibleDatum, NotAdmissible, ThetaData,
-                               admissible_cocycle_from_invariant,
+from spencerkit.deform import (AdmissibleDatum, DeltaMap, NotAdmissible,
+                               ThetaData, admissible_cocycle_from_invariant,
                                build_filtered_deformation, canonical_gauge,
                                check_admissibility,
                                check_geometric_realisability,
@@ -120,6 +120,16 @@ class TestDelta:
         for datum in admissible_data_for_cell(s, t, N):
             delta = solve_delta(datum)
             assert delta.delta3_is_zero
+
+
+    def test_nonzero_delta3_reported(self):
+        zero = DeltaMap(delta1=[], delta2=[],
+                        delta3=[[zero_vec(2), zero_vec(2)]],
+                        delta4=[[(Fraction(0),), (Fraction(0),)]])
+        assert zero.delta3_is_zero
+        nonzero = dataclasses.replace(
+            zero, delta3=[[zero_vec(2), (Fraction(0), Fraction(1, 2))]])
+        assert not nonzero.delta3_is_zero
 
 
 class TestTheta:

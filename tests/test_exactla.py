@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spencerkit.errors import DimensionMismatch
-from spencerkit.exactla import (ExactMatrix, NoSolution, ParticularSolution,
-                                Subspace, is_positive_definite, ldlt_pivots,
-                                lincomb, rat, rat_str, solve_affine,
-                                tensor_index_maps, vec, vec_add, vec_is_zero,
-                                vec_scale, vstack, zero_vec)
+from spencerkit.exactla import (AffineSolver, ExactMatrix, NoSolution,
+                                ParticularSolution, Subspace,
+                                is_positive_definite, ldlt_pivots, lincomb,
+                                rat, rat_str, solve_affine, tensor_index_maps,
+                                vec, vec_add, vec_is_zero, vec_scale, vstack,
+                                zero_vec)
 
 
 def test_rational_serialisation():
@@ -182,7 +183,82 @@ class TestLincomb:
             lincomb([(1, (1, 2, 3))], 2)
 
 
+@st.composite
+def systems(draw, max_dim=5):
+    """A (possibly rank-deficient, possibly empty) A = L R and right-hand
+    sides, each either A x (consistent) or arbitrary (mostly not)."""
+    rows = draw(st.integers(min_value=0, max_value=max_dim))
+    cols = draw(st.integers(min_value=0, max_value=max_dim))
+    inner = draw(st.integers(min_value=0, max_value=max_dim))
+    denominators = st.integers(min_value=1, max_value=4)
+    left = [[Fraction(draw(small_entries), draw(denominators))
+             for _ in range(inner)] for _ in range(rows)]
+    right = draw(st.lists(st.lists(small_entries, min_size=cols,
+                                   max_size=cols),
+                          min_size=inner, max_size=inner))
+    A = ExactMatrix.from_rows(
+        [[sum((l[k] * right[k][j] for k in range(inner)), Fraction(0))
+          for j in range(cols)] for l in left], cols=cols)
+    rhs = []
+    for consistent in draw(st.lists(st.booleans(), min_size=1, max_size=4)):
+        if consistent:
+            x = draw(st.lists(small_rationals, min_size=cols, max_size=cols))
+            rhs.append(A.apply(x))
+        else:
+            rhs.append(tuple(draw(st.lists(small_rationals, min_size=rows,
+                                           max_size=rows))))
+    return A, rhs
+
+
+@settings(max_examples=150, deadline=None)
+@given(systems())
+def test_affine_solver_equals_solve_affine(system):
+    A, rhs = system
+    solver = AffineSolver(A)
+    for b in rhs:
+        assert solver.solve(b) == solve_affine(A, b)
+
+
+class TestAffineSolver:
+    def test_rank_deficient_canonical_solution(self):
+        A = ExactMatrix.from_rows([[1, 2, 3], [2, 4, 6], [0, 0, 1]])
+        sol = AffineSolver(A).solve(vec([1, 2, 5]))
+        assert sol == solve_affine(A, vec([1, 2, 5]))
+        assert sol.x == vec([-14, 0, 5])     # free column 1 set to zero
+
+    def test_certificate_matches_one_shot(self):
+        A = ExactMatrix.from_rows([[1, 1], [1, 1], [0, 2]])
+        solver = AffineSolver(A)
+        for b in (vec([1, 2, 0]), vec([1, 1, "1/3"])):
+            sol = solver.solve(b)
+            assert isinstance(sol, (NoSolution, ParticularSolution))
+            assert sol == solve_affine(A, b)
+        assert isinstance(solver.solve(vec([1, 2, 0])), NoSolution)
+
+    def test_empty_shapes(self):
+        assert AffineSolver(ExactMatrix(0, 3)).solve(()) == \
+            ParticularSolution(x=vec([0, 0, 0]))
+        solver = AffineSolver(ExactMatrix(2, 0))
+        assert solver.solve(vec([0, 0])) == ParticularSolution(x=())
+        assert isinstance(solver.solve(vec([0, 1])), NoSolution)
+
+    def test_accepts_rational_likes(self):
+        A = ExactMatrix.from_rows([[2, 0], [0, 3]])
+        assert AffineSolver(A).solve([1, "1/2"]).x == \
+            (Fraction(1, 2), Fraction(1, 6))
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            AffineSolver(ExactMatrix.identity(2)).solve(vec([1, 2, 3]))
+
+
 class TestSubspace:
+    def test_from_vectors_rejects_short_vectors(self):
+        with pytest.raises(DimensionMismatch):
+            Subspace.from_vectors(3, [[1, 0, 0], [0, 1]])
+        with pytest.raises(DimensionMismatch):
+            Subspace.from_vectors(2, [[1, 0, 0]])
+
     def test_coordinates_and_containment(self):
         sub = Subspace.from_vectors(3, [[1, 0, 1], [0, 1, 1]])
         assert sub.contains([1, 1, 2])

@@ -1,8 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import spencerkit
 from spencerkit import __version__
 from spencerkit.cache import (cache_list, cache_lookup, cache_remove,
                               cache_store, canonical_json, config_hash)
@@ -223,3 +226,40 @@ class TestCli:
         assert main(["cache", "rm", keys[0]]) == 0
         assert main(["cache", "ls"]) == 0
         assert capsys.readouterr().out.split() == []
+
+    @pytest.mark.parametrize("dim", [5, -1])
+    def test_random_dim_out_of_range_exit_2(self, tmp_path, dim):
+        # dim S = 2 here; a run in a child process, so a regression to the
+        # endless rank-loss retry fails on the timeout instead of hanging
+        config = base_config()
+        config["subalgebra"] = {
+            "S_prime": {"random": {"dim": dim, "seed": 1}},
+            "h": "stabiliser", "r_prime": "zero"}
+        path = self._write(tmp_path, config)
+        src = os.path.dirname(os.path.dirname(spencerkit.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "spencerkit.cli", "run", path],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_division_by_zero_in_basis_exit_2(self, tmp_path):
+        config = base_config()
+        config["subalgebra"]["h"] = {"basis": [["1/0", 0, 0]]}
+        assert main(["run", self._write(tmp_path, config)]) == 2
+
+    def test_non_numeric_explicit_tensor_exit_2(self, tmp_path):
+        config = base_config(dirac_current={
+            "kind": "explicit",
+            "tensor": [[["x", 0], [0, 1]]] * 3})
+        assert main(["run", self._write(tmp_path, config)]) == 2
+
+    def test_boolean_basis_element_exit_2(self, tmp_path):
+        config = base_config(cocycle={"basis_element": False})
+        assert main(["run", self._write(tmp_path, config)]) == 2
+
+    def test_short_basis_vector_exit_2(self, tmp_path):
+        config = base_config()
+        config["subalgebra"]["S_prime"] = {"basis": [[1]]}
+        assert main(["run", self._write(tmp_path, config)]) == 2

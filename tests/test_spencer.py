@@ -5,9 +5,12 @@ import pytest
 
 from instances import (GRID, HIGH_SUSY_DIM, get_full_subalgebra, get_fullco,
                        get_model, get_sampled_subalgebra, invariant_basis)
-from spencerkit.errors import KappaZero, NotACocycle, NotHighlySusy
-from spencerkit.exactla import (ExactMatrix, Subspace, solve_affine,
-                                vec_add, vec_is_zero, vec_scale, zero_vec)
+from spencerkit.errors import (KappaZero, NotACocycle, NotHighlySusy,
+                               OracleMismatch)
+from spencerkit import spencer
+from spencerkit.exactla import (ExactMatrix, Subspace, basis_vec,
+                                solve_affine, vec_add, vec_is_zero, vec_scale,
+                                zero_vec)
 from spencerkit.flatmodel import make_graded_subalgebra
 from spencerkit.spencer import (Cochain22, build_spencer_complex,
                                 build_splitting, cochain_action_matrix,
@@ -95,6 +98,28 @@ class TestCohomology:
         assert len(co.action_matrices) == sub.h.dim + sub.rp.dim
         for m in co.action_matrices:
             assert m.rows == co.dim_h == m.cols
+
+    def test_identity_action_gives_identity_matrices(self, monkeypatch):
+        cx = build_spencer_complex(get_sampled_subalgebra(3, 1, 1, 7), 2)
+        dim = cx.cochain_dim(2)
+        monkeypatch.setattr(spencer, "subalgebra_action_matrices",
+                            lambda _cx: [ExactMatrix.identity(dim)])
+        co = compute_cohomology(cx, 2)
+        assert co.action_matrices == (ExactMatrix.identity(co.dim_h),)
+
+    def test_action_leaving_the_cocycles_is_an_oracle_mismatch(
+            self, monkeypatch):
+        cx = build_spencer_complex(get_full_subalgebra(2, 1, 1), 2)
+        dim = cx.cochain_dim(2)
+        rep = compute_cohomology(cx, 2, with_action=False).representatives[0]
+        # a basis cochain that is not a cocycle lies outside span(reps, B)
+        k = next(i for i in range(dim) if not vec_is_zero(
+            cx.differentials[2].apply(basis_vec(dim, i))))
+        leak = ExactMatrix(dim, dim, [(k, j, c) for j, c in enumerate(rep)])
+        monkeypatch.setattr(spencer, "subalgebra_action_matrices",
+                            lambda _cx: [leak])
+        with pytest.raises(OracleMismatch, match="a0-action"):
+            compute_cohomology(cx, 2)
 
     def test_report_json_shape(self):
         co = compute_cohomology(
