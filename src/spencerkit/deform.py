@@ -24,9 +24,9 @@ from .flatmodel import (EndoSubalgebra, ExtendedFlatModel, GradedBracketTensor,
                         GradedSubalgebra, faithful_split, graded_jacobi_check,
                         kappa_restriction_matrix, make_graded_subalgebra)
 from .spencer import (Cochain22, FullModelCohomology, NormalisedCocycle,
-                      SpencerComplex, build_spencer_complex,
-                      cochain_action_matrix, inclusion_matrix,
-                      restriction_matrix, subalgebra_action_matrices)
+                      SpencerComplex, cochain_action_matrix, inclusion_matrix,
+                      restriction_kernel_report, restriction_matrix,
+                      spencer_complex, subalgebra_action_matrices)
 
 
 # ---------------------------------------------------------------------------
@@ -46,7 +46,13 @@ class AdmissibleDatum:
     hat: NormalisedCocycle
     lam: tuple              # C^{2,1}(a_-; model) coordinates
     r_prime_replaced: bool = False
-    _acted: Optional[list] = field(default=None, repr=False)
+    # derived once per datum by acted_hats, odd_brackets and solve_delta
+    _acted: Optional[list] = field(default=None, init=False, repr=False,
+                                   compare=False)
+    _odd: Optional[tuple] = field(default=None, init=False, repr=False,
+                                  compare=False)
+    _delta: Optional["DeltaMap"] = field(default=None, init=False,
+                                         repr=False, compare=False)
 
     @property
     def model(self) -> ExtendedFlatModel:
@@ -96,6 +102,50 @@ class AdmissibleDatum:
                 for b in range(self.model.dim_v)
             ]
         return self._acted
+
+    def odd_brackets(self) -> tuple:
+        """The deformed brackets with a spinor argument, as (vs, ss).
+
+        vs[b][i] holds the S' coordinates of [v_b, s_i] = beta-hat(v_b, s_i)
+        + lambda1(v_b).s_i + lambda2(v_b) s_i.  ss lists (i, j, kappa, h, r')
+        for i <= j, where h and r' are the coordinates of gamma-hat(s_i, s_j)
+        - lambda1(kappa) and rho-hat(s_i, s_j) - lambda2(kappa).  The
+        defining relation of the datum implies every membership, so a value
+        outside the subalgebra raises OracleMismatch.
+        """
+        if self._odd is None:
+            sub, model = self.subalgebra, self.model
+            hat = self.hat.cochain
+            svecs = sub.Sp.basis_vectors()
+            n = model.dim_v
+            vs = []
+            for b in range(n):
+                vb = basis_vec(n, b)
+                l1m, l2m = self.lam1_spin_matrix(b), self.lam2_matrix(b)
+                row = []
+                for s in svecs:
+                    c = sub.Sp.coordinates(vec_add(
+                        hat.beta_vec(vb, s), vec_add(l1m.apply(s),
+                                                     l2m.apply(s))))
+                    if c is None:
+                        raise OracleMismatch("beta-hat correction leaves S'")
+                    row.append(c)
+                vs.append(row)
+            ss = []
+            for i in range(len(svecs)):
+                for j in range(i, len(svecs)):
+                    kv = model.kappa_vec(svecs[i], svecs[j])
+                    gh = sub.h.coordinates(vec_sub(
+                        hat.gamma_vec(svecs[i], svecs[j]), self.lam1_vec(kv)))
+                    if gh is None:
+                        raise OracleMismatch("gamma-hat correction leaves h")
+                    rr = sub.rp.coordinates(vec_sub(
+                        hat.rho_vec(svecs[i], svecs[j]), self.lam2_vec(kv)))
+                    if rr is None:
+                        raise OracleMismatch("rho-hat correction leaves r'")
+                    ss.append((i, j, kv, gh, rr))
+            self._odd = (vs, ss)
+        return self._odd
 
 
 @dataclass(frozen=True)
@@ -148,14 +198,13 @@ def check_admissibility(sub: GradedSubalgebra,
         raise NotHighlySusy("admissibility requires a highly supersymmetric "
                             "subalgebra")
     sub, replaced = ensure_transitive(sub)
-    sub_cx = build_spencer_complex(sub, 2, values="subalgebra")
-    mixed_cx = build_spencer_complex(sub, 2, values="full")
+    sub_cx = spencer_complex(sub, 2)
+    mixed_cx = spencer_complex(sub, 2, values="full")
     mu = Cochain22(sub_cx, mu_coeffs)
     if not mu.is_cocycle():
         raise OracleMismatch("admissibility input is not a Spencer cocycle")
-    inv = fullco.invariant_normalised(
-        [sub.h.basis.row_tuple(i) for i in range(sub.h.dim)],
-        [sub.rp.basis.row_tuple(i) for i in range(sub.rp.dim)])
+    inv = fullco.invariant_normalised(sub.h.basis_vectors(),
+                                      sub.rp.basis_vectors())
     inc = inclusion_matrix(sub_cx, mixed_cx)
     res = restriction_matrix(fullco.complex, mixed_cx)
     d21 = mixed_cx.differentials[1]
@@ -176,55 +225,10 @@ def check_admissibility(sub: GradedSubalgebra,
         mixed_complex=mixed_cx, mu_minus=mu,
         hat=NormalisedCocycle(Cochain22(fullco.complex, hat_coeffs)),
         lam=lam, r_prime_replaced=replaced)
-    _verify_admissibility_memberships(datum)
+    # the membership properties the defining relation implies
+    datum.odd_brackets()
+    solve_delta(datum)
     return datum
-
-
-def _verify_admissibility_memberships(datum: AdmissibleDatum) -> None:
-    """The membership properties of an admissible cocycle; failures are
-    implementation bugs because the defining relation implies them."""
-    sub = datum.subalgebra
-    model = datum.model
-    hat = datum.hat.cochain
-    svecs = sub.Sp.basis_vectors()
-    for b in range(model.dim_v):
-        l1m, l2m = datum.lam1_spin_matrix(b), datum.lam2_matrix(b)
-        vb = basis_vec(model.dim_v, b)
-        for s in svecs:
-            val = vec_add(hat.beta_vec(vb, s),
-                          vec_add(l1m.apply(s), l2m.apply(s)))
-            if not sub.Sp.contains(val):
-                raise OracleMismatch("beta-hat correction leaves S'")
-    pairs = tensor_index_maps(len(svecs), "sym2")
-    for (i, j) in pairs.tuples:
-        kv = model.kappa_vec(svecs[i], svecs[j])
-        gval = vec_add(hat.gamma_vec(svecs[i], svecs[j]),
-                       vec_scale(datum.lam1_vec(kv), -1))
-        if sub.h.coordinates(gval) is None:
-            raise OracleMismatch("gamma-hat correction leaves h")
-        rval = vec_add(hat.rho_vec(svecs[i], svecs[j]),
-                       vec_scale(datum.lam2_vec(kv), -1))
-        if sub.rp.coordinates(rval) is None:
-            raise OracleMismatch("rho-hat correction leaves r'")
-    for k in range(sub.h.dim):
-        A_v = model.so_matrix(sub.h.basis.row_tuple(k))
-        for b in range(model.dim_v):
-            av = A_v.apply(basis_vec(model.dim_v, b))
-            d1 = vec_sub(
-                model.gens.so_coordinates(
-                    A_v.commutator(datum.lam1_matrix(b))),
-                datum.lam1_vec(av))
-            if sub.h.coordinates(d1) is None:
-                raise OracleMismatch("delta1 value leaves h")
-            if sub.rp.coordinates(datum.lam2_vec(av)) is None:
-                raise OracleMismatch("lambda2(h.v) leaves r'")
-    for p in range(sub.rp.dim):
-        a_m = model.r_matrix(sub.rp.basis.row_tuple(p))
-        for b in range(model.dim_v):
-            comm = a_m.commutator(datum.lam2_matrix(b))
-            cc = model.r.coordinates(comm)
-            if cc is None or sub.rp.coordinates(cc) is None:
-                raise OracleMismatch("[r', lambda2(v)] leaves r'")
 
 
 # ---------------------------------------------------------------------------
@@ -241,28 +245,41 @@ class DeltaMap:
     delta4: list   # [r' index][v index] -> r' coords
 
     @property
+    def dim_h(self) -> int:
+        return len(self.delta1)     # one row per h generator
+
+    @property
+    def dim_rp(self) -> int:
+        return len(self.delta4)     # one row per r' generator
+
+    @property
     def delta3_is_zero(self) -> bool:
         return all(vec_is_zero(v) for row in self.delta3 for v in row)
 
-    def delta1_vec(self, h_coeffs: Sequence[Fraction], b: int) -> tuple:
-        dim = len(self.delta1[0][b]) if self.delta1 else 0
-        return lincomb(((c, self.delta1[k][b])
-                        for k, c in enumerate(h_coeffs)), dim)
+    # the maps at (generator coefficients, V coordinates)
+    def delta1_at(self, h_coeffs: Sequence[Fraction],
+                  vvec: Sequence[Fraction]) -> tuple:
+        return _bilinear(self.delta1, h_coeffs, vvec, self.dim_h)
 
-    def delta2_vec(self, h_coeffs: Sequence[Fraction], b: int) -> tuple:
-        dim = len(self.delta2[0][b]) if self.delta2 else 0
-        return lincomb(((c, self.delta2[k][b])
-                        for k, c in enumerate(h_coeffs)), dim)
+    def delta2_at(self, h_coeffs: Sequence[Fraction],
+                  vvec: Sequence[Fraction]) -> tuple:
+        return _bilinear(self.delta2, h_coeffs, vvec, self.dim_rp)
 
-    def delta4_vec(self, r_coeffs: Sequence[Fraction], b: int) -> tuple:
-        dim = len(self.delta4[0][b]) if self.delta4 else 0
-        return lincomb(((c, self.delta4[p][b])
-                        for p, c in enumerate(r_coeffs)), dim)
+    def delta4_at(self, r_coeffs: Sequence[Fraction],
+                  vvec: Sequence[Fraction]) -> tuple:
+        return _bilinear(self.delta4, r_coeffs, vvec, self.dim_rp)
 
 
 def solve_delta(datum: AdmissibleDatum) -> DeltaMap:
     """Closed-form delta, cross-checked coefficientwise against the generic
-    unique solution of d(chi_X) = X.mu for every generator X."""
+    unique solution of d(chi_X) = X.mu for every generator X; computed once
+    per datum and kept on it."""
+    if datum._delta is None:
+        datum._delta = _solve_delta(datum)
+    return datum._delta
+
+
+def _solve_delta(datum: AdmissibleDatum) -> DeltaMap:
     sub = datum.subalgebra
     model = datum.model
     n = model.dim_v
@@ -364,11 +381,11 @@ class ThetaData:
 
     def theta1_vec(self, x: Sequence[Fraction],
                    y: Sequence[Fraction]) -> tuple:
-        return _bilinear(self.theta1, x, y)
+        return _bilinear(self.theta1, x, y, len(self.theta1[0][0]))
 
     def theta2_vec(self, x: Sequence[Fraction],
                    y: Sequence[Fraction]) -> tuple:
-        return _bilinear(self.theta2, x, y)
+        return _bilinear(self.theta2, x, y, len(self.theta2[0][0]))
 
     @property
     def theta2_zero(self) -> bool:
@@ -377,10 +394,11 @@ class ThetaData:
         return all(vec_is_zero(v) for row in self.theta2 for v in row)
 
 
-def _bilinear(table, x, y) -> tuple:
+def _bilinear(table, x, y, dim: int) -> tuple:
+    """sum of x_b y_c table[b][c], in coordinates of length dim."""
     return lincomb(((cb * cc, table[b][c])
                     for b, cb in enumerate(x) if cb
-                    for c, cc in enumerate(y) if cc), len(table[0][0]))
+                    for c, cc in enumerate(y) if cc), dim)
 
 
 def compute_theta(datum: AdmissibleDatum) -> ThetaData:
@@ -525,7 +543,6 @@ def check_integrability(datum: AdmissibleDatum,
     # the residual spinor identity
     for b in range(n):
         for c in range(b + 1, n):
-            so_mat = model.so_matrix(theta.theta1[b][c])
             sp_mat = model.spin_matrix(theta.theta1[b][c])
             r_mat = model.r_matrix(theta.theta2[b][c])
             vb, vc = basis_vec(n, b), basis_vec(n, c)
@@ -672,30 +689,10 @@ def _verify_integrability_theorems(datum: AdmissibleDatum,
     checks["theta_membership"] = True
 
     def th1_h_vec(x, y):
-        return _bilinear(th1_h, x, y) if sub.h.dim else zero_vec(0)
+        return _bilinear(th1_h, x, y, sub.h.dim)
 
     def th2_rp_vec(x, y):
-        return _bilinear(th2_rp, x, y) if sub.rp.dim else zero_vec(0)
-
-    def delta1_at(h_coeffs, vvec):
-        return lincomb(((c, delta.delta1_vec(h_coeffs, b))
-                        for b, c in enumerate(vvec) if c), sub.h.dim)
-
-    def delta2_at(h_coeffs, vvec):
-        return lincomb(((c, delta.delta2_vec(h_coeffs, b))
-                        for b, c in enumerate(vvec) if c), sub.rp.dim)
-
-    def delta4_at(r_coeffs, vvec):
-        return lincomb(((c, delta.delta4_vec(r_coeffs, b))
-                        for b, c in enumerate(vvec) if c), sub.rp.dim)
-
-    def h_bracket(x, y):
-        cm = model.so_matrix(_h_to_so(sub, x)).commutator(
-            model.so_matrix(_h_to_so(sub, y)))
-        hc = sub.h.coordinates(model.gens.so_coordinates(cm))
-        if hc is None:
-            raise OracleMismatch("h is not closed")
-        return hc
+        return _bilinear(th2_rp, x, y, sub.rp.dim)
 
     svecs = sub.Sp.basis_vectors()
     nsp = len(svecs)
@@ -709,21 +706,21 @@ def _verify_integrability_theorems(datum: AdmissibleDatum,
                 vb, vc = basis_vec(n, b), basis_vec(n, c)
                 ab, ac = A_v.apply(vb), A_v.apply(vc)
                 alpha_bc = mu.alpha(b, c)
-                lhs = h_bracket(hk, th1_h[b][c])
+                lhs = _h_bracket(sub, model, hk, th1_h[b][c])
                 lhs = vec_sub(lhs, th1_h_vec(ab, vc))
                 lhs = vec_sub(lhs, th1_h_vec(vb, ac))
-                rhs = delta1_at(delta.delta1[k][b], vc)
-                rhs = vec_sub(rhs, delta1_at(delta.delta1[k][c], vb))
-                rhs = vec_sub(rhs, delta1_at(hk, alpha_bc))
+                rhs = delta.delta1_at(delta.delta1[k][b], vc)
+                rhs = vec_sub(rhs, delta.delta1_at(delta.delta1[k][c], vb))
+                rhs = vec_sub(rhs, delta.delta1_at(hk, alpha_bc))
                 if tuple(lhs) != tuple(rhs):
                     fail("quadratic identity [h,V,V] in h")
                 lhs2 = vec_scale(th2_rp_vec(ab, vc), -1)
                 lhs2 = vec_sub(lhs2, th2_rp_vec(vb, ac))
-                rhs2 = delta2_at(delta.delta1[k][b], vc)
-                rhs2 = vec_add(rhs2, delta4_at(delta.delta2[k][b], vc))
-                rhs2 = vec_sub(rhs2, delta2_at(delta.delta1[k][c], vb))
-                rhs2 = vec_sub(rhs2, delta4_at(delta.delta2[k][c], vb))
-                rhs2 = vec_sub(rhs2, delta2_at(hk, alpha_bc))
+                rhs2 = delta.delta2_at(delta.delta1[k][b], vc)
+                rhs2 = vec_add(rhs2, delta.delta4_at(delta.delta2[k][b], vc))
+                rhs2 = vec_sub(rhs2, delta.delta2_at(delta.delta1[k][c], vb))
+                rhs2 = vec_sub(rhs2, delta.delta4_at(delta.delta2[k][c], vb))
+                rhs2 = vec_sub(rhs2, delta.delta2_at(hk, alpha_bc))
                 if tuple(lhs2) != tuple(rhs2):
                     fail("quadratic identity [h,V,V] in r'")
     # [r', V, V]  (jacobi-022d; 022c is trivial since delta3 = 0)
@@ -733,13 +730,13 @@ def _verify_integrability_theorems(datum: AdmissibleDatum,
             for c in range(b + 1, n):
                 vb, vc = basis_vec(n, b), basis_vec(n, c)
                 lhs = _rp_bracket(sub, model, rp_unit, th2_rp[b][c])
-                rhs = delta4_at(delta.delta4[p][b], vc)
-                rhs = vec_sub(rhs, delta4_at(delta.delta4[p][c], vb))
-                rhs = vec_sub(rhs, delta4_at(rp_unit, mu.alpha(b, c)))
+                rhs = delta.delta4_at(delta.delta4[p][b], vc)
+                rhs = vec_sub(rhs, delta.delta4_at(delta.delta4[p][c], vb))
+                rhs = vec_sub(rhs, delta.delta4_at(rp_unit, mu.alpha(b, c)))
                 if tuple(lhs) != tuple(rhs):
                     fail("quadratic identity [r',V,V]")
     # [S', S', V]  (jacobi-112a, 112b), depolarised
-    for pi, (i, j) in enumerate(pairs.tuples):
+    for (i, j) in pairs.tuples:
         kv = model.kappa_vec(svecs[i], svecs[j])
         gam = mu.gamma_pair(i, j)
         rho = mu.rho_pair(i, j)
@@ -748,14 +745,14 @@ def _verify_integrability_theorems(datum: AdmissibleDatum,
             ei = basis_vec(nsp, i)
             ej = basis_vec(nsp, j)
             acc = th1_h_vec(kv, vb)
-            acc = vec_add(acc, delta1_at(gam, vb))
+            acc = vec_add(acc, delta.delta1_at(gam, vb))
             acc = vec_add(acc, mu.gamma_vec(ei, mu.beta(b, j)))
             acc = vec_add(acc, mu.gamma_vec(ej, mu.beta(b, i)))
             if not vec_is_zero(acc):
                 fail("quadratic identity [S',S',V] in h")
             acc2 = th2_rp_vec(kv, vb)
-            acc2 = vec_add(acc2, delta2_at(gam, vb))
-            acc2 = vec_add(acc2, delta4_at(rho, vb))
+            acc2 = vec_add(acc2, delta.delta2_at(gam, vb))
+            acc2 = vec_add(acc2, delta.delta4_at(rho, vb))
             acc2 = vec_add(acc2, mu.rho_vec(ei, mu.beta(b, j)))
             acc2 = vec_add(acc2, mu.rho_vec(ej, mu.beta(b, i)))
             if not vec_is_zero(acc2):
@@ -790,16 +787,16 @@ def _verify_integrability_theorems(datum: AdmissibleDatum,
                 accH = zero_vec(sub.h.dim)
                 accR = zero_vec(sub.rp.dim)
                 for (x, y, z) in idxs:
-                    vx, vy, vz = (basis_vec(n, t) for t in (x, y, z))
+                    vz = basis_vec(n, z)
                     alpha_xy = mu.alpha(x, y)
                     accV = vec_add(accV, model.so_matrix(
                         _h_to_so(sub, th1_h[x][y])).apply(vz))
                     accV = vec_add(accV, mu.alpha_vec(alpha_xy, vz))
                     accH = vec_add(accH, th1_h_vec(alpha_xy, vz))
-                    accH = vec_add(accH, delta1_at(th1_h[x][y], vz))
+                    accH = vec_add(accH, delta.delta1_at(th1_h[x][y], vz))
                     accR = vec_add(accR, th2_rp_vec(alpha_xy, vz))
-                    accR = vec_add(accR, delta2_at(th1_h[x][y], vz))
-                    accR = vec_add(accR, delta4_at(th2_rp[x][y], vz))
+                    accR = vec_add(accR, delta.delta2_at(th1_h[x][y], vz))
+                    accR = vec_add(accR, delta.delta4_at(th2_rp[x][y], vz))
                 if not (vec_is_zero(accV) and vec_is_zero(accH)
                         and vec_is_zero(accR)):
                     fail("quadratic identity [V,V,V]")
@@ -813,6 +810,16 @@ def _h_to_so(sub: GradedSubalgebra, h_coords: Sequence[Fraction]) -> tuple:
 
 def _rp_to_r(sub: GradedSubalgebra, rp_coords: Sequence[Fraction]) -> tuple:
     return lincomb(zip(rp_coords, sub.rp.basis_vectors()), sub.model.dim_r)
+
+
+def _h_bracket(sub: GradedSubalgebra, model: ExtendedFlatModel,
+               x_h: Sequence[Fraction], y_h: Sequence[Fraction]) -> tuple:
+    comm = model.so_matrix(_h_to_so(sub, x_h)).commutator(
+        model.so_matrix(_h_to_so(sub, y_h)))
+    out = sub.h.coordinates(model.gens.so_coordinates(comm))
+    if out is None:
+        raise OracleMismatch("h is not closed")
+    return out
 
 
 def _rp_bracket(sub: GradedSubalgebra, model: ExtendedFlatModel,
@@ -873,13 +880,11 @@ def build_filtered_deformation(datum: AdmissibleDatum, theta: ThetaData,
                              "integrable datum")
     sub = datum.subalgebra
     model = datum.model
-    hat = datum.hat.cochain
     n = model.dim_v
     svecs = sub.Sp.basis_vectors()
     nsp = len(svecs)
     dh, dr = sub.h.dim, sub.rp.dim
     off_s, off_h, off_r = n, n + nsp, n + nsp + dh
-    total = n + nsp + dh + dr
     th1_h, th2_rp = _theta_in_a0(datum, theta)
     table: dict = {}
 
@@ -905,7 +910,8 @@ def build_filtered_deformation(datum: AdmissibleDatum, theta: ThetaData,
     for k in range(dh):
         for l in range(dh):
             put(off_h + k, off_h + l,
-                [(off_h, _h_bracket_coords(sub, model, k, l))])
+                [(off_h, _h_bracket(sub, model, basis_vec(dh, k),
+                                    basis_vec(dh, l)))])
     for p in range(dr):
         for q in range(dr):
             put(off_r + p, off_r + q,
@@ -937,28 +943,14 @@ def build_filtered_deformation(datum: AdmissibleDatum, theta: ThetaData,
             put(off_r + p, off_s + i, [(off_s, val)])
             put(off_s + i, off_r + p, [(off_s, vec_scale(val, -1))])
     # [S', S'] = kappa + (gamma-hat - lambda1 kappa) + (rho-hat - lambda2 kappa)
-    for i in range(nsp):
-        for j in range(i, nsp):
-            kv = model.kappa_vec(svecs[i], svecs[j])
-            gval = vec_sub(hat.gamma_vec(svecs[i], svecs[j]),
-                           datum.lam1_vec(kv))
-            rval = vec_sub(hat.rho_vec(svecs[i], svecs[j]),
-                           datum.lam2_vec(kv))
-            gh = sub.h.coordinates(gval)
-            rr = sub.rp.coordinates(rval)
-            if gh is None or rr is None:
-                raise OracleMismatch("odd-odd bracket leaves the subalgebra")
-            chunks = [(0, kv), (off_h, gh), (off_r, rr)]
-            put(off_s + i, off_s + j, chunks)
-            put(off_s + j, off_s + i, chunks)
-    # [V, S'] = beta-hat + lambda1 . s + lambda2 s
+    # and [V, S'] = beta-hat + lambda1 . s + lambda2 s
+    vs, ss = datum.odd_brackets()
+    for i, j, kv, gh, rr in ss:
+        chunks = [(0, kv), (off_h, gh), (off_r, rr)]
+        put(off_s + i, off_s + j, chunks)
+        put(off_s + j, off_s + i, chunks)
     for b in range(n):
-        vb = basis_vec(n, b)
-        l1m, l2m = datum.lam1_spin_matrix(b), datum.lam2_matrix(b)
-        for i in range(nsp):
-            val = vec_add(hat.beta_vec(vb, svecs[i]),
-                          vec_add(l1m.apply(svecs[i]), l2m.apply(svecs[i])))
-            coords = sp_coords(val)
+        for i, coords in enumerate(vs[b]):
             put(b, off_s + i, [(off_s, coords)])
             put(off_s + i, b, [(off_s, vec_scale(coords, -1))])
     # [V, V] = alpha + theta-corrections
@@ -992,16 +984,6 @@ def build_filtered_deformation(datum: AdmissibleDatum, theta: ThetaData,
     return FilteredDeformation(subalgebra=sub, datum=datum, theta=theta,
                                tensor=tensor, filtration_levels=levels,
                                certificates=certificates)
-
-
-def _h_bracket_coords(sub: GradedSubalgebra, model: ExtendedFlatModel,
-                      k: int, l: int) -> tuple:
-    comm = model.so_matrix(sub.h.basis.row_tuple(k)).commutator(
-        model.so_matrix(sub.h.basis.row_tuple(l)))
-    out = sub.h.coordinates(model.gens.so_coordinates(comm))
-    if out is None:
-        raise OracleMismatch("h is not closed")
-    return out
 
 
 def _check_filtration(tensor: GradedBracketTensor, levels: tuple) -> Certificate:
@@ -1075,8 +1057,8 @@ def _check_assoc_graded(datum: AdmissibleDatum,
                     h_spin[i - off_h].apply(svecs[j - off_s])))
                 return out
             if off_h <= j < off_r:
-                fill(off_h, _h_bracket_coords(sub, model, i - off_h,
-                                              j - off_h))
+                fill(off_h, _h_bracket(sub, model, basis_vec(dh, i - off_h),
+                                       basis_vec(dh, j - off_h)))
                 return out
             return {}
         # r'
@@ -1136,13 +1118,11 @@ def class_gauge_generators(datum: AdmissibleDatum) -> List[tuple]:
     For k in the componentwise restriction kernel, i^*(k) = 0 and lambda_k
     vanishes; the extra generators (when the two kernels differ) carry a
     nonzero lambda_k."""
-    from .spencer import restriction_kernel_report
     sub = datum.subalgebra
     fullco = datum.fullco
     report = restriction_kernel_report(sub, fullco)
-    inv = fullco.invariant_normalised(
-        [sub.h.basis.row_tuple(i) for i in range(sub.h.dim)],
-        [sub.rp.basis.row_tuple(i) for i in range(sub.rp.dim)])
+    inv = fullco.invariant_normalised(sub.h.basis_vectors(),
+                                      sub.rp.basis_vectors())
     gauge = report.via_istar.intersect(inv)
     res = restriction_matrix(fullco.complex, datum.mixed_complex)
     solver = AffineSolver(datum.mixed_complex.differentials[1])
@@ -1340,8 +1320,7 @@ def deformation_report(datum: AdmissibleDatum, theta: ThetaData,
 
 
 def zero_cocycle(sub: GradedSubalgebra) -> tuple:
-    cx = build_spencer_complex(sub, 2, values="subalgebra")
-    return zero_vec(cx.layouts[2].dim)
+    return zero_vec(spencer_complex(sub, 2).layouts[2].dim)
 
 
 def admissible_cocycle_from_invariant(sub: GradedSubalgebra,
@@ -1351,8 +1330,8 @@ def admissible_cocycle_from_invariant(sub: GradedSubalgebra,
     """A cocycle on the subalgebra matching a given invariant normalised
     cocycle up to a coboundary, or None when the restriction system is
     infeasible.  Its class is admissible by construction."""
-    sub_cx = build_spencer_complex(sub, 2, values="subalgebra")
-    mixed_cx = build_spencer_complex(sub, 2, values="full")
+    sub_cx = spencer_complex(sub, 2)
+    mixed_cx = spencer_complex(sub, 2, values="full")
     inc = inclusion_matrix(sub_cx, mixed_cx)
     res = restriction_matrix(fullco.complex, mixed_cx)
     target = res.apply(hat_coeffs)

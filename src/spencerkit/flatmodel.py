@@ -282,6 +282,9 @@ class ExtendedFlatModel:
         self.dim_r = r.dim
         self.odd_spinors = current.symmetry == "symmetric"
         self.tensor = self._build_tensor()
+        # Spencer complexes of this model's subalgebras, each built once by
+        # spencer.spencer_complex; they live and die with the model
+        self.spencer_complexes: dict = {}
 
     # offsets into the flat basis
     @property
@@ -468,6 +471,12 @@ class GradedSubalgebra:
     def rp_matrices(self) -> List[ExactMatrix]:
         return [self.model.r_matrix(self.rp.basis.row_tuple(i))
                 for i in range(self.rp.dim)]
+
+    @property
+    def key(self) -> tuple:
+        """The subspaces that determine the subalgebra of its model; equal
+        keys (compared by value) mean equal subalgebras."""
+        return (self.Vp, self.Sp, self.h, self.rp)
 
     def maximal(self) -> bool:
         return (self.Sp.dim == self.model.dim_s

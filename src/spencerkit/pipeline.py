@@ -18,7 +18,7 @@ from .cliffspin import (CONVENTION, Signature, build_clifford_rep,
 from .deform import (NotAdmissible, build_filtered_deformation,
                      check_admissibility, check_geometric_realisability,
                      check_integrability, compute_envelope, compute_theta,
-                     deformation_report, solve_delta, zero_cocycle)
+                     deformation_report, zero_cocycle)
 from .errors import (ConfigError, DimensionMismatch, NotClosed,
                      SpencerKitError, StageError)
 from .exactla import ExactMatrix, Subspace, rat, vec_is_zero
@@ -27,8 +27,8 @@ from .flatmodel import (build_extended_flat_model, compute_r_symmetry_algebra,
                         random_subspace, stabiliser_in_so)
 from .reconstruct import (build_nomizu_map, curvature_at_origin,
                           reconstruction_certificate)
-from .spencer import (Cochain22, FullModelCohomology,
-                      build_spencer_complex, compute_cohomology)
+from .spencer import (Cochain22, FullModelCohomology, compute_cohomology,
+                      restriction_kernel_report, spencer_complex)
 
 STAGES = ("clifford", "dirac_current", "r_symmetry", "flat_model",
           "subalgebra", "cohomology", "admissibility", "theta",
@@ -59,6 +59,9 @@ def validate_config(raw: dict) -> dict:
     if not (isinstance(sig, dict) and set(sig) == {"s", "t"}
             and all(_is_int(sig[k]) and sig[k] >= 0 for k in sig)):
         raise ConfigError("signature must be {\"s\": int>=0, \"t\": int>=0}")
+    if sig["s"] + sig["t"] == 0:
+        raise ConfigError("signature (0,0) has no vector space: s + t must "
+                          "be at least 1")
     if not _is_int(raw["N"]) or raw["N"] < 1:
         raise ConfigError("N must be a positive integer")
     dc = raw["dirac_current"]
@@ -141,25 +144,31 @@ def run_pipeline(config: dict) -> dict:
     state: dict = {}
     stages = []
     result = "pass"
-    for name in checks:
-        t0 = time.monotonic()
-        runner = _STAGE_RUNNERS[name]
-        try:
-            data = runner(config, state)
-            status = "pass"
-        except _Negative as neg:
-            data = neg.data
-            status = "negative"
-        except ConfigError:
-            raise
-        except SpencerKitError as err:
-            raise StageError(name, err) from err
-        print(f"[spencerkit] stage {name}: {status} "
-              f"({time.monotonic() - t0:.2f}s)", file=sys.stderr)
-        stages.append({"name": name, "status": status, "data": data})
-        if status == "negative":
-            result = "negative"
-            break
+    try:
+        for name in checks:
+            t0 = time.monotonic()
+            runner = _STAGE_RUNNERS[name]
+            try:
+                data = runner(config, state)
+                status = "pass"
+            except _Negative as neg:
+                data = neg.data
+                status = "negative"
+            except ConfigError:
+                raise
+            except SpencerKitError as err:
+                raise StageError(name, err) from err
+            print(f"[spencerkit] stage {name}: {status} "
+                  f"({time.monotonic() - t0:.2f}s)", file=sys.stderr)
+            stages.append({"name": name, "status": status, "data": data})
+            if status == "negative":
+                result = "negative"
+                break
+    finally:
+        # the complexes kept on the model refer back to it; dropping them
+        # frees the run's complexes now, not at a later cyclic collection
+        if "model" in state:
+            state["model"].spencer_complexes.clear()
     report = {
         "version": __version__,
         "basis_version": BASIS_VERSION,
@@ -315,12 +324,12 @@ def _stage_cohomology(config, state):
             fullco.normalised_space.dim == full_h22.dim_h,
         "splitting_r_equivariant": fullco.splitting.r_equivariant,
     }
-    sub_cx = build_spencer_complex(sub, 2)
+    sub_cx = spencer_complex(sub, 2)
     state["sub_cx"] = sub_cx
     co21 = compute_cohomology(sub_cx, 1, with_action=False)
     co22 = compute_cohomology(sub_cx, 2)
     state["co22"] = co22
-    cx4 = build_spencer_complex(sub, 4)
+    cx4 = spencer_complex(sub, 4)
     co42 = compute_cohomology(cx4, 2, with_action=False)
     invariant = co22.invariant_classes()
     state["invariant_classes"] = invariant
@@ -331,7 +340,6 @@ def _stage_cohomology(config, state):
         "invariant_H22_dim": len(invariant),
     })
     if sub.highly_susy:
-        from .spencer import restriction_kernel_report
         K = restriction_kernel_report(sub, fullco)
         data["restriction_kernel_dim"] = K.direct.dim
         data["restriction_kernel_istar_dim"] = K.via_istar.dim
@@ -380,7 +388,6 @@ def _stage_admissibility(config, state):
 
 def _stage_theta(config, state):
     datum = state["datum"]
-    solve_delta(datum)  # includes the dual-route consistency assertion
     theta = compute_theta(datum)
     state["theta"] = theta
     return {"dirac_kernel_dim": theta.dirac_kernel_dim,
@@ -389,6 +396,7 @@ def _stage_theta(config, state):
             "second_relation": theta.second_relation_consistent,
             "theta_tilde_2_zero": theta.theta2_zero
             if theta.theta1 is not None else None,
+            # check_admissibility solved delta by both routes
             "delta_dual_route": "pass"}
 
 
@@ -422,7 +430,6 @@ def _stage_realisability(config, state):
 
 
 def _stage_reconstruction(config, state):
-    deformation = state["deformation"]
     witness = state["realisable_witness"]
     # reconstruct from the gauge with lambda2 = 0
     theta_w = compute_theta(witness)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .errors import (DimensionMismatch, KappaZero, NoEquivariantSplitting,
                      NotACocycle, NotHighlySusy, NotSymmetric,
@@ -177,47 +177,34 @@ class SpencerComplex:
     def _d21(self, lay1: CochainLayout, lay2: CochainLayout) -> ExactMatrix:
         entries = []
         nvp, nsp = self.nvp, self.nsp
+        parts = (("lambda_so", "gamma", self.dWso, self.actS_so),
+                 ("lambda_r", "rho", self.dWr, self.actS_r))
         for a0 in range(nvp):
-            for t in range(self.dWso):
-                col = lay1.index("lambda_so", a0, t)
-                # alpha component: lambda1(v)w - lambda1(w)v
-                for p, (a1, a2) in enumerate(self.w2v.tuples):
-                    if a1 == a0:
-                        for tv, c in enumerate(self.actV_so[t][a2]):
+            for lam, sym, dW, actS in parts:
+                for t in range(dW):
+                    col = lay1.index(lam, a0, t)
+                    # alpha component: lambda1(v)w - lambda1(w)v
+                    pairs = self.w2v.tuples if lam == "lambda_so" else ()
+                    for p, (a1, a2) in enumerate(pairs):
+                        if a0 not in (a1, a2):
+                            continue
+                        b, sgn = (a2, 1) if a1 == a0 else (a1, -1)
+                        for tv, c in enumerate(self.actV_so[t][b]):
                             if c:
                                 entries.append((lay2.index("alpha", p, tv),
+                                                col, sgn * c))
+                    # beta component: +lambda(v).s
+                    for i in range(nsp):
+                        src = a0 * nsp + i
+                        for ts, c in enumerate(actS[t][i]):
+                            if c:
+                                entries.append((lay2.index("beta", src, ts),
                                                 col, c))
-                    if a2 == a0:
-                        for tv, c in enumerate(self.actV_so[t][a1]):
-                            if c:
-                                entries.append((lay2.index("alpha", p, tv),
-                                                col, -c))
-                # beta component: +lambda1(v).s
-                for i in range(nsp):
-                    src = a0 * nsp + i
-                    for ts, c in enumerate(self.actS_so[t][i]):
+                    # gamma / rho component: -lambda(kappa(sI,sJ))
+                    for p in range(self.s2.size):
+                        c = self.kappa_src[p][a0]
                         if c:
-                            entries.append((lay2.index("beta", src, ts),
-                                            col, c))
-                # gamma component: -lambda1(kappa(sI,sJ))
-                for p in range(self.s2.size):
-                    c = self.kappa_src[p][a0]
-                    if c:
-                        entries.append((lay2.index("gamma", p, t), col, -c))
-            for t in range(self.dWr):
-                col = lay1.index("lambda_r", a0, t)
-                # beta component: +lambda2(v)s
-                for i in range(nsp):
-                    src = a0 * nsp + i
-                    for ts, c in enumerate(self.actS_r[t][i]):
-                        if c:
-                            entries.append((lay2.index("beta", src, ts),
-                                            col, c))
-                # rho component: -lambda2(kappa(sI,sJ))
-                for p in range(self.s2.size):
-                    c = self.kappa_src[p][a0]
-                    if c:
-                        entries.append((lay2.index("rho", p, t), col, -c))
+                            entries.append((lay2.index(sym, p, t), col, -c))
         return _matrix_from(lay2.dim, lay1.dim, entries)
 
     def _d22(self, lay2: CochainLayout, lay3: CochainLayout) -> ExactMatrix:
@@ -263,36 +250,26 @@ class SpencerComplex:
                             if c:
                                 entries.append(
                                     (lay3.index("sss", tri_idx, ts), col, c))
-        # gamma units
-        for p0 in range(s2.size):
-            for t in range(self.dWso):
-                col = lay2.index("gamma", p0, t)
-                # vss: gamma(sI,sJ) v_b
-                for b in range(nvp):
-                    for tv, c in enumerate(self.actV_so[t][b]):
-                        if c:
-                            entries.append((vss_row(b, p0, tv), col, c))
-                # sss: cyclic gamma(s_i,s_j).s_k
-                for tri_idx, (i, j, k) in enumerate(s3.tuples):
-                    for (x, y, z) in ((i, j, k), (j, k, i), (k, i, j)):
-                        if s2.index(x, y) != p0:
-                            continue
-                        for ts, c in enumerate(self.actS_so[t][z]):
+        # gamma units, then rho units
+        for name, dW, actS in (("gamma", self.dWso, self.actS_so),
+                               ("rho", self.dWr, self.actS_r)):
+            for p0 in range(s2.size):
+                for t in range(dW):
+                    col = lay2.index(name, p0, t)
+                    # vss: gamma(sI,sJ) v_b
+                    for b in range(nvp if name == "gamma" else 0):
+                        for tv, c in enumerate(self.actV_so[t][b]):
                             if c:
-                                entries.append(
-                                    (lay3.index("sss", tri_idx, ts), col, c))
-        # rho units
-        for p0 in range(s2.size):
-            for t in range(self.dWr):
-                col = lay2.index("rho", p0, t)
-                for tri_idx, (i, j, k) in enumerate(s3.tuples):
-                    for (x, y, z) in ((i, j, k), (j, k, i), (k, i, j)):
-                        if s2.index(x, y) != p0:
-                            continue
-                        for ts, c in enumerate(self.actS_r[t][z]):
-                            if c:
-                                entries.append(
-                                    (lay3.index("sss", tri_idx, ts), col, c))
+                                entries.append((vss_row(b, p0, tv), col, c))
+                    # sss: cyclic gamma(s_i,s_j).s_k, rho likewise
+                    for tri_idx, (i, j, k) in enumerate(s3.tuples):
+                        for (x, y, z) in ((i, j, k), (j, k, i), (k, i, j)):
+                            if s2.index(x, y) != p0:
+                                continue
+                            for ts, c in enumerate(actS[t][z]):
+                                if c:
+                                    entries.append((lay3.index(
+                                        "sss", tri_idx, ts), col, c))
         return _matrix_from(lay3.dim, lay2.dim, entries)
 
     # -- degree 4 -------------------------------------------------------------
@@ -313,62 +290,46 @@ class SpencerComplex:
         self.differentials[1] = ExactMatrix(lay2.dim, 0)
         entries = []
         s2 = self.s2
+        parts = (("so", self.dWso, self.actS_so), ("r", self.dWr, self.actS_r))
         for pa, (a1, a2) in enumerate(self.w2v.tuples):
-            for t in range(self.dWso):
-                col = lay2.index("theta_so", pa, t)
-                # vvv: theta(u,v)w + theta(v,w)u + theta(w,u)v
-                for tri_idx, (a, b, c) in enumerate(w3):
-                    terms = []
-                    if (a, b) == (a1, a2):
-                        terms.append((c, 1))
-                    if (b, c) == (a1, a2):
-                        terms.append((a, 1))
-                    if (a, c) == (a1, a2):  # theta(c,a) = -theta(a,c)
-                        terms.append((b, -1))
-                    for (w, sgn) in terms:
-                        for tv, cv in enumerate(self.actV_so[t][w]):
+            for part, dW, actS in parts:
+                for t in range(dW):
+                    col = lay2.index("theta_" + part, pa, t)
+                    # vvv: theta(u,v)w + theta(v,w)u + theta(w,u)v
+                    for tri_idx, (a, b, c) in enumerate(
+                            w3 if part == "so" else ()):
+                        terms = []
+                        if (a, b) == (a1, a2):
+                            terms.append((c, 1))
+                        if (b, c) == (a1, a2):
+                            terms.append((a, 1))
+                        if (a, c) == (a1, a2):  # theta(c,a) = -theta(a,c)
+                            terms.append((b, -1))
+                        for (w, sgn) in terms:
+                            for tv, cv in enumerate(self.actV_so[t][w]):
+                                if cv:
+                                    entries.append(
+                                        (lay3.index("vvv", tri_idx, tv), col,
+                                         sgn * cv))
+                    # vvs: theta(u,v).s
+                    for i in range(nsp):
+                        src = pa * nsp + i
+                        for ts, cv in enumerate(actS[t][i]):
                             if cv:
                                 entries.append(
-                                    (lay3.index("vvv", tri_idx, tv), col,
-                                     sgn * cv))
-                # vvs: theta_so(u,v).s
-                for i in range(nsp):
-                    src = pa * nsp + i
-                    for ts, cv in enumerate(self.actS_so[t][i]):
-                        if cv:
-                            entries.append(
-                                (lay3.index("vvs", src, ts), col, cv))
-                # vss_so: theta(v_b, kappa(sI,sJ))
-                for b in range(nvp):
-                    for p in range(s2.size):
-                        coef = Fraction(0)
-                        if b == a1:
-                            coef += self.kappa_src[p][a2]
-                        if b == a2:
-                            coef -= self.kappa_src[p][a1]
-                        if coef:
-                            entries.append(
-                                (lay3.index("vss_so", b * s2.size + p, t),
-                                 col, coef))
-            for t in range(self.dWr):
-                col = lay2.index("theta_r", pa, t)
-                for i in range(nsp):
-                    src = pa * nsp + i
-                    for ts, cv in enumerate(self.actS_r[t][i]):
-                        if cv:
-                            entries.append(
-                                (lay3.index("vvs", src, ts), col, cv))
-                for b in range(nvp):
-                    for p in range(s2.size):
-                        coef = Fraction(0)
-                        if b == a1:
-                            coef += self.kappa_src[p][a2]
-                        if b == a2:
-                            coef -= self.kappa_src[p][a1]
-                        if coef:
-                            entries.append(
-                                (lay3.index("vss_r", b * s2.size + p, t),
-                                 col, coef))
+                                    (lay3.index("vvs", src, ts), col, cv))
+                    # vss: theta(v_b, kappa(sI,sJ))
+                    for b in range(nvp):
+                        for p in range(s2.size):
+                            coef = Fraction(0)
+                            if b == a1:
+                                coef += self.kappa_src[p][a2]
+                            if b == a2:
+                                coef -= self.kappa_src[p][a1]
+                            if coef:
+                                entries.append((lay3.index(
+                                    "vss_" + part, b * s2.size + p, t),
+                                    col, coef))
         self.differentials[2] = _matrix_from(lay3.dim, lay2.dim, entries)
 
     def _verify_complex(self):
@@ -391,6 +352,18 @@ def _matrix_from(rows: int, cols: int, entries) -> ExactMatrix:
 def build_spencer_complex(subalgebra: GradedSubalgebra, degree: int,
                           values: str = "subalgebra") -> SpencerComplex:
     return SpencerComplex(subalgebra, degree, values)
+
+
+def spencer_complex(subalgebra: GradedSubalgebra, degree: int,
+                    values: str = "subalgebra") -> SpencerComplex:
+    """The complex of (subalgebra, degree, values), built on first use and
+    kept on the model; subalgebras with equal subspaces share it."""
+    memo = subalgebra.model.spencer_complexes
+    key = subalgebra.key + (degree, values)
+    cx = memo.get(key)
+    if cx is None:
+        cx = memo[key] = build_spencer_complex(subalgebra, degree, values)
+    return cx
 
 
 # ---------------------------------------------------------------------------
@@ -502,22 +475,16 @@ def cochain_action_matrix(cx: SpencerComplex, so_coords: Sequence[Fraction],
                 acc[p] = acc.get(p, Fraction(0)) + c
         sym_arg[q] = [(p, c) for p, c in acc.items() if c]
     for p0 in range(s2.size):
-        for t0 in range(cx.dWso):
-            col = lay.index("gamma", p0, t0)
-            for t, c in enumerate(tgtSO[t0]):
-                add(lay.index("gamma", p0, t), col, c)
-            for q in range(s2.size):
-                for (p, c) in sym_arg[q]:
-                    if p == p0:
-                        add(lay.index("gamma", q, t0), col, -c)
-        for t0 in range(cx.dWr):
-            col = lay.index("rho", p0, t0)
-            for t, c in enumerate(tgtR[t0]):
-                add(lay.index("rho", p0, t), col, c)
-            for q in range(s2.size):
-                for (p, c) in sym_arg[q]:
-                    if p == p0:
-                        add(lay.index("rho", q, t0), col, -c)
+        for name, dW, tgt in (("gamma", cx.dWso, tgtSO),
+                              ("rho", cx.dWr, tgtR)):
+            for t0 in range(dW):
+                col = lay.index(name, p0, t0)
+                for t, c in enumerate(tgt[t0]):
+                    add(lay.index(name, p0, t), col, c)
+                for q in range(s2.size):
+                    for (p, c) in sym_arg[q]:
+                        if p == p0:
+                            add(lay.index(name, q, t0), col, -c)
     return _matrix_from(lay.dim, lay.dim, entries)
 
 
@@ -829,15 +796,18 @@ class NormalisedCocycle:
 
 class FullModelCohomology:
     """Degree-2 Spencer data of the full extended flat model: the complex,
-    the splitting and the space of normalised cocycles."""
+    the splitting and the space of normalised cocycles.  The invariant
+    normalised space per (h, r') basis and the restriction-kernel report per
+    subalgebra are computed once and kept here."""
 
     def __init__(self, model: ExtendedFlatModel):
         self.model = model
         self.full_subalgebra = full_subalgebra(model)
-        self.complex = build_spencer_complex(self.full_subalgebra, 2,
-                                             values="subalgebra")
+        self.complex = spencer_complex(self.full_subalgebra, 2)
         self.splitting = build_splitting(model)
         self.normalised_space = self._normalised_space()
+        self._invariant: Dict[tuple, Subspace] = {}
+        self.restriction_kernels: Dict[tuple, "RestrictionKernelReport"] = {}
 
     def _normalised_space(self) -> Subspace:
         cx = self.complex
@@ -906,29 +876,33 @@ class FullModelCohomology:
         The kernel is computed from the beta and rho coordinates of the
         action; gamma-invariance is implied and re-verified exactly.
         """
+        key = (tuple(map(tuple, h_basis)), tuple(map(tuple, rp_basis)))
+        if key not in self._invariant:
+            self._invariant[key] = self._invariant_normalised(*key)
+        return self._invariant[key]
+
+    def _invariant_normalised(self, h_basis, rp_basis) -> Subspace:
         cx = self.complex
         lay = cx.layouts[2]
         basis = self.normalised_space
         if basis.dim == 0:
             return basis
-        actors = [(tuple(h), zero_vec(self.model.dim_r)) for h in h_basis] + \
-                 [(zero_vec(self.model.dim_so), tuple(r)) for r in rp_basis]
+        actors = [(h, zero_vec(self.model.dim_r)) for h in h_basis] + \
+                 [(zero_vec(self.model.dim_so), r) for r in rp_basis]
         if not actors:
             return basis
-        b_lo, b_hi = lay.block_slice("beta")
-        r_lo, r_hi = lay.block_slice("rho")
+        picked = [*range(*lay.block_slice("beta")),
+                  *range(*lay.block_slice("rho"))]
         stacked = []
         action_mats = []
         for so_c, r_c in actors:
             act = cochain_action_matrix(cx, so_c, r_c)
             action_mats.append(act)
-            acted = (act @ basis.basis.transpose())  # columns = acted basis
-            rows = []
-            for k in range(basis.dim):
-                col = [acted.entry(i, k) for i in range(lay.dim)]
-                rows.append(list(col[b_lo:b_hi]) + list(col[r_lo:r_hi]))
-            stacked.append(ExactMatrix.from_rows(
-                rows, cols=(b_hi - b_lo) + (r_hi - r_lo)).transpose())
+            # the beta and rho rows of the action on each basis vector
+            acted = act @ basis.basis.transpose()
+            stacked.append(ExactMatrix(len(picked), basis.dim, [
+                (i, k, v) for i, row in enumerate(picked)
+                for k, v in acted.row_dict(row).items()]))
         kernel = vstack(stacked).kernel()
         basis_vecs = basis.basis_vectors()
         vectors = [lincomb(zip(kernel.basis.row_tuple(k), basis_vecs), lay.dim)
@@ -1031,7 +1005,6 @@ def inclusion_matrix(sub_cx: SpencerComplex,
     entries = []
     for name, tvecs in blocks:
         src_size, tdim_in = lay_in.sizes[name]
-        _, tdim_out = lay_out.sizes[name]
         for s in range(src_size):
             for t_in in range(tdim_in):
                 col = lay_in.index(name, s, t_in)
@@ -1069,6 +1042,18 @@ class RestrictionKernelReport:
 def restriction_kernel_report(sub: GradedSubalgebra,
                               fullco: FullModelCohomology
                               ) -> RestrictionKernelReport:
+    """Both descriptions of the restriction-kernel space of `sub`, computed
+    once per subalgebra and kept on `fullco`."""
+    report = fullco.restriction_kernels.get(sub.key)
+    if report is None:
+        report = fullco.restriction_kernels[sub.key] = \
+            _restriction_kernel_report(sub, fullco)
+    return report
+
+
+def _restriction_kernel_report(sub: GradedSubalgebra,
+                               fullco: FullModelCohomology
+                               ) -> RestrictionKernelReport:
     if not sub.highly_susy:
         raise NotHighlySusy("the restriction-kernel space needs a highly "
                             "supersymmetric subalgebra")
@@ -1105,7 +1090,7 @@ def restriction_kernel_report(sub: GradedSubalgebra,
                   for k in range(kernel.dim)])
     # the kernel of i^* into H^{2,2}(a_-; model)
     from .exactla import hstack
-    mixed = build_spencer_complex(sub, 2, values="full")
+    mixed = spencer_complex(sub, 2, values="full")
     restrict = restriction_matrix(cx, mixed)
     lifted = restrict @ basis.basis.transpose()   # columns = restrictions
     joint = hstack([lifted, mixed.differentials[1]])

@@ -57,6 +57,10 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             validate_config(base_config(signature={"s": 2}))
 
+    def test_empty_signature_rejected(self):
+        with pytest.raises(ConfigError):
+            validate_config(base_config(signature={"s": 0, "t": 0}))
+
 
 class TestPipeline:
     def test_zero_end_to_end(self):
@@ -127,6 +131,41 @@ class TestPipeline:
         assert blob["admissible"] and blob["integrable"] and \
             blob["realisable"]
         assert blob["theta_tilde_2_zero"] is True
+
+
+class TestBuildOnce:
+    def test_one_complex_build_per_key(self, monkeypatch):
+        from spencerkit import spencer
+        built = []
+        build = spencer.build_spencer_complex
+
+        def counting(subalgebra, degree, values="subalgebra"):
+            built.append((subalgebra.Vp, subalgebra.Sp, subalgebra.h,
+                          subalgebra.rp, degree, values))
+            return build(subalgebra, degree, values)
+
+        monkeypatch.setattr(spencer, "build_spencer_complex", counting)
+        report = run_pipeline(base_config())
+        assert [s["name"] for s in report["stages"]] == list(STAGES)
+        # the maximal subalgebra's degree-2 complexes with values in the
+        # subalgebra (shared with the full model) and in the model, and its
+        # degree-4 complex
+        assert len(built) == len(set(built)) == 3
+
+    def test_delta_solved_once_per_datum(self, monkeypatch):
+        from spencerkit import deform
+        data = []
+        check = deform._check_delta_generic
+
+        def counting(datum, *args):
+            data.append(datum)
+            return check(datum, *args)
+
+        monkeypatch.setattr(deform, "_check_delta_generic", counting)
+        report = run_pipeline(base_config())
+        assert report["result"] == "pass"
+        # the admissible datum and the realisability witness
+        assert len(data) == 2 and data[0] is not data[1]
 
 
 class TestCache:
@@ -257,6 +296,20 @@ class TestCli:
 
     def test_boolean_basis_element_exit_2(self, tmp_path):
         config = base_config(cocycle={"basis_element": False})
+        assert main(["run", self._write(tmp_path, config)]) == 2
+
+    def test_signature_0_1_runs_every_stage(self, tmp_path):
+        # so(V) = 0, so h has no generators and delta1, delta2 are empty
+        out = tmp_path / "report.json"
+        config = base_config(signature={"s": 0, "t": 1},
+                             output_path=str(out))
+        assert main(["run", self._write(tmp_path, config), "--no-cache"]) == 0
+        report = json.loads(out.read_text())
+        assert [s["name"] for s in report["stages"]] == list(STAGES)
+        assert report["result"] == "pass"
+
+    def test_signature_0_0_exit_2(self, tmp_path):
+        config = base_config(signature={"s": 0, "t": 0})
         assert main(["run", self._write(tmp_path, config)]) == 2
 
     def test_short_basis_vector_exit_2(self, tmp_path):

@@ -362,6 +362,34 @@ class TestRestrictionKernel:
             restriction_kernel(sub, fullco)
 
 
+class TestComplexMemo:
+    def test_equal_subspaces_share_one_complex(self):
+        # a separately built subalgebra with equal subspaces is the same key,
+        # and the full model's own complex is the maximal subalgebra's
+        model = get_model(2, 1, 2)
+        full = get_full_subalgebra(2, 1, 2)
+        again = make_graded_subalgebra(model, Subspace.full(3),
+                                       Subspace.full(4), Subspace.full(3),
+                                       Subspace.full(1))
+        assert again is not full
+        cx = spencer.spencer_complex(full, 2)
+        assert spencer.spencer_complex(again, 2) is cx
+        assert get_fullco(2, 1, 2).complex is cx
+        assert spencer.spencer_complex(full, 2, values="full") is not cx
+        assert spencer.spencer_complex(full, 4) is not cx
+
+    def test_other_r_prime_gets_its_own_complex(self):
+        model = get_model(2, 1, 2)
+        no_r = make_graded_subalgebra(model, Subspace.full(3),
+                                      Subspace.full(4), Subspace.full(3),
+                                      Subspace.trivial(1))
+        cx = spencer.spencer_complex(no_r, 2)
+        assert cx is not spencer.spencer_complex(
+            get_full_subalgebra(2, 1, 2), 2)
+        assert cx.dWr == 0
+        assert spencer.spencer_complex(no_r, 2) is cx
+
+
 class TestInclusionMap:
     @pytest.mark.parametrize("s,t,N", [(3, 1, 1), (2, 1, 2)])
     def test_istar_injective_on_subalgebra_cohomology(self, s, t, N):
