@@ -22,7 +22,7 @@ from .certs import Certificate, ProbeReport
 from .errors import (DimensionMismatch, NoInvariantPairing, NoRealForm,
                      NotEquivariant, NotLorentzian, NotSymmetric)
 from .exactla import (ExactMatrix, Subspace, block_diag, kron, rat_str,
-                      tensor_index_maps, vec_is_zero)
+                      tensor_index_maps, vec_is_zero, vstack)
 
 CONVENTION = ("eta = diag(-1 x t, +1 x s), timelike directions first; "
               "causal means eta(v,v) <= 0")
@@ -230,9 +230,8 @@ class DiracCurrent:
         return all(k.is_zero() for k in self.components)
 
     def value(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> tuple:
-        return tuple(Fraction(sum(xv * k.entry(i, j) * y[j]
-                                  for i, xv in enumerate(x) if xv
-                                  for j in range(len(y)) if y[j]))
+        return tuple(Fraction(sum(xv * ky for xv, ky in zip(x, k.apply(y))
+                                  if xv))
                      for k in self.components)
 
     def value_basis(self, i: int, j: int) -> tuple:
@@ -286,40 +285,15 @@ def _invariant_pairings(rep: CliffordRep) -> Subspace:
     m = rep.base_spinor_dim
     base = rep.base_gammas()
     gens = SpinGenerators(CliffordRep(rep.signature, 1, m, m, base))
-    full2 = tensor_index_maps(m, "full2")
-    # rows: for each constraint, a linear functional on the m^2 unknowns
-    entries = []
-    nrow = 0
-    for sig_mat in gens.sigma:
-        # (sigma^T C + C sigma)_{ij} = sum_k sigma_ki C_kj + C_ik sigma_kj
-        for i in range(m):
-            for j in range(m):
-                for k in range(m):
-                    v1 = sig_mat.entry(k, i)
-                    if v1:
-                        entries.append((nrow, full2.index(k, j), v1))
-                    v2 = sig_mat.entry(k, j)
-                    if v2:
-                        entries.append((nrow, full2.index(i, k), v2))
-                nrow += 1
-    for g in base:
-        # (C g)_{ij} - (C g)_{ji} = 0
-        for i in range(m):
-            for j in range(i + 1, m):
-                for k in range(m):
-                    v = g.entry(k, j)
-                    if v:
-                        entries.append((nrow, full2.index(i, k), v))
-                    v = g.entry(k, i)
-                    if v:
-                        entries.append((nrow, full2.index(j, k), -v))
-                nrow += 1
-    # accumulate duplicate coordinates
-    acc: dict = {}
-    for r, c, v in entries:
-        acc[(r, c)] = acc.get((r, c), Fraction(0)) + v
-    system = ExactMatrix(nrow, full2.size, [(r, c, v) for (r, c), v in acc.items()])
-    return system.kernel()
+    # the unknowns are C row-major, so kron(A, B) maps C to A C B^T
+    eye = ExactMatrix.identity(m)
+    skew = ExactMatrix.identity(m * m) - ExactMatrix(
+        m * m, m * m, [(i * m + j, j * m + i, 1)
+                       for i in range(m) for j in range(m)])
+    return vstack(
+        [kron(sig.transpose(), eye) + kron(eye, sig.transpose())
+         for sig in gens.sigma] +
+        [skew @ kron(eye, g.transpose()) for g in base]).kernel()
 
 
 def _standard_pairing(rep: CliffordRep) -> ExactMatrix:

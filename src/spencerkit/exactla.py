@@ -13,9 +13,11 @@ from fractions import Fraction
 from math import comb, gcd
 from typing import Iterable, Optional, Sequence, Union
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, OracleMismatch
 
 Rational = Fraction
+
+_ZERO = Fraction(0)
 
 RationalLike = Union[int, str, Fraction]
 
@@ -166,14 +168,14 @@ class ExactMatrix:
     # -- access ------------------------------------------------------------
 
     def entry(self, i: int, j: int) -> Fraction:
-        return self._rows[i].get(j, Fraction(0))
+        return self._rows[i].get(j, _ZERO)
 
     def row_dict(self, i: int) -> dict:
         return dict(self._rows[i])
 
     def row_tuple(self, i: int) -> tuple:
         rd = self._rows[i]
-        return tuple(rd.get(j, Fraction(0)) for j in range(self.cols))
+        return tuple(rd.get(j, _ZERO) for j in range(self.cols))
 
     def to_rows(self) -> list:
         return [list(self.row_tuple(i)) for i in range(self.rows)]
@@ -541,39 +543,52 @@ class ParticularSolution:
 
 @dataclass(frozen=True)
 class NoSolution:
-    """Inconsistency certificate: an echelon row with 0 = nonzero."""
-    combination: tuple     # row of the echelon form over the A-columns (all 0)
-    rhs: Fraction          # the corresponding nonzero right-hand side
+    """Inconsistency certificate: y with y^T A = 0 and y . b = rhs = 1."""
+    combination: tuple     # y, one coefficient per row of A
+    rhs: Fraction          # y . b
+
+
+def _augmented(A: ExactMatrix, b: Sequence[RationalLike]) -> ExactMatrix:
+    """[A | b]."""
+    aug = ExactMatrix(A.rows, A.cols + 1)
+    for i, row in enumerate(A._rows):
+        q = rat(b[i])
+        aug._rows[i] = {**row, A.cols: q} if q else dict(row)
+    return aug
+
+
+def _canonical_solution(aug: ExactMatrix) -> Optional[tuple]:
+    """x with [A | b] (x, -1) = 0 and the free variables (relative to the
+    sorted-pivot RREF of A) zero, or None when the system is inconsistent."""
+    bcol = aug.cols - 1
+    rref, pivots = aug._rref_data()
+    if bcol in pivots:
+        return None
+    x = [_ZERO] * bcol
+    for i, pc in enumerate(pivots):
+        x[pc] = rref._rows[i].get(bcol, _ZERO)
+    return tuple(x)
 
 
 def solve_affine(A: ExactMatrix, b: Sequence[RationalLike]):
     """Exact x with Ax = b, or a NoSolution certificate.
 
     The particular solution is canonical: free variables (relative to the
-    sorted-pivot RREF) are set to zero.
+    sorted-pivot RREF) are set to zero.  The certificate y is computed only
+    when there is no x, as the canonical solution of [A^T; b^T] y = e_last.
     """
     if A.rows != len(b):
         raise DimensionMismatch("solve_affine: rhs length differs from rows")
-    bcol = A.cols
-    aug_rows = []
-    for i in range(A.rows):
-        row = dict(A._rows[i])
-        q = rat(b[i])
-        if q:
-            row[bcol] = q
-        aug_rows.append(row)
-    aug = ExactMatrix(A.rows, A.cols + 1)
-    for i, rd in enumerate(aug_rows):
-        aug._rows[i] = rd
-    rref, pivots = aug._rref_data()
-    if bcol in pivots:
-        i = pivots.index(bcol)
-        row = rref.row_tuple(i)
-        return NoSolution(combination=row[:bcol], rhs=row[bcol])
-    x = [Fraction(0)] * A.cols
-    for i, pc in enumerate(pivots):
-        x[pc] = rref._rows[i].get(bcol, Fraction(0))
-    return ParticularSolution(x=tuple(x))
+    aug = _augmented(A, b)
+    x = _canonical_solution(aug)
+    if x is not None:
+        return ParticularSolution(x=x)
+    y = _canonical_solution(_augmented(aug.transpose(),
+                                       basis_vec(A.cols + 1, A.cols)))
+    if y is None:
+        raise OracleMismatch("solve_affine: neither a solution nor an "
+                             "inconsistency certificate exists")
+    return NoSolution(combination=y, rhs=Fraction(1))
 
 
 def _scaled_row(row: dict) -> tuple:
@@ -739,3 +754,40 @@ def tensor_index_maps(n: int, kind: str, n2: Optional[int] = None) -> IndexTable
         tuples = tuple((i, j) for i in range(n) for j in range(n2))
         return IndexTable(kind, (n, n2), tuples)
     raise ValueError(f"unknown index table kind {kind!r}")
+
+
+def pair_map(out_table: IndexTable, in_table: IndexTable,
+             A: ExactMatrix, B: ExactMatrix) -> ExactMatrix:
+    """Matrix of e_i * e_j -> (A e_i) * (B e_j) between two sym2 or two
+    wedge2 tables, * the symmetric or the wedge product.
+
+    pair_map(t_out, t_in, M, M) is the induced map Sym^2 M or Wedge^2 M."""
+    kind = in_table.kind
+    if kind not in ("sym2", "wedge2") or out_table.kind != kind:
+        raise DimensionMismatch("pair_map expects two sym2 or two wedge2 "
+                                "tables")
+    shape = (out_table.dims[0], in_table.dims[0])
+    if (A.rows, A.cols) != shape or (B.rows, B.cols) != shape:
+        raise DimensionMismatch("pair_map: matrices do not fit the tables")
+    a_cols, b_cols = A.transpose()._rows, B.transpose()._rows
+    index, sign = out_table.index, out_table.sign
+    out = ExactMatrix(out_table.size, in_table.size)
+    for col, (i, j) in enumerate(in_table.tuples):
+        acc: dict = {}
+        for k, a in a_cols[i].items():
+            for l, b in b_cols[j].items():
+                s = sign(k, l)
+                if s:
+                    p = index(k, l)
+                    acc[p] = acc.get(p, _ZERO) + s * a * b
+        for p, c in acc.items():
+            if c:
+                out._rows[p][col] = c
+    return out
+
+
+def pair_action(table: IndexTable, X: ExactMatrix) -> ExactMatrix:
+    """Action of an endomorphism X on a sym2 or wedge2 table:
+    X.(e_i * e_j) = (X e_i) * e_j + e_i * (X e_j)."""
+    eye = ExactMatrix.identity(X.rows)
+    return pair_map(table, table, X, eye) + pair_map(table, table, eye, X)

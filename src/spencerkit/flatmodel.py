@@ -569,13 +569,14 @@ def _a0_annihilator_dim(sub: GradedSubalgebra) -> int:
     rp_mats = sub.rp_matrices()
     rows = []
     for v in sub.Vp.basis_vectors():
+        images = [m.apply(v) for m in h_so]
         for a in range(model.dim_v):
-            rows.append([m.apply(v)[a] for m in h_so] +
+            rows.append([img[a] for img in images] +
                         [Fraction(0)] * sub.rp.dim)
     for s in sub.Sp.basis_vectors():
+        images = [m.apply(s) for m in h_spin + rp_mats]
         for i in range(model.dim_s):
-            rows.append([m.apply(s)[i] for m in h_spin] +
-                        [m.apply(s)[i] for m in rp_mats])
+            rows.append([img[i] for img in images])
     system = ExactMatrix.from_rows(rows, cols=cols)
     return system.kernel().dim
 
@@ -585,8 +586,9 @@ def annihilator_in_so(model: ExtendedFlatModel, Sp: Subspace) -> Subspace:
     rows = []
     mats = [model.gens.sigma[k] for k in range(model.dim_so)]
     for s in Sp.basis_vectors():
+        images = [m.apply(s) for m in mats]
         for i in range(model.dim_s):
-            rows.append([m.apply(s)[i] for m in mats])
+            rows.append([img[i] for img in images])
     return ExactMatrix.from_rows(rows, cols=model.dim_so).kernel()
 
 

@@ -26,8 +26,9 @@ from .errors import (DimensionMismatch, KappaZero, NoEquivariantSplitting,
                      NotACocycle, NotHighlySusy, NotSymmetric,
                      OracleMismatch)
 from .exactla import (AffineSolver, ExactMatrix, NoSolution, Subspace,
-                      basis_vec, lincomb, solve_affine, tensor_index_maps,
-                      vec_is_zero, vec_scale, vstack, zero_vec)
+                      basis_vec, block_diag, kron, lincomb, pair_action,
+                      pair_map, solve_affine, tensor_index_maps, vec_is_zero,
+                      vec_scale, vstack, zero_vec)
 from .flatmodel import (ExtendedFlatModel, GradedSubalgebra, full_subalgebra)
 
 
@@ -371,6 +372,25 @@ def spencer_complex(subalgebra: GradedSubalgebra, degree: int,
 # ---------------------------------------------------------------------------
 
 
+def _coordinate_matrix(space: Subspace, images, what: str) -> ExactMatrix:
+    """Matrix of an endomorphism of `space` from the images of its basis
+    vectors: column j holds the coordinates of the j-th image."""
+    entries = []
+    for j, v in enumerate(images):
+        c = space.coordinates(v)
+        if c is None:
+            raise DimensionMismatch(f"action of X leaves {what}")
+        entries.extend((i, j, x) for i, x in enumerate(c) if x)
+    return ExactMatrix(space.dim, space.dim, entries)
+
+
+def _hom_action(T: ExactMatrix, D: ExactMatrix) -> ExactMatrix:
+    """phi -> T o phi - phi o D on one source-major Hom(source, target)
+    block, for T acting on the target and D on the source."""
+    return (kron(ExactMatrix.identity(D.rows), T) +
+            kron(D.transpose().scale(-1), ExactMatrix.identity(T.rows)))
+
+
 def cochain_action_matrix(cx: SpencerComplex, so_coords: Sequence[Fraction],
                           r_coords: Sequence[Fraction]) -> ExactMatrix:
     """Matrix of X.phi on C^{2,2} for X = (so element, r element).
@@ -379,113 +399,38 @@ def cochain_action_matrix(cx: SpencerComplex, so_coords: Sequence[Fraction],
     acting on V-, S-, so- and r-valued targets by the action, the action,
     the commutator and the commutator respectively.
     """
-    model = cx.model
-    lay = cx.layouts[2]
+    model, sub = cx.model, cx.subalgebra
     A_v = model.so_matrix(so_coords)
-    A_s = model.spin_matrix(so_coords)
     a_s = model.r_matrix(r_coords)
-    act_s = A_s + a_s
+    act_s = model.spin_matrix(so_coords) + a_s
 
-    def coords_of(space, vecval, what):
-        c = space.coordinates(vecval)
-        if c is None:
-            raise DimensionMismatch(f"action of X leaves {what}")
-        return c
-
-    # source-argument actions in source coordinates
-    srcV = [coords_of(cx.subalgebra.Vp, A_v.apply(v), "V'")
-            for v in cx.vvecs]
-    srcS = [coords_of(cx.subalgebra.Sp, act_s.apply(s), "S'")
-            for s in cx.svecs]
-    # target value actions in target coordinates
-    tgtV = [coords_of(cx.Wv, A_v.apply(w), "the V-target")
-            for w in cx.Wv_vecs]
-    tgtS = [coords_of(cx.Ws, act_s.apply(w), "the S-target")
-            for w in cx.Ws_vecs]
-    tgtSO = [coords_of(cx.Wso,
-                       model.gens.so_coordinates(
-                           A_v.commutator(model.so_matrix(w))),
-                       "the so-target")
-             for w in cx.Wso_vecs]
-    tgtR = []
-    for w in cx.Wr_vecs:
-        comm = a_s.commutator(model.r_matrix(w))
-        full = model.r.coordinates(comm)
+    def r_coords_of(w):
+        full = model.r.coordinates(a_s.commutator(model.r_matrix(w)))
         if full is None:
             raise DimensionMismatch("commutator leaves the R-symmetry algebra")
-        tgtR.append(coords_of(cx.Wr, full, "the r-target"))
+        return full
 
-    entries = []
-    nvp, nsp = cx.nvp, cx.nsp
-    w2v, s2 = cx.w2v, cx.s2
-
-    def add(row, col, v):
-        if v:
-            entries.append((row, col, v))
-
-    # alpha block
-    for p0, (a1, a2) in enumerate(w2v.tuples):
-        for t0 in range(cx.dWv):
-            col = lay.index("alpha", p0, t0)
-            for t, c in enumerate(tgtV[t0]):
-                add(lay.index("alpha", p0, t), col, c)
-            # argument action: phi(X.b1, b2) + phi(b1, X.b2) subtracted
-            for q, (b1, b2) in enumerate(w2v.tuples):
-                coef = Fraction(0)
-                # phi(X.b1, b2): expand X.b1 over source basis
-                cb = srcV[b1]
-                if b2 == a2:
-                    coef += cb[a1]
-                if b2 == a1:
-                    coef -= cb[a2]
-                cb = srcV[b2]
-                if b1 == a1:
-                    coef += cb[a2]
-                if b1 == a2:
-                    coef -= cb[a1]
-                add(lay.index("alpha", q, t0), col, -coef)
-    # beta block
-    for a in range(nvp):
-        for i in range(nsp):
-            src0 = a * nsp + i
-            for t0 in range(cx.dWs):
-                col = lay.index("beta", src0, t0)
-                for t, c in enumerate(tgtS[t0]):
-                    add(lay.index("beta", src0, t), col, c)
-                for b in range(nvp):
-                    c = srcV[b][a]
-                    if c:
-                        add(lay.index("beta", b * nsp + i, t0), col, -c)
-                for j in range(nsp):
-                    c = srcS[j][i]
-                    if c:
-                        add(lay.index("beta", a * nsp + j, t0), col, -c)
-    # gamma and rho blocks (symmetric source action)
-    sym_arg: List[List[Tuple[int, Fraction]]] = [[] for _ in range(s2.size)]
-    for q, (j1, j2) in enumerate(s2.tuples):
-        # phi(X.j1, j2) + phi(j1, X.j2)
-        acc: dict = {}
-        for i, c in enumerate(srcS[j1]):
-            if c:
-                p = s2.index(i, j2)
-                acc[p] = acc.get(p, Fraction(0)) + c
-        for i, c in enumerate(srcS[j2]):
-            if c:
-                p = s2.index(j1, i)
-                acc[p] = acc.get(p, Fraction(0)) + c
-        sym_arg[q] = [(p, c) for p, c in acc.items() if c]
-    for p0 in range(s2.size):
-        for name, dW, tgt in (("gamma", cx.dWso, tgtSO),
-                              ("rho", cx.dWr, tgtR)):
-            for t0 in range(dW):
-                col = lay.index(name, p0, t0)
-                for t, c in enumerate(tgt[t0]):
-                    add(lay.index(name, p0, t), col, c)
-                for q in range(s2.size):
-                    for (p, c) in sym_arg[q]:
-                        if p == p0:
-                            add(lay.index(name, q, t0), col, -c)
-    return _matrix_from(lay.dim, lay.dim, entries)
+    # source-argument actions in source coordinates, then the target value
+    # actions in target coordinates
+    srcV = _coordinate_matrix(sub.Vp, (A_v.apply(v) for v in cx.vvecs), "V'")
+    srcS = _coordinate_matrix(sub.Sp, (act_s.apply(s) for s in cx.svecs),
+                              "S'")
+    tgtV = _coordinate_matrix(cx.Wv, (A_v.apply(w) for w in cx.Wv_vecs),
+                              "the V-target")
+    tgtS = _coordinate_matrix(cx.Ws, (act_s.apply(w) for w in cx.Ws_vecs),
+                              "the S-target")
+    tgtSO = _coordinate_matrix(
+        cx.Wso, (model.gens.so_coordinates(A_v.commutator(model.so_matrix(w)))
+                 for w in cx.Wso_vecs), "the so-target")
+    tgtR = _coordinate_matrix(cx.Wr, map(r_coords_of, cx.Wr_vecs),
+                              "the r-target")
+    on_vs = (kron(srcV, ExactMatrix.identity(cx.nsp)) +
+             kron(ExactMatrix.identity(cx.nvp), srcS))
+    on_s2 = pair_action(cx.s2, srcS)
+    return block_diag([_hom_action(tgtV, pair_action(cx.w2v, srcV)),
+                       _hom_action(tgtS, on_vs),
+                       _hom_action(tgtSO, on_s2),
+                       _hom_action(tgtR, on_s2)])
 
 
 def subalgebra_action_matrices(cx: SpencerComplex) -> List[ExactMatrix]:
@@ -674,27 +619,6 @@ class SpinorSquareSplitting:
         return self.section.apply(v)
 
 
-def _sym2_action(mat: ExactMatrix, table) -> ExactMatrix:
-    """Action of an endomorphism on Sym^2 coordinates:
-    A.(e_I sym e_J) = (A e_I) sym e_J + e_I sym (A e_J)."""
-    entries = []
-    for col, (i, j) in enumerate(table.tuples):
-        acc: dict = {}
-        for k in range(mat.rows):
-            c = mat.entry(k, i)
-            if c:
-                p = table.index(k, j)
-                acc[p] = acc.get(p, Fraction(0)) + c
-            c = mat.entry(k, j)
-            if c:
-                p = table.index(i, k)
-                acc[p] = acc.get(p, Fraction(0)) + c
-        for p, c in acc.items():
-            if c:
-                entries.append((p, col, c))
-    return ExactMatrix(table.size, table.size, entries)
-
-
 def build_splitting(model: ExtendedFlatModel) -> SpinorSquareSplitting:
     """Equivariant right inverse of kappa, computed by an exact affine solve.
 
@@ -706,56 +630,27 @@ def build_splitting(model: ExtendedFlatModel) -> SpinorSquareSplitting:
     if model.current.is_zero:
         raise KappaZero("the Dirac current vanishes identically")
     n = model.dim_v
-    ns = model.dim_s
-    s2 = tensor_index_maps(ns, "sym2")
+    s2 = tensor_index_maps(model.dim_s, "sym2")
     kappa_mat = model.current.component_matrix()
-    sym_acts = [_sym2_action(model.gens.sigma[k], s2)
-                for k in range(model.dim_so)]
-    r_acts = [_sym2_action(m, s2) for m in model.r.matrices]
+    # unknowns x[b * s2 + P] = section(e_b)_P, a source-major Hom(V, Sym^2 S)
+    # block; equivariance under (E, A) is A.section(e_b) - section(E e_b) = 0,
+    # with E = 0 for r
+    eye_n = ExactMatrix.identity(n)
+    so_rows = [_hom_action(pair_action(s2, sig), e_mat)
+               for e_mat, sig in zip(model.gens.e_mats, model.gens.sigma)]
+    r_rows = [kron(eye_n, pair_action(s2, m)) for m in model.r.matrices]
+    identity = [Fraction(1 if a == b else 0) for b in range(n)
+                for a in range(n)]
 
-    def solve(with_r: bool):
-        rows = []
-        rhs = []
-        unknowns = n * s2.size  # x[b * s2 + P] = section(e_b)_P
-        # kappa o section = Id
-        for b in range(n):
-            for a in range(n):
-                row = {}
-                for p in range(s2.size):
-                    c = kappa_mat.entry(a, p)
-                    if c:
-                        row[b * s2.size + p] = c
-                rows.append(row)
-                rhs.append(Fraction(1 if a == b else 0))
-        # equivariance: act(section(e_b)) - section(E e_b) = 0
-        acts = list(zip(model.gens.e_mats, sym_acts))
-        if with_r:
-            acts += [(ExactMatrix.zeros(n, n), ra) for ra in r_acts]
-        for e_mat, s2a in acts:
-            for b in range(n):
-                for q in range(s2.size):
-                    row = {}
-                    for p in range(s2.size):
-                        c = s2a.entry(q, p)
-                        if c:
-                            row[b * s2.size + p] = c
-                    for a in range(n):
-                        c = e_mat.entry(a, b)
-                        if c:
-                            key = a * s2.size + q
-                            row[key] = row.get(key, Fraction(0)) - c
-                    if row:
-                        rows.append(row)
-                        rhs.append(Fraction(0))
-        system = ExactMatrix(len(rows), unknowns)
-        for i, r in enumerate(rows):
-            system._rows[i] = {k: v for k, v in r.items() if v}
-        return solve_affine(system, rhs)
+    def solve(equivariance: List[ExactMatrix]):
+        system = vstack([kron(eye_n, kappa_mat)] + equivariance)
+        return solve_affine(system, identity + [Fraction(0)] *
+                            (system.rows - len(identity)))
 
-    sol = solve(with_r=True)
+    sol = solve(so_rows + r_rows)
     r_equivariant = True
     if isinstance(sol, NoSolution):
-        sol = solve(with_r=False)
+        sol = solve(so_rows)
         r_equivariant = False
         if isinstance(sol, NoSolution):
             raise NoEquivariantSplitting(
@@ -935,61 +830,16 @@ def restriction_matrix(full_cx: SpencerComplex,
         raise DimensionMismatch("first complex must be the full model one")
     if mixed_cx.values != "full":
         raise DimensionMismatch("second complex must have full values")
-    lay_in = full_cx.layouts[2]
-    lay_out = mixed_cx.layouts[2]
-    model = mixed_cx.model
-    vv, ss = mixed_cx.vvecs, mixed_cx.svecs
-    n, ns = model.dim_v, model.dim_s
-    w2_f = full_cx.w2v
-    s2_f = full_cx.s2
-    entries = []
-    # alpha
-    for q, (a1, a2) in enumerate(mixed_cx.w2v.tuples):
-        for (c, d) in w2_f.tuples:
-            w = vv[a1][c] * vv[a2][d] - vv[a1][d] * vv[a2][c]
-            if w:
-                src = w2_f.index(c, d)
-                for t in range(lay_in.sizes["alpha"][1]):
-                    entries.append((lay_out.index("alpha", q, t),
-                                    lay_in.index("alpha", src, t), w))
-    # beta
-    for a in range(mixed_cx.nvp):
-        for i in range(mixed_cx.nsp):
-            out_src = a * mixed_cx.nsp + i
-            for b in range(n):
-                cb = vv[a][b]
-                if not cb:
-                    continue
-                for I in range(ns):
-                    cI = ss[i][I]
-                    if cI:
-                        in_src = b * ns + I
-                        for t in range(lay_in.sizes["beta"][1]):
-                            entries.append((lay_out.index("beta", out_src, t),
-                                            lay_in.index("beta", in_src, t),
-                                            cb * cI))
-    # gamma and rho (symmetric weights)
-    for q, (i, j) in enumerate(mixed_cx.s2.tuples):
-        weights: dict = {}
-        for I in range(ns):
-            cI = ss[i][I]
-            if not cI:
-                continue
-            for J in range(ns):
-                cJ = ss[j][J]
-                if cJ:
-                    p = s2_f.index(I, J)
-                    weights[p] = weights.get(p, Fraction(0)) + cI * cJ
-        for p, w in weights.items():
-            if not w:
-                continue
-            for t in range(lay_in.sizes["gamma"][1]):
-                entries.append((lay_out.index("gamma", q, t),
-                                lay_in.index("gamma", p, t), w))
-            for t in range(lay_in.sizes["rho"][1]):
-                entries.append((lay_out.index("rho", q, t),
-                                lay_in.index("rho", p, t), w))
-    return _matrix_from(lay_out.dim, lay_in.dim, entries)
+    # the subalgebra's basis vectors as columns
+    E_v = mixed_cx.subalgebra.Vp.basis.transpose()
+    E_s = mixed_cx.subalgebra.Sp.basis.transpose()
+    on_s2 = pair_map(full_cx.s2, mixed_cx.s2, E_s, E_s)
+    sources = (pair_map(full_cx.w2v, mixed_cx.w2v, E_v, E_v),
+               kron(E_v, E_s), on_s2, on_s2)
+    # phi -> phi o M on each block
+    return block_diag([kron(M.transpose(), ExactMatrix.identity(tgt))
+                       for M, (_, _, tgt) in zip(sources,
+                                                 full_cx.layouts[2].blocks)])
 
 
 def inclusion_matrix(sub_cx: SpencerComplex,
@@ -998,20 +848,11 @@ def inclusion_matrix(sub_cx: SpencerComplex,
     C^{2,2}(subalgebra; subalgebra) -> C^{2,2}(subalgebra; model)."""
     if sub_cx.values != "subalgebra" or mixed_cx.values != "full":
         raise DimensionMismatch("expected (subalgebra-, full-) valued pair")
-    lay_in = sub_cx.layouts[2]
-    lay_out = mixed_cx.layouts[2]
-    blocks = [("alpha", sub_cx.Wv_vecs), ("beta", sub_cx.Ws_vecs),
-              ("gamma", sub_cx.Wso_vecs), ("rho", sub_cx.Wr_vecs)]
-    entries = []
-    for name, tvecs in blocks:
-        src_size, tdim_in = lay_in.sizes[name]
-        for s in range(src_size):
-            for t_in in range(tdim_in):
-                col = lay_in.index(name, s, t_in)
-                for t_out, c in enumerate(tvecs[t_in]):
-                    if c:
-                        entries.append((lay_out.index(name, s, t_out), col, c))
-    return _matrix_from(lay_out.dim, lay_in.dim, entries)
+    targets = (sub_cx.Wv, sub_cx.Ws, sub_cx.Wso, sub_cx.Wr)
+    # phi -> T o phi on each block, T the target basis vectors as columns
+    return block_diag([kron(ExactMatrix.identity(src), W.basis.transpose())
+                       for W, (_, src, _) in zip(targets,
+                                                 sub_cx.layouts[2].blocks)])
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,9 @@ from spencerkit.errors import DimensionMismatch
 from spencerkit.exactla import (AffineSolver, ExactMatrix, NoSolution,
                                 ParticularSolution, Subspace,
                                 is_positive_definite, ldlt_pivots, lincomb,
-                                rat, rat_str, solve_affine, tensor_index_maps,
-                                vec, vec_add, vec_is_zero, vec_scale, vstack,
-                                zero_vec)
+                                pair_action, pair_map, rat, rat_str,
+                                solve_affine, tensor_index_maps, vec, vec_add,
+                                vec_is_zero, vec_scale, vstack, zero_vec)
 
 
 def test_rational_serialisation():
@@ -35,6 +35,14 @@ class TestKernel:
         assert k.basis.to_rows() == [[Fraction(1), Fraction(-1, 2)]]
 
 
+def assert_certifies(sol, A, b):
+    """y = sol.combination has y^T A = 0 and y . b = sol.rhs = 1."""
+    y = sol.combination
+    assert len(y) == A.rows
+    assert vec_is_zero(A.transpose().apply(y))
+    assert sum((c * q for c, q in zip(y, b)), Fraction(0)) == sol.rhs == 1
+
+
 class TestSolveAffine:
     def test_identity(self):
         sol = solve_affine(ExactMatrix.identity(3), vec([5, -2, 7]))
@@ -51,11 +59,12 @@ class TestSolveAffine:
         assert sol.x == vec([2, 1])
 
     def test_inconsistent(self):
-        sol = solve_affine(ExactMatrix.from_rows([[1, 1], [1, 1]]),
-                           vec([1, 2]))
+        A = ExactMatrix.from_rows([[1, 1], [1, 1]])
+        b = vec([1, 2])
+        sol = solve_affine(A, b)
         assert isinstance(sol, NoSolution)
-        assert vec_is_zero(sol.combination)
-        assert sol.rhs != 0
+        assert_certifies(sol, A, b)
+        assert sol.combination == vec([-1, 1])
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -131,6 +140,7 @@ def test_solvability_matches_rank_criterion(m, rhs):
     sol = solve_affine(m, b)
     if isinstance(sol, NoSolution):
         assert augmented.rank() > m.rank()
+        assert_certifies(sol, m, b)
     else:
         assert augmented.rank() == m.rank()
         assert m.apply(sol.x) == b
@@ -303,3 +313,66 @@ class TestPositiveDefiniteness:
     def test_semi_definite_rejected(self):
         m = ExactMatrix.from_rows([[1, 1], [1, 1]])
         assert not is_positive_definite(m)
+
+
+def _sq(n):
+    return st.lists(st.lists(small_entries, min_size=n, max_size=n),
+                    min_size=n, max_size=n).map(ExactMatrix.from_rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["sym2", "wedge2"]),
+       st.integers(min_value=0, max_value=4).flatmap(
+           lambda n: st.tuples(_sq(n), _sq(n))))
+def test_pair_map_is_functorial(kind, mats):
+    M, N = mats
+    t = tensor_index_maps(M.rows, kind)
+    assert pair_map(t, t, M, M) @ pair_map(t, t, N, N) == \
+        pair_map(t, t, M @ N, M @ N)
+    eye = ExactMatrix.identity(M.rows)
+    assert pair_map(t, t, eye, eye) == ExactMatrix.identity(t.size)
+    # the action is the derivative of the induced map: a Lie homomorphism
+    assert pair_action(t, M).commutator(pair_action(t, N)) == \
+        pair_action(t, M.commutator(N))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_sq(3))
+def test_wedge_pair_map_entries_are_minors(M):
+    t = tensor_index_maps(3, "wedge2")
+    W = pair_map(t, t, M, M)
+    for col, (i, j) in enumerate(t.tuples):
+        for row, (k, l) in enumerate(t.tuples):
+            assert W.entry(row, col) == (M.entry(k, i) * M.entry(l, j) -
+                                         M.entry(l, i) * M.entry(k, j))
+
+
+class TestPairMap:
+    def test_wedge_sign_on_a_swap(self):
+        # e0 <-> e1: e0^e1 -> -e0^e1, e0^e2 -> e1^e2, e1^e2 -> e0^e2
+        t = tensor_index_maps(3, "wedge2")
+        swap = ExactMatrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+        assert pair_map(t, t, swap, swap) == ExactMatrix.from_rows(
+            [[-1, 0, 0], [0, 0, 1], [0, 1, 0]])
+
+    def test_wedge_of_equal_images_vanishes(self):
+        t = tensor_index_maps(3, "wedge2")
+        collapse = ExactMatrix.from_rows([[1, 1, 0], [0, 0, 1], [0, 0, 0]])
+        W = pair_map(t, t, collapse, collapse)
+        assert vec_is_zero(W.transpose().row_tuple(t.index(0, 1)))
+
+    def test_sym2_between_tables(self):
+        # (e0 + e1) sym e0 from a 1-dimensional source into Sym^2 of 2 dims
+        t_in, t_out = tensor_index_maps(1, "sym2"), tensor_index_maps(2, "sym2")
+        A = ExactMatrix.from_rows([[1], [1]])
+        B = ExactMatrix.from_rows([[1], [0]])
+        assert pair_map(t_out, t_in, A, B).to_rows() == [[1], [1], [0]]
+        assert pair_map(t_out, t_in, A, A).to_rows() == [[1], [2], [1]]
+
+    def test_rejects_mismatched_tables_and_shapes(self):
+        sym, wedge = tensor_index_maps(2, "sym2"), tensor_index_maps(2, "wedge2")
+        eye = ExactMatrix.identity(2)
+        with pytest.raises(DimensionMismatch):
+            pair_map(sym, wedge, eye, eye)
+        with pytest.raises(DimensionMismatch):
+            pair_map(sym, sym, ExactMatrix.identity(3), eye)

@@ -203,13 +203,12 @@ class TestSplitting:
 
     @pytest.mark.parametrize("s,t,N", GRID)
     def test_so_equivariance(self, s, t, N):
-        from spencerkit.spencer import _sym2_action
-        from spencerkit.exactla import tensor_index_maps
+        from spencerkit.exactla import pair_action, tensor_index_maps
         model = get_model(s, t, N)
         split = get_fullco(s, t, N).splitting
         s2 = tensor_index_maps(model.dim_s, "sym2")
         for k in range(model.dim_so):
-            act = _sym2_action(model.gens.sigma[k], s2)
+            act = pair_action(s2, model.gens.sigma[k])
             lhs = act @ split.section
             rhs = split.section @ model.gens.e_mats[k]
             assert lhs == rhs
@@ -404,3 +403,69 @@ class TestInclusionMap:
         for rep_vec in co.representatives:
             image = inc.apply(rep_vec)
             assert not b_mixed.contains(image)
+
+
+def _isotropy_generators(sub):
+    """(so, r) coordinates of the h-basis, then of the r'-basis."""
+    model = sub.model
+    return ([(h, zero_vec(model.dim_r)) for h in sub.h.basis_vectors()] +
+            [(zero_vec(model.dim_so), r) for r in sub.rp.basis_vectors()])
+
+
+def _sub_of(s, t, N, kind):
+    if kind == "maximal":
+        return get_full_subalgebra(s, t, N)
+    return get_sampled_subalgebra(s, t, N, 7)
+
+
+class TestInducedMaps:
+    CASES = [(s, t, N, kind) for (s, t, N) in ((2, 1, 1), (3, 1, 1),
+                                               (2, 1, 2))
+             for kind in ("maximal", "sampled")]
+
+    @pytest.mark.parametrize("s,t,N,kind", CASES)
+    def test_restriction_is_equivariant(self, s, t, N, kind):
+        sub = _sub_of(s, t, N, kind)
+        full_cx = get_fullco(s, t, N).complex
+        mixed_cx = spencer.spencer_complex(sub, 2, values="full")
+        R = restriction_matrix(full_cx, mixed_cx)
+        for X in _isotropy_generators(sub):
+            assert R @ cochain_action_matrix(full_cx, *X) == \
+                cochain_action_matrix(mixed_cx, *X) @ R
+
+    @pytest.mark.parametrize("s,t,N,kind", CASES)
+    def test_inclusion_is_equivariant(self, s, t, N, kind):
+        sub = _sub_of(s, t, N, kind)
+        sub_cx = spencer.spencer_complex(sub, 2)
+        mixed_cx = spencer.spencer_complex(sub, 2, values="full")
+        inc = inclusion_matrix(sub_cx, mixed_cx)
+        for X in _isotropy_generators(sub):
+            assert inc @ cochain_action_matrix(sub_cx, *X) == \
+                cochain_action_matrix(mixed_cx, *X) @ inc
+
+    @pytest.mark.parametrize("s,t,N", [(2, 1, 1), (2, 1, 2), (3, 1, 1)])
+    def test_action_is_a_homomorphism(self, s, t, N):
+        model = get_model(s, t, N)
+        cx = get_fullco(s, t, N).complex
+        gens = _isotropy_generators(get_full_subalgebra(s, t, N))
+        rho = [cochain_action_matrix(cx, *X) for X in gens]
+        for i, (x_so, x_r) in enumerate(gens):
+            for j in range(i + 1, len(gens)):
+                y_so, y_r = gens[j]
+                bracket = (model.gens.so_coordinates(
+                               model.so_matrix(x_so).commutator(
+                                   model.so_matrix(y_so))),
+                           model.r.bracket_coords(x_r, y_r))
+                assert rho[i].commutator(rho[j]) == \
+                    cochain_action_matrix(cx, *bracket)
+
+    def test_action_outside_the_isotropy_is_rejected(self):
+        from spencerkit.errors import DimensionMismatch
+        sub = get_sampled_subalgebra(3, 1, 1, 7)
+        cx = spencer.spencer_complex(sub, 2)
+        outside = [k for k in range(sub.model.dim_so)
+                   if not sub.h.contains(basis_vec(sub.model.dim_so, k))]
+        assert outside
+        with pytest.raises(DimensionMismatch, match="action of X leaves"):
+            cochain_action_matrix(cx, basis_vec(sub.model.dim_so, outside[0]),
+                                  zero_vec(sub.model.dim_r))
