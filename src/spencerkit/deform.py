@@ -466,7 +466,7 @@ def compute_theta(datum: AdmissibleDatum) -> ThetaData:
             vec_is_zero(vec_add(theta1[b][c], theta1[c][b]))
             and vec_is_zero(vec_add(theta2[b][c], theta2[c][b]))
             for b in range(n) for c in range(b, n))
-        second_rel = _second_defining_relation(datum, th1, theta1)
+        second_rel = _second_defining_relation(datum, th1, theta1, kappa_sp)
     return ThetaData(theta1_spinor=th1, theta2_spinor=th2,
                      dirac_kernel_annihilated=annihilated,
                      dirac_kernel_dim=dirac_kernel.dim,
@@ -475,26 +475,24 @@ def compute_theta(datum: AdmissibleDatum) -> ThetaData:
                      second_relation_consistent=second_rel)
 
 
-def _second_defining_relation(datum: AdmissibleDatum, th1_spinor,
-                              theta1) -> bool:
+def _second_defining_relation(datum: AdmissibleDatum, th1_spinor, theta1,
+                              kappa_sp: ExactMatrix) -> bool:
     """theta1(v,w) kappa(s,s) = Theta1(v;s,s) w - Theta1(w;s,s) v, the second
-    relation that determines theta1 uniquely."""
-    sub = datum.subalgebra
+    relation that determines theta1 uniquely; kappa_sp holds kappa(s_I, s_J)
+    as columns over the sym2 S' pairs."""
     model = datum.model
-    svecs = sub.Sp.basis_vectors()
-    pairs = tensor_index_maps(len(svecs), "sym2")
     n = model.dim_v
+    kappas = kappa_sp.transpose()
+    # column c of so(Theta1(v_b; s_I, s_J)) is Theta1(v_b; s_I, s_J) e_c
+    th1_cols = [[model.so_matrix(x).transpose() for x in row]
+                for row in th1_spinor]
     for b in range(n):
         for c in range(b + 1, n):
             mat = model.so_matrix(theta1[b][c])
-            for p, (i, j) in enumerate(pairs.tuples):
-                kv = model.kappa_vec(svecs[i], svecs[j])
-                lhs = mat.apply(kv)
-                rhs = vec_sub(
-                    model.so_matrix(th1_spinor[b][p]).apply(
-                        basis_vec(n, c)),
-                    model.so_matrix(th1_spinor[c][p]).apply(
-                        basis_vec(n, b)))
+            for p in range(kappas.rows):
+                lhs = mat.apply(kappas.row_tuple(p))
+                rhs = vec_sub(th1_cols[b][p].row_tuple(c),
+                              th1_cols[c][p].row_tuple(b))
                 if tuple(lhs) != tuple(rhs):
                     return False
     return True

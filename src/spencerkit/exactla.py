@@ -709,14 +709,14 @@ class IndexTable:
         return len(self.tuples)
 
     def index(self, *idx: int) -> int:
-        if self.kind in ("sym2", "sym3", "wedge2"):
-            key = tuple(sorted(idx))
-        else:
+        if self.kind == "full2":
             key = tuple(idx)
+        else:
+            key = tuple(sorted(idx))
         return self._lookup[key]
 
     def sign(self, *idx: int) -> int:
-        """Sign picked up by sorting (only nontrivial for wedge2)."""
+        """Sign picked up by sorting a pair (only nontrivial for wedge2)."""
         if self.kind == "wedge2":
             i, j = idx
             if i == j:
@@ -728,32 +728,30 @@ class IndexTable:
         return f"IndexTable({self.kind}, dims={self.dims}, size={self.size})"
 
 
-def tensor_index_maps(n: int, kind: str, n2: Optional[int] = None) -> IndexTable:
-    """Bijective table between flat coordinates and (multi-)indices."""
-    if n < 0 or (n2 is not None and n2 < 0):
+def tensor_index_maps(n: int, kind: str) -> IndexTable:
+    """Bijective table between flat coordinates and (multi-)indices, in
+    lexicographic order."""
+    if n < 0:
         raise DimensionMismatch("negative dimension")
     if kind == "sym2":
         tuples = tuple((i, j) for i in range(n) for j in range(i, n))
         assert len(tuples) == n * (n + 1) // 2
-        return IndexTable(kind, (n,), tuples)
-    if kind == "wedge2":
+    elif kind == "wedge2":
         tuples = tuple((i, j) for i in range(n) for j in range(i + 1, n))
         assert len(tuples) == n * (n - 1) // 2
-        return IndexTable(kind, (n,), tuples)
-    if kind == "sym3":
+    elif kind == "sym3":
         tuples = tuple((i, j, k) for i in range(n)
                        for j in range(i, n) for k in range(j, n))
         assert len(tuples) == comb(n + 2, 3)
-        return IndexTable(kind, (n,), tuples)
-    if kind == "full2":
+    elif kind == "wedge3":
+        tuples = tuple((i, j, k) for i in range(n)
+                       for j in range(i + 1, n) for k in range(j + 1, n))
+        assert len(tuples) == comb(n, 3)
+    elif kind == "full2":
         tuples = tuple((i, j) for i in range(n) for j in range(n))
-        return IndexTable(kind, (n,), tuples)
-    if kind == "mixed":
-        if n2 is None:
-            raise DimensionMismatch("mixed index table needs two dimensions")
-        tuples = tuple((i, j) for i in range(n) for j in range(n2))
-        return IndexTable(kind, (n, n2), tuples)
-    raise ValueError(f"unknown index table kind {kind!r}")
+    else:
+        raise ValueError(f"unknown index table kind {kind!r}")
+    return IndexTable(kind, (n,), tuples)
 
 
 def pair_map(out_table: IndexTable, in_table: IndexTable,
@@ -791,3 +789,45 @@ def pair_action(table: IndexTable, X: ExactMatrix) -> ExactMatrix:
     X.(e_i * e_j) = (X e_i) * e_j + e_i * (X e_j)."""
     eye = ExactMatrix.identity(X.rows)
     return pair_map(table, table, X, eye) + pair_map(table, table, eye, X)
+
+
+def pair_embedding(table: IndexTable) -> ExactMatrix:
+    """n^2 x |table| matrix of e_i * e_j -> e_i (x) e_j + e_j (x) e_i for a
+    sym2 table, e_i (x) e_j - e_j (x) e_i for a wedge2 table, with e_i (x) e_j
+    at i * n + j (the kron convention); on the sym2 diagonal it is
+    2 e_i (x) e_i."""
+    if table.kind not in ("sym2", "wedge2"):
+        raise DimensionMismatch("pair_embedding expects a sym2 or wedge2 "
+                                "table")
+    n = table.dims[0]
+    swap = 1 if table.kind == "sym2" else -1
+    entries = []
+    for col, (i, j) in enumerate(table.tuples):
+        entries += [(i * n + j, col, 1), (j * n + i, col, swap)]
+    return _summed(n * n, table.size, entries)
+
+
+def cyclic_embedding(table3: IndexTable, table2: IndexTable) -> ExactMatrix:
+    """(|table2| * n) x |table3| matrix of
+    (i, j, k) -> e_ij (x) e_k + e_jk (x) e_i + e_ki (x) e_j, with e_ij the
+    table2 coordinate of the pair (signed for wedge tables: e_ki = -e_ik)
+    and e_p (x) e_k at p * n + k.  The tables are sym3 with sym2, or wedge3
+    with wedge2, over the same n."""
+    kinds = (table3.kind, table2.kind)
+    if kinds not in (("sym3", "sym2"), ("wedge3", "wedge2")) or \
+            table3.dims != table2.dims:
+        raise DimensionMismatch("cyclic_embedding expects sym3 with sym2 or "
+                                "wedge3 with wedge2 tables of one size")
+    n = table2.dims[0]
+    entries = [(table2.index(x, y) * n + z, col, table2.sign(x, y))
+               for col, (i, j, k) in enumerate(table3.tuples)
+               for (x, y, z) in ((i, j, k), (j, k, i), (k, i, j))]
+    return _summed(n * table2.size, table3.size, entries)
+
+
+def _summed(rows: int, cols: int, entries) -> ExactMatrix:
+    """Matrix from (row, col, value) entries, summing repeated positions."""
+    acc: dict = {}
+    for r, c, v in entries:
+        acc[r, c] = acc.get((r, c), 0) + v
+    return ExactMatrix(rows, cols, [(r, c, v) for (r, c), v in acc.items()])

@@ -26,8 +26,9 @@ from .errors import (DimensionMismatch, KappaZero, NoEquivariantSplitting,
                      NotACocycle, NotHighlySusy, NotSymmetric,
                      OracleMismatch)
 from .exactla import (AffineSolver, ExactMatrix, NoSolution, Subspace,
-                      basis_vec, block_diag, kron, lincomb, pair_action,
-                      pair_map, solve_affine, tensor_index_maps, vec_is_zero,
+                      basis_vec, block_diag, cyclic_embedding, hstack, kron,
+                      lincomb, pair_action, pair_embedding, pair_map,
+                      rat_str, solve_affine, tensor_index_maps, vec_is_zero,
                       vec_scale, vstack, zero_vec)
 from .flatmodel import (ExtendedFlatModel, GradedSubalgebra, full_subalgebra)
 
@@ -52,8 +53,7 @@ class CochainLayout:
         self.dim = acc
 
     def index(self, name: str, src: int, tgt: int) -> int:
-        s, t = self.sizes[name]
-        return self.offsets[name] + src * t + tgt
+        return self.offsets[name] + src * self.sizes[name][1] + tgt
 
     def block_slice(self, name: str) -> Tuple[int, int]:
         src, tgt = self.sizes[name]
@@ -101,18 +101,29 @@ class SpencerComplex:
             self.Ws = Subspace.full(model.dim_s)
             self.Wso = Subspace.full(model.dim_so)
             self.Wr = Subspace.full(model.dim_r)
-        self._precompute()
+        structure = self._precompute()
         self.layouts: Dict[int, CochainLayout] = {}
         self.differentials: Dict[int, ExactMatrix] = {}
         if degree == 2:
-            self._build_degree2()
+            self._build_degree2(*structure)
         else:
-            self._build_degree4()
+            self._build_degree4(*structure)
         self._verify_complex()
 
-    # -- shared tables -------------------------------------------------------
+    # -- structure matrices ---------------------------------------------------
 
     def _precompute(self):
+        """Set the bases and index tables, and return the structure matrices
+        every differential is built from, each block source-major as in the
+        layouts:
+
+        K (nvp x |sym2 S'|): column p is kappa(s_I, s_J) in V' coordinates;
+        W = kron(I, K^T) Q (nvp |sym2 S'| x |wedge2 V'|): the source map
+            phi -> phi(v_c, kappa(s_I, s_J)) of a wedge2 V' block;
+        M_V (nvp dWv x dWso): column t is the t-th Wso element acting
+            V' -> Wv;
+        M_S^so (nsp dWs x dWso), M_S^r (nsp dWs x dWr): the same on S' -> Ws.
+        """
         sub, model = self.subalgebra, self.model
         self.vvecs = sub.Vp.basis_vectors()
         self.svecs = sub.Sp.basis_vectors()
@@ -120,218 +131,113 @@ class SpencerComplex:
         self.nsp = len(self.svecs)
         self.w2v = tensor_index_maps(self.nvp, "wedge2")
         self.s2 = tensor_index_maps(self.nsp, "sym2")
-        self.s3 = tensor_index_maps(self.nsp, "sym3")
         self.dWv, self.dWs = self.Wv.dim, self.Ws.dim
         self.dWso, self.dWr = self.Wso.dim, self.Wr.dim
         self.Wv_vecs = self.Wv.basis_vectors()
         self.Ws_vecs = self.Ws.basis_vectors()
         self.Wso_vecs = self.Wso.basis_vectors()
         self.Wr_vecs = self.Wr.basis_vectors()
-        self.Wso_so_mats = [model.so_matrix(c) for c in self.Wso_vecs]
-        self.Wso_spin_mats = [model.spin_matrix(c) for c in self.Wso_vecs]
-        self.Wr_mats = [model.r_matrix(c) for c in self.Wr_vecs]
-
-        def coords_or_fail(space: Subspace, vecval, what: str):
-            c = space.coordinates(vecval)
-            if c is None:
-                raise DimensionMismatch(
-                    f"{what} leaves the coefficient module; "
-                    "subalgebra closure must have been violated")
-            return c
-
-        # kappa(s_I, s_J) in V'-coordinates (source) and Wv-coordinates
-        self.kappa_src: List[tuple] = []
-        self.kappa_w: List[tuple] = []
-        for (i, j) in self.s2.tuples:
-            kv = model.kappa_vec(self.svecs[i], self.svecs[j])
-            self.kappa_src.append(coords_or_fail(sub.Vp, kv, "kappa(S',S')"))
-            self.kappa_w.append(coords_or_fail(self.Wv, kv, "kappa(S',S')"))
-        # kappa(s_i, Ws_t) in Wv-coordinates
-        self.kappa_sw = [[coords_or_fail(self.Wv,
-                                         model.kappa_vec(self.svecs[i], w),
-                                         "kappa(S', beta-value)")
-                          for w in self.Ws_vecs] for i in range(self.nsp)]
-        # so-valued targets acting on source basis vectors
-        self.actV_so = [[coords_or_fail(self.Wv, m.apply(v), "h.V'")
-                         for v in self.vvecs] for m in self.Wso_so_mats]
-        self.actS_so = [[coords_or_fail(self.Ws, m.apply(s), "h.S'")
-                         for s in self.svecs] for m in self.Wso_spin_mats]
-        self.actS_r = [[coords_or_fail(self.Ws, m.apply(s), "r'.S'")
-                        for s in self.svecs] for m in self.Wr_mats]
+        K = _coordinate_matrix(
+            sub.Vp, [[model.kappa_vec(self.svecs[i], self.svecs[j])]
+                     for (i, j) in self.s2.tuples],
+            _CLOSURE.format("kappa(S',S')"))
+        W = kron(ExactMatrix.identity(self.nvp), K.transpose()) @ \
+            pair_embedding(self.w2v)
+        M_V = _coordinate_matrix(
+            self.Wv, [[m.apply(v) for v in self.vvecs]
+                      for m in map(model.so_matrix, self.Wso_vecs)],
+            _CLOSURE.format("h.V'"), self.nvp)
+        M_Sso = _coordinate_matrix(
+            self.Ws, [[m.apply(s) for s in self.svecs]
+                      for m in map(model.spin_matrix, self.Wso_vecs)],
+            _CLOSURE.format("h.S'"), self.nsp)
+        M_Sr = _coordinate_matrix(
+            self.Ws, [[m.apply(s) for s in self.svecs]
+                      for m in map(model.r_matrix, self.Wr_vecs)],
+            _CLOSURE.format("r'.S'"), self.nsp)
+        return K, W, M_V, M_Sso, M_Sr
 
     # -- degree 2 -------------------------------------------------------------
 
-    def _build_degree2(self):
-        nvp, nsp = self.nvp, self.nsp
-        lay1 = CochainLayout([("lambda_so", nvp, self.dWso),
-                              ("lambda_r", nvp, self.dWr)])
-        lay2 = CochainLayout([("alpha", self.w2v.size, self.dWv),
-                              ("beta", nvp * nsp, self.dWs),
-                              ("gamma", self.s2.size, self.dWso),
-                              ("rho", self.s2.size, self.dWr)])
-        lay3 = CochainLayout([("vss", nvp * self.s2.size, self.dWv),
-                              ("sss", self.s3.size, self.dWs)])
+    def _build_degree2(self, K, W, M_V, M_Sso, M_Sr):
+        nvp, nsp, s2 = self.nvp, self.nsp, self.s2.size
+        dWv, dWs, dWso, dWr = self.dWv, self.dWs, self.dWso, self.dWr
+        eye = ExactMatrix.identity
+        lay1 = CochainLayout([("lambda_so", nvp, dWso),
+                              ("lambda_r", nvp, dWr)])
+        lay2 = CochainLayout([("alpha", self.w2v.size, dWv),
+                              ("beta", nvp * nsp, dWs),
+                              ("gamma", s2, dWso),
+                              ("rho", s2, dWr)])
+        s3 = tensor_index_maps(nsp, "sym3")
+        lay3 = CochainLayout([("vss", nvp * s2, dWv),
+                              ("sss", s3.size, dWs)])
         self.layouts = {1: lay1, 2: lay2, 3: lay3}
-        self.differentials[1] = self._d21(lay1, lay2)
-        self.differentials[2] = self._d22(lay2, lay3)
+        # C (nsp dWv x dWs): block i is kappa(s_i, .): Ws -> Wv
+        C = _coordinate_matrix(
+            self.Wv, [[self.model.kappa_vec(s, w) for s in self.svecs]
+                      for w in self.Ws_vecs],
+            _CLOSURE.format("kappa(S', beta-value)"), nsp)
+        Kt = K.transpose()
+        Qt = pair_embedding(self.w2v).transpose()
+        Sigma_t = pair_embedding(self.s2).transpose()
+        Tt = cyclic_embedding(s3, self.s2).transpose()
+        # d(lambda)(v, w) = lambda(v)w - lambda(w)v, d(lambda)(v, s) =
+        # lambda(v).s, d(lambda)(s, s) = -lambda(kappa(s, s))
+        self.differentials[1] = _assemble(lay2, lay1, {
+            ("alpha", "lambda_so"):
+                kron(Qt, eye(dWv)) @ kron(eye(nvp), M_V),
+            ("beta", "lambda_so"): kron(eye(nvp), M_Sso),
+            ("beta", "lambda_r"): kron(eye(nvp), M_Sr),
+            ("gamma", "lambda_so"): kron(Kt, eye(dWso)).scale(-1),
+            ("rho", "lambda_r"): kron(Kt, eye(dWr)).scale(-1)})
+        # vss: alpha(kappa(s, s), v) + kappa(s, beta(v, s)) symmetrised +
+        # gamma(s, s)v; sss: the cyclic sums of beta(kappa(s, s), s),
+        # gamma(s, s).s and rho(s, s).s
 
-    def _d21(self, lay1: CochainLayout, lay2: CochainLayout) -> ExactMatrix:
-        entries = []
-        nvp, nsp = self.nvp, self.nsp
-        parts = (("lambda_so", "gamma", self.dWso, self.actS_so),
-                 ("lambda_r", "rho", self.dWr, self.actS_r))
-        for a0 in range(nvp):
-            for lam, sym, dW, actS in parts:
-                for t in range(dW):
-                    col = lay1.index(lam, a0, t)
-                    # alpha component: lambda1(v)w - lambda1(w)v
-                    pairs = self.w2v.tuples if lam == "lambda_so" else ()
-                    for p, (a1, a2) in enumerate(pairs):
-                        if a0 not in (a1, a2):
-                            continue
-                        b, sgn = (a2, 1) if a1 == a0 else (a1, -1)
-                        for tv, c in enumerate(self.actV_so[t][b]):
-                            if c:
-                                entries.append((lay2.index("alpha", p, tv),
-                                                col, sgn * c))
-                    # beta component: +lambda(v).s
-                    for i in range(nsp):
-                        src = a0 * nsp + i
-                        for ts, c in enumerate(actS[t][i]):
-                            if c:
-                                entries.append((lay2.index("beta", src, ts),
-                                                col, c))
-                    # gamma / rho component: -lambda(kappa(sI,sJ))
-                    for p in range(self.s2.size):
-                        c = self.kappa_src[p][a0]
-                        if c:
-                            entries.append((lay2.index(sym, p, t), col, -c))
-        return _matrix_from(lay2.dim, lay1.dim, entries)
+        def gamma_band(b):  # gamma(s, s)v_b, from the rows of M_V for v_b
+            A_b = kron(ExactMatrix(1, nvp, [(0, b, 1)]), eye(dWv)) @ M_V
+            return kron(eye(s2), A_b)
 
-    def _d22(self, lay2: CochainLayout, lay3: CochainLayout) -> ExactMatrix:
-        entries = []
-        nvp, nsp = self.nvp, self.nsp
-        s2, s3 = self.s2, self.s3
-
-        def vss_row(b, p, tv):
-            return lay3.index("vss", b * s2.size + p, tv)
-
-        # alpha units: alpha(kappa(sI,sJ), v_b)
-        for pa, (a1, a2) in enumerate(self.w2v.tuples):
-            for tv in range(self.dWv):
-                col = lay2.index("alpha", pa, tv)
-                for p in range(s2.size):
-                    k1, k2 = self.kappa_src[p][a1], self.kappa_src[p][a2]
-                    if k1:
-                        entries.append((vss_row(a2, p, tv), col, k1))
-                    if k2:
-                        entries.append((vss_row(a1, p, tv), col, -k2))
-        # beta units
-        for a in range(nvp):
-            for i0 in range(nsp):
-                src = a * nsp + i0
-                for ts in range(self.dWs):
-                    col = lay2.index("beta", src, ts)
-                    # vss: kappa(sI, beta(v_b, sJ)) + kappa(sJ, beta(v_b, sI))
-                    for p, (i, j) in enumerate(s2.tuples):
-                        if j == i0:
-                            for tv, c in enumerate(self.kappa_sw[i][ts]):
-                                if c:
-                                    entries.append((vss_row(a, p, tv), col, c))
-                        if i == i0:
-                            for tv, c in enumerate(self.kappa_sw[j][ts]):
-                                if c:
-                                    entries.append((vss_row(a, p, tv), col, c))
-                    # sss: cyclic beta(kappa(s_i, s_j), s_k)
-                    for tri_idx, (i, j, k) in enumerate(s3.tuples):
-                        for (x, y, z) in ((i, j, k), (j, k, i), (k, i, j)):
-                            if z != i0:
-                                continue
-                            c = self.kappa_src[s2.index(x, y)][a]
-                            if c:
-                                entries.append(
-                                    (lay3.index("sss", tri_idx, ts), col, c))
-        # gamma units, then rho units
-        for name, dW, actS in (("gamma", self.dWso, self.actS_so),
-                               ("rho", self.dWr, self.actS_r)):
-            for p0 in range(s2.size):
-                for t in range(dW):
-                    col = lay2.index(name, p0, t)
-                    # vss: gamma(sI,sJ) v_b
-                    for b in range(nvp if name == "gamma" else 0):
-                        for tv, c in enumerate(self.actV_so[t][b]):
-                            if c:
-                                entries.append((vss_row(b, p0, tv), col, c))
-                    # sss: cyclic gamma(s_i,s_j).s_k, rho likewise
-                    for tri_idx, (i, j, k) in enumerate(s3.tuples):
-                        for (x, y, z) in ((i, j, k), (j, k, i), (k, i, j)):
-                            if s2.index(x, y) != p0:
-                                continue
-                            for ts, c in enumerate(actS[t][z]):
-                                if c:
-                                    entries.append((lay3.index(
-                                        "sss", tri_idx, ts), col, c))
-        return _matrix_from(lay3.dim, lay2.dim, entries)
+        # V' = 0 (a null S') leaves no vss rows but gamma columns
+        vss_gamma = (vstack([gamma_band(b) for b in range(nvp)]) if nvp
+                     else ExactMatrix(0, s2 * dWso))
+        sss_of = kron(Tt, eye(dWs))
+        self.differentials[2] = _assemble(lay3, lay2, {
+            ("vss", "alpha"): kron(W, eye(dWv)).scale(-1),
+            ("vss", "beta"): kron(eye(nvp), kron(Sigma_t, eye(dWv)) @
+                                  kron(eye(nsp), C)),
+            ("vss", "gamma"): vss_gamma,
+            ("sss", "beta"): kron(Tt @ kron(Kt, eye(nsp)), eye(dWs)),
+            ("sss", "gamma"): sss_of @ kron(eye(s2), M_Sso),
+            ("sss", "rho"): sss_of @ kron(eye(s2), M_Sr)})
 
     # -- degree 4 -------------------------------------------------------------
 
-    def _build_degree4(self):
-        nvp, nsp = self.nvp, self.nsp
-        w3 = [(a, b, c) for a in range(nvp) for b in range(a + 1, nvp)
-              for c in range(b + 1, nvp)]
-        self._w3 = w3
+    def _build_degree4(self, K, W, M_V, M_Sso, M_Sr):
+        nvp, nsp, w2 = self.nvp, self.nsp, self.w2v.size
+        dWv, dWs, dWso, dWr = self.dWv, self.dWs, self.dWso, self.dWr
+        eye = ExactMatrix.identity
+        w3 = tensor_index_maps(nvp, "wedge3")
         lay1 = CochainLayout([])
-        lay2 = CochainLayout([("theta_so", self.w2v.size, self.dWso),
-                              ("theta_r", self.w2v.size, self.dWr)])
-        lay3 = CochainLayout([("vvv", len(w3), self.dWv),
-                              ("vvs", self.w2v.size * nsp, self.dWs),
-                              ("vss_so", nvp * self.s2.size, self.dWso),
-                              ("vss_r", nvp * self.s2.size, self.dWr)])
+        lay2 = CochainLayout([("theta_so", w2, dWso),
+                              ("theta_r", w2, dWr)])
+        lay3 = CochainLayout([("vvv", w3.size, dWv),
+                              ("vvs", w2 * nsp, dWs),
+                              ("vss_so", nvp * self.s2.size, dWso),
+                              ("vss_r", nvp * self.s2.size, dWr)])
         self.layouts = {1: lay1, 2: lay2, 3: lay3}
         self.differentials[1] = ExactMatrix(lay2.dim, 0)
-        entries = []
-        s2 = self.s2
-        parts = (("so", self.dWso, self.actS_so), ("r", self.dWr, self.actS_r))
-        for pa, (a1, a2) in enumerate(self.w2v.tuples):
-            for part, dW, actS in parts:
-                for t in range(dW):
-                    col = lay2.index("theta_" + part, pa, t)
-                    # vvv: theta(u,v)w + theta(v,w)u + theta(w,u)v
-                    for tri_idx, (a, b, c) in enumerate(
-                            w3 if part == "so" else ()):
-                        terms = []
-                        if (a, b) == (a1, a2):
-                            terms.append((c, 1))
-                        if (b, c) == (a1, a2):
-                            terms.append((a, 1))
-                        if (a, c) == (a1, a2):  # theta(c,a) = -theta(a,c)
-                            terms.append((b, -1))
-                        for (w, sgn) in terms:
-                            for tv, cv in enumerate(self.actV_so[t][w]):
-                                if cv:
-                                    entries.append(
-                                        (lay3.index("vvv", tri_idx, tv), col,
-                                         sgn * cv))
-                    # vvs: theta(u,v).s
-                    for i in range(nsp):
-                        src = pa * nsp + i
-                        for ts, cv in enumerate(actS[t][i]):
-                            if cv:
-                                entries.append(
-                                    (lay3.index("vvs", src, ts), col, cv))
-                    # vss: theta(v_b, kappa(sI,sJ))
-                    for b in range(nvp):
-                        for p in range(s2.size):
-                            coef = Fraction(0)
-                            if b == a1:
-                                coef += self.kappa_src[p][a2]
-                            if b == a2:
-                                coef -= self.kappa_src[p][a1]
-                            if coef:
-                                entries.append((lay3.index(
-                                    "vss_" + part, b * s2.size + p, t),
-                                    col, coef))
-        self.differentials[2] = _matrix_from(lay3.dim, lay2.dim, entries)
+        # vvv: theta(u, v)w + theta(v, w)u + theta(w, u)v; vvs: theta(u, v).s;
+        # vss: theta(v, kappa(s, s))
+        T_wedge_t = cyclic_embedding(w3, self.w2v).transpose()
+        self.differentials[2] = _assemble(lay3, lay2, {
+            ("vvv", "theta_so"):
+                kron(T_wedge_t, eye(dWv)) @ kron(eye(w2), M_V),
+            ("vvs", "theta_so"): kron(eye(w2), M_Sso),
+            ("vvs", "theta_r"): kron(eye(w2), M_Sr),
+            ("vss_so", "theta_so"): kron(W, eye(dWso)),
+            ("vss_r", "theta_r"): kron(W, eye(dWr))})
 
     def _verify_complex(self):
         d1, d2 = self.differentials[1], self.differentials[2]
@@ -342,12 +248,41 @@ class SpencerComplex:
         return self.layouts[p].dim
 
 
-def _matrix_from(rows: int, cols: int, entries) -> ExactMatrix:
-    acc: dict = {}
-    for r, c, v in entries:
-        key = (r, c)
-        acc[key] = acc.get(key, Fraction(0)) + v
-    return ExactMatrix(rows, cols, [(r, c, v) for (r, c), v in acc.items()])
+_CLOSURE = ("{} leaves the coefficient module; subalgebra closure must have "
+            "been violated")
+
+
+def _coordinate_matrix(space: Subspace, columns: list, message: str,
+                       stack: int = 1) -> ExactMatrix:
+    """Matrix with one column per entry of `columns`, a list of `stack`
+    vectors: the column holds their coordinates in `space`, one vector after
+    the other.  Raises DimensionMismatch(message) if a vector leaves
+    `space`."""
+    entries = []
+    for j, vectors in enumerate(columns):
+        for k, v in enumerate(vectors):
+            c = space.coordinates(v)
+            if c is None:
+                raise DimensionMismatch(message)
+            entries.extend((k * space.dim + i, j, x)
+                           for i, x in enumerate(c) if x)
+    return ExactMatrix(stack * space.dim, len(columns), entries)
+
+
+def _assemble(out: CochainLayout, inp: CochainLayout,
+              blocks: Dict[Tuple[str, str], ExactMatrix]) -> ExactMatrix:
+    """The out.dim x inp.dim matrix whose (row block, column block) is
+    blocks[(row name, column name)], zero where absent."""
+    def block(r, c):
+        (rs, rt), (cs, ct) = out.sizes[r], inp.sizes[c]
+        m = blocks.get((r, c))
+        if m is None:
+            return ExactMatrix(rs * rt, cs * ct)
+        if (m.rows, m.cols) != (rs * rt, cs * ct):
+            raise DimensionMismatch(f"block ({r}, {c}) has the wrong shape")
+        return m
+    return vstack([hstack([block(r, c) for c, _, _ in inp.blocks])
+                   for r, _, _ in out.blocks])
 
 
 def build_spencer_complex(subalgebra: GradedSubalgebra, degree: int,
@@ -370,18 +305,6 @@ def spencer_complex(subalgebra: GradedSubalgebra, degree: int,
 # ---------------------------------------------------------------------------
 # the a0-action on degree-2 cochains
 # ---------------------------------------------------------------------------
-
-
-def _coordinate_matrix(space: Subspace, images, what: str) -> ExactMatrix:
-    """Matrix of an endomorphism of `space` from the images of its basis
-    vectors: column j holds the coordinates of the j-th image."""
-    entries = []
-    for j, v in enumerate(images):
-        c = space.coordinates(v)
-        if c is None:
-            raise DimensionMismatch(f"action of X leaves {what}")
-        entries.extend((i, j, x) for i, x in enumerate(c) if x)
-    return ExactMatrix(space.dim, space.dim, entries)
 
 
 def _hom_action(T: ExactMatrix, D: ExactMatrix) -> ExactMatrix:
@@ -410,20 +333,20 @@ def cochain_action_matrix(cx: SpencerComplex, so_coords: Sequence[Fraction],
             raise DimensionMismatch("commutator leaves the R-symmetry algebra")
         return full
 
+    def endo(space: Subspace, images, what: str) -> ExactMatrix:
+        return _coordinate_matrix(space, [[v] for v in images],
+                                  f"action of X leaves {what}")
+
     # source-argument actions in source coordinates, then the target value
     # actions in target coordinates
-    srcV = _coordinate_matrix(sub.Vp, (A_v.apply(v) for v in cx.vvecs), "V'")
-    srcS = _coordinate_matrix(sub.Sp, (act_s.apply(s) for s in cx.svecs),
-                              "S'")
-    tgtV = _coordinate_matrix(cx.Wv, (A_v.apply(w) for w in cx.Wv_vecs),
-                              "the V-target")
-    tgtS = _coordinate_matrix(cx.Ws, (act_s.apply(w) for w in cx.Ws_vecs),
-                              "the S-target")
-    tgtSO = _coordinate_matrix(
+    srcV = endo(sub.Vp, (A_v.apply(v) for v in cx.vvecs), "V'")
+    srcS = endo(sub.Sp, (act_s.apply(s) for s in cx.svecs), "S'")
+    tgtV = endo(cx.Wv, (A_v.apply(w) for w in cx.Wv_vecs), "the V-target")
+    tgtS = endo(cx.Ws, (act_s.apply(w) for w in cx.Ws_vecs), "the S-target")
+    tgtSO = endo(
         cx.Wso, (model.gens.so_coordinates(A_v.commutator(model.so_matrix(w)))
                  for w in cx.Wso_vecs), "the so-target")
-    tgtR = _coordinate_matrix(cx.Wr, map(r_coords_of, cx.Wr_vecs),
-                              "the r-target")
+    tgtR = endo(cx.Wr, map(r_coords_of, cx.Wr_vecs), "the r-target")
     on_vs = (kron(srcV, ExactMatrix.identity(cx.nsp)) +
              kron(ExactMatrix.identity(cx.nvp), srcS))
     on_s2 = pair_action(cx.s2, srcS)
@@ -549,7 +472,6 @@ class CohomologyReport:
                 for k in range(kernel.dim)]
 
     def to_json(self) -> dict:
-        from .exactla import rat_str
         return {
             "bidegree": list(self.bidegree),
             "dimZ": self.dim_z,
@@ -685,7 +607,6 @@ class NormalisedCocycle:
         return self.cochain.coeffs
 
     def to_json(self) -> dict:
-        from .exactla import rat_str
         return {"coefficients": [rat_str(c) for c in self.coeffs]}
 
 
@@ -704,30 +625,24 @@ class FullModelCohomology:
         self._invariant: Dict[tuple, Subspace] = {}
         self.restriction_kernels: Dict[tuple, "RestrictionKernelReport"] = {}
 
-    def _normalised_space(self) -> Subspace:
+    def _constraint_rows(self) -> Tuple[ExactMatrix, ExactMatrix]:
+        """Rows over C^{2,2} that read off the alpha block, [I | 0], and
+        rho o section, [0 | kron(section^T, I)]: alpha is the first block of
+        the layout and rho the last."""
         cx = self.complex
         lay = cx.layouts[2]
-        d22 = cx.differentials[2]
-        rows: List[ExactMatrix] = [d22]
-        # alpha block must vanish
-        lo, hi = lay.block_slice("alpha")
-        sel = ExactMatrix(hi - lo, lay.dim, [(i, lo + i, 1)
-                                             for i in range(hi - lo)])
-        rows.append(sel)
-        # rho o section must vanish
-        if cx.dWr:
-            n = self.model.dim_v
-            entries = []
-            for b in range(n):
-                col_b = [self.splitting.section.entry(p, b)
-                         for p in range(cx.s2.size)]
-                for t in range(cx.dWr):
-                    for p, c in enumerate(col_b):
-                        if c:
-                            entries.append((b * cx.dWr + t,
-                                            lay.index("rho", p, t), c))
-            rows.append(_matrix_from(n * cx.dWr, lay.dim, entries))
-        return vstack(rows).kernel()
+        n_alpha = lay.block_slice("alpha")[1]
+        rho_lo = lay.block_slice("rho")[0]
+        rho_section = kron(self.splitting.section.transpose(),
+                           ExactMatrix.identity(cx.dWr))
+        return (hstack([ExactMatrix.identity(n_alpha),
+                        ExactMatrix(n_alpha, lay.dim - n_alpha)]),
+                hstack([ExactMatrix(rho_section.rows, rho_lo), rho_section]))
+
+    def _normalised_space(self) -> Subspace:
+        """Cocycles with alpha = 0 and rho o section = 0."""
+        return vstack([self.complex.differentials[2],
+                       *self._constraint_rows()]).kernel()
 
     def normalise(self, coeffs: Sequence[Fraction]):
         """Unique normalised representative of a cocycle's class, plus the
@@ -739,24 +654,15 @@ class FullModelCohomology:
             raise NotACocycle("input is not a degree-2 Spencer cocycle")
         d21 = cx.differentials[1]
         # solve alpha(lambda_so) = alpha-block, rho(lambda_r) corrects rho_V
-        lo, hi = lay2.block_slice("alpha")
-        alpha_rows = ExactMatrix(hi - lo, lay1.dim,
-                                 [(r - lo, c, v)
-                                  for (r, c), v in _matrix_entries(d21)
-                                  if lo <= r < hi])
-        sol = solve_affine(alpha_rows, list(coeffs[lo:hi]))
+        alpha_rows, rho_section = self._constraint_rows()
+        sol = solve_affine(alpha_rows @ d21,
+                           list(lay2.block_of(coeffs, "alpha")))
         if isinstance(sol, NoSolution):
             raise OracleMismatch("alpha component is not a coboundary")
         lam = list(sol.x)
         # lambda_r = -(rho o section)
-        if cx.dWr:
-            section_cols = self.splitting.section.transpose()
-            for b in range(self.model.dim_v):
-                img = lincomb(((c, z.rho_pair(*cx.s2.tuples[p]))
-                               for p, c in section_cols.row_dict(b).items()),
-                              cx.dWr)
-                for t in range(cx.dWr):
-                    lam[lay1.index("lambda_r", b, t)] = -img[t]
+        lo, hi = lay1.block_slice("lambda_r")
+        lam[lo:hi] = vec_scale(rho_section.apply(coeffs), -1)
         correction = d21.apply(lam)
         normalised = tuple(c - d for c, d in zip(coeffs, correction))
         if not self.normalised_space.contains(normalised):
@@ -809,12 +715,6 @@ class FullModelCohomology:
                     raise OracleMismatch(
                         "beta/rho-invariant cocycle fails full invariance")
         return Subspace.from_vectors(lay.dim, vectors)
-
-
-def _matrix_entries(m: ExactMatrix):
-    for i in range(m.rows):
-        for j, v in m.row_dict(i).items():
-            yield (i, j), v
 
 
 # ---------------------------------------------------------------------------
@@ -930,7 +830,6 @@ def _restriction_kernel_report(sub: GradedSubalgebra,
         lay.dim, [expand(kernel.basis.row_tuple(k))
                   for k in range(kernel.dim)])
     # the kernel of i^* into H^{2,2}(a_-; model)
-    from .exactla import hstack
     mixed = spencer_complex(sub, 2, values="full")
     restrict = restriction_matrix(cx, mixed)
     lifted = restrict @ basis.basis.transpose()   # columns = restrictions

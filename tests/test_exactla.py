@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 from spencerkit.errors import DimensionMismatch
 from spencerkit.exactla import (AffineSolver, ExactMatrix, NoSolution,
                                 ParticularSolution, Subspace,
-                                is_positive_definite, ldlt_pivots, lincomb,
-                                pair_action, pair_map, rat, rat_str,
+                                cyclic_embedding, is_positive_definite, kron,
+                                ldlt_pivots, lincomb, pair_action,
+                                pair_embedding, pair_map, rat, rat_str,
                                 solve_affine, tensor_index_maps, vec, vec_add,
                                 vec_is_zero, vec_scale, vstack, zero_vec)
 
@@ -83,9 +85,14 @@ class TestIndexTables:
     def test_sym3_count(self):
         assert tensor_index_maps(4, "sym3").size == 20
 
-    def test_full2_and_mixed(self):
+    def test_full2_count(self):
         assert tensor_index_maps(3, "full2").size == 9
-        assert tensor_index_maps(2, "mixed", 5).size == 10
+
+    def test_wedge3_is_lexicographic(self):
+        table = tensor_index_maps(5, "wedge3")
+        assert table.size == 10  # C(5, 3)
+        assert list(table.tuples) == sorted(combinations(range(5), 3))
+        assert table.index(2, 0, 1) == table.index(0, 1, 2) == 0
 
     def test_wedge_sign(self):
         table = tensor_index_maps(4, "wedge2")
@@ -376,3 +383,52 @@ class TestPairMap:
             pair_map(sym, wedge, eye, eye)
         with pytest.raises(DimensionMismatch):
             pair_map(sym, sym, ExactMatrix.identity(3), eye)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["sym2", "wedge2"]),
+       st.integers(min_value=0, max_value=4).flatmap(_sq))
+def test_pair_embedding_is_natural(kind, M):
+    # M (x) M on the tensor square restricts to the induced map
+    t = tensor_index_maps(M.rows, kind)
+    E = pair_embedding(t)
+    assert kron(M, M) @ E == E @ pair_map(t, t, M, M)
+
+
+class TestEmbeddings:
+    def test_pair_embedding_columns(self):
+        # e_i (x) e_j sits at 2 i + j
+        assert pair_embedding(tensor_index_maps(2, "sym2")).to_rows() == \
+            [[2, 0, 0], [0, 1, 0], [0, 1, 0], [0, 0, 2]]
+        assert pair_embedding(tensor_index_maps(2, "wedge2")).to_rows() == \
+            [[0], [1], [-1], [0]]
+
+    def test_cyclic_embedding_sym3(self):
+        # (0,0,1) -> e_00 (x) e_1 + e_01 (x) e_0 + e_10 (x) e_0, with e_p (x)
+        # e_k at 2 p + k over the sym2 pairs (0,0), (0,1), (1,1)
+        s3 = tensor_index_maps(2, "sym3")
+        T = cyclic_embedding(s3, tensor_index_maps(2, "sym2"))
+        assert (T.rows, T.cols) == (6, 4)
+        assert T.transpose().row_tuple(s3.index(0, 0, 1)) == \
+            (0, 1, 2, 0, 0, 0)
+        # (0,0,0) -> 3 e_00 (x) e_0
+        assert T.transpose().row_tuple(s3.index(0, 0, 0)) == \
+            (3, 0, 0, 0, 0, 0)
+
+    def test_cyclic_embedding_wedge3(self):
+        # (0,1,2) -> e_01 (x) e_2 + e_12 (x) e_0 + e_20 (x) e_1, e_20 = -e_02,
+        # with e_p (x) e_k at 3 p + k over the pairs (0,1), (0,2), (1,2)
+        T = cyclic_embedding(tensor_index_maps(3, "wedge3"),
+                             tensor_index_maps(3, "wedge2"))
+        col = T.transpose().row_dict(0)
+        assert col == {2: 1, 6: 1, 4: -1}
+
+    def test_mismatched_tables_are_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            pair_embedding(tensor_index_maps(2, "sym3"))
+        with pytest.raises(DimensionMismatch):
+            cyclic_embedding(tensor_index_maps(3, "sym3"),
+                             tensor_index_maps(3, "wedge2"))
+        with pytest.raises(DimensionMismatch):
+            cyclic_embedding(tensor_index_maps(3, "wedge3"),
+                             tensor_index_maps(4, "wedge2"))

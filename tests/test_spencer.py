@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
@@ -8,7 +9,7 @@ from instances import (GRID, HIGH_SUSY_DIM, get_full_subalgebra, get_fullco,
 from spencerkit.errors import (KappaZero, NotACocycle, NotHighlySusy,
                                OracleMismatch)
 from spencerkit import spencer
-from spencerkit.exactla import (ExactMatrix, Subspace, basis_vec,
+from spencerkit.exactla import (ExactMatrix, Subspace, basis_vec, lincomb,
                                 solve_affine, vec_add, vec_is_zero, vec_scale,
                                 zero_vec)
 from spencerkit.flatmodel import make_graded_subalgebra
@@ -45,10 +46,177 @@ class TestComplexConstruction:
         assert cx.cochain_dim(3) == 0
         assert cx.differentials[2].is_zero()
 
+    def test_no_vector_legs(self):
+        # in signature (2,2) a null spinor spans S' with V' = 0: no vss rows,
+        # but the full-valued gamma block still has columns
+        model = get_model(2, 2, 1)
+        null = next(basis_vec(model.dim_s, i) for i in range(model.dim_s)
+                    if vec_is_zero(model.kappa_vec(basis_vec(model.dim_s, i),
+                                                   basis_vec(model.dim_s, i))))
+        sub = make_graded_subalgebra(
+            model, Subspace.trivial(model.dim_v),
+            Subspace.from_vectors(model.dim_s, [null]),
+            Subspace.trivial(model.dim_so), Subspace.trivial(model.dim_r))
+        for values in ("subalgebra", "full"):
+            cx = build_spencer_complex(sub, 2, values)
+            lay2 = cx.layouts[2]
+            assert lay2.sizes["gamma"] == (1, cx.dWso)
+            assert cx.layouts[3].sizes["vss"] == (0, cx.dWv)
+            assert cx.differentials[2].cols == lay2.dim
+        assert cx.dWso == model.dim_so > 0
+
     def test_degree4_fragment(self):
         cx = build_spencer_complex(get_full_subalgebra(2, 1, 1), 4)
         assert cx.cochain_dim(1) == 0
         assert cx.cochain_dim(2) == 3 * 3  # wedge2(V) x h
+
+
+def _block(lay, coeffs, name, src):
+    """The target coordinates of block `name` at source index `src`."""
+    off = lay.index(name, src, 0)
+    return tuple(coeffs[off:off + lay.sizes[name][1]])
+
+
+def _sum(vectors, dim):
+    return lincomb(((1, v) for v in vectors), dim)
+
+
+class TestDifferentialsPointwise:
+    """d21, d22 and the degree-4 d2 of the maximal subalgebra against their
+    defining formulas, on random integer cochains, evaluated with the model's
+    action matrices and Dirac current.  Every basis of the maximal
+    subalgebra is the standard one, so cochain values are model
+    coordinates."""
+
+    CELLS = [(2, 1, 1), (2, 1, 2)]
+
+    @staticmethod
+    def _image(s, t, N, degree, p, seed):
+        cx = build_spencer_complex(get_full_subalgebra(s, t, N), degree)
+        rng = random.Random(seed)
+        phi = tuple(Fraction(rng.randint(-3, 3))
+                    for _ in range(cx.layouts[p].dim))
+        return cx, phi, cx.differentials[p].apply(phi)
+
+    @staticmethod
+    def _bilinear(cx, lay, phi, name, table, x, y):
+        """phi(x, y) for a block over a sym2 or wedge2 table."""
+        dim = lay.sizes[name][1]
+        return lincomb(((x[a] * y[b] * table.sign(a, b),
+                         _block(lay, phi, name, table.index(a, b)))
+                        for a in range(len(x)) for b in range(len(y))
+                        if x[a] and y[b] and table.sign(a, b)), dim)
+
+    @pytest.mark.parametrize("s,t,N", CELLS)
+    def test_d21(self, s, t, N):
+        cx, lam, image = self._image(s, t, N, 2, 1, 11)
+        model = cx.model
+        l1, l2 = cx.layouts[1], cx.layouts[2]
+        n, ns = model.dim_v, model.dim_s
+        lam_so = [_block(l1, lam, "lambda_so", a) for a in range(n)]
+        lam_r = [_block(l1, lam, "lambda_r", a) for a in range(n)]
+        e = [basis_vec(n, a) for a in range(n)]
+        f = [basis_vec(ns, i) for i in range(ns)]
+        # d(lambda)(v, w) = lambda(v)w - lambda(w)v
+        for p, (a, b) in enumerate(cx.w2v.tuples):
+            assert _block(l2, image, "alpha", p) == vec_add(
+                model.so_matrix(lam_so[a]).apply(e[b]),
+                vec_scale(model.so_matrix(lam_so[b]).apply(e[a]), -1))
+        # d(lambda)(v, s) = lambda(v).s
+        for a in range(n):
+            for i in range(ns):
+                assert _block(l2, image, "beta", a * ns + i) == vec_add(
+                    model.spin_matrix(lam_so[a]).apply(f[i]),
+                    model.r_matrix(lam_r[a]).apply(f[i]))
+        # d(lambda)(s, s) = -lambda(kappa(s, s))
+        for p, (i, j) in enumerate(cx.s2.tuples):
+            k = model.kappa_vec(f[i], f[j])
+            assert _block(l2, image, "gamma", p) == vec_scale(
+                lincomb(zip(k, lam_so), model.dim_so), -1)
+            assert _block(l2, image, "rho", p) == vec_scale(
+                lincomb(zip(k, lam_r), model.dim_r), -1)
+
+    @pytest.mark.parametrize("s,t,N", CELLS)
+    def test_d22(self, s, t, N):
+        cx, phi, image = self._image(s, t, N, 2, 2, 12)
+        model = cx.model
+        l2, l3 = cx.layouts[2], cx.layouts[3]
+        n, ns = model.dim_v, model.dim_s
+        e = [basis_vec(n, a) for a in range(n)]
+        f = [basis_vec(ns, i) for i in range(ns)]
+        kappa = model.kappa_vec
+
+        def alpha(x, y):
+            return self._bilinear(cx, l2, phi, "alpha", cx.w2v, x, y)
+
+        def beta(x, y):
+            return lincomb(((x[a] * y[i], _block(l2, phi, "beta", a * ns + i))
+                            for a in range(n) for i in range(ns)
+                            if x[a] and y[i]), ns)
+
+        def gamma(x, y):
+            return self._bilinear(cx, l2, phi, "gamma", cx.s2, x, y)
+
+        def rho(x, y):
+            return self._bilinear(cx, l2, phi, "rho", cx.s2, x, y)
+
+        # alpha(kappa(s, s'), v) + kappa(s, beta(v, s'))
+        # + kappa(s', beta(v, s)) + gamma(s, s')v
+        for b in range(n):
+            for p, (i, j) in enumerate(cx.s2.tuples):
+                want = _sum([alpha(kappa(f[i], f[j]), e[b]),
+                             kappa(f[i], beta(e[b], f[j])),
+                             kappa(f[j], beta(e[b], f[i])),
+                             model.so_matrix(gamma(f[i], f[j])).apply(e[b])],
+                            n)
+                assert _block(l3, image, "vss", b * cx.s2.size + p) == want
+        # the cyclic sum of beta(kappa(s, s'), s'') + gamma(s, s').s''
+        # + rho(s, s').s''
+        for q, (i, j, k) in enumerate(combinations_with_replacement(range(ns),
+                                                                   3)):
+            terms = []
+            for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+                terms += [beta(kappa(f[x], f[y]), f[z]),
+                          model.spin_matrix(gamma(f[x], f[y])).apply(f[z]),
+                          model.r_matrix(rho(f[x], f[y])).apply(f[z])]
+            assert _block(l3, image, "sss", q) == _sum(terms, ns)
+
+    @pytest.mark.parametrize("s,t,N", CELLS)
+    def test_degree4_d2(self, s, t, N):
+        cx, th, image = self._image(s, t, N, 4, 2, 13)
+        model = cx.model
+        l2, l3 = cx.layouts[2], cx.layouts[3]
+        n, ns = model.dim_v, model.dim_s
+        e = [basis_vec(n, a) for a in range(n)]
+        f = [basis_vec(ns, i) for i in range(ns)]
+
+        def theta_so(x, y):
+            return self._bilinear(cx, l2, th, "theta_so", cx.w2v, x, y)
+
+        def theta_r(x, y):
+            return self._bilinear(cx, l2, th, "theta_r", cx.w2v, x, y)
+
+        def act_v(x, y, w):
+            return model.so_matrix(theta_so(x, y)).apply(w)
+
+        # theta(u, v)w + theta(v, w)u + theta(w, u)v
+        for q, (a, b, c) in enumerate(combinations(range(n), 3)):
+            assert _block(l3, image, "vvv", q) == _sum(
+                [act_v(e[a], e[b], e[c]), act_v(e[b], e[c], e[a]),
+                 act_v(e[c], e[a], e[b])], n)
+        # theta(u, v).s
+        for pa, (a, b) in enumerate(cx.w2v.tuples):
+            for i in range(ns):
+                assert _block(l3, image, "vvs", pa * ns + i) == vec_add(
+                    model.spin_matrix(theta_so(e[a], e[b])).apply(f[i]),
+                    model.r_matrix(theta_r(e[a], e[b])).apply(f[i]))
+        # theta(v, kappa(s, s'))
+        for b in range(n):
+            for p, (i, j) in enumerate(cx.s2.tuples):
+                k = model.kappa_vec(f[i], f[j])
+                src = b * cx.s2.size + p
+                assert _block(l3, image, "vss_so", src) == theta_so(e[b], k)
+                assert _block(l3, image, "vss_r", src) == theta_r(e[b], k)
 
 
 class TestCohomology:
