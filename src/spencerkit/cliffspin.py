@@ -239,9 +239,11 @@ class DiracCurrent:
         return tuple(k.entry(i, j) for k in self.components)
 
     def component_matrix(self) -> ExactMatrix:
-        """dim V x dim Sym^2 S matrix of kappa against the pair basis."""
+        """dim V x dim Sym^2 S matrix of kappa against the pair basis (dim V x
+        dim Wedge^2 S for a skew current)."""
         ns = self.rep.spinor_dim
-        table = tensor_index_maps(ns, "sym2")
+        table = tensor_index_maps(
+            ns, "sym2" if self.symmetry == "symmetric" else "wedge2")
         n = self.rep.dim_v
         entries = []
         for col, (i, j) in enumerate(table.tuples):

@@ -22,7 +22,7 @@ from .exactla import (AffineSolver, ExactMatrix, NoSolution, Subspace,
                       vec_sub, zero_vec)
 from .flatmodel import (EndoSubalgebra, ExtendedFlatModel, GradedBracketTensor,
                         GradedSubalgebra, faithful_split, graded_jacobi_check,
-                        kappa_restriction_matrix, make_graded_subalgebra)
+                        make_graded_subalgebra)
 from .spencer import (Cochain22, FullModelCohomology, NormalisedCocycle,
                       SpencerComplex, cochain_action_matrix, inclusion_matrix,
                       restriction_kernel_report, restriction_matrix,
@@ -132,18 +132,19 @@ class AdmissibleDatum:
                     row.append(c)
                 vs.append(row)
             ss = []
-            for i in range(len(svecs)):
-                for j in range(i, len(svecs)):
-                    kv = model.kappa_vec(svecs[i], svecs[j])
-                    gh = sub.h.coordinates(vec_sub(
-                        hat.gamma_vec(svecs[i], svecs[j]), self.lam1_vec(kv)))
-                    if gh is None:
-                        raise OracleMismatch("gamma-hat correction leaves h")
-                    rr = sub.rp.coordinates(vec_sub(
-                        hat.rho_vec(svecs[i], svecs[j]), self.lam2_vec(kv)))
-                    if rr is None:
-                        raise OracleMismatch("rho-hat correction leaves r'")
-                    ss.append((i, j, kv, gh, rr))
+            kappas = sub.kappa_sp.transpose()
+            pairs = tensor_index_maps(len(svecs), "sym2")
+            for p, (i, j) in enumerate(pairs.tuples):
+                kv = kappas.row_tuple(p)
+                gh = sub.h.coordinates(vec_sub(
+                    hat.gamma_vec(svecs[i], svecs[j]), self.lam1_vec(kv)))
+                if gh is None:
+                    raise OracleMismatch("gamma-hat correction leaves h")
+                rr = sub.rp.coordinates(vec_sub(
+                    hat.rho_vec(svecs[i], svecs[j]), self.lam2_vec(kv)))
+                if rr is None:
+                    raise OracleMismatch("rho-hat correction leaves r'")
+                ss.append((i, j, kv, gh, rr))
             self._odd = (vs, ss)
         return self._odd
 
@@ -166,7 +167,7 @@ def ensure_transitive(sub: GradedSubalgebra
     if sub.transitive:
         return sub, False
     model = sub.model
-    rp_endo = EndoSubalgebra.from_matrices(model.dim_s, sub.rp_matrices())
+    rp_endo = EndoSubalgebra.from_matrices(model.dim_s, sub.rp_mats)
     rpp, _ann = faithful_split(rp_endo, sub.Sp)
     coords = []
     for m in rpp.matrices:
@@ -284,8 +285,7 @@ def _solve_delta(datum: AdmissibleDatum) -> DeltaMap:
     model = datum.model
     n = model.dim_v
     delta1, delta2, delta4 = [], [], []
-    for k in range(sub.h.dim):
-        A_v = model.so_matrix(sub.h.basis.row_tuple(k))
+    for A_v in sub.h_so:
         row1, row2 = [], []
         for b in range(n):
             av = A_v.apply(basis_vec(n, b))
@@ -300,8 +300,7 @@ def _solve_delta(datum: AdmissibleDatum) -> DeltaMap:
             row2.append(c2)
         delta1.append(row1)
         delta2.append(row2)
-    for p in range(sub.rp.dim):
-        a_m = model.r_matrix(sub.rp.basis.row_tuple(p))
+    for a_m in sub.rp_mats:
         row4 = []
         for b in range(n):
             comm = a_m.commutator(datum.lam2_matrix(b))
@@ -429,7 +428,7 @@ def compute_theta(datum: AdmissibleDatum) -> ThetaData:
             row2.append(t2)
         th1.append(row1)
         th2.append(row2)
-    kappa_sp = kappa_restriction_matrix(model, sub.Sp)
+    kappa_sp = sub.kappa_sp
     dirac_kernel = kappa_sp.kernel()
     annihilated = True
     for k in range(dirac_kernel.dim):
@@ -466,7 +465,7 @@ def compute_theta(datum: AdmissibleDatum) -> ThetaData:
             vec_is_zero(vec_add(theta1[b][c], theta1[c][b]))
             and vec_is_zero(vec_add(theta2[b][c], theta2[c][b]))
             for b in range(n) for c in range(b, n))
-        second_rel = _second_defining_relation(datum, th1, theta1, kappa_sp)
+        second_rel = _second_defining_relation(datum, th1, theta1)
     return ThetaData(theta1_spinor=th1, theta2_spinor=th2,
                      dirac_kernel_annihilated=annihilated,
                      dirac_kernel_dim=dirac_kernel.dim,
@@ -475,14 +474,13 @@ def compute_theta(datum: AdmissibleDatum) -> ThetaData:
                      second_relation_consistent=second_rel)
 
 
-def _second_defining_relation(datum: AdmissibleDatum, th1_spinor, theta1,
-                              kappa_sp: ExactMatrix) -> bool:
+def _second_defining_relation(datum: AdmissibleDatum, th1_spinor,
+                              theta1) -> bool:
     """theta1(v,w) kappa(s,s) = Theta1(v;s,s) w - Theta1(w;s,s) v, the second
-    relation that determines theta1 uniquely; kappa_sp holds kappa(s_I, s_J)
-    as columns over the sym2 S' pairs."""
+    relation that determines theta1 uniquely, over the sym2 S' pairs."""
     model = datum.model
     n = model.dim_v
-    kappas = kappa_sp.transpose()
+    kappas = datum.subalgebra.kappa_sp.transpose()
     # column c of so(Theta1(v_b; s_I, s_J)) is Theta1(v_b; s_I, s_J) e_c
     th1_cols = [[model.so_matrix(x).transpose() for x in row]
                 for row in th1_spinor]
@@ -608,8 +606,7 @@ def _verify_integrability_theorems(datum: AdmissibleDatum,
     checks["second_defining_relation"] = True
 
     # a0-invariance of theta
-    for k in range(sub.h.dim):
-        A_v = model.so_matrix(sub.h.basis.row_tuple(k))
+    for A_v in sub.h_so:
         for b in range(n):
             for c in range(b + 1, n):
                 ab = A_v.apply(basis_vec(n, b))
@@ -624,8 +621,7 @@ def _verify_integrability_theorems(datum: AdmissibleDatum,
                 val2 = vec_sub(val2, theta.theta2_vec(basis_vec(n, b), ac))
                 if not vec_is_zero(val2):
                     fail("h-invariance of theta2")
-    for p in range(sub.rp.dim):
-        a_m = model.r_matrix(sub.rp.basis.row_tuple(p))
+    for a_m in sub.rp_mats:
         for b in range(n):
             for c in range(b + 1, n):
                 comm = a_m.commutator(model.r_matrix(theta.theta2[b][c]))
@@ -696,9 +692,8 @@ def _verify_integrability_theorems(datum: AdmissibleDatum,
     nsp = len(svecs)
     pairs = tensor_index_maps(nsp, "sym2")
     # [h, V, V] components  (jacobi-022a, 022b)
-    for k in range(sub.h.dim):
+    for k, A_v in enumerate(sub.h_so):
         hk = basis_vec(sub.h.dim, k)
-        A_v = model.so_matrix(sub.h.basis.row_tuple(k))
         for b in range(n):
             for c in range(b + 1, n):
                 vb, vc = basis_vec(n, b), basis_vec(n, c)
@@ -734,8 +729,9 @@ def _verify_integrability_theorems(datum: AdmissibleDatum,
                 if tuple(lhs) != tuple(rhs):
                     fail("quadratic identity [r',V,V]")
     # [S', S', V]  (jacobi-112a, 112b), depolarised
-    for (i, j) in pairs.tuples:
-        kv = model.kappa_vec(svecs[i], svecs[j])
+    kappas = sub.kappa_sp.transpose()
+    for p, (i, j) in enumerate(pairs.tuples):
+        kv = kappas.row_tuple(p)
         gam = mu.gamma_pair(i, j)
         rho = mu.rho_pair(i, j)
         for b in range(n):
@@ -901,9 +897,7 @@ def build_filtered_deformation(datum: AdmissibleDatum, theta: ThetaData,
             raise OracleMismatch("bracket value leaves S'")
         return c
 
-    h_so = sub.h_so_matrices()
-    h_spin = sub.h_spin_matrices()
-    rp_mats = sub.rp_matrices()
+    h_so, h_spin, rp_mats = sub.h_so, sub.h_spin, sub.rp_mats
     # [h, h], [h, r'] = 0, [r', r']
     for k in range(dh):
         for l in range(dh):
@@ -1006,70 +1000,26 @@ def _check_assoc_graded(datum: AdmissibleDatum,
     the subalgebra, and every deformation term has level shift +2 or +4."""
     sub = datum.subalgebra
     model = datum.model
-    n, nsp, dh, dr = tensor.component_dims
-    off_s, off_h, off_r = n, n + nsp, n + nsp + dh
-    svecs = sub.Sp.basis_vectors()
-    h_so = sub.h_so_matrices()
-    h_spin = sub.h_spin_matrices()
-    rp_mats = sub.rp_matrices()
+    # per component V, S', h, r': (offset in the tensor, offset in the flat
+    # model, the subspace of the flat component it spans)
+    parts = tuple(zip(tensor.offsets(),
+                      (model.off_v, model.off_s, model.off_so, model.off_r),
+                      (Subspace.full(model.dim_v), sub.Sp, sub.h, sub.rp)))
+    embedded = [{flat_off + t: c for t, c in enumerate(x) if c}
+                for _, flat_off, space in parts
+                for x in space.basis_vectors()]
 
     def graded_value(i, j) -> dict:
         # the flat-model bracket of the corresponding graded elements
+        value = model.tensor.bracket_of(embedded[i], embedded[j])
         out: dict = {}
-
-        def fill(off, coords):
-            for t, c in enumerate(coords):
-                if c:
-                    out[off + t] = c
-
-        if i < n:  # V
-            if off_s <= j < off_h:  # [V, S'] graded part is zero
-                return {}
-            if j < n:
-                return {}
-            if off_h <= j < off_r:
-                mat = h_so[j - off_h]
-                fill(0, vec_scale(mat.apply(basis_vec(n, i)), -1))
-                return out
-            return {}
-        if off_s <= i < off_h:  # S'
-            si = svecs[i - off_s]
-            if off_s <= j < off_h:
-                fill(0, model.kappa_vec(si, svecs[j - off_s]))
-                return out
-            if j < n:
-                return {}
-            if off_h <= j < off_r:
-                val = sub.Sp.coordinates(h_spin[j - off_h].apply(si))
-                fill(off_s, vec_scale(val, -1))
-                return out
-            val = sub.Sp.coordinates(rp_mats[j - off_r].apply(si))
-            fill(off_s, vec_scale(val, -1))
-            return out
-        if off_h <= i < off_r:  # h
-            if j < n:
-                fill(0, h_so[i - off_h].apply(basis_vec(n, j)))
-                return out
-            if off_s <= j < off_h:
-                fill(off_s, sub.Sp.coordinates(
-                    h_spin[i - off_h].apply(svecs[j - off_s])))
-                return out
-            if off_h <= j < off_r:
-                fill(off_h, _h_bracket(sub, model, basis_vec(dh, i - off_h),
-                                       basis_vec(dh, j - off_h)))
-                return out
-            return {}
-        # r'
-        if off_s <= j < off_h:
-            fill(off_s, sub.Sp.coordinates(
-                rp_mats[i - off_r].apply(svecs[j - off_s])))
-            return out
-        if off_r <= j:
-            fill(off_r, _rp_bracket(sub, model,
-                                    basis_vec(dr, i - off_r),
-                                    basis_vec(dr, j - off_r)))
-            return out
-        return {}
+        for off, flat_off, space in parts:
+            coords = space.coordinates(
+                [value.get(flat_off + t, 0) for t in range(space.ambient_dim)])
+            if coords is None:
+                raise OracleMismatch("graded bracket leaves the subalgebra")
+            out.update((off + t, c) for t, c in enumerate(coords) if c)
+        return out
 
     total = tensor.total_dim
     for i in range(total):
@@ -1346,7 +1296,7 @@ def canonical_gauge(datum: AdmissibleDatum) -> AdmissibleDatum:
     Two data with equal class produce identical canonical bracket tensors."""
     from .spencer import compute_cohomology
     cx = datum.sub_complex
-    co = compute_cohomology(cx, 2, with_action=False)
+    co = compute_cohomology(cx, 2)
     reps = list(co.representatives)
     cols = [ExactMatrix.from_rows([r]).transpose() for r in reps]
     cols.append(cx.differentials[1])
@@ -1394,16 +1344,16 @@ class EnvelopeReport:
                 "direct_sum": self.direct_sum.to_json()}
 
 
-def compute_envelope(fullco: FullModelCohomology, Sp: Subspace,
+def compute_envelope(fullco: FullModelCohomology, sub: GradedSubalgebra,
                      hat: NormalisedCocycle) -> EnvelopeReport:
     """Both candidate envelopes generated by the cocycle's values on the
-    Dirac kernel, with their Lie-pair properties; no claim is made about
-    which notion is the correct one."""
+    Dirac kernel of the subalgebra's S', with their Lie-pair properties; no
+    claim is made about which notion is the correct one."""
     model = fullco.model
+    Sp = sub.Sp
     if 2 * Sp.dim <= model.dim_s:
         raise NotHighlySusy("envelopes require dim S' > (dim S)/2")
-    kappa_sp = kappa_restriction_matrix(model, Sp)
-    dirac_kernel = kappa_sp.kernel()
+    dirac_kernel = sub.kappa_sp.kernel()
     svecs = Sp.basis_vectors()
     pairs = tensor_index_maps(len(svecs), "sym2")
     z = hat.cochain

@@ -4,7 +4,7 @@ graded subalgebras with their closure and homogeneity checks."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -12,8 +12,8 @@ from .certs import Certificate
 from .cliffspin import CliffordRep, DiracCurrent, spin_generators
 from .errors import (DimensionMismatch, JacobiViolation, NotClosed,
                      NotCompactForm)
-from .exactla import (ExactMatrix, Subspace, is_positive_definite, lincomb,
-                      rat_str, tensor_index_maps)
+from .exactla import (ExactMatrix, Subspace, block_diag, is_positive_definite,
+                      lincomb, pair_map, rat_str, tensor_index_maps, zero_vec)
 
 
 # ---------------------------------------------------------------------------
@@ -181,25 +181,32 @@ class GradedBracketTensor:
         """[x_i, v] for a sparse coefficient vector v."""
         out: dict = {}
         for j, c in v.items():
-            for k, w in self.bracket(i, j).items():
-                t = out.get(k, Fraction(0)) + c * w
-                if t:
-                    out[k] = t
-                elif k in out:
-                    del out[k]
+            _add_scaled(out, self.bracket(i, j), c)
         return out
 
     def vec_bracket(self, v: dict, k: int) -> dict:
         """[v, x_k] for a sparse coefficient vector v."""
         out: dict = {}
         for i, c in v.items():
-            for t, w in self.bracket(i, k).items():
-                u = out.get(t, Fraction(0)) + c * w
-                if u:
-                    out[t] = u
-                elif t in out:
-                    del out[t]
+            _add_scaled(out, self.bracket(i, k), c)
         return out
+
+    def bracket_of(self, x: dict, y: dict) -> dict:
+        """[x, y] for sparse coefficient vectors x and y."""
+        out: dict = {}
+        for j, c in y.items():
+            _add_scaled(out, self.vec_bracket(x, j), c)
+        return out
+
+
+def _add_scaled(out: dict, v: dict, c: Fraction) -> None:
+    """out += c v on sparse vectors, dropping the entries that cancel."""
+    for k, w in v.items():
+        t = out.get(k, Fraction(0)) + c * w
+        if t:
+            out[k] = t
+        elif k in out:
+            del out[k]
 
 
 def graded_jacobi_check(tensor: GradedBracketTensor) -> Certificate:
@@ -445,12 +452,21 @@ class GradedSubalgebra:
     the E_ij coordinates of so(V), rp in the canonical basis of r.  Diagonally
     embedded degree-0 subalgebras are structurally unrepresentable here, which
     is the intended rejection of that case.
+
+    The structure the closure checks read is built once and kept: kappa_sp
+    (see kappa_restriction_matrix), the h basis acting on V (h_so) and on S
+    (h_spin), and the r' basis acting on S (rp_mats).  It is determined by
+    the subspaces, so it takes no part in equality.
     """
     model: ExtendedFlatModel
     Vp: Subspace
     Sp: Subspace
     h: Subspace
     rp: Subspace
+    kappa_sp: ExactMatrix = field(repr=False, compare=False)
+    h_so: tuple = field(repr=False, compare=False)
+    h_spin: tuple = field(repr=False, compare=False)
+    rp_mats: tuple = field(repr=False, compare=False)
     highly_susy: bool = False
     transitive: bool = False
     homogeneity_rank: int = 0
@@ -459,18 +475,6 @@ class GradedSubalgebra:
     def dims(self) -> dict:
         return {"V'": self.Vp.dim, "S'": self.Sp.dim,
                 "h": self.h.dim, "r'": self.rp.dim}
-
-    def h_so_matrices(self) -> List[ExactMatrix]:
-        return [self.model.so_matrix(self.h.basis.row_tuple(i))
-                for i in range(self.h.dim)]
-
-    def h_spin_matrices(self) -> List[ExactMatrix]:
-        return [self.model.spin_matrix(self.h.basis.row_tuple(i))
-                for i in range(self.h.dim)]
-
-    def rp_matrices(self) -> List[ExactMatrix]:
-        return [self.model.r_matrix(self.rp.basis.row_tuple(i))
-                for i in range(self.rp.dim)]
 
     @property
     def key(self) -> tuple:
@@ -487,16 +491,14 @@ class GradedSubalgebra:
 
 def kappa_restriction_matrix(model: ExtendedFlatModel,
                              Sp: Subspace) -> ExactMatrix:
-    """Matrix of kappa restricted to Sym^2 S', columns over the pair basis."""
-    k = Sp.dim
-    pairs = tensor_index_maps(k, "sym2")
-    svecs = Sp.basis_vectors()
-    cols = []
-    for (i, j) in pairs.tuples:
-        cols.append(model.kappa_vec(svecs[i], svecs[j]))
-    return ExactMatrix(model.dim_v, pairs.size,
-                       [(a, c, col[a]) for c, col in enumerate(cols)
-                        for a in range(model.dim_v) if col[a]])
+    """kappa o Sym^2 E for E the S' basis as columns: column p is
+    kappa(s_I, s_J) for the p-th pair (I, J) of the sym2 table of S' (of the
+    wedge2 table for a skew current, which lives on Wedge^2 S)."""
+    kind = "sym2" if model.odd_spinors else "wedge2"
+    E = Sp.basis.transpose()
+    return model.current.component_matrix() @ pair_map(
+        tensor_index_maps(model.dim_s, kind), tensor_index_maps(Sp.dim, kind),
+        E, E)
 
 
 def make_graded_subalgebra(model: ExtendedFlatModel, Vp: Subspace,
@@ -508,14 +510,15 @@ def make_graded_subalgebra(model: ExtendedFlatModel, Vp: Subspace,
         raise DimensionMismatch("subspace ambients do not match the model")
     svecs = Sp.basis_vectors()
     # kappa(Sym^2 S') inside V'
-    for i in range(Sp.dim):
-        for j in range(i, Sp.dim):
-            image = model.kappa_vec(svecs[i], svecs[j])
-            if not Vp.contains(image):
-                raise NotClosed("kappa(S', S') leaves V'",
-                                witness=[rat_str(c) for c in image])
+    kappa_sp = kappa_restriction_matrix(model, Sp)
+    kappas = kappa_sp.transpose()
+    for p in range(kappas.rows):
+        image = kappas.row_tuple(p)
+        if not Vp.contains(image):
+            raise NotClosed("kappa(S', S') leaves V'",
+                            witness=[rat_str(c) for c in image])
     # h closed under commutator
-    h_so = [model.so_matrix(h.basis.row_tuple(i)) for i in range(h.dim)]
+    h_so = tuple(model.so_matrix(x) for x in h.basis_vectors())
     for i, A in enumerate(h_so):
         for B in h_so[i:]:
             comm = A.commutator(B)
@@ -531,7 +534,7 @@ def make_graded_subalgebra(model: ExtendedFlatModel, Vp: Subspace,
                 raise NotClosed("r' is not closed under the commutator",
                                 witness=[rat_str(c) for c in coords])
     # h preserves V' and S'
-    h_spin = [model.spin_matrix(h.basis.row_tuple(i)) for i in range(h.dim)]
+    h_spin = tuple(model.spin_matrix(x) for x in h.basis_vectors())
     for A, AS in zip(h_so, h_spin):
         for v in Vp.basis_vectors():
             if not Vp.contains(A.apply(v)):
@@ -542,14 +545,16 @@ def make_graded_subalgebra(model: ExtendedFlatModel, Vp: Subspace,
                 raise NotClosed("h does not preserve S'",
                                 witness=[rat_str(c) for c in AS.apply(s)])
     # r' preserves S' (it acts trivially on V)
-    rp_mats = [model.r_matrix(rp.basis.row_tuple(i)) for i in range(rp.dim)]
+    rp_mats = tuple(model.r_matrix(x) for x in rp.basis_vectors())
     for a in rp_mats:
         for s in svecs:
             if not Sp.contains(a.apply(s)):
                 raise NotClosed("r' does not preserve S'",
                                 witness=[rat_str(c) for c in a.apply(s)])
-    sub = GradedSubalgebra(model=model, Vp=Vp, Sp=Sp, h=h, rp=rp)
-    sub.homogeneity_rank = kappa_restriction_matrix(model, Sp).rank()
+    sub = GradedSubalgebra(model=model, Vp=Vp, Sp=Sp, h=h, rp=rp,
+                           kappa_sp=kappa_sp, h_so=h_so, h_spin=h_spin,
+                           rp_mats=rp_mats)
+    sub.homogeneity_rank = kappa_sp.rank()
     sub.highly_susy = (2 * Sp.dim > model.dim_s
                        and Vp.dim == model.dim_v)
     # transitivity: h + r' acts faithfully on V' + S'
@@ -559,37 +564,29 @@ def make_graded_subalgebra(model: ExtendedFlatModel, Vp: Subspace,
 
 
 def _a0_annihilator_dim(sub: GradedSubalgebra) -> int:
-    """Dimension of the annihilator of V' + S' inside h + r'."""
-    model = sub.model
-    cols = sub.h.dim + sub.rp.dim
-    if cols == 0:
-        return 0
-    h_so = sub.h_so_matrices()
-    h_spin = sub.h_spin_matrices()
-    rp_mats = sub.rp_matrices()
+    """Dimension of the annihilator of V' + S' inside h + r', which acts on
+    V + S block-diagonally."""
+    nv, ns = sub.model.dim_v, sub.model.dim_s
+    mats = ([block_diag([A, AS]) for A, AS in zip(sub.h_so, sub.h_spin)] +
+            [block_diag([ExactMatrix(nv, nv), a]) for a in sub.rp_mats])
+    vectors = ([v + zero_vec(ns) for v in sub.Vp.basis_vectors()] +
+               [zero_vec(nv) + s for s in sub.Sp.basis_vectors()])
+    return _annihilator(mats, vectors).dim
+
+
+def _annihilator(mats: Sequence[ExactMatrix],
+                 vectors: Sequence[Sequence[Fraction]]) -> Subspace:
+    """Coefficient vectors c with sum_k c_k m_k v = 0 for every v: the kernel
+    of the system with one row per coordinate of the images m_k v."""
     rows = []
-    for v in sub.Vp.basis_vectors():
-        images = [m.apply(v) for m in h_so]
-        for a in range(model.dim_v):
-            rows.append([img[a] for img in images] +
-                        [Fraction(0)] * sub.rp.dim)
-    for s in sub.Sp.basis_vectors():
-        images = [m.apply(s) for m in h_spin + rp_mats]
-        for i in range(model.dim_s):
-            rows.append([img[i] for img in images])
-    system = ExactMatrix.from_rows(rows, cols=cols)
-    return system.kernel().dim
+    for v in vectors:
+        rows.extend(zip(*(m.apply(v) for m in mats)))
+    return ExactMatrix.from_rows(rows, cols=len(mats)).kernel()
 
 
 def annihilator_in_so(model: ExtendedFlatModel, Sp: Subspace) -> Subspace:
     """{A in so(V) : A . s = 0 for all s in S'} via the spin action."""
-    rows = []
-    mats = [model.gens.sigma[k] for k in range(model.dim_so)]
-    for s in Sp.basis_vectors():
-        images = [m.apply(s) for m in mats]
-        for i in range(model.dim_s):
-            rows.append([img[i] for img in images])
-    return ExactMatrix.from_rows(rows, cols=model.dim_so).kernel()
+    return _annihilator(model.gens.sigma, Sp.basis_vectors())
 
 
 def stabiliser_in_so(model: ExtendedFlatModel, Sp: Subspace) -> Subspace:
@@ -701,11 +698,7 @@ def faithful_split(rp: EndoSubalgebra,
     if not is_positive_definite(gram):
         raise NotCompactForm("negated trace form on r' is not positive-definite")
     # annihilator of S' inside r'
-    rows = []
-    for s in Sp.basis_vectors():
-        for i in range(ns):
-            rows.append([m.apply(s)[i] for m in rp.matrices])
-    ann_coords = ExactMatrix.from_rows(rows, cols=k).kernel()
+    ann_coords = _annihilator(rp.matrices, Sp.basis_vectors())
     # orthogonal complement of the annihilator under the trace form
     if ann_coords.dim == 0:
         rpp_coords = Subspace.full(k)
@@ -735,11 +728,6 @@ def faithful_split(rp: EndoSubalgebra,
             if not rpp.contains(a.commutator(b)):
                 raise NotClosed("r'' is not an ideal of r'")
     # r'' acts faithfully on S'
-    if rpp.dim:
-        rows = []
-        for s in Sp.basis_vectors():
-            for i in range(ns):
-                rows.append([m.apply(s)[i] for m in rpp.matrices])
-        if ExactMatrix.from_rows(rows, cols=rpp.dim).kernel().dim != 0:
-            raise NotClosed("r'' fails to act faithfully on S'")
+    if _annihilator(rpp.matrices, Sp.basis_vectors()).dim != 0:
+        raise NotClosed("r'' fails to act faithfully on S'")
     return rpp, ann

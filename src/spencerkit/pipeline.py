@@ -86,6 +86,8 @@ def validate_config(raw: dict) -> dict:
             set(sp["random"]) == {"dim", "seed"}:
         if not _is_int(sp["random"]["dim"]):
             raise ConfigError("S_prime.random.dim must be an integer")
+        if not _is_int(sp["random"]["seed"]):
+            raise ConfigError("S_prime.random.seed must be an integer")
         needs_seed = True
     else:
         raise ConfigError("S_prime must be full, {basis: [...]} or "
@@ -315,8 +317,16 @@ def _stage_cohomology(config, state):
     model, sub = state["model"], state["sub"]
     fullco = FullModelCohomology(model)
     state["fullco"] = fullco
-    full_cx = fullco.complex
-    full_h22 = compute_cohomology(full_cx, 2, with_action=False)
+    sub_cx = spencer_complex(sub, 2)
+    state["sub_cx"] = sub_cx
+    co22 = compute_cohomology(sub_cx, 2)
+    state["co22"] = co22
+    # the a0-action on H, before the degree-4 complex is built
+    invariant = co22.invariant_classes()
+    state["invariant_classes"] = invariant
+    # a maximal subalgebra shares its complex with the full model
+    full_h22 = (co22 if fullco.complex is sub_cx
+                else compute_cohomology(fullco.complex, 2))
     data = {
         "normalised_space_dim": fullco.normalised_space.dim,
         "full_model_H22": full_h22.to_json() | {"representatives": "omitted"},
@@ -324,15 +334,8 @@ def _stage_cohomology(config, state):
             fullco.normalised_space.dim == full_h22.dim_h,
         "splitting_r_equivariant": fullco.splitting.r_equivariant,
     }
-    sub_cx = spencer_complex(sub, 2)
-    state["sub_cx"] = sub_cx
-    co21 = compute_cohomology(sub_cx, 1, with_action=False)
-    co22 = compute_cohomology(sub_cx, 2)
-    state["co22"] = co22
-    cx4 = spencer_complex(sub, 4)
-    co42 = compute_cohomology(cx4, 2, with_action=False)
-    invariant = co22.invariant_classes()
-    state["invariant_classes"] = invariant
+    co21 = compute_cohomology(sub_cx, 1)
+    co42 = compute_cohomology(spencer_complex(sub, 4), 2)
     data.update({
         "H21": {"dimZ": co21.dim_z, "dimB": co21.dim_b, "dimH": co21.dim_h},
         "H22": {"dimZ": co22.dim_z, "dimB": co22.dim_b, "dimH": co22.dim_h},
@@ -418,7 +421,7 @@ def _stage_realisability(config, state):
     report = check_geometric_realisability(datum, theta)
     data = report.to_json()
     sub = state["sub"]
-    envelope = compute_envelope(state["fullco"], sub.Sp, datum.hat)
+    envelope = compute_envelope(state["fullco"], sub, datum.hat)
     data["envelope"] = envelope.to_json()
     data["deformation_report"] = deformation_report(
         datum, theta, state["integrability"], report,

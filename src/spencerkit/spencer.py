@@ -18,9 +18,9 @@ p=3: ("vvv", wedge3 V'), ("vvs", wedge2 V' x S'), ("vss_so", V' x sym2 S'),
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (DimensionMismatch, KappaZero, NoEquivariantSplitting,
                      NotACocycle, NotHighlySusy, NotSymmetric,
@@ -137,9 +137,9 @@ class SpencerComplex:
         self.Ws_vecs = self.Ws.basis_vectors()
         self.Wso_vecs = self.Wso.basis_vectors()
         self.Wr_vecs = self.Wr.basis_vectors()
+        kappas = sub.kappa_sp.transpose()
         K = _coordinate_matrix(
-            sub.Vp, [[model.kappa_vec(self.svecs[i], self.svecs[j])]
-                     for (i, j) in self.s2.tuples],
+            sub.Vp, [[kappas.row_tuple(p)] for p in range(kappas.rows)],
             _CLOSURE.format("kappa(S',S')"))
         W = kron(ExactMatrix.identity(self.nvp), K.transpose()) @ \
             pair_embedding(self.w2v)
@@ -456,7 +456,41 @@ class CohomologyReport:
     cocycles: Subspace
     boundaries: Subspace
     representatives: tuple        # coefficient vectors, one per class
-    action_matrices: tuple        # one dH x dH ExactMatrix per a0 generator
+    complex: SpencerComplex = field(repr=False, compare=False)
+    _actions: Optional[tuple] = field(default=None, init=False, repr=False,
+                                      compare=False)
+
+    @property
+    def action_matrices(self) -> tuple:
+        """One dH x dH ExactMatrix per a0 generator (the h-basis then the
+        r'-basis), computed on first read and kept on the report; empty at
+        homological degree 1 and when H = 0."""
+        if self._actions is None:
+            self._actions = self._action_matrices()
+        return self._actions
+
+    def _action_matrices(self) -> tuple:
+        reps = self.representatives
+        if self.bidegree[1] != 2 or not reps:
+            return ()
+        B = self.boundaries
+        solver = AffineSolver(vstack(
+            [ExactMatrix.from_rows([r]) for r in reps] +
+            ([B.basis] if B.dim else [])).transpose())
+        actions = []
+        for g in subalgebra_action_matrices(self.complex):
+            cols = []
+            for r in reps:
+                sol = solver.solve(g.apply(r))
+                if isinstance(sol, NoSolution):
+                    raise OracleMismatch(
+                        "a0-action does not preserve the cocycle space")
+                cols.append(sol.x[:len(reps)])
+            actions.append(ExactMatrix(len(reps), len(reps),
+                                       [(i, j, cols[j][i])
+                                        for j in range(len(reps))
+                                        for i in range(len(reps))]))
+        return tuple(actions)
 
     def invariant_classes(self) -> list:
         """Coefficient vectors spanning the a0-invariant part of H."""
@@ -482,10 +516,9 @@ class CohomologyReport:
         }
 
 
-def compute_cohomology(cx: SpencerComplex, p: int,
-                       with_action: bool = True) -> CohomologyReport:
-    """Z, B and H at homological degree p, with canonical representatives
-    and the a0-action on H."""
+def compute_cohomology(cx: SpencerComplex, p: int) -> CohomologyReport:
+    """Z, B and H at homological degree p, with canonical representatives;
+    the a0-action on H is the report's action_matrices."""
     if p not in (1, 2):
         raise DimensionMismatch("only homological degrees 1 and 2 are built")
     d_out = cx.differentials[p]
@@ -499,28 +532,10 @@ def compute_cohomology(cx: SpencerComplex, p: int,
     # these are the Z-basis rows that extend B one new class at a time
     pivots = vstack([B.basis, Z.basis]).transpose().pivot_columns()
     reps = [Z.basis.row_tuple(c - B.dim) for c in pivots if c >= B.dim]
-    actions = []
-    if with_action and p == 2 and reps:
-        gens = subalgebra_action_matrices(cx)
-        solver = AffineSolver(vstack(
-            [ExactMatrix.from_rows([r]) for r in reps] +
-            ([B.basis] if B.dim else [])).transpose())
-        for g in gens:
-            cols = []
-            for r in reps:
-                sol = solver.solve(g.apply(r))
-                if isinstance(sol, NoSolution):
-                    raise OracleMismatch(
-                        "a0-action does not preserve the cocycle space")
-                cols.append(sol.x[:len(reps)])
-            actions.append(ExactMatrix(len(reps), len(reps),
-                                       [(i, j, cols[j][i])
-                                        for j in range(len(reps))
-                                        for i in range(len(reps))]))
     return CohomologyReport(
         bidegree=(cx.degree, p), dim_z=Z.dim, dim_b=B.dim,
         dim_h=Z.dim - B.dim, cocycles=Z, boundaries=B,
-        representatives=tuple(reps), action_matrices=tuple(actions))
+        representatives=tuple(reps), complex=cx)
 
 
 # ---------------------------------------------------------------------------

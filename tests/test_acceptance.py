@@ -72,7 +72,7 @@ def test_criterion_2_complex_property():
 def test_criterion_3_normalisation_oracle():
     for cell in GRID:
         fullco = get_fullco(*cell)
-        co = compute_cohomology(fullco.complex, 2, with_action=False)
+        co = compute_cohomology(fullco.complex, 2)
         assert fullco.normalised_space.dim == co.dim_h, cell
     _announce(3, "dim of the normalised-cocycle space equals dim H^{2,2} "
                  "by independent rank-nullity on all four models")
@@ -93,11 +93,9 @@ def test_criterion_5_vanishing_theorems():
     for (tag, sub) in sampled_subalgebras():
         if not (sub.highly_susy and sub.transitive):
             continue
-        co21 = compute_cohomology(build_spencer_complex(sub, 2), 1,
-                                  with_action=False)
+        co21 = compute_cohomology(build_spencer_complex(sub, 2), 1)
         assert co21.dim_h == 0 and co21.dim_z == 0, tag
-        co42 = compute_cohomology(build_spencer_complex(sub, 4), 2,
-                                  with_action=False)
+        co42 = compute_cohomology(build_spencer_complex(sub, 4), 2)
         assert co42.dim_h == 0, tag
         checked += 1
     assert checked >= 20

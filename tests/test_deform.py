@@ -7,7 +7,8 @@ from instances import (GRID, admissible_data_for_cell, get_full_subalgebra,
                        get_fullco, get_model, get_sampled_subalgebra,
                        invariant_basis)
 from spencerkit.deform import (AdmissibleDatum, DeltaMap, NotAdmissible,
-                               ThetaData, admissible_cocycle_from_invariant,
+                               ThetaData, _check_assoc_graded,
+                               admissible_cocycle_from_invariant,
                                build_filtered_deformation, canonical_gauge,
                                check_admissibility,
                                check_geometric_realisability,
@@ -17,7 +18,7 @@ from spencerkit.deform import (AdmissibleDatum, DeltaMap, NotAdmissible,
 from spencerkit.errors import NotHighlySusy, OracleMismatch
 from spencerkit.exactla import Subspace, vec_add, vec_is_zero, vec_scale, \
     zero_vec
-from spencerkit.flatmodel import make_graded_subalgebra
+from spencerkit.flatmodel import make_graded_subalgebra, stabiliser_in_so
 from spencerkit.spencer import (Cochain22, NormalisedCocycle,
                                 build_spencer_complex, compute_cohomology,
                                 subalgebra_action_matrices)
@@ -217,6 +218,44 @@ class TestFilteredDeformation:
             deformation = build_filtered_deformation(datum, theta, report)
             assert all(bool(c) for c in deformation.certificates.values())
 
+    @staticmethod
+    def _zero_deformation_211():
+        sub = get_full_subalgebra(2, 1, 1)
+        datum = check_admissibility(sub, zero_cocycle(sub),
+                                    get_fullco(2, 1, 1))
+        return build_filtered_deformation(datum, compute_theta(datum))
+
+    def test_assoc_graded_detects_a_changed_graded_bracket(self):
+        # scale the V-component of one [h, V] bracket: a level-preserving
+        # entry, so the associated graded no longer is the subalgebra
+        deformation = self._zero_deformation_211()
+        tensor, levels = deformation.tensor, deformation.filtration_levels
+        off_h = tensor.offsets()[2]
+        (i, j), k = next(((pair, k) for pair, chunk in tensor.table.items()
+                          if pair[0] == off_h and pair[1] < off_h
+                          for k in chunk if k < tensor.offsets()[1]))
+        table = {pair: dict(chunk) for pair, chunk in tensor.table.items()}
+        table[(i, j)][k] *= 2
+        cert = _check_assoc_graded(deformation.datum, dataclasses.replace(
+            tensor, table=table), levels)
+        assert not cert.passed
+        assert cert.detail == "associated graded differs from the subalgebra"
+        assert cert.witness == {"pair": (i, j), "target": k}
+
+    def test_assoc_graded_rejects_a_shift_3_component(self):
+        # [V, V] -> S' raises the level by 3, outside (mu, theta, 0, ...)
+        deformation = self._zero_deformation_211()
+        tensor, levels = deformation.tensor, deformation.filtration_levels
+        off_s = tensor.offsets()[1]
+        table = {pair: dict(chunk) for pair, chunk in tensor.table.items()}
+        table.setdefault((0, 1), {})[off_s] = Fraction(1)
+        cert = _check_assoc_graded(deformation.datum, dataclasses.replace(
+            tensor, table=table), levels)
+        assert not cert.passed
+        assert cert.detail == ("bracket component outside the defining "
+                               "sequence (mu, theta, 0, ...)")
+        assert cert.witness == {"pair": (0, 1), "target": off_s}
+
     def test_same_class_same_canonical_tensor(self):
         # two data with equal Spencer class produce identical bracket
         # tensors after the canonical gauge
@@ -298,7 +337,7 @@ class TestEnvelope:
         sub = get_sampled_subalgebra(3, 1, 1, 7)
         hat = NormalisedCocycle(Cochain22(
             fullco.complex, zero_vec(fullco.complex.layouts[2].dim)))
-        report = compute_envelope(fullco, sub.Sp, hat)
+        report = compute_envelope(fullco, sub, hat)
         assert report.joint.dim == 0 and report.direct_sum.dim == 0
 
     def test_trivial_dirac_kernel_trivial_envelopes(self):
@@ -306,7 +345,7 @@ class TestEnvelope:
         sub = get_full_subalgebra(2, 1, 1)
         hat_vec = invariant_basis(fullco, sub)[0]
         hat = NormalisedCocycle(Cochain22(fullco.complex, hat_vec))
-        report = compute_envelope(fullco, sub.Sp, hat)
+        report = compute_envelope(fullco, sub, hat)
         assert report.dirac_kernel_dim == 0
         assert report.joint.dim == 0 and report.direct_sum.dim == 0
 
@@ -315,7 +354,7 @@ class TestEnvelope:
         sub = get_sampled_subalgebra(3, 1, 1, 7)
         hat_vec = invariant_basis(fullco, sub)[0]
         hat = NormalisedCocycle(Cochain22(fullco.complex, hat_vec))
-        report = compute_envelope(fullco, sub.Sp, hat)
+        report = compute_envelope(fullco, sub, hat)
         blob = report.to_json()
         assert report.joint.dim <= report.direct_sum.dim
         assert set(blob) == {"dirac_kernel_dim", "joint_image", "direct_sum"}
@@ -324,6 +363,10 @@ class TestEnvelope:
         fullco = get_fullco(2, 1, 2)
         hat = NormalisedCocycle(Cochain22(
             fullco.complex, zero_vec(fullco.complex.layouts[2].dim)))
+        model = fullco.model
+        Sp = Subspace.from_vectors(4, [[1, 0, 0, 0]])
+        sub = make_graded_subalgebra(model, Subspace.full(3), Sp,
+                                     stabiliser_in_so(model, Sp),
+                                     Subspace.trivial(model.dim_r))
         with pytest.raises(NotHighlySusy):
-            compute_envelope(fullco, Subspace.from_vectors(4, [[1, 0, 0, 0]]),
-                             hat)
+            compute_envelope(fullco, sub, hat)

@@ -2,12 +2,15 @@ from fractions import Fraction
 
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
 from instances import GRID, get_current, get_full_subalgebra, get_model, \
     get_rep, get_sampled_subalgebra
 from spencerkit.cliffspin import Signature, build_clifford_rep, \
     build_dirac_current
 from spencerkit.errors import JacobiViolation, NotClosed, NotCompactForm
-from spencerkit.exactla import ExactMatrix, Subspace, basis_vec, vec_is_zero
+from spencerkit.exactla import (ExactMatrix, Subspace, basis_vec, kron,
+                                tensor_index_maps, vec_is_zero)
 from spencerkit.flatmodel import (EndoSubalgebra, annihilator_in_so,
                                   build_extended_flat_model,
                                   compute_r_symmetry_algebra,
@@ -16,7 +19,7 @@ from spencerkit.flatmodel import (EndoSubalgebra, annihilator_in_so,
                                   kappa_restriction_matrix,
                                   make_graded_subalgebra,
                                   random_highly_susy_subalgebra,
-                                  stabiliser_in_r)
+                                  random_subspace, stabiliser_in_r)
 
 
 class TestSchurAlgebra:
@@ -196,6 +199,102 @@ class TestGradedSubalgebras:
         model = get_model(3, 1, 1)
         sub = get_sampled_subalgebra(3, 1, 1, seed)
         assert annihilator_in_so(model, sub.Sp).dim == 0
+
+
+
+def _closure_failure(model, Vp, Sp, h, rp) -> str:
+    with pytest.raises(NotClosed) as err:
+        make_graded_subalgebra(model, Vp, Sp, h, rp)
+    return err.value.condition
+
+
+class TestClosureConditions:
+    """One case per closure condition of make_graded_subalgebra, each built
+    so that every check before it passes; the condition string is reported
+    as the subalgebra stage's negative."""
+
+    def test_kappa_leaves_vp(self):
+        model = get_model(2, 1, 1)
+        assert _closure_failure(
+            model, Subspace.from_vectors(3, [[1, 0, 0]]), Subspace.full(2),
+            Subspace.trivial(3), Subspace.trivial(model.dim_r)) == \
+            "kappa(S', S') leaves V'"
+
+    def test_h_not_closed(self):
+        # [E01, E02] is a multiple of E12
+        model = get_model(2, 1, 1)
+        h = Subspace.from_vectors(3, [basis_vec(3, 0), basis_vec(3, 1)])
+        assert _closure_failure(
+            model, Subspace.full(3), Subspace.full(2), h,
+            Subspace.trivial(model.dim_r)) == \
+            "h is not closed under the commutator"
+
+    def test_rp_not_closed(self):
+        # two generators of r = so(3) do not close
+        rep = build_clifford_rep(Signature(2, 1), 3)
+        model = build_extended_flat_model(rep, build_dirac_current(rep))
+        assert model.dim_r == 3
+        rp = Subspace.from_vectors(3, [basis_vec(3, 0), basis_vec(3, 1)])
+        assert _closure_failure(
+            model, Subspace.full(3), Subspace.full(6), Subspace.trivial(3),
+            rp) == "r' is not closed under the commutator"
+
+    def test_h_does_not_preserve_vp(self):
+        model = get_model(2, 1, 1)
+        assert _closure_failure(
+            model, Subspace.from_vectors(3, [[1, 0, 0]]),
+            Subspace.trivial(2), Subspace.full(3),
+            Subspace.trivial(model.dim_r)) == "h does not preserve V'"
+
+    def test_h_does_not_preserve_sp(self):
+        model = get_model(2, 1, 1)
+        assert _closure_failure(
+            model, Subspace.full(3), Subspace.from_vectors(2, [[1, 0]]),
+            Subspace.full(3), Subspace.trivial(model.dim_r)) == \
+            "h does not preserve S'"
+
+    def test_rp_does_not_preserve_sp(self):
+        # r = so(2) rotates the two copies of the spinor module
+        model = get_model(2, 1, 2)
+        assert _closure_failure(
+            model, Subspace.full(3), Subspace.from_vectors(4, [basis_vec(4, 0)]),
+            Subspace.trivial(3), Subspace.full(model.dim_r)) == \
+            "r' does not preserve S'"
+
+
+def _pairwise_kappa(model, Sp, kind="sym2") -> ExactMatrix:
+    svecs = Sp.basis_vectors()
+    pairs = tensor_index_maps(Sp.dim, kind).tuples
+    return ExactMatrix.from_rows(
+        [model.kappa_vec(svecs[i], svecs[j]) for i, j in pairs],
+        cols=model.dim_v).transpose()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(GRID), st.integers(0, 8), st.integers(0, 10 ** 6))
+def test_kappa_sp_is_pairwise_kappa(cell, dim, seed):
+    # kappa o Sym^2 E agrees with kappa evaluated pair by pair
+    model = get_model(*cell)
+    Sp = random_subspace(model.dim_s, min(dim, model.dim_s), seed)
+    sub = make_graded_subalgebra(model, Subspace.full(model.dim_v), Sp,
+                                 Subspace.trivial(model.dim_so),
+                                 Subspace.trivial(model.dim_r))
+    assert sub.kappa_sp == _pairwise_kappa(model, Sp)
+    assert sub.homogeneity_rank == sub.kappa_sp.rank()
+
+
+def test_kappa_sp_of_a_skew_current_lives_on_wedge2():
+    # a skew current is kappa on Wedge^2 S; the homogeneity rank is the rank
+    # of its values on the pairs of S' basis vectors
+    rep = get_rep(2, 1, 2)
+    eps = ExactMatrix.from_rows([[0, 1], [-1, 0]])
+    skew = build_dirac_current(
+        rep, [kron(eps, k) for k in get_current(2, 1, 1).components])
+    model = build_extended_flat_model(rep, skew)
+    Sp = random_subspace(4, 3, seed=2)
+    kappa_sp = kappa_restriction_matrix(model, Sp)
+    assert kappa_sp == _pairwise_kappa(model, Sp, "wedge2")
+    assert kappa_sp.rank() == _pairwise_kappa(model, Sp).rank() > 0
 
 
 class TestFaithfulSplit:

@@ -152,6 +152,64 @@ class TestBuildOnce:
         # degree-4 complex
         assert len(built) == len(set(built)) == 3
 
+    def test_subalgebra_structure_built_once(self, monkeypatch):
+        from spencerkit import deform, flatmodel, pipeline, spencer
+        made, restricted, kappa_calls, inside_c = [], [], [], []
+        make = flatmodel.make_graded_subalgebra
+        restrict = flatmodel.kappa_restriction_matrix
+        kappa_vec = flatmodel.ExtendedFlatModel.kappa_vec
+        build2 = spencer.SpencerComplex._build_degree2
+
+        def counting_make(*args):
+            made.append(args)
+            return make(*args)
+
+        def counting_restrict(*args):
+            restricted.append(args)
+            return restrict(*args)
+
+        def recording_kappa(self, x, y):
+            kappa_calls.append(bool(inside_c))
+            return kappa_vec(self, x, y)
+
+        def flagged_build2(self, *args):
+            inside_c.append(True)
+            try:
+                return build2(self, *args)
+            finally:
+                inside_c.pop()
+
+        for module in (flatmodel, deform, pipeline):
+            monkeypatch.setattr(module, "make_graded_subalgebra",
+                                counting_make)
+        monkeypatch.setattr(flatmodel, "kappa_restriction_matrix",
+                            counting_restrict)
+        monkeypatch.setattr(flatmodel.ExtendedFlatModel, "kappa_vec",
+                            recording_kappa)
+        monkeypatch.setattr(spencer.SpencerComplex, "_build_degree2",
+                            flagged_build2)
+        report = run_pipeline(base_config())
+        assert report["result"] == "pass"
+        # kappa on Sym^2 S' once per subalgebra; kappa_vec only for the
+        # kappa(s_i, .) block of the degree-2 differential
+        assert len(restricted) == len(made) > 0
+        assert kappa_calls and all(kappa_calls)
+
+    def test_full_model_h22_is_the_maximal_subalgebra_report(
+            self, monkeypatch):
+        from spencerkit import pipeline
+        calls = []
+        compute = pipeline.compute_cohomology
+
+        def counting(cx, p):
+            calls.append((id(cx), p))
+            return compute(cx, p)
+
+        monkeypatch.setattr(pipeline, "compute_cohomology", counting)
+        run_pipeline(base_config(checks=list(STAGES[:6])))
+        # H21 and H22 of the shared degree-2 complex, H42 of degree 4
+        assert len(calls) == len(set(calls)) == 3
+
     def test_delta_solved_once_per_datum(self, monkeypatch):
         from spencerkit import deform
         data = []
@@ -208,6 +266,16 @@ class TestCli:
         path = tmp_path / name
         path.write_text(json.dumps(config))
         return str(path)
+
+    @staticmethod
+    def _run_child(path):
+        """`spencerkit run path` in a child process with a timeout, so a
+        hang fails the test instead of stalling the suite."""
+        src = os.path.dirname(os.path.dirname(spencerkit.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        return subprocess.run(
+            [sys.executable, "-m", "spencerkit.cli", "run", path],
+            env=env, capture_output=True, text=True, timeout=120)
 
     def test_run_exit_codes_and_cache_identity(self, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -274,14 +342,22 @@ class TestCli:
         config["subalgebra"] = {
             "S_prime": {"random": {"dim": dim, "seed": 1}},
             "h": "stabiliser", "r_prime": "zero"}
-        path = self._write(tmp_path, config)
-        src = os.path.dirname(os.path.dirname(spencerkit.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run(
-            [sys.executable, "-m", "spencerkit.cli", "run", path],
-            env=env, capture_output=True, text=True, timeout=120)
+        proc = self._run_child(self._write(tmp_path, config))
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("seed", [[1], None, True, 1.5])
+    def test_random_seed_not_an_integer_exit_2(self, tmp_path, seed):
+        # a null seed would draw from OS entropy and a list would end in a
+        # TypeError; both, and booleans and floats, are config errors
+        config = base_config()
+        config["subalgebra"] = {
+            "S_prime": {"random": {"dim": 2, "seed": seed}},
+            "h": "stabiliser", "r_prime": "zero"}
+        proc = self._run_child(self._write(tmp_path, config))
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "S_prime.random.seed" in proc.stderr
 
     def test_division_by_zero_in_basis_exit_2(self, tmp_path):
         config = base_config()

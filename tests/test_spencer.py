@@ -225,11 +225,9 @@ class TestCohomology:
     def test_vanishing_theorems_on_samples(self, s, t, N, seed):
         sub = get_sampled_subalgebra(s, t, N, seed)
         assert sub.highly_susy and sub.transitive
-        co21 = compute_cohomology(build_spencer_complex(sub, 2), 1,
-                                  with_action=False)
+        co21 = compute_cohomology(build_spencer_complex(sub, 2), 1)
         assert co21.dim_z == 0 and co21.dim_h == 0
-        co42 = compute_cohomology(build_spencer_complex(sub, 4), 2,
-                                  with_action=False)
+        co42 = compute_cohomology(build_spencer_complex(sub, 4), 2)
         assert co42.dim_h == 0
 
     def test_zero_differentials_full_cochain_space(self):
@@ -238,7 +236,7 @@ class TestCohomology:
             model, Subspace.full(3), Subspace.trivial(2),
             Subspace.trivial(3), Subspace.trivial(0))
         cx = build_spencer_complex(sub, 2)
-        co = compute_cohomology(cx, 2, with_action=False)
+        co = compute_cohomology(cx, 2)
         assert co.dim_h == co.dim_z == cx.cochain_dim(2) == 9
         assert co.dim_b == 0
 
@@ -267,6 +265,21 @@ class TestCohomology:
         for m in co.action_matrices:
             assert m.rows == co.dim_h == m.cols
 
+    def test_action_computed_on_first_read_and_kept(self, monkeypatch):
+        cx = build_spencer_complex(get_sampled_subalgebra(3, 1, 1, 7), 2)
+        built = []
+        gens = spencer.subalgebra_action_matrices
+
+        def counting(_cx):
+            built.append(_cx)
+            return gens(_cx)
+
+        monkeypatch.setattr(spencer, "subalgebra_action_matrices", counting)
+        co = compute_cohomology(cx, 2)
+        assert built == []
+        first = co.action_matrices
+        assert co.action_matrices is first and built == [cx]
+
     def test_identity_action_gives_identity_matrices(self, monkeypatch):
         cx = build_spencer_complex(get_sampled_subalgebra(3, 1, 1, 7), 2)
         dim = cx.cochain_dim(2)
@@ -279,20 +292,20 @@ class TestCohomology:
             self, monkeypatch):
         cx = build_spencer_complex(get_full_subalgebra(2, 1, 1), 2)
         dim = cx.cochain_dim(2)
-        rep = compute_cohomology(cx, 2, with_action=False).representatives[0]
+        rep = compute_cohomology(cx, 2).representatives[0]
         # a basis cochain that is not a cocycle lies outside span(reps, B)
         k = next(i for i in range(dim) if not vec_is_zero(
             cx.differentials[2].apply(basis_vec(dim, i))))
         leak = ExactMatrix(dim, dim, [(k, j, c) for j, c in enumerate(rep)])
         monkeypatch.setattr(spencer, "subalgebra_action_matrices",
                             lambda _cx: [leak])
+        co = compute_cohomology(cx, 2)
         with pytest.raises(OracleMismatch, match="a0-action"):
-            compute_cohomology(cx, 2)
+            co.action_matrices
 
     def test_report_json_shape(self):
         co = compute_cohomology(
-            build_spencer_complex(get_full_subalgebra(2, 1, 1), 2), 2,
-            with_action=False)
+            build_spencer_complex(get_full_subalgebra(2, 1, 1), 2), 2)
         blob = co.to_json()
         assert blob["bidegree"] == [2, 2]
         assert blob["dimZ"] - blob["dimB"] == blob["dimH"]
@@ -396,7 +409,7 @@ class TestNormalisation:
     @pytest.mark.parametrize("s,t,N", GRID)
     def test_normalised_space_matches_rank_nullity(self, s, t, N):
         fullco = get_fullco(s, t, N)
-        co = compute_cohomology(fullco.complex, 2, with_action=False)
+        co = compute_cohomology(fullco.complex, 2)
         assert fullco.normalised_space.dim == co.dim_h
 
     def test_coboundary_normalises_to_zero_with_witness(self):
@@ -420,7 +433,7 @@ class TestNormalisation:
         # normalising twice gives the same output
         fullco = get_fullco(2, 1, 2)
         cx = fullco.complex
-        z = compute_cohomology(cx, 2, with_action=False).cocycles
+        z = compute_cohomology(cx, 2).cocycles
         v = z.basis.row_tuple(z.dim - 1)
         n1, _ = fullco.normalise(v)
         n2, w2 = fullco.normalise(n1.coeffs)
@@ -439,7 +452,7 @@ class TestNormalisation:
         # dim Z = dim B + dim normalised (direct sum decomposition)
         for cell in GRID:
             fullco = get_fullco(*cell)
-            co = compute_cohomology(fullco.complex, 2, with_action=False)
+            co = compute_cohomology(fullco.complex, 2)
             assert co.dim_z == co.dim_b + fullco.normalised_space.dim
 
 
@@ -566,7 +579,7 @@ class TestInclusionMap:
         sub_cx = build_spencer_complex(sub, 2)
         mixed_cx = build_spencer_complex(sub, 2, values="full")
         inc = inclusion_matrix(sub_cx, mixed_cx)
-        co = compute_cohomology(sub_cx, 2, with_action=False)
+        co = compute_cohomology(sub_cx, 2)
         b_mixed = mixed_cx.differentials[1].column_space()
         for rep_vec in co.representatives:
             image = inc.apply(rep_vec)
