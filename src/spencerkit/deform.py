@@ -23,10 +23,10 @@ from .exactla import (AffineSolver, ExactMatrix, NoSolution, Subspace,
 from .flatmodel import (EndoSubalgebra, ExtendedFlatModel, GradedBracketTensor,
                         GradedSubalgebra, faithful_split, graded_jacobi_check,
                         make_graded_subalgebra)
-from .spencer import (Cochain22, FullModelCohomology, NormalisedCocycle,
-                      SpencerComplex, cochain_action_matrix, inclusion_matrix,
+from .spencer import (CochainAction, Cochain22, FullModelCohomology,
+                      NormalisedCocycle, SpencerComplex, inclusion_matrix,
                       restriction_kernel_report, restriction_matrix,
-                      spencer_complex, subalgebra_action_matrices)
+                      spencer_complex, subalgebra_actions)
 
 
 # ---------------------------------------------------------------------------
@@ -46,7 +46,10 @@ class AdmissibleDatum:
     hat: NormalisedCocycle
     lam: tuple              # C^{2,1}(a_-; model) coordinates
     r_prime_replaced: bool = False
-    # derived once per datum by acted_hats, odd_brackets and solve_delta
+    # derived once per datum by lam_matrices, acted_hats, odd_brackets and
+    # solve_delta
+    _lam: Optional[tuple] = field(default=None, init=False, repr=False,
+                                  compare=False)
     _acted: Optional[list] = field(default=None, init=False, repr=False,
                                    compare=False)
     _odd: Optional[tuple] = field(default=None, init=False, repr=False,
@@ -70,16 +73,25 @@ class AdmissibleDatum:
         off = lay.index("lambda_r", b, 0)
         return tuple(self.lam[off:off + self.model.dim_r])
 
+    def lam_matrices(self, b: int) -> tuple:
+        """(lambda1(e_b) on V, lambda1(e_b) on S, lambda2(e_b) on S), built
+        once per direction and kept on the datum."""
+        if self._lam is None:
+            model = self.model
+            self._lam = tuple(
+                (model.so_matrix(self.lam1_coords(c)),
+                 model.spin_matrix(self.lam1_coords(c)),
+                 model.r_matrix(self.lam2_coords(c)))
+                for c in range(model.dim_v))
+        return self._lam[b]
+
     def lam1_matrix(self, b: int) -> ExactMatrix:
         """lambda1(e_b) acting on V."""
-        return self.model.so_matrix(self.lam1_coords(b))
-
-    def lam1_spin_matrix(self, b: int) -> ExactMatrix:
-        """lambda1(e_b) acting on S."""
-        return self.model.spin_matrix(self.lam1_coords(b))
+        return self.lam_matrices(b)[0]
 
     def lam2_matrix(self, b: int) -> ExactMatrix:
-        return self.model.r_matrix(self.lam2_coords(b))
+        """lambda2(e_b) acting on S."""
+        return self.lam_matrices(b)[2]
 
     def lam1_vec(self, vcoords: Sequence[Fraction]) -> tuple:
         return lincomb(((c, self.lam1_coords(b))
@@ -96,9 +108,8 @@ class AdmissibleDatum:
         if self._acted is None:
             cx = self.fullco.complex
             self._acted = [
-                Cochain22(cx, cochain_action_matrix(
-                    cx, self.lam1_coords(b),
-                    self.lam2_coords(b)).apply(self.hat.coeffs))
+                Cochain22(cx, CochainAction.from_matrices(
+                    cx, *self.lam_matrices(b)).apply(self.hat.coeffs))
                 for b in range(self.model.dim_v)
             ]
         return self._acted
@@ -121,7 +132,7 @@ class AdmissibleDatum:
             vs = []
             for b in range(n):
                 vb = basis_vec(n, b)
-                l1m, l2m = self.lam1_spin_matrix(b), self.lam2_matrix(b)
+                _, l1m, l2m = self.lam_matrices(b)
                 row = []
                 for s in svecs:
                     c = sub.Sp.coordinates(vec_add(
@@ -183,6 +194,19 @@ def ensure_transitive(sub: GradedSubalgebra
     return replaced, True
 
 
+def _admissibility_maps(sub: GradedSubalgebra, fullco: FullModelCohomology
+                        ) -> tuple:
+    """(sub_cx, mixed_cx, inc, res, d21): the subalgebra's complexes with
+    values in itself and in the model, the inclusion of coefficients, the
+    restriction from the full model and the degree-(2,1) differential of the
+    mixed complex, the blocks of every admissibility system."""
+    sub_cx = spencer_complex(sub, 2)
+    mixed_cx = spencer_complex(sub, 2, values="full")
+    return (sub_cx, mixed_cx, inclusion_matrix(sub_cx, mixed_cx),
+            restriction_matrix(fullco.complex, mixed_cx),
+            mixed_cx.differentials[1])
+
+
 def check_admissibility(sub: GradedSubalgebra,
                         mu_coeffs: Sequence[Fraction],
                         fullco: FullModelCohomology):
@@ -199,16 +223,12 @@ def check_admissibility(sub: GradedSubalgebra,
         raise NotHighlySusy("admissibility requires a highly supersymmetric "
                             "subalgebra")
     sub, replaced = ensure_transitive(sub)
-    sub_cx = spencer_complex(sub, 2)
-    mixed_cx = spencer_complex(sub, 2, values="full")
+    sub_cx, mixed_cx, inc, res, d21 = _admissibility_maps(sub, fullco)
     mu = Cochain22(sub_cx, mu_coeffs)
     if not mu.is_cocycle():
         raise OracleMismatch("admissibility input is not a Spencer cocycle")
     inv = fullco.invariant_normalised(sub.h.basis_vectors(),
                                       sub.rp.basis_vectors())
-    inc = inclusion_matrix(sub_cx, mixed_cx)
-    res = restriction_matrix(fullco.complex, mixed_cx)
-    d21 = mixed_cx.differentials[1]
     target = inc.apply(mu.coeffs)
     columns = []
     if inv.dim:
@@ -328,18 +348,17 @@ def _check_delta_generic(datum: AdmissibleDatum, delta1: list, delta2: list,
     cx = datum.sub_complex
     lay1 = cx.layouts[1]
     d21 = cx.differentials[1]
-    gens = subalgebra_action_matrices(cx)
     n = datum.model.dim_v
     if d21.rank() != d21.cols:
         raise OracleMismatch("degree-(2,1) differential is not injective")
-    solver = AffineSolver(d21)
+    mu = datum.mu_minus.coeffs
+    chis = AffineSolver(d21).solve_many(ExactMatrix.from_columns(
+        [op.apply(mu) for op in subalgebra_actions(cx)], len(mu)))
     delta3 = []
-    for idx, act in enumerate(gens):
-        sol = solver.solve(act.apply(datum.mu_minus.coeffs))
-        if isinstance(sol, NoSolution):
+    for idx, chi in enumerate(chis):
+        if chi is None:
             raise OracleMismatch("X.mu is not a coboundary; invariance of the "
                                  "class must have been violated")
-        chi = sol.x
         row3 = []
         for b in range(n):
             got_h = tuple(chi[lay1.index("lambda_so", b, t)]
@@ -445,14 +464,10 @@ def compute_theta(datum: AdmissibleDatum) -> ThetaData:
     alternating = False
     second_rel = False
     if annihilated:
-        preimages = []
-        solver = AffineSolver(kappa_sp)
-        for c in range(n):
-            sol = solver.solve(basis_vec(n, c))
-            if isinstance(sol, NoSolution):
-                raise OracleMismatch("kappa restricted to Sym^2 S' is not "
-                                     "surjective on a highly susy subalgebra")
-            preimages.append(sol.x)
+        preimages = AffineSolver(kappa_sp).solve_many(ExactMatrix.identity(n))
+        if None in preimages:
+            raise OracleMismatch("kappa restricted to Sym^2 S' is not "
+                                 "surjective on a highly susy subalgebra")
         theta1 = [[None] * n for _ in range(n)]
         theta2 = [[None] * n for _ in range(n)]
         for b in range(n):
@@ -699,7 +714,7 @@ def _verify_integrability_theorems(datum: AdmissibleDatum,
                 vb, vc = basis_vec(n, b), basis_vec(n, c)
                 ab, ac = A_v.apply(vb), A_v.apply(vc)
                 alpha_bc = mu.alpha(b, c)
-                lhs = _h_bracket(sub, model, hk, th1_h[b][c])
+                lhs = _bilinear(sub.h_brackets, hk, th1_h[b][c], sub.h.dim)
                 lhs = vec_sub(lhs, th1_h_vec(ab, vc))
                 lhs = vec_sub(lhs, th1_h_vec(vb, ac))
                 rhs = delta.delta1_at(delta.delta1[k][b], vc)
@@ -722,7 +737,8 @@ def _verify_integrability_theorems(datum: AdmissibleDatum,
         for b in range(n):
             for c in range(b + 1, n):
                 vb, vc = basis_vec(n, b), basis_vec(n, c)
-                lhs = _rp_bracket(sub, model, rp_unit, th2_rp[b][c])
+                lhs = _bilinear(sub.rp_brackets, rp_unit, th2_rp[b][c],
+                                sub.rp.dim)
                 rhs = delta.delta4_at(delta.delta4[p][b], vc)
                 rhs = vec_sub(rhs, delta.delta4_at(delta.delta4[p][c], vb))
                 rhs = vec_sub(rhs, delta.delta4_at(rp_unit, mu.alpha(b, c)))
@@ -806,27 +822,6 @@ def _rp_to_r(sub: GradedSubalgebra, rp_coords: Sequence[Fraction]) -> tuple:
     return lincomb(zip(rp_coords, sub.rp.basis_vectors()), sub.model.dim_r)
 
 
-def _h_bracket(sub: GradedSubalgebra, model: ExtendedFlatModel,
-               x_h: Sequence[Fraction], y_h: Sequence[Fraction]) -> tuple:
-    comm = model.so_matrix(_h_to_so(sub, x_h)).commutator(
-        model.so_matrix(_h_to_so(sub, y_h)))
-    out = sub.h.coordinates(model.gens.so_coordinates(comm))
-    if out is None:
-        raise OracleMismatch("h is not closed")
-    return out
-
-
-def _rp_bracket(sub: GradedSubalgebra, model: ExtendedFlatModel,
-                x_rp: Sequence[Fraction], y_rp: Sequence[Fraction]) -> tuple:
-    comm = model.r_matrix(_rp_to_r(sub, x_rp)).commutator(
-        model.r_matrix(_rp_to_r(sub, y_rp)))
-    rc = model.r.coordinates(comm)
-    out = sub.rp.coordinates(rc) if rc is not None else None
-    if out is None:
-        raise OracleMismatch("r' is not closed")
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the filtered deformation
 # ---------------------------------------------------------------------------
@@ -901,14 +896,10 @@ def build_filtered_deformation(datum: AdmissibleDatum, theta: ThetaData,
     # [h, h], [h, r'] = 0, [r', r']
     for k in range(dh):
         for l in range(dh):
-            put(off_h + k, off_h + l,
-                [(off_h, _h_bracket(sub, model, basis_vec(dh, k),
-                                    basis_vec(dh, l)))])
+            put(off_h + k, off_h + l, [(off_h, sub.h_brackets[k][l])])
     for p in range(dr):
         for q in range(dr):
-            put(off_r + p, off_r + q,
-                [(off_r, _rp_bracket(sub, model, basis_vec(dr, p),
-                                     basis_vec(dr, q)))])
+            put(off_r + p, off_r + q, [(off_r, sub.rp_brackets[p][q])])
     # [h, V] = Av + delta1 + delta2 ;  [r', V] = delta4
     delta = solve_delta(datum)
     for k in range(dh):
@@ -1073,16 +1064,12 @@ def class_gauge_generators(datum: AdmissibleDatum) -> List[tuple]:
                                       sub.rp.basis_vectors())
     gauge = report.via_istar.intersect(inv)
     res = restriction_matrix(fullco.complex, datum.mixed_complex)
-    solver = AffineSolver(datum.mixed_complex.differentials[1])
-    out = []
-    for k in range(gauge.dim):
-        kvec = gauge.basis.row_tuple(k)
-        sol = solver.solve(res.apply(kvec))
-        if isinstance(sol, NoSolution):
-            raise OracleMismatch("gauge generator restriction is not a "
-                                 "coboundary")
-        out.append((kvec, sol.x))
-    return out
+    lams = AffineSolver(datum.mixed_complex.differentials[1]).solve_many(
+        res @ gauge.basis.transpose())
+    if None in lams:
+        raise OracleMismatch("gauge generator restriction is not a "
+                             "coboundary")
+    return list(zip(gauge.basis_vectors(), lams))
 
 
 def gauge_shifted_data(datum: AdmissibleDatum,
@@ -1271,23 +1258,20 @@ def zero_cocycle(sub: GradedSubalgebra) -> tuple:
     return zero_vec(spencer_complex(sub, 2).layouts[2].dim)
 
 
-def admissible_cocycle_from_invariant(sub: GradedSubalgebra,
-                                      fullco: FullModelCohomology,
-                                      hat_coeffs: Sequence[Fraction]
-                                      ) -> Optional[tuple]:
-    """A cocycle on the subalgebra matching a given invariant normalised
-    cocycle up to a coboundary, or None when the restriction system is
-    infeasible.  Its class is admissible by construction."""
-    sub_cx = spencer_complex(sub, 2)
-    mixed_cx = spencer_complex(sub, 2, values="full")
-    inc = inclusion_matrix(sub_cx, mixed_cx)
-    res = restriction_matrix(fullco.complex, mixed_cx)
-    target = res.apply(hat_coeffs)
-    system = hstack([inc, mixed_cx.differentials[1].scale(-1)])
-    sol = solve_affine(system, target)
-    if isinstance(sol, NoSolution):
-        return None
-    return tuple(sol.x[:sub_cx.layouts[2].dim])
+def admissible_cocycles_from_invariant(
+        sub: GradedSubalgebra, fullco: FullModelCohomology,
+        hats: Sequence[Sequence[Fraction]]) -> List[Optional[tuple]]:
+    """For each invariant normalised cocycle in `hats`, a cocycle on the
+    subalgebra matching it up to a coboundary, or None when the restriction
+    system is infeasible.  The system is factored once for all hats; each
+    class found is admissible by construction."""
+    sub_cx, _mixed, inc, res, d21 = _admissibility_maps(sub, fullco)
+    solver = AffineSolver(hstack([inc, d21.scale(-1)]))
+    targets = res @ ExactMatrix.from_columns(
+        hats, fullco.complex.layouts[2].dim)
+    dim = sub_cx.layouts[2].dim
+    return [None if x is None else x[:dim]
+            for x in solver.solve_many(targets)]
 
 
 def canonical_gauge(datum: AdmissibleDatum) -> AdmissibleDatum:
@@ -1410,7 +1394,7 @@ def _envelope_candidate(fullco: FullModelCohomology, Sp: Subspace,
             break
     preserves_cocycle = True
     for so1, r1 in elems:
-        act = cochain_action_matrix(fullco.complex, so1, r1)
+        act = CochainAction(fullco.complex, so1, r1)
         if not vec_is_zero(act.apply(hat.coeffs)):
             preserves_cocycle = False
             break

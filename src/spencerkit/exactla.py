@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import DimensionMismatch, OracleMismatch
@@ -156,6 +156,12 @@ class ExactMatrix:
             for j, v in enumerate(row):
                 entries.append((i, j, v))
         return cls(nrows, ncols, entries)
+
+    @classmethod
+    def from_columns(cls, columns: Sequence[Sequence[RationalLike]],
+                     rows: int) -> "ExactMatrix":
+        """The rows x len(columns) matrix with the given columns."""
+        return cls.from_rows(columns, cols=rows).transpose()
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
@@ -605,10 +611,12 @@ class AffineSolver:
     Let P be A restricted to r independent rows and to the pivot columns of
     its RREF; P is invertible.  The canonical solution (free variables zero)
     of a consistent system is unique, so it is x[pivots] = P^-1 b[rows].
-    `solve` computes that, checks A x == b exactly, and hands a failed
-    check to `solve_affine` for its NoSolution certificate: the result
-    always equals `solve_affine(A, b)`.  A is factored at the first solve,
-    so a solver that is never asked costs nothing.
+    `solve_many` computes that for a batch of right-hand sides and certifies
+    the whole batch with one exact product A X == Y; `solve` is one column
+    of it, with a failed check handed to `solve_affine` for its NoSolution
+    certificate, so its result always equals `solve_affine(A, b)`.  A is
+    factored at the first solve, so a solver that is never asked costs
+    nothing.
     """
 
     __slots__ = ("A", "_pivots", "_rows", "_inv", "_scaled")
@@ -636,25 +644,102 @@ class AffineSolver:
         self._rows = rows
         self._scaled = [_scaled_row(row) for row in A._rows]
 
-    def solve(self, b: Sequence[RationalLike]):
+    def solve_many(self, Y: ExactMatrix) -> list:
+        """The canonical solution of A x = y for each column y of Y, or None
+        for a column that has none.
+
+        X[pivots] = P^-1 Y[rows] is computed on integer-scaled rows, and one
+        exact product A X == Y, checked on every column, certifies the
+        batch.  A column that fails the check has no solution: had it one,
+        the canonical one would be unique and equal to P^-1 y[rows]."""
         A = self.A
-        if A.rows != len(b):
-            raise DimensionMismatch("solve: rhs length differs from rows")
+        if Y.rows != A.rows:
+            raise DimensionMismatch("solve_many: right-hand sides differ in "
+                                    "length from the rows")
         if self._inv is None:
             self._factor()
-        b = [rat(v) for v in b]
-        bd, bn = _scaled_row(dict(enumerate(b[i] for i in self._rows)))
-        x = [Fraction(0)] * A.cols
+        dens, yn = _scaled_columns(Y)
+        # row k of P^-1 is inv_row / d, so X[pc, j] = (inv_row . yn[rows])_j
+        # / (d dens[j]); over L, the lcm of the d, it is xn[pc][j] /
+        # (L dens[j])
+        L = lcm(*(d for d, _ in self._inv))
+        xn = {}
         for pc, (d, inv_row) in zip(self._pivots, self._inv):
-            x[pc] = Fraction(sum(v * bn[j] for j, v in inv_row.items()),
-                             d * bd)
-        xd, xn = _scaled_row(dict(enumerate(x)))
-        for (d, row), q in zip(self._scaled, b):
-            # A_i x == b_i with the denominators of A_i and x cleared
-            s = sum(v * xn[j] for j, v in row.items())
-            if s * q.denominator != q.numerator * d * xd:
-                return solve_affine(A, b)
-        return ParticularSolution(x=tuple(x))
+            x = _combination((v, yn[self._rows[i]])
+                             for i, v in inv_row.items())
+            xn[pc] = {j: s * (L // d) for j, s in x.items()}
+        # the certificate A X == Y: with row i of A equal to a / d, it holds
+        # on column j iff (a . xn)_j == yn[i][j] d L
+        failed = set()
+        for (d, row), yrow in zip(self._scaled, yn):
+            ax = _combination((v, xn[c]) for c, v in row.items() if c in xn)
+            failed.update(j for j in ax.keys() | yrow.keys()
+                          if ax.get(j, 0) != yrow.get(j, 0) * d * L)
+        out = [None if j in failed else [_ZERO] * A.cols
+               for j in range(Y.cols)]
+        for pc, col in xn.items():
+            for j, s in col.items():
+                if out[j] is not None:
+                    out[j][pc] = Fraction(s, L * dens[j])
+        return [None if x is None else tuple(x) for x in out]
+
+    def solve(self, b: Sequence[RationalLike]):
+        if self.A.rows != len(b):
+            raise DimensionMismatch("solve: rhs length differs from rows")
+        x, = self.solve_many(ExactMatrix.from_columns([b], len(b)))
+        if x is None:
+            return solve_affine(self.A, b)
+        return ParticularSolution(x=x)
+
+
+def _scaled_columns(M: ExactMatrix) -> tuple:
+    """M scaled to integers column by column: (dens, rows) with M[i, j] ==
+    rows[i][j] / dens[j], dens[j] the lcm of the denominators of column j."""
+    dens = [1] * M.cols
+    for row in M._rows:
+        for j, v in row.items():
+            if v.denominator != 1:
+                dens[j] = lcm(dens[j], v.denominator)
+    return dens, [{j: v.numerator * (dens[j] // v.denominator)
+                   for j, v in row.items()} for row in M._rows]
+
+
+def hom_apply(blocks: Sequence[tuple], M: ExactMatrix) -> ExactMatrix:
+    """phi -> T phi - phi D on every column of M, with the rows of M cut
+    into source-major Hom(source, target) blocks, one per (T, D) pair: the
+    product of M with the block diagonal of kron(I, T) - kron(D^T, I),
+    without forming it.  Entry (s, t) of a block is
+    sum_u T[t, u] phi[s, u] - sum_u D[u, s] phi[u, t], a combination of
+    rows of M, summed on integer-scaled rows."""
+    if M.rows != sum(T.rows * D.rows for T, D in blocks):
+        raise DimensionMismatch("hom_apply: rows do not fit the blocks")
+    dens, rows = _scaled_columns(M)
+    out = ExactMatrix(M.rows, M.cols)
+    off = 0
+    for T, D in blocks:
+        nt = T.rows
+        # row t of T is tn / td and column s of D is dn / dd
+        t_rows = [_scaled_row(r) for r in T._rows]
+        for s, (dd, dn) in enumerate(map(_scaled_row, D.transpose()._rows)):
+            base = off + s * nt
+            for t, (td, tn) in enumerate(t_rows):
+                acc = _combination(
+                    [(c * dd, rows[base + u]) for u, c in tn.items()] +
+                    [(-c * td, rows[off + u * nt + t]) for u, c in dn.items()])
+                out._rows[base + t] = {j: Fraction(v, td * dd * dens[j])
+                                       for j, v in acc.items()}
+        off += D.rows * nt
+    return out
+
+
+def _combination(terms: Iterable[tuple]) -> dict:
+    """The sparse integer row sum of c * row over (c, row) pairs, without
+    zero entries."""
+    acc: dict = {}
+    for c, row in terms:
+        for j, v in row.items():
+            acc[j] = acc.get(j, 0) + c * v
+    return {j: v for j, v in acc.items() if v}
 
 
 def ldlt_pivots(M: ExactMatrix) -> list:

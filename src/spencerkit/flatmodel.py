@@ -13,7 +13,8 @@ from .cliffspin import CliffordRep, DiracCurrent, spin_generators
 from .errors import (DimensionMismatch, JacobiViolation, NotClosed,
                      NotCompactForm)
 from .exactla import (ExactMatrix, Subspace, block_diag, is_positive_definite,
-                      lincomb, pair_map, rat_str, tensor_index_maps, zero_vec)
+                      lincomb, pair_map, rat_str, tensor_index_maps, vec_scale,
+                      zero_vec)
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +456,9 @@ class GradedSubalgebra:
 
     The structure the closure checks read is built once and kept: kappa_sp
     (see kappa_restriction_matrix), the h basis acting on V (h_so) and on S
-    (h_spin), and the r' basis acting on S (rp_mats).  It is determined by
+    (h_spin), the r' basis acting on S (rp_mats), and the structure
+    constants of h and r' in their own bases (h_brackets[k][l] holds the h
+    coordinates of [h_k, h_l], rp_brackets likewise).  It is determined by
     the subspaces, so it takes no part in equality.
     """
     model: ExtendedFlatModel
@@ -467,6 +470,8 @@ class GradedSubalgebra:
     h_so: tuple = field(repr=False, compare=False)
     h_spin: tuple = field(repr=False, compare=False)
     rp_mats: tuple = field(repr=False, compare=False)
+    h_brackets: tuple = field(repr=False, compare=False)
+    rp_brackets: tuple = field(repr=False, compare=False)
     highly_susy: bool = False
     transitive: bool = False
     homogeneity_rank: int = 0
@@ -519,20 +524,28 @@ def make_graded_subalgebra(model: ExtendedFlatModel, Vp: Subspace,
                             witness=[rat_str(c) for c in image])
     # h closed under commutator
     h_so = tuple(model.so_matrix(x) for x in h.basis_vectors())
+    h_brackets = [[None] * h.dim for _ in range(h.dim)]
     for i, A in enumerate(h_so):
-        for B in h_so[i:]:
-            comm = A.commutator(B)
-            if not h.contains(model.gens.so_coordinates(comm)):
+        for j in range(i, h.dim):
+            comm = A.commutator(h_so[j])
+            coords = h.coordinates(model.gens.so_coordinates(comm))
+            if coords is None:
                 raise NotClosed("h is not closed under the commutator",
                                 witness=comm.to_serialisable())
+            h_brackets[j][i] = vec_scale(coords, -1)
+            h_brackets[i][j] = coords
     # r' closed under commutator
+    rp_brackets = [[None] * rp.dim for _ in range(rp.dim)]
     for i in range(rp.dim):
         for j in range(i, rp.dim):
             coords = model.r.bracket_coords(rp.basis.row_tuple(i),
                                             rp.basis.row_tuple(j))
-            if not rp.contains(coords):
+            rp_coords = rp.coordinates(coords)
+            if rp_coords is None:
                 raise NotClosed("r' is not closed under the commutator",
                                 witness=[rat_str(c) for c in coords])
+            rp_brackets[j][i] = vec_scale(rp_coords, -1)
+            rp_brackets[i][j] = rp_coords
     # h preserves V' and S'
     h_spin = tuple(model.spin_matrix(x) for x in h.basis_vectors())
     for A, AS in zip(h_so, h_spin):
@@ -553,7 +566,9 @@ def make_graded_subalgebra(model: ExtendedFlatModel, Vp: Subspace,
                                 witness=[rat_str(c) for c in a.apply(s)])
     sub = GradedSubalgebra(model=model, Vp=Vp, Sp=Sp, h=h, rp=rp,
                            kappa_sp=kappa_sp, h_so=h_so, h_spin=h_spin,
-                           rp_mats=rp_mats)
+                           rp_mats=rp_mats,
+                           h_brackets=tuple(map(tuple, h_brackets)),
+                           rp_brackets=tuple(map(tuple, rp_brackets)))
     sub.homogeneity_rank = kappa_sp.rank()
     sub.highly_susy = (2 * Sp.dim > model.dim_s
                        and Vp.dim == model.dim_v)

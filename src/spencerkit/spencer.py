@@ -26,10 +26,10 @@ from .errors import (DimensionMismatch, KappaZero, NoEquivariantSplitting,
                      NotACocycle, NotHighlySusy, NotSymmetric,
                      OracleMismatch)
 from .exactla import (AffineSolver, ExactMatrix, NoSolution, Subspace,
-                      basis_vec, block_diag, cyclic_embedding, hstack, kron,
-                      lincomb, pair_action, pair_embedding, pair_map,
-                      rat_str, solve_affine, tensor_index_maps, vec_is_zero,
-                      vec_scale, vstack, zero_vec)
+                      basis_vec, block_diag, cyclic_embedding, hom_apply,
+                      hstack, kron, lincomb, pair_action, pair_embedding,
+                      pair_map, rat_str, solve_affine, tensor_index_maps,
+                      vec_is_zero, vec_scale, vstack, zero_vec)
 from .flatmodel import (ExtendedFlatModel, GradedSubalgebra, full_subalgebra)
 
 
@@ -104,6 +104,8 @@ class SpencerComplex:
         structure = self._precompute()
         self.layouts: Dict[int, CochainLayout] = {}
         self.differentials: Dict[int, ExactMatrix] = {}
+        # the a0-action on C^{2,2}, built by subalgebra_actions
+        self.actions: Optional[tuple] = None
         if degree == 2:
             self._build_degree2(*structure)
         else:
@@ -137,6 +139,9 @@ class SpencerComplex:
         self.Ws_vecs = self.Ws.basis_vectors()
         self.Wso_vecs = self.Wso.basis_vectors()
         self.Wr_vecs = self.Wr.basis_vectors()
+        # the target bases of the so- and r-valued blocks as matrices
+        self.Wso_mats = tuple(map(model.so_matrix, self.Wso_vecs))
+        self.Wr_mats = tuple(map(model.r_matrix, self.Wr_vecs))
         kappas = sub.kappa_sp.transpose()
         K = _coordinate_matrix(
             sub.Vp, [[kappas.row_tuple(p)] for p in range(kappas.rows)],
@@ -145,7 +150,7 @@ class SpencerComplex:
             pair_embedding(self.w2v)
         M_V = _coordinate_matrix(
             self.Wv, [[m.apply(v) for v in self.vvecs]
-                      for m in map(model.so_matrix, self.Wso_vecs)],
+                      for m in self.Wso_mats],
             _CLOSURE.format("h.V'"), self.nvp)
         M_Sso = _coordinate_matrix(
             self.Ws, [[m.apply(s) for s in self.svecs]
@@ -153,7 +158,7 @@ class SpencerComplex:
             _CLOSURE.format("h.S'"), self.nsp)
         M_Sr = _coordinate_matrix(
             self.Ws, [[m.apply(s) for s in self.svecs]
-                      for m in map(model.r_matrix, self.Wr_vecs)],
+                      for m in self.Wr_mats],
             _CLOSURE.format("r'.S'"), self.nsp)
         return K, W, M_V, M_Sso, M_Sr
 
@@ -314,61 +319,113 @@ def _hom_action(T: ExactMatrix, D: ExactMatrix) -> ExactMatrix:
             kron(D.transpose().scale(-1), ExactMatrix.identity(T.rows)))
 
 
-def cochain_action_matrix(cx: SpencerComplex, so_coords: Sequence[Fraction],
-                          r_coords: Sequence[Fraction]) -> ExactMatrix:
-    """Matrix of X.phi on C^{2,2} for X = (so element, r element).
+def _degree2_layout(cx: SpencerComplex) -> CochainLayout:
+    if cx.degree != 2:
+        raise DimensionMismatch(f"the a0-action is built on C^{{2,2}} only, "
+                                f"not on the degree-{cx.degree} complex")
+    return cx.layouts[2]
+
+
+class CochainAction:
+    """X.phi on C^{2,2} for X = (so element, r element), as an operator.
 
     (X.phi)(args) = X.(phi(args)) - sum_k phi(..., X.arg_k, ...), with X
     acting on V-, S-, so- and r-valued targets by the action, the action,
-    the commutator and the commutator respectively.
+    the commutator and the commutator respectively.  Each block of the
+    layout is a Hom(source, target) block Phi, mapped to T Phi - Phi D for
+    T the action on the target and D the one on the source; `blocks` holds
+    the four (T, D) pairs.  `apply` and `apply_many` use them directly, and
+    `matrix` assembles the full matrix from them.
     """
-    model, sub = cx.model, cx.subalgebra
-    A_v = model.so_matrix(so_coords)
-    a_s = model.r_matrix(r_coords)
-    act_s = model.spin_matrix(so_coords) + a_s
 
-    def r_coords_of(w):
-        full = model.r.coordinates(a_s.commutator(model.r_matrix(w)))
-        if full is None:
-            raise DimensionMismatch("commutator leaves the R-symmetry algebra")
-        return full
+    __slots__ = ("layout", "blocks")
 
-    def endo(space: Subspace, images, what: str) -> ExactMatrix:
-        return _coordinate_matrix(space, [[v] for v in images],
-                                  f"action of X leaves {what}")
+    def __init__(self, cx: SpencerComplex, so_coords: Sequence[Fraction],
+                 r_coords: Sequence[Fraction]):
+        model = cx.model
+        self._build(cx, model.so_matrix(so_coords),
+                    model.spin_matrix(so_coords), model.r_matrix(r_coords))
 
-    # source-argument actions in source coordinates, then the target value
-    # actions in target coordinates
-    srcV = endo(sub.Vp, (A_v.apply(v) for v in cx.vvecs), "V'")
-    srcS = endo(sub.Sp, (act_s.apply(s) for s in cx.svecs), "S'")
-    tgtV = endo(cx.Wv, (A_v.apply(w) for w in cx.Wv_vecs), "the V-target")
-    tgtS = endo(cx.Ws, (act_s.apply(w) for w in cx.Ws_vecs), "the S-target")
-    tgtSO = endo(
-        cx.Wso, (model.gens.so_coordinates(A_v.commutator(model.so_matrix(w)))
-                 for w in cx.Wso_vecs), "the so-target")
-    tgtR = endo(cx.Wr, map(r_coords_of, cx.Wr_vecs), "the r-target")
-    on_vs = (kron(srcV, ExactMatrix.identity(cx.nsp)) +
-             kron(ExactMatrix.identity(cx.nvp), srcS))
-    on_s2 = pair_action(cx.s2, srcS)
-    return block_diag([_hom_action(tgtV, pair_action(cx.w2v, srcV)),
-                       _hom_action(tgtS, on_vs),
-                       _hom_action(tgtSO, on_s2),
-                       _hom_action(tgtR, on_s2)])
+    @classmethod
+    def from_matrices(cls, cx: SpencerComplex, on_v: ExactMatrix,
+                      on_s: ExactMatrix, r_on_s: ExactMatrix
+                      ) -> "CochainAction":
+        """The action of the so element with matrices on_v on V and on_s on
+        S, plus the r element with matrix r_on_s on S."""
+        op = cls.__new__(cls)
+        op._build(cx, on_v, on_s, r_on_s)
+        return op
+
+    def _build(self, cx, on_v, on_s, r_on_s) -> None:
+        self.layout = _degree2_layout(cx)
+        model, sub = cx.model, cx.subalgebra
+        act_s = on_s + r_on_s
+
+        def r_coords_of(w):
+            full = model.r.coordinates(r_on_s.commutator(w))
+            if full is None:
+                raise DimensionMismatch("commutator leaves the R-symmetry "
+                                        "algebra")
+            return full
+
+        def endo(space: Subspace, images, what: str) -> ExactMatrix:
+            return _coordinate_matrix(space, [[v] for v in images],
+                                      f"action of X leaves {what}")
+
+        # source-argument actions in source coordinates, then the target
+        # value actions in target coordinates
+        srcV = endo(sub.Vp, (on_v.apply(v) for v in cx.vvecs), "V'")
+        srcS = endo(sub.Sp, (act_s.apply(s) for s in cx.svecs), "S'")
+        tgtV = endo(cx.Wv, (on_v.apply(w) for w in cx.Wv_vecs),
+                    "the V-target")
+        tgtS = endo(cx.Ws, (act_s.apply(w) for w in cx.Ws_vecs),
+                    "the S-target")
+        tgtSO = endo(cx.Wso, (model.gens.so_coordinates(on_v.commutator(w))
+                              for w in cx.Wso_mats), "the so-target")
+        tgtR = endo(cx.Wr, map(r_coords_of, cx.Wr_mats), "the r-target")
+        on_vs = (kron(srcV, ExactMatrix.identity(cx.nsp)) +
+                 kron(ExactMatrix.identity(cx.nvp), srcS))
+        on_s2 = pair_action(cx.s2, srcS)
+        self.blocks = ((tgtV, pair_action(cx.w2v, srcV)), (tgtS, on_vs),
+                       (tgtSO, on_s2), (tgtR, on_s2))
+
+    def apply_many(self, M: ExactMatrix) -> ExactMatrix:
+        """X applied to each column of M."""
+        if M.rows != self.layout.dim:
+            raise DimensionMismatch("apply_many: columns are not C^{2,2} "
+                                    "cochains")
+        return hom_apply(self.blocks, M)
+
+    def apply(self, vec: Sequence[Fraction]) -> tuple:
+        """X.phi for one cochain phi."""
+        col = self.apply_many(ExactMatrix.from_columns([vec], len(vec)))
+        return tuple(col.entry(i, 0) for i in range(col.rows))
+
+    def matrix(self) -> ExactMatrix:
+        """The matrix of X on C^{2,2}, assembled with kron."""
+        return block_diag([_hom_action(T, D) for T, D in self.blocks])
 
 
-def subalgebra_action_matrices(cx: SpencerComplex) -> List[ExactMatrix]:
-    """Action matrices on C^{2,2} for the h-basis then the r'-basis of the
-    complex's subalgebra."""
-    sub = cx.subalgebra
-    model = cx.model
-    out = []
-    for i in range(sub.h.dim):
-        out.append(cochain_action_matrix(cx, sub.h.basis.row_tuple(i),
-                                         zero_vec(model.dim_r)))
-    for i in range(sub.rp.dim):
-        out.append(cochain_action_matrix(cx, zero_vec(model.dim_so),
-                                         sub.rp.basis.row_tuple(i)))
-    return out
+def cochain_action_matrix(cx: SpencerComplex, so_coords: Sequence[Fraction],
+                          r_coords: Sequence[Fraction]) -> ExactMatrix:
+    """Matrix of X.phi on C^{2,2}: CochainAction(...).matrix()."""
+    return CochainAction(cx, so_coords, r_coords).matrix()
+
+
+def subalgebra_actions(cx: SpencerComplex) -> tuple:
+    """The a0-action on C^{2,2} of the h-basis then the r'-basis of the
+    complex's subalgebra, built on first use and kept on the complex."""
+    if cx.actions is None:
+        _degree2_layout(cx)
+        sub, model = cx.subalgebra, cx.model
+        zero_v = ExactMatrix(model.dim_v, model.dim_v)
+        zero_s = ExactMatrix(model.dim_s, model.dim_s)
+        cx.actions = tuple(
+            [CochainAction.from_matrices(cx, A, AS, zero_s)
+             for A, AS in zip(sub.h_so, sub.h_spin)] +
+            [CochainAction.from_matrices(cx, zero_v, zero_s, a)
+             for a in sub.rp_mats])
+    return cx.actions
 
 
 # ---------------------------------------------------------------------------
@@ -473,23 +530,19 @@ class CohomologyReport:
         reps = self.representatives
         if self.bidegree[1] != 2 or not reps:
             return ()
+        dim_h = len(reps)
+        R = ExactMatrix.from_columns(reps, len(reps[0]))
         B = self.boundaries
-        solver = AffineSolver(vstack(
-            [ExactMatrix.from_rows([r]) for r in reps] +
-            ([B.basis] if B.dim else [])).transpose())
+        solver = AffineSolver(hstack([R, B.basis.transpose()]))
         actions = []
-        for g in subalgebra_action_matrices(self.complex):
-            cols = []
-            for r in reps:
-                sol = solver.solve(g.apply(r))
-                if isinstance(sol, NoSolution):
-                    raise OracleMismatch(
-                        "a0-action does not preserve the cocycle space")
-                cols.append(sol.x[:len(reps)])
-            actions.append(ExactMatrix(len(reps), len(reps),
-                                       [(i, j, cols[j][i])
-                                        for j in range(len(reps))
-                                        for i in range(len(reps))]))
+        for op in subalgebra_actions(self.complex):
+            X = solver.solve_many(op.apply_many(R))
+            if None in X:
+                raise OracleMismatch(
+                    "a0-action does not preserve the cocycle space")
+            actions.append(ExactMatrix(dim_h, dim_h,
+                                       [(i, j, x[i]) for j, x in enumerate(X)
+                                        for i in range(dim_h)]))
         return tuple(actions)
 
     def invariant_classes(self) -> list:
@@ -709,13 +762,12 @@ class FullModelCohomology:
             return basis
         picked = [*range(*lay.block_slice("beta")),
                   *range(*lay.block_slice("rho"))]
+        ops = [CochainAction(cx, so_c, r_c) for so_c, r_c in actors]
+        columns = basis.basis.transpose()
         stacked = []
-        action_mats = []
-        for so_c, r_c in actors:
-            act = cochain_action_matrix(cx, so_c, r_c)
-            action_mats.append(act)
+        for op in ops:
             # the beta and rho rows of the action on each basis vector
-            acted = act @ basis.basis.transpose()
+            acted = op.apply_many(columns)
             stacked.append(ExactMatrix(len(picked), basis.dim, [
                 (i, k, v) for i, row in enumerate(picked)
                 for k, v in acted.row_dict(row).items()]))
@@ -724,11 +776,10 @@ class FullModelCohomology:
         vectors = [lincomb(zip(kernel.basis.row_tuple(k), basis_vecs), lay.dim)
                    for k in range(kernel.dim)]
         # gamma-invariance is implied by beta-invariance: verify on the nose
-        for v in vectors:
-            for act in action_mats:
-                if not vec_is_zero(act.apply(v)):
-                    raise OracleMismatch(
-                        "beta/rho-invariant cocycle fails full invariance")
+        invariant = ExactMatrix.from_columns(vectors, lay.dim)
+        if not all(op.apply_many(invariant).is_zero() for op in ops):
+            raise OracleMismatch(
+                "beta/rho-invariant cocycle fails full invariance")
         return Subspace.from_vectors(lay.dim, vectors)
 
 

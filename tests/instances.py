@@ -5,7 +5,7 @@ from itertools import combinations
 
 from spencerkit.cliffspin import Signature, build_clifford_rep, \
     build_dirac_current
-from spencerkit.deform import admissible_cocycle_from_invariant, \
+from spencerkit.deform import admissible_cocycles_from_invariant, \
     check_admissibility
 from spencerkit.errors import NotClosed
 from spencerkit.exactla import Subspace, basis_vec
@@ -81,8 +81,8 @@ def coordinate_subalgebras(s, t, N, limit=2):
             continue
         if not sub.transitive:
             continue
-        if any(admissible_cocycle_from_invariant(sub, fullco, hat) is not None
-               for hat in invariant_basis(fullco, sub)):
+        if any(mu is not None for mu in admissible_cocycles_from_invariant(
+                sub, fullco, invariant_basis(fullco, sub))):
             out.append(sub)
         if len(out) >= limit:
             break
@@ -107,8 +107,8 @@ def admissible_data_for_cell(s, t, N, include_subs=True):
             candidates = [tuple([0] * fullco.complex.layouts[2].dim)] + \
                 candidates
             seen_zero = True
-        for hat in candidates:
-            mu = admissible_cocycle_from_invariant(sub, fullco, hat)
+        for mu in admissible_cocycles_from_invariant(sub, fullco,
+                                                     candidates):
             if mu is None:
                 continue
             datum = check_admissibility(sub, mu, fullco)

@@ -8,7 +8,7 @@ from instances import (GRID, admissible_data_for_cell, get_full_subalgebra,
                        invariant_basis)
 from spencerkit.deform import (AdmissibleDatum, DeltaMap, NotAdmissible,
                                ThetaData, _check_assoc_graded,
-                               admissible_cocycle_from_invariant,
+                               admissible_cocycles_from_invariant,
                                build_filtered_deformation, canonical_gauge,
                                check_admissibility,
                                check_geometric_realisability,
@@ -16,12 +16,13 @@ from spencerkit.deform import (AdmissibleDatum, DeltaMap, NotAdmissible,
                                compute_theta, gauge_shifted_data,
                                solve_delta, zero_cocycle)
 from spencerkit.errors import NotHighlySusy, OracleMismatch
-from spencerkit.exactla import Subspace, vec_add, vec_is_zero, vec_scale, \
-    zero_vec
+from spencerkit.exactla import NoSolution, Subspace, hstack, solve_affine, vec_add, \
+    vec_is_zero, vec_scale, zero_vec
 from spencerkit.flatmodel import make_graded_subalgebra, stabiliser_in_so
 from spencerkit.spencer import (Cochain22, NormalisedCocycle,
                                 build_spencer_complex, compute_cohomology,
-                                subalgebra_action_matrices)
+                                inclusion_matrix, restriction_matrix,
+                                spencer_complex, subalgebra_actions)
 
 
 def nonzero_datum(s, t, N):
@@ -57,17 +58,45 @@ class TestAdmissibility:
         sub = get_sampled_subalgebra(3, 1, 1, 7)
         cx = build_spencer_complex(sub, 2)
         co = compute_cohomology(cx, 2)
-        gens = subalgebra_action_matrices(cx)
+        gens = subalgebra_actions(cx)
         candidate = None
         for rep_vec in co.representatives:
-            if not all(co.boundaries.contains(g.apply(rep_vec))
-                       for g in gens):
+            if not all(co.boundaries.contains(op.apply(rep_vec))
+                       for op in gens):
                 candidate = rep_vec
                 break
         assert candidate is not None
         outcome = check_admissibility(sub, candidate, fullco)
         assert isinstance(outcome, NotAdmissible)
         assert outcome.rhs != 0
+
+    @pytest.mark.parametrize("s,t,N,seed", [(2, 1, 2, None), (2, 1, 2, 1),
+                                            (3, 1, 1, 1)])
+    def test_cocycles_from_invariant_match_one_solve_per_hat(self, s, t, N,
+                                                             seed):
+        # one factorisation for all hats gives what one solve_affine per hat
+        # gives, with None exactly where that is infeasible
+        fullco = get_fullco(s, t, N)
+        sub = (get_full_subalgebra(s, t, N) if seed is None
+               else get_sampled_subalgebra(s, t, N, seed))
+        hats = invariant_basis(fullco, sub)
+        hats += [zero_vec(fullco.complex.layouts[2].dim),
+                 vec_add(hats[0], vec_scale(hats[-1], 2))]
+        got = admissible_cocycles_from_invariant(sub, fullco, hats)
+        sub_cx = spencer_complex(sub, 2)
+        mixed_cx = spencer_complex(sub, 2, values="full")
+        system = hstack([inclusion_matrix(sub_cx, mixed_cx),
+                         mixed_cx.differentials[1].scale(-1)])
+        res = restriction_matrix(fullco.complex, mixed_cx)
+        assert len(got) == len(hats)
+        for hat, mu in zip(hats, got):
+            sol = solve_affine(system, res.apply(hat))
+            if isinstance(sol, NoSolution):
+                assert mu is None
+            else:
+                assert mu == sol.x[:sub_cx.layouts[2].dim]
+        assert got[-2] is not None    # the zero class
+        assert admissible_cocycles_from_invariant(sub, fullco, []) == []
 
     def test_requires_highly_susy(self):
         model = get_model(2, 1, 1)

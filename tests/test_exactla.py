@@ -6,12 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from spencerkit.errors import DimensionMismatch
 from spencerkit.exactla import (AffineSolver, ExactMatrix, NoSolution,
-                                ParticularSolution, Subspace,
-                                cyclic_embedding, is_positive_definite, kron,
-                                ldlt_pivots, lincomb, pair_action,
-                                pair_embedding, pair_map, rat, rat_str,
-                                solve_affine, tensor_index_maps, vec, vec_add,
-                                vec_is_zero, vec_scale, vstack, zero_vec)
+                                ParticularSolution, Subspace, block_diag,
+                                cyclic_embedding, hom_apply,
+                                is_positive_definite, kron, ldlt_pivots,
+                                lincomb, pair_action, pair_embedding,
+                                pair_map, rat, rat_str, solve_affine,
+                                tensor_index_maps, vec, vec_add, vec_is_zero,
+                                vec_scale, vstack, zero_vec)
 
 
 def test_rational_serialisation():
@@ -201,9 +202,10 @@ class TestLincomb:
 
 
 @st.composite
-def systems(draw, max_dim=5):
-    """A (possibly rank-deficient, possibly empty) A = L R and right-hand
-    sides, each either A x (consistent) or arbitrary (mostly not)."""
+def systems(draw, max_dim=5, min_rhs=1):
+    """A (possibly rank-deficient, possibly empty) A = L R and at least
+    `min_rhs` right-hand sides, each either A x (consistent) or arbitrary
+    (mostly not)."""
     rows = draw(st.integers(min_value=0, max_value=max_dim))
     cols = draw(st.integers(min_value=0, max_value=max_dim))
     inner = draw(st.integers(min_value=0, max_value=max_dim))
@@ -217,7 +219,8 @@ def systems(draw, max_dim=5):
         [[sum((l[k] * right[k][j] for k in range(inner)), Fraction(0))
           for j in range(cols)] for l in left], cols=cols)
     rhs = []
-    for consistent in draw(st.lists(st.booleans(), min_size=1, max_size=4)):
+    for consistent in draw(st.lists(st.booleans(), min_size=min_rhs,
+                                    max_size=4)):
         if consistent:
             x = draw(st.lists(small_rationals, min_size=cols, max_size=cols))
             rhs.append(A.apply(x))
@@ -234,6 +237,86 @@ def test_affine_solver_equals_solve_affine(system):
     solver = AffineSolver(A)
     for b in rhs:
         assert solver.solve(b) == solve_affine(A, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(systems(min_rhs=0))
+def test_solve_many_equals_solve_affine_per_column(system):
+    A, rhs = system
+    got = AffineSolver(A).solve_many(ExactMatrix.from_columns(rhs, A.rows))
+    assert len(got) == len(rhs)
+    for x, b in zip(got, rhs):
+        sol = solve_affine(A, b)
+        if isinstance(sol, NoSolution):
+            assert x is None
+        else:
+            assert x == sol.x
+
+
+class TestSolveMany:
+    def test_consistent_and_inconsistent_columns(self):
+        A = ExactMatrix.from_rows([[1, 1], [1, 1], [0, 2]])
+        Y = ExactMatrix.from_columns([vec([1, 1, 0]), vec([1, 2, 0]),
+                                      vec(["1/2", "1/2", "1/3"])], 3)
+        assert AffineSolver(A).solve_many(Y) == [
+            vec([1, 0]), None, vec(["1/3", "1/6"])]
+
+    def test_no_columns(self):
+        A = ExactMatrix.from_rows([[1, 2], [3, 4]])
+        assert AffineSolver(A).solve_many(ExactMatrix(2, 0)) == []
+
+    def test_rank_zero(self):
+        solver = AffineSolver(ExactMatrix.zeros(2, 3))
+        Y = ExactMatrix.from_columns([vec([0, 0]), vec([0, "1/2"])], 2)
+        assert solver.solve_many(Y) == [vec([0, 0, 0]), None]
+
+    def test_solve_is_one_column_of_it(self):
+        A = ExactMatrix.from_rows([[1, 2, 3], [2, 4, 6], [0, 0, 1]])
+        solver = AffineSolver(A)
+        b = vec([1, 2, 5])
+        assert solver.solve(b).x == \
+            solver.solve_many(ExactMatrix.from_columns([b], 3))[0]
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            AffineSolver(ExactMatrix.identity(2)).solve_many(
+                ExactMatrix(3, 1))
+
+
+@st.composite
+def rational_matrices(draw, rows, cols):
+    return ExactMatrix.from_rows(
+        draw(st.lists(st.lists(small_rationals, min_size=cols, max_size=cols),
+                      min_size=rows, max_size=rows)), cols=cols)
+
+
+@st.composite
+def hom_blocks(draw):
+    """(T, D) pairs of random square blocks and a matrix M whose rows fit
+    them."""
+    sizes = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                          max_size=3))
+    blocks = [(draw(rational_matrices(tgt, tgt)),
+               draw(rational_matrices(src, src))) for tgt, src in sizes]
+    rows = sum(tgt * src for tgt, src in sizes)
+    M = draw(rational_matrices(rows, draw(st.integers(0, 3))))
+    return blocks, M
+
+
+@settings(max_examples=50, deadline=None)
+@given(hom_blocks())
+def test_hom_apply_equals_the_kron_matrix(blocks_and_M):
+    blocks, M = blocks_and_M
+    matrix = block_diag([kron(ExactMatrix.identity(D.rows), T) -
+                         kron(D.transpose(), ExactMatrix.identity(T.rows))
+                         for T, D in blocks])
+    assert hom_apply(blocks, M) == matrix @ M
+
+
+def test_hom_apply_rejects_rows_that_do_not_fit():
+    with pytest.raises(DimensionMismatch):
+        hom_apply([(ExactMatrix.identity(2), ExactMatrix.identity(2))],
+                  ExactMatrix(3, 1))
 
 
 class TestAffineSolver:

@@ -193,6 +193,33 @@ class TestGradedSubalgebras:
                                    Subspace.full(2), Subspace.trivial(3),
                                    Subspace.trivial(0))
 
+    @pytest.mark.parametrize("s,t,N", GRID)
+    @pytest.mark.parametrize("seed", [None, 1, 7])
+    def test_structure_constants_are_the_commutators(self, s, t, N, seed):
+        model = get_model(s, t, N)
+        sub = (get_full_subalgebra(s, t, N) if seed is None
+               else get_sampled_subalgebra(s, t, N, seed))
+        for k, A in enumerate(sub.h_so):
+            for l, B in enumerate(sub.h_so):
+                assert sub.h_brackets[k][l] == sub.h.coordinates(
+                    model.gens.so_coordinates(A.commutator(B)))
+        for p, a in enumerate(sub.rp_mats):
+            for q, b in enumerate(sub.rp_mats):
+                assert sub.rp_brackets[p][q] == sub.rp.coordinates(
+                    model.r.coordinates(a.commutator(b)))
+
+    def test_structure_constants_of_so3(self):
+        # r = so(3) at (2,1,3): a non-abelian r' with brackets in its basis
+        rep = build_clifford_rep(Signature(2, 1), 3)
+        model = build_extended_flat_model(rep, build_dirac_current(rep))
+        sub = full_subalgebra(model)
+        assert not all(vec_is_zero(c) for row in sub.rp_brackets
+                       for c in row)
+        for p, a in enumerate(sub.rp_mats):
+            for q, b in enumerate(sub.rp_mats):
+                assert sub.rp_brackets[p][q] == sub.rp.coordinates(
+                    model.r.coordinates(a.commutator(b)))
+
     @pytest.mark.parametrize("seed", range(5))
     def test_so_annihilator_trivial_for_highly_susy(self, seed):
         # corollary of homogeneity with a causal current

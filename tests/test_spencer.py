@@ -3,23 +3,35 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from instances import (GRID, HIGH_SUSY_DIM, get_full_subalgebra, get_fullco,
                        get_model, get_sampled_subalgebra, invariant_basis)
-from spencerkit.errors import (KappaZero, NotACocycle, NotHighlySusy,
-                               OracleMismatch)
+from spencerkit.errors import (DimensionMismatch, KappaZero, NotACocycle,
+                               NotHighlySusy, OracleMismatch)
 from spencerkit import spencer
 from spencerkit.exactla import (ExactMatrix, Subspace, basis_vec, lincomb,
                                 solve_affine, vec_add, vec_is_zero, vec_scale,
-                                zero_vec)
+                                vec_sub, zero_vec)
 from spencerkit.flatmodel import make_graded_subalgebra
-from spencerkit.spencer import (Cochain22, build_spencer_complex,
+from spencerkit.spencer import (CochainAction, Cochain22,
+                                build_spencer_complex,
                                 build_splitting, cochain_action_matrix,
                                 compute_cohomology, inclusion_matrix,
                                 restriction_kernel,
                                 restriction_kernel_report,
                                 restriction_matrix,
-                                subalgebra_action_matrices)
+                                subalgebra_actions)
+
+
+class _MatrixAction:
+    """A stand-in for a CochainAction that applies a given matrix."""
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+
+    def apply_many(self, M):
+        return self.matrix @ M
 
 
 class TestComplexConstruction:
@@ -268,13 +280,13 @@ class TestCohomology:
     def test_action_computed_on_first_read_and_kept(self, monkeypatch):
         cx = build_spencer_complex(get_sampled_subalgebra(3, 1, 1, 7), 2)
         built = []
-        gens = spencer.subalgebra_action_matrices
+        gens = spencer.subalgebra_actions
 
         def counting(_cx):
             built.append(_cx)
             return gens(_cx)
 
-        monkeypatch.setattr(spencer, "subalgebra_action_matrices", counting)
+        monkeypatch.setattr(spencer, "subalgebra_actions", counting)
         co = compute_cohomology(cx, 2)
         assert built == []
         first = co.action_matrices
@@ -282,9 +294,9 @@ class TestCohomology:
 
     def test_identity_action_gives_identity_matrices(self, monkeypatch):
         cx = build_spencer_complex(get_sampled_subalgebra(3, 1, 1, 7), 2)
-        dim = cx.cochain_dim(2)
-        monkeypatch.setattr(spencer, "subalgebra_action_matrices",
-                            lambda _cx: [ExactMatrix.identity(dim)])
+        monkeypatch.setattr(spencer, "subalgebra_actions",
+                            lambda _cx: [_MatrixAction(
+                                ExactMatrix.identity(cx.cochain_dim(2)))])
         co = compute_cohomology(cx, 2)
         assert co.action_matrices == (ExactMatrix.identity(co.dim_h),)
 
@@ -297,8 +309,8 @@ class TestCohomology:
         k = next(i for i in range(dim) if not vec_is_zero(
             cx.differentials[2].apply(basis_vec(dim, i))))
         leak = ExactMatrix(dim, dim, [(k, j, c) for j, c in enumerate(rep)])
-        monkeypatch.setattr(spencer, "subalgebra_action_matrices",
-                            lambda _cx: [leak])
+        monkeypatch.setattr(spencer, "subalgebra_actions",
+                            lambda _cx: [_MatrixAction(leak)])
         co = compute_cohomology(cx, 2)
         with pytest.raises(OracleMismatch, match="a0-action"):
             co.action_matrices
@@ -650,3 +662,90 @@ class TestInducedMaps:
         with pytest.raises(DimensionMismatch, match="action of X leaves"):
             cochain_action_matrix(cx, basis_vec(sub.model.dim_so, outside[0]),
                                   zero_vec(sub.model.dim_r))
+
+
+small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+class TestCochainAction:
+    @pytest.mark.parametrize("s,t,N", GRID)
+    @pytest.mark.parametrize("kind", ["maximal", "sampled"])
+    @settings(max_examples=6, deadline=None)
+    @given(data=st.data())
+    def test_operator_equals_its_matrix(self, s, t, N, kind, data):
+        seed = data.draw(st.sampled_from((1, 2, 7)))
+        sub = (get_full_subalgebra(s, t, N) if kind == "maximal"
+               else get_sampled_subalgebra(s, t, N, seed))
+        cx = spencer.spencer_complex(
+            sub, 2, values=data.draw(st.sampled_from(("subalgebra",
+                                                      "full"))))
+        # a random element of h + r'
+        gens = _isotropy_generators(sub)
+        coeffs = data.draw(st.lists(small_rationals, min_size=len(gens),
+                                    max_size=len(gens)))
+        X = (lincomb(zip(coeffs, [so for so, _ in gens]), sub.model.dim_so),
+             lincomb(zip(coeffs, [r for _, r in gens]), sub.model.dim_r))
+        dim = cx.cochain_dim(2)
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+        cols = data.draw(st.integers(0, 3))
+        M = ExactMatrix(dim, cols, [
+            (i, j, Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+            for i in range(dim) for j in range(cols) if rng.random() < 0.3])
+        op = CochainAction(cx, *X)
+        matrix = cochain_action_matrix(cx, *X)
+        assert op.apply_many(M) == matrix @ M
+        v = tuple(M.entry(i, 0) for i in range(dim)) if cols else \
+            zero_vec(dim)
+        assert op.apply(v) == matrix.apply(v)
+
+    @pytest.mark.parametrize("s,t,N,kind", [(3, 1, 1, "maximal"),
+                                            (3, 1, 1, "sampled"),
+                                            (2, 1, 2, "maximal")])
+    def test_action_matrices_against_the_cochain_action(self, s, t, N, kind):
+        # X.r_j - sum_i M[i, j] r_i is a coboundary for every generator X
+        sub = _sub_of(s, t, N, kind)
+        cx = spencer.spencer_complex(sub, 2)
+        co = compute_cohomology(cx, 2)
+        reps = co.representatives
+        assert reps and len(co.action_matrices) == sub.h.dim + sub.rp.dim
+        dim = cx.cochain_dim(2)
+        for X, M in zip(_isotropy_generators(sub), co.action_matrices):
+            g = cochain_action_matrix(cx, *X)
+            for j, r in enumerate(reps):
+                rest = vec_sub(g.apply(r), lincomb(
+                    ((M.entry(i, j), reps[i]) for i in range(len(reps))),
+                    dim))
+                assert co.boundaries.contains(rest)
+
+    def test_operators_are_kept_on_the_complex(self):
+        sub = get_sampled_subalgebra(3, 1, 1, 7)
+        cx = build_spencer_complex(sub, 2)
+        ops = subalgebra_actions(cx)
+        assert subalgebra_actions(cx) is ops
+        assert len(ops) == sub.h.dim + sub.rp.dim
+        for op, X in zip(ops, _isotropy_generators(sub)):
+            assert op.matrix() == cochain_action_matrix(cx, *X)
+
+    def test_degree_4_complex_is_a_dimension_mismatch(self):
+        # V' = V, S' = 0, h = so(V), r' = 0 in (2,1,1): the degree-4 and
+        # degree-2 cochain spaces have one dimension, so only the layout
+        # tells them apart
+        model = get_model(2, 1, 1)
+        sub = make_graded_subalgebra(model, Subspace.full(3),
+                                     Subspace.trivial(2), Subspace.full(3),
+                                     Subspace.trivial(0))
+        cx = build_spencer_complex(sub, 4)
+        co = compute_cohomology(cx, 2)
+        assert co.dim_h == 6
+        with pytest.raises(DimensionMismatch, match=r"C\^\{2,2\} only"):
+            co.action_matrices
+        with pytest.raises(DimensionMismatch, match=r"C\^\{2,2\} only"):
+            CochainAction(cx, basis_vec(3, 0), ())
+
+    def test_wrong_length_is_a_dimension_mismatch(self):
+        cx = spencer.spencer_complex(get_full_subalgebra(2, 1, 1), 2)
+        op = subalgebra_actions(cx)[0]
+        with pytest.raises(DimensionMismatch):
+            op.apply_many(ExactMatrix(cx.cochain_dim(2) + 1, 1))
+        with pytest.raises(DimensionMismatch):
+            op.apply(zero_vec(cx.cochain_dim(2) - 1))
