@@ -197,7 +197,8 @@ def ensure_transitive(sub: GradedSubalgebra
 def _admissibility_maps(sub: GradedSubalgebra, fullco: FullModelCohomology
                         ) -> tuple:
     """(sub_cx, mixed_cx, inc, res, d21): the subalgebra's complexes with
-    values in itself and in the model, the inclusion of coefficients, the
+    values in itself and in the model (one complex, with inc and res the
+    identity, on a maximal subalgebra), the inclusion of coefficients, the
     restriction from the full model and the degree-(2,1) differential of the
     mixed complex, the blocks of every admissibility system."""
     sub_cx = spencer_complex(sub, 2)
@@ -1072,59 +1073,56 @@ def class_gauge_generators(datum: AdmissibleDatum) -> List[tuple]:
     return list(zip(gauge.basis_vectors(), lams))
 
 
+def _gauge_shift(datum: AdmissibleDatum, generators: List[tuple],
+                 coeffs: Sequence[Fraction], nu: Sequence[Fraction],
+                 inc: ExactMatrix) -> AdmissibleDatum:
+    """The datum moved by k = sum_g coeffs_g k_g along the class gauge
+    generators (k_g, lambda_g) and by nu in C^{2,1}(a_-; a):
+
+        (mu, hat, lambda) -> (mu + d(nu), hat + k, lambda - lambda_k + i_*(nu))
+
+    with lambda_k = sum_g coeffs_g lambda_g and `inc` the inclusion i_* on
+    C^{2,1}.  The image keeps i_*(mu) = i^*(hat) + d(lambda)."""
+    cxs = datum.sub_complex
+    hat, lam = datum.hat.coeffs, datum.lam
+    k = lincomb(zip(coeffs, [kvec for kvec, _ in generators]), len(hat))
+    lam_k = lincomb(zip(coeffs, [lam_g for _, lam_g in generators]),
+                    len(lam))
+    return AdmissibleDatum(
+        subalgebra=datum.subalgebra, fullco=datum.fullco, sub_complex=cxs,
+        mixed_complex=datum.mixed_complex,
+        mu_minus=Cochain22(cxs, vec_add(datum.mu_minus.coeffs,
+                                        cxs.differentials[1].apply(nu))),
+        hat=NormalisedCocycle(Cochain22(datum.fullco.complex,
+                                        vec_add(hat, k))),
+        lam=vec_add(vec_sub(lam, lam_k), inc.apply(nu)),
+        r_prime_replaced=datum.r_prime_replaced)
+
+
 def gauge_shifted_data(datum: AdmissibleDatum,
                        max_shifts: Optional[int] = None) -> List[AdmissibleDatum]:
     """All basis gauge shifts of a datum: the normalised cocycle moved by
-    the class gauge generators (with the matching lambda correction), and
-    lambda moved by maps V -> a0.
+    each class gauge generator, then lambda moved by each unit map
+    nu: V -> h and V -> r' (direction-major, h before r').
 
     Every shift fixes the cohomology class, so the theta maps must not
     change; callers assert that.
     """
     sub = datum.subalgebra
-    model = datum.model
     cxs = datum.sub_complex
-    cxm = datum.mixed_complex
-    out: List[AdmissibleDatum] = []
-    for kvec, lam_k in class_gauge_generators(datum):
-        hat2 = NormalisedCocycle(Cochain22(
-            datum.fullco.complex, vec_add(datum.hat.coeffs, kvec)))
-        out.append(AdmissibleDatum(
-            subalgebra=sub, fullco=datum.fullco, sub_complex=cxs,
-            mixed_complex=cxm, mu_minus=datum.mu_minus, hat=hat2,
-            lam=tuple(a - b for a, b in zip(datum.lam, lam_k)),
-            r_prime_replaced=datum.r_prime_replaced))
-        if max_shifts is not None and len(out) >= max_shifts:
-            return out
-    # lambda shifts by unit maps V -> h and V -> r'
-    lay_sub = cxs.layouts[1]
-    lay_mix = cxm.layouts[1]
-    n = model.dim_v
-    units = [("lambda_so", t) for t in range(sub.h.dim)] + \
-            [("lambda_r", t) for t in range(sub.rp.dim)]
-    for b in range(n):
-        for name, t in units:
-            nu_sub = [Fraction(0)] * lay_sub.dim
-            nu_sub[lay_sub.index(name, b, t)] = Fraction(1)
-            mu2 = vec_add(datum.mu_minus.coeffs,
-                          cxs.differentials[1].apply(nu_sub))
-            lam2 = list(datum.lam)
-            if name == "lambda_so":
-                amb = sub.h.basis.row_tuple(t)
-                for a, c in enumerate(amb):
-                    lam2[lay_mix.index("lambda_so", b, a)] += c
-            else:
-                amb = sub.rp.basis.row_tuple(t)
-                for a, c in enumerate(amb):
-                    lam2[lay_mix.index("lambda_r", b, a)] += c
-            out.append(AdmissibleDatum(
-                subalgebra=sub, fullco=datum.fullco, sub_complex=cxs,
-                mixed_complex=cxm, mu_minus=Cochain22(cxs, mu2),
-                hat=datum.hat, lam=tuple(lam2),
-                r_prime_replaced=datum.r_prime_replaced))
-            if max_shifts is not None and len(out) >= max_shifts:
-                return out
-    return out
+    lay1 = cxs.layouts[1]
+    inc = inclusion_matrix(cxs, datum.mixed_complex, 1)
+    generators = class_gauge_generators(datum)
+    G = len(generators)
+    zero_nu = zero_vec(lay1.dim)
+    shifts = [(basis_vec(G, g), zero_nu) for g in range(G)]
+    shifts += [(zero_vec(G), basis_vec(lay1.dim, lay1.index(name, b, t)))
+               for b in range(datum.model.dim_v)
+               for name, dim in (("lambda_so", sub.h.dim),
+                                 ("lambda_r", sub.rp.dim))
+               for t in range(dim)]
+    return [_gauge_shift(datum, generators, coeffs, nu, inc)
+            for coeffs, nu in shifts[:max_shifts]]
 
 
 @dataclass
@@ -1148,34 +1146,24 @@ def check_geometric_realisability(datum: AdmissibleDatum,
     theta2 = 0; theta2 is gauge-invariant, so it must vanish outright, and
     lambda2 must be eliminable by the class gauge shifts together with a
     shift valued in r'."""
-    sub = datum.subalgebra
-    model = datum.model
     if theta.theta2 is None:
         return RealisabilityReport(False, False, False,
                                    detail="theta does not factor through "
                                    "kappa")
     theta2_zero = theta.theta2_zero
     generators = class_gauge_generators(datum)
-    lay_mix = datum.mixed_complex.layouts[1]
-    n = model.dim_v
-    dr_amb = model.dim_r
-    nu_cols = n * sub.rp.dim
-    unknowns = len(generators) + nu_cols
-    rows = []
-    rhs = []
-    for b in range(n):
-        l2 = datum.lam2_coords(b)
-        for t in range(dr_amb):
-            row = [Fraction(0)] * unknowns
-            for g, (_kvec, lam_k) in enumerate(generators):
-                row[g] = -lam_k[lay_mix.index("lambda_r", b, t)]
-            for tr in range(sub.rp.dim):
-                row[len(generators) + b * sub.rp.dim + tr] = \
-                    sub.rp.basis.row_tuple(tr)[t]
-            rows.append(row)
-            rhs.append(-l2[t] if l2 else Fraction(0))
-    system = ExactMatrix.from_rows(rows, cols=unknowns)
-    sol = solve_affine(system, rhs)
+    G = len(generators)
+    lay_sub = datum.sub_complex.layouts[1]
+    inc = inclusion_matrix(datum.sub_complex, datum.mixed_complex, 1)
+    # the lambda_r block of lambda - sum_g s_g lambda_g + i_*(nu) vanishes,
+    # for unknowns (s_g, then nu in the lambda_r block of C^{2,1}(a_-; a))
+    nu_block = lay_sub.indices("lambda_r")
+    r_rows = datum.mixed_complex.layouts[1].indices("lambda_r")
+    system = hstack([
+        ExactMatrix.from_columns([lam_g for _, lam_g in generators],
+                                 len(datum.lam)).scale(-1),
+        inc.select_columns(nu_block)]).select_rows(r_rows)
+    sol = solve_affine(system, [-datum.lam[i] for i in r_rows])
     lambda2_ok = not isinstance(sol, NoSolution)
     if not (theta2_zero and lambda2_ok):
         detail = []
@@ -1186,32 +1174,12 @@ def check_geometric_realisability(datum: AdmissibleDatum,
         return RealisabilityReport(False, theta2_zero, lambda2_ok,
                                    detail="; ".join(detail))
     # build the witness representative
-    cxs, cxm = datum.sub_complex, datum.mixed_complex
-    lay_sub = cxs.layouts[1]
-    nu_sub = [Fraction(0)] * lay_sub.dim
-    shifts = sol.x[:len(generators)]
-    hat2 = vec_add(datum.hat.coeffs, lincomb(
-        zip(shifts, [kvec for kvec, _ in generators]), len(datum.hat.coeffs)))
-    lam2 = list(vec_sub(datum.lam, lincomb(
-        zip(shifts, [lam_k for _, lam_k in generators]), len(datum.lam))))
-    for b in range(n):
-        for tr in range(sub.rp.dim):
-            c = sol.x[len(generators) + b * sub.rp.dim + tr]
-            if c:
-                nu_sub[lay_sub.index("lambda_r", b, tr)] = c
-                amb = sub.rp.basis.row_tuple(tr)
-                for a, ca in enumerate(amb):
-                    lam2[lay_mix.index("lambda_r", b, a)] += c * ca
-    witness = AdmissibleDatum(
-        subalgebra=sub, fullco=datum.fullco, sub_complex=cxs,
-        mixed_complex=cxm,
-        mu_minus=Cochain22(cxs, vec_add(datum.mu_minus.coeffs,
-                                        cxs.differentials[1].apply(nu_sub))),
-        hat=NormalisedCocycle(Cochain22(datum.fullco.complex, hat2)),
-        lam=tuple(lam2), r_prime_replaced=datum.r_prime_replaced)
-    for b in range(n):
-        if not vec_is_zero(witness.lam2_coords(b)):
-            raise OracleMismatch("witness gauge failed to kill lambda2")
+    nu = [Fraction(0)] * lay_sub.dim
+    for i, x in zip(nu_block, sol.x[G:]):
+        nu[i] = x
+    witness = _gauge_shift(datum, generators, sol.x[:G], nu, inc)
+    if not vec_is_zero([witness.lam[i] for i in r_rows]):
+        raise OracleMismatch("witness gauge failed to kill lambda2")
     theta_w = compute_theta(witness)
     if theta_w.theta1 != theta.theta1 or theta_w.theta2 != theta.theta2:
         raise OracleMismatch("theta moved under a gauge shift")

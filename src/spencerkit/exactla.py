@@ -186,6 +186,21 @@ class ExactMatrix:
     def to_rows(self) -> list:
         return [list(self.row_tuple(i)) for i in range(self.rows)]
 
+    def select_rows(self, indices: Iterable[int]) -> "ExactMatrix":
+        """The rows at `indices`, in that order."""
+        picked = [dict(self._rows[i]) for i in indices]
+        out = ExactMatrix(len(picked), self.cols)
+        out._rows = picked
+        return out
+
+    def select_columns(self, indices: Iterable[int]) -> "ExactMatrix":
+        """The columns at `indices` (distinct), in that order."""
+        where = {j: k for k, j in enumerate(indices)}
+        out = ExactMatrix(self.rows, len(where))
+        out._rows = [{where[j]: v for j, v in r.items() if j in where}
+                     for r in self._rows]
+        return out
+
     def nnz(self) -> int:
         return sum(len(r) for r in self._rows)
 

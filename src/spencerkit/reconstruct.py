@@ -11,8 +11,8 @@ from typing import Sequence
 from .deform import FilteredDeformation
 from .errors import (CurvatureMismatch, EquivarianceViolation,
                      TorsionViolation)
-from .exactla import (ExactMatrix, basis_vec, rat_str, vec_add, vec_is_zero,
-                      vec_scale, zero_vec)
+from .exactla import (ExactMatrix, basis_vec, hstack, rat_str, vec_add,
+                      vec_is_zero, vec_scale, vstack, zero_vec)
 
 UNCHECKED_HYPOTHESES = ("G0 simply connected", "K closed", "R' closed")
 
@@ -35,9 +35,6 @@ class NomizuMap:
         out = self.apply(coords)
         return out[self.deformation.subalgebra.model.dim_so:]
 
-    def to_json(self) -> dict:
-        return {"matrix": self.matrix.to_serialisable()}
-
 
 def _even_basis_layout(deformation: FilteredDeformation):
     """(dim V, dim h, dim r') and the flat offsets of the even part within
@@ -50,43 +47,14 @@ def _even_bracket(deformation: FilteredDeformation, x: Sequence[Fraction],
                   y: Sequence[Fraction]) -> tuple:
     """Bracket of two even elements given in (V | h | r') coordinates."""
     n, dh, dr, nsp = _even_basis_layout(deformation)
-    tensor = deformation.tensor
-    total = tensor.total_dim
-
-    def to_flat(coords):
-        flat = {}
-        for b in range(n):
-            if coords[b]:
-                flat[b] = coords[b]
-        for k in range(dh):
-            if coords[n + k]:
-                flat[n + nsp + k] = coords[n + k]
-        for p in range(dr):
-            if coords[n + dh + p]:
-                flat[n + nsp + dh + p] = coords[n + dh + p]
-        return flat
-
-    fx, fy = to_flat(x), to_flat(y)
-    acc: dict = {}
-    for i, ci in fx.items():
-        for j, cj in fy.items():
-            for k, v in tensor.bracket(i, j).items():
-                w = acc.get(k, Fraction(0)) + ci * cj * v
-                if w:
-                    acc[k] = w
-                elif k in acc:
-                    del acc[k]
-    out = [Fraction(0)] * (n + dh + dr)
-    for k, v in acc.items():
-        if k < n:
-            out[k] = v
-        elif k < n + nsp:
-            raise CurvatureMismatch("even-even bracket has an odd component")
-        elif k < n + nsp + dh:
-            out[n + (k - n - nsp)] = v
-        else:
-            out[n + dh + (k - n - nsp - dh)] = v
-    return tuple(out)
+    # the even coordinates sit at V, then h and r' after S' in the tensor
+    flat = [*range(n), *range(n + nsp, n + nsp + dh + dr)]
+    value = deformation.tensor.bracket_of(
+        {k: c for k, c in zip(flat, x) if c},
+        {k: c for k, c in zip(flat, y) if c})
+    if any(n <= k < n + nsp for k in value):
+        raise CurvatureMismatch("even-even bracket has an odd component")
+    return tuple(value.get(k, Fraction(0)) for k in flat)
 
 
 def build_nomizu_map(deformation: FilteredDeformation) -> NomizuMap:
@@ -98,24 +66,14 @@ def build_nomizu_map(deformation: FilteredDeformation) -> NomizuMap:
     model = sub.model
     n, dh, dr, _ = _even_basis_layout(deformation)
     nso, nr = model.dim_so, model.dim_r
-    entries = []
-    for b in range(n):
-        for t, c in enumerate(datum.lam1_coords(b)):
-            if c:
-                entries.append((t, b, c))
-        for t, c in enumerate(datum.lam2_coords(b)):
-            if c:
-                entries.append((nso + t, b, c))
-    for k in range(dh):
-        for t, c in enumerate(sub.h.basis.row_tuple(k)):
-            if c:
-                entries.append((t, n + k, c))
-    for p in range(dr):
-        for t, c in enumerate(sub.rp.basis.row_tuple(p)):
-            if c:
-                entries.append((nso + t, n + dh + p, c))
-    nomizu = NomizuMap(deformation=deformation,
-                       matrix=ExactMatrix(nso + nr, n + dh + dr, entries))
+    # columns: lambda1(e_b) over lambda2(e_b), then h, then r'
+    lam1 = ExactMatrix.from_columns([datum.lam1_coords(b) for b in range(n)],
+                                    nso)
+    lam2 = ExactMatrix.from_columns([datum.lam2_coords(b) for b in range(n)],
+                                    nr)
+    nomizu = NomizuMap(deformation=deformation, matrix=vstack([
+        hstack([lam1, sub.h.basis.transpose(), ExactMatrix(nso, dr)]),
+        hstack([lam2, ExactMatrix(nr, dh), sub.rp.basis.transpose()])]))
     _verify_inclusion(nomizu)
     _verify_equivariance(nomizu)
     _verify_torsion_free(nomizu)

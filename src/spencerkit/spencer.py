@@ -26,10 +26,10 @@ from .errors import (DimensionMismatch, KappaZero, NoEquivariantSplitting,
                      NotACocycle, NotHighlySusy, NotSymmetric,
                      OracleMismatch)
 from .exactla import (AffineSolver, ExactMatrix, NoSolution, Subspace,
-                      basis_vec, block_diag, cyclic_embedding, hom_apply,
-                      hstack, kron, lincomb, pair_action, pair_embedding,
-                      pair_map, rat_str, solve_affine, tensor_index_maps,
-                      vec_is_zero, vec_scale, vstack, zero_vec)
+                      block_diag, cyclic_embedding, hom_apply, hstack, kron,
+                      lincomb, pair_action, pair_embedding, pair_map, rat_str,
+                      solve_affine, tensor_index_maps, vec_is_zero, vec_scale,
+                      vstack, zero_vec)
 from .flatmodel import (ExtendedFlatModel, GradedSubalgebra, full_subalgebra)
 
 
@@ -60,6 +60,10 @@ class CochainLayout:
         off = self.offsets[name]
         return off, off + src * tgt
 
+    def indices(self, *names: str) -> list:
+        """The coordinates of the named blocks, block after block."""
+        return [i for name in names for i in range(*self.block_slice(name))]
+
     def block_of(self, coeffs: Sequence[Fraction], name: str) -> tuple:
         lo, hi = self.block_slice(name)
         return tuple(coeffs[lo:hi])
@@ -75,6 +79,8 @@ class SpencerComplex:
 
     `values` selects the coefficient module: "subalgebra" for values in the
     subalgebra itself, "full" for values in the whole extended flat model.
+    On a maximal subalgebra the two modules coincide, and `spencer_complex`
+    returns the subalgebra-valued complex for both.
     """
 
     def __init__(self, subalgebra: GradedSubalgebra, degree: int,
@@ -252,6 +258,11 @@ class SpencerComplex:
     def cochain_dim(self, p: int) -> int:
         return self.layouts[p].dim
 
+    @property
+    def model_valued(self) -> bool:
+        """Whether the coefficient module is the whole model."""
+        return self.values == "full" or self.subalgebra.maximal()
+
 
 _CLOSURE = ("{} leaves the coefficient module; subalgebra closure must have "
             "been violated")
@@ -298,7 +309,11 @@ def build_spencer_complex(subalgebra: GradedSubalgebra, degree: int,
 def spencer_complex(subalgebra: GradedSubalgebra, degree: int,
                     values: str = "subalgebra") -> SpencerComplex:
     """The complex of (subalgebra, degree, values), built on first use and
-    kept on the model; subalgebras with equal subspaces share it."""
+    kept on the model; subalgebras with equal subspaces share it, and on a
+    maximal subalgebra the model-valued complex is the subalgebra-valued
+    one."""
+    if values == "full" and subalgebra.maximal():
+        values = "subalgebra"
     memo = subalgebra.model.spencer_complexes
     key = subalgebra.key + (degree, values)
     cx = memo.get(key)
@@ -491,9 +506,6 @@ class Cochain22:
                         for i, ci in enumerate(x) if ci
                         for j, cj in enumerate(y) if cj), dim)
 
-    def block(self, name: str) -> tuple:
-        return self._lay.block_of(self.coeffs, name)
-
     def is_cocycle(self) -> bool:
         image = self.cx.differentials[2].apply(self.coeffs)
         return vec_is_zero(image)
@@ -605,9 +617,6 @@ class SpinorSquareSplitting:
     projector: ExactMatrix        # onto ker kappa along the image
     r_equivariant: bool
 
-    def apply(self, v: Sequence[Fraction]) -> tuple:
-        return self.section.apply(v)
-
 
 def build_splitting(model: ExtendedFlatModel) -> SpinorSquareSplitting:
     """Equivariant right inverse of kappa, computed by an exact affine solve.
@@ -673,9 +682,6 @@ class NormalisedCocycle:
     @property
     def coeffs(self) -> tuple:
         return self.cochain.coeffs
-
-    def to_json(self) -> dict:
-        return {"coefficients": [rat_str(c) for c in self.coeffs]}
 
 
 class FullModelCohomology:
@@ -760,18 +766,12 @@ class FullModelCohomology:
                  [(zero_vec(self.model.dim_so), r) for r in rp_basis]
         if not actors:
             return basis
-        picked = [*range(*lay.block_slice("beta")),
-                  *range(*lay.block_slice("rho"))]
+        picked = lay.indices("beta", "rho")
         ops = [CochainAction(cx, so_c, r_c) for so_c, r_c in actors]
         columns = basis.basis.transpose()
-        stacked = []
-        for op in ops:
-            # the beta and rho rows of the action on each basis vector
-            acted = op.apply_many(columns)
-            stacked.append(ExactMatrix(len(picked), basis.dim, [
-                (i, k, v) for i, row in enumerate(picked)
-                for k, v in acted.row_dict(row).items()]))
-        kernel = vstack(stacked).kernel()
+        # the beta and rho rows of the action on each basis vector
+        kernel = vstack([op.apply_many(columns).select_rows(picked)
+                         for op in ops]).kernel()
         basis_vecs = basis.basis_vectors()
         vectors = [lincomb(zip(kernel.basis.row_tuple(k), basis_vecs), lay.dim)
                    for k in range(kernel.dim)]
@@ -792,9 +792,9 @@ def restriction_matrix(full_cx: SpencerComplex,
                        mixed_cx: SpencerComplex) -> ExactMatrix:
     """Pull-back of full-model cochains along the inclusion of a graded
     subalgebra: C^{2,2}(model; model) -> C^{2,2}(subalgebra; model)."""
-    if full_cx.values != "subalgebra" or not full_cx.subalgebra.maximal():
+    if not full_cx.subalgebra.maximal():
         raise DimensionMismatch("first complex must be the full model one")
-    if mixed_cx.values != "full":
+    if not mixed_cx.model_valued:
         raise DimensionMismatch("second complex must have full values")
     # the subalgebra's basis vectors as columns
     E_v = mixed_cx.subalgebra.Vp.basis.transpose()
@@ -808,17 +808,19 @@ def restriction_matrix(full_cx: SpencerComplex,
                                                  full_cx.layouts[2].blocks)])
 
 
-def inclusion_matrix(sub_cx: SpencerComplex,
-                     mixed_cx: SpencerComplex) -> ExactMatrix:
+def inclusion_matrix(sub_cx: SpencerComplex, mixed_cx: SpencerComplex,
+                     p: int = 2) -> ExactMatrix:
     """Push-forward along the inclusion of the coefficient module:
-    C^{2,2}(subalgebra; subalgebra) -> C^{2,2}(subalgebra; model)."""
-    if sub_cx.values != "subalgebra" or mixed_cx.values != "full":
+    C^{2,p}(subalgebra; subalgebra) -> C^{2,p}(subalgebra; model), for
+    p = 1 (the lambda blocks) and p = 2."""
+    if sub_cx.values != "subalgebra" or not mixed_cx.model_valued:
         raise DimensionMismatch("expected (subalgebra-, full-) valued pair")
-    targets = (sub_cx.Wv, sub_cx.Ws, sub_cx.Wso, sub_cx.Wr)
+    targets = {1: (sub_cx.Wso, sub_cx.Wr),
+               2: (sub_cx.Wv, sub_cx.Ws, sub_cx.Wso, sub_cx.Wr)}[p]
     # phi -> T o phi on each block, T the target basis vectors as columns
     return block_diag([kron(ExactMatrix.identity(src), W.basis.transpose())
                        for W, (_, src, _) in zip(targets,
-                                                 sub_cx.layouts[2].blocks)])
+                                                 sub_cx.layouts[p].blocks)])
 
 
 # ---------------------------------------------------------------------------
@@ -864,7 +866,6 @@ def _restriction_kernel_report(sub: GradedSubalgebra,
     if not sub.highly_susy:
         raise NotHighlySusy("the restriction-kernel space needs a highly "
                             "supersymmetric subalgebra")
-    model = sub.model
     cx = fullco.complex
     lay = cx.layouts[2]
     basis = fullco.normalised_space
@@ -877,28 +878,16 @@ def _restriction_kernel_report(sub: GradedSubalgebra,
     def expand(coeff):
         return lincomb(zip(coeff, basis_vecs), lay.dim)
 
-    svecs = sub.Sp.basis_vectors()
-    rows = []
-    for k in range(basis.dim):
-        z = Cochain22(cx, basis.basis.row_tuple(k))
-        row: List[Fraction] = []
-        for b in range(model.dim_v):
-            for s in svecs:
-                row.extend(z.beta_vec(basis_vec(model.dim_v, b), s))
-        for i in range(len(svecs)):
-            for j in range(i, len(svecs)):
-                row.extend(z.rho_vec(svecs[i], svecs[j]))
-        rows.append(row)
-    conditions = ExactMatrix.from_rows(rows).transpose() if rows and rows[0] \
-        else ExactMatrix(0, basis.dim)
-    kernel = conditions.kernel()
+    mixed = spencer_complex(sub, 2, values="full")
+    restrict = restriction_matrix(cx, mixed)
+    lifted = restrict @ basis.basis.transpose()   # columns = restrictions
+    # the componentwise kernel: beta on V' x S' (V' = V) and rho on Sym^2 S'
+    kernel = lifted.select_rows(
+        mixed.layouts[2].indices("beta", "rho")).kernel()
     direct = Subspace.from_vectors(
         lay.dim, [expand(kernel.basis.row_tuple(k))
                   for k in range(kernel.dim)])
     # the kernel of i^* into H^{2,2}(a_-; model)
-    mixed = spencer_complex(sub, 2, values="full")
-    restrict = restriction_matrix(cx, mixed)
-    lifted = restrict @ basis.basis.transpose()   # columns = restrictions
     joint = hstack([lifted, mixed.differentials[1]])
     ker = joint.kernel()
     vecs2 = []

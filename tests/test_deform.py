@@ -12,6 +12,7 @@ from spencerkit.deform import (AdmissibleDatum, DeltaMap, NotAdmissible,
                                build_filtered_deformation, canonical_gauge,
                                check_admissibility,
                                check_geometric_realisability,
+                               class_gauge_generators,
                                check_integrability, compute_envelope,
                                compute_theta, gauge_shifted_data,
                                solve_delta, zero_cocycle)
@@ -39,6 +40,7 @@ class TestAdmissibility:
         sub = get_full_subalgebra(s, t, N)
         datum = check_admissibility(sub, zero_cocycle(sub), get_fullco(s, t, N))
         assert isinstance(datum, AdmissibleDatum)
+        assert datum.sub_complex is datum.mixed_complex
         assert vec_is_zero(datum.hat.coeffs)
         assert vec_is_zero(datum.lam)
 
@@ -358,6 +360,45 @@ class TestRealisability:
         assert report.realisable
         for b in range(datum.model.dim_v):
             assert vec_is_zero(report.witness.lam2_coords(b))
+
+
+class TestGaugeShiftKeepsAdmissibility:
+    @pytest.mark.parametrize("s,t,N", [(2, 1, 2), (3, 1, 2)])
+    def test_shifted_data_and_witnesses_stay_admissible(self, s, t, N):
+        # every shift and every realisability witness keeps
+        # i_*(mu) = i^*(hat) + d(lambda) exactly.  (2,1,2) maximal has
+        # lambda2 shifts that realisability eliminates; the sampled (3,1,2)
+        # data carry a class generator with nonzero lambda_k
+        class_shifts = witnesses = 0
+        for datum in admissible_data_for_cell(s, t, N)[:3]:
+            mixed_cx = datum.mixed_complex
+            inc = inclusion_matrix(datum.sub_complex, mixed_cx)
+            res = restriction_matrix(datum.fullco.complex, mixed_cx)
+
+            def assert_admissible(other):
+                assert inc.apply(other.mu_minus.coeffs) == vec_add(
+                    res.apply(other.hat.coeffs),
+                    mixed_cx.differentials[1].apply(other.lam))
+
+            generators = class_gauge_generators(datum)
+            class_shifts += len(generators)
+            shifted = gauge_shifted_data(datum)
+            for i, other in enumerate(shifted):
+                assert_admissible(other)
+                if i < len(generators):
+                    assert other.lam != datum.lam
+                    assert other.hat.coeffs != datum.hat.coeffs
+                    assert other.mu_minus.coeffs == datum.mu_minus.coeffs
+            # realisability on the datum and its class shifts, or on its
+            # first lambda shifts when it has none
+            for other in [datum] + (shifted[:len(generators)] or shifted[:4]):
+                report = check_geometric_realisability(
+                    other, compute_theta(other))
+                if report.witness is not None:
+                    witnesses += 1
+                    assert_admissible(report.witness)
+        assert witnesses
+        assert class_shifts or (s, t, N) == (2, 1, 2)
 
 
 class TestEnvelope:

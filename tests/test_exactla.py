@@ -389,6 +389,18 @@ class TestSubspace:
         stacked = vstack([m, ExactMatrix.identity(2)])
         assert stacked.rows == 4
 
+    def test_row_and_column_selection(self):
+        m = ExactMatrix.from_rows([[1, 2, 0], [0, 3, 4], [5, 0, 6]])
+        assert m.select_rows([2, 0]) == \
+            ExactMatrix.from_rows([[5, 0, 6], [1, 2, 0]])
+        assert m.select_columns(range(1, 3)) == \
+            ExactMatrix.from_rows([[2, 0], [3, 4], [0, 6]])
+        assert m.select_rows([]) == ExactMatrix(0, 3)
+        assert m.select_columns([]) == ExactMatrix(3, 0)
+        # the selection is a copy
+        m.select_rows([0])._rows[0][0] = Fraction(7)
+        assert m.entry(0, 0) == 1
+
 
 class TestPositiveDefiniteness:
     def test_positive_definite(self):

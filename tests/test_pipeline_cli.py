@@ -147,10 +147,9 @@ class TestBuildOnce:
         monkeypatch.setattr(spencer, "build_spencer_complex", counting)
         report = run_pipeline(base_config())
         assert [s["name"] for s in report["stages"]] == list(STAGES)
-        # the maximal subalgebra's degree-2 complexes with values in the
-        # subalgebra (shared with the full model) and in the model, and its
-        # degree-4 complex
-        assert len(built) == len(set(built)) == 3
+        # the maximal subalgebra's degree-2 complex (shared with the full
+        # model, and its own model-valued complex) and its degree-4 complex
+        assert len(built) == len(set(built)) == 2
 
     def test_subalgebra_structure_built_once(self, monkeypatch):
         from spencerkit import deform, flatmodel, pipeline, spencer

@@ -13,9 +13,13 @@ from spencerkit import spencer
 from spencerkit.exactla import (ExactMatrix, Subspace, basis_vec, lincomb,
                                 solve_affine, vec_add, vec_is_zero, vec_scale,
                                 vec_sub, zero_vec)
-from spencerkit.flatmodel import make_graded_subalgebra
+from spencerkit.cliffspin import (Signature, build_clifford_rep,
+                                  build_dirac_current)
+from spencerkit.flatmodel import (build_extended_flat_model,
+                                  make_graded_subalgebra, stabiliser_in_r,
+                                  stabiliser_in_so)
 from spencerkit.spencer import (CochainAction, Cochain22,
-                                build_spencer_complex,
+                                FullModelCohomology, build_spencer_complex,
                                 build_splitting, cochain_action_matrix,
                                 compute_cohomology, inclusion_matrix,
                                 restriction_kernel,
@@ -544,6 +548,37 @@ class TestRestrictionKernel:
                 sub = get_sampled_subalgebra(*cell, 1)
                 assert restriction_kernel(sub, fullco).dim == 0
 
+    @pytest.mark.parametrize("N,spinors,dim", [(3, (0, 1, 2, 3), 1),
+                                               (4, (0, 1, 2, 3, 4), 1),
+                                               (4, (0, 1, 2, 4, 7), 0)])
+    def test_direct_route_on_coordinate_spinor_subspaces(self, N, spinors,
+                                                         dim):
+        # on (2,1,N) with S' spanned by the given coordinate spinors the
+        # componentwise kernel has dimension `dim`; its vectors have beta = 0
+        # on V x S' and rho = 0 on Sym^2 S' pointwise.  Reading the beta
+        # rows of i^* alone gives dimension 2, 2 and 1 here, so a wrong row
+        # selection shows
+        rep = build_clifford_rep(Signature(2, 1), N)
+        model = build_extended_flat_model(rep, build_dirac_current(rep))
+        Sp = Subspace.from_vectors(model.dim_s, [basis_vec(model.dim_s, i)
+                                                 for i in spinors])
+        sub = make_graded_subalgebra(model, Subspace.full(model.dim_v), Sp,
+                                     stabiliser_in_so(model, Sp),
+                                     stabiliser_in_r(model, Sp))
+        fullco = FullModelCohomology(model)
+        report = restriction_kernel_report(sub, fullco)
+        assert report.direct.dim == dim
+        assert report.via_istar.contains_subspace(report.direct)
+        svecs = Sp.basis_vectors()
+        for vector in report.direct.basis_vectors():
+            z = Cochain22(fullco.complex, vector)
+            for b in range(model.dim_v):
+                for s in svecs:
+                    assert vec_is_zero(
+                        z.beta_vec(basis_vec(model.dim_v, b), s))
+            for s, s2 in combinations_with_replacement(svecs, 2):
+                assert vec_is_zero(z.rho_vec(s, s2))
+
     def test_requires_highly_susy(self):
         model = get_model(2, 1, 1)
         fullco = get_fullco(2, 1, 1)
@@ -557,7 +592,8 @@ class TestRestrictionKernel:
 class TestComplexMemo:
     def test_equal_subspaces_share_one_complex(self):
         # a separately built subalgebra with equal subspaces is the same key,
-        # and the full model's own complex is the maximal subalgebra's
+        # and the full model's own complex is the maximal subalgebra's, with
+        # values in itself or in the model
         model = get_model(2, 1, 2)
         full = get_full_subalgebra(2, 1, 2)
         again = make_graded_subalgebra(model, Subspace.full(3),
@@ -567,8 +603,33 @@ class TestComplexMemo:
         cx = spencer.spencer_complex(full, 2)
         assert spencer.spencer_complex(again, 2) is cx
         assert get_fullco(2, 1, 2).complex is cx
-        assert spencer.spencer_complex(full, 2, values="full") is not cx
+        assert spencer.spencer_complex(full, 2, values="full") is cx
         assert spencer.spencer_complex(full, 4) is not cx
+
+    @pytest.mark.parametrize("s,t,N", GRID)
+    def test_maximal_maps_are_identities(self, s, t, N):
+        full = get_full_subalgebra(s, t, N)
+        cx = spencer.spencer_complex(full, 2)
+        assert spencer.spencer_complex(full, 2, values="full") is cx
+        assert cx.model_valued
+        for p in (1, 2):
+            assert inclusion_matrix(cx, cx, p) == \
+                ExactMatrix.identity(cx.cochain_dim(p))
+        assert restriction_matrix(cx, cx) == \
+            ExactMatrix.identity(cx.cochain_dim(2))
+
+    def test_sampled_model_valued_complex_is_its_own(self):
+        sub = get_sampled_subalgebra(3, 1, 1, 7)
+        model = sub.model
+        sub_cx = spencer.spencer_complex(sub, 2)
+        mixed_cx = spencer.spencer_complex(sub, 2, values="full")
+        assert mixed_cx is not sub_cx
+        assert mixed_cx.model_valued and not sub_cx.model_valued
+        assert (mixed_cx.dWv, mixed_cx.dWs, mixed_cx.dWso, mixed_cx.dWr) == \
+            (model.dim_v, model.dim_s, model.dim_so, model.dim_r)
+        assert sub_cx.dWso == sub.h.dim < model.dim_so
+        with pytest.raises(DimensionMismatch):
+            inclusion_matrix(sub_cx, sub_cx)
 
     def test_other_r_prime_gets_its_own_complex(self):
         model = get_model(2, 1, 2)
@@ -596,6 +657,18 @@ class TestInclusionMap:
         for rep_vec in co.representatives:
             image = inc.apply(rep_vec)
             assert not b_mixed.contains(image)
+
+    @pytest.mark.parametrize("s,t,N", GRID)
+    @pytest.mark.parametrize("seed", [None, 1, 2, 7])
+    def test_inclusion_is_a_chain_map(self, s, t, N, seed):
+        # d o i_* = i_* o d from C^{2,1} to C^{2,2}
+        sub = (get_full_subalgebra(s, t, N) if seed is None
+               else get_sampled_subalgebra(s, t, N, seed))
+        sub_cx = spencer.spencer_complex(sub, 2)
+        mixed_cx = spencer.spencer_complex(sub, 2, values="full")
+        assert mixed_cx.differentials[1] @ \
+            inclusion_matrix(sub_cx, mixed_cx, 1) == \
+            inclusion_matrix(sub_cx, mixed_cx, 2) @ sub_cx.differentials[1]
 
 
 def _isotropy_generators(sub):
