@@ -4,7 +4,9 @@ deformations with full verification, geometric realisability and envelopes.
 Verification philosophy: every identity that is provably implied by the
 admissibility and integrability conditions is still checked exhaustively;
 a failure of one of those is promoted to OracleMismatch because it can only
-mean an implementation bug, never a valid mathematical state.
+mean an implementation bug, never a valid mathematical state.  The quadratic
+system of integrability is the Jacobi identity of the deformed bracket: it is
+checked once, on the bracket tensor, and a failure there is a JacobiViolation.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from .errors import (FiltrationViolation, JacobiViolation,
                      NotHighlySusy, NotSymmetric, OracleMismatch)
 from .exactla import (AffineSolver, ExactMatrix, NoSolution, Subspace,
                       basis_vec, hstack, lincomb, rat_str, solve_affine,
-                      tensor_index_maps, vec, vec_add, vec_is_zero, vec_scale,
+                      tensor_index_maps, vec_add, vec_is_zero, vec_scale,
                       vec_sub, zero_vec)
 from .flatmodel import (EndoSubalgebra, ExtendedFlatModel, GradedBracketTensor,
                         GradedSubalgebra, faithful_split, graded_jacobi_check,
@@ -46,8 +48,8 @@ class AdmissibleDatum:
     hat: NormalisedCocycle
     lam: tuple              # C^{2,1}(a_-; model) coordinates
     r_prime_replaced: bool = False
-    # derived once per datum by lam_matrices, acted_hats, odd_brackets and
-    # solve_delta
+    # derived once per datum by lam_matrices, acted_hats, odd_brackets,
+    # solve_delta, compute_theta and check_integrability
     _lam: Optional[tuple] = field(default=None, init=False, repr=False,
                                   compare=False)
     _acted: Optional[list] = field(default=None, init=False, repr=False,
@@ -56,6 +58,10 @@ class AdmissibleDatum:
                                   compare=False)
     _delta: Optional["DeltaMap"] = field(default=None, init=False,
                                          repr=False, compare=False)
+    _theta: Optional["ThetaData"] = field(default=None, init=False,
+                                          repr=False, compare=False)
+    _integrability: Optional["IntegrabilityReport"] = field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def model(self) -> ExtendedFlatModel:
@@ -267,29 +273,8 @@ class DeltaMap:
     delta4: list   # [r' index][v index] -> r' coords
 
     @property
-    def dim_h(self) -> int:
-        return len(self.delta1)     # one row per h generator
-
-    @property
-    def dim_rp(self) -> int:
-        return len(self.delta4)     # one row per r' generator
-
-    @property
     def delta3_is_zero(self) -> bool:
         return all(vec_is_zero(v) for row in self.delta3 for v in row)
-
-    # the maps at (generator coefficients, V coordinates)
-    def delta1_at(self, h_coeffs: Sequence[Fraction],
-                  vvec: Sequence[Fraction]) -> tuple:
-        return _bilinear(self.delta1, h_coeffs, vvec, self.dim_h)
-
-    def delta2_at(self, h_coeffs: Sequence[Fraction],
-                  vvec: Sequence[Fraction]) -> tuple:
-        return _bilinear(self.delta2, h_coeffs, vvec, self.dim_rp)
-
-    def delta4_at(self, r_coeffs: Sequence[Fraction],
-                  vvec: Sequence[Fraction]) -> tuple:
-        return _bilinear(self.delta4, r_coeffs, vvec, self.dim_rp)
 
 
 def solve_delta(datum: AdmissibleDatum) -> DeltaMap:
@@ -421,6 +406,13 @@ def _bilinear(table, x, y, dim: int) -> tuple:
 
 
 def compute_theta(datum: AdmissibleDatum) -> ThetaData:
+    """The theta maps of the datum, computed once and kept on it."""
+    if datum._theta is None:
+        datum._theta = _compute_theta(datum)
+    return datum._theta
+
+
+def _compute_theta(datum: AdmissibleDatum) -> ThetaData:
     """Assemble the spinor-argument theta maps, decide whether they kill the
     Dirac kernel, and if so solve for the alternating maps on V x V."""
     sub = datum.subalgebra
@@ -524,6 +516,10 @@ class IntegrabilityReport:
     spinor_identity_holds: bool
     witness: Optional[dict] = None
     theorem_checks: dict = field(default_factory=dict)
+    # an integrable datum's deformed bracket and its graded Jacobi
+    # certificate, read by build_filtered_deformation; not in the report
+    tensor: Optional[GradedBracketTensor] = field(default=None, repr=False)
+    jacobi: Optional[Certificate] = field(default=None, repr=False)
 
     def to_json(self) -> dict:
         return {"integrable": self.passed,
@@ -533,15 +529,24 @@ class IntegrabilityReport:
                 "theorem_checks": dict(sorted(self.theorem_checks.items()))}
 
 
-def check_integrability(datum: AdmissibleDatum,
-                        theta: ThetaData) -> IntegrabilityReport:
+def check_integrability(datum: AdmissibleDatum) -> IntegrabilityReport:
     """Integrability = the theta maps annihilate the Dirac kernel and the
-    induced maps satisfy the residual spinor identity.
+    induced maps satisfy the residual spinor identity; the report is computed
+    once per datum and kept on it.
 
     Every further identity implied by those two conditions (invariance,
-    Bianchi identities, the quadratic Jacobi system) is re-verified
-    exhaustively; a failure there raises OracleMismatch.
+    Bianchi identities, membership of theta in a0) is re-verified
+    exhaustively; a failure there raises OracleMismatch.  The quadratic
+    system is the Jacobi identity of the deformed bracket, checked on its
+    tensor; a failure there raises JacobiViolation.
     """
+    if datum._integrability is None:
+        datum._integrability = _check_integrability(datum)
+    return datum._integrability
+
+
+def _check_integrability(datum: AdmissibleDatum) -> IntegrabilityReport:
+    theta = compute_theta(datum)
     if not theta.dirac_kernel_annihilated:
         return IntegrabilityReport(False, False, False,
                                    witness={"reason": "Dirac kernel not "
@@ -570,7 +575,16 @@ def check_integrability(datum: AdmissibleDatum,
                         False, True, False,
                         witness={"pair": (b, c), "spinor": k})
     checks = _verify_integrability_theorems(datum, theta)
-    return IntegrabilityReport(True, True, True, theorem_checks=checks)
+    th1_h, th2_rp = _theta_in_a0(datum, theta)
+    checks["theta_membership"] = True
+    # the quadratic system: the Jacobi identity of the deformed bracket
+    tensor = _deformed_bracket(datum, th1_h, th2_rp)
+    jacobi = graded_jacobi_check(tensor)
+    if not jacobi.passed:
+        raise JacobiViolation(jacobi.detail, triple=jacobi.witness)
+    checks["quadratic_jacobi"] = True
+    return IntegrabilityReport(True, True, True, theorem_checks=checks,
+                               tensor=tensor, jacobi=jacobi)
 
 
 def _theta_in_a0(datum: AdmissibleDatum, theta: ThetaData):
@@ -604,10 +618,12 @@ def _theta_in_a0(datum: AdmissibleDatum, theta: ThetaData):
 
 def _verify_integrability_theorems(datum: AdmissibleDatum,
                                    theta: ThetaData) -> dict:
+    """The identities the residual spinor identity implies: theta
+    alternating, the second defining relation, a0-invariance and the
+    Bianchi identities."""
     sub = datum.subalgebra
     model = datum.model
     n = model.dim_v
-    mu = datum.mu_minus
     checks: Dict[str, bool] = {}
 
     def fail(name):
@@ -692,135 +708,7 @@ def _verify_integrability_theorems(datum: AdmissibleDatum,
                     if not vec_is_zero(acc):
                         fail(f"lambda-Bianchi for theta{which}")
     checks["lambda_bianchi"] = True
-
-    # quadratic Jacobi identities in the original deformation variables
-    delta = solve_delta(datum)
-    th1_h, th2_rp = _theta_in_a0(datum, theta)
-    checks["theta_membership"] = True
-
-    def th1_h_vec(x, y):
-        return _bilinear(th1_h, x, y, sub.h.dim)
-
-    def th2_rp_vec(x, y):
-        return _bilinear(th2_rp, x, y, sub.rp.dim)
-
-    svecs = sub.Sp.basis_vectors()
-    nsp = len(svecs)
-    pairs = tensor_index_maps(nsp, "sym2")
-    # [h, V, V] components  (jacobi-022a, 022b)
-    for k, A_v in enumerate(sub.h_so):
-        hk = basis_vec(sub.h.dim, k)
-        for b in range(n):
-            for c in range(b + 1, n):
-                vb, vc = basis_vec(n, b), basis_vec(n, c)
-                ab, ac = A_v.apply(vb), A_v.apply(vc)
-                alpha_bc = mu.alpha(b, c)
-                lhs = _bilinear(sub.h_brackets, hk, th1_h[b][c], sub.h.dim)
-                lhs = vec_sub(lhs, th1_h_vec(ab, vc))
-                lhs = vec_sub(lhs, th1_h_vec(vb, ac))
-                rhs = delta.delta1_at(delta.delta1[k][b], vc)
-                rhs = vec_sub(rhs, delta.delta1_at(delta.delta1[k][c], vb))
-                rhs = vec_sub(rhs, delta.delta1_at(hk, alpha_bc))
-                if tuple(lhs) != tuple(rhs):
-                    fail("quadratic identity [h,V,V] in h")
-                lhs2 = vec_scale(th2_rp_vec(ab, vc), -1)
-                lhs2 = vec_sub(lhs2, th2_rp_vec(vb, ac))
-                rhs2 = delta.delta2_at(delta.delta1[k][b], vc)
-                rhs2 = vec_add(rhs2, delta.delta4_at(delta.delta2[k][b], vc))
-                rhs2 = vec_sub(rhs2, delta.delta2_at(delta.delta1[k][c], vb))
-                rhs2 = vec_sub(rhs2, delta.delta4_at(delta.delta2[k][c], vb))
-                rhs2 = vec_sub(rhs2, delta.delta2_at(hk, alpha_bc))
-                if tuple(lhs2) != tuple(rhs2):
-                    fail("quadratic identity [h,V,V] in r'")
-    # [r', V, V]  (jacobi-022d; 022c is trivial since delta3 = 0)
-    for p in range(sub.rp.dim):
-        rp_unit = basis_vec(sub.rp.dim, p)
-        for b in range(n):
-            for c in range(b + 1, n):
-                vb, vc = basis_vec(n, b), basis_vec(n, c)
-                lhs = _bilinear(sub.rp_brackets, rp_unit, th2_rp[b][c],
-                                sub.rp.dim)
-                rhs = delta.delta4_at(delta.delta4[p][b], vc)
-                rhs = vec_sub(rhs, delta.delta4_at(delta.delta4[p][c], vb))
-                rhs = vec_sub(rhs, delta.delta4_at(rp_unit, mu.alpha(b, c)))
-                if tuple(lhs) != tuple(rhs):
-                    fail("quadratic identity [r',V,V]")
-    # [S', S', V]  (jacobi-112a, 112b), depolarised
-    kappas = sub.kappa_sp.transpose()
-    for p, (i, j) in enumerate(pairs.tuples):
-        kv = kappas.row_tuple(p)
-        gam = mu.gamma_pair(i, j)
-        rho = mu.rho_pair(i, j)
-        for b in range(n):
-            vb = basis_vec(n, b)
-            ei = basis_vec(nsp, i)
-            ej = basis_vec(nsp, j)
-            acc = th1_h_vec(kv, vb)
-            acc = vec_add(acc, delta.delta1_at(gam, vb))
-            acc = vec_add(acc, mu.gamma_vec(ei, mu.beta(b, j)))
-            acc = vec_add(acc, mu.gamma_vec(ej, mu.beta(b, i)))
-            if not vec_is_zero(acc):
-                fail("quadratic identity [S',S',V] in h")
-            acc2 = th2_rp_vec(kv, vb)
-            acc2 = vec_add(acc2, delta.delta2_at(gam, vb))
-            acc2 = vec_add(acc2, delta.delta4_at(rho, vb))
-            acc2 = vec_add(acc2, mu.rho_vec(ei, mu.beta(b, j)))
-            acc2 = vec_add(acc2, mu.rho_vec(ej, mu.beta(b, i)))
-            if not vec_is_zero(acc2):
-                fail("quadratic identity [S',S',V] in r'")
-    # [S', V, V]  (jacobi-122)
-    for b in range(n):
-        for c in range(b + 1, n):
-            vb, vc = basis_vec(n, b), basis_vec(n, c)
-            alpha_bc = mu.alpha(b, c)
-            sp1 = model.spin_matrix(_h_to_so(sub, th1_h[b][c]))
-            rm = model.r_matrix(_rp_to_r(sub, th2_rp[b][c]))
-            for k in range(nsp):
-                sk = svecs[k]
-                val = vec_add(sp1.apply(sk), rm.apply(sk))
-                valc = sub.Sp.coordinates(val)
-                if valc is None:
-                    raise OracleMismatch("theta action leaves S'")
-                acc = vec_add(vec(valc), lincomb(
-                    ((ca, mu.beta(a, k))
-                     for a, ca in enumerate(alpha_bc) if ca), nsp))
-                acc = vec_sub(acc, mu.beta_vec(
-                    vb, mu.beta(c, k)))
-                acc = vec_add(acc, mu.beta_vec(vc, mu.beta(b, k)))
-                if not vec_is_zero(acc):
-                    fail("quadratic identity [S',V,V]")
-    # [V, V, V]  (jacobi-222a..c)
-    for a in range(n):
-        for b in range(a + 1, n):
-            for c in range(b + 1, n):
-                idxs = [(a, b, c), (b, c, a), (c, a, b)]
-                accV = zero_vec(n)
-                accH = zero_vec(sub.h.dim)
-                accR = zero_vec(sub.rp.dim)
-                for (x, y, z) in idxs:
-                    vz = basis_vec(n, z)
-                    alpha_xy = mu.alpha(x, y)
-                    accV = vec_add(accV, model.so_matrix(
-                        _h_to_so(sub, th1_h[x][y])).apply(vz))
-                    accV = vec_add(accV, mu.alpha_vec(alpha_xy, vz))
-                    accH = vec_add(accH, th1_h_vec(alpha_xy, vz))
-                    accH = vec_add(accH, delta.delta1_at(th1_h[x][y], vz))
-                    accR = vec_add(accR, th2_rp_vec(alpha_xy, vz))
-                    accR = vec_add(accR, delta.delta2_at(th1_h[x][y], vz))
-                    accR = vec_add(accR, delta.delta4_at(th2_rp[x][y], vz))
-                if not (vec_is_zero(accV) and vec_is_zero(accH)
-                        and vec_is_zero(accR)):
-                    fail("quadratic identity [V,V,V]")
-    checks["quadratic_jacobi"] = True
     return checks
-
-
-def _h_to_so(sub: GradedSubalgebra, h_coords: Sequence[Fraction]) -> tuple:
-    return lincomb(zip(h_coords, sub.h.basis_vectors()), sub.model.dim_so)
-
-
-def _rp_to_r(sub: GradedSubalgebra, rp_coords: Sequence[Fraction]) -> tuple:
-    return lincomb(zip(rp_coords, sub.rp.basis_vectors()), sub.model.dim_r)
 
 
 # ---------------------------------------------------------------------------
@@ -858,24 +746,17 @@ class FilteredDeformation:
         }
 
 
-def build_filtered_deformation(datum: AdmissibleDatum, theta: ThetaData,
-                               integrability: Optional[IntegrabilityReport]
-                               = None) -> FilteredDeformation:
-    """Populate the deformed bracket table and verify Jacobi, the filtration
-    containments and the associated-graded reconstruction, all exactly."""
-    if integrability is None:
-        integrability = check_integrability(datum, theta)
-    if not integrability.passed:
-        raise OracleMismatch("build_filtered_deformation requires an "
-                             "integrable datum")
+
+def _deformed_bracket(datum: AdmissibleDatum, th1_h: list,
+                      th2_rp: list) -> GradedBracketTensor:
+    """The deformed bracket table on V + S' + (h + r'), from the datum's
+    delta and odd brackets and theta in h / r' coordinates."""
     sub = datum.subalgebra
-    model = datum.model
-    n = model.dim_v
+    n = datum.model.dim_v
     svecs = sub.Sp.basis_vectors()
     nsp = len(svecs)
     dh, dr = sub.h.dim, sub.rp.dim
     off_s, off_h, off_r = n, n + nsp, n + nsp + dh
-    th1_h, th2_rp = _theta_in_a0(datum, theta)
     table: dict = {}
 
     def put(i, j, chunks):
@@ -947,16 +828,24 @@ def build_filtered_deformation(datum: AdmissibleDatum, theta: ThetaData,
                       (off_r, th2_rp[b][c])]
             put(b, c, chunks)
     parities = tuple([0] * n + [1] * nsp + [0] * (dh + dr))
-    tensor = GradedBracketTensor(
+    return GradedBracketTensor(
         component_names=("V", "S'", "h", "r'"),
         component_dims=(n, nsp, dh, dr),
         parities=parities, degrees=None, table=table)
+
+
+def build_filtered_deformation(datum: AdmissibleDatum) -> FilteredDeformation:
+    """The deformed bracket of an integrable datum with its Jacobi
+    certificate from check_integrability, and the filtration containments
+    and the associated-graded reconstruction verified exactly."""
+    integrability = check_integrability(datum)
+    if not integrability.passed:
+        raise OracleMismatch("build_filtered_deformation requires an "
+                             "integrable datum")
+    tensor = integrability.tensor
+    n, nsp, dh, dr = tensor.component_dims
     levels = tuple([-2] * n + [-1] * nsp + [0] * (dh + dr))
-    certificates = {}
-    cert = graded_jacobi_check(tensor)
-    certificates["jacobi"] = cert
-    if not cert.passed:
-        raise JacobiViolation(cert.detail, triple=cert.witness)
+    certificates = {"jacobi": integrability.jacobi}
     cert = _check_filtration(tensor, levels)
     certificates["filtration"] = cert
     if not cert.passed:
@@ -965,8 +854,9 @@ def build_filtered_deformation(datum: AdmissibleDatum, theta: ThetaData,
     certificates["assoc_graded"] = cert
     if not cert.passed:
         raise FiltrationViolation(cert.detail)
-    return FilteredDeformation(subalgebra=sub, datum=datum, theta=theta,
-                               tensor=tensor, filtration_levels=levels,
+    return FilteredDeformation(subalgebra=datum.subalgebra, datum=datum,
+                               theta=compute_theta(datum), tensor=tensor,
+                               filtration_levels=levels,
                                certificates=certificates)
 
 
@@ -1082,7 +972,10 @@ def _gauge_shift(datum: AdmissibleDatum, generators: List[tuple],
         (mu, hat, lambda) -> (mu + d(nu), hat + k, lambda - lambda_k + i_*(nu))
 
     with lambda_k = sum_g coeffs_g lambda_g and `inc` the inclusion i_* on
-    C^{2,1}.  The image keeps i_*(mu) = i^*(hat) + d(lambda)."""
+    C^{2,1}.  The image keeps i_*(mu) = i^*(hat) + d(lambda).  The zero
+    shift is the datum itself, with everything already derived on it."""
+    if vec_is_zero(coeffs) and vec_is_zero(nu):
+        return datum
     cxs = datum.sub_complex
     hat, lam = datum.hat.coeffs, datum.lam
     k = lincomb(zip(coeffs, [kvec for kvec, _ in generators]), len(hat))
@@ -1140,12 +1033,14 @@ class RealisabilityReport:
                 "detail": self.detail}
 
 
-def check_geometric_realisability(datum: AdmissibleDatum,
-                                  theta: ThetaData) -> RealisabilityReport:
+def check_geometric_realisability(datum: AdmissibleDatum
+                                  ) -> RealisabilityReport:
     """Search the gauge freedom for a representative with lambda2 = 0 and
     theta2 = 0; theta2 is gauge-invariant, so it must vanish outright, and
     lambda2 must be eliminable by the class gauge shifts together with a
-    shift valued in r'."""
+    shift valued in r'.  A datum already in that gauge is its own
+    witness."""
+    theta = compute_theta(datum)
     if theta.theta2 is None:
         return RealisabilityReport(False, False, False,
                                    detail="theta does not factor through "
@@ -1188,15 +1083,15 @@ def check_geometric_realisability(datum: AdmissibleDatum,
                                "theta2 = 0")
 
 
-def deformation_report(datum: AdmissibleDatum, theta: ThetaData,
-                       integrability: IntegrabilityReport,
+def deformation_report(datum: AdmissibleDatum,
                        realisability: Optional[RealisabilityReport],
                        deformation: Optional[FilteredDeformation]) -> dict:
     """The consolidated deformation report emitted by the pipeline."""
     sub = datum.subalgebra
+    theta = compute_theta(datum)
     out = {
         "admissible": True,
-        "integrable": integrability.passed,
+        "integrable": check_integrability(datum).passed,
         "realisable": bool(realisability and realisability.realisable),
         "dims": {"V": datum.model.dim_v, "S'": sub.Sp.dim,
                  "h": sub.h.dim, "r'": sub.rp.dim,

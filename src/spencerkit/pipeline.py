@@ -390,9 +390,7 @@ def _stage_admissibility(config, state):
 
 
 def _stage_theta(config, state):
-    datum = state["datum"]
-    theta = compute_theta(datum)
-    state["theta"] = theta
+    theta = compute_theta(state["datum"])
     return {"dirac_kernel_dim": theta.dirac_kernel_dim,
             "dirac_kernel_annihilated": theta.dirac_kernel_annihilated,
             "alternating": theta.alternating_verified,
@@ -404,12 +402,11 @@ def _stage_theta(config, state):
 
 
 def _stage_deformation(config, state):
-    datum, theta = state["datum"], state["theta"]
-    report = check_integrability(datum, theta)
-    state["integrability"] = report
+    datum = state["datum"]
+    report = check_integrability(datum)
     if not report.passed:
         raise _Negative(report.to_json())
-    deformation = build_filtered_deformation(datum, theta, report)
+    deformation = build_filtered_deformation(datum)
     state["deformation"] = deformation
     return {"integrable": True,
             "theorem_checks": report.to_json()["theorem_checks"],
@@ -417,15 +414,14 @@ def _stage_deformation(config, state):
 
 
 def _stage_realisability(config, state):
-    datum, theta = state["datum"], state["theta"]
-    report = check_geometric_realisability(datum, theta)
+    datum = state["datum"]
+    report = check_geometric_realisability(datum)
     data = report.to_json()
     sub = state["sub"]
     envelope = compute_envelope(state["fullco"], sub, datum.hat)
     data["envelope"] = envelope.to_json()
     data["deformation_report"] = deformation_report(
-        datum, theta, state["integrability"], report,
-        state.get("deformation"))
+        datum, report, state.get("deformation"))
     if not report.realisable:
         raise _Negative(data)
     state["realisable_witness"] = report.witness
@@ -433,11 +429,9 @@ def _stage_realisability(config, state):
 
 
 def _stage_reconstruction(config, state):
-    witness = state["realisable_witness"]
-    # reconstruct from the gauge with lambda2 = 0
-    theta_w = compute_theta(witness)
-    irep = check_integrability(witness, theta_w)
-    deformation_w = build_filtered_deformation(witness, theta_w, irep)
+    # reconstruct from the gauge with lambda2 = 0; a datum already in it is
+    # its own witness and keeps its theta and integrability report
+    deformation_w = build_filtered_deformation(state["realisable_witness"])
     nomizu = build_nomizu_map(deformation_w)
     curvature = curvature_at_origin(deformation_w, nomizu)
     cert = reconstruction_certificate(deformation_w, nomizu, curvature)

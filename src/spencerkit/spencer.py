@@ -495,12 +495,6 @@ class Cochain22:
     def rho_vec(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> tuple:
         return self._sym_eval(self.rho_pair, self.cx.dWr, x, y)
 
-    def alpha_vec(self, x: Sequence[Fraction],
-                  y: Sequence[Fraction]) -> tuple:
-        return lincomb(((cx_ * cy, self.alpha(a, b))
-                        for a, cx_ in enumerate(x) if cx_
-                        for b, cy in enumerate(y) if cy), self.cx.dWv)
-
     def _sym_eval(self, pair_fn, dim, x, y) -> tuple:
         return lincomb(((ci * cj, pair_fn(i, j))
                         for i, ci in enumerate(x) if ci

@@ -125,11 +125,10 @@ def test_criterion_7_integration_round_trip():
         sub = get_full_subalgebra(*cell)
         fullco = get_fullco(*cell)
         datum = check_admissibility(sub, zero_cocycle(sub), fullco)
-        theta = compute_theta(datum)
-        report = check_integrability(datum, theta)
+        report = check_integrability(datum)
         assert report.passed
-        deformation = build_filtered_deformation(datum, theta, report)
-        real = check_geometric_realisability(datum, theta)
+        deformation = build_filtered_deformation(datum)
+        real = check_geometric_realisability(datum)
         assert real.realisable
         levels = deformation.filtration_levels
         for (i, j), chunk in deformation.tensor.table.items():
@@ -143,11 +142,10 @@ def test_criterion_7_integration_round_trip():
     built = 0
     for cell in GRID:
         for datum in admissible_data_for_cell(*cell):
-            theta = compute_theta(datum)
-            report = check_integrability(datum, theta)
+            report = check_integrability(datum)
             if not report.passed:
                 continue
-            deformation = build_filtered_deformation(datum, theta, report)
+            deformation = build_filtered_deformation(datum)
             assert all(bool(c) for c in deformation.certificates.values())
             built += 1
     _announce(7, "zero classes integrate to the graded subalgebras "
@@ -182,14 +180,12 @@ def test_criterion_9_reconstruction_consistency():
     built = 0
     for cell in GRID:
         for datum in admissible_data_for_cell(*cell):
-            theta = compute_theta(datum)
-            report = check_integrability(datum, theta)
+            report = check_integrability(datum)
             if not report.passed:
                 continue
-            real = check_geometric_realisability(datum, theta)
+            real = check_geometric_realisability(datum)
             source = real.witness if real.realisable else datum
-            theta_s = compute_theta(source)
-            deformation = build_filtered_deformation(source, theta_s)
+            deformation = build_filtered_deformation(source)
             # build_nomizu_map verifies equivariance and torsion-freeness;
             # curvature_at_origin asserts Wang = -theta and first Bianchi
             nomizu = build_nomizu_map(deformation)

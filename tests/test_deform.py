@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -16,9 +18,9 @@ from spencerkit.deform import (AdmissibleDatum, DeltaMap, NotAdmissible,
                                check_integrability, compute_envelope,
                                compute_theta, gauge_shifted_data,
                                solve_delta, zero_cocycle)
-from spencerkit.errors import NotHighlySusy, OracleMismatch
-from spencerkit.exactla import NoSolution, Subspace, hstack, solve_affine, vec_add, \
-    vec_is_zero, vec_scale, zero_vec
+from spencerkit.errors import JacobiViolation, NotHighlySusy, OracleMismatch
+from spencerkit.exactla import NoSolution, Subspace, basis_vec, hstack, \
+    solve_affine, vec_add, vec_is_zero, vec_scale, zero_vec
 from spencerkit.flatmodel import make_graded_subalgebra, stabiliser_in_so
 from spencerkit.spencer import (Cochain22, NormalisedCocycle,
                                 build_spencer_complex, compute_cohomology,
@@ -32,6 +34,21 @@ def nonzero_datum(s, t, N):
         if not vec_is_zero(datum.mu_minus.coeffs):
             return datum
     pytest.skip(f"no nonzero admissible instance in cell ({s},{t},{N})")
+
+
+def zero_datum(s, t, N):
+    """The zero class on the maximal subalgebra, derived afresh."""
+    sub = get_full_subalgebra(s, t, N)
+    return check_admissibility(sub, zero_cocycle(sub), get_fullco(s, t, N))
+
+
+def with_derived(datum, **derived):
+    """A copy of the datum on which only `derived` (delta, theta, ...) is
+    already computed, so the checks read those values."""
+    copy = dataclasses.replace(datum)
+    for name, value in derived.items():
+        setattr(copy, "_" + name, value)
+    return copy
 
 
 class TestAdmissibility:
@@ -199,9 +216,26 @@ class TestIntegrability:
         sub = get_full_subalgebra(s, t, N)
         datum = check_admissibility(sub, zero_cocycle(sub),
                                     get_fullco(s, t, N))
-        report = check_integrability(datum, compute_theta(datum))
+        report = check_integrability(datum)
         assert report.passed
         assert report.theorem_checks["quadratic_jacobi"]
+        assert report.jacobi.passed
+        assert check_integrability(datum) is report
+
+    @pytest.mark.parametrize("which", ["delta1", "delta2", "delta4"])
+    def test_perturbed_delta_breaks_jacobi(self, which):
+        # the quadratic system is the Jacobi identity of the deformed
+        # bracket: a delta entry moved by e_0 must fail it
+        datum = zero_datum(2, 1, 2)
+        delta = solve_delta(datum)
+        table = [list(row) for row in getattr(delta, which)]
+        assert table and table[0]
+        table[0][0] = vec_add(table[0][0], basis_vec(len(table[0][0]), 0))
+        broken = with_derived(
+            datum, delta=dataclasses.replace(delta, **{which: table}))
+        with pytest.raises(JacobiViolation) as err:
+            check_integrability(broken)
+        assert err.value.triple is not None
 
     def test_perturbed_theta_fails_with_witness(self):
         datum = nonzero_datum(3, 1, 1)
@@ -213,14 +247,15 @@ class TestIntegrability:
         down = list(bad1[1][0])
         down[0] -= 1
         bad1[1][0] = tuple(down)
-        broken = dataclasses.replace(theta, theta1=bad1)
-        report = check_integrability(datum, broken)
+        broken = with_derived(
+            datum, theta=dataclasses.replace(theta, theta1=bad1))
+        report = check_integrability(broken)
         assert not report.passed
         assert report.witness is not None
 
     def test_bianchi_checked_as_theorem(self):
         datum = nonzero_datum(2, 1, 1)
-        report = check_integrability(datum, compute_theta(datum))
+        report = check_integrability(datum)
         assert report.passed
         assert report.theorem_checks["bianchi_theta1"]
         assert report.theorem_checks["lambda_bianchi"]
@@ -231,8 +266,7 @@ class TestFilteredDeformation:
         sub = get_full_subalgebra(2, 1, 1)
         datum = check_admissibility(sub, zero_cocycle(sub),
                                     get_fullco(2, 1, 1))
-        theta = compute_theta(datum)
-        deformation = build_filtered_deformation(datum, theta)
+        deformation = build_filtered_deformation(datum)
         # with zero datum every bracket is degree-preserving
         levels = deformation.filtration_levels
         for (i, j), chunk in deformation.tensor.table.items():
@@ -242,11 +276,12 @@ class TestFilteredDeformation:
     @pytest.mark.parametrize("s,t,N", GRID)
     def test_certificates_on_generated_instances(self, s, t, N):
         for datum in admissible_data_for_cell(s, t, N):
-            theta = compute_theta(datum)
-            report = check_integrability(datum, theta)
+            report = check_integrability(datum)
             if not report.passed:
                 continue
-            deformation = build_filtered_deformation(datum, theta, report)
+            deformation = build_filtered_deformation(datum)
+            assert deformation.certificates["jacobi"] is report.jacobi
+            assert deformation.tensor is report.tensor
             assert all(bool(c) for c in deformation.certificates.values())
 
     @staticmethod
@@ -254,7 +289,7 @@ class TestFilteredDeformation:
         sub = get_full_subalgebra(2, 1, 1)
         datum = check_admissibility(sub, zero_cocycle(sub),
                                     get_fullco(2, 1, 1))
-        return build_filtered_deformation(datum, compute_theta(datum))
+        return build_filtered_deformation(datum)
 
     def test_assoc_graded_detects_a_changed_graded_bracket(self):
         # scale the V-component of one [h, V] bracket: a level-preserving
@@ -297,8 +332,8 @@ class TestFilteredDeformation:
         c2 = canonical_gauge(shifted)
         assert c1.mu_minus.coeffs == c2.mu_minus.coeffs
         assert c1.hat.coeffs == c2.hat.coeffs and c1.lam == c2.lam
-        d1 = build_filtered_deformation(c1, compute_theta(c1))
-        d2 = build_filtered_deformation(c2, compute_theta(c2))
+        d1 = build_filtered_deformation(c1)
+        d2 = build_filtered_deformation(c2)
         assert d1.tensor.table == d2.tensor.table
 
 
@@ -318,10 +353,30 @@ class TestRealisability:
         sub = get_full_subalgebra(2, 1, 1)
         datum = check_admissibility(sub, zero_cocycle(sub),
                                     get_fullco(2, 1, 1))
-        theta = compute_theta(datum)
-        report = check_geometric_realisability(datum, theta)
+        report = check_geometric_realisability(datum)
         assert report.realisable
         assert report.witness is not None
+
+    @pytest.mark.parametrize("s,t,N", GRID)
+    def test_datum_in_the_gauge_is_its_own_witness(self, s, t, N):
+        datum = zero_datum(s, t, N)
+        assert check_geometric_realisability(datum).witness is datum
+
+    def test_datum_freed_without_the_cycle_collector(self):
+        # nothing derived on a datum refers back to it, so reference
+        # counting frees it and its deformation
+        gc.disable()
+        try:
+            datum = zero_datum(2, 1, 1)
+            deformation = build_filtered_deformation(datum)
+            assert check_geometric_realisability(datum).realisable
+            assert datum._theta is not None
+            assert datum._integrability is not None
+            ref = weakref.ref(datum)
+            del datum, deformation
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_nonzero_theta2_not_realisable(self):
         # theta2 is gauge-invariant, so a perturbed nonzero theta2 can never
@@ -337,8 +392,8 @@ class TestRealisability:
         for b in range(datum.model.dim_v):
             for c in range(b):
                 bad2[b][c] = vec_scale(bad2[c][b], -1)
-        broken = dataclasses.replace(theta, theta2=bad2)
-        report = check_geometric_realisability(datum, broken)
+        report = check_geometric_realisability(with_derived(
+            datum, theta=dataclasses.replace(theta, theta2=bad2)))
         assert not report.realisable
         assert not report.theta2_zero
 
@@ -355,9 +410,9 @@ class TestRealisability:
                 shifted = cand
                 break
         assert shifted is not None
-        theta = compute_theta(shifted)
-        report = check_geometric_realisability(shifted, theta)
+        report = check_geometric_realisability(shifted)
         assert report.realisable
+        assert report.witness is not shifted
         for b in range(datum.model.dim_v):
             assert vec_is_zero(report.witness.lam2_coords(b))
 
@@ -392,8 +447,7 @@ class TestGaugeShiftKeepsAdmissibility:
             # realisability on the datum and its class shifts, or on its
             # first lambda shifts when it has none
             for other in [datum] + (shifted[:len(generators)] or shifted[:4]):
-                report = check_geometric_realisability(
-                    other, compute_theta(other))
+                report = check_geometric_realisability(other)
                 if report.witness is not None:
                     witnesses += 1
                     assert_admissible(report.witness)

@@ -221,8 +221,29 @@ class TestBuildOnce:
         monkeypatch.setattr(deform, "_check_delta_generic", counting)
         report = run_pipeline(base_config())
         assert report["result"] == "pass"
-        # the admissible datum and the realisability witness
-        assert len(data) == 2 and data[0] is not data[1]
+        # the admissible datum, which is also the realisability witness
+        assert len(data) == 1
+
+    def test_one_derivation_per_run(self, monkeypatch):
+        from spencerkit import deform
+        calls = {"_compute_theta": 0, "_check_integrability": 0,
+                 "graded_jacobi_check": 0}
+
+        def counting(name):
+            fn = getattr(deform, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(deform, name, counting(name))
+        report = run_pipeline(base_config())
+        assert report["result"] == "pass"
+        # theta, the integrability report and the Jacobi check of the
+        # deformed bracket, each once for the datum and its witness
+        assert calls == {name: 1 for name in calls}
 
 
 class TestCache:

@@ -7,8 +7,7 @@ from instances import GRID, admissible_data_for_cell, get_full_subalgebra, \
 from spencerkit.deform import (build_filtered_deformation,
                                check_admissibility,
                                check_geometric_realisability,
-                               check_integrability, compute_theta,
-                               zero_cocycle)
+                               check_integrability, zero_cocycle)
 from spencerkit.errors import CurvatureMismatch, TorsionViolation
 from spencerkit.exactla import ExactMatrix, basis_vec, vec_is_zero
 from spencerkit.reconstruct import (UNCHECKED_HYPOTHESES, build_nomizu_map,
@@ -19,22 +18,18 @@ from spencerkit.reconstruct import (UNCHECKED_HYPOTHESES, build_nomizu_map,
 def zero_deformation(s, t, N):
     sub = get_full_subalgebra(s, t, N)
     datum = check_admissibility(sub, zero_cocycle(sub), get_fullco(s, t, N))
-    theta = compute_theta(datum)
-    return build_filtered_deformation(datum, theta)
+    return build_filtered_deformation(datum)
 
 
 def realisable_deformations(s, t, N):
     out = []
     for datum in admissible_data_for_cell(s, t, N):
-        theta = compute_theta(datum)
-        report = check_integrability(datum, theta)
+        report = check_integrability(datum)
         if not report.passed:
             continue
-        real = check_geometric_realisability(datum, theta)
+        real = check_geometric_realisability(datum)
         if real.realisable:
-            witness = real.witness
-            theta_w = compute_theta(witness)
-            out.append(build_filtered_deformation(witness, theta_w))
+            out.append(build_filtered_deformation(real.witness))
     return out
 
 
