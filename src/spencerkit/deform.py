@@ -489,16 +489,18 @@ def _second_defining_relation(datum: AdmissibleDatum, th1_spinor,
     model = datum.model
     n = model.dim_v
     kappas = datum.subalgebra.kappa_sp.transpose()
-    # column c of so(Theta1(v_b; s_I, s_J)) is Theta1(v_b; s_I, s_J) e_c
-    th1_cols = [[model.so_matrix(x).transpose() for x in row]
-                for row in th1_spinor]
+    # column k of on_e[c] is E_k e_c, so on_e[c] maps the so coordinates of
+    # Theta1(v_b; s_I, s_J) to Theta1(v_b; s_I, s_J) e_c
+    on_e = [ExactMatrix.from_columns(
+        [E.apply(basis_vec(n, c)) for E in model.gens.e_mats], n)
+        for c in range(n)]
     for b in range(n):
         for c in range(b + 1, n):
             mat = model.so_matrix(theta1[b][c])
             for p in range(kappas.rows):
                 lhs = mat.apply(kappas.row_tuple(p))
-                rhs = vec_sub(th1_cols[b][p].row_tuple(c),
-                              th1_cols[c][p].row_tuple(b))
+                rhs = vec_sub(on_e[c].apply(th1_spinor[b][p]),
+                              on_e[b].apply(th1_spinor[c][p]))
                 if tuple(lhs) != tuple(rhs):
                     return False
     return True
@@ -1135,28 +1137,6 @@ def admissible_cocycles_from_invariant(
     dim = sub_cx.layouts[2].dim
     return [None if x is None else x[:dim]
             for x in solver.solve_many(targets)]
-
-
-def canonical_gauge(datum: AdmissibleDatum) -> AdmissibleDatum:
-    """The canonical datum of a cohomology class: reduce mu to the canonical
-    coset representative and re-run the deterministic admissibility solve.
-    Two data with equal class produce identical canonical bracket tensors."""
-    from .spencer import compute_cohomology
-    cx = datum.sub_complex
-    co = compute_cohomology(cx, 2)
-    reps = list(co.representatives)
-    cols = [ExactMatrix.from_rows([r]).transpose() for r in reps]
-    cols.append(cx.differentials[1])
-    system = hstack(cols)
-    sol = solve_affine(system, datum.mu_minus.coeffs)
-    if isinstance(sol, NoSolution):
-        raise OracleMismatch("cocycle is not in Z^{2,2}")
-    canonical_mu = lincomb(zip(sol.x, reps), cx.layouts[2].dim)
-    out = check_admissibility(datum.subalgebra, canonical_mu, datum.fullco)
-    if isinstance(out, NotAdmissible):
-        raise OracleMismatch("canonical representative of an admissible "
-                             "class is not admissible")
-    return out
 
 
 # ---------------------------------------------------------------------------

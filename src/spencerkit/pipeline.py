@@ -167,9 +167,12 @@ def run_pipeline(config: dict) -> dict:
                 result = "negative"
                 break
     finally:
-        # the complexes kept on the model refer back to it; dropping them
-        # frees the run's complexes now, not at a later cyclic collection
+        # the complexes kept on the model refer back to it, and so do the
+        # reports kept on each complex; dropping both frees the run's
+        # complexes now, not at a later cyclic collection
         if "model" in state:
+            for cx in state["model"].spencer_complexes.values():
+                cx.cohomology.clear()
             state["model"].spencer_complexes.clear()
     report = {
         "version": __version__,
@@ -324,14 +327,12 @@ def _stage_cohomology(config, state):
     # the a0-action on H, before the degree-4 complex is built
     invariant = co22.invariant_classes()
     state["invariant_classes"] = invariant
-    # a maximal subalgebra shares its complex with the full model
-    full_h22 = (co22 if fullco.complex is sub_cx
-                else compute_cohomology(fullco.complex, 2))
     data = {
         "normalised_space_dim": fullco.normalised_space.dim,
-        "full_model_H22": full_h22.to_json() | {"representatives": "omitted"},
+        "full_model_H22": fullco.h22.to_json() | {"representatives": "omitted"},
+        # FullModelCohomology certified Z = B + N as a direct sum
         "normalisation_oracle_equal":
-            fullco.normalised_space.dim == full_h22.dim_h,
+            fullco.normalised_space.dim == fullco.h22.dim_h,
         "splitting_r_equivariant": fullco.splitting.r_equivariant,
     }
     co21 = compute_cohomology(sub_cx, 1)
@@ -430,8 +431,10 @@ def _stage_realisability(config, state):
 
 def _stage_reconstruction(config, state):
     # reconstruct from the gauge with lambda2 = 0; a datum already in it is
-    # its own witness and keeps its theta and integrability report
-    deformation_w = build_filtered_deformation(state["realisable_witness"])
+    # its own witness, and its deformation was built and certified already
+    witness = state["realisable_witness"]
+    deformation_w = (state["deformation"] if witness is state["datum"]
+                     else build_filtered_deformation(witness))
     nomizu = build_nomizu_map(deformation_w)
     curvature = curvature_at_origin(deformation_w, nomizu)
     cert = reconstruction_certificate(deformation_w, nomizu, curvature)

@@ -110,8 +110,10 @@ class SpencerComplex:
         structure = self._precompute()
         self.layouts: Dict[int, CochainLayout] = {}
         self.differentials: Dict[int, ExactMatrix] = {}
-        # the a0-action on C^{2,2}, built by subalgebra_actions
+        # the a0-action on C^{2,2}, built by subalgebra_actions, and the
+        # cohomology per homological degree, built by compute_cohomology
         self.actions: Optional[tuple] = None
+        self.cohomology: Dict[int, CohomologyReport] = {}
         if degree == 2:
             self._build_degree2(*structure)
         else:
@@ -576,8 +578,11 @@ class CohomologyReport:
 
 
 def compute_cohomology(cx: SpencerComplex, p: int) -> CohomologyReport:
-    """Z, B and H at homological degree p, with canonical representatives;
-    the a0-action on H is the report's action_matrices."""
+    """Z, B and H at homological degree p, with canonical representatives,
+    computed on first use and kept on the complex; the a0-action on H is the
+    report's action_matrices."""
+    if p in cx.cohomology:
+        return cx.cohomology[p]
     if p not in (1, 2):
         raise DimensionMismatch("only homological degrees 1 and 2 are built")
     d_out = cx.differentials[p]
@@ -591,10 +596,11 @@ def compute_cohomology(cx: SpencerComplex, p: int) -> CohomologyReport:
     # these are the Z-basis rows that extend B one new class at a time
     pivots = vstack([B.basis, Z.basis]).transpose().pivot_columns()
     reps = [Z.basis.row_tuple(c - B.dim) for c in pivots if c >= B.dim]
-    return CohomologyReport(
+    cx.cohomology[p] = CohomologyReport(
         bidegree=(cx.degree, p), dim_z=Z.dim, dim_b=B.dim,
         dim_h=Z.dim - B.dim, cocycles=Z, boundaries=B,
         representatives=tuple(reps), complex=cx)
+    return cx.cohomology[p]
 
 
 # ---------------------------------------------------------------------------
@@ -680,14 +686,15 @@ class NormalisedCocycle:
 
 class FullModelCohomology:
     """Degree-2 Spencer data of the full extended flat model: the complex,
-    the splitting and the space of normalised cocycles.  The invariant
-    normalised space per (h, r') basis and the restriction-kernel report per
-    subalgebra are computed once and kept here."""
+    its H^{2,2} report, the splitting and the space of normalised cocycles.
+    The invariant normalised space per (h, r') basis and the
+    restriction-kernel report per subalgebra are computed once and kept."""
 
     def __init__(self, model: ExtendedFlatModel):
         self.model = model
         self.full_subalgebra = full_subalgebra(model)
         self.complex = spencer_complex(self.full_subalgebra, 2)
+        self.h22 = compute_cohomology(self.complex, 2)
         self.splitting = build_splitting(model)
         self.normalised_space = self._normalised_space()
         self._invariant: Dict[tuple, Subspace] = {}
@@ -708,9 +715,18 @@ class FullModelCohomology:
                 hstack([ExactMatrix(rho_section.rows, rho_lo), rho_section]))
 
     def _normalised_space(self) -> Subspace:
-        """Cocycles with alpha = 0 and rho o section = 0."""
-        return vstack([self.complex.differentials[2],
-                       *self._constraint_rows()]).kernel()
+        """Cocycles with alpha = 0 and rho o section = 0, the kernel of the
+        constraint rows on Z mapped back through Z's basis, certified to
+        complement the coboundaries: rank [B; N] = dim B + dim N = dim Z."""
+        Z, B = self.h22.cocycles, self.h22.boundaries
+        on_z = vstack(self._constraint_rows()) @ Z.basis.transpose()
+        N = Subspace(Z.ambient_dim, (on_z.kernel().basis @ Z.basis).rref())
+        rank = vstack([B.basis, N.basis]).rank()
+        if not rank == B.dim + N.dim == Z.dim:
+            raise OracleMismatch(
+                f"Z = B + N is not a direct sum: rank [B; N] = {rank}, "
+                f"dim B + dim N = {B.dim + N.dim}, dim Z = {Z.dim}")
+        return N
 
     def normalise(self, coeffs: Sequence[Fraction]):
         """Unique normalised representative of a cocycle's class, plus the
@@ -894,12 +910,3 @@ def _restriction_kernel_report(sub: GradedSubalgebra,
         raise OracleMismatch("componentwise restriction kernel is not "
                              "contained in ker(i^*); implementation bug")
     return RestrictionKernelReport(direct=direct, via_istar=via_istar)
-
-
-def restriction_kernel(sub: GradedSubalgebra,
-                       fullco: FullModelCohomology) -> Subspace:
-    """Normalised cocycles whose beta vanishes on V x S' and rho on
-    Sym^2 S'; the comparison with ker(i^*) is available through
-    restriction_kernel_report."""
-    return restriction_kernel_report(sub, fullco).direct
-

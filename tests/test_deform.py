@@ -11,7 +11,7 @@ from instances import (GRID, admissible_data_for_cell, get_full_subalgebra,
 from spencerkit.deform import (AdmissibleDatum, DeltaMap, NotAdmissible,
                                ThetaData, _check_assoc_graded,
                                admissible_cocycles_from_invariant,
-                               build_filtered_deformation, canonical_gauge,
+                               build_filtered_deformation,
                                check_admissibility,
                                check_geometric_realisability,
                                class_gauge_generators,
@@ -321,20 +321,6 @@ class TestFilteredDeformation:
         assert cert.detail == ("bracket component outside the defining "
                                "sequence (mu, theta, 0, ...)")
         assert cert.witness == {"pair": (0, 1), "target": off_s}
-
-    def test_same_class_same_canonical_tensor(self):
-        # two data with equal Spencer class produce identical bracket
-        # tensors after the canonical gauge
-        datum = nonzero_datum(3, 1, 1)
-        shifted = gauge_shifted_data(datum, max_shifts=3)[-1]
-        assert shifted.mu_minus.coeffs != datum.mu_minus.coeffs
-        c1 = canonical_gauge(datum)
-        c2 = canonical_gauge(shifted)
-        assert c1.mu_minus.coeffs == c2.mu_minus.coeffs
-        assert c1.hat.coeffs == c2.hat.coeffs and c1.lam == c2.lam
-        d1 = build_filtered_deformation(c1)
-        d2 = build_filtered_deformation(c2)
-        assert d1.tensor.table == d2.tensor.table
 
 
 class TestGaugeInvariance:

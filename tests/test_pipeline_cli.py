@@ -209,6 +209,68 @@ class TestBuildOnce:
         # H21 and H22 of the shared degree-2 complex, H42 of degree 4
         assert len(calls) == len(set(calls)) == 3
 
+    def test_one_kernel_over_c22_per_complex(self, monkeypatch):
+        # Z^{2,2} of a maximal subalgebra's complex serves H22, the full
+        # model's H22 and the normalised space
+        from instances import get_full_subalgebra
+        from spencerkit.exactla import ExactMatrix
+        from spencerkit.spencer import spencer_complex
+        dim_c22 = spencer_complex(get_full_subalgebra(3, 1, 2),
+                                  2).cochain_dim(2)
+        widths = []
+        kernel = ExactMatrix.kernel
+
+        def recording(self):
+            widths.append(self.cols)
+            return kernel(self)
+
+        monkeypatch.setattr(ExactMatrix, "kernel", recording)
+        config = base_config(signature={"s": 3, "t": 1}, N=2,
+                             checks=list(STAGES[:6]))
+        report = run_pipeline(config)
+        assert report["result"] == "pass"
+        assert widths.count(dim_c22) == 1
+
+    def test_complexes_freed_without_the_cycle_collector(self, monkeypatch):
+        # a complex refers to its kept cohomology reports and they to it;
+        # the run drops both, so reference counting frees its complexes
+        import gc
+        import weakref
+        from spencerkit import spencer
+        refs = []
+        build = spencer.build_spencer_complex
+
+        def recording(*args):
+            cx = build(*args)
+            refs.append(weakref.ref(cx))
+            return cx
+
+        monkeypatch.setattr(spencer, "build_spencer_complex", recording)
+        gc.disable()
+        try:
+            report = run_pipeline(base_config())
+            assert report["result"] == "pass" and refs
+            assert all(ref() is None for ref in refs)
+        finally:
+            gc.enable()
+
+    def test_deformation_built_once_per_run(self, monkeypatch):
+        from spencerkit import deform, pipeline
+        calls = []
+        build = deform.build_filtered_deformation
+
+        def counting(datum):
+            calls.append(datum)
+            return build(datum)
+
+        for module in (deform, pipeline):
+            monkeypatch.setattr(module, "build_filtered_deformation",
+                                counting)
+        report = run_pipeline(base_config())
+        assert report["result"] == "pass"
+        # the datum is its own realisability witness
+        assert len(calls) == 1
+
     def test_delta_solved_once_per_datum(self, monkeypatch):
         from spencerkit import deform
         data = []

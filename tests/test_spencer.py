@@ -12,7 +12,7 @@ from spencerkit.errors import (DimensionMismatch, KappaZero, NotACocycle,
 from spencerkit import spencer
 from spencerkit.exactla import (ExactMatrix, Subspace, basis_vec, lincomb,
                                 solve_affine, vec_add, vec_is_zero, vec_scale,
-                                vec_sub, zero_vec)
+                                vec_sub, vstack, zero_vec)
 from spencerkit.cliffspin import (Signature, build_clifford_rep,
                                   build_dirac_current)
 from spencerkit.flatmodel import (build_extended_flat_model,
@@ -22,7 +22,6 @@ from spencerkit.spencer import (CochainAction, Cochain22,
                                 FullModelCohomology, build_spencer_complex,
                                 build_splitting, cochain_action_matrix,
                                 compute_cohomology, inclusion_matrix,
-                                restriction_kernel,
                                 restriction_kernel_report,
                                 restriction_matrix,
                                 subalgebra_actions)
@@ -424,9 +423,30 @@ class TestSplitting:
 class TestNormalisation:
     @pytest.mark.parametrize("s,t,N", GRID)
     def test_normalised_space_matches_rank_nullity(self, s, t, N):
+        # the direct kernel over C^{2,2} is an oracle for the space read off
+        # the cocycles
         fullco = get_fullco(s, t, N)
-        co = compute_cohomology(fullco.complex, 2)
-        assert fullco.normalised_space.dim == co.dim_h
+        direct = vstack([fullco.complex.differentials[2],
+                         *fullco._constraint_rows()]).kernel()
+        assert direct == fullco.normalised_space
+        assert direct.dim == compute_cohomology(fullco.complex, 2).dim_h
+
+    def test_dropped_constraint_row_breaks_the_decomposition(
+            self, monkeypatch):
+        # without the last rho o section row N meets B: dim B + dim N = 75
+        # against dim Z = 74 on (3,1,2)
+        rows = FullModelCohomology._constraint_rows
+
+        def drop_last_rho_row(fullco):
+            alpha, rho_section = rows(fullco)
+            return alpha, rho_section.select_rows(
+                range(rho_section.rows - 1))
+
+        monkeypatch.setattr(FullModelCohomology, "_constraint_rows",
+                            drop_last_rho_row)
+        with pytest.raises(OracleMismatch, match="dim B \\+ dim N = 75, "
+                                                 "dim Z = 74"):
+            FullModelCohomology(get_model(3, 1, 2))
 
     def test_coboundary_normalises_to_zero_with_witness(self):
         fullco = get_fullco(3, 1, 1)
@@ -546,7 +566,7 @@ class TestRestrictionKernel:
             fullco = get_fullco(*cell)
             if fullco.normalised_space.dim == 0:
                 sub = get_sampled_subalgebra(*cell, 1)
-                assert restriction_kernel(sub, fullco).dim == 0
+                assert restriction_kernel_report(sub, fullco).direct.dim == 0
 
     @pytest.mark.parametrize("N,spinors,dim", [(3, (0, 1, 2, 3), 1),
                                                (4, (0, 1, 2, 3, 4), 1),
@@ -586,10 +606,19 @@ class TestRestrictionKernel:
             model, Subspace.full(3), Subspace.trivial(2),
             Subspace.trivial(3), Subspace.trivial(0))
         with pytest.raises(NotHighlySusy):
-            restriction_kernel(sub, fullco)
+            restriction_kernel_report(sub, fullco).direct
 
 
 class TestComplexMemo:
+    @pytest.mark.parametrize("p", (1, 2))
+    def test_cohomology_kept_per_complex_and_degree(self, p):
+        cx = build_spencer_complex(get_full_subalgebra(2, 1, 2), 2)
+        assert compute_cohomology(cx, p) is compute_cohomology(cx, p)
+        assert compute_cohomology(cx, p) is not compute_cohomology(cx, 3 - p)
+        assert compute_cohomology(
+            build_spencer_complex(get_full_subalgebra(2, 1, 2), 2), p) \
+            is not compute_cohomology(cx, p)
+
     def test_equal_subspaces_share_one_complex(self):
         # a separately built subalgebra with equal subspaces is the same key,
         # and the full model's own complex is the maximal subalgebra's, with
