@@ -200,20 +200,6 @@ def ensure_transitive(sub: GradedSubalgebra
     return replaced, True
 
 
-def _admissibility_maps(sub: GradedSubalgebra, fullco: FullModelCohomology
-                        ) -> tuple:
-    """(sub_cx, mixed_cx, inc, res, d21): the subalgebra's complexes with
-    values in itself and in the model (one complex, with inc and res the
-    identity, on a maximal subalgebra), the inclusion of coefficients, the
-    restriction from the full model and the degree-(2,1) differential of the
-    mixed complex, the blocks of every admissibility system."""
-    sub_cx = spencer_complex(sub, 2)
-    mixed_cx = spencer_complex(sub, 2, values="full")
-    return (sub_cx, mixed_cx, inclusion_matrix(sub_cx, mixed_cx),
-            restriction_matrix(fullco.complex, mixed_cx),
-            mixed_cx.differentials[1])
-
-
 def check_admissibility(sub: GradedSubalgebra,
                         mu_coeffs: Sequence[Fraction],
                         fullco: FullModelCohomology):
@@ -230,17 +216,20 @@ def check_admissibility(sub: GradedSubalgebra,
         raise NotHighlySusy("admissibility requires a highly supersymmetric "
                             "subalgebra")
     sub, replaced = ensure_transitive(sub)
-    sub_cx, mixed_cx, inc, res, d21 = _admissibility_maps(sub, fullco)
+    # the subalgebra's complexes with values in itself and in the model (one
+    # complex, with i_* and i^* the identity, on a maximal subalgebra)
+    sub_cx = spencer_complex(sub, 2)
+    mixed_cx = spencer_complex(sub, 2, values="full")
     mu = Cochain22(sub_cx, mu_coeffs)
     if not mu.is_cocycle():
         raise OracleMismatch("admissibility input is not a Spencer cocycle")
-    inv = fullco.invariant_normalised(sub.h.basis_vectors(),
-                                      sub.rp.basis_vectors())
-    target = inc.apply(mu.coeffs)
+    inv = fullco.invariant_normalised(*sub.generator_coords())
+    target = inclusion_matrix(sub_cx, mixed_cx).apply(mu.coeffs)
     columns = []
     if inv.dim:
-        columns.append(res @ inv.basis.transpose())
-    columns.append(d21)
+        columns.append(restriction_matrix(fullco.complex, mixed_cx)
+                       @ inv.basis.transpose())
+    columns.append(mixed_cx.differentials[1])
     system = hstack(columns) if len(columns) > 1 else columns[0]
     sol = solve_affine(system, target)
     if isinstance(sol, NoSolution):
@@ -953,8 +942,7 @@ def class_gauge_generators(datum: AdmissibleDatum) -> List[tuple]:
     sub = datum.subalgebra
     fullco = datum.fullco
     report = restriction_kernel_report(sub, fullco)
-    inv = fullco.invariant_normalised(sub.h.basis_vectors(),
-                                      sub.rp.basis_vectors())
+    inv = fullco.invariant_normalised(*sub.generator_coords())
     gauge = report.via_istar.intersect(inv)
     res = restriction_matrix(fullco.complex, datum.mixed_complex)
     lams = AffineSolver(datum.mixed_complex.differentials[1]).solve_many(
@@ -992,32 +980,6 @@ def _gauge_shift(datum: AdmissibleDatum, generators: List[tuple],
                                         vec_add(hat, k))),
         lam=vec_add(vec_sub(lam, lam_k), inc.apply(nu)),
         r_prime_replaced=datum.r_prime_replaced)
-
-
-def gauge_shifted_data(datum: AdmissibleDatum,
-                       max_shifts: Optional[int] = None) -> List[AdmissibleDatum]:
-    """All basis gauge shifts of a datum: the normalised cocycle moved by
-    each class gauge generator, then lambda moved by each unit map
-    nu: V -> h and V -> r' (direction-major, h before r').
-
-    Every shift fixes the cohomology class, so the theta maps must not
-    change; callers assert that.
-    """
-    sub = datum.subalgebra
-    cxs = datum.sub_complex
-    lay1 = cxs.layouts[1]
-    inc = inclusion_matrix(cxs, datum.mixed_complex, 1)
-    generators = class_gauge_generators(datum)
-    G = len(generators)
-    zero_nu = zero_vec(lay1.dim)
-    shifts = [(basis_vec(G, g), zero_nu) for g in range(G)]
-    shifts += [(zero_vec(G), basis_vec(lay1.dim, lay1.index(name, b, t)))
-               for b in range(datum.model.dim_v)
-               for name, dim in (("lambda_so", sub.h.dim),
-                                 ("lambda_r", sub.rp.dim))
-               for t in range(dim)]
-    return [_gauge_shift(datum, generators, coeffs, nu, inc)
-            for coeffs, nu in shifts[:max_shifts]]
 
 
 @dataclass
@@ -1121,22 +1083,6 @@ def deformation_report(datum: AdmissibleDatum,
 
 def zero_cocycle(sub: GradedSubalgebra) -> tuple:
     return zero_vec(spencer_complex(sub, 2).layouts[2].dim)
-
-
-def admissible_cocycles_from_invariant(
-        sub: GradedSubalgebra, fullco: FullModelCohomology,
-        hats: Sequence[Sequence[Fraction]]) -> List[Optional[tuple]]:
-    """For each invariant normalised cocycle in `hats`, a cocycle on the
-    subalgebra matching it up to a coboundary, or None when the restriction
-    system is infeasible.  The system is factored once for all hats; each
-    class found is admissible by construction."""
-    sub_cx, _mixed, inc, res, d21 = _admissibility_maps(sub, fullco)
-    solver = AffineSolver(hstack([inc, d21.scale(-1)]))
-    targets = res @ ExactMatrix.from_columns(
-        hats, fullco.complex.layouts[2].dim)
-    dim = sub_cx.layouts[2].dim
-    return [None if x is None else x[:dim]
-            for x in solver.solve_many(targets)]
 
 
 # ---------------------------------------------------------------------------

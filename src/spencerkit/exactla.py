@@ -176,15 +176,9 @@ class ExactMatrix:
     def entry(self, i: int, j: int) -> Fraction:
         return self._rows[i].get(j, _ZERO)
 
-    def row_dict(self, i: int) -> dict:
-        return dict(self._rows[i])
-
     def row_tuple(self, i: int) -> tuple:
         rd = self._rows[i]
         return tuple(rd.get(j, _ZERO) for j in range(self.cols))
-
-    def to_rows(self) -> list:
-        return [list(self.row_tuple(i)) for i in range(self.rows)]
 
     def select_rows(self, indices: Iterable[int]) -> "ExactMatrix":
         """The rows at `indices`, in that order."""

@@ -12,9 +12,9 @@ from .certs import Certificate
 from .cliffspin import CliffordRep, DiracCurrent, spin_generators
 from .errors import (DimensionMismatch, JacobiViolation, NotClosed,
                      NotCompactForm)
-from .exactla import (ExactMatrix, Subspace, block_diag, is_positive_definite,
-                      lincomb, pair_map, rat_str, tensor_index_maps, vec_scale,
-                      zero_vec)
+from .exactla import (ExactMatrix, Subspace, basis_vec, block_diag,
+                      is_positive_definite, lincomb, pair_map, rat_str,
+                      tensor_index_maps, vec_scale, zero_vec)
 
 
 # ---------------------------------------------------------------------------
@@ -210,11 +210,30 @@ def _add_scaled(out: dict, v: dict, c: Fraction) -> None:
             del out[k]
 
 
-def graded_jacobi_check(tensor: GradedBracketTensor) -> Certificate:
-    """Exact super-antisymmetry, degree additivity and Jacobi identity.
+def jacobi_triples(parities: Sequence[int]):
+    """The basis triples (i, j, k), i <= j <= k, on which the Jacobiator of a
+    super-antisymmetric, parity-preserving bracket is checked: j == i only
+    for an odd x_i and k == j only for an odd x_j.  At most n(n+1)(n+2)/6."""
+    n = len(parities)
+    for i in range(n):
+        for j in range(i if parities[i] else i + 1, n):
+            for k in range(j if parities[j] else j + 1, n):
+                yield i, j, k
 
-    Jacobi is checked in super-derivation form,
-    [x,[y,z]] = [[x,y],z] + (-1)^{|x||y|} [y,[x,z]], over all basis triples.
+
+def graded_jacobi_check(tensor: GradedBracketTensor) -> Certificate:
+    """Exact super-antisymmetry, parity and degree additivity, and the
+    Jacobi identity.
+
+    Jacobi is checked in super-derivation form, on the Jacobiator
+    J(x,y,z) = [x,[y,z]] - [[x,y],z] - (-1)^{|x||y|} [y,[x,z]].  Once the
+    first pass has certified [x,y] = -(-1)^{|x||y|} [y,x] and that [x,y] has
+    parity |x| + |y| on every basis pair, J is graded-alternating:
+    J(y,x,z) = -(-1)^{|x||y|} J(x,y,z) and J(x,z,y) = -(-1)^{|y||z|} J(x,y,z).
+    Every ordered triple is then a signed permutation of one with
+    i <= j <= k, and a triple with a repeated even index has J = -J = 0.  So
+    the triples of `jacobi_triples` are exhaustive: J vanishes on them if and
+    only if it vanishes on all n^3 ordered ones.
     """
     n = tensor.total_dim
     par = tensor.parities
@@ -229,6 +248,12 @@ def graded_jacobi_check(tensor: GradedBracketTensor) -> Certificate:
                     return Certificate(
                         False, "super-antisymmetry violated",
                         witness={"pair": (i, j), "target": k})
+            want_par = (par[i] + par[j]) % 2
+            for k, v in bij.items():
+                if v and par[k] != want_par:
+                    return Certificate(
+                        False, "bracket does not respect the parity",
+                        witness={"pair": (i, j), "target": k})
             if deg is not None:
                 want = deg[i] + deg[j]
                 for k, v in bij.items():
@@ -237,32 +262,17 @@ def graded_jacobi_check(tensor: GradedBracketTensor) -> Certificate:
                             False, "bracket does not respect the Z-degree",
                             witness={"pair": (i, j), "target": k,
                                      "degree": deg[k], "expected": want})
-    for i in range(n):
-        pi = par[i]
-        for j in range(n):
-            sgn = -1 if (pi * par[j]) % 2 else 1
-            bij = tensor.bracket(i, j)
-            for k in range(n):
-                # [x_i,[x_j,x_k]] - [[x_i,x_j],x_k] - (-1)^{|i||j|}[x_j,[x_i,x_k]]
-                acc = tensor.bracket_vec(i, tensor.bracket(j, k))
-                for t, v in tensor.vec_bracket(bij, k).items():
-                    w = acc.get(t, Fraction(0)) - v
-                    if w:
-                        acc[t] = w
-                    elif t in acc:
-                        del acc[t]
-                for t, v in tensor.bracket_vec(j, tensor.bracket(i, k)).items():
-                    w = acc.get(t, Fraction(0)) - sgn * v
-                    if w:
-                        acc[t] = w
-                    elif t in acc:
-                        del acc[t]
-                if acc:
-                    t = sorted(acc)[0]
-                    return Certificate(
-                        False, "super Jacobi identity violated",
-                        witness={"triple": (i, j, k), "target": t,
-                                 "defect": rat_str(acc[t])})
+    for i, j, k in jacobi_triples(par):
+        sgn = -1 if (par[i] * par[j]) % 2 else 1
+        acc = tensor.bracket_vec(i, tensor.bracket(j, k))
+        _add_scaled(acc, tensor.vec_bracket(tensor.bracket(i, j), k), -1)
+        _add_scaled(acc, tensor.bracket_vec(j, tensor.bracket(i, k)), -sgn)
+        if acc:
+            t = sorted(acc)[0]
+            return Certificate(
+                False, "super Jacobi identity violated",
+                witness={"triple": (i, j, k), "target": t,
+                         "defect": rat_str(acc[t])})
     return Certificate(True, "graded Jacobi identity holds exactly")
 
 
@@ -460,6 +470,12 @@ class GradedSubalgebra:
     constants of h and r' in their own bases (h_brackets[k][l] holds the h
     coordinates of [h_k, h_l], rp_brackets likewise).  It is determined by
     the subspaces, so it takes no part in equality.
+
+    h_generators and rp_generators index a subset of the h-basis and of the
+    r'-basis that generates h and r' as Lie algebras (lie_generating_subset).
+    A vector, or a class, annihilated by a generating set is annihilated by
+    every bracket of generators, so the invariance checks act with these
+    alone; the consumers that need each element's action keep the basis.
     """
     model: ExtendedFlatModel
     Vp: Subspace
@@ -472,6 +488,8 @@ class GradedSubalgebra:
     rp_mats: tuple = field(repr=False, compare=False)
     h_brackets: tuple = field(repr=False, compare=False)
     rp_brackets: tuple = field(repr=False, compare=False)
+    h_generators: tuple = field(repr=False, compare=False)
+    rp_generators: tuple = field(repr=False, compare=False)
     highly_susy: bool = False
     transitive: bool = False
     homogeneity_rank: int = 0
@@ -486,6 +504,11 @@ class GradedSubalgebra:
         """The subspaces that determine the subalgebra of its model; equal
         keys (compared by value) mean equal subalgebras."""
         return (self.Vp, self.Sp, self.h, self.rp)
+
+    def generator_coords(self) -> Tuple[list, list]:
+        """The h and r' coordinates of the Lie generators, h then r'."""
+        return ([self.h.basis.row_tuple(k) for k in self.h_generators],
+                [self.rp.basis.row_tuple(k) for k in self.rp_generators])
 
     def maximal(self) -> bool:
         return (self.Sp.dim == self.model.dim_s
@@ -568,7 +591,9 @@ def make_graded_subalgebra(model: ExtendedFlatModel, Vp: Subspace,
                            kappa_sp=kappa_sp, h_so=h_so, h_spin=h_spin,
                            rp_mats=rp_mats,
                            h_brackets=tuple(map(tuple, h_brackets)),
-                           rp_brackets=tuple(map(tuple, rp_brackets)))
+                           rp_brackets=tuple(map(tuple, rp_brackets)),
+                           h_generators=lie_generating_subset(h_brackets),
+                           rp_generators=lie_generating_subset(rp_brackets))
     sub.homogeneity_rank = kappa_sp.rank()
     sub.highly_susy = (2 * Sp.dim > model.dim_s
                        and Vp.dim == model.dim_v)
@@ -576,6 +601,37 @@ def make_graded_subalgebra(model: ExtendedFlatModel, Vp: Subspace,
     ann_dim = _a0_annihilator_dim(sub)
     sub.transitive = sub.highly_susy and ann_dim == 0
     return sub
+
+
+def lie_generating_subset(brackets: Sequence[Sequence[Sequence[Fraction]]]
+                          ) -> tuple:
+    """Indices of basis elements that generate the Lie algebra whose
+    structure constants are brackets[k][l] (the coordinates of [x_k, x_l]).
+
+    Greedy and exact: x_k is taken when it lies outside the subalgebra
+    generated by the elements taken before it.  That subalgebra is the
+    smallest subspace containing them and closed under their adjoint
+    actions, since right-normed brackets of generators span it."""
+    dim = len(brackets)
+    chosen: List[int] = []
+    closure = Subspace.trivial(dim)
+    for k in range(dim):
+        if closure.contains(basis_vec(dim, k)):
+            continue
+        chosen.append(k)
+        vectors = closure.basis_vectors() + [basis_vec(dim, k)]
+        closure = Subspace.from_vectors(dim, vectors)
+        todo = list(vectors)
+        while todo:
+            w = todo.pop()
+            for g in chosen:
+                v = lincomb(((c, brackets[g][l]) for l, c in enumerate(w)
+                             if c), dim)
+                if not closure.contains(v):
+                    vectors.append(v)
+                    todo.append(v)
+                    closure = Subspace.from_vectors(dim, vectors)
+    return tuple(chosen)
 
 
 def _a0_annihilator_dim(sub: GradedSubalgebra) -> int:
@@ -597,11 +653,6 @@ def _annihilator(mats: Sequence[ExactMatrix],
     for v in vectors:
         rows.extend(zip(*(m.apply(v) for m in mats)))
     return ExactMatrix.from_rows(rows, cols=len(mats)).kernel()
-
-
-def annihilator_in_so(model: ExtendedFlatModel, Sp: Subspace) -> Subspace:
-    """{A in so(V) : A . s = 0 for all s in S'} via the spin action."""
-    return _annihilator(model.gens.sigma, Sp.basis_vectors())
 
 
 def stabiliser_in_so(model: ExtendedFlatModel, Sp: Subspace) -> Subspace:
@@ -650,29 +701,6 @@ def random_subspace(ambient_dim: int, dim: int, seed: int,
         sub = Subspace.from_vectors(ambient_dim, vectors)
         if sub.dim == dim:
             return sub
-
-
-def random_highly_susy_subalgebra(model: ExtendedFlatModel, dim_sp: int,
-                                  seed: int,
-                                  rp_mode: str = "stabiliser"
-                                  ) -> GradedSubalgebra:
-    """Random S' of the given dimension, h = stabiliser of S', V' = V.
-
-    rp_mode is "stabiliser" (largest valid r'), "zero", or "full" (only valid
-    when r preserves S').
-    """
-    if 2 * dim_sp <= model.dim_s:
-        raise DimensionMismatch("requested S' is not highly supersymmetric")
-    Sp = random_subspace(model.dim_s, dim_sp, seed)
-    h = stabiliser_in_so(model, Sp)
-    if rp_mode == "zero":
-        rp = Subspace.trivial(model.dim_r)
-    elif rp_mode == "full":
-        rp = Subspace.full(model.dim_r)
-    else:
-        rp = stabiliser_in_r(model, Sp)
-    return make_graded_subalgebra(model, Subspace.full(model.dim_v),
-                                  Sp, h, rp)
 
 
 def full_subalgebra(model: ExtendedFlatModel) -> GradedSubalgebra:

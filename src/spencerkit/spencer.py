@@ -23,8 +23,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (DimensionMismatch, KappaZero, NoEquivariantSplitting,
-                     NotACocycle, NotHighlySusy, NotSymmetric,
-                     OracleMismatch)
+                     NotHighlySusy, NotSymmetric, OracleMismatch)
 from .exactla import (AffineSolver, ExactMatrix, NoSolution, Subspace,
                       block_diag, cyclic_embedding, hom_apply, hstack, kron,
                       lincomb, pair_action, pair_embedding, pair_map, rat_str,
@@ -110,9 +109,10 @@ class SpencerComplex:
         structure = self._precompute()
         self.layouts: Dict[int, CochainLayout] = {}
         self.differentials: Dict[int, ExactMatrix] = {}
-        # the a0-action on C^{2,2}, built by subalgebra_actions, and the
-        # cohomology per homological degree, built by compute_cohomology
-        self.actions: Optional[tuple] = None
+        # the a0-action on C^{2,2} per h-then-r' basis index, built by
+        # subalgebra_actions and generator_actions, and the cohomology per
+        # homological degree, built by compute_cohomology
+        self.actions: Dict[int, CochainAction] = {}
         self.cohomology: Dict[int, CohomologyReport] = {}
         if degree == 2:
             self._build_degree2(*structure)
@@ -256,9 +256,6 @@ class SpencerComplex:
         d1, d2 = self.differentials[1], self.differentials[2]
         if d1.cols and not (d2 @ d1).is_zero():
             raise OracleMismatch("differential does not square to zero")
-
-    def cochain_dim(self, p: int) -> int:
-        return self.layouts[p].dim
 
     @property
     def model_valued(self) -> bool:
@@ -431,18 +428,39 @@ def cochain_action_matrix(cx: SpencerComplex, so_coords: Sequence[Fraction],
 
 def subalgebra_actions(cx: SpencerComplex) -> tuple:
     """The a0-action on C^{2,2} of the h-basis then the r'-basis of the
-    complex's subalgebra, built on first use and kept on the complex."""
-    if cx.actions is None:
-        _degree2_layout(cx)
-        sub, model = cx.subalgebra, cx.model
-        zero_v = ExactMatrix(model.dim_v, model.dim_v)
-        zero_s = ExactMatrix(model.dim_s, model.dim_s)
-        cx.actions = tuple(
-            [CochainAction.from_matrices(cx, A, AS, zero_s)
-             for A, AS in zip(sub.h_so, sub.h_spin)] +
-            [CochainAction.from_matrices(cx, zero_v, zero_s, a)
-             for a in sub.rp_mats])
-    return cx.actions
+    complex's subalgebra, each operator built on first use and kept on the
+    complex."""
+    sub = cx.subalgebra
+    return _actions(cx, range(sub.h.dim + sub.rp.dim))
+
+
+def generator_actions(cx: SpencerComplex) -> tuple:
+    """The operators of subalgebra_actions for the Lie generators of h and
+    r' (GradedSubalgebra.h_generators, rp_generators) alone: an invariance
+    check needs no more."""
+    sub = cx.subalgebra
+    return _actions(cx, sub.h_generators + tuple(
+        sub.h.dim + p for p in sub.rp_generators))
+
+
+def _actions(cx: SpencerComplex, indices) -> tuple:
+    """The operators of the h-then-r' basis elements at `indices`, each
+    built on first use and kept in cx.actions."""
+    _degree2_layout(cx)
+    sub, model = cx.subalgebra, cx.model
+    zero_v = ExactMatrix(model.dim_v, model.dim_v)
+    zero_s = ExactMatrix(model.dim_s, model.dim_s)
+    for k in indices:
+        if k in cx.actions:
+            continue
+        if k < sub.h.dim:
+            op = CochainAction.from_matrices(cx, sub.h_so[k], sub.h_spin[k],
+                                             zero_s)
+        else:
+            op = CochainAction.from_matrices(cx, zero_v, zero_s,
+                                             sub.rp_mats[k - sub.h.dim])
+        cx.actions[k] = op
+    return tuple(cx.actions[k] for k in indices)
 
 
 # ---------------------------------------------------------------------------
@@ -527,9 +545,11 @@ class CohomologyReport:
 
     @property
     def action_matrices(self) -> tuple:
-        """One dH x dH ExactMatrix per a0 generator (the h-basis then the
-        r'-basis), computed on first read and kept on the report; empty at
-        homological degree 1 and when H = 0."""
+        """One dH x dH ExactMatrix per Lie generator of a0 (those of
+        generator_actions, h then r'), computed on first read and kept on the
+        report; empty at homological degree 1 and when H = 0.  The action on
+        H is a representation, so the classes these annihilate are the
+        a0-invariant ones."""
         if self._actions is None:
             self._actions = self._action_matrices()
         return self._actions
@@ -543,7 +563,7 @@ class CohomologyReport:
         B = self.boundaries
         solver = AffineSolver(hstack([R, B.basis.transpose()]))
         actions = []
-        for op in subalgebra_actions(self.complex):
+        for op in generator_actions(self.complex):
             X = solver.solve_many(op.apply_many(R))
             if None in X:
                 raise OracleMismatch(
@@ -687,7 +707,7 @@ class NormalisedCocycle:
 class FullModelCohomology:
     """Degree-2 Spencer data of the full extended flat model: the complex,
     its H^{2,2} report, the splitting and the space of normalised cocycles.
-    The invariant normalised space per (h, r') basis and the
+    The invariant normalised space per set of (h, r') generators and the
     restriction-kernel report per subalgebra are computed once and kept."""
 
     def __init__(self, model: ExtendedFlatModel):
@@ -728,52 +748,30 @@ class FullModelCohomology:
                 f"dim B + dim N = {B.dim + N.dim}, dim Z = {Z.dim}")
         return N
 
-    def normalise(self, coeffs: Sequence[Fraction]):
-        """Unique normalised representative of a cocycle's class, plus the
-        coboundary witness lambda with z - normalised = d(lambda)."""
-        cx = self.complex
-        lay2, lay1 = cx.layouts[2], cx.layouts[1]
-        z = Cochain22(cx, coeffs)
-        if not z.is_cocycle():
-            raise NotACocycle("input is not a degree-2 Spencer cocycle")
-        d21 = cx.differentials[1]
-        # solve alpha(lambda_so) = alpha-block, rho(lambda_r) corrects rho_V
-        alpha_rows, rho_section = self._constraint_rows()
-        sol = solve_affine(alpha_rows @ d21,
-                           list(lay2.block_of(coeffs, "alpha")))
-        if isinstance(sol, NoSolution):
-            raise OracleMismatch("alpha component is not a coboundary")
-        lam = list(sol.x)
-        # lambda_r = -(rho o section)
-        lo, hi = lay1.block_slice("lambda_r")
-        lam[lo:hi] = vec_scale(rho_section.apply(coeffs), -1)
-        correction = d21.apply(lam)
-        normalised = tuple(c - d for c, d in zip(coeffs, correction))
-        if not self.normalised_space.contains(normalised):
-            raise OracleMismatch("normalisation left the normalised space")
-        return NormalisedCocycle(Cochain22(cx, normalised)), tuple(lam)
-
-    def invariant_normalised(self, h_basis: Sequence[Sequence[Fraction]],
-                             rp_basis: Sequence[Sequence[Fraction]]
+    def invariant_normalised(self, h_gens: Sequence[Sequence[Fraction]],
+                             rp_gens: Sequence[Sequence[Fraction]]
                              ) -> Subspace:
-        """Normalised cocycles annihilated on the nose by every generator.
+        """Normalised cocycles annihilated on the nose by every given so and
+        r element, kept per argument.  Pass Lie generators of h and r'
+        (GradedSubalgebra.generator_coords): what they annihilate, their
+        brackets annihilate too.
 
         The kernel is computed from the beta and rho coordinates of the
         action; gamma-invariance is implied and re-verified exactly.
         """
-        key = (tuple(map(tuple, h_basis)), tuple(map(tuple, rp_basis)))
+        key = (tuple(map(tuple, h_gens)), tuple(map(tuple, rp_gens)))
         if key not in self._invariant:
             self._invariant[key] = self._invariant_normalised(*key)
         return self._invariant[key]
 
-    def _invariant_normalised(self, h_basis, rp_basis) -> Subspace:
+    def _invariant_normalised(self, h_gens, rp_gens) -> Subspace:
         cx = self.complex
         lay = cx.layouts[2]
         basis = self.normalised_space
         if basis.dim == 0:
             return basis
-        actors = [(h, zero_vec(self.model.dim_r)) for h in h_basis] + \
-                 [(zero_vec(self.model.dim_so), r) for r in rp_basis]
+        actors = [(h, zero_vec(self.model.dim_r)) for h in h_gens] + \
+                 [(zero_vec(self.model.dim_so), r) for r in rp_gens]
         if not actors:
             return basis
         picked = lay.indices("beta", "rho")

@@ -5,20 +5,89 @@ from itertools import combinations
 
 from spencerkit.cliffspin import Signature, build_clifford_rep, \
     build_dirac_current
-from spencerkit.deform import admissible_cocycles_from_invariant, \
-    check_admissibility
-from spencerkit.errors import NotClosed
-from spencerkit.exactla import Subspace, basis_vec
+from spencerkit.deform import _gauge_shift, check_admissibility, \
+    class_gauge_generators
+from spencerkit.errors import DimensionMismatch, NotClosed
+from spencerkit.exactla import AffineSolver, ExactMatrix, Subspace, \
+    basis_vec, hstack, zero_vec
 from spencerkit.flatmodel import build_extended_flat_model, full_subalgebra, \
-    make_graded_subalgebra, random_highly_susy_subalgebra, stabiliser_in_r, \
+    make_graded_subalgebra, random_subspace, stabiliser_in_r, \
     stabiliser_in_so
-from spencerkit.spencer import FullModelCohomology
+from spencerkit.spencer import FullModelCohomology, inclusion_matrix, \
+    restriction_matrix, spencer_complex
 
 # Lorentzian acceptance grid: (spacelike, timelike, extension)
 GRID = ((2, 1, 1), (2, 1, 2), (3, 1, 1), (3, 1, 2))
 
 # dim S' used when sampling highly supersymmetric subalgebras per grid cell
 HIGH_SUSY_DIM = {(2, 1, 1): 2, (2, 1, 2): 3, (3, 1, 1): 3, (3, 1, 2): 5}
+
+
+def random_highly_susy_subalgebra(model, dim_sp, seed, rp_mode="stabiliser"):
+    """Random S' of the given dimension, h = stabiliser of S', V' = V.
+
+    rp_mode is "stabiliser" (largest valid r'), "zero", or "full" (only valid
+    when r preserves S').
+    """
+    if 2 * dim_sp <= model.dim_s:
+        raise DimensionMismatch("requested S' is not highly supersymmetric")
+    Sp = random_subspace(model.dim_s, dim_sp, seed)
+    h = stabiliser_in_so(model, Sp)
+    if rp_mode == "zero":
+        rp = Subspace.trivial(model.dim_r)
+    elif rp_mode == "full":
+        rp = Subspace.full(model.dim_r)
+    else:
+        rp = stabiliser_in_r(model, Sp)
+    return make_graded_subalgebra(model, Subspace.full(model.dim_v),
+                                  Sp, h, rp)
+
+
+def annihilator_in_so(model, Sp):
+    """{A in so(V) : A . s = 0 for all s in S'}: the kernel of the system
+    with one row per coordinate of the images sigma_k s."""
+    rows = []
+    for s in Sp.basis_vectors():
+        rows.extend(zip(*(sig.apply(s) for sig in model.gens.sigma)))
+    return ExactMatrix.from_rows(rows, cols=len(model.gens.sigma)).kernel()
+
+
+def admissible_cocycles_from_invariant(sub, fullco, hats):
+    """For each invariant normalised cocycle in `hats`, a cocycle on the
+    subalgebra matching it up to a coboundary, or None when the restriction
+    system is infeasible; the system [i_* | -d21] is factored once for all
+    hats, and each class found is admissible by construction."""
+    sub_cx = spencer_complex(sub, 2)
+    mixed_cx = spencer_complex(sub, 2, values="full")
+    solver = AffineSolver(hstack([inclusion_matrix(sub_cx, mixed_cx),
+                                  mixed_cx.differentials[1].scale(-1)]))
+    targets = restriction_matrix(fullco.complex, mixed_cx) @ \
+        ExactMatrix.from_columns(hats, fullco.complex.layouts[2].dim)
+    dim = sub_cx.layouts[2].dim
+    return [None if x is None else x[:dim]
+            for x in solver.solve_many(targets)]
+
+
+def gauge_shifted_data(datum, max_shifts=None):
+    """All basis gauge shifts of a datum: the normalised cocycle moved by
+    each class gauge generator, then lambda moved by each unit map
+    nu: V -> h and V -> r' (direction-major, h before r').  Every shift
+    fixes the cohomology class, so the theta maps must not change."""
+    sub = datum.subalgebra
+    cxs = datum.sub_complex
+    lay1 = cxs.layouts[1]
+    inc = inclusion_matrix(cxs, datum.mixed_complex, 1)
+    generators = class_gauge_generators(datum)
+    G = len(generators)
+    zero_nu = zero_vec(lay1.dim)
+    shifts = [(basis_vec(G, g), zero_nu) for g in range(G)]
+    shifts += [(zero_vec(G), basis_vec(lay1.dim, lay1.index(name, b, t)))
+               for b in range(datum.model.dim_v)
+               for name, dim in (("lambda_so", sub.h.dim),
+                                 ("lambda_r", sub.rp.dim))
+               for t in range(dim)]
+    return [_gauge_shift(datum, generators, coeffs, nu, inc)
+            for coeffs, nu in shifts[:max_shifts]]
 
 
 @lru_cache(maxsize=None)

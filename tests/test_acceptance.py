@@ -10,6 +10,7 @@ import time
 import pytest
 
 from instances import (GRID, HIGH_SUSY_DIM, admissible_data_for_cell,
+                       annihilator_in_so, gauge_shifted_data,
                        get_full_subalgebra, get_fullco, get_model,
                        get_sampled_subalgebra)
 from spencerkit.cache import config_hash
@@ -17,9 +18,9 @@ from spencerkit.deform import (build_filtered_deformation,
                                check_admissibility,
                                check_geometric_realisability,
                                check_integrability, compute_theta,
-                               gauge_shifted_data, solve_delta, zero_cocycle)
+                               solve_delta, zero_cocycle)
 from spencerkit.exactla import vec_is_zero, vstack
-from spencerkit.flatmodel import annihilator_in_so, graded_jacobi_check, \
+from spencerkit.flatmodel import graded_jacobi_check, \
     kappa_restriction_matrix, random_subspace
 from spencerkit.pipeline import report_bytes, run_pipeline
 from spencerkit.reconstruct import build_nomizu_map, curvature_at_origin

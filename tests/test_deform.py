@@ -5,19 +5,18 @@ from fractions import Fraction
 
 import pytest
 
-from instances import (GRID, admissible_data_for_cell, get_full_subalgebra,
-                       get_fullco, get_model, get_sampled_subalgebra,
-                       invariant_basis)
+from instances import (GRID, admissible_cocycles_from_invariant,
+                       admissible_data_for_cell, gauge_shifted_data,
+                       get_full_subalgebra, get_fullco, get_model,
+                       get_sampled_subalgebra, invariant_basis)
 from spencerkit.deform import (AdmissibleDatum, DeltaMap, NotAdmissible,
                                ThetaData, _check_assoc_graded,
-                               admissible_cocycles_from_invariant,
                                build_filtered_deformation,
                                check_admissibility,
                                check_geometric_realisability,
                                class_gauge_generators,
                                check_integrability, compute_envelope,
-                               compute_theta, gauge_shifted_data,
-                               solve_delta, zero_cocycle)
+                               compute_theta, solve_delta, zero_cocycle)
 from spencerkit.errors import JacobiViolation, NotHighlySusy, OracleMismatch
 from spencerkit.exactla import NoSolution, Subspace, basis_vec, hstack, \
     solve_affine, vec_add, vec_is_zero, vec_scale, zero_vec
@@ -236,6 +235,33 @@ class TestIntegrability:
         with pytest.raises(JacobiViolation) as err:
             check_integrability(broken)
         assert err.value.triple is not None
+
+    def test_every_single_delta_mutation_breaks_jacobi(self):
+        # e_0 added to entry [0][0] and [0][n-1] of each non-empty delta1,
+        # delta2, delta4 table, on every grid datum whose theta annihilates
+        # the Dirac kernel: the unordered Jacobi check catches all 54
+        caught = tried = 0
+        for cell in GRID:
+            for datum in admissible_data_for_cell(*cell):
+                if not compute_theta(datum).dirac_kernel_annihilated:
+                    continue
+                delta = solve_delta(datum)
+                for which in ("delta1", "delta2", "delta4"):
+                    table = getattr(delta, which)
+                    if not (table and table[0] and len(table[0][0])):
+                        continue
+                    for b in sorted({0, len(table[0]) - 1}):
+                        bad = [list(row) for row in table]
+                        bad[0][b] = vec_add(bad[0][b],
+                                            basis_vec(len(bad[0][b]), 0))
+                        broken = with_derived(datum, delta=dataclasses.replace(
+                            delta, **{which: bad}))
+                        tried += 1
+                        try:
+                            check_integrability(broken)
+                        except JacobiViolation:
+                            caught += 1
+        assert caught == tried == 54
 
     def test_perturbed_theta_fails_with_witness(self):
         datum = nonzero_datum(3, 1, 1)

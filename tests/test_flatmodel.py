@@ -1,25 +1,27 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from instances import GRID, get_current, get_full_subalgebra, get_model, \
-    get_rep, get_sampled_subalgebra
+from instances import GRID, annihilator_in_so, get_current, \
+    get_full_subalgebra, get_model, get_rep, get_sampled_subalgebra, \
+    random_highly_susy_subalgebra
 from spencerkit.cliffspin import Signature, build_clifford_rep, \
     build_dirac_current
 from spencerkit.errors import JacobiViolation, NotClosed, NotCompactForm
 from spencerkit.exactla import (ExactMatrix, Subspace, basis_vec, kron,
-                                tensor_index_maps, vec_is_zero)
-from spencerkit.flatmodel import (EndoSubalgebra, annihilator_in_so,
+                                tensor_index_maps, vec_is_zero, zero_vec)
+from spencerkit.flatmodel import (EndoSubalgebra, GradedBracketTensor,
                                   build_extended_flat_model,
                                   compute_r_symmetry_algebra,
                                   compute_schur_algebra, faithful_split,
                                   full_subalgebra, graded_jacobi_check,
-                                  kappa_restriction_matrix,
-                                  make_graded_subalgebra,
-                                  random_highly_susy_subalgebra,
-                                  random_subspace, stabiliser_in_r)
+                                  jacobi_triples, kappa_restriction_matrix,
+                                  lie_generating_subset,
+                                  make_graded_subalgebra, random_subspace,
+                                  stabiliser_in_r)
 
 
 class TestSchurAlgebra:
@@ -385,3 +387,243 @@ class TestFaithfulSplit:
         rp = EndoSubalgebra.from_matrices(2, [nil])
         with pytest.raises(NotCompactForm):
             faithful_split(rp, Subspace.full(2))
+
+
+def _ordered_jacobi_check(tensor):
+    """The Jacobi identity on all n^3 ordered basis triples, after the
+    super-antisymmetry and Z-degree pass: an oracle for graded_jacobi_check
+    on parity-preserving brackets."""
+    n, par, deg = tensor.total_dim, tensor.parities, tensor.degrees
+    for i in range(n):
+        for j in range(n):
+            sign = -1 if par[i] * par[j] == 0 else 1
+            bij, bji = tensor.bracket(i, j), tensor.bracket(j, i)
+            if any(bij.get(k, 0) != sign * bji.get(k, 0)
+                   for k in set(bij) | set(bji)):
+                return False
+            if deg is not None and any(deg[k] != deg[i] + deg[j]
+                                       for k in bij):
+                return False
+    for i in range(n):
+        for j in range(n):
+            sgn = -1 if par[i] * par[j] else 1
+            for k in range(n):
+                acc = dict(tensor.bracket_vec(i, tensor.bracket(j, k)))
+                for t, v in tensor.vec_bracket(tensor.bracket(i, j),
+                                               k).items():
+                    acc[t] = acc.get(t, 0) - v
+                for t, v in tensor.bracket_vec(
+                        j, tensor.bracket(i, k)).items():
+                    acc[t] = acc.get(t, 0) - sgn * v
+                if any(acc.values()):
+                    return False
+    return True
+
+
+def _with_entry(tensor, i, j, k, c):
+    """The tensor with c added to [x_i, x_j]_k and the super-antisymmetric
+    partner -(-1)^{|i||j|} c added to [x_j, x_i]_k (once when i == j)."""
+    par = tensor.parities
+    table = {key: dict(v) for key, v in tensor.table.items()}
+    sign = -1 if par[i] * par[j] == 0 else 1
+    for key, value in {(i, j): c, (j, i): sign * c}.items():
+        chunk = table.setdefault(key, {})
+        chunk[k] = chunk.get(k, Fraction(0)) + value
+        if not chunk[k]:
+            del chunk[k]
+    return dataclasses.replace(tensor, table=table)
+
+
+@st.composite
+def _super_tensors(draw):
+    """A small random super-antisymmetric, parity-preserving bracket, with
+    at most one entry (and its partner) perturbed afterwards."""
+    par = tuple(draw(st.lists(st.integers(0, 1), min_size=1, max_size=4)))
+    n = len(par)
+    tensor = GradedBracketTensor(
+        component_names=("x",), component_dims=(n,), parities=par,
+        degrees=None, table={})
+    for i in range(n):
+        for j in range(i if par[i] else i + 1, n):
+            for k in range(n):
+                c = draw(st.sampled_from((0, 0, 0, 1, -1)))
+                if c and par[k] == (par[i] + par[j]) % 2:
+                    tensor = _with_entry(tensor, i, j, k, Fraction(c))
+    return tensor
+
+
+class TestUnorderedJacobi:
+    @pytest.mark.parametrize("par", [(0,) * 6, (1,) * 6, (0, 1, 0, 1, 1)])
+    def test_triples_counted(self, par):
+        n = len(par)
+        triples = list(jacobi_triples(par))
+        assert len(set(triples)) == len(triples) <= n * (n + 1) * (n + 2) // 6
+        assert all(i <= j <= k for i, j, k in triples)
+        # a repeated index is kept exactly when it is odd
+        assert all(par[i] for i, j, _ in triples if i == j)
+        assert all(par[j] for _, j, k in triples if j == k)
+        if all(par):
+            assert len(triples) == n * (n + 1) * (n + 2) // 6
+        if not any(par):
+            assert len(triples) == n * (n - 1) * (n - 2) // 6
+
+    @pytest.mark.parametrize("s,t,N", GRID)
+    def test_flat_model_triples(self, s, t, N):
+        # the flat models have n + dim S odd basis vectors
+        model = get_model(s, t, N)
+        n = model.total_dim
+        count = sum(1 for _ in jacobi_triples(model.tensor.parities))
+        assert count <= n * (n + 1) * (n + 2) // 6 < n ** 3
+        assert graded_jacobi_check(model.tensor).passed
+
+    @settings(max_examples=150, deadline=None)
+    @given(tensor=_super_tensors(), data=st.data())
+    def test_agrees_with_the_ordered_check(self, tensor, data):
+        par, n = tensor.parities, tensor.total_dim
+        i, j, k = (data.draw(st.integers(0, n - 1)) for _ in range(3))
+        if par[k] == (par[i] + par[j]) % 2 and (i != j or par[i]):
+            tensor = _with_entry(tensor, i, j, k, Fraction(
+                data.draw(st.sampled_from((1, -1, 2)))))
+        assert graded_jacobi_check(tensor).passed == \
+            _ordered_jacobi_check(tensor)
+
+    @settings(max_examples=40, deadline=None)
+    @given(cell=st.sampled_from(((2, 1, 1), (2, 1, 2))), data=st.data())
+    def test_perturbed_flat_model_agrees(self, cell, data):
+        tensor = get_model(*cell).tensor
+        par, n = tensor.parities, tensor.total_dim
+        i, j = data.draw(st.sampled_from(
+            [(i, j) for i in range(n) for j in range(i, n)
+             if i < j or par[i]]))
+        k = data.draw(st.sampled_from(
+            [k for k in range(n) if par[k] == (par[i] + par[j]) % 2]))
+        bad = _with_entry(tensor, i, j, k,
+                          Fraction(data.draw(st.sampled_from((1, -1)))))
+        assert graded_jacobi_check(bad).passed == _ordered_jacobi_check(bad)
+
+    def test_parity_violation_rejected(self):
+        # x_0, x_1 even and x_2 odd: [x_0, x_1] = x_2 = -[x_1, x_0] is
+        # super-antisymmetric, but its value is odd
+        tensor = GradedBracketTensor(
+            component_names=("x",), component_dims=(3,), parities=(0, 0, 1),
+            degrees=None, table={})
+        bad = _with_entry(tensor, 0, 1, 2, Fraction(1))
+        cert = graded_jacobi_check(bad)
+        assert not cert.passed
+        assert cert.detail == "bracket does not respect the parity"
+        assert cert.witness == {"pair": (0, 1), "target": 2}
+
+
+def _lie_closure(mats, vecs, coords):
+    """The span of the iterated commutators of the matrices mats[k] of the
+    coordinate vectors vecs, in the coordinates `coords` returns."""
+    dim = len(mats)
+    span = Subspace.from_vectors(dim, vecs)
+    grown = True
+    while grown:
+        grown = False
+        basis = span.basis_vectors()
+        elems = [sum((m.scale(c) for c, m in zip(v, mats) if c),
+                     ExactMatrix.zeros(mats[0].rows, mats[0].cols))
+                 for v in basis]
+        for a in elems:
+            for b in elems:
+                c = coords(a.commutator(b))
+                if not span.contains(c):
+                    span = span.add(Subspace.from_vectors(dim, [c]))
+                    grown = True
+    return span
+
+
+def _structure(table):
+    """Structure constants brackets[k][l] from a dict of nonzero brackets
+    {(k, l): coordinates}, made antisymmetric."""
+    dim = max([d for d, *_ in table.values()] + [0])
+    out = [[zero_vec(dim) for _ in range(dim)] for _ in range(dim)]
+    for (k, l), (_, *coords) in table.items():
+        out[k][l] = tuple(Fraction(c) for c in coords)
+        out[l][k] = tuple(-Fraction(c) for c in coords)
+    return out
+
+
+class TestLieGenerators:
+    @pytest.mark.parametrize(
+        "s,t,N,seed", [(*cell, None) for cell in GRID + ((2, 1, 3),
+                                                        (4, 1, 1))] +
+        [(*cell, seed) for cell in GRID for seed in (1, 2, 7)])
+    def test_closure_is_the_whole_algebra(self, s, t, N, seed):
+        sub = (get_full_subalgebra(s, t, N) if seed is None
+               else get_sampled_subalgebra(s, t, N, seed))
+        model = sub.model
+        h_gens, rp_gens = sub.generator_coords()
+        # h in so(V) coordinates, r' in r coordinates
+        assert _lie_closure(
+            model.gens.e_mats, h_gens or [zero_vec(model.dim_so)],
+            model.gens.so_coordinates) == sub.h
+        if model.dim_r:
+            assert _lie_closure(
+                model.r.matrices, rp_gens or [zero_vec(model.dim_r)],
+                model.r.coordinates) == sub.rp
+        assert list(sub.h_generators) == sorted(set(sub.h_generators))
+        assert list(sub.rp_generators) == sorted(set(sub.rp_generators))
+
+    def test_generator_counts(self):
+        # (3,1,2): 3 of so(3,1) and 2 of u(2); (4,1,1): 4 of so(4,1) and 2
+        # of r' = so(3); at most two would do for a semisimple algebra, but
+        # the greedy choice takes basis elements only
+        sub312 = get_full_subalgebra(3, 1, 2)
+        assert (sub312.h.dim, sub312.rp.dim) == (6, 4)
+        assert sub312.h_generators == (0, 1, 2)
+        assert sub312.rp_generators == (0, 1)
+        sub411 = get_full_subalgebra(4, 1, 1)
+        assert (sub411.h.dim, sub411.rp.dim) == (10, 3)
+        assert sub411.h_generators == (0, 1, 2, 3)
+        assert sub411.rp_generators == (0, 1)
+
+    def test_abelian_takes_every_element(self):
+        # [x, y] = 0 for all basis elements: nothing is generated
+        assert lie_generating_subset(_structure({(0, 2): (3, 0, 0, 0)})) \
+            == (0, 1, 2)
+
+    def test_empty_algebra(self):
+        assert lie_generating_subset([]) == ()
+
+    def test_heisenberg_centre_is_generated(self):
+        # [x, y] = z: the centre z is a bracket, so x and y suffice
+        assert lie_generating_subset(
+            _structure({(0, 1): (3, 0, 0, 1)})) == (0, 1)
+        # with z first it is taken, then x, and y is not generated by x, z
+        assert lie_generating_subset(
+            _structure({(1, 2): (3, 1, 0, 0)})) == (0, 1, 2)
+
+    def test_central_summand_is_taken(self):
+        # u(1) + so(3): [e1, e2] = e3, [e2, e3] = e1, [e3, e1] = e2 and c
+        # central; e1 and e2 generate so(3), the central c never appears
+        so3 = _structure({(1, 2): (4, 0, 0, 0, 1), (2, 3): (4, 0, 1, 0, 0),
+                          (3, 1): (4, 0, 0, 1, 0)})
+        assert lie_generating_subset(so3) == (0, 1, 2)
+        # the central element last: still taken
+        so3c = _structure({(0, 1): (4, 0, 0, 1, 0), (1, 2): (4, 1, 0, 0, 0),
+                           (2, 0): (4, 0, 1, 0, 0)})
+        assert lie_generating_subset(so3c) == (0, 1, 3)
+
+    def test_abelian_h_and_zero_parts(self):
+        model = get_model(3, 1, 1)
+        nso = model.dim_so
+        # two commuting rotations of so(3,1): boost E_01 and rotation E_23
+        pairs = [(a, b) for a in range(nso) for b in range(a + 1, nso)
+                 if model.gens.e_mats[a].commutator(
+                     model.gens.e_mats[b]).is_zero()]
+        a, b = pairs[0]
+        h = Subspace.from_vectors(nso, [basis_vec(nso, a),
+                                        basis_vec(nso, b)])
+        sub = make_graded_subalgebra(model, Subspace.full(model.dim_v),
+                                     Subspace.full(model.dim_s), h,
+                                     Subspace.trivial(model.dim_r))
+        assert sub.h_generators == (0, 1) and sub.rp_generators == ()
+        zero = make_graded_subalgebra(model, Subspace.full(model.dim_v),
+                                      Subspace.full(model.dim_s),
+                                      Subspace.trivial(nso),
+                                      Subspace.full(model.dim_r))
+        assert zero.h_generators == () and zero.rp_generators == (0,)
+        assert zero.generator_coords() == ([], [(Fraction(1),)])

@@ -216,7 +216,7 @@ class TestBuildOnce:
         from spencerkit.exactla import ExactMatrix
         from spencerkit.spencer import spencer_complex
         dim_c22 = spencer_complex(get_full_subalgebra(3, 1, 2),
-                                  2).cochain_dim(2)
+                                  2).layouts[2].dim
         widths = []
         kernel = ExactMatrix.kernel
 

@@ -10,7 +10,8 @@ from spencerkit.deform import (build_filtered_deformation,
                                check_integrability, zero_cocycle)
 from spencerkit.errors import CurvatureMismatch, TorsionViolation
 from spencerkit.exactla import ExactMatrix, basis_vec, vec_is_zero
-from spencerkit.reconstruct import (UNCHECKED_HYPOTHESES, build_nomizu_map,
+from spencerkit.reconstruct import (UNCHECKED_HYPOTHESES,
+                                    _verify_torsion_free, build_nomizu_map,
                                     curvature_at_origin,
                                     reconstruction_certificate)
 
@@ -63,6 +64,30 @@ class TestNomizuMap:
             nomizu = build_nomizu_map(deformation)
             assert nomizu.matrix.rows == deformation.subalgebra.model.dim_so \
                 + deformation.subalgebra.model.dim_r
+
+
+    def test_basis_matrices_built_once(self):
+        deformation = realisable_deformations(3, 1, 1)[0]
+        nomizu = build_nomizu_map(deformation)
+        model = deformation.subalgebra.model
+        nso = model.dim_so
+        for x in range(nomizu.matrix.cols):
+            phi = nomizu.apply(basis_vec(nomizu.matrix.cols, x))
+            so_mat, r_mat = nomizu.basis_matrices(x)
+            assert so_mat == model.so_matrix(phi[:nso])
+            assert r_mat == model.r_matrix(phi[nso:])
+            assert nomizu.basis_matrices(x)[0] is so_mat
+
+    def test_torsion_detected_on_ordered_pairs(self):
+        # lambda1(e_0) moved by E_0: the torsion-free criterion fails, and
+        # its witness is a pair x < y
+        deformation = zero_deformation(2, 1, 1)
+        nomizu = build_nomizu_map(deformation)
+        corrupted = dataclasses.replace(
+            nomizu, matrix=nomizu.matrix + ExactMatrix(
+                nomizu.matrix.rows, nomizu.matrix.cols, [(0, 0, 1)]))
+        with pytest.raises(TorsionViolation, match=r"pair \(0,1\)"):
+            _verify_torsion_free(corrupted)
 
 
 class TestCurvature:

@@ -6,13 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from instances import (GRID, HIGH_SUSY_DIM, get_full_subalgebra, get_fullco,
-                       get_model, get_sampled_subalgebra, invariant_basis)
+                       get_model, get_sampled_subalgebra, invariant_basis,
+                       random_highly_susy_subalgebra)
 from spencerkit.errors import (DimensionMismatch, KappaZero, NotACocycle,
                                NotHighlySusy, OracleMismatch)
 from spencerkit import spencer
-from spencerkit.exactla import (ExactMatrix, Subspace, basis_vec, lincomb,
-                                solve_affine, vec_add, vec_is_zero, vec_scale,
-                                vec_sub, vstack, zero_vec)
+from spencerkit.exactla import (ExactMatrix, NoSolution, Subspace, basis_vec,
+                                hstack, lincomb, solve_affine, vec_add,
+                                vec_is_zero, vec_scale, vec_sub, vstack,
+                                zero_vec)
 from spencerkit.cliffspin import (Signature, build_clifford_rep,
                                   build_dirac_current)
 from spencerkit.flatmodel import (build_extended_flat_model,
@@ -41,9 +43,9 @@ class TestComplexConstruction:
     def test_d3_n1_cochain_dims(self):
         # Hom(V^2,V) + Hom(VxS,S) + Hom(S.S, so) + Hom(S.S, r)
         cx = build_spencer_complex(get_full_subalgebra(2, 1, 1), 2)
-        assert cx.cochain_dim(2) == 9 + 12 + 9 + 0 == 30
-        assert cx.cochain_dim(1) == 9
-        assert cx.cochain_dim(3) == 9 * 3 + 4 * 2
+        assert cx.layouts[2].dim == 9 + 12 + 9 + 0 == 30
+        assert cx.layouts[1].dim == 9
+        assert cx.layouts[3].dim == 9 * 3 + 4 * 2
 
     @pytest.mark.parametrize("s,t,N", GRID)
     def test_differential_squares_to_zero(self, s, t, N):
@@ -57,8 +59,8 @@ class TestComplexConstruction:
             Subspace.full(3), Subspace.trivial(0))
         cx = build_spencer_complex(sub, 2)
         # only the alpha block survives, and nothing to map into
-        assert cx.cochain_dim(2) == 9
-        assert cx.cochain_dim(3) == 0
+        assert cx.layouts[2].dim == 9
+        assert cx.layouts[3].dim == 0
         assert cx.differentials[2].is_zero()
 
     def test_no_vector_legs(self):
@@ -82,8 +84,8 @@ class TestComplexConstruction:
 
     def test_degree4_fragment(self):
         cx = build_spencer_complex(get_full_subalgebra(2, 1, 1), 4)
-        assert cx.cochain_dim(1) == 0
-        assert cx.cochain_dim(2) == 3 * 3  # wedge2(V) x h
+        assert cx.layouts[1].dim == 0
+        assert cx.layouts[2].dim == 3 * 3  # wedge2(V) x h
 
 
 def _block(lay, coeffs, name, src):
@@ -252,7 +254,7 @@ class TestCohomology:
             Subspace.trivial(3), Subspace.trivial(0))
         cx = build_spencer_complex(sub, 2)
         co = compute_cohomology(cx, 2)
-        assert co.dim_h == co.dim_z == cx.cochain_dim(2) == 9
+        assert co.dim_h == co.dim_z == cx.layouts[2].dim == 9
         assert co.dim_b == 0
 
     def test_representatives_span_h(self):
@@ -276,20 +278,21 @@ class TestCohomology:
     def test_action_matrices_shape(self):
         sub = get_sampled_subalgebra(3, 1, 1, 7)
         co = compute_cohomology(build_spencer_complex(sub, 2), 2)
-        assert len(co.action_matrices) == sub.h.dim + sub.rp.dim
+        assert len(co.action_matrices) == \
+            len(sub.h_generators) + len(sub.rp_generators)
         for m in co.action_matrices:
             assert m.rows == co.dim_h == m.cols
 
     def test_action_computed_on_first_read_and_kept(self, monkeypatch):
         cx = build_spencer_complex(get_sampled_subalgebra(3, 1, 1, 7), 2)
         built = []
-        gens = spencer.subalgebra_actions
+        gens = spencer.generator_actions
 
         def counting(_cx):
             built.append(_cx)
             return gens(_cx)
 
-        monkeypatch.setattr(spencer, "subalgebra_actions", counting)
+        monkeypatch.setattr(spencer, "generator_actions", counting)
         co = compute_cohomology(cx, 2)
         assert built == []
         first = co.action_matrices
@@ -297,22 +300,22 @@ class TestCohomology:
 
     def test_identity_action_gives_identity_matrices(self, monkeypatch):
         cx = build_spencer_complex(get_sampled_subalgebra(3, 1, 1, 7), 2)
-        monkeypatch.setattr(spencer, "subalgebra_actions",
+        monkeypatch.setattr(spencer, "generator_actions",
                             lambda _cx: [_MatrixAction(
-                                ExactMatrix.identity(cx.cochain_dim(2)))])
+                                ExactMatrix.identity(cx.layouts[2].dim))])
         co = compute_cohomology(cx, 2)
         assert co.action_matrices == (ExactMatrix.identity(co.dim_h),)
 
     def test_action_leaving_the_cocycles_is_an_oracle_mismatch(
             self, monkeypatch):
         cx = build_spencer_complex(get_full_subalgebra(2, 1, 1), 2)
-        dim = cx.cochain_dim(2)
+        dim = cx.layouts[2].dim
         rep = compute_cohomology(cx, 2).representatives[0]
         # a basis cochain that is not a cocycle lies outside span(reps, B)
         k = next(i for i in range(dim) if not vec_is_zero(
             cx.differentials[2].apply(basis_vec(dim, i))))
         leak = ExactMatrix(dim, dim, [(k, j, c) for j, c in enumerate(rep)])
-        monkeypatch.setattr(spencer, "subalgebra_actions",
+        monkeypatch.setattr(spencer, "generator_actions",
                             lambda _cx: [_MatrixAction(leak)])
         co = compute_cohomology(cx, 2)
         with pytest.raises(OracleMismatch, match="a0-action"):
@@ -420,6 +423,26 @@ class TestSplitting:
             build_splitting(model)
 
 
+def _normalise(fullco, coeffs):
+    """The normalised representative of a cocycle's class and the unique
+    coboundary witness lambda with z - normalised = d(lambda): lambda_so
+    solves the alpha rows, lambda_r = -(rho o section)."""
+    cx = fullco.complex
+    if not Cochain22(cx, coeffs).is_cocycle():
+        raise NotACocycle("input is not a degree-2 Spencer cocycle")
+    d21 = cx.differentials[1]
+    alpha_rows, rho_section = fullco._constraint_rows()
+    sol = solve_affine(alpha_rows @ d21,
+                       list(cx.layouts[2].block_of(coeffs, "alpha")))
+    assert not isinstance(sol, NoSolution)
+    lam = list(sol.x)
+    lo, hi = cx.layouts[1].block_slice("lambda_r")
+    lam[lo:hi] = vec_scale(rho_section.apply(coeffs), -1)
+    normalised = vec_sub(coeffs, d21.apply(lam))
+    assert fullco.normalised_space.contains(normalised)
+    return normalised, tuple(lam)
+
+
 class TestNormalisation:
     @pytest.mark.parametrize("s,t,N", GRID)
     def test_normalised_space_matches_rank_nullity(self, s, t, N):
@@ -454,15 +477,15 @@ class TestNormalisation:
         rnd = random.Random(12)
         lam = [Fraction(rnd.randint(-4, 4)) for _ in range(cx.layouts[1].dim)]
         z = cx.differentials[1].apply(lam)
-        normalised, witness = fullco.normalise(z)
-        assert vec_is_zero(normalised.coeffs)
+        normalised, witness = _normalise(fullco, z)
+        assert vec_is_zero(normalised)
         assert tuple(witness) == tuple(lam)  # unique witness
 
     def test_idempotence(self):
         fullco = get_fullco(3, 1, 1)
         v = fullco.normalised_space.basis.row_tuple(0)
-        normalised, witness = fullco.normalise(v)
-        assert normalised.coeffs == tuple(v)
+        normalised, witness = _normalise(fullco, v)
+        assert normalised == tuple(v)
         assert vec_is_zero(witness)
 
     def test_projection_property(self):
@@ -471,9 +494,9 @@ class TestNormalisation:
         cx = fullco.complex
         z = compute_cohomology(cx, 2).cocycles
         v = z.basis.row_tuple(z.dim - 1)
-        n1, _ = fullco.normalise(v)
-        n2, w2 = fullco.normalise(n1.coeffs)
-        assert n1.coeffs == n2.coeffs and vec_is_zero(w2)
+        n1, _ = _normalise(fullco, v)
+        n2, w2 = _normalise(fullco, n1)
+        assert n1 == n2 and vec_is_zero(w2)
 
     def test_non_cocycle_rejected(self):
         fullco = get_fullco(2, 1, 1)
@@ -482,7 +505,7 @@ class TestNormalisation:
         if Cochain22(fullco.complex, bad).is_cocycle():
             pytest.skip("perturbation accidentally closed")
         with pytest.raises(NotACocycle):
-            fullco.normalise(bad)
+            _normalise(fullco, bad)
 
     def test_boundaries_plus_normalised_decompose_cocycles(self):
         # dim Z = dim B + dim normalised (direct sum decomposition)
@@ -643,9 +666,9 @@ class TestComplexMemo:
         assert cx.model_valued
         for p in (1, 2):
             assert inclusion_matrix(cx, cx, p) == \
-                ExactMatrix.identity(cx.cochain_dim(p))
+                ExactMatrix.identity(cx.layouts[p].dim)
         assert restriction_matrix(cx, cx) == \
-            ExactMatrix.identity(cx.cochain_dim(2))
+            ExactMatrix.identity(cx.layouts[2].dim)
 
     def test_sampled_model_valued_complex_is_its_own(self):
         sub = get_sampled_subalgebra(3, 1, 1, 7)
@@ -705,6 +728,14 @@ def _isotropy_generators(sub):
     model = sub.model
     return ([(h, zero_vec(model.dim_r)) for h in sub.h.basis_vectors()] +
             [(zero_vec(model.dim_so), r) for r in sub.rp.basis_vectors()])
+
+
+def _lie_generators(sub):
+    """(so, r) coordinates of the Lie generators, h then r'."""
+    h_gens, rp_gens = sub.generator_coords()
+    model = sub.model
+    return ([(h, zero_vec(model.dim_r)) for h in h_gens] +
+            [(zero_vec(model.dim_so), r) for r in rp_gens])
 
 
 def _sub_of(s, t, N, kind):
@@ -787,7 +818,7 @@ class TestCochainAction:
                                     max_size=len(gens)))
         X = (lincomb(zip(coeffs, [so for so, _ in gens]), sub.model.dim_so),
              lincomb(zip(coeffs, [r for _, r in gens]), sub.model.dim_r))
-        dim = cx.cochain_dim(2)
+        dim = cx.layouts[2].dim
         rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
         cols = data.draw(st.integers(0, 3))
         M = ExactMatrix(dim, cols, [
@@ -804,14 +835,16 @@ class TestCochainAction:
                                             (3, 1, 1, "sampled"),
                                             (2, 1, 2, "maximal")])
     def test_action_matrices_against_the_cochain_action(self, s, t, N, kind):
-        # X.r_j - sum_i M[i, j] r_i is a coboundary for every generator X
+        # X.r_j - sum_i M[i, j] r_i is a coboundary for every Lie
+        # generator X
         sub = _sub_of(s, t, N, kind)
         cx = spencer.spencer_complex(sub, 2)
         co = compute_cohomology(cx, 2)
         reps = co.representatives
-        assert reps and len(co.action_matrices) == sub.h.dim + sub.rp.dim
-        dim = cx.cochain_dim(2)
-        for X, M in zip(_isotropy_generators(sub), co.action_matrices):
+        gens = _lie_generators(sub)
+        assert reps and len(co.action_matrices) == len(gens)
+        dim = cx.layouts[2].dim
+        for X, M in zip(gens, co.action_matrices):
             g = cochain_action_matrix(cx, *X)
             for j, r in enumerate(reps):
                 rest = vec_sub(g.apply(r), lincomb(
@@ -823,7 +856,7 @@ class TestCochainAction:
         sub = get_sampled_subalgebra(3, 1, 1, 7)
         cx = build_spencer_complex(sub, 2)
         ops = subalgebra_actions(cx)
-        assert subalgebra_actions(cx) is ops
+        assert all(a is b for a, b in zip(subalgebra_actions(cx), ops))
         assert len(ops) == sub.h.dim + sub.rp.dim
         for op, X in zip(ops, _isotropy_generators(sub)):
             assert op.matrix() == cochain_action_matrix(cx, *X)
@@ -848,6 +881,119 @@ class TestCochainAction:
         cx = spencer.spencer_complex(get_full_subalgebra(2, 1, 1), 2)
         op = subalgebra_actions(cx)[0]
         with pytest.raises(DimensionMismatch):
-            op.apply_many(ExactMatrix(cx.cochain_dim(2) + 1, 1))
+            op.apply_many(ExactMatrix(cx.layouts[2].dim + 1, 1))
         with pytest.raises(DimensionMismatch):
-            op.apply(zero_vec(cx.cochain_dim(2) - 1))
+            op.apply(zero_vec(cx.layouts[2].dim - 1))
+
+
+def _basis_invariant_classes(co):
+    """The a0-invariant classes of H^{2,2} from one CochainAction per
+    h-basis and r'-basis element: an oracle for invariant_classes."""
+    reps, B = co.representatives, co.boundaries
+    if not reps:
+        return []
+    dim, dim_h = len(reps[0]), len(reps)
+    span = hstack([ExactMatrix.from_columns(reps, dim), B.basis.transpose()])
+    blocks = []
+    for X in _isotropy_generators(co.complex.subalgebra):
+        image = CochainAction(co.complex, *X).apply_many(
+            ExactMatrix.from_columns(reps, dim))
+        cols = []
+        for j in range(dim_h):
+            sol = solve_affine(span, [image.entry(i, j) for i in range(dim)])
+            assert not isinstance(sol, NoSolution)
+            cols.append(sol.x[:dim_h])
+        blocks.append(ExactMatrix.from_columns(cols, dim_h))
+    kernel = (vstack(blocks).kernel() if blocks
+              else Subspace.full(dim_h))
+    return [lincomb(zip(kernel.basis.row_tuple(k), reps), dim)
+            for k in range(kernel.dim)]
+
+
+def _basis_invariant_normalised(fullco, sub):
+    """Normalised cocycles annihilated by the whole action of every h-basis
+    and r'-basis element: an oracle for invariant_normalised."""
+    N = fullco.normalised_space
+    cols = N.basis.transpose()
+    ops = [CochainAction(fullco.complex, *X)
+           for X in _isotropy_generators(sub)]
+    if not ops or N.dim == 0:
+        return N
+    kernel = vstack([op.apply_many(cols) for op in ops]).kernel()
+    dim = N.ambient_dim
+    return Subspace.from_vectors(dim, [
+        lincomb(zip(kernel.basis.row_tuple(k), N.basis_vectors()), dim)
+        for k in range(kernel.dim)])
+
+
+_SUBALGEBRA_CASES = ([(*cell, None) for cell in GRID] +
+                     [(*cell, seed) for cell in GRID for seed in (1, 2, 7)])
+
+
+def _case(s, t, N, seed):
+    return (get_full_subalgebra(s, t, N) if seed is None
+            else get_sampled_subalgebra(s, t, N, seed))
+
+
+class TestLieGeneratorInvariance:
+    @pytest.mark.parametrize("s,t,N,seed", _SUBALGEBRA_CASES)
+    def test_invariant_classes_match_the_basis_oracle(self, s, t, N, seed):
+        sub = _case(s, t, N, seed)
+        co = compute_cohomology(spencer.spencer_complex(sub, 2), 2)
+        assert co.invariant_classes() == _basis_invariant_classes(co)
+        if co.dim_h:
+            assert len(co.action_matrices) == \
+                len(sub.h_generators) + len(sub.rp_generators)
+
+    @pytest.mark.parametrize("s,t,N,seed", _SUBALGEBRA_CASES)
+    def test_invariant_normalised_matches_the_basis_oracle(self, s, t, N,
+                                                           seed):
+        sub = _case(s, t, N, seed)
+        fullco = get_fullco(s, t, N)
+        oracle = _basis_invariant_normalised(fullco, sub)
+        assert fullco.invariant_normalised(*sub.generator_coords()) == oracle
+        assert fullco.invariant_normalised(
+            sub.h.basis_vectors(), sub.rp.basis_vectors()) == oracle
+
+    def test_sweep_like_subalgebras(self):
+        # random S' at the highly supersymmetric dimension with the
+        # stabiliser isotropy, r' = 0 or the stabiliser, as the sweep draws
+        for s, t, N in ((2, 1, 1), (2, 1, 2), (3, 1, 1)):
+            model = get_model(s, t, N)
+            for seed in range(3, 6):
+                for mode in ("zero", "stabiliser"):
+                    sub = random_highly_susy_subalgebra(
+                        model, HIGH_SUSY_DIM[(s, t, N)], seed, mode)
+                    co = compute_cohomology(
+                        spencer.spencer_complex(sub, 2), 2)
+                    assert co.invariant_classes() == \
+                        _basis_invariant_classes(co)
+
+    def test_operators_per_generator_only(self):
+        # (3,1,2) maximal: 3 + 2 Lie generators act, not the 6 + 4 basis
+        sub = get_full_subalgebra(3, 1, 2)
+        cx = spencer.spencer_complex(sub, 2)
+        co = compute_cohomology(cx, 2)
+        assert co.dim_h and len(co.action_matrices) == 5
+        assert len(spencer.generator_actions(cx)) == 5
+        assert len(subalgebra_actions(cx)) == 10
+        # the generators' operators are the basis ones, built once
+        ops = subalgebra_actions(cx)
+        assert all(any(g is op for op in ops)
+                   for g in spencer.generator_actions(cx))
+
+    def test_admissibility_asks_for_the_generators(self, monkeypatch):
+        from spencerkit.deform import check_admissibility, zero_cocycle
+        sub = get_sampled_subalgebra(3, 1, 1, 7)
+        fullco = get_fullco(3, 1, 1)
+        calls = []
+        inner = FullModelCohomology.invariant_normalised
+
+        def recording(self, h_gens, rp_gens):
+            calls.append((list(h_gens), list(rp_gens)))
+            return inner(self, h_gens, rp_gens)
+
+        monkeypatch.setattr(FullModelCohomology, "invariant_normalised",
+                            recording)
+        datum = check_admissibility(sub, zero_cocycle(sub), fullco)
+        assert calls == [tuple(map(list, datum.subalgebra.generator_coords()))]
