@@ -1,19 +1,22 @@
 """Admissibility, the delta map, the theta maps, integrability, filtered
 deformations with full verification, geometric realisability and envelopes.
 
-Verification philosophy: every identity that is provably implied by the
-admissibility and integrability conditions is still checked exhaustively;
-a failure of one of those is promoted to OracleMismatch because it can only
-mean an implementation bug, never a valid mathematical state.  The quadratic
-system of integrability is the Jacobi identity of the deformed bracket: it is
-checked once, on the bracket tensor, and a failure there is a JacobiViolation.
+Verification philosophy: an identity implied by the admissibility and
+integrability conditions is checked once, as a component of the certificate
+that contains it, and its failure raises an error (OracleMismatch,
+JacobiViolation or FiltrationViolation) because it can only mean an
+implementation bug, never a valid mathematical state.  The quadratic system
+of integrability, the a0-invariance of theta and the Bianchi identities of
+theta1 and lambda are components of the Jacobi identity of the deformed
+bracket, checked once on its tensor; the filtration containments are
+components of the associated-graded certificate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .certs import Certificate
 from .errors import (FiltrationViolation, JacobiViolation,
@@ -372,26 +375,11 @@ class ThetaData:
     alternating_verified: bool = False
     second_relation_consistent: bool = False
 
-    def theta1_vec(self, x: Sequence[Fraction],
-                   y: Sequence[Fraction]) -> tuple:
-        return _bilinear(self.theta1, x, y, len(self.theta1[0][0]))
-
-    def theta2_vec(self, x: Sequence[Fraction],
-                   y: Sequence[Fraction]) -> tuple:
-        return _bilinear(self.theta2, x, y, len(self.theta2[0][0]))
-
     @property
     def theta2_zero(self) -> bool:
         if self.theta2 is None:
             return False
         return all(vec_is_zero(v) for row in self.theta2 for v in row)
-
-
-def _bilinear(table, x, y, dim: int) -> tuple:
-    """sum of x_b y_c table[b][c], in coordinates of length dim."""
-    return lincomb(((cb * cc, table[b][c])
-                    for b, cb in enumerate(x) if cb
-                    for c, cc in enumerate(y) if cc), dim)
 
 
 def compute_theta(datum: AdmissibleDatum) -> ThetaData:
@@ -500,13 +488,22 @@ def _second_defining_relation(datum: AdmissibleDatum, th1_spinor,
 # ---------------------------------------------------------------------------
 
 
+# the implied identities a passing report certifies: alternating and the
+# second defining relation on the theta stage, membership of theta in a0 by
+# _theta_in_a0, and a0-invariance, the Bianchi identities of theta1 and of
+# lambda and the quadratic system as components of the deformed bracket's
+# Jacobi identity
+_THEOREM_CHECKS = ("a0_invariance", "alternating", "bianchi_theta1",
+                   "lambda_bianchi", "quadratic_jacobi",
+                   "second_defining_relation", "theta_membership")
+
+
 @dataclass
 class IntegrabilityReport:
     passed: bool
     dirac_kernel_annihilated: bool
     spinor_identity_holds: bool
     witness: Optional[dict] = None
-    theorem_checks: dict = field(default_factory=dict)
     # an integrable datum's deformed bracket and its graded Jacobi
     # certificate, read by build_filtered_deformation; not in the report
     tensor: Optional[GradedBracketTensor] = field(default=None, repr=False)
@@ -517,7 +514,8 @@ class IntegrabilityReport:
                 "dirac_kernel_annihilated": self.dirac_kernel_annihilated,
                 "spinor_identity_holds": self.spinor_identity_holds,
                 "witness": self.witness,
-                "theorem_checks": dict(sorted(self.theorem_checks.items()))}
+                "theorem_checks": dict.fromkeys(
+                    _THEOREM_CHECKS if self.passed else (), True)}
 
 
 def check_integrability(datum: AdmissibleDatum) -> IntegrabilityReport:
@@ -525,11 +523,13 @@ def check_integrability(datum: AdmissibleDatum) -> IntegrabilityReport:
     induced maps satisfy the residual spinor identity; the report is computed
     once per datum and kept on it.
 
-    Every further identity implied by those two conditions (invariance,
-    Bianchi identities, membership of theta in a0) is re-verified
-    exhaustively; a failure there raises OracleMismatch.  The quadratic
-    system is the Jacobi identity of the deformed bracket, checked on its
-    tensor; a failure there raises JacobiViolation.
+    Each identity those two conditions imply is checked once: theta
+    alternating and the second defining relation on the theta stage, the
+    membership of theta in a0 by the coordinates the bracket is built from
+    (a failure of these raises OracleMismatch), and the quadratic system,
+    the a0-invariance of theta and the Bianchi identities of theta1 and
+    lambda as components of the Jacobi identity of the deformed bracket,
+    checked on its tensor (a failure there raises JacobiViolation).
     """
     if datum._integrability is None:
         datum._integrability = _check_integrability(datum)
@@ -565,17 +565,19 @@ def _check_integrability(datum: AdmissibleDatum) -> IntegrabilityReport:
                     return IntegrabilityReport(
                         False, True, False,
                         witness={"pair": (b, c), "spinor": k})
-    checks = _verify_integrability_theorems(datum, theta)
-    th1_h, th2_rp = _theta_in_a0(datum, theta)
-    checks["theta_membership"] = True
-    # the quadratic system: the Jacobi identity of the deformed bracket
-    tensor = _deformed_bracket(datum, th1_h, th2_rp)
+    for name, holds in (("theta alternating", theta.alternating_verified),
+                        ("second defining relation",
+                         theta.second_relation_consistent)):
+        if not holds:
+            raise OracleMismatch(f"implied integrability identity {name!r} "
+                                 "fails; implementation bug")
+    # theta in h / r' coordinates, then the Jacobi identity of the deformed
+    # bracket: the quadratic system, a0-invariance and both Bianchi identities
+    tensor = _deformed_bracket(datum, *_theta_in_a0(datum, theta))
     jacobi = graded_jacobi_check(tensor)
     if not jacobi.passed:
         raise JacobiViolation(jacobi.detail, triple=jacobi.witness)
-    checks["quadratic_jacobi"] = True
-    return IntegrabilityReport(True, True, True, theorem_checks=checks,
-                               tensor=tensor, jacobi=jacobi)
+    return IntegrabilityReport(True, True, True, tensor=tensor, jacobi=jacobi)
 
 
 def _theta_in_a0(datum: AdmissibleDatum, theta: ThetaData):
@@ -605,101 +607,6 @@ def _theta_in_a0(datum: AdmissibleDatum, theta: ThetaData):
             th1_h[b][c] = c1
             th2_rp[b][c] = c2
     return th1_h, th2_rp
-
-
-def _verify_integrability_theorems(datum: AdmissibleDatum,
-                                   theta: ThetaData) -> dict:
-    """The identities the residual spinor identity implies: theta
-    alternating, the second defining relation, a0-invariance and the
-    Bianchi identities."""
-    sub = datum.subalgebra
-    model = datum.model
-    n = model.dim_v
-    checks: Dict[str, bool] = {}
-
-    def fail(name):
-        raise OracleMismatch(f"implied integrability identity {name!r} "
-                             "fails; implementation bug")
-
-    if not theta.alternating_verified:
-        fail("theta alternating")
-    if not theta.second_relation_consistent:
-        fail("second defining relation")
-    checks["alternating"] = True
-    checks["second_defining_relation"] = True
-
-    # a0-invariance of theta
-    for A_v in sub.h_so:
-        for b in range(n):
-            for c in range(b + 1, n):
-                ab = A_v.apply(basis_vec(n, b))
-                ac = A_v.apply(basis_vec(n, c))
-                val = model.gens.so_coordinates(
-                    A_v.commutator(model.so_matrix(theta.theta1[b][c])))
-                val = vec_sub(val, theta.theta1_vec(ab, basis_vec(n, c)))
-                val = vec_sub(val, theta.theta1_vec(basis_vec(n, b), ac))
-                if not vec_is_zero(val):
-                    fail("h-invariance of theta1")
-                val2 = vec_scale(theta.theta2_vec(ab, basis_vec(n, c)), -1)
-                val2 = vec_sub(val2, theta.theta2_vec(basis_vec(n, b), ac))
-                if not vec_is_zero(val2):
-                    fail("h-invariance of theta2")
-    for a_m in sub.rp_mats:
-        for b in range(n):
-            for c in range(b + 1, n):
-                comm = a_m.commutator(model.r_matrix(theta.theta2[b][c]))
-                if not comm.is_zero():
-                    rc = model.r.coordinates(comm)
-                    if rc is None or not vec_is_zero(rc):
-                        fail("r'-invariance of theta2")
-    checks["a0_invariance"] = True
-
-    # algebraic Bianchi identity for theta1
-    for a in range(n):
-        for b in range(a + 1, n):
-            for c in range(b + 1, n):
-                acc = model.so_matrix(theta.theta1[a][b]).apply(
-                    basis_vec(n, c))
-                acc = vec_add(acc, model.so_matrix(
-                    theta.theta1[b][c]).apply(basis_vec(n, a)))
-                acc = vec_add(acc, model.so_matrix(
-                    theta.theta1[c][a]).apply(basis_vec(n, b)))
-                if not vec_is_zero(acc):
-                    fail("Bianchi identity for theta1")
-    checks["bianchi_theta1"] = True
-
-    # lambda-Bianchi identities
-    def lam_act_theta(u, v, w, which):
-        """(lambda(u).theta)(v,w) for basis indices u, v, w."""
-        l1u = datum.lam1_matrix(u)
-        av = l1u.apply(basis_vec(n, v))
-        aw = l1u.apply(basis_vec(n, w))
-        if which == 1:
-            out = model.gens.so_coordinates(
-                l1u.commutator(model.so_matrix(theta.theta1[v][w])))
-            out = vec_sub(out, theta.theta1_vec(av, basis_vec(n, w)))
-            out = vec_sub(out, theta.theta1_vec(basis_vec(n, v), aw))
-            return out
-        l2u = datum.lam2_matrix(u)
-        comm = l2u.commutator(model.r_matrix(theta.theta2[v][w]))
-        rc = model.r.coordinates(comm)
-        if rc is None:
-            raise OracleMismatch("[lambda2, theta2] leaves r")
-        out = vec_sub(rc, theta.theta2_vec(av, basis_vec(n, w)))
-        out = vec_sub(out, theta.theta2_vec(basis_vec(n, v), aw))
-        return out
-
-    for a in range(n):
-        for b in range(a + 1, n):
-            for c in range(b + 1, n):
-                for which in (1, 2):
-                    acc = lam_act_theta(a, b, c, which)
-                    acc = vec_add(acc, lam_act_theta(b, c, a, which))
-                    acc = vec_add(acc, lam_act_theta(c, a, b, which))
-                    if not vec_is_zero(acc):
-                        fail(f"lambda-Bianchi for theta{which}")
-    checks["lambda_bianchi"] = True
-    return checks
 
 
 # ---------------------------------------------------------------------------
@@ -827,8 +734,13 @@ def _deformed_bracket(datum: AdmissibleDatum, th1_h: list,
 
 def build_filtered_deformation(datum: AdmissibleDatum) -> FilteredDeformation:
     """The deformed bracket of an integrable datum with its Jacobi
-    certificate from check_integrability, and the filtration containments
-    and the associated-graded reconstruction verified exactly."""
+    certificate from check_integrability, and the associated-graded
+    reconstruction verified exactly.
+
+    The levels lie in {-2, -1, 0}, so a component that breaks a filtration
+    containment [F^i, F^j] inside F^{i+j} has a level shift below 0, which
+    the associated-graded certificate rejects as outside the defining
+    sequence: the filtration certificate holds once that one passes."""
     integrability = check_integrability(datum)
     if not integrability.passed:
         raise OracleMismatch("build_filtered_deformation requires an "
@@ -836,41 +748,29 @@ def build_filtered_deformation(datum: AdmissibleDatum) -> FilteredDeformation:
     tensor = integrability.tensor
     n, nsp, dh, dr = tensor.component_dims
     levels = tuple([-2] * n + [-1] * nsp + [0] * (dh + dr))
-    certificates = {"jacobi": integrability.jacobi}
-    cert = _check_filtration(tensor, levels)
-    certificates["filtration"] = cert
-    if not cert.passed:
-        raise FiltrationViolation(cert.detail)
     cert = _check_assoc_graded(datum, tensor, levels)
-    certificates["assoc_graded"] = cert
     if not cert.passed:
         raise FiltrationViolation(cert.detail)
+    certificates = {
+        "jacobi": integrability.jacobi, "assoc_graded": cert,
+        "filtration": Certificate(
+            True, "[F^i, F^j] inside F^{i+j} for all levels")}
     return FilteredDeformation(subalgebra=datum.subalgebra, datum=datum,
                                theta=compute_theta(datum), tensor=tensor,
                                filtration_levels=levels,
                                certificates=certificates)
 
 
-def _check_filtration(tensor: GradedBracketTensor, levels: tuple) -> Certificate:
-    """[F^i, F^j] inside F^{i+j} with F^m decreasing, F^{-2} everything and
-    F^1 = 0."""
-    total = tensor.total_dim
-    for i in range(total):
-        for j in range(total):
-            want = max(levels[i] + levels[j], -2)
-            for k, v in tensor.bracket(i, j).items():
-                if v and levels[k] < want:
-                    return Certificate(
-                        False, "filtration violated",
-                        witness={"pair": (i, j), "target": k})
-    return Certificate(True, "[F^i, F^j] inside F^{i+j} for all levels")
-
-
 def _check_assoc_graded(datum: AdmissibleDatum,
                         tensor: GradedBracketTensor,
                         levels: tuple) -> Certificate:
     """The level-preserving part of the bracket equals the graded bracket of
-    the subalgebra, and every deformation term has level shift +2 or +4."""
+    the subalgebra, and every deformation term has level shift +2 or +4.
+
+    Checked on the pairs i <= j: the tensor's super-antisymmetry is certified
+    by its Jacobi check and the flat model's bracket is super-antisymmetric,
+    so a pair (j, i) fails exactly when (i, j) does, with the same targets,
+    and the first failing pair in row-major order has i <= j."""
     sub = datum.subalgebra
     model = datum.model
     # per component V, S', h, r': (offset in the tensor, offset in the flat
@@ -896,7 +796,7 @@ def _check_assoc_graded(datum: AdmissibleDatum,
 
     total = tensor.total_dim
     for i in range(total):
-        for j in range(total):
+        for j in range(i, total):
             expected = graded_value(i, j)
             got = tensor.bracket(i, j)
             base = levels[i] + levels[j]

@@ -514,12 +514,6 @@ class Subspace:
         return all(self.contains(other.basis.row_tuple(i))
                    for i in range(other.dim))
 
-    def add(self, other: "Subspace") -> "Subspace":
-        if self.ambient_dim != other.ambient_dim:
-            raise DimensionMismatch("subspace sum: ambient dims differ")
-        return Subspace(self.ambient_dim,
-                        vstack([self.basis, other.basis]).rref())
-
     def intersect(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatch("intersection: ambient dims differ")

@@ -660,10 +660,6 @@ def stabiliser_in_so(model: ExtendedFlatModel, Sp: Subspace) -> Subspace:
     return _stabiliser(model.gens.sigma, model.dim_so, Sp)
 
 
-def stabiliser_in_r(model: ExtendedFlatModel, Sp: Subspace) -> Subspace:
-    return _stabiliser(model.r.matrices, model.dim_r, Sp)
-
-
 def _stabiliser(mats: Sequence[ExactMatrix], dim: int,
                 Sp: Subspace) -> Subspace:
     if dim == 0:

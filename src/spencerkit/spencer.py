@@ -63,10 +63,6 @@ class CochainLayout:
         """The coordinates of the named blocks, block after block."""
         return [i for name in names for i in range(*self.block_slice(name))]
 
-    def block_of(self, coeffs: Sequence[Fraction], name: str) -> tuple:
-        lo, hi = self.block_slice(name)
-        return tuple(coeffs[lo:hi])
-
 
 # ---------------------------------------------------------------------------
 # the complex

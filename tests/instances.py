@@ -1,4 +1,6 @@
-"""Shared, cached construction of test instances across the signature grid."""
+"""Shared, cached construction of test instances across the signature grid,
+and hand-written oracles of identities the engine checks as components of a
+larger certificate."""
 
 from functools import lru_cache
 from itertools import combinations
@@ -9,9 +11,9 @@ from spencerkit.deform import _gauge_shift, check_admissibility, \
     class_gauge_generators
 from spencerkit.errors import DimensionMismatch, NotClosed
 from spencerkit.exactla import AffineSolver, ExactMatrix, Subspace, \
-    basis_vec, hstack, zero_vec
-from spencerkit.flatmodel import build_extended_flat_model, full_subalgebra, \
-    make_graded_subalgebra, random_subspace, stabiliser_in_r, \
+    basis_vec, hstack, vec_add, vec_is_zero, zero_vec
+from spencerkit.flatmodel import _stabiliser, build_extended_flat_model, \
+    full_subalgebra, make_graded_subalgebra, random_subspace, \
     stabiliser_in_so
 from spencerkit.spencer import FullModelCohomology, inclusion_matrix, \
     restriction_matrix, spencer_complex
@@ -21,6 +23,11 @@ GRID = ((2, 1, 1), (2, 1, 2), (3, 1, 1), (3, 1, 2))
 
 # dim S' used when sampling highly supersymmetric subalgebras per grid cell
 HIGH_SUSY_DIM = {(2, 1, 1): 2, (2, 1, 2): 3, (3, 1, 1): 3, (3, 1, 2): 5}
+
+
+def stabiliser_in_r(model, Sp):
+    """{a in r : a S' is contained in S'}."""
+    return _stabiliser(model.r.matrices, model.dim_r, Sp)
 
 
 def random_highly_susy_subalgebra(model, dim_sp, seed, rp_mode="stabiliser"):
@@ -185,3 +192,66 @@ def admissible_data_for_cell(s, t, N, include_subs=True):
                 continue
             out.append(datum)
     return tuple(out)
+
+
+def first_bianchi_holds(table, model):
+    """sum_cyc table[a][b] e_c = 0 on the triples a < b < c, for a table of
+    so(V) coordinates on V x V (theta1, or the curvature R0)."""
+    n = model.dim_v
+    e = [basis_vec(n, b) for b in range(n)]
+    mats = [[model.so_matrix(x) for x in row] for row in table]
+    return all(vec_is_zero(vec_add(vec_add(mats[a][b].apply(e[c]),
+                                           mats[b][c].apply(e[a])),
+                                   mats[c][a].apply(e[b])))
+               for a, b, c in combinations(range(n), 3))
+
+
+def implied_identity_failures(datum, theta):
+    """The identities of integrability that the Jacobi identity of the
+    deformed bracket contains, checked by hand on theta: a0-invariance, the
+    first Bianchi identity of theta1 and the lambda-Bianchi identities of
+    theta1 and theta2.  Returns the names of those that fail."""
+    model, sub = datum.model, datum.subalgebra
+    n = model.dim_v
+    e = [basis_vec(n, b) for b in range(n)]
+    # theta1 as so(V) matrices on V, theta2 as r matrices on S
+    tables = ([[model.so_matrix(x) for x in row] for row in theta.theta1],
+              [[model.r_matrix(x) for x in row] for row in theta.theta2])
+
+    def form(k, x, y):
+        """theta_k(x, y) as a matrix."""
+        m = tables[k][0][0]
+        out = ExactMatrix.zeros(m.rows, m.cols)
+        for b, xb in enumerate(x):
+            for c, yc in enumerate(y):
+                if xb and yc:
+                    out = out + tables[k][b][c].scale(xb * yc)
+        return out
+
+    def act(k, on_v, on_values, b, c):
+        """(X.theta_k)(e_b, e_c) for X acting on V by on_v and on the values
+        of theta_k by commutator with on_values (trivially when None)."""
+        moved = form(k, on_v.apply(e[b]), e[c]) + \
+            form(k, e[b], on_v.apply(e[c]))
+        if on_values is None:
+            return moved.scale(-1)
+        return on_values.commutator(tables[k][b][c]) - moved
+
+    pairs = list(combinations(range(n), 2))
+    invariant = all(act(0, A, A, b, c).is_zero()
+                    and act(1, A, None, b, c).is_zero()
+                    for A in sub.h_so for b, c in pairs) and all(
+        a.commutator(tables[1][b][c]).is_zero()
+        for a in sub.rp_mats for b, c in pairs)
+    # lambda(e_a) acts on V and theta1 by lambda1, on theta2 by lambda2
+    lam = [(datum.lam1_matrix(a),) * 2 + (datum.lam2_matrix(a),)
+           for a in range(n)]
+    lam_bianchi = all(
+        (act(k, lam[a][0], lam[a][k + 1], b, c)
+         + act(k, lam[b][0], lam[b][k + 1], c, a)
+         + act(k, lam[c][0], lam[c][k + 1], a, b)).is_zero()
+        for k in (0, 1) for a, b, c in combinations(range(n), 3))
+    return [name for name, holds in (
+        ("a0_invariance", invariant),
+        ("bianchi_theta1", first_bianchi_holds(theta.theta1, model)),
+        ("lambda_bianchi", lam_bianchi)) if not holds]

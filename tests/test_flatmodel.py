@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from instances import GRID, annihilator_in_so, get_current, \
     get_full_subalgebra, get_model, get_rep, get_sampled_subalgebra, \
-    random_highly_susy_subalgebra
+    stabiliser_in_r
 from spencerkit.cliffspin import Signature, build_clifford_rep, \
     build_dirac_current
 from spencerkit.errors import JacobiViolation, NotClosed, NotCompactForm
@@ -20,8 +20,7 @@ from spencerkit.flatmodel import (EndoSubalgebra, GradedBracketTensor,
                                   full_subalgebra, graded_jacobi_check,
                                   jacobi_triples, kappa_restriction_matrix,
                                   lie_generating_subset,
-                                  make_graded_subalgebra, random_subspace,
-                                  stabiliser_in_r)
+                                  make_graded_subalgebra, random_subspace)
 
 
 class TestSchurAlgebra:
@@ -530,7 +529,8 @@ def _lie_closure(mats, vecs, coords):
             for b in elems:
                 c = coords(a.commutator(b))
                 if not span.contains(c):
-                    span = span.add(Subspace.from_vectors(dim, [c]))
+                    span = Subspace.from_vectors(
+                        dim, span.basis_vectors() + [c])
                     grown = True
     return span
 

@@ -2,14 +2,15 @@ import dataclasses
 
 import pytest
 
-from instances import GRID, admissible_data_for_cell, get_full_subalgebra, \
-    get_fullco
+from instances import GRID, admissible_data_for_cell, first_bianchi_holds, \
+    get_full_subalgebra, get_fullco
 from spencerkit.deform import (build_filtered_deformation,
                                check_admissibility,
                                check_geometric_realisability,
                                check_integrability, zero_cocycle)
 from spencerkit.errors import CurvatureMismatch, TorsionViolation
-from spencerkit.exactla import ExactMatrix, basis_vec, vec_is_zero
+from spencerkit.exactla import ExactMatrix, basis_vec, vec_add, \
+    vec_is_zero, vec_scale
 from spencerkit.reconstruct import (UNCHECKED_HYPOTHESES,
                                     _verify_torsion_free, build_nomizu_map,
                                     curvature_at_origin,
@@ -100,8 +101,8 @@ class TestCurvature:
 
     @pytest.mark.parametrize("s,t,N", [(2, 1, 1), (2, 1, 2), (3, 1, 1)])
     def test_wang_formula_matches_minus_theta(self, s, t, N):
-        # curvature_at_origin asserts the equality entrywise and the first
-        # Bianchi identity; reaching the return is the test
+        # curvature_at_origin asserts the equality entrywise; reaching the
+        # return is the test
         for deformation in realisable_deformations(s, t, N)[:2]:
             nomizu = build_nomizu_map(deformation)
             curv = curvature_at_origin(deformation, nomizu)
@@ -111,6 +112,26 @@ class TestCurvature:
                 for c in range(n):
                     assert curv.R0[b][c] == tuple(
                         -x for x in theta.theta1[b][c])
+
+    def test_first_bianchi_on_every_reconstructed_datum(self):
+        # implied by the certified torsion-freeness and Jacobi identity, so
+        # the engine does not check it; the test-only oracle does
+        count = 0
+        for cell in GRID:
+            for deformation in realisable_deformations(*cell):
+                nomizu = build_nomizu_map(deformation)
+                curv = curvature_at_origin(deformation, nomizu)
+                assert first_bianchi_holds(curv.R0, deformation.datum.model)
+                count += 1
+        assert count == 19
+        # and the oracle can fail: R0 moved at one pair and its partner by
+        # the last so(V) basis element
+        model = deformation.datum.model
+        move = basis_vec(model.dim_so, model.dim_so - 1)
+        bad = [list(row) for row in curv.R0]
+        bad[0][1] = vec_add(bad[0][1], move)
+        bad[1][0] = vec_add(bad[1][0], vec_scale(move, -1))
+        assert not first_bianchi_holds(bad, model)
 
     def test_realisable_gives_flat_gauge_field(self):
         for cell in GRID[:3]:

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from instances import (GRID, HIGH_SUSY_DIM, get_full_subalgebra, get_fullco,
                        get_model, get_sampled_subalgebra, invariant_basis,
-                       random_highly_susy_subalgebra)
+                       random_highly_susy_subalgebra, stabiliser_in_r)
 from spencerkit.errors import (DimensionMismatch, KappaZero, NotACocycle,
                                NotHighlySusy, OracleMismatch)
 from spencerkit import spencer
@@ -18,8 +18,7 @@ from spencerkit.exactla import (ExactMatrix, NoSolution, Subspace, basis_vec,
 from spencerkit.cliffspin import (Signature, build_clifford_rep,
                                   build_dirac_current)
 from spencerkit.flatmodel import (build_extended_flat_model,
-                                  make_graded_subalgebra, stabiliser_in_r,
-                                  stabiliser_in_so)
+                                  make_graded_subalgebra, stabiliser_in_so)
 from spencerkit.spencer import (CochainAction, Cochain22,
                                 FullModelCohomology, build_spencer_complex,
                                 build_splitting, cochain_action_matrix,
@@ -272,7 +271,8 @@ class TestCohomology:
         for vecrow in co.cocycles.basis_vectors():
             if not span.contains(vecrow):
                 greedy.append(vecrow)
-                span = span.add(Subspace.from_vectors(len(vecrow), [vecrow]))
+                span = Subspace.from_vectors(
+                    len(vecrow), span.basis_vectors() + [vecrow])
         assert list(co.representatives) == greedy
 
     def test_action_matrices_shape(self):
@@ -432,8 +432,8 @@ def _normalise(fullco, coeffs):
         raise NotACocycle("input is not a degree-2 Spencer cocycle")
     d21 = cx.differentials[1]
     alpha_rows, rho_section = fullco._constraint_rows()
-    sol = solve_affine(alpha_rows @ d21,
-                       list(cx.layouts[2].block_of(coeffs, "alpha")))
+    lo, hi = cx.layouts[2].block_slice("alpha")
+    sol = solve_affine(alpha_rows @ d21, list(coeffs[lo:hi]))
     assert not isinstance(sol, NoSolution)
     lam = list(sol.x)
     lo, hi = cx.layouts[1].block_slice("lambda_r")
