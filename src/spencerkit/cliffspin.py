@@ -22,7 +22,7 @@ from .certs import Certificate, ProbeReport
 from .errors import (DimensionMismatch, NoInvariantPairing, NoRealForm,
                      NotEquivariant, NotLorentzian, NotSymmetric)
 from .exactla import (ExactMatrix, Subspace, block_diag, kron, rat_str,
-                      tensor_index_maps, vec_is_zero, vstack)
+                      scaled_rows, tensor_index_maps, vstack)
 
 CONVENTION = ("eta = diag(-1 x t, +1 x s), timelike directions first; "
               "causal means eta(v,v) <= 0")
@@ -428,45 +428,62 @@ def _splitmix64(x: int) -> int:
     return z ^ (z >> 31)
 
 
-def _sample_spinor(seed: int, counter: int, dim: int) -> tuple:
-    """Counter-based rational spinor sample; independent per counter."""
-    comps = []
-    for j in range(dim):
-        h = _splitmix64(((seed & _M64) << 1) ^ _splitmix64(counter * dim + j))
-        comps.append(Fraction((h % 19) - 9))
-    return tuple(comps)
+def _sample_ints(seed: int, counter: int, dim: int) -> list:
+    """Counter-based integer spinor sample with entries in [-9, 9];
+    independent per counter."""
+    key = (seed & _M64) << 1
+    return [_splitmix64(key ^ _splitmix64(counter * dim + j)) % 19 - 9
+            for j in range(dim)]
+
+
+def _quadratic_form(K: ExactMatrix) -> dict:
+    """x^T K x as {(i, j): c} over i <= j, without zero coefficients."""
+    form: dict = {}
+    for i in range(K.rows):
+        for j, v in enumerate(K.row_tuple(i)):
+            if v:
+                pair = (i, j) if i <= j else (j, i)
+                form[pair] = form.get(pair, 0) + v
+    return {pair: c for pair, c in form.items() if c}
 
 
 def causality_probe(current: DiracCurrent, sig: Signature,
                     samples: int = 1000, seed: int = 0) -> ProbeReport:
-    """Sample eta(kappa_s, kappa_s) over pseudorandom rational spinors.
+    """Sample eta(kappa_s, kappa_s) over pseudorandom integer spinors.
 
     Reports the first spacelike value found, if any.  This is explicitly a
     probe: it never proves causality.
+
+    The components kappa^a(s, s) are quadratic forms in s, brought once per
+    call over one common denominator L, so each sample is tested in integer
+    arithmetic: L^2 eta(kappa_s, kappa_s) = sum_a eta_a (L kappa^a(s, s))^2.
+    Only a counterexample's value is built as a rational, q / L^2.
     """
     if not sig.lorentzian:
         raise NotLorentzian("causality probe requires Lorentzian signature")
     if current.symmetry != "symmetric":
         raise NotSymmetric("causality probe requires a symmetric current")
-    eta = sig.eta()
+    L, forms = scaled_rows(map(_quadratic_form, current.components))
+    # eta = diag(-1 x t, +1 x s): the first t components are timelike
+    signed = [(-1 if a < sig.t else 1, list(form.items()))
+              for a, form in enumerate(forms)]
     dim = current.rep.spinor_dim
     counter = 0
     produced = 0
     while produced < samples:
-        s = _sample_spinor(seed, counter, dim)
+        s = _sample_ints(seed, counter, dim)
         counter += 1
-        if vec_is_zero(s):
+        if not any(s):
             continue
         produced += 1
-        kappa_s = current.value(s, s)
-        q = sum((eta[a] * kappa_s[a] * kappa_s[a] for a in range(sig.dim)),
-                Fraction(0))
+        q = sum(eta * sum(c * s[i] * s[j] for (i, j), c in form) ** 2
+                for eta, form in signed)
         if q > 0:
             return ProbeReport(
                 probe="causality", samples=samples, seed=seed,
                 counterexample={
                     "sample_index": produced - 1,
-                    "spinor": [rat_str(c) for c in s],
-                    "eta_kappa_kappa": rat_str(q),
+                    "spinor": [str(c) for c in s],
+                    "eta_kappa_kappa": rat_str(Fraction(q, L * L)),
                 })
     return ProbeReport(probe="causality", samples=samples, seed=seed)

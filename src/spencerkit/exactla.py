@@ -79,13 +79,7 @@ def _strip_row(row: dict) -> dict:
 
 def _to_int_row(row: dict) -> dict:
     """Scale a sparse row of Fractions to a stripped integer row."""
-    if not row:
-        return {}
-    mult = 1
-    for v in row.values():
-        d = v.denominator
-        mult = mult // gcd(mult, d) * d
-    return _strip_row({c: int(v * mult) for c, v in row.items()})
+    return _strip_row(_scaled_row(row)[1])
 
 
 def _echelon(int_rows: Iterable[dict]) -> dict:
@@ -600,12 +594,24 @@ def solve_affine(A: ExactMatrix, b: Sequence[RationalLike]):
     return NoSolution(combination=y, rhs=Fraction(1))
 
 
+def scaled_rows(rows: Iterable[dict]) -> tuple:
+    """Sparse rational rows over one common denominator: (L, int_rows) with
+    row[j] == int_rows[k][j] / L for the k-th row, L the lcm of every
+    denominator.  The keys of a row may be anything hashable."""
+    rows = list(rows)
+    L = 1
+    for row in rows:
+        for v in row.values():
+            if v.denominator != 1:
+                L = L // gcd(L, v.denominator) * v.denominator
+    return L, [{j: v.numerator * (L // v.denominator) for j, v in row.items()}
+               for row in rows]
+
+
 def _scaled_row(row: dict) -> tuple:
     """(d, ints) with row[j] == ints[j] / d, d the lcm of the denominators."""
-    d = 1
-    for v in row.values():
-        d = d // gcd(d, v.denominator) * v.denominator
-    return d, {j: v.numerator * (d // v.denominator) for j, v in row.items()}
+    d, (ints,) = scaled_rows((row,))
+    return d, ints
 
 
 class AffineSolver:

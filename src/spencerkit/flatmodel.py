@@ -14,7 +14,7 @@ from .errors import (DimensionMismatch, JacobiViolation, NotClosed,
                      NotCompactForm)
 from .exactla import (ExactMatrix, Subspace, basis_vec, block_diag,
                       is_positive_definite, lincomb, pair_map, rat_str,
-                      tensor_index_maps, vec_scale, zero_vec)
+                      scaled_rows, tensor_index_maps, vec_scale, zero_vec)
 
 
 # ---------------------------------------------------------------------------
@@ -178,13 +178,6 @@ class GradedBracketTensor:
     def bracket(self, i: int, j: int) -> dict:
         return self.table.get((i, j), {})
 
-    def bracket_vec(self, i: int, v: dict) -> dict:
-        """[x_i, v] for a sparse coefficient vector v."""
-        out: dict = {}
-        for j, c in v.items():
-            _add_scaled(out, self.bracket(i, j), c)
-        return out
-
     def vec_bracket(self, v: dict, k: int) -> dict:
         """[v, x_k] for a sparse coefficient vector v."""
         out: dict = {}
@@ -208,6 +201,16 @@ def _add_scaled(out: dict, v: dict, c: Fraction) -> None:
             out[k] = t
         elif k in out:
             del out[k]
+
+
+def _accumulate(acc: dict, coeffs: dict, rows: dict, scale: int) -> None:
+    """acc += scale * sum_m coeffs[m] rows[m] on sparse integer vectors."""
+    for m, c in coeffs.items():
+        row = rows.get(m)
+        if row:
+            c *= scale
+            for t, w in row.items():
+                acc[t] = acc.get(t, 0) + c * w
 
 
 def jacobi_triples(parities: Sequence[int]):
@@ -234,17 +237,25 @@ def graded_jacobi_check(tensor: GradedBracketTensor) -> Certificate:
     i <= j <= k, and a triple with a repeated even index has J = -J = 0.  So
     the triples of `jacobi_triples` are exhaustive: J vanishes on them if and
     only if it vanishes on all n^3 ordered ones.
+
+    Both passes read the table scaled once to integers over the lcm L of its
+    denominators.  J is quadratic in the table, so L^2 J is evaluated in
+    integer arithmetic, and a violation's defect is reported as the
+    rational acc / L^2.  The scaled table lives only for the call.
     """
     n = tensor.total_dim
     par = tensor.parities
     deg = tensor.degrees
+    L, rows = scaled_rows(tensor.table.values())
+    table = dict(zip(tensor.table, rows))
+    empty: dict = {}
     for i in range(n):
         for j in range(n):
-            bij = tensor.bracket(i, j)
+            bij = table.get((i, j), empty)
             sign = -1 if (par[i] * par[j]) % 2 == 0 else 1
-            bji = tensor.bracket(j, i)
+            bji = table.get((j, i), empty)
             for k in set(bij) | set(bji):
-                if bij.get(k, Fraction(0)) != sign * bji.get(k, Fraction(0)):
+                if bij.get(k, 0) != sign * bji.get(k, 0):
                     return Certificate(
                         False, "super-antisymmetry violated",
                         witness={"pair": (i, j), "target": k})
@@ -262,17 +273,24 @@ def graded_jacobi_check(tensor: GradedBracketTensor) -> Certificate:
                             False, "bracket does not respect the Z-degree",
                             witness={"pair": (i, j), "target": k,
                                      "degree": deg[k], "expected": want})
+    # [x_i, x_m] = left[i][m] and [x_m, x_k] = right[k][m]
+    left: list = [{} for _ in range(n)]
+    right: list = [{} for _ in range(n)]
+    for (i, j), row in table.items():
+        left[i][j] = right[j][i] = row
     for i, j, k in jacobi_triples(par):
         sgn = -1 if (par[i] * par[j]) % 2 else 1
-        acc = tensor.bracket_vec(i, tensor.bracket(j, k))
-        _add_scaled(acc, tensor.vec_bracket(tensor.bracket(i, j), k), -1)
-        _add_scaled(acc, tensor.bracket_vec(j, tensor.bracket(i, k)), -sgn)
-        if acc:
-            t = sorted(acc)[0]
+        acc: dict = {}
+        _accumulate(acc, table.get((j, k), empty), left[i], 1)
+        _accumulate(acc, table.get((i, j), empty), right[k], -1)
+        _accumulate(acc, table.get((i, k), empty), left[j], -sgn)
+        nonzero = [t for t, v in acc.items() if v]
+        if nonzero:
+            t = min(nonzero)
             return Certificate(
                 False, "super Jacobi identity violated",
                 witness={"triple": (i, j, k), "target": t,
-                         "defect": rat_str(acc[t])})
+                         "defect": rat_str(Fraction(acc[t], L * L))})
     return Certificate(True, "graded Jacobi identity holds exactly")
 
 

@@ -19,7 +19,7 @@ from .deform import (NotAdmissible, build_filtered_deformation,
                      check_admissibility, check_geometric_realisability,
                      check_integrability, compute_envelope, compute_theta,
                      deformation_report, zero_cocycle)
-from .errors import (ConfigError, DimensionMismatch, NotClosed,
+from .errors import (ConfigError, DimensionMismatch, KappaZero, NotClosed,
                      SpencerKitError, StageError)
 from .exactla import ExactMatrix, Subspace, rat, vec_is_zero
 from .flatmodel import (build_extended_flat_model, compute_r_symmetry_algebra,
@@ -318,7 +318,11 @@ def _stage_subalgebra(config, state):
 
 def _stage_cohomology(config, state):
     model, sub = state["model"], state["sub"]
-    fullco = FullModelCohomology(model)
+    try:
+        fullco = FullModelCohomology(model)
+    except KappaZero as err:
+        # the normalisation theory needs a section of kappa
+        raise _Negative({"reason": "kappa_zero", "detail": str(err)})
     state["fullco"] = fullco
     sub_cx = spencer_complex(sub, 2)
     state["sub_cx"] = sub_cx

@@ -1,20 +1,23 @@
 """Shared, cached construction of test instances across the signature grid,
-and hand-written oracles of identities the engine checks as components of a
-larger certificate."""
+hand-written oracles of identities the engine checks as components of a
+larger certificate, and the Fraction-arithmetic oracles of the checks the
+engine runs on integer-scaled data."""
 
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from spencerkit.cliffspin import Signature, build_clifford_rep, \
-    build_dirac_current
+from spencerkit.certs import Certificate, ProbeReport
+from spencerkit.cliffspin import _M64, Signature, _splitmix64, \
+    build_clifford_rep, build_dirac_current
 from spencerkit.deform import _gauge_shift, check_admissibility, \
     class_gauge_generators
 from spencerkit.errors import DimensionMismatch, NotClosed
 from spencerkit.exactla import AffineSolver, ExactMatrix, Subspace, \
-    basis_vec, hstack, vec_add, vec_is_zero, zero_vec
-from spencerkit.flatmodel import _stabiliser, build_extended_flat_model, \
-    full_subalgebra, make_graded_subalgebra, random_subspace, \
-    stabiliser_in_so
+    basis_vec, hstack, rat_str, vec_add, vec_is_zero, zero_vec
+from spencerkit.flatmodel import _add_scaled, _stabiliser, \
+    build_extended_flat_model, full_subalgebra, jacobi_triples, \
+    make_graded_subalgebra, random_subspace, stabiliser_in_so
 from spencerkit.spencer import FullModelCohomology, inclusion_matrix, \
     restriction_matrix, spencer_complex
 
@@ -255,3 +258,91 @@ def implied_identity_failures(datum, theta):
         ("a0_invariance", invariant),
         ("bianchi_theta1", first_bianchi_holds(theta.theta1, model)),
         ("lambda_bianchi", lam_bianchi)) if not holds]
+
+
+def bracket_vec(tensor, i, v):
+    """[x_i, v] for a sparse rational coefficient vector v."""
+    out = {}
+    for j, c in v.items():
+        _add_scaled(out, tensor.bracket(i, j), c)
+    return out
+
+
+def fraction_jacobi_check(tensor):
+    """graded_jacobi_check evaluated entry by entry in Fraction arithmetic
+    on the tensor's own table: the oracle of the integer-scaled check,
+    certificate for certificate."""
+    n, par, deg = tensor.total_dim, tensor.parities, tensor.degrees
+    for i in range(n):
+        for j in range(n):
+            bij = tensor.bracket(i, j)
+            sign = -1 if (par[i] * par[j]) % 2 == 0 else 1
+            bji = tensor.bracket(j, i)
+            for k in set(bij) | set(bji):
+                if bij.get(k, Fraction(0)) != sign * bji.get(k, Fraction(0)):
+                    return Certificate(
+                        False, "super-antisymmetry violated",
+                        witness={"pair": (i, j), "target": k})
+            want_par = (par[i] + par[j]) % 2
+            for k, v in bij.items():
+                if v and par[k] != want_par:
+                    return Certificate(
+                        False, "bracket does not respect the parity",
+                        witness={"pair": (i, j), "target": k})
+            if deg is not None:
+                want = deg[i] + deg[j]
+                for k, v in bij.items():
+                    if v and deg[k] != want:
+                        return Certificate(
+                            False, "bracket does not respect the Z-degree",
+                            witness={"pair": (i, j), "target": k,
+                                     "degree": deg[k], "expected": want})
+    for i, j, k in jacobi_triples(par):
+        sgn = -1 if (par[i] * par[j]) % 2 else 1
+        acc = bracket_vec(tensor, i, tensor.bracket(j, k))
+        _add_scaled(acc, tensor.vec_bracket(tensor.bracket(i, j), k), -1)
+        _add_scaled(acc, bracket_vec(tensor, j, tensor.bracket(i, k)), -sgn)
+        if acc:
+            t = sorted(acc)[0]
+            return Certificate(
+                False, "super Jacobi identity violated",
+                witness={"triple": (i, j, k), "target": t,
+                         "defect": rat_str(acc[t])})
+    return Certificate(True, "graded Jacobi identity holds exactly")
+
+
+def fraction_spinor_sample(seed, counter, dim):
+    """The probe's counter-based spinor sample as Fractions."""
+    comps = []
+    for j in range(dim):
+        h = _splitmix64(((seed & _M64) << 1) ^ _splitmix64(counter * dim + j))
+        comps.append(Fraction((h % 19) - 9))
+    return tuple(comps)
+
+
+def fraction_causality_probe(current, sig, samples, seed):
+    """causality_probe evaluated sample by sample in Fraction arithmetic,
+    kappa(s, s) through the component matrices: the oracle of the
+    integer-scaled probe, report for report."""
+    eta = sig.eta()
+    dim = current.rep.spinor_dim
+    counter = 0
+    produced = 0
+    while produced < samples:
+        s = fraction_spinor_sample(seed, counter, dim)
+        counter += 1
+        if vec_is_zero(s):
+            continue
+        produced += 1
+        kappa_s = current.value(s, s)
+        q = sum((eta[a] * kappa_s[a] * kappa_s[a] for a in range(sig.dim)),
+                Fraction(0))
+        if q > 0:
+            return ProbeReport(
+                probe="causality", samples=samples, seed=seed,
+                counterexample={
+                    "sample_index": produced - 1,
+                    "spinor": [rat_str(c) for c in s],
+                    "eta_kappa_kappa": rat_str(q),
+                })
+    return ProbeReport(probe="causality", samples=samples, seed=seed)

@@ -1,8 +1,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from instances import GRID, get_current, get_rep
+from instances import GRID, fraction_causality_probe, get_current, get_rep
 from spencerkit.cliffspin import (CliffordRep, DiracCurrent, Signature,
                                   build_clifford_rep, build_dirac_current,
                                   causality_probe, check_equivariance,
@@ -156,19 +157,72 @@ class TestCausalityProbe:
         assert causality_probe(zero, Signature(2, 1), samples=50,
                                seed=0).passed
 
-    def test_corrupted_current_has_spacelike_value(self):
+    @staticmethod
+    def _swapped(scale):
         # swapping the timelike component with a spacelike one breaks
         # causality; a sign flip alone cannot, because the causal form is
         # quadratic in the components
         cur = get_current(2, 1, 1)
-        comps = cur.components
-        swapped = DiracCurrent(rep=cur.rep,
-                               components=(comps[1], comps[0], comps[2]),
-                               symmetry="symmetric")
-        report = causality_probe(swapped, Signature(2, 1), samples=200,
-                                 seed=0)
+        comps = [k.scale(scale) for k in cur.components]
+        return DiracCurrent(rep=cur.rep,
+                            components=(comps[1], comps[0], comps[2]),
+                            symmetry="symmetric")
+
+    @staticmethod
+    def _counterexample_report(value):
+        return {"probe": "causality", "samples": 200, "seed": 0,
+                "passed": False,
+                "counterexample": {"sample_index": 0,
+                                   "spinor": ["-8", "-5"],
+                                   "eta_kappa_kappa": value},
+                "note": "PROBE: sampled evidence, not a proof"}
+
+    def test_corrupted_current_has_spacelike_value(self):
+        report = causality_probe(self._swapped(1), Signature(2, 1),
+                                 samples=200, seed=0)
         assert not report.passed
-        assert report.counterexample is not None
+        assert report.to_json() == self._counterexample_report("3042")
+
+    def test_scaled_corrupted_current_has_rational_value(self):
+        # a scale c multiplies every value by c^2: 3042 / 16 = 1521 / 8
+        report = causality_probe(self._swapped(Fraction(1, 4)),
+                                 Signature(2, 1), samples=200, seed=0)
+        assert report.to_json() == self._counterexample_report("1521/8")
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data(), s=st.sampled_from((2, 3)),
+           samples=st.integers(1, 40), seed=st.integers(0, 2 ** 70))
+    def test_matches_the_fraction_oracle(self, data, s, samples, seed):
+        # random symmetric currents with small denominators and zero
+        # components; they are mostly acausal, so the counterexample path
+        # and its bytes are compared too
+        rep = get_rep(s, 1, 1)
+        n = rep.spinor_dim
+        entry = st.builds(Fraction, st.integers(-7, 7), st.integers(1, 6))
+        comps = []
+        for _ in range(rep.dim_v):
+            if data.draw(st.booleans()):
+                comps.append(ExactMatrix.zeros(n, n))
+                continue
+            upper = {(i, j): data.draw(entry)
+                     for i in range(n) for j in range(i, n)}
+            comps.append(ExactMatrix(n, n, [
+                (i, j, upper[min(i, j), max(i, j)])
+                for i in range(n) for j in range(n)]))
+        cur = DiracCurrent(rep=rep, components=tuple(comps),
+                           symmetry="symmetric")
+        sig = Signature(s, 1)
+        assert causality_probe(cur, sig, samples=samples,
+                               seed=seed).to_json() == \
+            fraction_causality_probe(cur, sig, samples, seed).to_json()
+
+    @pytest.mark.parametrize("s,t,N", GRID)
+    def test_standard_currents_match_the_fraction_oracle(self, s, t, N):
+        cur, sig = get_current(s, t, N), Signature(s, t)
+        for seed in (0, 1, 2):
+            assert causality_probe(cur, sig, samples=128,
+                                   seed=seed).to_json() == \
+                fraction_causality_probe(cur, sig, 128, seed).to_json()
 
     def test_preconditions(self):
         cur = get_current(2, 1, 1)

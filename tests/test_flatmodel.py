@@ -5,9 +5,9 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from instances import GRID, annihilator_in_so, get_current, \
-    get_full_subalgebra, get_model, get_rep, get_sampled_subalgebra, \
-    stabiliser_in_r
+from instances import GRID, annihilator_in_so, bracket_vec, \
+    fraction_jacobi_check, get_current, get_full_subalgebra, get_model, \
+    get_rep, get_sampled_subalgebra, stabiliser_in_r
 from spencerkit.cliffspin import Signature, build_clifford_rep, \
     build_dirac_current
 from spencerkit.errors import JacobiViolation, NotClosed, NotCompactForm
@@ -117,7 +117,7 @@ class TestExtendedFlatModel:
         total = tensor.total_dim
         for x in range(total):
             for y in range(total):
-                acc = dict(tensor.bracket_vec(a, tensor.bracket(x, y)))
+                acc = bracket_vec(tensor, a, tensor.bracket(x, y))
                 for k, v in tensor.vec_bracket(tensor.bracket(a, x),
                                                y).items():
                     acc[k] = acc.get(k, Fraction(0)) - v
@@ -407,12 +407,12 @@ def _ordered_jacobi_check(tensor):
         for j in range(n):
             sgn = -1 if par[i] * par[j] else 1
             for k in range(n):
-                acc = dict(tensor.bracket_vec(i, tensor.bracket(j, k)))
+                acc = bracket_vec(tensor, i, tensor.bracket(j, k))
                 for t, v in tensor.vec_bracket(tensor.bracket(i, j),
                                                k).items():
                     acc[t] = acc.get(t, 0) - v
-                for t, v in tensor.bracket_vec(
-                        j, tensor.bracket(i, k)).items():
+                for t, v in bracket_vec(tensor, j,
+                                        tensor.bracket(i, k)).items():
                     acc[t] = acc.get(t, 0) - sgn * v
                 if any(acc.values()):
                     return False
@@ -433,10 +433,13 @@ def _with_entry(tensor, i, j, k, c):
     return dataclasses.replace(tensor, table=table)
 
 
+_FRACTIONS = (Fraction(1, 2), Fraction(-2, 3), Fraction(5, 6), Fraction(3, 4))
+
+
 @st.composite
-def _super_tensors(draw):
-    """A small random super-antisymmetric, parity-preserving bracket, with
-    at most one entry (and its partner) perturbed afterwards."""
+def _super_tensors(draw, constants=(0, 0, 0, 1, -1)):
+    """A small random super-antisymmetric, parity-preserving bracket with
+    structure constants drawn from `constants`."""
     par = tuple(draw(st.lists(st.integers(0, 1), min_size=1, max_size=4)))
     n = len(par)
     tensor = GradedBracketTensor(
@@ -445,10 +448,19 @@ def _super_tensors(draw):
     for i in range(n):
         for j in range(i if par[i] else i + 1, n):
             for k in range(n):
-                c = draw(st.sampled_from((0, 0, 0, 1, -1)))
+                c = draw(st.sampled_from(constants))
                 if c and par[k] == (par[i] + par[j]) % 2:
                     tensor = _with_entry(tensor, i, j, k, Fraction(c))
     return tensor
+
+
+def _rescaled(tensor, d):
+    """The bracket in the basis x'_i = d_i x_i: [x'_i, x'_j]_k =
+    d_i d_j [x_i, x_j]_k / d_k.  A change of basis, so the Jacobi identity
+    and the grading hold exactly when they held before."""
+    return dataclasses.replace(tensor, table={
+        (i, j): {k: v * d[i] * d[j] / d[k] for k, v in row.items()}
+        for (i, j), row in tensor.table.items()})
 
 
 class TestUnorderedJacobi:
@@ -499,6 +511,45 @@ class TestUnorderedJacobi:
         bad = _with_entry(tensor, i, j, k,
                           Fraction(data.draw(st.sampled_from((1, -1)))))
         assert graded_jacobi_check(bad).passed == _ordered_jacobi_check(bad)
+
+    @settings(max_examples=150, deadline=None)
+    @given(tensor=_super_tensors(constants=(0, 0, 1, -1) + _FRACTIONS),
+           data=st.data())
+    def test_random_rational_tensors_match_the_fraction_oracle(self, tensor,
+                                                               data):
+        # integer scaling leaves the certificate as it is: passed, detail
+        # and witness, the rational defect included
+        par, n = tensor.parities, tensor.total_dim
+        i, j, k = (data.draw(st.integers(0, n - 1)) for _ in range(3))
+        if data.draw(st.booleans()):
+            # an entry without its super-antisymmetric partner
+            table = {key: dict(v) for key, v in tensor.table.items()}
+            table.setdefault((i, j), {})[k] = data.draw(
+                st.sampled_from(_FRACTIONS))
+            tensor = dataclasses.replace(tensor, table=table)
+        assert graded_jacobi_check(tensor) == fraction_jacobi_check(tensor)
+
+    @settings(max_examples=40, deadline=None)
+    @given(cell=st.sampled_from(((2, 1, 1), (2, 1, 2), (3, 1, 1))),
+           data=st.data())
+    def test_rescaled_flat_model_matches_the_fraction_oracle(self, cell,
+                                                             data):
+        # a rational change of basis keeps the identity with non-integer
+        # constants; one fractional entry and its partner then perturb it
+        tensor = get_model(*cell).tensor
+        par, n = tensor.parities, tensor.total_dim
+        scales = st.sampled_from((1, -1, 2, 3) + _FRACTIONS)
+        tensor = _rescaled(tensor, [data.draw(scales) for _ in range(n)])
+        cert = graded_jacobi_check(tensor)
+        assert cert.passed and cert == fraction_jacobi_check(tensor)
+        i, j = data.draw(st.sampled_from(
+            [(i, j) for i in range(n) for j in range(i, n)
+             if i < j or par[i]]))
+        k = data.draw(st.sampled_from(
+            [k for k in range(n) if par[k] == (par[i] + par[j]) % 2]))
+        bad = _with_entry(tensor, i, j, k, data.draw(st.sampled_from(
+            _FRACTIONS)))
+        assert graded_jacobi_check(bad) == fraction_jacobi_check(bad)
 
     def test_parity_violation_rejected(self):
         # x_0, x_1 even and x_2 odd: [x_0, x_1] = x_2 = -[x_1, x_0] is

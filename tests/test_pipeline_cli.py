@@ -382,6 +382,23 @@ class TestCli:
         path = self._write(tmp_path, config)
         assert main(["run", path]) == 1
 
+    def test_zero_current_is_a_negative_stage(self, tmp_path):
+        # an all-zero Dirac current has no section of kappa, so the
+        # normalisation theory does not apply: the run ends at the
+        # cohomology stage with a named reason, not as an internal failure
+        out = tmp_path / "report.json"
+        config = base_config(output_path=str(out), dirac_current={
+            "kind": "explicit", "tensor": [[[0, 0], [0, 0]]] * 3})
+        proc = self._run_child(self._write(tmp_path, config))
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        report = json.loads(out.read_text())
+        assert report["result"] == "negative"
+        assert report["stages"][-1] == {
+            "name": "cohomology", "status": "negative",
+            "data": {"reason": "kappa_zero",
+                     "detail": "the Dirac current vanishes identically"}}
+
     def test_verify_roundtrip(self, tmp_path):
         out = tmp_path / "report.json"
         config = base_config(output_path=str(out))

@@ -535,8 +535,9 @@ class TestInvariantCocycles:
                 assert vec_is_zero(act.apply(vecrow))
 
     def test_beta_invariance_implies_gamma_invariance(self):
-        # built into invariant_normalised as an OracleMismatch check; verify
-        # the gamma block of the action vanishes for invariant elements
+        # invariant_normalised solves for the beta and rho blocks only, by
+        # the argument in its docstring; verify the gamma block of the
+        # action vanishes for invariant elements
         fullco = get_fullco(3, 1, 1)
         sub = get_sampled_subalgebra(3, 1, 1, 7)
         inv = invariant_basis(fullco, sub)
@@ -958,8 +959,10 @@ class TestLieGeneratorInvariance:
     def test_sweep_like_subalgebras(self):
         # random S' at the highly supersymmetric dimension with the
         # stabiliser isotropy, r' = 0 or the stabiliser, as the sweep draws
+        # the normalised invariants against the full-invariance oracle too
         for s, t, N in ((2, 1, 1), (2, 1, 2), (3, 1, 1)):
             model = get_model(s, t, N)
+            fullco = get_fullco(s, t, N)
             for seed in range(3, 6):
                 for mode in ("zero", "stabiliser"):
                     sub = random_highly_susy_subalgebra(
@@ -968,6 +971,9 @@ class TestLieGeneratorInvariance:
                         spencer.spencer_complex(sub, 2), 2)
                     assert co.invariant_classes() == \
                         _basis_invariant_classes(co)
+                    assert fullco.invariant_normalised(
+                        *sub.generator_coords()) == \
+                        _basis_invariant_normalised(fullco, sub)
 
     def test_operators_per_generator_only(self):
         # (3,1,2) maximal: 3 + 2 Lie generators act, not the 6 + 4 basis
