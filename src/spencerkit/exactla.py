@@ -1,9 +1,15 @@
-"""Exact rational dense linear algebra.
+"""Exact rational sparse linear algebra on integer-scaled rows.
 
-Everything here is exact: entries are `fractions.Fraction`, eliminations are
-fraction-free on integer-scaled rows, and canonical forms are reduced row
-echelon with sorted pivot columns, so equality of subspaces is literal
-equality of entries.  No floating point appears anywhere.
+Row i of an `ExactMatrix` is a sparse dict of ints over one positive int
+denominator, `_rows[i] / _dens[i]`, and the denominator shares no factor
+with all of the row's entries (an empty row has denominator 1).  That form
+is canonical, so equality of matrices is literal equality of rationals.
+Every operation works on it: eliminations are fraction-free, canonical
+forms are reduced row echelon with sorted pivot columns, so equality of
+subspaces is literal equality of entries, and `fractions.Fraction` appears
+only at the API boundary: the constructors take ints, Fractions and "p/q"
+strings, and `entry`, `row_tuple`, `apply`, the solvers and the vector
+helpers return Fractions.  No floating point appears anywhere.
 """
 
 from __future__ import annotations
@@ -43,8 +49,13 @@ def rat_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def _fraction(v: int, d: int) -> Fraction:
+    """The Fraction v / d, for d > 0."""
+    return Fraction(v) if d == 1 else Fraction(v, d)
+
+
 # ---------------------------------------------------------------------------
-# integer sparse row helpers (elimination core)
+# integer sparse row helpers
 # ---------------------------------------------------------------------------
 
 
@@ -77,9 +88,29 @@ def _strip_row(row: dict) -> dict:
     return row
 
 
-def _to_int_row(row: dict) -> dict:
-    """Scale a sparse row of Fractions to a stripped integer row."""
-    return _strip_row(_scaled_row(row)[1])
+def _normal(row: dict, den: int) -> tuple:
+    """The canonical (ints, den) of the rational row `row / den`, den > 0:
+    both divided by the gcd of den and the entries."""
+    if den == 1 or not row:
+        return row, 1
+    g = den
+    for v in row.values():
+        g = gcd(g, v)
+        if g == 1:
+            return row, den
+    return {j: v // g for j, v in row.items()}, den // g
+
+
+def _rational_row(values: Iterable) -> tuple:
+    """A sequence of rational-likes as a canonical sparse (ints, den)."""
+    row = {}
+    for j, x in enumerate(values):
+        if x:
+            q = rat(x)
+            if q:
+                row[j] = q
+    den, (ints,) = scaled_rows((row,))
+    return ints, den
 
 
 def _echelon(int_rows: Iterable[dict]) -> dict:
@@ -109,15 +140,28 @@ def _back_substitute(pivots: dict) -> dict:
     return pivots
 
 
+def _combination(terms: Iterable[tuple]) -> dict:
+    """The sparse integer row sum of c * row over (c, row) pairs, without
+    zero entries."""
+    acc: dict = {}
+    for c, row in terms:
+        for j, v in row.items():
+            acc[j] = acc.get(j, 0) + c * v
+    return {j: v for j, v in acc.items() if v}
+
+
 # ---------------------------------------------------------------------------
 # matrices
 # ---------------------------------------------------------------------------
 
 
 class ExactMatrix:
-    """Immutable dense-semantics matrix of exact rationals, stored sparsely."""
+    """Immutable dense-semantics matrix of exact rationals, stored sparsely
+    as integer rows over one denominator each (see the module docstring).
+    A row dict is never changed once its matrix is built, so matrices may
+    share them."""
 
-    __slots__ = ("rows", "cols", "_rows", "_rref")
+    __slots__ = ("rows", "cols", "_rows", "_dens", "_rref")
 
     def __init__(self, rows: int, cols: int,
                  entries: Optional[Iterable[tuple]] = None):
@@ -126,30 +170,44 @@ class ExactMatrix:
         self.rows = rows
         self.cols = cols
         data = [dict() for _ in range(rows)]
+        dens = [1] * rows
         if entries:
             for i, j, v in entries:
                 if not (0 <= i < rows and 0 <= j < cols):
                     raise DimensionMismatch(f"entry ({i},{j}) out of range")
-                q = rat(v)
+                q = v if type(v) is int else rat(v)
                 if q:
                     data[i][j] = q
                 elif j in data[i]:
                     del data[i][j]
+            for i, row in enumerate(data):
+                if any(type(v) is not int for v in row.values()):
+                    # over the lcm of the denominators, which is canonical
+                    dens[i], (data[i],) = scaled_rows((row,))
         self._rows = data
+        self._dens = dens
         self._rref = None
+
+    @classmethod
+    def _of(cls, rows: int, cols: int, pairs: list) -> "ExactMatrix":
+        """The matrix whose row i is pairs[i] = (ints, den), which must be
+        canonical; unchecked."""
+        out = object.__new__(cls)
+        out.rows = rows
+        out.cols = cols
+        out._rows = [row for row, _ in pairs]
+        out._dens = [den for _, den in pairs]
+        out._rref = None
+        return out
 
     @classmethod
     def from_rows(cls, rows_data: Sequence[Sequence[RationalLike]],
                   cols: Optional[int] = None) -> "ExactMatrix":
         nrows = len(rows_data)
         ncols = cols if cols is not None else (len(rows_data[0]) if nrows else 0)
-        entries = []
-        for i, row in enumerate(rows_data):
-            if len(row) != ncols:
-                raise DimensionMismatch("ragged rows")
-            for j, v in enumerate(row):
-                entries.append((i, j, v))
-        return cls(nrows, ncols, entries)
+        if any(len(row) != ncols for row in rows_data):
+            raise DimensionMismatch("ragged rows")
+        return cls._of(nrows, ncols, [_rational_row(row) for row in rows_data])
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence[RationalLike]],
@@ -168,26 +226,27 @@ class ExactMatrix:
     # -- access ------------------------------------------------------------
 
     def entry(self, i: int, j: int) -> Fraction:
-        return self._rows[i].get(j, _ZERO)
+        v = self._rows[i].get(j)
+        return _ZERO if v is None else _fraction(v, self._dens[i])
 
     def row_tuple(self, i: int) -> tuple:
-        rd = self._rows[i]
-        return tuple(rd.get(j, _ZERO) for j in range(self.cols))
+        d = self._dens[i]
+        out = [_ZERO] * self.cols
+        for j, v in self._rows[i].items():
+            out[j] = _fraction(v, d)
+        return tuple(out)
 
     def select_rows(self, indices: Iterable[int]) -> "ExactMatrix":
         """The rows at `indices`, in that order."""
-        picked = [dict(self._rows[i]) for i in indices]
-        out = ExactMatrix(len(picked), self.cols)
-        out._rows = picked
-        return out
+        pairs = [(dict(self._rows[i]), self._dens[i]) for i in indices]
+        return ExactMatrix._of(len(pairs), self.cols, pairs)
 
     def select_columns(self, indices: Iterable[int]) -> "ExactMatrix":
         """The columns at `indices` (distinct), in that order."""
         where = {j: k for k, j in enumerate(indices)}
-        out = ExactMatrix(self.rows, len(where))
-        out._rows = [{where[j]: v for j, v in r.items() if j in where}
-                     for r in self._rows]
-        return out
+        return ExactMatrix._of(self.rows, len(where), [
+            _normal({where[j]: v for j, v in r.items() if j in where}, d)
+            for r, d in zip(self._rows, self._dens)])
 
     def nnz(self) -> int:
         return sum(len(r) for r in self._rows)
@@ -199,10 +258,10 @@ class ExactMatrix:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
         return (self.rows, self.cols) == (other.rows, other.cols) and \
-            self._rows == other._rows
+            self._dens == other._dens and self._rows == other._rows
 
     def __hash__(self):
-        return hash((self.rows, self.cols,
+        return hash((self.rows, self.cols, tuple(self._dens),
                      tuple(tuple(sorted(r.items())) for r in self._rows)))
 
     def __repr__(self):
@@ -213,72 +272,72 @@ class ExactMatrix:
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("add: shape mismatch")
-        out = ExactMatrix(self.rows, self.cols)
-        for i in range(self.rows):
-            row = dict(self._rows[i])
-            for j, v in other._rows[i].items():
-                w = row.get(j, Fraction(0)) + v
-                if w:
-                    row[j] = w
-                elif j in row:
-                    del row[j]
-            out._rows[i] = row
-        return out
+        pairs = []
+        for a, da, b, db in zip(self._rows, self._dens,
+                                other._rows, other._dens):
+            if not a or not b:
+                pairs.append((b, db) if not a else (a, da))
+                continue
+            L = lcm(da, db)
+            pairs.append(_normal(_combination(((L // da, a), (L // db, b))),
+                                 L))
+        return ExactMatrix._of(self.rows, self.cols, pairs)
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
         return self + other.scale(-1)
 
     def scale(self, factor: RationalLike) -> "ExactMatrix":
         q = rat(factor)
-        out = ExactMatrix(self.rows, self.cols)
-        if q:
-            for i in range(self.rows):
-                out._rows[i] = {j: v * q for j, v in self._rows[i].items()}
-        return out
+        if not q:
+            return ExactMatrix(self.rows, self.cols)
+        p, s = q.numerator, q.denominator
+        return ExactMatrix._of(self.rows, self.cols, [
+            _normal({j: v * p for j, v in r.items()}, d * s)
+            for r, d in zip(self._rows, self._dens)])
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
             raise DimensionMismatch("matmul: inner dimensions differ")
-        out = ExactMatrix(self.rows, other.cols)
-        orows = other._rows
-        for i in range(self.rows):
-            acc: dict = {}
-            for k, v in self._rows[i].items():
-                for j, w in orows[k].items():
-                    t = acc.get(j, Fraction(0)) + v * w
-                    if t:
-                        acc[j] = t
-                    elif j in acc:
-                        del acc[j]
-            out._rows[i] = acc
-        return out
+        return ExactMatrix._of(self.rows, other.cols, _product(self, other))
 
     def apply(self, vec: Sequence[RationalLike]) -> tuple:
         """Matrix-vector product, returning a tuple of Fractions."""
         if len(vec) != self.cols:
             raise DimensionMismatch("apply: vector length mismatch")
-        v = [rat(x) for x in vec]
+        v, dv = _rational_row(vec)
         out = []
-        for i in range(self.rows):
-            acc = Fraction(0)
-            for j, w in self._rows[i].items():
-                if v[j]:
-                    acc += w * v[j]
-            out.append(acc)
+        for row, d in zip(self._rows, self._dens):
+            acc = 0
+            for j, w in row.items():
+                x = v.get(j)
+                if x:
+                    acc += w * x
+            out.append(Fraction(acc, d * dv) if acc else _ZERO)
         return tuple(out)
 
     def transpose(self) -> "ExactMatrix":
-        out = ExactMatrix(self.cols, self.rows)
-        for i in range(self.rows):
-            for j, v in self._rows[i].items():
-                out._rows[j][i] = v
-        return out
+        rows = [dict() for _ in range(self.cols)]
+        for i, r in enumerate(self._rows):
+            for j, v in r.items():
+                rows[j][i] = v
+        # column j over the lcm of the denominators of the rows it meets
+        dens = [1] * self.cols
+        for r, d in zip(self._rows, self._dens):
+            if d != 1:
+                for j in r:
+                    if dens[j] % d:
+                        dens[j] = lcm(dens[j], d)
+        for j, d in enumerate(dens):
+            if d != 1:
+                rows[j] = {i: v * (d // self._dens[i])
+                           for i, v in rows[j].items()}
+        return ExactMatrix._of(self.cols, self.rows,
+                               list(map(_normal, rows, dens)))
 
     def trace(self) -> Fraction:
         if self.rows != self.cols:
             raise DimensionMismatch("trace of non-square matrix")
-        return sum((self._rows[i].get(i, Fraction(0)) for i in range(self.rows)),
-                   Fraction(0))
+        return sum((self.entry(i, i) for i in range(self.rows)), _ZERO)
 
     def commutator(self, other: "ExactMatrix") -> "ExactMatrix":
         return self @ other - other @ self
@@ -297,16 +356,14 @@ class ExactMatrix:
 
     def _rref_data(self):
         if self._rref is None:
-            pivots = _back_substitute(_echelon(
-                _to_int_row(r) for r in self._rows if r))
+            # the rows' denominators do not change the row space; row k of
+            # the RREF is the stripped pivot row over its leading entry
+            pivots = _back_substitute(_echelon(r for r in self._rows if r))
             cols = sorted(pivots)
-            out = ExactMatrix(len(cols), self.cols)
-            for i, c in enumerate(cols):
-                prow = pivots[c]
-                lead = prow[c]
-                out._rows[i] = {j: Fraction(v, lead) for j, v in prow.items()}
+            out = ExactMatrix._of(len(cols), self.cols,
+                                  [(pivots[c], pivots[c][c]) for c in cols])
             out._rref = (out, tuple(cols))
-            self._rref = (out, tuple(cols))
+            self._rref = out._rref
         return self._rref
 
     def rank(self) -> int:
@@ -315,19 +372,23 @@ class ExactMatrix:
     def kernel(self) -> "Subspace":
         """Canonical basis of the right kernel {x : Mx = 0}."""
         rref, pivots = self._rref_data()
-        pivot_set = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivot_set]
-        basis_rows = []
-        for f in free:
-            vec = {f: Fraction(1)}
-            for i, pc in enumerate(pivots):
-                coef = rref._rows[i].get(f)
-                if coef:
-                    vec[pc] = -coef
-            basis_rows.append(vec)
-        mat = ExactMatrix(len(basis_rows), self.cols)
-        for i, rd in enumerate(basis_rows):
-            mat._rows[i] = rd
+        # x_f = 1 on a free column f, and x_pc = -rref[k, f] on the pivot
+        # column pc of row k; every entry of row k off pc is on a free column
+        hits = {f: [] for f in range(self.cols)}
+        for pc, row, d in zip(pivots, rref._rows, rref._dens):
+            for f, v in row.items():
+                if f != pc:
+                    hits[f].append((pc, v, d))
+        for pc in pivots:
+            del hits[pc]
+        pairs = []
+        for f, col in hits.items():
+            L = lcm(*[d for _, _, d in col])
+            vec = {f: L}
+            for pc, v, d in col:
+                vec[pc] = -v * (L // d)
+            pairs.append(_normal(vec, L))
+        mat = ExactMatrix._of(len(pairs), self.cols, pairs)
         return Subspace(self.cols, mat.rref())
 
     def row_space(self) -> "Subspace":
@@ -337,8 +398,30 @@ class ExactMatrix:
         return self.transpose().row_space()
 
     def to_serialisable(self) -> list:
-        return [[rat_str(self.entry(i, j)) for j in range(self.cols)]
+        return [[rat_str(v) for v in self.row_tuple(i)]
                 for i in range(self.rows)]
+
+
+def _product(a: ExactMatrix, b: ExactMatrix) -> list:
+    """The rows (ints, den) of a b: row i is sum_k a_ik b_k over the lcm of
+    the denominators of the rows b_k it reads."""
+    b_rows, b_dens = b._rows, b._dens
+    pairs = []
+    for arow, d in zip(a._rows, a._dens):
+        if not arow:
+            pairs.append(({}, 1))
+            continue
+        L = lcm(*[b_dens[k] for k in arow])
+        # _combination inlined: this loop is the hot path of every product
+        acc: dict = {}
+        get = acc.get
+        for k, v in arow.items():
+            if L != 1:
+                v *= L // b_dens[k]
+            for j, w in b_rows[k].items():
+                acc[j] = get(j, 0) + v * w
+        pairs.append(_normal({j: v for j, v in acc.items() if v}, d * L))
+    return pairs
 
 
 def vstack(mats: Sequence[ExactMatrix]) -> ExactMatrix:
@@ -347,13 +430,9 @@ def vstack(mats: Sequence[ExactMatrix]) -> ExactMatrix:
     cols = mats[0].cols
     if any(m.cols != cols for m in mats):
         raise DimensionMismatch("vstack: column counts differ")
-    out = ExactMatrix(sum(m.rows for m in mats), cols)
-    i = 0
-    for m in mats:
-        for r in range(m.rows):
-            out._rows[i] = dict(m._rows[r])
-            i += 1
-    return out
+    return ExactMatrix._of(sum(m.rows for m in mats), cols,
+                           [(dict(r), d) for m in mats
+                            for r, d in zip(m._rows, m._dens)])
 
 
 def hstack(mats: Sequence[ExactMatrix]) -> ExactMatrix:
@@ -362,38 +441,40 @@ def hstack(mats: Sequence[ExactMatrix]) -> ExactMatrix:
     rows = mats[0].rows
     if any(m.rows != rows for m in mats):
         raise DimensionMismatch("hstack: row counts differ")
-    out = ExactMatrix(rows, sum(m.cols for m in mats))
+    pairs = []
     for i in range(rows):
+        # pieces on disjoint columns: the lcm of their canonical
+        # denominators is the canonical denominator of the whole row
+        L = lcm(*[m._dens[i] for m in mats])
         row: dict = {}
         off = 0
         for m in mats:
+            f = L // m._dens[i]
             for j, v in m._rows[i].items():
-                row[off + j] = v
+                row[off + j] = v * f
             off += m.cols
-        out._rows[i] = row
-    return out
+        pairs.append((row, L))
+    return ExactMatrix._of(rows, sum(m.cols for m in mats), pairs)
 
 
 def block_diag(mats: Sequence[ExactMatrix]) -> ExactMatrix:
-    out = ExactMatrix(sum(m.rows for m in mats), sum(m.cols for m in mats))
-    roff = coff = 0
+    pairs = []
+    coff = 0
     for m in mats:
-        for i in range(m.rows):
-            out._rows[roff + i] = {coff + j: v for j, v in m._rows[i].items()}
-        roff += m.rows
+        pairs += [({coff + j: v for j, v in r.items()}, d)
+                  for r, d in zip(m._rows, m._dens)]
         coff += m.cols
-    return out
+    return ExactMatrix._of(len(pairs), coff, pairs)
 
 
 def kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    out = ExactMatrix(a.rows * b.rows, a.cols * b.cols)
-    for i in range(a.rows):
-        for j, v in a._rows[i].items():
-            for k in range(b.rows):
-                row = out._rows[i * b.rows + k]
-                for l, w in b._rows[k].items():
-                    row[j * b.cols + l] = v * w
-    return out
+    pairs = []
+    for ra, da in zip(a._rows, a._dens):
+        shifted = [(j * b.cols, v) for j, v in ra.items()]
+        pairs += [_normal({o + l: v * w for o, v in shifted
+                           for l, w in rb.items()}, da * db)
+                  for rb, db in zip(b._rows, b._dens)]
+    return ExactMatrix._of(a.rows * b.rows, a.cols * b.cols, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -465,10 +546,8 @@ class Subspace:
                      vectors: Sequence[Sequence[RationalLike]]) -> "Subspace":
         if any(len(v) != ambient_dim for v in vectors):
             raise DimensionMismatch("basis vectors have the wrong length")
-        mat = ExactMatrix(len(vectors), ambient_dim,
-                          [(i, j, v) for i, row in enumerate(vectors)
-                           for j, v in enumerate(row)])
-        return cls(ambient_dim, mat.rref())
+        return cls(ambient_dim,
+                   ExactMatrix.from_rows(vectors, cols=ambient_dim).rref())
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
@@ -487,19 +566,19 @@ class Subspace:
 
     def coordinates(self, vector: Sequence[RationalLike]) -> Optional[tuple]:
         """Coefficients of `vector` against the RREF basis, or None."""
-        v = [rat(x) for x in vector]
-        if len(v) != self.ambient_dim:
+        if len(vector) != self.ambient_dim:
             raise DimensionMismatch("vector has the wrong length")
-        pivots = self.basis.pivot_columns()
-        coords = tuple(v[c] for c in pivots)
-        residual = list(v)
-        for i, c in enumerate(coords):
-            if c:
-                for j, w in self.basis._rows[i].items():
-                    residual[j] -= c * w
-        if any(residual):
+        v, dv = _rational_row(vector)
+        basis = self.basis
+        # the coordinates are v[pivots], so with the basis rows b_k / d_k the
+        # residual times dv L, L the lcm of the d_k read, is an integer row
+        coords = [v.get(c, 0) for c in basis.pivot_columns()]
+        L = lcm(*[d for c, d in zip(coords, basis._dens) if c])
+        if _combination([(L, v)] + [(-c * (L // d), row) for c, row, d in
+                                    zip(coords, basis._rows, basis._dens)
+                                    if c]):
             return None
-        return coords
+        return tuple(_fraction(c, dv) if c else _ZERO for c in coords)
 
     def contains(self, vector: Sequence[RationalLike]) -> bool:
         return self.coordinates(vector) is not None
@@ -553,11 +632,7 @@ class NoSolution:
 
 def _augmented(A: ExactMatrix, b: Sequence[RationalLike]) -> ExactMatrix:
     """[A | b]."""
-    aug = ExactMatrix(A.rows, A.cols + 1)
-    for i, row in enumerate(A._rows):
-        q = rat(b[i])
-        aug._rows[i] = {**row, A.cols: q} if q else dict(row)
-    return aug
+    return hstack([A, ExactMatrix.from_columns([b], A.rows)])
 
 
 def _canonical_solution(aug: ExactMatrix) -> Optional[tuple]:
@@ -568,8 +643,10 @@ def _canonical_solution(aug: ExactMatrix) -> Optional[tuple]:
     if bcol in pivots:
         return None
     x = [_ZERO] * bcol
-    for i, pc in enumerate(pivots):
-        x[pc] = rref._rows[i].get(bcol, _ZERO)
+    for pc, row, d in zip(pivots, rref._rows, rref._dens):
+        v = row.get(bcol)
+        if v:
+            x[pc] = _fraction(v, d)
     return tuple(x)
 
 
@@ -602,16 +679,10 @@ def scaled_rows(rows: Iterable[dict]) -> tuple:
     L = 1
     for row in rows:
         for v in row.values():
-            if v.denominator != 1:
-                L = L // gcd(L, v.denominator) * v.denominator
+            if L % v.denominator:
+                L = lcm(L, v.denominator)
     return L, [{j: v.numerator * (L // v.denominator) for j, v in row.items()}
                for row in rows]
-
-
-def _scaled_row(row: dict) -> tuple:
-    """(d, ints) with row[j] == ints[j] / d, d the lcm of the denominators."""
-    d, (ints,) = scaled_rows((row,))
-    return d, ints
 
 
 class AffineSolver:
@@ -628,7 +699,7 @@ class AffineSolver:
     nothing.
     """
 
-    __slots__ = ("A", "_pivots", "_rows", "_inv", "_scaled")
+    __slots__ = ("A", "_pivots", "_rows", "_inv")
 
     def __init__(self, A: ExactMatrix):
         self.A = A
@@ -638,27 +709,23 @@ class AffineSolver:
         A = self.A
         pivots = A.pivot_columns()
         r = len(pivots)
-        sub = ExactMatrix(A.rows, r)
-        for i, row in enumerate(A._rows):
-            sub._rows[i] = {k: row[pc] for k, pc in enumerate(pivots)
-                            if pc in row}
+        sub = A.select_columns(pivots)
         rows = sub.transpose().pivot_columns()
-        aug = ExactMatrix(r, 2 * r)
-        for i, ri in enumerate(rows):
-            aug._rows[i] = {**sub._rows[ri], r + i: Fraction(1)}
-        # RREF of [P | I] is [I | P^-1]; rows of P^-1 kept integer-scaled
-        self._inv = [_scaled_row({j - r: v for j, v in row.items() if j >= r})
-                     for row in aug.rref()._rows]
+        # [P | I], row i over the denominator d of row rows[i] of P
+        aug = ExactMatrix._of(r, 2 * r,
+                              [({**sub._rows[ri], r + i: sub._dens[ri]},
+                                sub._dens[ri]) for i, ri in enumerate(rows)])
+        # the RREF of [P | I] is [I | P^-1]
+        self._inv = aug.rref().select_columns(range(r, 2 * r))
         self._pivots = pivots
         self._rows = rows
-        self._scaled = [_scaled_row(row) for row in A._rows]
 
     def solve_many(self, Y: ExactMatrix) -> list:
         """The canonical solution of A x = y for each column y of Y, or None
         for a column that has none.
 
-        X[pivots] = P^-1 Y[rows] is computed on integer-scaled rows, and one
-        exact product A X == Y, checked on every column, certifies the
+        X[pivots] = P^-1 Y[rows] is one product of integer-scaled rows, and
+        one exact product A X == Y, checked on every column, certifies the
         batch.  A column that fails the check has no solution: had it one,
         the canonical one would be unique and equal to P^-1 y[rows]."""
         A = self.A
@@ -667,29 +734,23 @@ class AffineSolver:
                                     "length from the rows")
         if self._inv is None:
             self._factor()
-        dens, yn = _scaled_columns(Y)
-        # row k of P^-1 is inv_row / d, so X[pc, j] = (inv_row . yn[rows])_j
-        # / (d dens[j]); over L, the lcm of the d, it is xn[pc][j] /
-        # (L dens[j])
-        L = lcm(*(d for d, _ in self._inv))
-        xn = {}
-        for pc, (d, inv_row) in zip(self._pivots, self._inv):
-            x = _combination((v, yn[self._rows[i]])
-                             for i, v in inv_row.items())
-            xn[pc] = {j: s * (L // d) for j, s in x.items()}
-        # the certificate A X == Y: with row i of A equal to a / d, it holds
-        # on column j iff (a . xn)_j == yn[i][j] d L
+        # X[pivots], and X with its zero rows
+        x_pivots = _product(self._inv, Y.select_rows(self._rows))
+        x_full = [({}, 1)] * A.cols
+        for pc, pair in zip(self._pivots, x_pivots):
+            x_full[pc] = pair
+        ax = _product(A, ExactMatrix._of(A.cols, Y.cols, x_full))
         failed = set()
-        for (d, row), yrow in zip(self._scaled, yn):
-            ax = _combination((v, xn[c]) for c, v in row.items() if c in xn)
-            failed.update(j for j in ax.keys() | yrow.keys()
-                          if ax.get(j, 0) != yrow.get(j, 0) * d * L)
+        for (ar, ad), yr, yd in zip(ax, Y._rows, Y._dens):
+            if ad != yd or ar != yr:
+                failed.update(j for j in ar.keys() | yr.keys()
+                              if ar.get(j, 0) * yd != yr.get(j, 0) * ad)
         out = [None if j in failed else [_ZERO] * A.cols
                for j in range(Y.cols)]
-        for pc, col in xn.items():
-            for j, s in col.items():
+        for pc, (row, d) in zip(self._pivots, x_pivots):
+            for j, v in row.items():
                 if out[j] is not None:
-                    out[j][pc] = Fraction(s, L * dens[j])
+                    out[j][pc] = _fraction(v, d)
         return [None if x is None else tuple(x) for x in out]
 
     def solve(self, b: Sequence[RationalLike]):
@@ -701,54 +762,33 @@ class AffineSolver:
         return ParticularSolution(x=x)
 
 
-def _scaled_columns(M: ExactMatrix) -> tuple:
-    """M scaled to integers column by column: (dens, rows) with M[i, j] ==
-    rows[i][j] / dens[j], dens[j] the lcm of the denominators of column j."""
-    dens = [1] * M.cols
-    for row in M._rows:
-        for j, v in row.items():
-            if v.denominator != 1:
-                dens[j] = lcm(dens[j], v.denominator)
-    return dens, [{j: v.numerator * (dens[j] // v.denominator)
-                   for j, v in row.items()} for row in M._rows]
-
-
 def hom_apply(blocks: Sequence[tuple], M: ExactMatrix) -> ExactMatrix:
     """phi -> T phi - phi D on every column of M, with the rows of M cut
     into source-major Hom(source, target) blocks, one per (T, D) pair: the
     product of M with the block diagonal of kron(I, T) - kron(D^T, I),
     without forming it.  Entry (s, t) of a block is
     sum_u T[t, u] phi[s, u] - sum_u D[u, s] phi[u, t], a combination of
-    rows of M, summed on integer-scaled rows."""
+    rows of M, summed over the lcm of their denominators."""
     if M.rows != sum(T.rows * D.rows for T, D in blocks):
         raise DimensionMismatch("hom_apply: rows do not fit the blocks")
-    dens, rows = _scaled_columns(M)
-    out = ExactMatrix(M.rows, M.cols)
+    m_rows, m_dens = M._rows, M._dens
+    pairs = [({}, 1)] * M.rows
     off = 0
     for T, D in blocks:
         nt = T.rows
+        Dt = D.transpose()
         # row t of T is tn / td and column s of D is dn / dd
-        t_rows = [_scaled_row(r) for r in T._rows]
-        for s, (dd, dn) in enumerate(map(_scaled_row, D.transpose()._rows)):
+        for s, (dn, dd) in enumerate(zip(Dt._rows, Dt._dens)):
             base = off + s * nt
-            for t, (td, tn) in enumerate(t_rows):
-                acc = _combination(
-                    [(c * dd, rows[base + u]) for u, c in tn.items()] +
-                    [(-c * td, rows[off + u * nt + t]) for u, c in dn.items()])
-                out._rows[base + t] = {j: Fraction(v, td * dd * dens[j])
-                                       for j, v in acc.items()}
+            for t, (tn, td) in enumerate(zip(T._rows, T._dens)):
+                terms = [(c * dd, base + u) for u, c in tn.items()] + \
+                    [(-c * td, off + u * nt + t) for u, c in dn.items()]
+                L = lcm(*[m_dens[k] for _, k in terms])
+                pairs[base + t] = _normal(_combination(
+                    (c * (L // m_dens[k]), m_rows[k]) for c, k in terms),
+                    td * dd * L)
         off += D.rows * nt
-    return out
-
-
-def _combination(terms: Iterable[tuple]) -> dict:
-    """The sparse integer row sum of c * row over (c, row) pairs, without
-    zero entries."""
-    acc: dict = {}
-    for c, row in terms:
-        for j, v in row.items():
-            acc[j] = acc.get(j, 0) + c * v
-    return {j: v for j, v in acc.items() if v}
+    return ExactMatrix._of(M.rows, M.cols, pairs)
 
 
 def ldlt_pivots(M: ExactMatrix) -> list:
@@ -861,21 +901,21 @@ def pair_map(out_table: IndexTable, in_table: IndexTable,
     shape = (out_table.dims[0], in_table.dims[0])
     if (A.rows, A.cols) != shape or (B.rows, B.cols) != shape:
         raise DimensionMismatch("pair_map: matrices do not fit the tables")
-    a_cols, b_cols = A.transpose()._rows, B.transpose()._rows
+    a_cols, b_cols = A.transpose(), B.transpose()
     index, sign = out_table.index, out_table.sign
-    out = ExactMatrix(out_table.size, in_table.size)
-    for col, (i, j) in enumerate(in_table.tuples):
+    # built one column at a time, as the rows of the transpose
+    pairs = []
+    for i, j in in_table.tuples:
         acc: dict = {}
-        for k, a in a_cols[i].items():
-            for l, b in b_cols[j].items():
+        for k, a in a_cols._rows[i].items():
+            for l, b in b_cols._rows[j].items():
                 s = sign(k, l)
                 if s:
                     p = index(k, l)
-                    acc[p] = acc.get(p, _ZERO) + s * a * b
-        for p, c in acc.items():
-            if c:
-                out._rows[p][col] = c
-    return out
+                    acc[p] = acc.get(p, 0) + s * a * b
+        pairs.append(_normal({p: c for p, c in acc.items() if c},
+                             a_cols._dens[i] * b_cols._dens[j]))
+    return ExactMatrix._of(in_table.size, out_table.size, pairs).transpose()
 
 
 def pair_action(table: IndexTable, X: ExactMatrix) -> ExactMatrix:

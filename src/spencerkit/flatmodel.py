@@ -6,15 +6,16 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .certs import Certificate
 from .cliffspin import CliffordRep, DiracCurrent, spin_generators
 from .errors import (DimensionMismatch, JacobiViolation, NotClosed,
                      NotCompactForm)
 from .exactla import (ExactMatrix, Subspace, basis_vec, block_diag,
-                      is_positive_definite, lincomb, pair_map, rat_str,
-                      scaled_rows, tensor_index_maps, vec_scale, zero_vec)
+                      is_positive_definite, kron, lincomb, pair_map, rat_str,
+                      scaled_rows, tensor_index_maps, vec_scale, vstack,
+                      zero_vec)
 
 
 # ---------------------------------------------------------------------------
@@ -78,8 +79,7 @@ class EndoSubalgebra:
 
 
 def _flatten(mat: ExactMatrix) -> tuple:
-    return tuple(mat.entry(i, j) for i in range(mat.rows)
-                 for j in range(mat.cols))
+    return tuple(v for i in range(mat.rows) for v in mat.row_tuple(i))
 
 
 def _unflatten(n: int, flat: Sequence[Fraction]) -> ExactMatrix:
@@ -89,63 +89,46 @@ def _unflatten(n: int, flat: Sequence[Fraction]) -> ExactMatrix:
 
 
 def compute_schur_algebra(rep: CliffordRep) -> EndoSubalgebra:
-    """Canonical basis of the commutant of the spin generators in End(S)."""
+    """Canonical basis of the commutant of the spin generators in End(S):
+    the kernel of a -> [a, sigma] for every spin generator sigma, on the
+    row-major vec(a), with vec(a sigma) = (I (x) sigma^T) vec(a) and
+    vec(sigma a) = (sigma (x) I) vec(a)."""
     ns = rep.spinor_dim
-    full2 = tensor_index_maps(ns, "full2")
-    gens = spin_generators(rep)
-    entries: Dict[tuple, Fraction] = {}
-    nrow = 0
-    for sig in gens.sigma:
-        # [a, sigma]_{ij} = sum_k a_ik sigma_kj - sigma_ik a_kj
-        for i in range(ns):
-            for j in range(ns):
-                for k in range(ns):
-                    v = sig.entry(k, j)
-                    if v:
-                        key = (nrow, full2.index(i, k))
-                        entries[key] = entries.get(key, Fraction(0)) + v
-                    v = sig.entry(i, k)
-                    if v:
-                        key = (nrow, full2.index(k, j))
-                        entries[key] = entries.get(key, Fraction(0)) - v
-                nrow += 1
-    system = ExactMatrix(nrow, ns * ns,
-                         [(r, c, v) for (r, c), v in entries.items() if v])
+    eye = ExactMatrix.identity(ns)
+    # the empty block keeps the column count when there is no generator
+    system = vstack([ExactMatrix(0, ns * ns)] +
+                    [kron(eye, sig.transpose()) - kron(sig, eye)
+                     for sig in spin_generators(rep).sigma])
     return EndoSubalgebra(ns, system.kernel())
 
 
-def compute_r_symmetry_algebra(rep: CliffordRep,
+def compute_r_symmetry_algebra(schur: EndoSubalgebra,
                                current: DiracCurrent) -> EndoSubalgebra:
     """Elements of the Schur algebra infinitesimally preserving the current:
-    kappa(a x, y) + kappa(x, a y) = 0 for all spinors."""
-    schur = compute_schur_algebra(rep)
-    ns = rep.spinor_dim
-    n = rep.dim_v
+    kappa(a x, y) + kappa(x, a y) = 0 for all spinors, that is
+    a^T K + K a = 0 for every component K."""
     if schur.dim == 0:
         return schur
-    entries: Dict[tuple, Fraction] = {}
-    nrow = 0
-    for a in range(n):
-        K = current.components[a]
-        for i in range(ns):
-            for j in range(ns):
-                for p, B in enumerate(schur.matrices):
-                    acc = Fraction(0)
-                    for k in range(ns):
-                        bk = B.entry(k, i)
-                        if bk:
-                            acc += bk * K.entry(k, j)
-                        bk = B.entry(k, j)
-                        if bk:
-                            acc += K.entry(i, k) * bk
-                    if acc:
-                        entries[(nrow, p)] = acc
-                nrow += 1
-    system = ExactMatrix(nrow, schur.dim,
-                         [(r, c, v) for (r, c), v in entries.items()])
+    ns = schur.spinor_dim
+    eye = ExactMatrix.identity(ns)
+    # columns vec(B) and vec(B^T) of the Schur basis; vec(K B) =
+    # (K (x) I) vec(B) and vec(B^T K) = (I (x) K^T) vec(B^T)
+    flat = schur.basis.basis.transpose()
+    flat_t = flat.select_rows([j * ns + i for i in range(ns)
+                              for j in range(ns)])
+    system = vstack([kron(K, eye) @ flat + kron(eye, K.transpose()) @ flat_t
+                     for K in current.components])
     sol = system.kernel()
-    mats = [schur.matrix_of(sol.basis.row_tuple(k)) for k in range(sol.dim)]
-    return EndoSubalgebra.from_matrices(ns, mats)
+    return EndoSubalgebra(ns, (sol.basis @ schur.basis.basis).row_space())
+
+
+def _preserves(mat: ExactMatrix, sigma: Sequence[ExactMatrix],
+               components: Sequence[ExactMatrix]) -> bool:
+    """Whether mat satisfies the defining equations of the R-symmetry
+    algebra: [mat, sigma] = 0 for every spin generator and
+    mat^T K + K mat = 0 for every component K of the current."""
+    return all(mat @ sig == sig @ mat for sig in sigma) and \
+        all((mat.transpose() @ K + K @ mat).is_zero() for K in components)
 
 
 # ---------------------------------------------------------------------------
@@ -452,12 +435,12 @@ def build_extended_flat_model(rep: CliffordRep, current: DiracCurrent,
     """Assemble the extended flat model and verify the graded Jacobi identity
     exhaustively before returning.  A Jacobi failure signals inconsistent
     inputs (for example a non-equivariant current)."""
-    r_full = compute_r_symmetry_algebra(rep, current)
     if r is None:
-        r = r_full
+        r = compute_r_symmetry_algebra(compute_schur_algebra(rep), current)
     else:
+        sigma = spin_generators(rep).sigma
         for mat in r.matrices:
-            if not r_full.contains(mat):
+            if not _preserves(mat, sigma, current.components):
                 raise NotClosed(
                     "supplied r is not contained in the R-symmetry algebra",
                     witness=mat.to_serialisable())

@@ -235,7 +235,7 @@ def _stage_dirac_current(config, state):
 def _stage_r_symmetry(config, state):
     rep, current = state["rep"], state["current"]
     schur = compute_schur_algebra(rep)
-    r_alg = compute_r_symmetry_algebra(rep, current)
+    r_alg = compute_r_symmetry_algebra(schur, current)
     state["r_alg"] = r_alg
     return {"schur_dim": schur.dim, "r_dim": r_alg.dim}
 

@@ -1,7 +1,8 @@
 """Shared, cached construction of test instances across the signature grid,
 hand-written oracles of identities the engine checks as components of a
-larger certificate, and the Fraction-arithmetic oracles of the checks the
-engine runs on integer-scaled data."""
+larger certificate, the Fraction-arithmetic oracles of the checks the
+engine runs on integer-scaled data, and the entrywise assembly of the
+linear systems the engine builds from Kronecker products."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -9,13 +10,13 @@ from itertools import combinations
 
 from spencerkit.certs import Certificate, ProbeReport
 from spencerkit.cliffspin import _M64, Signature, _splitmix64, \
-    build_clifford_rep, build_dirac_current
+    build_clifford_rep, build_dirac_current, spin_generators
 from spencerkit.deform import _gauge_shift, check_admissibility, \
     class_gauge_generators
 from spencerkit.errors import DimensionMismatch, NotClosed
 from spencerkit.exactla import AffineSolver, ExactMatrix, Subspace, \
     basis_vec, hstack, rat_str, vec_add, vec_is_zero, zero_vec
-from spencerkit.flatmodel import _add_scaled, _stabiliser, \
+from spencerkit.flatmodel import EndoSubalgebra, _add_scaled, _stabiliser, \
     build_extended_flat_model, full_subalgebra, jacobi_triples, \
     make_graded_subalgebra, random_subspace, stabiliser_in_so
 from spencerkit.spencer import FullModelCohomology, inclusion_matrix, \
@@ -346,3 +347,41 @@ def fraction_causality_probe(current, sig, samples, seed):
                     "eta_kappa_kappa": rat_str(q),
                 })
     return ProbeReport(probe="causality", samples=samples, seed=seed)
+
+
+def entrywise_schur_algebra(rep):
+    """The commutant of the spin generators, its system assembled entry by
+    entry: [a, sigma]_ij = sum_k a_ik sigma_kj - sigma_ik a_kj."""
+    ns = rep.spinor_dim
+    entries = {}
+    nrow = 0
+    for sig in spin_generators(rep).sigma:
+        for i in range(ns):
+            for j in range(ns):
+                for k in range(ns):
+                    key = (nrow, i * ns + k)
+                    entries[key] = entries.get(key, 0) + sig.entry(k, j)
+                    key = (nrow, k * ns + j)
+                    entries[key] = entries.get(key, 0) - sig.entry(i, k)
+                nrow += 1
+    system = ExactMatrix(nrow, ns * ns,
+                         [(r, c, v) for (r, c), v in entries.items()])
+    return EndoSubalgebra(ns, system.kernel())
+
+
+def entrywise_r_symmetry_algebra(rep, current):
+    """The Schur elements a with a^T K + K a = 0 for every component K, the
+    system assembled entry by entry over the Schur basis."""
+    schur = entrywise_schur_algebra(rep)
+    ns = rep.spinor_dim
+    rows = []
+    for K in current.components:
+        for i in range(ns):
+            for j in range(ns):
+                rows.append([sum((B.entry(k, i) * K.entry(k, j) +
+                                  K.entry(i, k) * B.entry(k, j)
+                                  for k in range(ns)), Fraction(0))
+                             for B in schur.matrices])
+    sol = ExactMatrix.from_rows(rows, cols=schur.dim).kernel()
+    return EndoSubalgebra.from_matrices(
+        ns, [schur.matrix_of(sol.basis.row_tuple(k)) for k in range(sol.dim)])

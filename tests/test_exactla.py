@@ -403,8 +403,11 @@ class TestSubspace:
             ExactMatrix.from_rows([[2, 0], [3, 4], [0, 6]])
         assert m.select_rows([]) == ExactMatrix(0, 3)
         assert m.select_columns([]) == ExactMatrix(3, 0)
-        # the selection is a copy
-        m.select_rows([0])._rows[0][0] = Fraction(7)
+        # the selection is a copy: its row 0 is the int row {0: 1, 1: 2}
+        # over the denominator 1
+        picked = m.select_rows([0])
+        assert (picked._rows[0], picked._dens[0]) == ({0: 1, 1: 2}, 1)
+        picked._rows[0][0] = 7
         assert m.entry(0, 0) == 1
 
 

@@ -1,0 +1,243 @@
+"""Every matrix operation of `spencerkit.exactla`, which stores a row as
+ints over one denominator, equals the Fraction-storage oracle in
+`fraction_exactla` entrywise, on random rational matrices with negative
+entries, denominators up to 12, and zero rows and columns; and every
+matrix it returns is in the canonical integer form."""
+
+from fractions import Fraction
+from math import gcd
+
+from hypothesis import given, settings, strategies as st
+
+import fraction_exactla as fx
+from spencerkit.exactla import (AffineSolver, ExactMatrix, Subspace,
+                                block_diag, hom_apply, hstack, kron, lincomb,
+                                pair_map, solve_affine, tensor_index_maps,
+                                vstack)
+
+EXAMPLES = settings(max_examples=150, deadline=None)
+
+nonzero = st.builds(Fraction, st.integers(-9, 9).filter(bool),
+                    st.integers(1, 12))
+entries = st.one_of(st.just(Fraction(0)), nonzero)
+dims = st.integers(0, 5)
+
+
+@st.composite
+def dense(draw, rows, cols):
+    """A rows x cols list of rational rows, some rows and columns zero."""
+    data = [[draw(entries) for _ in range(cols)] for _ in range(rows)]
+    if rows:
+        for i in draw(st.sets(st.integers(0, rows - 1), max_size=2)):
+            data[i] = [Fraction(0)] * cols
+    if cols:
+        for j in draw(st.sets(st.integers(0, cols - 1), max_size=2)):
+            for row in data:
+                row[j] = Fraction(0)
+    return data
+
+
+@st.composite
+def pairs(draw, rows=None, cols=None):
+    """The same random matrix as an ExactMatrix and as the oracle's."""
+    rows = draw(dims) if rows is None else rows
+    cols = draw(dims) if cols is None else cols
+    data = draw(dense(rows, cols))
+    return (ExactMatrix.from_rows(data, cols=cols),
+            fx.FractionMatrix.from_rows(data, cols=cols))
+
+
+def assert_canonical(m):
+    """Row i is _rows[i] / _dens[i]: int entries, none zero, on columns in
+    range, over a positive int denominator sharing no factor with all of
+    them; an empty row has denominator 1."""
+    assert len(m._rows) == len(m._dens) == m.rows
+    for row, d in zip(m._rows, m._dens):
+        assert type(d) is int and d > 0
+        assert all(type(j) is int and 0 <= j < m.cols for j in row)
+        assert all(type(v) is int and v != 0 for v in row.values())
+        g = d
+        for v in row.values():
+            g = gcd(g, v)
+        assert g == 1
+        assert row or d == 1
+
+
+def assert_same(m, oracle):
+    """m is canonical and equals the oracle's matrix entrywise, with
+    Fraction entries at the API boundary."""
+    assert_canonical(m)
+    assert (m.rows, m.cols) == (oracle.rows, oracle.cols)
+    for i in range(m.rows):
+        got = m.row_tuple(i)
+        assert all(type(v) is Fraction for v in got)
+        assert got == oracle.row_tuple(i)
+        assert all(m.entry(i, j) == got[j] for j in range(m.cols))
+    assert m.to_serialisable() == oracle.to_serialisable()
+
+
+@EXAMPLES
+@given(st.data(), dims, dims, dims)
+def test_matmul(data, r, k, c):
+    (a, ao), (b, bo) = data.draw(pairs(r, k)), data.draw(pairs(k, c))
+    assert_same(a @ b, ao @ bo)
+
+
+@EXAMPLES
+@given(st.data(), dims, dims, entries)
+def test_add_sub_and_scale(data, r, c, q):
+    (a, ao), (b, bo) = data.draw(pairs(r, c)), data.draw(pairs(r, c))
+    assert_same(a + b, ao + bo)
+    assert_same(a - b, ao - bo)
+    for factor in (q, -q, 1, -1, 3):
+        assert_same(a.scale(factor), ao.scale(factor))
+
+
+@EXAMPLES
+@given(st.data(), dims, dims, dims, dims)
+def test_kron_and_transpose(data, r1, c1, r2, c2):
+    (a, ao), (b, bo) = data.draw(pairs(r1, c1)), data.draw(pairs(r2, c2))
+    assert_same(kron(a, b), fx.kron(ao, bo))
+    assert_same(a.transpose(), ao.transpose())
+
+
+@EXAMPLES
+@given(st.data(), dims, dims, st.lists(st.tuples(dims, dims), max_size=3))
+def test_stacks_and_selections(data, r, c, shapes):
+    same_cols = [data.draw(pairs(data.draw(dims), c)) for _ in shapes]
+    same_rows = [data.draw(pairs(r, data.draw(dims))) for _ in shapes]
+    any_shape = [data.draw(pairs(*shape)) for shape in shapes]
+    if shapes:
+        assert_same(vstack([m for m, _ in same_cols]),
+                    fx.vstack([o for _, o in same_cols]))
+        assert_same(hstack([m for m, _ in same_rows]),
+                    fx.hstack([o for _, o in same_rows]))
+    assert_same(block_diag([m for m, _ in any_shape]),
+                fx.block_diag([o for _, o in any_shape]))
+    a, ao = data.draw(pairs(r, c))
+    cols = data.draw(st.permutations(range(c)))[:data.draw(st.integers(0, c))]
+    assert_same(a.select_columns(cols), ao.select_columns(cols))
+    rows = data.draw(st.lists(st.integers(0, r - 1), max_size=4)) if r else []
+    assert_same(a.select_rows(rows), ao.select_rows(rows))
+
+
+@EXAMPLES
+@given(pairs(), st.data())
+def test_apply_and_trace(pair, data):
+    a, ao = pair
+    v = data.draw(st.lists(entries, min_size=a.cols, max_size=a.cols))
+    got = a.apply(v)
+    assert got == ao.apply(v) and all(type(x) is Fraction for x in got)
+    if a.rows == a.cols:
+        assert a.trace() == ao.trace()
+
+
+@EXAMPLES
+@given(pairs())
+def test_rref_and_kernel(pair):
+    a, ao = pair
+    assert_same(a.rref(), ao.rref())
+    assert a.pivot_columns() == ao.pivot_columns()
+    kernel, oracle = a.kernel(), ao.kernel()
+    assert_same(kernel.basis, oracle.basis)
+    assert_same(a.column_space().basis, ao.column_space().basis)
+
+
+@EXAMPLES
+@given(st.integers(1, 3), st.integers(3, 6), st.data())
+def test_coordinates(r, c, data):
+    # wide matrices without zeros: RREF rows whose free columns sit over
+    # different denominators, all read by the combination below
+    rows = data.draw(st.lists(st.lists(nonzero, min_size=c, max_size=c),
+                              min_size=r, max_size=r))
+    a, ao = (ExactMatrix.from_rows(rows, cols=c),
+             fx.FractionMatrix.from_rows(rows, cols=c))
+    space, oracle = a.row_space(), ao.row_space()
+    # a vector of the span, and one that is mostly not in it
+    coeffs = data.draw(st.lists(nonzero, min_size=space.dim,
+                                max_size=space.dim))
+    inside = lincomb(zip(coeffs, space.basis_vectors()), a.cols)
+    other = data.draw(st.lists(entries, min_size=a.cols, max_size=a.cols))
+    for v in (inside, other):
+        got = space.coordinates(v)
+        assert got == oracle.coordinates(v)
+        assert got is None or all(type(x) is Fraction for x in got)
+    assert space.coordinates(inside) == tuple(coeffs)
+
+
+@EXAMPLES
+@given(st.data(), dims, dims, st.integers(0, 4))
+def test_solve_many(data, r, c, k):
+    (a, ao) = data.draw(pairs(r, c))
+    # consistent columns A x, and arbitrary ones
+    xs = data.draw(dense(c, k))
+    y = (a @ ExactMatrix.from_rows(xs, cols=k)) + \
+        ExactMatrix.from_rows(data.draw(dense(r, k)), cols=k).scale(
+            data.draw(st.sampled_from((0, 1))))
+    yo = fx.FractionMatrix.from_rows(
+        [list(y.row_tuple(i)) for i in range(r)], cols=k)
+    got = AffineSolver(a).solve_many(y)
+    assert got == fx.FractionAffineSolver(ao).solve_many(yo)
+    assert all(x is None or all(type(v) is Fraction for v in x)
+               for x in got)
+    for j in range(k):
+        b = [y.entry(i, j) for i in range(r)]
+        assert solve_affine(a, b) == fx.solve_affine(ao, b)
+
+
+@st.composite
+def hom_blocks(draw):
+    """(T, D) pairs of square blocks and a matrix M whose rows fit them,
+    each as an ExactMatrix and as the oracle's."""
+    sizes = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                          max_size=3))
+    blocks = [(draw(pairs(tgt, tgt)), draw(pairs(src, src)))
+              for tgt, src in sizes]
+    M = draw(pairs(sum(tgt * src for tgt, src in sizes), draw(dims)))
+    return blocks, M
+
+
+@settings(max_examples=80, deadline=None)
+@given(hom_blocks())
+def test_hom_apply(blocks_and_M):
+    blocks, (M, Mo) = blocks_and_M
+    assert_same(hom_apply([(T, D) for (T, _), (D, _) in blocks], M),
+                fx.hom_apply([(To, Do) for (_, To), (_, Do) in blocks], Mo))
+
+
+@EXAMPLES
+@given(st.data(), st.sampled_from(("sym2", "wedge2")), st.integers(0, 4),
+       st.integers(0, 4))
+def test_pair_map(data, kind, m, n):
+    out_table, in_table = tensor_index_maps(m, kind), tensor_index_maps(n,
+                                                                        kind)
+    (a, ao), (b, bo) = data.draw(pairs(m, n)), data.draw(pairs(m, n))
+    assert_same(pair_map(out_table, in_table, a, b),
+                fx.pair_map(out_table, in_table, ao, bo))
+
+
+@EXAMPLES
+@given(st.data(), dims, dims, dims, dims)
+def test_equal_by_different_routes(data, r, k, l, c):
+    (a, _), (b, _), (d, _) = (data.draw(pairs(r, k)), data.draw(pairs(k, l)),
+                              data.draw(pairs(l, c)))
+    left, right = (a @ b) @ d, a @ (b @ d)
+    assert left == right and hash(left) == hash(right)
+    e, _ = data.draw(pairs(r, k))
+    back = (a + e) - e
+    assert back == a and hash(back) == hash(a)
+    assert_canonical(back)
+    # the same subspace from different spanning sets
+    doubled = vstack([a, a.scale(Fraction(-3, 7))])
+    assert doubled.row_space() == a.row_space()
+    assert hash(doubled.row_space()) == hash(a.row_space())
+
+
+def test_fraction_inputs_are_stored_over_one_denominator():
+    m = ExactMatrix.from_rows([[Fraction(1, 2), Fraction(-2, 3), 0],
+                               [0, 0, 0], [4, "6/4", 2]])
+    assert m._rows == [{0: 3, 1: -4}, {}, {0: 8, 1: 3, 2: 4}]
+    assert m._dens == [6, 1, 2]
+    assert m.rref()._rows[0][0] == m.rref()._dens[0]
+    assert_canonical(m.rref())
+    assert isinstance(Subspace.full(2).coordinates([1, "1/2"])[1], Fraction)

@@ -6,15 +6,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from instances import GRID, annihilator_in_so, bracket_vec, \
+    entrywise_r_symmetry_algebra, entrywise_schur_algebra, \
     fraction_jacobi_check, get_current, get_full_subalgebra, get_model, \
     get_rep, get_sampled_subalgebra, stabiliser_in_r
 from spencerkit.cliffspin import Signature, build_clifford_rep, \
-    build_dirac_current
+    build_dirac_current, spin_generators
 from spencerkit.errors import JacobiViolation, NotClosed, NotCompactForm
 from spencerkit.exactla import (ExactMatrix, Subspace, basis_vec, kron,
                                 tensor_index_maps, vec_is_zero, zero_vec)
 from spencerkit.flatmodel import (EndoSubalgebra, GradedBracketTensor,
-                                  build_extended_flat_model,
+                                  _preserves, build_extended_flat_model,
                                   compute_r_symmetry_algebra,
                                   compute_schur_algebra, faithful_split,
                                   full_subalgebra, graded_jacobi_check,
@@ -38,30 +39,61 @@ class TestSchurAlgebra:
 
 class TestRSymmetryAlgebra:
     def test_d3_n1_trivial(self):
-        assert compute_r_symmetry_algebra(get_rep(2, 1, 1),
+        schur = compute_schur_algebra(get_rep(2, 1, 1))
+        assert compute_r_symmetry_algebra(schur,
                                           get_current(2, 1, 1)).dim == 0
 
     def test_d3_n2_so2(self):
-        r = compute_r_symmetry_algebra(get_rep(2, 1, 2), get_current(2, 1, 2))
+        r = compute_r_symmetry_algebra(compute_schur_algebra(get_rep(2, 1, 2)),
+                                       get_current(2, 1, 2))
         assert r.dim == 1
 
     def test_zero_current_gives_full_schur(self):
         rep = get_rep(2, 1, 2)
         zero = build_dirac_current(rep, [ExactMatrix.zeros(4, 4)] * 3)
-        r = compute_r_symmetry_algebra(rep, zero)
         schur = compute_schur_algebra(rep)
+        r = compute_r_symmetry_algebra(schur, zero)
         assert r.dim == schur.dim
         assert r.basis == schur.basis
 
     @pytest.mark.parametrize("s,t,N", GRID)
     def test_preserves_current_exactly(self, s, t, N):
         rep, cur = get_rep(s, t, N), get_current(s, t, N)
-        r = compute_r_symmetry_algebra(rep, cur)
+        r = compute_r_symmetry_algebra(compute_schur_algebra(rep), cur)
         ns = rep.spinor_dim
         for a in r.matrices:
             for K in cur.components:
                 if not (a.transpose() @ K + K @ a).is_zero():
                     pytest.fail("r does not preserve kappa")
+
+
+@pytest.mark.parametrize("s,t,N", GRID + ((4, 1, 1),))
+def test_kron_systems_equal_the_entrywise_ones(s, t, N):
+    rep, cur = get_rep(s, t, N), get_current(s, t, N)
+    schur = compute_schur_algebra(rep)
+    assert schur.basis == entrywise_schur_algebra(rep).basis
+    assert compute_r_symmetry_algebra(schur, cur).basis == \
+        entrywise_r_symmetry_algebra(rep, cur).basis
+
+
+@pytest.mark.parametrize("s,t,N", GRID)
+def test_defining_equations_decide_membership(s, t, N):
+    # a matrix satisfies the R-symmetry equations exactly when it lies in
+    # the R-symmetry algebra; candidates are the Schur and r bases,
+    # combinations of two Schur elements, the identity and two matrix units
+    rep, cur = get_rep(s, t, N), get_current(s, t, N)
+    schur = compute_schur_algebra(rep)
+    r = compute_r_symmetry_algebra(schur, cur)
+    sigma = spin_generators(rep).sigma
+    ns = rep.spinor_dim
+    candidates = list(schur.matrices) + list(r.matrices) + \
+        [a + b.scale(Fraction(-2, 3)) for a in schur.matrices
+         for b in schur.matrices] + \
+        [ExactMatrix.identity(ns), ExactMatrix(ns, ns, [(0, 0, 1)]),
+         ExactMatrix(ns, ns, [(0, ns - 1, Fraction(1, 2))])]
+    verdicts = [_preserves(m, sigma, cur.components) for m in candidates]
+    assert verdicts == [r.contains(m) for m in candidates]
+    assert any(verdicts) == (r.dim > 0) and not all(verdicts)
 
 
 class TestExtendedFlatModel:
@@ -131,8 +163,18 @@ class TestExtendedFlatModel:
         rep = get_rep(2, 1, 2)
         cur = get_current(2, 1, 2)
         schur = compute_schur_algebra(rep)
-        with pytest.raises(NotClosed):
+        with pytest.raises(NotClosed) as err:
             build_extended_flat_model(rep, cur, schur)
+        # the witness is the first Schur basis element outside r
+        r = compute_r_symmetry_algebra(schur, cur)
+        outside = next(m for m in schur.matrices if not r.contains(m))
+        assert err.value.witness == outside.to_serialisable()
+
+    def test_supplied_r_symmetry_algebra_accepted(self):
+        rep, cur = get_rep(2, 1, 2), get_current(2, 1, 2)
+        r = compute_r_symmetry_algebra(compute_schur_algebra(rep), cur)
+        assert build_extended_flat_model(rep, cur, r).dims == \
+            build_extended_flat_model(rep, cur).dims
 
     def test_skew_current_gives_plain_lie_algebra(self):
         # an antisymmetric pairing on the extension index yields a skew

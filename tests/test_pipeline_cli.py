@@ -254,6 +254,30 @@ class TestBuildOnce:
         finally:
             gc.enable()
 
+    @pytest.mark.parametrize("s,t,N", [(2, 1, 1), (2, 1, 2)])
+    def test_schur_and_r_symmetry_built_once_per_run(self, monkeypatch,
+                                                     s, t, N):
+        from spencerkit import flatmodel, pipeline
+        calls = {"compute_schur_algebra": 0, "compute_r_symmetry_algebra": 0}
+
+        def counting(name):
+            fn = getattr(flatmodel, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for name in calls:
+            wrapper = counting(name)
+            for module in (flatmodel, pipeline):
+                monkeypatch.setattr(module, name, wrapper)
+        report = run_pipeline(base_config(signature={"s": s, "t": t}, N=N))
+        assert [stage["name"] for stage in report["stages"]] == list(STAGES)
+        # the r_symmetry stage derives both; the flat model checks its r
+        # by the defining equations
+        assert calls == {name: 1 for name in calls}
+
     def test_deformation_built_once_per_run(self, monkeypatch):
         from spencerkit import deform, pipeline
         calls = []
