@@ -229,11 +229,6 @@ class DiracCurrent:
     def is_zero(self) -> bool:
         return all(k.is_zero() for k in self.components)
 
-    def value(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> tuple:
-        return tuple(Fraction(sum(xv * ky for xv, ky in zip(x, k.apply(y))
-                                  if xv))
-                     for k in self.components)
-
     def value_basis(self, i: int, j: int) -> tuple:
         """kappa(e_i, e_j) on spinor basis vectors."""
         return tuple(k.entry(i, j) for k in self.components)

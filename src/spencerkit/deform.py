@@ -258,21 +258,18 @@ def check_admissibility(sub: GradedSubalgebra,
 
 @dataclass
 class DeltaMap:
-    """Degree-2 deformation map on a0 x V: values in h/r' coordinates."""
+    """Degree-2 deformation map on a0 x V: values in h/r' coordinates.  The
+    h part of [r', V] is zero; _certify_delta proves it."""
     delta1: list   # [h index][v index] -> h coords
     delta2: list   # [h index][v index] -> r' coords
-    delta3: list   # [r' index][v index] -> h coords (generic solve)
     delta4: list   # [r' index][v index] -> r' coords
-
-    @property
-    def delta3_is_zero(self) -> bool:
-        return all(vec_is_zero(v) for row in self.delta3 for v in row)
 
 
 def solve_delta(datum: AdmissibleDatum) -> DeltaMap:
-    """Closed-form delta, cross-checked coefficientwise against the generic
-    unique solution of d(chi_X) = X.mu for every generator X; computed once
-    per datum and kept on it."""
+    """Closed-form delta(A, v) = [A, lambda(v)] - lambda(Av), certified by
+    one exact product d(chi_X) = X.mu over every h- and r'-basis element X;
+    d21 is injective, so the closed form is the unique solution.  Computed
+    once per datum and kept on it."""
     if datum._delta is None:
         datum._delta = _solve_delta(datum)
     return datum._delta
@@ -308,53 +305,49 @@ def _solve_delta(datum: AdmissibleDatum) -> DeltaMap:
                 raise OracleMismatch("closed-form delta4 leaves r'")
             row4.append(c4)
         delta4.append(row4)
-    delta3 = _check_delta_generic(datum, delta1, delta2, delta4)
-    delta = DeltaMap(delta1=delta1, delta2=delta2, delta3=delta3,
-                     delta4=delta4)
-    if not delta.delta3_is_zero:
-        raise OracleMismatch("generic solver gives a nonzero delta3: "
-                             "[r', V] has an h component")
+    delta = DeltaMap(delta1=delta1, delta2=delta2, delta4=delta4)
+    _certify_delta(datum, _delta_cochains(datum, delta))
     return delta
 
 
-def _check_delta_generic(datum: AdmissibleDatum, delta1: list, delta2: list,
-                         delta4: list) -> list:
-    """Generic route: solve the injective degree-(2,1) differential for each
-    generator and compare with the closed form delta1, delta2, delta4.
-    Returns delta3, the h part of the solution for each r' generator."""
-    sub = datum.subalgebra
+def _delta_cochains(datum: AdmissibleDatum, delta: DeltaMap) -> ExactMatrix:
+    """chi_X in C^{2,1} of the subalgebra's complex, one column per h-basis
+    then r'-basis element X: delta1 and delta2 for h; delta4 for r', whose h
+    block (delta3) is zero."""
+    lay1 = datum.sub_complex.layouts[1]
+    columns = ([(("lambda_so", r1), ("lambda_r", r2))
+                for r1, r2 in zip(delta.delta1, delta.delta2)] +
+               [(("lambda_r", r4),) for r4 in delta.delta4])
+    return ExactMatrix(lay1.dim, len(columns), [
+        (lay1.index(name, b, t), k, x)
+        for k, blocks in enumerate(columns) for name, rows in blocks
+        for b, vals in enumerate(rows) for t, x in enumerate(vals) if x])
+
+
+def _certify_delta(datum: AdmissibleDatum, chi: ExactMatrix) -> None:
+    """Check d21 chi == [X.mu], X over the h-then-r' basis, with one exact
+    product.  d21 is injective (H^{2,1} = 0 on a transitive, highly
+    supersymmetric subalgebra), so chi is then the unique solution.  Raises
+    OracleMismatch naming the first column that differs."""
     cx = datum.sub_complex
-    lay1 = cx.layouts[1]
     d21 = cx.differentials[1]
-    n = datum.model.dim_v
     if d21.rank() != d21.cols:
         raise OracleMismatch("degree-(2,1) differential is not injective")
+    ops = subalgebra_actions(cx)
+    if not ops:
+        return
     mu = datum.mu_minus.coeffs
-    chis = AffineSolver(d21).solve_many(ExactMatrix.from_columns(
-        [op.apply(mu) for op in subalgebra_actions(cx)], len(mu)))
-    delta3 = []
-    for idx, chi in enumerate(chis):
-        if chi is None:
-            raise OracleMismatch("X.mu is not a coboundary; invariance of the "
-                                 "class must have been violated")
-        row3 = []
-        for b in range(n):
-            got_h = tuple(chi[lay1.index("lambda_so", b, t)]
-                          for t in range(sub.h.dim))
-            got_r = tuple(chi[lay1.index("lambda_r", b, t)]
-                          for t in range(sub.rp.dim))
-            if idx < sub.h.dim:
-                agree = (got_h == tuple(delta1[idx][b])
-                         and got_r == tuple(delta2[idx][b]))
-            else:
-                row3.append(got_h)
-                agree = got_r == tuple(delta4[idx - sub.h.dim][b])
-            if not agree:
-                raise OracleMismatch(
-                    "closed-form delta disagrees with the generic solver")
-        if idx >= sub.h.dim:
-            delta3.append(row3)
-    return delta3
+    mu_col = ExactMatrix.from_columns([mu], len(mu))
+    got = d21 @ chi
+    want = hstack([op.apply_many(mu_col) for op in ops])
+    if got != want:
+        diff = (got - want).transpose()
+        k = next(k for k in range(diff.rows)
+                 if not vec_is_zero(diff.row_tuple(k)))
+        h_dim = datum.subalgebra.h.dim
+        X = f"h[{k}]" if k < h_dim else f"r'[{k - h_dim}]"
+        raise OracleMismatch(f"closed-form delta fails d(chi_X) = X.mu at "
+                             f"X = {X}")
 
 
 # ---------------------------------------------------------------------------

@@ -60,10 +60,6 @@ class NoEquivariantSplitting(SpencerKitError):
     """No equivariant right inverse of the Dirac current exists."""
 
 
-class NotACocycle(SpencerKitError):
-    pass
-
-
 class NotHighlySusy(SpencerKitError):
     pass
 

@@ -692,11 +692,10 @@ class AffineSolver:
     its RREF; P is invertible.  The canonical solution (free variables zero)
     of a consistent system is unique, so it is x[pivots] = P^-1 b[rows].
     `solve_many` computes that for a batch of right-hand sides and certifies
-    the whole batch with one exact product A X == Y; `solve` is one column
-    of it, with a failed check handed to `solve_affine` for its NoSolution
-    certificate, so its result always equals `solve_affine(A, b)`.  A is
-    factored at the first solve, so a solver that is never asked costs
-    nothing.
+    the whole batch with one exact product A X == Y; a column without a
+    solution gets None, and `solve_affine` gives its NoSolution
+    certificate.  A is factored at the first solve, so a solver that is
+    never asked costs nothing.
     """
 
     __slots__ = ("A", "_pivots", "_rows", "_inv")
@@ -753,14 +752,6 @@ class AffineSolver:
                     out[j][pc] = _fraction(v, d)
         return [None if x is None else tuple(x) for x in out]
 
-    def solve(self, b: Sequence[RationalLike]):
-        if self.A.rows != len(b):
-            raise DimensionMismatch("solve: rhs length differs from rows")
-        x, = self.solve_many(ExactMatrix.from_columns([b], len(b)))
-        if x is None:
-            return solve_affine(self.A, b)
-        return ParticularSolution(x=x)
-
 
 def hom_apply(blocks: Sequence[tuple], M: ExactMatrix) -> ExactMatrix:
     """phi -> T phi - phi D on every column of M, with the rows of M cut
@@ -789,6 +780,21 @@ def hom_apply(blocks: Sequence[tuple], M: ExactMatrix) -> ExactMatrix:
                     td * dd * L)
         off += D.rows * nt
     return ExactMatrix._of(M.rows, M.cols, pairs)
+
+
+def flatten_columns(mats: Sequence[ExactMatrix], rows: int,
+                    cols: int) -> ExactMatrix:
+    """The (rows cols) x len(mats) matrix whose column t is mats[t], a
+    rows x cols matrix, read row by row."""
+    pairs = []
+    for m in mats:
+        if (m.rows, m.cols) != (rows, cols):
+            raise DimensionMismatch("flatten_columns: shape mismatch")
+        L = lcm(*m._dens)
+        pairs.append(_normal({a * cols + x: v * (L // d)
+                              for a, (r, d) in enumerate(zip(m._rows, m._dens))
+                              for x, v in r.items()}, L))
+    return ExactMatrix._of(len(mats), rows * cols, pairs).transpose()
 
 
 def ldlt_pivots(M: ExactMatrix) -> list:

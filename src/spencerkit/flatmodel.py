@@ -399,9 +399,6 @@ class ExtendedFlatModel:
     def r_matrix(self, coords: Sequence[Fraction]) -> ExactMatrix:
         return self.r.matrix_of(coords)
 
-    def kappa_vec(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> tuple:
-        return self.current.value(x, y)
-
     def to_json(self) -> dict:
         names = {"V": (self.off_v, self.dim_v), "S": (self.off_s, self.dim_s),
                  "A": (self.off_so, self.dim_so), "r": (self.off_r, self.dim_r)}

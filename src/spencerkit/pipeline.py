@@ -333,7 +333,11 @@ def _stage_cohomology(config, state):
     state["invariant_classes"] = invariant
     data = {
         "normalised_space_dim": fullco.normalised_space.dim,
-        "full_model_H22": fullco.h22.to_json() | {"representatives": "omitted"},
+        "full_model_H22": {"bidegree": list(fullco.h22.bidegree),
+                           "dimZ": fullco.h22.dim_z,
+                           "dimB": fullco.h22.dim_b,
+                           "dimH": fullco.h22.dim_h,
+                           "representatives": "omitted"},
         # FullModelCohomology certified Z = B + N as a direct sum
         "normalisation_oracle_equal":
             fullco.normalised_space.dim == fullco.h22.dim_h,
@@ -402,7 +406,9 @@ def _stage_theta(config, state):
             "second_relation": theta.second_relation_consistent,
             "theta_tilde_2_zero": theta.theta2_zero
             if theta.theta1 is not None else None,
-            # check_admissibility solved delta by both routes
+            # check_admissibility certified the closed-form delta with one
+            # product d(chi_X) = X.mu; d21 is injective, so it is the unique
+            # solution
             "delta_dual_route": "pass"}
 
 

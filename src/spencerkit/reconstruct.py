@@ -229,8 +229,7 @@ def reconstruction_certificate(deformation: FilteredDeformation,
     f0_zero = all(vec_is_zero(v) for row in curvature.F0 for v in row)
     return {
         "nomizu": nomizu.matrix.to_serialisable(),
-        "R0": curvature.to_json()["R0"],
-        "F0": curvature.to_json()["F0"],
+        **curvature.to_json(),   # "R0" then "F0", in report key order
         "F0_zero": f0_zero,
         "unchecked_hypotheses": list(UNCHECKED_HYPOTHESES),
     }

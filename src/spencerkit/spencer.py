@@ -25,10 +25,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import (DimensionMismatch, KappaZero, NoEquivariantSplitting,
                      NotHighlySusy, NotSymmetric, OracleMismatch)
 from .exactla import (AffineSolver, ExactMatrix, NoSolution, Subspace,
-                      block_diag, cyclic_embedding, hom_apply, hstack, kron,
-                      lincomb, pair_action, pair_embedding, pair_map, rat_str,
-                      solve_affine, tensor_index_maps, vec_is_zero, vec_scale,
-                      vstack, zero_vec)
+                      block_diag, cyclic_embedding, flatten_columns,
+                      hom_apply, hstack, kron, lincomb, pair_action,
+                      pair_embedding, pair_map, solve_affine,
+                      tensor_index_maps, vec_is_zero, vec_scale, vstack,
+                      zero_vec)
 from .flatmodel import (ExtendedFlatModel, GradedSubalgebra, full_subalgebra)
 
 
@@ -131,39 +132,32 @@ class SpencerComplex:
         M_S^so (nsp dWs x dWso), M_S^r (nsp dWs x dWr): the same on S' -> Ws.
         """
         sub, model = self.subalgebra, self.model
-        self.vvecs = sub.Vp.basis_vectors()
-        self.svecs = sub.Sp.basis_vectors()
-        self.nvp = len(self.vvecs)
-        self.nsp = len(self.svecs)
+        self.nvp, self.nsp = sub.Vp.dim, sub.Sp.dim
         self.w2v = tensor_index_maps(self.nvp, "wedge2")
         self.s2 = tensor_index_maps(self.nsp, "sym2")
         self.dWv, self.dWs = self.Wv.dim, self.Ws.dim
         self.dWso, self.dWr = self.Wso.dim, self.Wr.dim
-        self.Wv_vecs = self.Wv.basis_vectors()
-        self.Ws_vecs = self.Ws.basis_vectors()
-        self.Wso_vecs = self.Wso.basis_vectors()
-        self.Wr_vecs = self.Wr.basis_vectors()
+        Wso_vecs = self.Wso.basis_vectors()
         # the target bases of the so- and r-valued blocks as matrices
-        self.Wso_mats = tuple(map(model.so_matrix, self.Wso_vecs))
-        self.Wr_mats = tuple(map(model.r_matrix, self.Wr_vecs))
-        kappas = sub.kappa_sp.transpose()
-        K = _coordinate_matrix(
-            sub.Vp, [[kappas.row_tuple(p)] for p in range(kappas.rows)],
-            _CLOSURE.format("kappa(S',S')"))
+        self.Wso_mats = tuple(map(model.so_matrix, Wso_vecs))
+        self.Wr_mats = tuple(map(model.r_matrix, self.Wr.basis_vectors()))
+        K = _coordinate_matrix(sub.Vp, sub.kappa_sp,
+                               _CLOSURE.format("kappa(S',S')"))
         W = kron(ExactMatrix.identity(self.nvp), K.transpose()) @ \
             pair_embedding(self.w2v)
-        M_V = _coordinate_matrix(
-            self.Wv, [[m.apply(v) for v in self.vvecs]
-                      for m in self.Wso_mats],
-            _CLOSURE.format("h.V'"), self.nvp)
+        Vb, Sb = sub.Vp.basis, sub.Sp.basis
+
+        def images(basis, mats):  # column t: mats[t] on each basis vector
+            return flatten_columns([basis @ m.transpose() for m in mats],
+                                   basis.rows, basis.cols)
+
+        M_V = _coordinate_matrix(self.Wv, images(Vb, self.Wso_mats),
+                                 _CLOSURE.format("h.V'"), self.nvp)
         M_Sso = _coordinate_matrix(
-            self.Ws, [[m.apply(s) for s in self.svecs]
-                      for m in map(model.spin_matrix, self.Wso_vecs)],
+            self.Ws, images(Sb, map(model.spin_matrix, Wso_vecs)),
             _CLOSURE.format("h.S'"), self.nsp)
-        M_Sr = _coordinate_matrix(
-            self.Ws, [[m.apply(s) for s in self.svecs]
-                      for m in self.Wr_mats],
-            _CLOSURE.format("r'.S'"), self.nsp)
+        M_Sr = _coordinate_matrix(self.Ws, images(Sb, self.Wr_mats),
+                                  _CLOSURE.format("r'.S'"), self.nsp)
         return K, W, M_V, M_Sso, M_Sr
 
     # -- degree 2 -------------------------------------------------------------
@@ -182,10 +176,15 @@ class SpencerComplex:
         lay3 = CochainLayout([("vss", nvp * s2, dWv),
                               ("sss", s3.size, dWs)])
         self.layouts = {1: lay1, 2: lay2, 3: lay3}
-        # C (nsp dWv x dWs): block i is kappa(s_i, .): Ws -> Wv
+        # C (nsp dWv x dWs): block i is kappa(s_i, .): Ws -> Wv; row
+        # (a, i) of the stack is s_i^T K_a Ws^T, reordered to (i, a)
+        Sb, WsT = self.subalgebra.Sp.basis, self.Ws.basis.transpose()
+        n = self.model.dim_v
+        kappa_s = vstack([Sb @ K_a @ WsT
+                          for K_a in self.model.current.components])
         C = _coordinate_matrix(
-            self.Wv, [[self.model.kappa_vec(s, w) for s in self.svecs]
-                      for w in self.Ws_vecs],
+            self.Wv, kappa_s.select_rows([a * nsp + i for i in range(nsp)
+                                          for a in range(n)]),
             _CLOSURE.format("kappa(S', beta-value)"), nsp)
         Kt = K.transpose()
         Qt = pair_embedding(self.w2v).transpose()
@@ -263,21 +262,20 @@ _CLOSURE = ("{} leaves the coefficient module; subalgebra closure must have "
             "been violated")
 
 
-def _coordinate_matrix(space: Subspace, columns: list, message: str,
+def _coordinate_matrix(space: Subspace, images: ExactMatrix, message: str,
                        stack: int = 1) -> ExactMatrix:
-    """Matrix with one column per entry of `columns`, a list of `stack`
-    vectors: the column holds their coordinates in `space`, one vector after
-    the other.  Raises DimensionMismatch(message) if a vector leaves
-    `space`."""
-    entries = []
-    for j, vectors in enumerate(columns):
-        for k, v in enumerate(vectors):
-            c = space.coordinates(v)
-            if c is None:
-                raise DimensionMismatch(message)
-            entries.extend((k * space.dim + i, j, x)
-                           for i, x in enumerate(c) if x)
-    return ExactMatrix(stack * space.dim, len(columns), entries)
+    """The coordinates in `space` of the columns of `images`, each column
+    `stack` ambient vectors one after the other, in the same layout.  Against
+    the RREF basis the coordinates are the entries at its pivot columns, and
+    one product with the basis certifies all of them: raises
+    DimensionMismatch(message) if a vector leaves `space`."""
+    amb, pivots = space.ambient_dim, space.basis.pivot_columns()
+    coords = images.select_rows([k * amb + p for k in range(stack)
+                                 for p in pivots])
+    if kron(ExactMatrix.identity(stack),
+            space.basis.transpose()) @ coords != images:
+        raise DimensionMismatch(message)
+    return coords
 
 
 def _assemble(out: CochainLayout, inp: CochainLayout,
@@ -371,28 +369,26 @@ class CochainAction:
         model, sub = cx.model, cx.subalgebra
         act_s = on_s + r_on_s
 
-        def r_coords_of(w):
-            full = model.r.coordinates(r_on_s.commutator(w))
-            if full is None:
-                raise DimensionMismatch("commutator leaves the R-symmetry "
-                                        "algebra")
-            return full
-
-        def endo(space: Subspace, images, what: str) -> ExactMatrix:
-            return _coordinate_matrix(space, [[v] for v in images],
+        def endo(space: Subspace, images: ExactMatrix,
+                 what: str) -> ExactMatrix:
+            return _coordinate_matrix(space, images,
                                       f"action of X leaves {what}")
 
         # source-argument actions in source coordinates, then the target
         # value actions in target coordinates
-        srcV = endo(sub.Vp, (on_v.apply(v) for v in cx.vvecs), "V'")
-        srcS = endo(sub.Sp, (act_s.apply(s) for s in cx.svecs), "S'")
-        tgtV = endo(cx.Wv, (on_v.apply(w) for w in cx.Wv_vecs),
-                    "the V-target")
-        tgtS = endo(cx.Ws, (act_s.apply(w) for w in cx.Ws_vecs),
-                    "the S-target")
-        tgtSO = endo(cx.Wso, (model.gens.so_coordinates(on_v.commutator(w))
-                              for w in cx.Wso_mats), "the so-target")
-        tgtR = endo(cx.Wr, map(r_coords_of, cx.Wr_mats), "the r-target")
+        srcV = endo(sub.Vp, on_v @ sub.Vp.basis.transpose(), "V'")
+        srcS = endo(sub.Sp, act_s @ sub.Sp.basis.transpose(), "S'")
+        tgtV = endo(cx.Wv, on_v @ cx.Wv.basis.transpose(), "the V-target")
+        tgtS = endo(cx.Ws, act_s @ cx.Ws.basis.transpose(), "the S-target")
+        tgtSO = endo(cx.Wso, ExactMatrix.from_columns(
+            [model.gens.so_coordinates(on_v.commutator(w))
+             for w in cx.Wso_mats], model.dim_so), "the so-target")
+        ns = model.dim_s
+        r_comms = _coordinate_matrix(
+            model.r.basis, flatten_columns(
+                [r_on_s.commutator(w) for w in cx.Wr_mats], ns, ns),
+            "commutator leaves the R-symmetry algebra")
+        tgtR = endo(cx.Wr, r_comms, "the r-target")
         on_vs = (kron(srcV, ExactMatrix.identity(cx.nsp)) +
                  kron(ExactMatrix.identity(cx.nvp), srcS))
         on_s2 = pair_action(cx.s2, srcS)
@@ -581,16 +577,6 @@ class CohomologyReport:
         return [lincomb(zip(kernel.basis.row_tuple(k), self.representatives),
                         dim)
                 for k in range(kernel.dim)]
-
-    def to_json(self) -> dict:
-        return {
-            "bidegree": list(self.bidegree),
-            "dimZ": self.dim_z,
-            "dimB": self.dim_b,
-            "dimH": self.dim_h,
-            "representatives": [[rat_str(c) for c in r]
-                                for r in self.representatives],
-        }
 
 
 def compute_cohomology(cx: SpencerComplex, p: int) -> CohomologyReport:

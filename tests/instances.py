@@ -321,6 +321,13 @@ def fraction_spinor_sample(seed, counter, dim):
     return tuple(comps)
 
 
+def kappa_value(current, x, y):
+    """kappa(x, y) = (x^T K_a y)_a evaluated pointwise from the component
+    matrices: the oracle of the products the package builds kappa from."""
+    return tuple(Fraction(sum(xv * ky for xv, ky in zip(x, K.apply(y)) if xv))
+                 for K in current.components)
+
+
 def fraction_causality_probe(current, sig, samples, seed):
     """causality_probe evaluated sample by sample in Fraction arithmetic,
     kappa(s, s) through the component matrices: the oracle of the
@@ -335,7 +342,7 @@ def fraction_causality_probe(current, sig, samples, seed):
         if vec_is_zero(s):
             continue
         produced += 1
-        kappa_s = current.value(s, s)
+        kappa_s = kappa_value(current, s, s)
         q = sum((eta[a] * kappa_s[a] * kappa_s[a] for a in range(sig.dim)),
                 Fraction(0))
         if q > 0:

@@ -14,17 +14,18 @@ from instances import (GRID, HIGH_SUSY_DIM, admissible_data_for_cell,
                        get_full_subalgebra, get_fullco, get_model,
                        get_sampled_subalgebra)
 from spencerkit.cache import config_hash
-from spencerkit.deform import (build_filtered_deformation,
+from spencerkit.deform import (_delta_cochains, build_filtered_deformation,
                                check_admissibility,
                                check_geometric_realisability,
                                check_integrability, compute_theta,
                                solve_delta, zero_cocycle)
-from spencerkit.exactla import vec_is_zero, vstack
+from spencerkit.exactla import AffineSolver, ExactMatrix, vec_is_zero, vstack
 from spencerkit.flatmodel import graded_jacobi_check, \
     kappa_restriction_matrix, random_subspace
 from spencerkit.pipeline import report_bytes, run_pipeline
 from spencerkit.reconstruct import build_nomizu_map, curvature_at_origin
-from spencerkit.spencer import build_spencer_complex, compute_cohomology
+from spencerkit.spencer import (build_spencer_complex, compute_cohomology,
+                                subalgebra_actions)
 
 
 def _announce(number, text):
@@ -112,10 +113,22 @@ def test_criterion_6_delta_dual_route():
     instances = 0
     for cell in GRID:
         for datum in admissible_data_for_cell(*cell):
-            # solve_delta raises OracleMismatch if the closed form and the
-            # generic route differ anywhere
-            delta = solve_delta(datum)
-            assert delta.delta3_is_zero
+            # the generic route as the oracle: solve d21 chi_X = X.mu for
+            # every h- then r'-basis element X and compare with the closed
+            # form solve_delta certified, whose r' columns have a zero h
+            # block (delta3 = 0)
+            cx = datum.sub_complex
+            mu = datum.mu_minus.coeffs
+            rhs = ExactMatrix.from_columns(
+                [op.apply(mu) for op in subalgebra_actions(cx)], len(mu))
+            chis = AffineSolver(cx.differentials[1]).solve_many(rhs)
+            assert None not in chis
+            lay1 = cx.layouts[1]
+            assert ExactMatrix.from_columns(chis, lay1.dim) == \
+                _delta_cochains(datum, solve_delta(datum))
+            h_dim = datum.subalgebra.h.dim
+            assert all(chi[i] == 0 for chi in chis[h_dim:]
+                       for i in lay1.indices("lambda_so"))
             instances += 1
     assert instances >= 10
     _announce(6, f"closed-form delta equals the generic solver and "

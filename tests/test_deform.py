@@ -9,9 +9,10 @@ from instances import (GRID, admissible_cocycles_from_invariant,
                        admissible_data_for_cell, gauge_shifted_data,
                        get_full_subalgebra, get_fullco, get_model,
                        get_sampled_subalgebra, implied_identity_failures,
-                       invariant_basis)
-from spencerkit.deform import (AdmissibleDatum, DeltaMap, NotAdmissible,
-                               _check_assoc_graded, _deformed_bracket,
+                       invariant_basis, kappa_value)
+from spencerkit.deform import (AdmissibleDatum, NotAdmissible,
+                               _certify_delta, _check_assoc_graded,
+                               _deformed_bracket, _delta_cochains,
                                _theta_in_a0, build_filtered_deformation,
                                check_admissibility,
                                check_geometric_realisability,
@@ -19,8 +20,8 @@ from spencerkit.deform import (AdmissibleDatum, DeltaMap, NotAdmissible,
                                check_integrability, compute_envelope,
                                compute_theta, solve_delta, zero_cocycle)
 from spencerkit.errors import JacobiViolation, NotHighlySusy, OracleMismatch
-from spencerkit.exactla import NoSolution, Subspace, basis_vec, hstack, \
-    lincomb, solve_affine, vec_add, vec_is_zero, vec_scale, zero_vec
+from spencerkit.exactla import ExactMatrix, NoSolution, Subspace, basis_vec, \
+    hstack, lincomb, solve_affine, vec_add, vec_is_zero, vec_scale, zero_vec
 from spencerkit.flatmodel import graded_jacobi_check, \
     make_graded_subalgebra, stabiliser_in_so
 from spencerkit.spencer import (Cochain22, NormalisedCocycle,
@@ -164,6 +165,42 @@ class TestAdmissibility:
         assert admissible_data_for_cell(s, t, N)
 
 
+def corners(count, n, dim):
+    """Coordinate 0 of entries [0][0] and [0][n-1] of a non-empty table."""
+    if not (count and n and dim):
+        return []
+    return [(0, b, 0) for b in sorted({0, n - 1})]
+
+
+def everywhere(count, n, dim):
+    """Every coordinate of every entry of a count x n table."""
+    return [(k, b, t) for k in range(count) for b in range(n)
+            for t in range(dim)]
+
+
+def delta_mutations(datum, positions):
+    """((table, k, b, t), chi) per single-entry mutation of the closed-form
+    delta: e_t added to entry [k][b] of delta1, delta2 or delta4, or put at
+    entry [k][b] of the zero delta3 block (the h part of r'-column k), for
+    the (k, b, t) that positions(rows, n, dim) yields."""
+    delta = solve_delta(datum)
+    sub, n = datum.subalgebra, datum.model.dim_v
+    for which, rows, dim in (("delta1", sub.h.dim, sub.h.dim),
+                             ("delta2", sub.h.dim, sub.rp.dim),
+                             ("delta4", sub.rp.dim, sub.rp.dim)):
+        for k, b, t in positions(rows, n, dim):
+            table = [list(row) for row in getattr(delta, which)]
+            table[k][b] = vec_add(table[k][b], basis_vec(dim, t))
+            yield (which, k, b, t), _delta_cochains(
+                datum, dataclasses.replace(delta, **{which: table}))
+    chi = _delta_cochains(datum, delta)
+    lay1 = datum.sub_complex.layouts[1]
+    for k, b, t in positions(sub.rp.dim, n, sub.h.dim):
+        yield ("delta3", k, b, t), chi + ExactMatrix(
+            chi.rows, chi.cols,
+            [(lay1.index("lambda_so", b, t), sub.h.dim + k, 1)])
+
+
 class TestDelta:
     def test_zero_lambda_gives_zero_delta(self):
         sub = get_full_subalgebra(2, 1, 1)
@@ -177,21 +214,51 @@ class TestDelta:
 
     @pytest.mark.parametrize("s,t,N", GRID)
     def test_dual_route_on_generated_instances(self, s, t, N):
-        # solve_delta raises OracleMismatch when the closed form and the
-        # generic solver disagree, so reaching the end is the assertion
+        # solve_delta raises OracleMismatch unless d21 chi = X.mu holds for
+        # the closed form; the certificate accepts its result again
         for datum in admissible_data_for_cell(s, t, N):
-            delta = solve_delta(datum)
-            assert delta.delta3_is_zero
+            _certify_delta(datum, _delta_cochains(datum, solve_delta(datum)))
 
+    def test_jacobi_gate_mutations_fail_the_certificate(self):
+        # the 54 mutations of the Jacobi gate below (e_0 added to entry
+        # [0][0] and [0][n-1] of each non-empty delta1, delta2, delta4
+        # table, on every grid datum whose theta annihilates the Dirac
+        # kernel), and e_0 put at the same places of the zero delta3 block
+        tried = dict.fromkeys(("delta1", "delta2", "delta3", "delta4"), 0)
+        for cell in GRID:
+            for datum in admissible_data_for_cell(*cell):
+                if not compute_theta(datum).dirac_kernel_annihilated:
+                    continue
+                for (which, _k, _b, _t), chi in delta_mutations(datum,
+                                                                 corners):
+                    with pytest.raises(OracleMismatch,
+                                       match="closed-form delta fails"):
+                        _certify_delta(datum, chi)
+                    tried[which] += 1
+        assert tried["delta1"] + tried["delta2"] + tried["delta4"] == 54
+        assert tried["delta3"] > 0
 
-    def test_nonzero_delta3_reported(self):
-        zero = DeltaMap(delta1=[], delta2=[],
-                        delta3=[[zero_vec(2), zero_vec(2)]],
-                        delta4=[[(Fraction(0),), (Fraction(0),)]])
-        assert zero.delta3_is_zero
-        nonzero = dataclasses.replace(
-            zero, delta3=[[zero_vec(2), (Fraction(0), Fraction(1, 2))]])
-        assert not nonzero.delta3_is_zero
+    # (3,1,2) needs 400 mutations for one datum; the Jacobi-gate mutations
+    # above cover it
+    @pytest.mark.parametrize("s,t,N", [(2, 1, 1), (2, 1, 2), (3, 1, 1)])
+    def test_every_single_entry_mutation_fails_the_certificate(self, s, t,
+                                                               N):
+        # every coordinate of every entry of delta1, delta2, delta4 moved by
+        # one, and every coordinate of the zero delta3 block set to one, on
+        # every datum of the cell: d21 is injective, so each moves d21 chi,
+        # and the error names the column of the mutated generator
+        for datum in admissible_data_for_cell(s, t, N):
+            tried = 0
+            for (which, k, _b, _t), chi in delta_mutations(datum,
+                                                           everywhere):
+                X = (f"h[{k}]" if which in ("delta1", "delta2")
+                     else f"r'[{k}]")
+                with pytest.raises(OracleMismatch) as err:
+                    _certify_delta(datum, chi)
+                assert str(err.value).endswith(f"at X = {X}")
+                tried += 1
+            a0_dim = datum.subalgebra.h.dim + datum.subalgebra.rp.dim
+            assert tried == datum.model.dim_v * a0_dim * a0_dim
 
 
 class TestTheta:
@@ -219,7 +286,7 @@ class TestTheta:
         theta = compute_theta(datum)
         model = datum.model
         for s in datum.subalgebra.Sp.basis_vectors():
-            kv = model.kappa_vec(s, s)
+            kv = kappa_value(model.current, s, s)
             assert vec_is_zero(lincomb(
                 ((x * y, theta.theta2[b][c])
                  for b, x in enumerate(kv) for c, y in enumerate(kv)),

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from spencerkit.errors import DimensionMismatch
 from spencerkit.exactla import (AffineSolver, ExactMatrix, NoSolution,
                                 ParticularSolution, Subspace, block_diag,
-                                cyclic_embedding, hom_apply,
+                                cyclic_embedding, flatten_columns, hom_apply,
                                 is_positive_definite, kron, ldlt_pivots,
                                 lincomb, pair_action, pair_embedding,
                                 pair_map, rat, rat_str, solve_affine,
@@ -238,10 +238,13 @@ def systems(draw, max_dim=5, min_rhs=1):
 @settings(max_examples=150, deadline=None)
 @given(systems())
 def test_affine_solver_equals_solve_affine(system):
+    # one solver, factored once, asked one column at a time
     A, rhs = system
     solver = AffineSolver(A)
     for b in rhs:
-        assert solver.solve(b) == solve_affine(A, b)
+        x, = solver.solve_many(ExactMatrix.from_columns([b], A.rows))
+        sol = solve_affine(A, b)
+        assert x == (None if isinstance(sol, NoSolution) else sol.x)
 
 
 @settings(max_examples=150, deadline=None)
@@ -274,13 +277,6 @@ class TestSolveMany:
         solver = AffineSolver(ExactMatrix.zeros(2, 3))
         Y = ExactMatrix.from_columns([vec([0, 0]), vec([0, "1/2"])], 2)
         assert solver.solve_many(Y) == [vec([0, 0, 0]), None]
-
-    def test_solve_is_one_column_of_it(self):
-        A = ExactMatrix.from_rows([[1, 2, 3], [2, 4, 6], [0, 0, 1]])
-        solver = AffineSolver(A)
-        b = vec([1, 2, 5])
-        assert solver.solve(b).x == \
-            solver.solve_many(ExactMatrix.from_columns([b], 3))[0]
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -324,37 +320,49 @@ def test_hom_apply_rejects_rows_that_do_not_fit():
                   ExactMatrix(3, 1))
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 3), st.integers(0, 3), st.data())
+def test_flatten_columns_reads_each_matrix_row_by_row(rows, cols, data):
+    mats = data.draw(st.lists(rational_matrices(rows, cols), max_size=3))
+    flat = [[m.entry(a, x) for a in range(rows) for x in range(cols)]
+            for m in mats]
+    assert flatten_columns(mats, rows, cols) == \
+        ExactMatrix.from_columns(flat, rows * cols)
+
+
+def test_flatten_columns_rejects_a_wrong_shape():
+    with pytest.raises(DimensionMismatch):
+        flatten_columns([ExactMatrix.identity(2)], 2, 3)
+
+
 class TestAffineSolver:
     def test_rank_deficient_canonical_solution(self):
         A = ExactMatrix.from_rows([[1, 2, 3], [2, 4, 6], [0, 0, 1]])
-        sol = AffineSolver(A).solve(vec([1, 2, 5]))
-        assert sol == solve_affine(A, vec([1, 2, 5]))
-        assert sol.x == vec([-14, 0, 5])     # free column 1 set to zero
+        b = vec([1, 2, 5])
+        x, = AffineSolver(A).solve_many(ExactMatrix.from_columns([b], 3))
+        assert x == solve_affine(A, b).x
+        assert x == vec([-14, 0, 5])     # free column 1 set to zero
 
-    def test_certificate_matches_one_shot(self):
+    def test_none_where_solve_affine_has_a_certificate(self):
         A = ExactMatrix.from_rows([[1, 1], [1, 1], [0, 2]])
-        solver = AffineSolver(A)
-        for b in (vec([1, 2, 0]), vec([1, 1, "1/3"])):
-            sol = solver.solve(b)
-            assert isinstance(sol, (NoSolution, ParticularSolution))
-            assert sol == solve_affine(A, b)
-        assert isinstance(solver.solve(vec([1, 2, 0])), NoSolution)
+        rhs = (vec([1, 2, 0]), vec([1, 1, "1/3"]))
+        got = AffineSolver(A).solve_many(ExactMatrix.from_columns(rhs, 3))
+        assert got[0] is None
+        assert isinstance(solve_affine(A, rhs[0]), NoSolution)
+        assert got[1] == solve_affine(A, rhs[1]).x
 
     def test_empty_shapes(self):
-        assert AffineSolver(ExactMatrix(0, 3)).solve(()) == \
-            ParticularSolution(x=vec([0, 0, 0]))
+        assert AffineSolver(ExactMatrix(0, 3)).solve_many(
+            ExactMatrix(0, 1)) == [vec([0, 0, 0])]
         solver = AffineSolver(ExactMatrix(2, 0))
-        assert solver.solve(vec([0, 0])) == ParticularSolution(x=())
-        assert isinstance(solver.solve(vec([0, 1])), NoSolution)
+        assert solver.solve_many(ExactMatrix.from_columns(
+            [vec([0, 0]), vec([0, 1])], 2)) == [(), None]
 
     def test_accepts_rational_likes(self):
         A = ExactMatrix.from_rows([[2, 0], [0, 3]])
-        assert AffineSolver(A).solve([1, "1/2"]).x == \
-            (Fraction(1, 2), Fraction(1, 6))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            AffineSolver(ExactMatrix.identity(2)).solve(vec([1, 2, 3]))
+        x, = AffineSolver(A).solve_many(
+            ExactMatrix.from_columns([[1, "1/2"]], 2))
+        assert x == (Fraction(1, 2), Fraction(1, 6))
 
 
 class TestSubspace:

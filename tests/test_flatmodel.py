@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from instances import GRID, annihilator_in_so, bracket_vec, \
     entrywise_r_symmetry_algebra, entrywise_schur_algebra, \
     fraction_jacobi_check, get_current, get_full_subalgebra, get_model, \
-    get_rep, get_sampled_subalgebra, stabiliser_in_r
+    get_rep, get_sampled_subalgebra, kappa_value, stabiliser_in_r
 from spencerkit.cliffspin import Signature, build_clifford_rep, \
     build_dirac_current, spin_generators
 from spencerkit.errors import JacobiViolation, NotClosed, NotCompactForm
@@ -336,7 +336,7 @@ def _pairwise_kappa(model, Sp, kind="sym2") -> ExactMatrix:
     svecs = Sp.basis_vectors()
     pairs = tensor_index_maps(Sp.dim, kind).tuples
     return ExactMatrix.from_rows(
-        [model.kappa_vec(svecs[i], svecs[j]) for i, j in pairs],
+        [kappa_value(model.current, svecs[i], svecs[j]) for i, j in pairs],
         cols=model.dim_v).transpose()
 
 

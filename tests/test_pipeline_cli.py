@@ -77,6 +77,16 @@ class TestPipeline:
         assert all(all(v == "0" for v in col)
                    for row in recon["R0"] for col in row)
 
+    def test_full_model_h22_block_omits_representatives(self):
+        report = run_pipeline(base_config())
+        block = next(s["data"] for s in report["stages"]
+                     if s["name"] == "cohomology")["full_model_H22"]
+        assert list(block) == ["bidegree", "dimZ", "dimB", "dimH",
+                               "representatives"]
+        assert block["bidegree"] == [2, 2]
+        assert block["dimZ"] - block["dimB"] == block["dimH"]
+        assert block["representatives"] == "omitted"
+
     def test_determinism_across_runs(self):
         a = report_bytes(run_pipeline(base_config()))
         b = report_bytes(run_pipeline(base_config()))
@@ -152,12 +162,10 @@ class TestBuildOnce:
         assert len(built) == len(set(built)) == 2
 
     def test_subalgebra_structure_built_once(self, monkeypatch):
-        from spencerkit import deform, flatmodel, pipeline, spencer
-        made, restricted, kappa_calls, inside_c = [], [], [], []
+        from spencerkit import deform, flatmodel, pipeline
+        made, restricted = [], []
         make = flatmodel.make_graded_subalgebra
         restrict = flatmodel.kappa_restriction_matrix
-        kappa_vec = flatmodel.ExtendedFlatModel.kappa_vec
-        build2 = spencer.SpencerComplex._build_degree2
 
         def counting_make(*args):
             made.append(args)
@@ -167,32 +175,16 @@ class TestBuildOnce:
             restricted.append(args)
             return restrict(*args)
 
-        def recording_kappa(self, x, y):
-            kappa_calls.append(bool(inside_c))
-            return kappa_vec(self, x, y)
-
-        def flagged_build2(self, *args):
-            inside_c.append(True)
-            try:
-                return build2(self, *args)
-            finally:
-                inside_c.pop()
-
         for module in (flatmodel, deform, pipeline):
             monkeypatch.setattr(module, "make_graded_subalgebra",
                                 counting_make)
         monkeypatch.setattr(flatmodel, "kappa_restriction_matrix",
                             counting_restrict)
-        monkeypatch.setattr(flatmodel.ExtendedFlatModel, "kappa_vec",
-                            recording_kappa)
-        monkeypatch.setattr(spencer.SpencerComplex, "_build_degree2",
-                            flagged_build2)
         report = run_pipeline(base_config())
         assert report["result"] == "pass"
-        # kappa on Sym^2 S' once per subalgebra; kappa_vec only for the
-        # kappa(s_i, .) block of the degree-2 differential
+        # kappa on Sym^2 S' once per subalgebra; the kappa(s_i, .) block of
+        # the degree-2 differential is built from products, not pointwise
         assert len(restricted) == len(made) > 0
-        assert kappa_calls and all(kappa_calls)
 
     def test_full_model_h22_is_the_maximal_subalgebra_report(
             self, monkeypatch):
@@ -298,13 +290,13 @@ class TestBuildOnce:
     def test_delta_solved_once_per_datum(self, monkeypatch):
         from spencerkit import deform
         data = []
-        check = deform._check_delta_generic
+        certify = deform._certify_delta
 
-        def counting(datum, *args):
+        def counting(datum, chi):
             data.append(datum)
-            return check(datum, *args)
+            return certify(datum, chi)
 
-        monkeypatch.setattr(deform, "_check_delta_generic", counting)
+        monkeypatch.setattr(deform, "_certify_delta", counting)
         report = run_pipeline(base_config())
         assert report["result"] == "pass"
         # the admissible datum, which is also the realisability witness
