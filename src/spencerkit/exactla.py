@@ -113,31 +113,39 @@ def _rational_row(values: Iterable) -> tuple:
     return ints, den
 
 
-def _echelon(int_rows: Iterable[dict]) -> dict:
-    """Forward elimination; maps pivot column -> stripped integer row."""
+def _echelon(keyed_rows: Iterable[tuple]) -> tuple:
+    """Forward elimination of (key, integer row) pairs, in order: maps pivot
+    column -> stripped integer row, and lists the keys of the rows that
+    became pivots, each independent of the rows before it."""
     pivots: dict = {}
-    for row in int_rows:
+    kept = []
+    for key, row in keyed_rows:
         while row:
             lead = min(row)
             piv = pivots.get(lead)
             if piv is None:
                 pivots[lead] = _strip_row(row)
+                kept.append(key)
                 break
             row = _strip_row(_axpy(row, piv, piv[lead], -row[lead]))
         # fully reduced rows vanish and are dropped
-    return pivots
+    return pivots, kept
 
 
-def _back_substitute(pivots: dict) -> dict:
-    cols = sorted(pivots)
-    for idx in range(len(cols) - 1, -1, -1):
-        c = cols[idx]
-        prow = pivots[c]
-        for c2 in cols[:idx]:
-            r = pivots[c2]
-            if c in r:
-                pivots[c2] = _strip_row(_axpy(r, prow, prow[c], -r[c]))
-    return pivots
+def _back_substitute(pivots: dict) -> None:
+    """Clear every pivot row at the other pivot columns, bottom-up.  The rows
+    below a row are reduced by then, so subtracting them adds entries on
+    free columns only: one combination over the pivot columns the row
+    itself meets reduces it."""
+    for c in sorted(pivots, reverse=True):
+        row = pivots[c]
+        hits = [(v, pivots[c2], pivots[c2][c2]) for c2, v in row.items()
+                if c2 != c and c2 in pivots]
+        if hits:
+            L = lcm(*[lead for _, _, lead in hits])
+            pivots[c] = _strip_row(_combination(
+                [(L, row)] + [(-v * (L // lead), prow)
+                              for v, prow, lead in hits]))
 
 
 def _combination(terms: Iterable[tuple]) -> dict:
@@ -354,16 +362,35 @@ class ExactMatrix:
     def pivot_columns(self) -> tuple:
         return self._rref_data()[1]
 
+    def row_basis(self) -> tuple:
+        """The indices of the rows each independent of the rows before
+        it: a basis of the row space, found by the elimination."""
+        return self._rref_data()[2]
+
     def _rref_data(self):
+        """(RREF, its pivot columns, the indices of a row basis): the basis
+        is the greedy one, each row independent of the rows before it."""
         if self._rref is None:
-            # the rows' denominators do not change the row space; row k of
-            # the RREF is the stripped pivot row over its leading entry
-            pivots = _back_substitute(_echelon(r for r in self._rows if r))
+            # the rows' denominators do not change the row space, nor which
+            # rows are independent
+            rows = [i for i, r in enumerate(self._rows) if r]
+            if len(rows) > self.cols:
+                # tall: the pivot columns of the transpose's echelon are the
+                # greedy row basis, and only those rows are eliminated
+                tcols = [dict() for _ in range(self.cols)]
+                for i in rows:
+                    for j, v in self._rows[i].items():
+                        tcols[j][i] = v
+                rows = sorted(_echelon(enumerate(tcols))[0])
+            pivots, kept = _echelon((i, self._rows[i]) for i in rows)
+            # row k of the RREF is the stripped pivot row over its leading
+            # entry
+            _back_substitute(pivots)
             cols = sorted(pivots)
             out = ExactMatrix._of(len(cols), self.cols,
                                   [(pivots[c], pivots[c][c]) for c in cols])
-            out._rref = (out, tuple(cols))
-            self._rref = out._rref
+            out._rref = (out, tuple(cols), tuple(range(len(cols))))
+            self._rref = (out, tuple(cols), tuple(kept))
         return self._rref
 
     def rank(self) -> int:
@@ -371,7 +398,7 @@ class ExactMatrix:
 
     def kernel(self) -> "Subspace":
         """Canonical basis of the right kernel {x : Mx = 0}."""
-        rref, pivots = self._rref_data()
+        rref, pivots, _ = self._rref_data()
         # x_f = 1 on a free column f, and x_pc = -rref[k, f] on the pivot
         # column pc of row k; every entry of row k off pc is on a free column
         hits = {f: [] for f in range(self.cols)}
@@ -639,7 +666,7 @@ def _canonical_solution(aug: ExactMatrix) -> Optional[tuple]:
     """x with [A | b] (x, -1) = 0 and the free variables (relative to the
     sorted-pivot RREF of A) zero, or None when the system is inconsistent."""
     bcol = aug.cols - 1
-    rref, pivots = aug._rref_data()
+    rref, pivots, _ = aug._rref_data()
     if bcol in pivots:
         return None
     x = [_ZERO] * bcol
@@ -688,9 +715,10 @@ def scaled_rows(rows: Iterable[dict]) -> tuple:
 class AffineSolver:
     """Factor A once, then solve Ax = b for many right-hand sides.
 
-    Let P be A restricted to r independent rows and to the pivot columns of
-    its RREF; P is invertible.  The canonical solution (free variables zero)
-    of a consistent system is unique, so it is x[pivots] = P^-1 b[rows].
+    Let P be A restricted to the r rows of the row basis its elimination
+    keeps and to the pivot columns of its RREF; P is invertible.  The
+    canonical solution (free variables zero) of a consistent system is
+    unique, so it is x[pivots] = P^-1 b[rows].
     `solve_many` computes that for a batch of right-hand sides and certifies
     the whole batch with one exact product A X == Y; a column without a
     solution gets None, and `solve_affine` gives its NoSolution
@@ -705,15 +733,15 @@ class AffineSolver:
         self._inv = None
 
     def _factor(self) -> None:
-        A = self.A
-        pivots = A.pivot_columns()
+        # the row basis of A's elimination: its rows restricted to the pivot
+        # columns stay independent, since on the row space of A that
+        # restriction is one-to-one
+        pivots, rows = self.A.pivot_columns(), self.A.row_basis()
         r = len(pivots)
-        sub = A.select_columns(pivots)
-        rows = sub.transpose().pivot_columns()
-        # [P | I], row i over the denominator d of row rows[i] of P
-        aug = ExactMatrix._of(r, 2 * r,
-                              [({**sub._rows[ri], r + i: sub._dens[ri]},
-                                sub._dens[ri]) for i, ri in enumerate(rows)])
+        P = self.A.select_rows(rows).select_columns(pivots)
+        # [P | I], row i over the denominator d of row i of P
+        aug = ExactMatrix._of(r, 2 * r, [({**row, r + i: d}, d) for i, (row, d)
+                                         in enumerate(zip(P._rows, P._dens))])
         # the RREF of [P | I] is [I | P^-1]
         self._inv = aug.rref().select_columns(range(r, 2 * r))
         self._pivots = pivots
@@ -759,7 +787,8 @@ def hom_apply(blocks: Sequence[tuple], M: ExactMatrix) -> ExactMatrix:
     product of M with the block diagonal of kron(I, T) - kron(D^T, I),
     without forming it.  Entry (s, t) of a block is
     sum_u T[t, u] phi[s, u] - sum_u D[u, s] phi[u, t], a combination of
-    rows of M, summed over the lcm of their denominators."""
+    rows of M, summed over the lcm of their denominators.  Only the nonzero
+    rows of M are read: each is scattered to the entries it feeds."""
     if M.rows != sum(T.rows * D.rows for T, D in blocks):
         raise DimensionMismatch("hom_apply: rows do not fit the blocks")
     m_rows, m_dens = M._rows, M._dens
@@ -767,18 +796,37 @@ def hom_apply(blocks: Sequence[tuple], M: ExactMatrix) -> ExactMatrix:
     off = 0
     for T, D in blocks:
         nt = T.rows
+        size = D.rows * nt
+        # row t of T is over td[t] and column s of D over dd[s]; t_cols[u]
+        # lists column u of T and d_rows[u] row u of D, as (index, int)
         Dt = D.transpose()
-        # row t of T is tn / td and column s of D is dn / dd
-        for s, (dn, dd) in enumerate(zip(Dt._rows, Dt._dens)):
-            base = off + s * nt
-            for t, (tn, td) in enumerate(zip(T._rows, T._dens)):
-                terms = [(c * dd, base + u) for u, c in tn.items()] + \
-                    [(-c * td, off + u * nt + t) for u, c in dn.items()]
-                L = lcm(*[m_dens[k] for _, k in terms])
-                pairs[base + t] = _normal(_combination(
-                    (c * (L // m_dens[k]), m_rows[k]) for c, k in terms),
-                    td * dd * L)
-        off += D.rows * nt
+        td, dd = T._dens, Dt._dens
+        t_cols = [[] for _ in range(nt)]
+        for t, tn in enumerate(T._rows):
+            for u, c in tn.items():
+                t_cols[u].append((t, c))
+        d_rows = [[] for _ in range(D.rows)]
+        for s, dn in enumerate(Dt._rows):
+            for u, c in dn.items():
+                d_rows[u].append((s, c))
+        # entry (s, t) of the block -> its terms (coefficient, row of M)
+        terms: dict = {}
+        for k in range(off, off + size):
+            if m_rows[k]:
+                a, b = divmod(k - off, nt)
+                # row k is phi[a, b]: phi[s, u] for (s, u) = (a, b) and
+                # phi[u, t] for (u, t) = (a, b)
+                for t, c in t_cols[b]:
+                    terms.setdefault(a * nt + t, []).append((c * dd[a], k))
+                for s, c in d_rows[a]:
+                    terms.setdefault(s * nt + b, []).append((-c * td[b], k))
+        for loc, tl in terms.items():
+            s, t = divmod(loc, nt)
+            L = lcm(*[m_dens[k] for _, k in tl])
+            pairs[off + loc] = _normal(_combination(
+                (c * (L // m_dens[k]), m_rows[k]) for c, k in tl),
+                td[t] * dd[s] * L)
+        off += size
     return ExactMatrix._of(M.rows, M.cols, pairs)
 
 

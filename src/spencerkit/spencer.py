@@ -594,10 +594,10 @@ def compute_cohomology(cx: SpencerComplex, p: int) -> CohomologyReport:
         d_in = cx.differentials[1]
     Z = d_out.kernel()
     B = d_in.column_space()
-    # pivot columns are the greedy left-to-right independent columns, so
-    # these are the Z-basis rows that extend B one new class at a time
-    pivots = vstack([B.basis, Z.basis]).transpose().pivot_columns()
-    reps = [Z.basis.row_tuple(c - B.dim) for c in pivots if c >= B.dim]
+    # the row basis is the greedy one, so its Z rows extend B one new class
+    # at a time
+    rows = vstack([B.basis, Z.basis]).row_basis()
+    reps = [Z.basis.row_tuple(i - B.dim) for i in rows if i >= B.dim]
     cx.cohomology[p] = CohomologyReport(
         bidegree=(cx.degree, p), dim_z=Z.dim, dim_b=B.dim,
         dim_h=Z.dim - B.dim, cocycles=Z, boundaries=B,

@@ -132,15 +132,87 @@ def test_apply_and_trace(pair, data):
         assert a.trace() == ao.trace()
 
 
+def greedy_rows(oracle):
+    """The indices of the rows each independent of the rows before it,
+    by the oracle's rank."""
+    kept = []
+    for i in range(oracle.rows):
+        if oracle.select_rows(kept + [i]).rank() > len(kept):
+            kept.append(i)
+    return tuple(kept)
+
+
+def assert_same_elimination(a, ao):
+    """RREF, pivot columns, kernel and kept row basis equal the oracle's."""
+    assert_same(a.rref(), ao.rref())
+    assert a.pivot_columns() == ao.pivot_columns()
+    assert_same(a.kernel().basis, ao.kernel().basis)
+    assert a.row_basis() == greedy_rows(ao)
+
+
 @EXAMPLES
 @given(pairs())
 def test_rref_and_kernel(pair):
     a, ao = pair
-    assert_same(a.rref(), ao.rref())
-    assert a.pivot_columns() == ao.pivot_columns()
-    kernel, oracle = a.kernel(), ao.kernel()
-    assert_same(kernel.basis, oracle.basis)
+    assert_same_elimination(a, ao)
     assert_same(a.column_space().basis, ao.column_space().basis)
+
+
+@st.composite
+def tall(draw):
+    """A matrix with 2 to 4 times as many rows as columns and a drawn rank,
+    from 0 to full column rank: that many independent rows, with zero rows,
+    scaled copies and sums of two rows put in at random places; as an
+    ExactMatrix and as the oracle's."""
+    cols = draw(st.integers(1, 5))
+    rank = draw(st.integers(0, cols))
+    # independent: row k is zero on the columns order[:k], not on order[k]
+    order = draw(st.permutations(range(cols)))
+    data = []
+    for k in range(rank):
+        row = [draw(entries) for _ in range(cols)]
+        for j in order[:k]:
+            row[j] = Fraction(0)
+        row[order[k]] = draw(nonzero)
+        data.insert(draw(st.integers(0, len(data))), row)
+    for _ in range(draw(st.integers(2 * cols, 4 * cols)) - rank):
+        kind = draw(st.sampled_from(("zero", "scaled", "sum")))
+        if kind == "zero" or not data:
+            row = [Fraction(0)] * cols
+        elif kind == "scaled":
+            q = draw(nonzero)
+            row = [q * x for x in draw(st.sampled_from(data))]
+        else:
+            row = [x + y for x, y in zip(draw(st.sampled_from(data)),
+                                         draw(st.sampled_from(data)))]
+        data.insert(draw(st.integers(0, len(data))), row)
+    return (rank, ExactMatrix.from_rows(data, cols=cols),
+            fx.FractionMatrix.from_rows(data, cols=cols))
+
+
+@EXAMPLES
+@given(tall())
+def test_tall_rref_kernel_and_row_basis(drawn):
+    # most of these matrices take the short side, eliminating only the rows
+    # that the transpose's echelon picks
+    rank, a, ao = drawn
+    assert_same_elimination(a, ao)
+    assert a.rank() == rank
+
+
+@EXAMPLES
+@given(tall(), st.integers(1, 4), st.data())
+def test_tall_solve_many(drawn, k, data):
+    # the solver's P is the kept row basis at the pivot columns; consistent
+    # columns A x, and arbitrary ones
+    _, a, ao = drawn
+    y = (a @ ExactMatrix.from_rows(data.draw(dense(a.cols, k)), cols=k)) + \
+        ExactMatrix.from_rows(data.draw(dense(a.rows, k)), cols=k).scale(
+            data.draw(st.sampled_from((0, 1))))
+    yo = fx.FractionMatrix.from_rows(
+        [list(y.row_tuple(i)) for i in range(a.rows)], cols=k)
+    assert AffineSolver(a).solve_many(y) == \
+        fx.FractionAffineSolver(ao).solve_many(yo)
 
 
 @EXAMPLES
@@ -203,6 +275,28 @@ def test_hom_apply(blocks_and_M):
     blocks, (M, Mo) = blocks_and_M
     assert_same(hom_apply([(T, D) for (T, _), (D, _) in blocks], M),
                 fx.hom_apply([(To, Do) for (_, To), (_, Do) in blocks], Mo))
+
+
+@settings(max_examples=80, deadline=None)
+@given(hom_blocks(), st.data())
+def test_hom_apply_on_mostly_zero_rows(blocks_and_M, data):
+    # hom_apply reads only the nonzero rows of M: keep at most two of them,
+    # M = 0 included
+    blocks, (M, _) = blocks_and_M
+    keep = data.draw(st.sets(st.integers(0, M.rows - 1), max_size=2)) \
+        if M.rows else set()
+    rows = [M.row_tuple(i) if i in keep else [0] * M.cols
+            for i in range(M.rows)]
+    sparse = ExactMatrix.from_rows(rows, cols=M.cols)
+    exact_blocks = [(T, D) for (T, _), (D, _) in blocks]
+    got = hom_apply(exact_blocks, sparse)
+    assert_same(got, fx.hom_apply([(To, Do) for (_, To), (_, Do) in blocks],
+                                  fx.FractionMatrix.from_rows(rows,
+                                                              cols=M.cols)))
+    assert got == block_diag([kron(ExactMatrix.identity(D.rows), T) -
+                              kron(D.transpose(),
+                                   ExactMatrix.identity(T.rows))
+                              for T, D in exact_blocks]) @ sparse
 
 
 @EXAMPLES
