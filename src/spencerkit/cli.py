@@ -14,7 +14,8 @@ import sys
 from .cache import (cache_list, cache_lookup, cache_remove, cache_store,
                     config_hash)
 from .errors import ConfigError, SpencerKitError, StageError
-from .pipeline import STAGES, report_bytes, run_pipeline, validate_config
+from .pipeline import (STAGES, clear_kept_model, report_bytes, run_pipeline,
+                       validate_config)
 
 EXIT_PASS = 0
 EXIT_NEGATIVE = 1
@@ -77,6 +78,8 @@ def _verify(args) -> int:
     if "config" not in stored:
         raise ConfigError("report carries no config to re-run")
     config = validate_config(stored["config"])
+    # a model kept from an earlier run would skip its certificates
+    clear_kept_model()
     report = run_pipeline(config)
     fresh = report_bytes(report)
     with open(args.report, "rb") as fh:

@@ -719,9 +719,10 @@ class AffineSolver:
     keeps and to the pivot columns of its RREF; P is invertible.  The
     canonical solution (free variables zero) of a consistent system is
     unique, so it is x[pivots] = P^-1 b[rows].
-    `solve_many` computes that for a batch of right-hand sides and certifies
-    the whole batch with one exact product A X == Y; a column without a
-    solution gets None, and `solve_affine` gives its NoSolution
+    `solve_matrix` computes that for a batch of right-hand sides, as the
+    columns of one matrix, and certifies the whole batch with one exact
+    product A X == Y; `solve_many` gives the same solutions as tuples, None
+    for a column without one, and `solve_affine` gives its NoSolution
     certificate.  A is factored at the first solve, so a solver that is
     never asked costs nothing.
     """
@@ -747,9 +748,10 @@ class AffineSolver:
         self._pivots = pivots
         self._rows = rows
 
-    def solve_many(self, Y: ExactMatrix) -> list:
-        """The canonical solution of A x = y for each column y of Y, or None
-        for a column that has none.
+    def solve_matrix(self, Y: ExactMatrix) -> tuple:
+        """(X, failed): column j of X is the canonical solution of A x = y
+        for column y of Y, and `failed` is the set of the columns that have
+        none (their columns of X solve nothing).
 
         X[pivots] = P^-1 Y[rows] is one product of integer-scaled rows, and
         one exact product A X == Y, checked on every column, certifies the
@@ -757,27 +759,34 @@ class AffineSolver:
         the canonical one would be unique and equal to P^-1 y[rows]."""
         A = self.A
         if Y.rows != A.rows:
-            raise DimensionMismatch("solve_many: right-hand sides differ in "
-                                    "length from the rows")
+            raise DimensionMismatch("AffineSolver: right-hand sides differ "
+                                    "in length from the rows")
         if self._inv is None:
             self._factor()
         # X[pivots], and X with its zero rows
-        x_pivots = _product(self._inv, Y.select_rows(self._rows))
         x_full = [({}, 1)] * A.cols
-        for pc, pair in zip(self._pivots, x_pivots):
+        for pc, pair in zip(self._pivots,
+                            _product(self._inv, Y.select_rows(self._rows))):
             x_full[pc] = pair
-        ax = _product(A, ExactMatrix._of(A.cols, Y.cols, x_full))
+        X = ExactMatrix._of(A.cols, Y.cols, x_full)
         failed = set()
-        for (ar, ad), yr, yd in zip(ax, Y._rows, Y._dens):
+        for (ar, ad), yr, yd in zip(_product(A, X), Y._rows, Y._dens):
             if ad != yd or ar != yr:
                 failed.update(j for j in ar.keys() | yr.keys()
                               if ar.get(j, 0) * yd != yr.get(j, 0) * ad)
-        out = [None if j in failed else [_ZERO] * A.cols
+        return X, failed
+
+    def solve_many(self, Y: ExactMatrix) -> list:
+        """The canonical solution of A x = y for each column y of Y, as a
+        tuple, or None for a column that has none: solve_matrix, column by
+        column."""
+        X, failed = self.solve_matrix(Y)
+        out = [None if j in failed else [_ZERO] * X.rows
                for j in range(Y.cols)]
-        for pc, (row, d) in zip(self._pivots, x_pivots):
+        for i, (row, d) in enumerate(zip(X._rows, X._dens)):
             for j, v in row.items():
                 if out[j] is not None:
-                    out[j][pc] = _fraction(v, d)
+                    out[j][i] = _fraction(v, d)
         return [None if x is None else tuple(x) for x in out]
 
 

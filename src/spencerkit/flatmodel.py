@@ -302,7 +302,9 @@ class ExtendedFlatModel:
         self.odd_spinors = current.symmetry == "symmetric"
         self.tensor = self._build_tensor()
         # Spencer complexes of this model's subalgebras, each built once by
-        # spencer.spencer_complex; they live and die with the model
+        # spencer.spencer_complex; the pipeline drops them at the end of a
+        # run, all but the full model's degree-2 complex, which it keeps with
+        # the model for the next run on the same signature
         self.spencer_complexes: dict = {}
 
     # offsets into the flat basis

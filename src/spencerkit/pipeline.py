@@ -4,6 +4,12 @@ Stages run in a fixed dependency order; a stage that returns a mathematical
 negative (for example an inadmissible class) short-circuits the run, and no
 later-stage data is emitted.  Reports are canonical JSON, byte-identical for
 identical (config, version); wall-clock timing goes to stderr only.
+
+The objects that depend only on the signature, N and the Dirac current (the
+current, the Schur and R-symmetry algebras, the extended flat model and its
+FullModelCohomology) are kept in one slot for the next run: consecutive
+configs on one signature build them once.  A config with another key
+empties the slot first, and `clear_kept_model` empties it on request.
 """
 
 from __future__ import annotations
@@ -132,6 +138,48 @@ def validate_config(raw: dict) -> dict:
     return out
 
 
+# ---------------------------------------------------------------------------
+# the kept model
+# ---------------------------------------------------------------------------
+
+# The signature-level objects of the last config run in this process, by
+# name, and under "key" the _signature_key they were built for.  Each object
+# is stored only after its builder returns.
+_KEPT: dict = {}
+
+
+def _signature_key(config: dict) -> str:
+    return canonical_json({name: config[name] for name in
+                           ("signature", "N", "dirac_current")})
+
+
+def _kept(name: str, build):
+    """The kept object `name` of the current signature, built on first use."""
+    obj = _KEPT.get(name)
+    if obj is None:
+        obj = _KEPT[name] = build()
+    return obj
+
+
+def _drop_complexes(model, keep=None) -> None:
+    """Drop the Spencer complexes kept on `model`, except `keep`, and the
+    cohomology reports kept on each.  A complex refers back to the model and
+    its reports to it, so dropping both lets reference counting free them
+    now, not at a later cyclic collection."""
+    for key, cx in list(model.spencer_complexes.items()):
+        if cx is not keep:
+            cx.cohomology.clear()
+            del model.spencer_complexes[key]
+
+
+def clear_kept_model() -> None:
+    """Empty the slot, so that the next run builds and certifies every
+    signature-level object afresh."""
+    if "model" in _KEPT:
+        _drop_complexes(_KEPT["model"])
+    _KEPT.clear()
+
+
 class _Negative(Exception):
     """Internal control flow for mathematical-negative stage results."""
 
@@ -142,6 +190,10 @@ class _Negative(Exception):
 def run_pipeline(config: dict) -> dict:
     """Execute the requested stage prefix and assemble the report."""
     config = validate_config(config)
+    key = _signature_key(config)
+    if _KEPT.get("key") != key:
+        clear_kept_model()
+        _KEPT["key"] = key
     checks = config["checks"]
     state: dict = {}
     stages = []
@@ -167,13 +219,15 @@ def run_pipeline(config: dict) -> dict:
                 result = "negative"
                 break
     finally:
-        # the complexes kept on the model refer back to it, and so do the
-        # reports kept on each complex; dropping both frees the run's
-        # complexes now, not at a later cyclic collection
-        if "model" in state:
-            for cx in state["model"].spencer_complexes.values():
-                cx.cohomology.clear()
-            state["model"].spencer_complexes.clear()
+        # the next run on this signature reuses the full model's degree-2
+        # complex, with its reports and operators; the rest of this run's
+        # complexes and subalgebra data go now
+        fullco = _KEPT.get("fullco")
+        if fullco is not None:
+            fullco.clear_subalgebra_data()
+        if "model" in _KEPT:
+            _drop_complexes(_KEPT["model"],
+                            fullco.complex if fullco is not None else None)
     report = {
         "version": __version__,
         "basis_version": BASIS_VERSION,
@@ -203,24 +257,25 @@ def _stage_clifford(config, state):
             "N": rep.N}
 
 
-def _stage_dirac_current(config, state):
-    rep = state["rep"]
-    dc = config["dirac_current"]
+def _build_current(rep, dc):
     if dc["kind"] == "standard":
-        current = build_dirac_current(rep, "standard")
-    else:
-        comps = dc["tensor"]
-        if not isinstance(comps, list) or \
-                not all(isinstance(comp, list) for comp in comps):
-            raise ConfigError("dirac_current.tensor must be a list of "
-                              "matrices")
-        try:
-            mats = [ExactMatrix.from_rows(
-                [_rationals(row, "dirac_current.tensor row")
-                 for row in comp]) for comp in comps]
-            current = build_dirac_current(rep, mats)
-        except DimensionMismatch as err:
-            raise ConfigError(f"bad dirac_current.tensor: {err}") from err
+        return build_dirac_current(rep, "standard")
+    comps = dc["tensor"]
+    if not isinstance(comps, list) or \
+            not all(isinstance(comp, list) for comp in comps):
+        raise ConfigError("dirac_current.tensor must be a list of matrices")
+    try:
+        mats = [ExactMatrix.from_rows(
+            [_rationals(row, "dirac_current.tensor row")
+             for row in comp]) for comp in comps]
+        return build_dirac_current(rep, mats)
+    except DimensionMismatch as err:
+        raise ConfigError(f"bad dirac_current.tensor: {err}") from err
+
+
+def _stage_dirac_current(config, state):
+    current = _kept("current", lambda: _build_current(
+        state["rep"], config["dirac_current"]))
     state["current"] = current
     data = {"symmetry": current.symmetry,
             "rank": current.component_matrix().rank(),
@@ -233,16 +288,16 @@ def _stage_dirac_current(config, state):
 
 
 def _stage_r_symmetry(config, state):
-    rep, current = state["rep"], state["current"]
-    schur = compute_schur_algebra(rep)
-    r_alg = compute_r_symmetry_algebra(schur, current)
+    schur = _kept("schur", lambda: compute_schur_algebra(state["rep"]))
+    r_alg = _kept("r_alg", lambda: compute_r_symmetry_algebra(
+        schur, state["current"]))
     state["r_alg"] = r_alg
     return {"schur_dim": schur.dim, "r_dim": r_alg.dim}
 
 
 def _stage_flat_model(config, state):
-    model = build_extended_flat_model(state["rep"], state["current"],
-                                      state["r_alg"])
+    model = _kept("model", lambda: build_extended_flat_model(
+        state["rep"], state["current"], state["r_alg"]))
     state["model"] = model
     return {"dims": model.dims, "jacobi": "pass",
             "odd_spinors": model.odd_spinors}
@@ -319,7 +374,7 @@ def _stage_subalgebra(config, state):
 def _stage_cohomology(config, state):
     model, sub = state["model"], state["sub"]
     try:
-        fullco = FullModelCohomology(model)
+        fullco = _kept("fullco", lambda: FullModelCohomology(model))
     except KappaZero as err:
         # the normalisation theory needs a section of kappa
         raise _Negative({"reason": "kappa_zero", "detail": str(err)})

@@ -530,7 +530,7 @@ class CohomologyReport:
     dim_h: int
     cocycles: Subspace
     boundaries: Subspace
-    representatives: tuple        # coefficient vectors, one per class
+    rep_rows: tuple               # the cocycle basis rows, one per class
     complex: SpencerComplex = field(repr=False, compare=False)
     _actions: Optional[tuple] = field(default=None, init=False, repr=False,
                                       compare=False)
@@ -547,23 +547,23 @@ class CohomologyReport:
         return self._actions
 
     def _action_matrices(self) -> tuple:
-        reps = self.representatives
-        if self.bidegree[1] != 2 or not reps:
+        if self.bidegree[1] != 2 or not self.rep_rows:
             return ()
-        dim_h = len(reps)
-        R = ExactMatrix.from_columns(reps, len(reps[0]))
-        B = self.boundaries
-        solver = AffineSolver(hstack([R, B.basis.transpose()]))
+        R = self._representative_rows().transpose()
+        solver = AffineSolver(hstack([R, self.boundaries.basis.transpose()]))
         actions = []
         for op in generator_actions(self.complex):
-            X = solver.solve_many(op.apply_many(R))
-            if None in X:
+            X, failed = solver.solve_matrix(op.apply_many(R))
+            if failed:
                 raise OracleMismatch(
                     "a0-action does not preserve the cocycle space")
-            actions.append(ExactMatrix(dim_h, dim_h,
-                                       [(i, j, x[i]) for j, x in enumerate(X)
-                                        for i in range(dim_h)]))
+            # the coordinates on the representatives; the rest are on B
+            actions.append(X.select_rows(range(self.dim_h)))
         return tuple(actions)
+
+    def _representative_rows(self) -> ExactMatrix:
+        """The representatives as the rows of one matrix."""
+        return self.cocycles.basis.select_rows(self.rep_rows)
 
     def invariant_classes(self) -> list:
         """Coefficient vectors spanning the a0-invariant part of H."""
@@ -573,10 +573,8 @@ class CohomologyReport:
             kernel = Subspace.full(self.dim_h)
         else:
             kernel = vstack(list(self.action_matrices)).kernel()
-        dim = len(self.representatives[0])
-        return [lincomb(zip(kernel.basis.row_tuple(k), self.representatives),
-                        dim)
-                for k in range(kernel.dim)]
+        classes = kernel.basis @ self._representative_rows()
+        return [classes.row_tuple(k) for k in range(classes.rows)]
 
 
 def compute_cohomology(cx: SpencerComplex, p: int) -> CohomologyReport:
@@ -597,11 +595,11 @@ def compute_cohomology(cx: SpencerComplex, p: int) -> CohomologyReport:
     # the row basis is the greedy one, so its Z rows extend B one new class
     # at a time
     rows = vstack([B.basis, Z.basis]).row_basis()
-    reps = [Z.basis.row_tuple(i - B.dim) for i in rows if i >= B.dim]
+    rep_rows = tuple(i - B.dim for i in rows if i >= B.dim)
     cx.cohomology[p] = CohomologyReport(
         bidegree=(cx.degree, p), dim_z=Z.dim, dim_b=B.dim,
         dim_h=Z.dim - B.dim, cocycles=Z, boundaries=B,
-        representatives=tuple(reps), complex=cx)
+        rep_rows=rep_rows, complex=cx)
     return cx.cohomology[p]
 
 
@@ -690,7 +688,8 @@ class FullModelCohomology:
     """Degree-2 Spencer data of the full extended flat model: the complex,
     its H^{2,2} report, the splitting and the space of normalised cocycles.
     The invariant normalised space per set of (h, r') generators and the
-    restriction-kernel report per subalgebra are computed once and kept."""
+    restriction-kernel report per subalgebra are computed once and kept
+    until clear_subalgebra_data."""
 
     def __init__(self, model: ExtendedFlatModel):
         self.model = model
@@ -701,6 +700,12 @@ class FullModelCohomology:
         self.normalised_space = self._normalised_space()
         self._invariant: Dict[tuple, Subspace] = {}
         self.restriction_kernels: Dict[tuple, "RestrictionKernelReport"] = {}
+
+    def clear_subalgebra_data(self) -> None:
+        """Drop the invariant normalised spaces and restriction-kernel
+        reports kept per subalgebra, and keep the model-level data."""
+        self._invariant.clear()
+        self.restriction_kernels.clear()
 
     def _constraint_rows(self) -> Tuple[ExactMatrix, ExactMatrix]:
         """Rows over C^{2,2} that read off the alpha block, [I | 0], and

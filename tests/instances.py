@@ -101,6 +101,11 @@ def gauge_shifted_data(datum, max_shifts=None):
             for coeffs, nu in shifts[:max_shifts]]
 
 
+def representatives(co):
+    """The coefficient vectors of a cohomology report's representatives."""
+    return tuple(map(co.cocycles.basis.row_tuple, co.rep_rows))
+
+
 @lru_cache(maxsize=None)
 def get_rep(s, t, N):
     return build_clifford_rep(Signature(s, t), N)

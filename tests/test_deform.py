@@ -9,7 +9,7 @@ from instances import (GRID, admissible_cocycles_from_invariant,
                        admissible_data_for_cell, gauge_shifted_data,
                        get_full_subalgebra, get_fullco, get_model,
                        get_sampled_subalgebra, implied_identity_failures,
-                       invariant_basis, kappa_value)
+                       invariant_basis, kappa_value, representatives)
 from spencerkit.deform import (AdmissibleDatum, NotAdmissible,
                                _certify_delta, _check_assoc_graded,
                                _deformed_bracket, _delta_cochains,
@@ -93,7 +93,7 @@ class TestAdmissibility:
         co = compute_cohomology(cx, 2)
         gens = subalgebra_actions(cx)
         candidate = None
-        for rep_vec in co.representatives:
+        for rep_vec in representatives(co):
             if not all(co.boundaries.contains(op.apply(rep_vec))
                        for op in gens):
                 candidate = rep_vec

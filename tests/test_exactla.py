@@ -269,6 +269,18 @@ class TestSolveMany:
         assert AffineSolver(A).solve_many(Y) == [
             vec([1, 0]), None, vec(["1/3", "1/6"])]
 
+    def test_solve_matrix_columns_and_failures(self):
+        # the same solutions as the columns of one matrix, with the columns
+        # that have none named
+        A = ExactMatrix.from_rows([[1, 1], [1, 1], [0, 2]])
+        Y = ExactMatrix.from_columns([vec([1, 1, 0]), vec([1, 2, 0]),
+                                      vec(["1/2", "1/2", "1/3"])], 3)
+        X, failed = AffineSolver(A).solve_matrix(Y)
+        assert failed == {1}
+        assert X.select_columns([0, 2]) == ExactMatrix.from_columns(
+            [vec([1, 0]), vec(["1/3", "1/6"])], 2)
+        assert (A @ X).select_columns([0, 2]) == Y.select_columns([0, 2])
+
     def test_no_columns(self):
         A = ExactMatrix.from_rows([[1, 2], [3, 4]])
         assert AffineSolver(A).solve_many(ExactMatrix(2, 0)) == []

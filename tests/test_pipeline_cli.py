@@ -143,6 +143,27 @@ class TestPipeline:
         assert blob["theta_tilde_2_zero"] is True
 
 
+def sampled_config(s, t, N, dim, seed, h="stabiliser", cocycle="zero"):
+    """A config with a random S' of dimension `dim` and r' = 0."""
+    return base_config(
+        signature={"s": s, "t": t}, N=N, seed=seed, cocycle=cocycle,
+        subalgebra={"S_prime": {"random": {"dim": dim, "seed": seed}},
+                    "h": h, "r_prime": "zero"})
+
+
+# the example config of the project README, without its output path
+README_EXAMPLE = sampled_config(3, 1, 1, 3, 7, cocycle={"basis_element": 0})
+
+
+def _counting(monkeypatch, module, name, counts):
+    fn = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+    monkeypatch.setattr(module, name, wrapper)
+
+
 class TestBuildOnce:
     def test_one_complex_build_per_key(self, monkeypatch):
         from spencerkit import spencer
@@ -224,11 +245,13 @@ class TestBuildOnce:
         assert widths.count(dim_c22) == 1
 
     def test_complexes_freed_without_the_cycle_collector(self, monkeypatch):
-        # a complex refers to its kept cohomology reports and they to it;
-        # the run drops both, so reference counting frees its complexes
+        # a complex refers to its model and to its kept cohomology reports,
+        # and they to it; a run drops every complex but the full model's
+        # degree-2 one, which the slot keeps until a run on another
+        # signature empties it, so reference counting frees them all
         import gc
         import weakref
-        from spencerkit import spencer
+        from spencerkit import pipeline, spencer
         refs = []
         build = spencer.build_spencer_complex
 
@@ -240,9 +263,16 @@ class TestBuildOnce:
         monkeypatch.setattr(spencer, "build_spencer_complex", recording)
         gc.disable()
         try:
-            report = run_pipeline(base_config())
-            assert report["result"] == "pass" and refs
-            assert all(ref() is None for ref in refs)
+            report = run_pipeline(sampled_config(2, 1, 1, 2, 1))
+            assert report["result"] == "pass" and len(refs) > 1
+            kept = pipeline._KEPT["fullco"].complex
+            assert [ref() for ref in refs if ref() is not None] == [kept]
+            model = weakref.ref(kept.model)
+            del kept
+            first = list(refs)
+            run_pipeline(base_config(N=2, checks=list(STAGES[:4])))
+            assert all(ref() is None for ref in first)
+            assert model() is None
         finally:
             gc.enable()
 
@@ -322,6 +352,77 @@ class TestBuildOnce:
         # theta, the integrability report and the Jacobi check of the
         # deformed bracket, each once for the datum and its witness
         assert calls == {name: 1 for name in calls}
+
+
+class TestKeptModel:
+    """The signature-level objects kept in one slot between runs."""
+
+    @staticmethod
+    def _count_builders(monkeypatch):
+        from spencerkit import pipeline
+        counts = {name: 0 for name in (
+            "build_dirac_current", "compute_schur_algebra",
+            "compute_r_symmetry_algebra", "build_extended_flat_model",
+            "FullModelCohomology")}
+        for name in counts:
+            _counting(monkeypatch, pipeline, name, counts)
+        return counts
+
+    def test_warm_run_builds_no_signature_object(self, monkeypatch):
+        from spencerkit import pipeline, spencer
+        counts = self._count_builders(monkeypatch)
+        run_pipeline(base_config())
+        assert counts == {name: 1 for name in counts}
+        # the data kept per subalgebra went at the end of the run
+        fullco = pipeline._KEPT["fullco"]
+        assert not fullco.restriction_kernels and not fullco._invariant
+        complexes = {"build_spencer_complex": 0}
+        _counting(monkeypatch, spencer, "build_spencer_complex", complexes)
+        config = base_config(seed=3, cocycle={"basis_element": 0})
+        warm = report_bytes(run_pipeline(config))
+        assert counts == {name: 1 for name in counts}
+        # the kept degree-2 complex serves the maximal subalgebra again;
+        # only its degree-4 complex is built
+        assert complexes == {"build_spencer_complex": 1}
+        pipeline.clear_kept_model()
+        assert report_bytes(run_pipeline(config)) == warm
+        assert counts == {name: 2 for name in counts}
+
+    def test_interleaved_runs_give_cold_bytes(self):
+        # signatures change and repeat, with a negative and an internal
+        # failure between them, and a maximal run follows a sampled one on
+        # its signature; every report matches a cold run of its config
+        from spencerkit.errors import StageError
+        from spencerkit.pipeline import clear_kept_model
+        sequence = [
+            README_EXAMPLE,
+            base_config(),
+            README_EXAMPLE,
+            sampled_config(2, 1, 2, 3, 3, h="full"),
+            sampled_config(2, 1, 1, 1, 5),
+            sampled_config(3, 1, 1, 3, 11, cocycle={"basis_element": 1}),
+            base_config(signature={"s": 3, "t": 1}),
+            README_EXAMPLE,
+        ]
+
+        def outcome(config):
+            try:
+                return report_bytes(run_pipeline(config))
+            except StageError as err:
+                return str(err)
+
+        warm = [outcome(config) for config in sequence]
+        cold = []
+        for config in sequence:
+            clear_kept_model()
+            cold.append(outcome(config))
+        assert warm == cold
+        assert warm[0] == warm[2] == warm[-1]
+        assert [json.loads(blob)["result"] for blob in
+                warm[:4] + warm[5:]] == ["pass"] * 3 + ["negative"] + \
+            ["pass"] * 3
+        assert warm[4] == ("stage 'admissibility': admissibility requires "
+                           "a highly supersymmetric subalgebra")
 
 
 class TestCache:
@@ -421,6 +522,18 @@ class TestCli:
         path = self._write(tmp_path, config)
         assert main(["run", path]) == 0
         assert main(["verify", str(out)]) == 0
+
+    def test_verify_rebuilds_a_kept_model(self, tmp_path, monkeypatch):
+        # the run leaves its model kept; verify re-checks its certificates
+        # all the same, so it builds the model once more
+        from spencerkit import pipeline
+        out = tmp_path / "report.json"
+        path = self._write(tmp_path, base_config(output_path=str(out)))
+        assert main(["run", path]) == 0
+        counts = {"build_extended_flat_model": 0}
+        _counting(monkeypatch, pipeline, "build_extended_flat_model", counts)
+        assert main(["verify", str(out)]) == 0
+        assert counts == {"build_extended_flat_model": 1}
 
     def test_verify_detects_tampering(self, tmp_path):
         out = tmp_path / "report.json"

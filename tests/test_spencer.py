@@ -8,14 +8,14 @@ from hypothesis import given, settings, strategies as st
 from instances import (GRID, HIGH_SUSY_DIM, get_full_subalgebra, get_fullco,
                        get_model, get_sampled_subalgebra, invariant_basis,
                        kappa_value, random_highly_susy_subalgebra,
-                       stabiliser_in_r)
+                       representatives, stabiliser_in_r)
 from spencerkit.errors import (DimensionMismatch, KappaZero, NotHighlySusy,
                                OracleMismatch)
 from spencerkit import spencer
-from spencerkit.exactla import (ExactMatrix, NoSolution, Subspace, basis_vec,
-                                hstack, lincomb, solve_affine, vec_add,
-                                vec_is_zero, vec_scale, vec_sub, vstack,
-                                zero_vec)
+from spencerkit.exactla import (AffineSolver, ExactMatrix, NoSolution,
+                                Subspace, basis_vec, hstack, lincomb,
+                                solve_affine, vec_add, vec_is_zero,
+                                vec_scale, vec_sub, vstack, zero_vec)
 from spencerkit.cliffspin import (Signature, build_clifford_rep,
                                   build_dirac_current)
 from spencerkit.flatmodel import (build_extended_flat_model,
@@ -261,9 +261,9 @@ class TestCohomology:
     def test_representatives_span_h(self):
         sub = get_sampled_subalgebra(3, 1, 1, 7)
         co = compute_cohomology(build_spencer_complex(sub, 2), 2)
-        assert len(co.representatives) == co.dim_h
+        assert len(representatives(co)) == co.dim_h
         # every representative is a cocycle not in B
-        for r in co.representatives:
+        for r in representatives(co):
             assert co.cocycles.contains(r)
             assert not co.boundaries.contains(r)
         # and they are the greedy choice: each Z-basis row, in order, that
@@ -275,7 +275,7 @@ class TestCohomology:
                 greedy.append(vecrow)
                 span = Subspace.from_vectors(
                     len(vecrow), span.basis_vectors() + [vecrow])
-        assert list(co.representatives) == greedy
+        assert list(representatives(co)) == greedy
 
     def test_action_matrices_shape(self):
         sub = get_sampled_subalgebra(3, 1, 1, 7)
@@ -312,7 +312,7 @@ class TestCohomology:
             self, monkeypatch):
         cx = build_spencer_complex(get_full_subalgebra(2, 1, 1), 2)
         dim = cx.layouts[2].dim
-        rep = compute_cohomology(cx, 2).representatives[0]
+        rep = representatives(compute_cohomology(cx, 2))[0]
         # a basis cochain that is not a cocycle lies outside span(reps, B)
         k = next(i for i in range(dim) if not vec_is_zero(
             cx.differentials[2].apply(basis_vec(dim, i))))
@@ -706,7 +706,7 @@ class TestInclusionMap:
         inc = inclusion_matrix(sub_cx, mixed_cx)
         co = compute_cohomology(sub_cx, 2)
         b_mixed = mixed_cx.differentials[1].column_space()
-        for rep_vec in co.representatives:
+        for rep_vec in representatives(co):
             image = inc.apply(rep_vec)
             assert not b_mixed.contains(image)
 
@@ -840,7 +840,7 @@ class TestCochainAction:
         sub = _sub_of(s, t, N, kind)
         cx = spencer.spencer_complex(sub, 2)
         co = compute_cohomology(cx, 2)
-        reps = co.representatives
+        reps = representatives(co)
         gens = _lie_generators(sub)
         assert reps and len(co.action_matrices) == len(gens)
         dim = cx.layouts[2].dim
@@ -851,6 +851,25 @@ class TestCochainAction:
                     ((M.entry(i, j), reps[i]) for i in range(len(reps))),
                     dim))
                 assert co.boundaries.contains(rest)
+
+    @pytest.mark.parametrize("s,t,N,kind", [(3, 1, 1, "maximal"),
+                                            (3, 1, 1, "sampled"),
+                                            (2, 1, 2, "maximal")])
+    def test_action_matrices_equal_the_solutions_column_by_column(
+            self, s, t, N, kind):
+        # read off the rows of solve_matrix's X, the action matrices equal
+        # the ones assembled entry by entry from solve_many's columns
+        co = compute_cohomology(spencer.spencer_complex(_sub_of(s, t, N, kind),
+                                                        2), 2)
+        reps, dim_h = representatives(co), co.dim_h
+        R = ExactMatrix.from_columns(reps, len(reps[0]))
+        solver = AffineSolver(hstack([R, co.boundaries.basis.transpose()]))
+        expected = []
+        for op in spencer.generator_actions(co.complex):
+            X = solver.solve_many(op.apply_many(R))
+            expected.append(ExactMatrix(dim_h, dim_h, [
+                (i, j, x[i]) for j, x in enumerate(X) for i in range(dim_h)]))
+        assert co.action_matrices == tuple(expected)
 
     def test_operators_are_kept_on_the_complex(self):
         sub = get_sampled_subalgebra(3, 1, 1, 7)
@@ -889,7 +908,7 @@ class TestCochainAction:
 def _basis_invariant_classes(co):
     """The a0-invariant classes of H^{2,2} from one CochainAction per
     h-basis and r'-basis element: an oracle for invariant_classes."""
-    reps, B = co.representatives, co.boundaries
+    reps, B = representatives(co), co.boundaries
     if not reps:
         return []
     dim, dim_h = len(reps[0]), len(reps)
