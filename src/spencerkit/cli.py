@@ -33,6 +33,50 @@ def _load_json(path: str) -> dict:
         raise ConfigError(f"invalid JSON in {path}: {err}")
 
 
+def _print_stage(name: str, status: str, seconds: float) -> None:
+    print(f"[spencerkit] stage {name}: {status} ({seconds:.2f}s)",
+          file=sys.stderr)
+
+
+def _first_difference(old, new, path: str):
+    """The key path of the first place where two JSON values differ, keys
+    in sorted order as in the canonical report, or None when equal."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in sorted(old.keys() | new.keys()):
+            where = f"{path}.{key}" if path else key
+            if key not in old or key not in new:
+                return where
+            found = _first_difference(old[key], new[key], where)
+            if found is not None:
+                return found
+        return None
+    if isinstance(old, list) and isinstance(new, list):
+        for i, (a, b) in enumerate(zip(old, new)):
+            found = _first_difference(a, b, f"{path}[{i}]")
+            if found is not None:
+                return found
+        if len(old) != len(new):
+            return f"{path}[{min(len(old), len(new))}]"
+        return None
+    return None if old == new and type(old) is type(new) else path
+
+
+def _where_differs(stored: dict, fresh: dict) -> str:
+    """The first stage whose name, status or data differs, with the key path
+    inside it, else the first differing key path of the report."""
+    stages = stored.get("stages")
+    if isinstance(stages, list):
+        for old, new in zip(stages, fresh["stages"]):
+            if not isinstance(old, dict):
+                return f"stage {new['name']!r}"
+            for field in ("name", "status", "data"):
+                found = _first_difference(old.get(field), new[field], field)
+                if found is not None:
+                    return f"stage {new['name']!r}: {found}"
+    found = _first_difference(stored, fresh, "")
+    return "formatting only" if found is None else f"report: {found}"
+
+
 def _emit(report: dict, blob: bytes, config: dict) -> None:
     path = config.get("output_path")
     if path:
@@ -53,7 +97,7 @@ def _run(args) -> int:
             report = json.loads(cached.decode("utf-8"))
             _emit(report, cached, config)
             return EXIT_PASS if report["result"] == "pass" else EXIT_NEGATIVE
-    report = run_pipeline(config)
+    report = run_pipeline(config, _print_stage)
     blob = report_bytes(report)
     if not args.no_cache:
         cache_store(key, blob)
@@ -66,7 +110,7 @@ def _cohomology(args) -> int:
     raw["checks"] = list(STAGES[:STAGES.index("cohomology") + 1])
     raw.pop("output_path", None)
     config = validate_config(raw)
-    report = run_pipeline(config)
+    report = run_pipeline(config, _print_stage)
     stage = next(s for s in report["stages"] if s["name"] == "cohomology")
     sys.stdout.write(json.dumps(stage["data"], sort_keys=True, indent=2)
                      + "\n")
@@ -80,7 +124,7 @@ def _verify(args) -> int:
     config = validate_config(stored["config"])
     # a model kept from an earlier run would skip its certificates
     clear_kept_model()
-    report = run_pipeline(config)
+    report = run_pipeline(config, _print_stage)
     fresh = report_bytes(report)
     with open(args.report, "rb") as fh:
         original = fh.read()
@@ -88,7 +132,9 @@ def _verify(args) -> int:
         print("verify: PASS (byte-identical re-run, all certificates "
               "re-checked)")
         return EXIT_PASS if report["result"] == "pass" else EXIT_NEGATIVE
-    print("verify: FAIL (re-run differs from the stored report)")
+    where = _where_differs(stored, json.loads(fresh.decode("utf-8")))
+    print(f"verify: FAIL (re-run differs from the stored report at "
+          f"{where})")
     return EXIT_INTERNAL
 
 

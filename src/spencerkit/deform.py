@@ -22,14 +22,16 @@ from .certs import Certificate
 from .errors import (FiltrationViolation, JacobiViolation,
                      NotHighlySusy, NotSymmetric, OracleMismatch)
 from .exactla import (AffineSolver, ExactMatrix, NoSolution, Subspace,
-                      basis_vec, hstack, lincomb, rat_str, solve_affine,
-                      tensor_index_maps, vec_add, vec_is_zero, vec_scale,
-                      vec_sub, zero_vec)
+                      block_diag, flatten_columns, hstack, kron, lincomb,
+                      pair_action, pair_embedding, pair_map, rat_str,
+                      solve_affine, tensor_index_maps, vec_add, vec_is_zero,
+                      vec_scale, vec_sub, vstack, zero_vec)
 from .flatmodel import (EndoSubalgebra, ExtendedFlatModel, GradedBracketTensor,
                         GradedSubalgebra, faithful_split, graded_jacobi_check,
                         make_graded_subalgebra)
-from .spencer import (CochainAction, Cochain22, FullModelCohomology,
-                      NormalisedCocycle, SpencerComplex, inclusion_matrix,
+from .spencer import (Cochain22, FullModelCohomology,
+                      NormalisedCocycle, SpencerComplex, coordinate_matrix,
+                      inclusion_matrix,
                       restriction_kernel_report, restriction_matrix,
                       spencer_complex, subalgebra_actions)
 
@@ -51,12 +53,14 @@ class AdmissibleDatum:
     hat: NormalisedCocycle
     lam: tuple              # C^{2,1}(a_-; model) coordinates
     r_prime_replaced: bool = False
-    # derived once per datum by lam_matrices, acted_hats, odd_brackets,
-    # solve_delta, compute_theta and check_integrability
-    _lam: Optional[tuple] = field(default=None, init=False, repr=False,
-                                  compare=False)
-    _acted: Optional[list] = field(default=None, init=False, repr=False,
-                                   compare=False)
+    # derived once per datum by lam_matrix, hat_blocks, acted_hats,
+    # odd_brackets, solve_delta, compute_theta and check_integrability
+    _lam: Optional[ExactMatrix] = field(default=None, init=False,
+                                        repr=False, compare=False)
+    _hat_blocks: Optional[tuple] = field(default=None, init=False,
+                                         repr=False, compare=False)
+    _acted: Optional[tuple] = field(default=None, init=False, repr=False,
+                                    compare=False)
     _odd: Optional[tuple] = field(default=None, init=False, repr=False,
                                   compare=False)
     _delta: Optional["DeltaMap"] = field(default=None, init=False,
@@ -70,57 +74,35 @@ class AdmissibleDatum:
     def model(self) -> ExtendedFlatModel:
         return self.subalgebra.model
 
-    def lam1_coords(self, b: int) -> tuple:
-        lay = self.mixed_complex.layouts[1]
-        off = lay.index("lambda_so", b, 0)
-        return tuple(self.lam[off:off + self.model.dim_so])
-
-    def lam2_coords(self, b: int) -> tuple:
-        lay = self.mixed_complex.layouts[1]
-        if self.model.dim_r == 0:
-            return ()
-        off = lay.index("lambda_r", b, 0)
-        return tuple(self.lam[off:off + self.model.dim_r])
-
-    def lam_matrices(self, b: int) -> tuple:
-        """(lambda1(e_b) on V, lambda1(e_b) on S, lambda2(e_b) on S), built
-        once per direction and kept on the datum."""
+    def lam_matrix(self) -> ExactMatrix:
+        """lambda as the (dim so + dim r) x dim V matrix whose column b is
+        lambda(e_b) = (lambda1(e_b), lambda2(e_b)), read off the lambda
+        blocks once per datum and kept."""
         if self._lam is None:
-            model = self.model
-            self._lam = tuple(
-                (model.so_matrix(self.lam1_coords(c)),
-                 model.spin_matrix(self.lam1_coords(c)),
-                 model.r_matrix(self.lam2_coords(c)))
-                for c in range(model.dim_v))
-        return self._lam[b]
+            lay = self.mixed_complex.layouts[1]
+            lam = ExactMatrix.from_columns([self.lam], lay.dim)
+            self._lam = vstack([lay.values("lambda_so", lam),
+                                lay.values("lambda_r", lam)])
+        return self._lam
 
-    def lam1_matrix(self, b: int) -> ExactMatrix:
-        """lambda1(e_b) acting on V."""
-        return self.lam_matrices(b)[0]
+    def hat_blocks(self) -> tuple:
+        """(beta-hat, gamma-hat over rho-hat) read as matrices, kept on the
+        datum: beta-hat(v, s) is the first times v (x) s, and the value of
+        (gamma-hat, rho-hat) on a symmetric product x * y of spinors is the
+        second times its Sym^2 S coordinates."""
+        if self._hat_blocks is None:
+            self._hat_blocks = _cochain_blocks(self.fullco.complex,
+                                               self.hat.cochain.column())
+        return self._hat_blocks
 
-    def lam2_matrix(self, b: int) -> ExactMatrix:
-        """lambda2(e_b) acting on S."""
-        return self.lam_matrices(b)[2]
-
-    def lam1_vec(self, vcoords: Sequence[Fraction]) -> tuple:
-        return lincomb(((c, self.lam1_coords(b))
-                        for b, c in enumerate(vcoords) if c),
-                       self.model.dim_so)
-
-    def lam2_vec(self, vcoords: Sequence[Fraction]) -> tuple:
-        return lincomb(((c, self.lam2_coords(b))
-                        for b, c in enumerate(vcoords) if c),
-                       self.model.dim_r)
-
-    def acted_hats(self) -> list:
-        """lambda(v_b) . hat as cochains of the full complex, per direction."""
+    def acted_hats(self) -> tuple:
+        """The blocks of hat_blocks for lambda(v_b) . hat, every direction
+        v_b at once (column (a ns + i) n + b of the first, P n + b of the
+        second), kept on the datum: the kept basis operators of the full
+        complex applied to hat and combined by lambda."""
         if self._acted is None:
-            cx = self.fullco.complex
-            self._acted = [
-                Cochain22(cx, CochainAction.from_matrices(
-                    cx, *self.lam_matrices(b)).apply(self.hat.coeffs))
-                for b in range(self.model.dim_v)
-            ]
+            self._acted = _cochain_blocks(self.fullco.complex, self.fullco.act(
+                self.lam_matrix(), self.hat.cochain.column()))
         return self._acted
 
     def odd_brackets(self) -> tuple:
@@ -135,38 +117,85 @@ class AdmissibleDatum:
         """
         if self._odd is None:
             sub, model = self.subalgebra, self.model
-            hat = self.hat.cochain
-            svecs = sub.Sp.basis_vectors()
-            n = model.dim_v
-            vs = []
-            for b in range(n):
-                vb = basis_vec(n, b)
-                _, l1m, l2m = self.lam_matrices(b)
-                row = []
-                for s in svecs:
-                    c = sub.Sp.coordinates(vec_add(
-                        hat.beta_vec(vb, s), vec_add(l1m.apply(s),
-                                                     l2m.apply(s))))
-                    if c is None:
-                        raise OracleMismatch("beta-hat correction leaves S'")
-                    row.append(c)
-                vs.append(row)
-            ss = []
-            kappas = sub.kappa_sp.transpose()
-            pairs = tensor_index_maps(len(svecs), "sym2")
-            for p, (i, j) in enumerate(pairs.tuples):
-                kv = kappas.row_tuple(p)
-                gh = sub.h.coordinates(vec_sub(
-                    hat.gamma_vec(svecs[i], svecs[j]), self.lam1_vec(kv)))
-                if gh is None:
-                    raise OracleMismatch("gamma-hat correction leaves h")
-                rr = sub.rp.coordinates(vec_sub(
-                    hat.rho_vec(svecs[i], svecs[j]), self.lam2_vec(kv)))
-                if rr is None:
-                    raise OracleMismatch("rho-hat correction leaves r'")
-                ss.append((i, j, kv, gh, rr))
-            self._odd = (vs, ss)
+            beta, gamma_rho = self.hat_blocks()
+            lam = self.lam_matrix()
+            E = sub.Sp.basis.transpose()
+            n, nso = model.dim_v, model.dim_so
+            # column b nsp + i: beta-hat(v_b, s_i) + lambda(v_b).s_i
+            vs = coordinate_matrix(
+                sub.Sp, beta @ kron(ExactMatrix.identity(n), E)
+                + model.bracket_matrix("a0", "S", "S") @ kron(lam, E))
+            if vs is None:
+                raise OracleMismatch("beta-hat correction leaves S'")
+            # column p: (gamma-hat, rho-hat)(s_i, s_j) - lambda(kappa_p)
+            values = gamma_rho @ _spinor_squares(sub) - lam @ sub.kappa_sp
+            gh = coordinate_matrix(sub.h, values.select_rows(range(nso)))
+            if gh is None:
+                raise OracleMismatch("gamma-hat correction leaves h")
+            rr = coordinate_matrix(sub.rp, values.select_rows(
+                range(nso, values.rows)))
+            if rr is None:
+                raise OracleMismatch("rho-hat correction leaves r'")
+            nsp = sub.Sp.dim
+            vs_cols = column_tuples(vs)
+            pairs = tensor_index_maps(nsp, "sym2").tuples
+            self._odd = (
+                [vs_cols[b * nsp:(b + 1) * nsp] for b in range(n)],
+                [(i, j, kv, g, r) for (i, j), kv, g, r in zip(
+                    pairs, column_tuples(sub.kappa_sp), column_tuples(gh),
+                    column_tuples(rr))])
         return self._odd
+
+
+def _cochain_blocks(cx: SpencerComplex, cochains: ExactMatrix) -> tuple:
+    """(beta, gamma over rho) of each column of `cochains`, cochains of the
+    full complex, read as matrices by CochainLayout.values: column
+    (a ns + i) C + c of the first is beta_c(e_a, e_i), and column P C + c of
+    the second is (gamma_c, rho_c) on the P-th Sym^2 S basis element, for
+    C = cochains.cols."""
+    lay = cx.layouts[2]
+    return (lay.values("beta", cochains),
+            vstack([lay.values("gamma", cochains),
+                    lay.values("rho", cochains)]))
+
+
+def _spinor_squares(sub: GradedSubalgebra) -> ExactMatrix:
+    """Column p is s_i * s_j in Sym^2 S for the p-th sym2 pair (i, j) of
+    the S' basis: a symmetric cochain block evaluates on it as on
+    (s_i, s_j)."""
+    E = sub.Sp.basis.transpose()
+    return pair_map(tensor_index_maps(sub.model.dim_s, "sym2"),
+                    tensor_index_maps(sub.Sp.dim, "sym2"), E, E)
+
+
+def _coordinates_in(spaces: Sequence[Subspace], images: ExactMatrix
+                    ) -> Optional[ExactMatrix]:
+    """coordinate_matrix in the direct sum of `spaces`, whose ambient
+    spaces the rows of `images` run through one after the other: the
+    coordinates in each, stacked, or None when a column leaves the sum."""
+    out, lo = [], 0
+    for space in spaces:
+        coords = coordinate_matrix(space, images.select_rows(
+            range(lo, lo + space.ambient_dim)))
+        if coords is None:
+            return None
+        out.append(coords)
+        lo += space.ambient_dim
+    return vstack(out)
+
+
+def column_tuples(M: ExactMatrix) -> list:
+    """The columns of M as tuples of Fractions, for the values a report or
+    a table of Fractions keeps."""
+    T = M.transpose()
+    return [T.row_tuple(j) for j in range(T.rows)]
+
+
+def first_nonzero_column(M: ExactMatrix) -> Optional[int]:
+    """The index of the first nonzero column of M, or None."""
+    if M.is_zero():
+        return None
+    return next(j for j, col in enumerate(column_tuples(M)) if any(col))
 
 
 @dataclass(frozen=True)
@@ -189,13 +218,12 @@ def ensure_transitive(sub: GradedSubalgebra
     model = sub.model
     rp_endo = EndoSubalgebra.from_matrices(model.dim_s, sub.rp_mats)
     rpp, _ann = faithful_split(rp_endo, sub.Sp)
-    coords = []
-    for m in rpp.matrices:
-        c = model.r.coordinates(m)
-        if c is None:
-            raise OracleMismatch("faithful split left the R-symmetry algebra")
-        coords.append(c)
-    new_rp = Subspace.from_vectors(model.dim_r, coords)
+    ns = model.dim_s
+    coords = coordinate_matrix(model.r.basis,
+                               flatten_columns(rpp.matrices, ns, ns))
+    if coords is None:
+        raise OracleMismatch("faithful split left the R-symmetry algebra")
+    new_rp = coords.transpose().row_space()
     replaced = make_graded_subalgebra(model, sub.Vp, sub.Sp, sub.h, new_rp)
     if not replaced.transitive:
         raise NotHighlySusy("subalgebra is not transitive even after the "
@@ -278,34 +306,26 @@ def solve_delta(datum: AdmissibleDatum) -> DeltaMap:
 def _solve_delta(datum: AdmissibleDatum) -> DeltaMap:
     sub = datum.subalgebra
     model = datum.model
-    n = model.dim_v
-    delta1, delta2, delta4 = [], [], []
-    for A_v in sub.h_so:
-        row1, row2 = [], []
-        for b in range(n):
-            av = A_v.apply(basis_vec(n, b))
-            val1 = vec_sub(
-                model.gens.so_coordinates(A_v.commutator(datum.lam1_matrix(b))),
-                datum.lam1_vec(av))
-            c1 = sub.h.coordinates(val1)
-            c2 = sub.rp.coordinates(vec_scale(datum.lam2_vec(av), -1))
-            if c1 is None or c2 is None:
-                raise OracleMismatch("closed-form delta leaves a0")
-            row1.append(c1)
-            row2.append(c2)
-        delta1.append(row1)
-        delta2.append(row2)
-    for a_m in sub.rp_mats:
-        row4 = []
-        for b in range(n):
-            comm = a_m.commutator(datum.lam2_matrix(b))
-            cc = model.r.coordinates(comm)
-            c4 = sub.rp.coordinates(cc) if cc is not None else None
-            if c4 is None:
-                raise OracleMismatch("closed-form delta4 leaves r'")
-            row4.append(c4)
-        delta4.append(row4)
-    delta = DeltaMap(delta1=delta1, delta2=delta2, delta4=delta4)
+    n, dh = model.dim_v, sub.h.dim
+    lam = datum.lam_matrix()
+    X = sub.a0_basis()
+    # column k n + b: delta(X_k, e_b) = [X_k, lambda(e_b)] - lambda(X_k e_b),
+    # X_k over the h-basis then the r'-basis
+    values = model.bracket_matrix("a0", "a0", "a0") @ kron(X, lam) - \
+        lam @ model.bracket_matrix("a0", "V", "V") @ kron(
+            X, ExactMatrix.identity(n))
+    coords = _coordinates_in((sub.h, sub.rp), values)
+    if coords is None:
+        raise OracleMismatch("closed-form delta leaves a0")
+    cols = column_tuples(coords)
+    # the h coordinates of an r'-column, delta3, are zero: [r', V] = 0 and
+    # [r', so(V)] = 0 in the flat model
+    blocks = [[(col[:dh], col[dh:]) for col in cols[k * n:(k + 1) * n]]
+              for k in range(coords.rows)]
+    delta = DeltaMap(
+        delta1=[[h for h, _ in row] for row in blocks[:dh]],
+        delta2=[[r for _, r in row] for row in blocks[:dh]],
+        delta4=[[r for _, r in row] for row in blocks[dh:]])
     _certify_delta(datum, _delta_cochains(datum, delta))
     return delta
 
@@ -336,14 +356,10 @@ def _certify_delta(datum: AdmissibleDatum, chi: ExactMatrix) -> None:
     ops = subalgebra_actions(cx)
     if not ops:
         return
-    mu = datum.mu_minus.coeffs
-    mu_col = ExactMatrix.from_columns([mu], len(mu))
-    got = d21 @ chi
-    want = hstack([op.apply_many(mu_col) for op in ops])
-    if got != want:
-        diff = (got - want).transpose()
-        k = next(k for k in range(diff.rows)
-                 if not vec_is_zero(diff.row_tuple(k)))
+    mu = datum.mu_minus.column()
+    k = first_nonzero_column(d21 @ chi - hstack([op.apply_many(mu)
+                                                 for op in ops]))
+    if k is not None:
         h_dim = datum.subalgebra.h.dim
         X = f"h[{k}]" if k < h_dim else f"r'[{k - h_dim}]"
         raise OracleMismatch(f"closed-form delta fails d(chi_X) = X.mu at "
@@ -368,6 +384,15 @@ class ThetaData:
     alternating_verified: bool = False
     second_relation_consistent: bool = False
 
+    def matrix(self) -> ExactMatrix:
+        """theta1 over theta2 as one matrix: column b n + c holds
+        (theta1, theta2)(v_b, v_c) in so(V) + r coordinates."""
+        return ExactMatrix.from_columns(
+            [tuple(t1) + tuple(t2)
+             for row1, row2 in zip(self.theta1, self.theta2)
+             for t1, t2 in zip(row1, row2)],
+            len(self.theta1[0][0]) + len(self.theta2[0][0]))
+
     @property
     def theta2_zero(self) -> bool:
         if self.theta2 is None:
@@ -384,66 +409,45 @@ def compute_theta(datum: AdmissibleDatum) -> ThetaData:
 
 def _compute_theta(datum: AdmissibleDatum) -> ThetaData:
     """Assemble the spinor-argument theta maps, decide whether they kill the
-    Dirac kernel, and if so solve for the alternating maps on V x V."""
+    Dirac kernel, and if so solve for the alternating maps on V x V.
+
+    Theta(v_b; s, s') = (gamma-hat, rho-hat)(s, beta-hat(v_b, s')) +
+    (s <-> s') - (lambda(v_b).hat)_(gamma, rho)(s, s'): its first term is
+    gamma-hat over rho-hat after beta-hat(v_b, .) acting on Sym^2 S, so the
+    values on every S' pair come from one product per direction."""
     sub = datum.subalgebra
     model = datum.model
-    hat = datum.hat.cochain
-    acted = datum.acted_hats()
-    svecs = sub.Sp.basis_vectors()
-    nsp = len(svecs)
-    pairs = tensor_index_maps(nsp, "sym2")
-    n = model.dim_v
-    th1, th2 = [], []
-    for b in range(n):
-        vb = basis_vec(n, b)
-        row1, row2 = [], []
-        for (i, j) in pairs.tuples:
-            bvi = hat.beta_vec(vb, svecs[i])
-            bvj = hat.beta_vec(vb, svecs[j])
-            t1 = vec_add(hat.gamma_vec(svecs[i], bvj),
-                         hat.gamma_vec(svecs[j], bvi))
-            t1 = vec_sub(t1, acted[b].gamma_vec(svecs[i], svecs[j]))
-            row1.append(t1)
-            t2 = vec_add(hat.rho_vec(svecs[i], bvj),
-                         hat.rho_vec(svecs[j], bvi))
-            t2 = vec_sub(t2, acted[b].rho_vec(svecs[i], svecs[j]))
-            row2.append(t2)
-        th1.append(row1)
-        th2.append(row2)
+    n, nso, ns = model.dim_v, model.dim_so, model.dim_s
+    s2 = tensor_index_maps(ns, "sym2")
+    beta, gamma_rho = datum.hat_blocks()
+    _, acted = datum.acted_hats()
+    # rows b m + k, column p: coordinate k of Theta(v_b; s_i, s_j), for m =
+    # dim so + dim r and (i, j) the p-th sym2 pair of S'
+    spinor = vstack([
+        gamma_rho @ pair_action(s2, beta.select_columns(
+            range(b * ns, (b + 1) * ns)))
+        - acted.select_columns(range(b, acted.cols, n))
+        for b in range(n)]) @ _spinor_squares(sub)
     kappa_sp = sub.kappa_sp
     dirac_kernel = kappa_sp.kernel()
-    annihilated = True
-    for k in range(dirac_kernel.dim):
-        d = dirac_kernel.basis.row_tuple(k)
-        for b in range(n):
-            v1 = lincomb(zip(d, th1[b]), model.dim_so)
-            v2 = lincomb(zip(d, th2[b]), model.dim_r)
-            if not (vec_is_zero(v1) and vec_is_zero(v2)):
-                annihilated = False
-                break
-        if not annihilated:
-            break
+    annihilated = (spinor @ dirac_kernel.basis.transpose()).is_zero()
+    th1, th2 = _direction_tables(spinor, n, nso)
     theta1 = theta2 = None
     alternating = False
     second_rel = False
     if annihilated:
-        preimages = AffineSolver(kappa_sp).solve_many(ExactMatrix.identity(n))
-        if None in preimages:
+        preimages, failed = AffineSolver(kappa_sp).solve_matrix(
+            ExactMatrix.identity(n))
+        if failed:
             raise OracleMismatch("kappa restricted to Sym^2 S' is not "
                                  "surjective on a highly susy subalgebra")
-        theta1 = [[None] * n for _ in range(n)]
-        theta2 = [[None] * n for _ in range(n)]
-        for b in range(n):
-            for c in range(n):
-                theta1[b][c] = lincomb(zip(preimages[c], th1[b]),
-                                       model.dim_so)
-                theta2[b][c] = lincomb(zip(preimages[c], th2[b]),
-                                       model.dim_r)
-        alternating = all(
-            vec_is_zero(vec_add(theta1[b][c], theta1[c][b]))
-            and vec_is_zero(vec_add(theta2[b][c], theta2[c][b]))
-            for b in range(n) for c in range(b, n))
-        second_rel = _second_defining_relation(datum, th1, theta1)
+        stacked = spinor @ preimages
+        theta1, theta2 = _direction_tables(stacked, n, nso)
+        theta = _side_by_side(stacked, n)
+        alternating = theta == theta.select_columns(
+            [c * n + b for b in range(n) for c in range(n)]).scale(-1)
+        second_rel = _second_defining_relation(
+            datum, _side_by_side(spinor, n), theta)
     return ThetaData(theta1_spinor=th1, theta2_spinor=th2,
                      dirac_kernel_annihilated=annihilated,
                      dirac_kernel_dim=dirac_kernel.dim,
@@ -452,28 +456,47 @@ def _compute_theta(datum: AdmissibleDatum) -> ThetaData:
                      second_relation_consistent=second_rel)
 
 
-def _second_defining_relation(datum: AdmissibleDatum, th1_spinor,
-                              theta1) -> bool:
+def _direction_tables(M: ExactMatrix, n: int, nso: int) -> tuple:
+    """The so(V) and r tables [b][j] of M, whose rows b m + k hold the m =
+    dim so + dim r coordinates of the b-th direction's value at column j."""
+    m = M.rows // n
+    cols = column_tuples(M)
+    return ([[col[b * m:b * m + nso] for col in cols] for b in range(n)],
+            [[col[b * m + nso:(b + 1) * m] for col in cols]
+             for b in range(n)])
+
+
+def _side_by_side(M: ExactMatrix, n: int) -> ExactMatrix:
+    """The n row blocks of M side by side: column b C + j holds block b of
+    column j, for C = M.cols."""
+    m = M.rows // n
+    return hstack([M.select_rows(range(b * m, (b + 1) * m))
+                   for b in range(n)])
+
+
+def _second_defining_relation(datum: AdmissibleDatum, spinor: ExactMatrix,
+                              theta: ExactMatrix) -> bool:
     """theta1(v,w) kappa(s,s) = Theta1(v;s,s) w - Theta1(w;s,s) v, the second
-    relation that determines theta1 uniquely, over the sym2 S' pairs."""
+    relation that determines theta1 uniquely, over the sym2 S' pairs and
+    the pairs b < c, with `spinor` column b P + p holding Theta(v_b; p) and
+    `theta` column b n + c holding theta(v_b, v_c).  The r parts act
+    trivially on V."""
     model = datum.model
     n = model.dim_v
-    kappas = datum.subalgebra.kappa_sp.transpose()
-    # column k of on_e[c] is E_k e_c, so on_e[c] maps the so coordinates of
-    # Theta1(v_b; s_I, s_J) to Theta1(v_b; s_I, s_J) e_c
-    on_e = [ExactMatrix.from_columns(
-        [E.apply(basis_vec(n, c)) for E in model.gens.e_mats], n)
-        for c in range(n)]
-    for b in range(n):
-        for c in range(b + 1, n):
-            mat = model.so_matrix(theta1[b][c])
-            for p in range(kappas.rows):
-                lhs = mat.apply(kappas.row_tuple(p))
-                rhs = vec_sub(on_e[c].apply(th1_spinor[b][p]),
-                              on_e[b].apply(th1_spinor[c][p]))
-                if tuple(lhs) != tuple(rhs):
-                    return False
-    return True
+    kappa = datum.subalgebra.kappa_sp
+    npair = kappa.cols
+    on_v = model.bracket_matrix("a0", "V", "V")
+    # column (b n + c) P + p: theta1(v_b, v_c) kappa_p; column (b P + p) n +
+    # c: Theta1(v_b; p) e_c
+    lhs = on_v @ kron(theta, kappa)
+    moved = on_v @ kron(spinor, ExactMatrix.identity(n))
+    pairs = [(b, c, p) for b in range(n) for c in range(b + 1, n)
+             for p in range(npair)]
+    return lhs.select_columns([(b * n + c) * npair + p
+                               for b, c, p in pairs]) == \
+        moved.select_columns([(b * npair + p) * n + c
+                              for b, c, p in pairs]) - \
+        moved.select_columns([(c * npair + p) * n + b for b, c, p in pairs])
 
 
 # ---------------------------------------------------------------------------
@@ -537,27 +560,32 @@ def _check_integrability(datum: AdmissibleDatum) -> IntegrabilityReport:
                                             "annihilated"})
     sub = datum.subalgebra
     model = datum.model
-    hat = datum.hat.cochain
-    acted = datum.acted_hats()
-    svecs = sub.Sp.basis_vectors()
-    n = model.dim_v
-    # the residual spinor identity
-    for b in range(n):
-        for c in range(b + 1, n):
-            sp_mat = model.spin_matrix(theta.theta1[b][c])
-            r_mat = model.r_matrix(theta.theta2[b][c])
-            vb, vc = basis_vec(n, b), basis_vec(n, c)
-            for k, s in enumerate(svecs):
-                lhs = vec_add(sp_mat.apply(s), r_mat.apply(s))
-                rhs = vec_sub(
-                    hat.beta_vec(vb, hat.beta_vec(vc, s)),
-                    hat.beta_vec(vc, hat.beta_vec(vb, s)))
-                rhs = vec_add(rhs, acted[b].beta_vec(vc, s))
-                rhs = vec_sub(rhs, acted[c].beta_vec(vb, s))
-                if tuple(lhs) != tuple(rhs):
-                    return IntegrabilityReport(
-                        False, True, False,
-                        witness={"pair": (b, c), "spinor": k})
+    n, ns = model.dim_v, model.dim_s
+    # the residual spinor identity: at column (b n + c) nsp + k, theta(v_b,
+    # v_c).s_k on the left, and on the right beta-hat(v_b, beta-hat(v_c,
+    # s_k)) + (lambda(v_b).hat)_beta(v_c, s_k) minus the same with b, c
+    # exchanged
+    beta, _ = datum.hat_blocks()
+    acted, _ = datum.acted_hats()
+    E = sub.Sp.basis.transpose()
+    eye = ExactMatrix.identity(n)
+    on_sp = kron(eye, E)
+    lhs = model.bracket_matrix("a0", "S", "S") @ kron(theta.matrix(),
+                                                       E)
+    # column b (n ns) + a ns + i: lambda(v_b).hat at (e_a, e_i)
+    acted = acted.select_columns([j * n + b for b in range(n)
+                                  for j in range(n * ns)])
+    twice = beta @ kron(eye, beta @ on_sp) + acted @ kron(eye, on_sp)
+    nsp = sub.Sp.dim
+    pairs = [(b, c) for b in range(n) for c in range(b + 1, n)]
+    bc = [(b * n + c) * nsp + k for b, c in pairs for k in range(nsp)]
+    cb = [(c * n + b) * nsp + k for b, c in pairs for k in range(nsp)]
+    bad = first_nonzero_column(lhs.select_columns(bc) - (
+        twice.select_columns(bc) - twice.select_columns(cb)))
+    if bad is not None:
+        return IntegrabilityReport(
+            False, True, False,
+            witness={"pair": pairs[bad // nsp], "spinor": bad % nsp})
     for name, holds in (("theta alternating", theta.alternating_verified),
                         ("second defining relation",
                          theta.second_relation_consistent)):
@@ -573,33 +601,31 @@ def _check_integrability(datum: AdmissibleDatum) -> IntegrabilityReport:
     return IntegrabilityReport(True, True, True, tensor=tensor, jacobi=jacobi)
 
 
+def _alpha(datum: AdmissibleDatum) -> ExactMatrix:
+    """The alpha block of mu as one matrix: column b n + c holds
+    alpha(v_b, v_c), V' = V being highly supersymmetric."""
+    cx = datum.sub_complex
+    return cx.layouts[2].values("alpha", datum.mu_minus.column()) @ \
+        pair_embedding(cx.w2v).transpose()
+
+
 def _theta_in_a0(datum: AdmissibleDatum, theta: ThetaData):
-    """theta (un-tilded) in h / r' coordinates; membership is a theorem."""
+    """theta (un-tilded) in h / r' coordinates: column b n + c of theta -
+    lambda(alpha) + [lambda, lambda] lies in h + r', a theorem whose
+    failure raises OracleMismatch."""
     sub = datum.subalgebra
     model = datum.model
-    n = model.dim_v
-    mu = datum.mu_minus
-    th1_h = [[None] * n for _ in range(n)]
-    th2_rp = [[None] * n for _ in range(n)]
-    for b in range(n):
-        for c in range(n):
-            alpha_bc = mu.alpha(b, c)
-            v1 = vec_sub(theta.theta1[b][c], datum.lam1_vec(alpha_bc))
-            v1 = vec_add(v1, model.gens.so_coordinates(
-                datum.lam1_matrix(b).commutator(datum.lam1_matrix(c))))
-            c1 = sub.h.coordinates(v1)
-            v2 = vec_sub(theta.theta2[b][c], datum.lam2_vec(alpha_bc))
-            comm = datum.lam2_matrix(b).commutator(datum.lam2_matrix(c))
-            rc = model.r.coordinates(comm)
-            if rc is None:
-                raise OracleMismatch("[lambda2, lambda2] leaves r")
-            v2 = vec_add(v2, rc)
-            c2 = sub.rp.coordinates(v2)
-            if c1 is None or c2 is None:
-                raise OracleMismatch("theta fails the a0-membership theorem")
-            th1_h[b][c] = c1
-            th2_rp[b][c] = c2
-    return th1_h, th2_rp
+    n, dh = model.dim_v, sub.h.dim
+    lam = datum.lam_matrix()
+    coords = _coordinates_in((sub.h, sub.rp),
+                             theta.matrix() - lam @ _alpha(datum)
+                             + model.bracket_matrix("a0", "a0", "a0")
+                             @ kron(lam, lam))
+    if coords is None:
+        raise OracleMismatch("theta fails the a0-membership theorem")
+    cols = column_tuples(coords)
+    return ([[cols[b * n + c][:dh] for c in range(n)] for b in range(n)],
+            [[cols[b * n + c][dh:] for c in range(n)] for b in range(n)])
 
 
 # ---------------------------------------------------------------------------
@@ -643,9 +669,8 @@ def _deformed_bracket(datum: AdmissibleDatum, th1_h: list,
     """The deformed bracket table on V + S' + (h + r'), from the datum's
     delta and odd brackets and theta in h / r' coordinates."""
     sub = datum.subalgebra
-    n = datum.model.dim_v
-    svecs = sub.Sp.basis_vectors()
-    nsp = len(svecs)
+    model = datum.model
+    n, nsp = model.dim_v, sub.Sp.dim
     dh, dr = sub.h.dim, sub.rp.dim
     off_s, off_h, off_r = n, n + nsp, n + nsp + dh
     table: dict = {}
@@ -659,13 +684,16 @@ def _deformed_bracket(datum: AdmissibleDatum, th1_h: list,
         if vecd:
             table[(i, j)] = vecd
 
-    def sp_coords(vecval):
-        c = sub.Sp.coordinates(vecval)
-        if c is None:
-            raise OracleMismatch("bracket value leaves S'")
-        return c
-
-    h_so, h_spin, rp_mats = sub.h_so, sub.h_spin, sub.rp_mats
+    # column k n + b: X_k e_b, and column k nsp + i: the S' coordinates of
+    # X_k s_i, X_k over the h-basis then the r'-basis
+    X = sub.a0_basis()
+    on_v = column_tuples(model.bracket_matrix("a0", "V", "V")
+                         @ kron(X, ExactMatrix.identity(n)))
+    on_s = coordinate_matrix(sub.Sp, model.bracket_matrix("a0", "S", "S")
+                             @ kron(X, sub.Sp.basis.transpose()))
+    if on_s is None:
+        raise OracleMismatch("bracket value leaves S'")
+    on_s = column_tuples(on_s)
     # [h, h], [h, r'] = 0, [r', r']
     for k in range(dh):
         for l in range(dh):
@@ -677,8 +705,7 @@ def _deformed_bracket(datum: AdmissibleDatum, th1_h: list,
     delta = solve_delta(datum)
     for k in range(dh):
         for b in range(n):
-            av = h_so[k].apply(basis_vec(n, b))
-            chunks = [(0, av), (off_h, delta.delta1[k][b]),
+            chunks = [(0, on_v[k * n + b]), (off_h, delta.delta1[k][b]),
                       (off_r, delta.delta2[k][b])]
             put(off_h + k, b, chunks)
             put(b, off_h + k, [(o, vec_scale(c, -1)) for o, c in chunks])
@@ -688,16 +715,11 @@ def _deformed_bracket(datum: AdmissibleDatum, th1_h: list,
             put(off_r + p, b, chunks)
             put(b, off_r + p, [(o, vec_scale(c, -1)) for o, c in chunks])
     # [h, S'], [r', S']
-    for k in range(dh):
+    for k in range(dh + dr):
         for i in range(nsp):
-            val = sp_coords(h_spin[k].apply(svecs[i]))
+            val = on_s[k * nsp + i]
             put(off_h + k, off_s + i, [(off_s, val)])
             put(off_s + i, off_h + k, [(off_s, vec_scale(val, -1))])
-    for p in range(dr):
-        for i in range(nsp):
-            val = sp_coords(rp_mats[p].apply(svecs[i]))
-            put(off_r + p, off_s + i, [(off_s, val)])
-            put(off_s + i, off_r + p, [(off_s, vec_scale(val, -1))])
     # [S', S'] = kappa + (gamma-hat - lambda1 kappa) + (rho-hat - lambda2 kappa)
     # and [V, S'] = beta-hat + lambda1 . s + lambda2 s
     vs, ss = datum.odd_brackets()
@@ -710,12 +732,12 @@ def _deformed_bracket(datum: AdmissibleDatum, th1_h: list,
             put(b, off_s + i, [(off_s, coords)])
             put(off_s + i, b, [(off_s, vec_scale(coords, -1))])
     # [V, V] = alpha + theta-corrections
-    mu = datum.mu_minus
+    alpha = column_tuples(_alpha(datum))
     for b in range(n):
         for c in range(n):
             if b == c:
                 continue
-            chunks = [(0, mu.alpha(b, c)), (off_h, th1_h[b][c]),
+            chunks = [(0, alpha[b * n + c]), (off_h, th1_h[b][c]),
                       (off_r, th2_rp[b][c])]
             put(b, c, chunks)
     parities = tuple([0] * n + [1] * nsp + [0] * (dh + dr))
@@ -764,56 +786,45 @@ def _check_assoc_graded(datum: AdmissibleDatum,
     by its Jacobi check and the flat model's bracket is super-antisymmetric,
     so a pair (j, i) fails exactly when (i, j) does, with the same targets,
     and the first failing pair in row-major order has i <= j."""
-    sub = datum.subalgebra
     model = datum.model
-    # per component V, S', h, r': (offset in the tensor, offset in the flat
-    # model, the subspace of the flat component it spans)
-    parts = tuple(zip(tensor.offsets(),
-                      (model.off_v, model.off_s, model.off_so, model.off_r),
-                      (Subspace.full(model.dim_v), sub.Sp, sub.h, sub.rp)))
-    embedded = [{flat_off + t: c for t, c in enumerate(x) if c}
-                for _, flat_off, space in parts
-                for x in space.basis_vectors()]
-
-    def graded_value(i, j) -> dict:
-        # the flat-model bracket of the corresponding graded elements
-        value = model.tensor.bracket_of(embedded[i], embedded[j])
-        out: dict = {}
-        for off, flat_off, space in parts:
-            coords = space.coordinates(
-                [value.get(flat_off + t, 0) for t in range(space.ambient_dim)])
-            if coords is None:
-                raise OracleMismatch("graded bracket leaves the subalgebra")
-            out.update((off + t, c) for t, c in enumerate(coords) if c)
-        return out
-
+    sub = datum.subalgebra
+    # the graded brackets: the flat model's bracket of the embedded basis
+    # vectors of V, S', h and r', in their coordinates
+    spaces = (sub.Vp, sub.Sp, sub.h, sub.rp)
+    emb = block_diag([space.basis.transpose() for space in spaces])
+    expected = _coordinates_in(spaces, model.tensor.matrix() @ kron(emb, emb))
+    if expected is None:
+        raise OracleMismatch("graded bracket leaves the subalgebra")
     total = tensor.total_dim
-    for i in range(total):
-        for j in range(i, total):
-            expected = graded_value(i, j)
-            got = tensor.bracket(i, j)
-            base = levels[i] + levels[j]
-            for k in set(got) | set(expected):
-                shift = levels[k] - base
-                g = got.get(k, Fraction(0))
-                e = expected.get(k, Fraction(0))
-                if shift == 0:
-                    if g != e:
-                        return Certificate(
-                            False, "associated graded differs from the "
-                            "subalgebra", witness={"pair": (i, j),
-                                                   "target": k})
-                elif shift in (2, 4):
-                    if e:
-                        return Certificate(
-                            False, "graded bracket has a shifted component",
-                            witness={"pair": (i, j), "target": k})
-                else:
-                    if g or e:
-                        return Certificate(
-                            False, "bracket component outside the defining "
-                            "sequence (mu, theta, 0, ...)",
-                            witness={"pair": (i, j), "target": k})
+    pairs = [(i, j) for i in range(total) for j in range(i, total)]
+    picked = [i * total + j for i, j in pairs]
+    got = tensor.matrix().select_columns(picked)
+    expected = expected.select_columns(picked)
+    # what must vanish at level shift 0, at 2 or 4, and elsewhere
+    outside = ("bracket component outside the defining sequence "
+               "(mu, theta, 0, ...)")
+    rules = (("associated graded differs from the subalgebra",
+              got - expected, lambda d: d == 0),
+             ("graded bracket has a shifted component", expected,
+              lambda d: d in (2, 4)),
+             (outside, got, lambda d: d not in (0, 2, 4)),
+             (outside, expected, lambda d: d not in (0, 2, 4)))
+    failures = []
+    for level in sorted(set(levels)):
+        targets = [k for k in range(total) if levels[k] == level]
+        shifts = [level - levels[i] - levels[j] for i, j in pairs]
+        for detail, values, applies in rules:
+            cols = [c for c, d in enumerate(shifts) if applies(d)]
+            block = values.select_rows(targets).select_columns(cols)
+            c = first_nonzero_column(block)
+            if c is not None:
+                col = column_tuples(block.select_columns([c]))[0]
+                k = next(t for t, x in zip(targets, col) if x)
+                failures.append((cols[c], k, detail))
+    if failures:
+        c, k, detail = min(failures)
+        return Certificate(False, detail,
+                           witness={"pair": pairs[c], "target": k})
     return Certificate(True, "associated graded equals the subalgebra; "
                        "defining sequence is (mu, theta, 0, ...)")
 
@@ -1020,22 +1031,15 @@ def compute_envelope(fullco: FullModelCohomology, sub: GradedSubalgebra,
     if 2 * Sp.dim <= model.dim_s:
         raise NotHighlySusy("envelopes require dim S' > (dim S)/2")
     dirac_kernel = sub.kappa_sp.kernel()
-    svecs = Sp.basis_vectors()
-    pairs = tensor_index_maps(len(svecs), "sym2")
-    z = hat.cochain
-    nso, nr = model.dim_so, model.dim_r
-    joint_vecs, g_vecs, r_vecs = [], [], []
-    for k in range(dirac_kernel.dim):
-        d = dirac_kernel.basis.row_tuple(k)
-        gval = lincomb(((c, z.gamma_vec(svecs[i], svecs[j]))
-                        for c, (i, j) in zip(d, pairs.tuples) if c), nso)
-        rval = lincomb(((c, z.rho_vec(svecs[i], svecs[j]))
-                        for c, (i, j) in zip(d, pairs.tuples) if c), nr)
-        joint_vecs.append(tuple(gval) + tuple(rval))
-        g_vecs.append(tuple(gval) + zero_vec(nr))
-        r_vecs.append(zero_vec(nso) + tuple(rval))
-    joint = Subspace.from_vectors(nso + nr, joint_vecs)
-    direct = Subspace.from_vectors(nso + nr, g_vecs + r_vecs)
+    nso = model.dim_so
+    _, gamma_rho = _cochain_blocks(fullco.complex, hat.cochain.column())
+    # column k: (gamma-hat, rho-hat) on the k-th Dirac kernel basis vector
+    values = gamma_rho @ _spinor_squares(sub) @ \
+        dirac_kernel.basis.transpose()
+    joint = values.transpose().row_space()
+    direct = block_diag([
+        values.select_rows(range(nso)).transpose(),
+        values.select_rows(range(nso, values.rows)).transpose()]).row_space()
     return EnvelopeReport(
         dirac_kernel_dim=dirac_kernel.dim,
         joint=_envelope_candidate(fullco, Sp, hat, joint),
@@ -1045,41 +1049,18 @@ def compute_envelope(fullco: FullModelCohomology, sub: GradedSubalgebra,
 def _envelope_candidate(fullco: FullModelCohomology, Sp: Subspace,
                         hat: NormalisedCocycle,
                         env: Subspace) -> EnvelopeCandidate:
+    """The Lie-pair properties of env inside so(V) + r, each from one
+    product over its basis: closure under the bracket, S' preserved, hat
+    annihilated."""
     model = fullco.model
     nso = model.dim_so
-
-    def split_elem(vecrow):
-        return tuple(vecrow[:nso]), tuple(vecrow[nso:])
-
-    elems = [split_elem(env.basis.row_tuple(i)) for i in range(env.dim)]
-    is_subalg = True
-    for so1, r1 in elems:
-        for so2, r2 in elems:
-            comm_so = model.gens.so_coordinates(
-                model.so_matrix(so1).commutator(model.so_matrix(so2)))
-            comm_r = model.r.coordinates(
-                model.r_matrix(r1).commutator(model.r_matrix(r2)))
-            if comm_r is None or not env.contains(tuple(comm_so) +
-                                                  tuple(comm_r)):
-                is_subalg = False
-                break
-        if not is_subalg:
-            break
-    preserves_sp = True
-    for so1, r1 in elems:
-        act = model.spin_matrix(so1) + model.r_matrix(r1)
-        for s in Sp.basis_vectors():
-            if not Sp.contains(act.apply(s)):
-                preserves_sp = False
-                break
-        if not preserves_sp:
-            break
-    preserves_cocycle = True
-    for so1, r1 in elems:
-        act = CochainAction(fullco.complex, so1, r1)
-        if not vec_is_zero(act.apply(hat.coeffs)):
-            preserves_cocycle = False
-            break
+    X = env.basis.transpose()
+    is_subalg = coordinate_matrix(
+        env, model.bracket_matrix("a0", "a0", "a0") @ kron(X, X)) is not None
+    preserves_sp = coordinate_matrix(
+        Sp, model.bracket_matrix("a0", "S", "S")
+        @ kron(X, Sp.basis.transpose())) is not None
+    preserves_cocycle = fullco.act(X, hat.cochain.column()).is_zero()
     so_part = env.intersect(Subspace(
         nso + model.dim_r,
         hstack([ExactMatrix.identity(nso),

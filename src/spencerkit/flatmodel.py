@@ -145,10 +145,22 @@ class GradedBracketTensor:
     parities: tuple             # per flat basis index: 0 even, 1 odd
     degrees: Optional[tuple]    # per flat basis index, or None if filtered
     table: dict                 # (i, j) -> {k: Fraction}
+    _matrix: Optional[ExactMatrix] = field(default=None, init=False,
+                                           repr=False, compare=False)
 
     @property
     def total_dim(self) -> int:
         return sum(self.component_dims)
+
+    def matrix(self) -> ExactMatrix:
+        """The table as one n x n^2 matrix M with [x, y] = M (x (x) y): its
+        column i n + j holds [x_i, x_j].  Built on first use and kept."""
+        if self._matrix is None:
+            n = self.total_dim
+            self._matrix = ExactMatrix(n, n * n, [
+                (k, i * n + j, c) for (i, j), row in self.table.items()
+                for k, c in row.items()])
+        return self._matrix
 
     def offsets(self) -> tuple:
         out = []
@@ -160,30 +172,6 @@ class GradedBracketTensor:
 
     def bracket(self, i: int, j: int) -> dict:
         return self.table.get((i, j), {})
-
-    def vec_bracket(self, v: dict, k: int) -> dict:
-        """[v, x_k] for a sparse coefficient vector v."""
-        out: dict = {}
-        for i, c in v.items():
-            _add_scaled(out, self.bracket(i, k), c)
-        return out
-
-    def bracket_of(self, x: dict, y: dict) -> dict:
-        """[x, y] for sparse coefficient vectors x and y."""
-        out: dict = {}
-        for j, c in y.items():
-            _add_scaled(out, self.vec_bracket(x, j), c)
-        return out
-
-
-def _add_scaled(out: dict, v: dict, c: Fraction) -> None:
-    """out += c v on sparse vectors, dropping the entries that cancel."""
-    for k, w in v.items():
-        t = out.get(k, Fraction(0)) + c * w
-        if t:
-            out[k] = t
-        elif k in out:
-            del out[k]
 
 
 def _accumulate(acc: dict, coeffs: dict, rows: dict, scale: int) -> None:
@@ -301,6 +289,8 @@ class ExtendedFlatModel:
         self.dim_r = r.dim
         self.odd_spinors = current.symmetry == "symmetric"
         self.tensor = self._build_tensor()
+        # the blocks of the bracket read by bracket_matrix, each built once
+        self._bracket_blocks: dict = {}
         # Spencer complexes of this model's subalgebras, each built once by
         # spencer.spencer_complex; the pipeline drops them at the end of a
         # run, all but the full model's degree-2 complex, which it keeps with
@@ -389,6 +379,31 @@ class ExtendedFlatModel:
             component_names=("V", "S", "so", "r"),
             component_dims=(nv, ns, nso, nr),
             parities=parities, degrees=degrees, table=table)
+
+    # -- basis tables --------------------------------------------------------
+
+    def _part(self, name: str) -> range:
+        """The flat indices of a component: V, S or a0 = so(V) + r (so(V)
+        coordinates then r coordinates)."""
+        return {"V": range(self.off_v, self.off_s),
+                "S": range(self.off_s, self.off_so),
+                "a0": range(self.off_so, self.total_dim)}[name]
+
+    def bracket_matrix(self, left: str, right: str, out: str) -> ExactMatrix:
+        """The bracket of the components `left` x `right`, projected to
+        `out`, as one matrix M: [x, y] = M (x (x) y), with x, y and [x, y] in
+        the components' coordinates (see _part).  ("a0", "a0", "a0") is the
+        structure-constant table B of so(V) + r, ("a0", "V", "V") and
+        ("a0", "S", "S") are its actions.  Read off the structure constants
+        on first use and kept on the model."""
+        key = (left, right, out)
+        if key not in self._bracket_blocks:
+            n = self.total_dim
+            rows, cols = self._part(left), self._part(right)
+            self._bracket_blocks[key] = self.tensor.matrix().select_rows(
+                self._part(out)).select_columns(
+                    [i * n + j for i in rows for j in cols])
+        return self._bracket_blocks[key]
 
     # -- actions -------------------------------------------------------------
 
@@ -509,6 +524,12 @@ class GradedSubalgebra:
         """The h and r' coordinates of the Lie generators, h then r'."""
         return ([self.h.basis.row_tuple(k) for k in self.h_generators],
                 [self.rp.basis.row_tuple(k) for k in self.rp_generators])
+
+    def a0_basis(self) -> ExactMatrix:
+        """The h-basis then the r'-basis as the columns of one matrix, in
+        so(V) + r coordinates."""
+        return block_diag([self.h.basis.transpose(),
+                           self.rp.basis.transpose()])
 
     def maximal(self) -> bool:
         return (self.Sp.dim == self.model.dim_s

@@ -3,7 +3,9 @@
 Stages run in a fixed dependency order; a stage that returns a mathematical
 negative (for example an inadmissible class) short-circuits the run, and no
 later-stage data is emitted.  Reports are canonical JSON, byte-identical for
-identical (config, version); wall-clock timing goes to stderr only.
+identical (config, version).  The pipeline writes nothing: each stage's
+status and wall-clock time go to the caller's `on_stage`, never into the
+report.
 
 The objects that depend only on the signature, N and the Dirac current (the
 current, the Schur and R-symmetry algebras, the extended flat model and its
@@ -14,7 +16,6 @@ empties the slot first, and `clear_kept_model` empties it on request.
 
 from __future__ import annotations
 
-import sys
 import time
 
 from . import BASIS_VERSION, __version__
@@ -187,8 +188,9 @@ class _Negative(Exception):
         self.data = data
 
 
-def run_pipeline(config: dict) -> dict:
-    """Execute the requested stage prefix and assemble the report."""
+def run_pipeline(config: dict, on_stage=None) -> dict:
+    """Execute the requested stage prefix and assemble the report.  After
+    each stage, `on_stage(name, status, seconds)` is called when given."""
     config = validate_config(config)
     key = _signature_key(config)
     if _KEPT.get("key") != key:
@@ -212,8 +214,8 @@ def run_pipeline(config: dict) -> dict:
                 raise
             except SpencerKitError as err:
                 raise StageError(name, err) from err
-            print(f"[spencerkit] stage {name}: {status} "
-                  f"({time.monotonic() - t0:.2f}s)", file=sys.stderr)
+            if on_stage is not None:
+                on_stage(name, status, time.monotonic() - t0)
             stages.append({"name": name, "status": status, "data": data})
             if status == "negative":
                 result = "negative"

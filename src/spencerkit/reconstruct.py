@@ -4,15 +4,14 @@ equivariance, and the curvature values at the origin."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .deform import FilteredDeformation
+from .deform import FilteredDeformation, column_tuples, first_nonzero_column
 from .errors import (CurvatureMismatch, EquivarianceViolation,
                      TorsionViolation)
-from .exactla import (ExactMatrix, basis_vec, hstack, rat_str, vec_add,
-                      vec_is_zero, vec_scale, vstack, zero_vec)
+from .exactla import ExactMatrix, hstack, kron, rat_str, vec_is_zero
 
 UNCHECKED_HYPOTHESES = ("G0 simply connected", "K closed", "R' closed")
 
@@ -23,63 +22,33 @@ class NomizuMap:
     connection: v + A + a  |->  (A + lambda1(v), a + lambda2(v))."""
     deformation: FilteredDeformation
     matrix: ExactMatrix   # (dim so + dim r) x (dim V + dim h + dim r')
-    _basis_mats: Optional[tuple] = field(default=None, init=False,
-                                         repr=False, compare=False)
 
     def apply(self, coords: Sequence[Fraction]) -> tuple:
         return self.matrix.apply(coords)
 
-    def basis_matrices(self, x: int) -> tuple:
-        """(so(V) matrix on V, r matrix on S) of Phi(x_x) for the x-th even
-        basis vector, built once per basis vector and kept."""
-        if self._basis_mats is None:
-            model = self.deformation.subalgebra.model
-            nso = model.dim_so
-            self._basis_mats = tuple(
-                (model.so_matrix(phi[:nso]), model.r_matrix(phi[nso:]))
-                for phi in (self.matrix.transpose().row_tuple(k)
-                            for k in range(self.matrix.cols)))
-        return self._basis_mats[x]
 
-
-def _even_basis_layout(deformation: FilteredDeformation):
-    """(dim V, dim h, dim r') and the flat offsets of the even part within
-    the deformation basis."""
+def _even_brackets(deformation: FilteredDeformation) -> ExactMatrix:
+    """The bracket of g0 = V + h + r' as one matrix: column x d + y holds
+    [x_x, x_y] in (V | h | r') coordinates, for d = dim g0."""
     n, nsp, dh, dr = deformation.tensor.component_dims
-    return n, dh, dr, nsp
-
-
-def _even_bracket(deformation: FilteredDeformation, x: Sequence[Fraction],
-                  y: Sequence[Fraction]) -> tuple:
-    """Bracket of two even elements given in (V | h | r') coordinates."""
-    n, dh, dr, nsp = _even_basis_layout(deformation)
+    total = deformation.tensor.total_dim
     # the even coordinates sit at V, then h and r' after S' in the tensor
-    flat = [*range(n), *range(n + nsp, n + nsp + dh + dr)]
-    value = deformation.tensor.bracket_of(
-        {k: c for k, c in zip(flat, x) if c},
-        {k: c for k, c in zip(flat, y) if c})
-    if any(n <= k < n + nsp for k in value):
+    even = [*range(n), *range(n + nsp, total)]
+    table = deformation.tensor.matrix().select_columns(
+        [x * total + y for x in even for y in even])
+    if not table.select_rows(range(n, n + nsp)).is_zero():
         raise CurvatureMismatch("even-even bracket has an odd component")
-    return tuple(value.get(k, Fraction(0)) for k in flat)
+    return table.select_rows(even)
 
 
 def build_nomizu_map(deformation: FilteredDeformation) -> NomizuMap:
     """Assemble the Nomizu map and verify all three defining properties
     exactly: restriction to h + r' is the inclusion, equivariance under the
     isotropy algebra, and the torsion-free criterion."""
-    datum = deformation.datum
     sub = deformation.subalgebra
-    model = sub.model
-    n, dh, dr, _ = _even_basis_layout(deformation)
-    nso, nr = model.dim_so, model.dim_r
-    # columns: lambda1(e_b) over lambda2(e_b), then h, then r'
-    lam1 = ExactMatrix.from_columns([datum.lam1_coords(b) for b in range(n)],
-                                    nso)
-    lam2 = ExactMatrix.from_columns([datum.lam2_coords(b) for b in range(n)],
-                                    nr)
-    nomizu = NomizuMap(deformation=deformation, matrix=vstack([
-        hstack([lam1, sub.h.basis.transpose(), ExactMatrix(nso, dr)]),
-        hstack([lam2, ExactMatrix(nr, dh), sub.rp.basis.transpose()])]))
+    # columns: lambda(e_b), then the h-basis and the r'-basis in so(V) + r
+    nomizu = NomizuMap(deformation=deformation, matrix=hstack([
+        deformation.datum.lam_matrix(), sub.a0_basis()]))
     _verify_inclusion(nomizu)
     _verify_equivariance(nomizu)
     _verify_torsion_free(nomizu)
@@ -88,65 +57,65 @@ def build_nomizu_map(deformation: FilteredDeformation) -> NomizuMap:
 
 def _verify_inclusion(nomizu: NomizuMap) -> None:
     sub = nomizu.deformation.subalgebra
-    n, dh, dr, _ = _even_basis_layout(nomizu.deformation)
-    dim = n + dh + dr
-    for k in range(dh):
-        want = tuple(sub.h.basis.row_tuple(k)) + zero_vec(sub.model.dim_r)
-        if nomizu.apply(basis_vec(dim, n + k)) != want:
-            raise EquivarianceViolation("restriction to h is not the "
-                                        "inclusion")
-    for p in range(dr):
-        want = zero_vec(sub.model.dim_so) + tuple(sub.rp.basis.row_tuple(p))
-        if nomizu.apply(basis_vec(dim, n + dh + p)) != want:
-            raise EquivarianceViolation("restriction to r' is not the "
-                                        "inclusion")
+    n, _, dh, dr = nomizu.deformation.tensor.component_dims
+    phi, a0 = nomizu.matrix, sub.a0_basis()
+    if phi.select_columns(range(n, n + dh)) != \
+            a0.select_columns(range(dh)):
+        raise EquivarianceViolation("restriction to h is not the "
+                                    "inclusion")
+    if phi.select_columns(range(n + dh, n + dh + dr)) != \
+            a0.select_columns(range(dh, dh + dr)):
+        raise EquivarianceViolation("restriction to r' is not the "
+                                    "inclusion")
+
+
+def _wang(nomizu: NomizuMap, left: ExactMatrix) -> ExactMatrix:
+    """[Phi x, Phi y] - Phi([x, y]) for x over the columns of `left`, a
+    matrix of g0 vectors, and y over the basis of g0: column a d + y, for
+    d = dim g0.  With x in the isotropy algebra it is the equivariance
+    defect of Phi, and with x, y horizontal the curvature at the origin."""
+    model = nomizu.deformation.subalgebra.model
+    phi = nomizu.matrix
+    return model.bracket_matrix("a0", "a0", "a0") @ kron(phi @ left, phi) \
+        - phi @ _even_brackets(nomizu.deformation) @ kron(
+            left, ExactMatrix.identity(phi.cols))
 
 
 def _verify_equivariance(nomizu: NomizuMap) -> None:
-    """Phi(ad_X y) = ad_{Phi X} Phi(y) for X in the isotropy algebra."""
-    deformation = nomizu.deformation
-    sub = deformation.subalgebra
-    model = sub.model
-    n, dh, dr, _ = _even_basis_layout(deformation)
-    dim = n + dh + dr
-    for a in range(n, dim):
-        actor = basis_vec(dim, a)
-        a_so, a_r = nomizu.basis_matrices(a)
-        for x in range(dim):
-            lhs = nomizu.apply(_even_bracket(deformation, actor,
-                                             basis_vec(dim, x)))
-            x_so, x_r = nomizu.basis_matrices(x)
-            rhs_so = model.gens.so_coordinates(a_so.commutator(x_so))
-            rhs_r = model.r.coordinates(a_r.commutator(x_r))
-            if rhs_r is None:
-                raise EquivarianceViolation("commutator leaves the "
-                                            "R-symmetry algebra")
-            if tuple(lhs) != tuple(rhs_so) + tuple(rhs_r):
-                raise EquivarianceViolation(
-                    f"Nomizu map is not equivariant at generator {actor}")
+    """Phi(ad_X y) = ad_{Phi X} Phi(y) for X in the isotropy algebra, on
+    every basis pair with one product."""
+    n = nomizu.deformation.tensor.component_dims[0]
+    dim = nomizu.matrix.cols
+    isotropy = ExactMatrix.identity(dim).select_columns(range(n, dim))
+    bad = first_nonzero_column(_wang(nomizu, isotropy))
+    if bad is not None:
+        raise EquivarianceViolation(f"Nomizu map is not equivariant at "
+                                    f"generator {n + bad // dim}")
 
 
 def _verify_torsion_free(nomizu: NomizuMap) -> None:
     """pr_so(Phi X).Ybar - pr_so(Phi Y).Xbar - [X,Y]bar = 0, on the basis
     pairs x < y: the left side is antisymmetric in (X, Y), since the
-    bracket's super-antisymmetry is certified by its Jacobi check."""
+    bracket's super-antisymmetry is certified by its Jacobi check.  The r
+    part of Phi acts trivially on V, so each term is one product with the
+    action of so(V) + r on V."""
     deformation = nomizu.deformation
-    n, dh, dr, _ = _even_basis_layout(deformation)
-    dim = n + dh + dr
-    for x in range(dim):
-        xvec = basis_vec(dim, x)
-        xbar = xvec[:n]
-        mx = nomizu.basis_matrices(x)[0]
-        for y in range(x + 1, dim):
-            yvec = basis_vec(dim, y)
-            my = nomizu.basis_matrices(y)[0]
-            val = vec_add(mx.apply(yvec[:n]),
-                          vec_scale(my.apply(xbar), -1))
-            bracket_bar = _even_bracket(deformation, xvec, yvec)[:n]
-            val = tuple(a - b for a, b in zip(val, bracket_bar))
-            if not vec_is_zero(val):
-                raise TorsionViolation(
-                    f"torsion-free criterion fails at basis pair ({x},{y})")
+    model = deformation.subalgebra.model
+    n = deformation.tensor.component_dims[0]
+    phi = nomizu.matrix
+    dim = phi.cols
+    # X -> Xbar, the V part
+    bar = ExactMatrix.identity(dim).select_rows(range(n))
+    # column x d + y: [Phi x, ybar] + [xbar, Phi y] - [x, y]bar
+    torsion = model.bracket_matrix("a0", "V", "V") @ kron(phi, bar) + \
+        model.bracket_matrix("V", "a0", "V") @ kron(bar, phi) - \
+        bar @ _even_brackets(deformation)
+    pairs = [(x, y) for x in range(dim) for y in range(x + 1, dim)]
+    bad = first_nonzero_column(torsion.select_columns(
+        [x * dim + y for x, y in pairs]))
+    if bad is not None:
+        raise TorsionViolation("torsion-free criterion fails at basis pair "
+                               "({},{})".format(*pairs[bad]))
 
 
 @dataclass
@@ -179,46 +148,30 @@ def curvature_at_origin(deformation: FilteredDeformation,
       = sum_cyc P(X).[Y, Z]bar - P([Y, Z]).Xbar
       = -(sum_cyc [[X, Y], Z])bar,
     which is 0 by the Jacobi identity certified on the deformed bracket."""
-    sub = deformation.subalgebra
-    model = sub.model
+    model = deformation.subalgebra.model
     theta = deformation.theta
-    n, dh, dr, _ = _even_basis_layout(deformation)
-    dim = n + dh + dr
+    n = deformation.tensor.component_dims[0]
+    dim = nomizu.matrix.cols
     nso = model.dim_so
-
-    def wang(x, y):
-        (x_so, x_r), (y_so, y_r) = (nomizu.basis_matrices(x),
-                                    nomizu.basis_matrices(y))
-        so_comm = model.gens.so_coordinates(x_so.commutator(y_so))
-        r_comm = model.r.coordinates(x_r.commutator(y_r))
-        if r_comm is None:
-            raise CurvatureMismatch("commutator leaves the R-symmetry "
-                                    "algebra")
-        phi_br = nomizu.apply(_even_bracket(deformation, basis_vec(dim, x),
-                                            basis_vec(dim, y)))
-        return (tuple(a - b for a, b in zip(so_comm, phi_br[:nso])),
-                tuple(a - b for a, b in zip(r_comm, phi_br[nso:])))
-
-    R0 = [[zero_vec(nso) for _ in range(n)] for _ in range(n)]
-    F0 = [[zero_vec(model.dim_r) for _ in range(n)] for _ in range(n)]
-    for b in range(n):
-        for c in range(n):
-            got_so, got_r = wang(b, c)
-            want_so = vec_scale(theta.theta1[b][c], -1)
-            want_r = vec_scale(theta.theta2[b][c], -1)
-            if got_so != tuple(want_so) or got_r != tuple(want_r):
-                raise CurvatureMismatch(
-                    f"Wang curvature differs from -theta at pair ({b},{c})")
-            R0[b][c] = got_so
-            F0[b][c] = got_r
+    curvature = _wang(nomizu, ExactMatrix.identity(dim))
+    # horizontal pairs: R0 and F0, asserted equal to -theta
+    horizontal = curvature.select_columns([b * dim + c for b in range(n)
+                                           for c in range(n)])
+    bad = first_nonzero_column(horizontal + theta.matrix())
+    if bad is not None:
+        raise CurvatureMismatch("Wang curvature differs from -theta at pair "
+                                f"({bad // n},{bad % n})")
     # vertical and mixed pairs must be flat
-    for x in range(dim):
-        for y in range(n, dim):
-            got_so, got_r = wang(x, y)
-            if not (vec_is_zero(got_so) and vec_is_zero(got_r)):
-                raise CurvatureMismatch(
-                    f"curvature does not vanish on vertical pair ({x},{y})")
-    return CurvatureAtOrigin(R0=R0, F0=F0)
+    vertical = [(x, y) for x in range(dim) for y in range(n, dim)]
+    bad = first_nonzero_column(curvature.select_columns(
+        [x * dim + y for x, y in vertical]))
+    if bad is not None:
+        raise CurvatureMismatch("curvature does not vanish on vertical pair "
+                                "({},{})".format(*vertical[bad]))
+    cols = column_tuples(horizontal)
+    return CurvatureAtOrigin(
+        R0=[[cols[b * n + c][:nso] for c in range(n)] for b in range(n)],
+        F0=[[cols[b * n + c][nso:] for c in range(n)] for b in range(n)])
 
 
 def reconstruction_certificate(deformation: FilteredDeformation,

@@ -28,8 +28,7 @@ from .exactla import (AffineSolver, ExactMatrix, NoSolution, Subspace,
                       block_diag, cyclic_embedding, flatten_columns,
                       hom_apply, hstack, kron, lincomb, pair_action,
                       pair_embedding, pair_map, solve_affine,
-                      tensor_index_maps, vec_is_zero, vec_scale, vstack,
-                      zero_vec)
+                      tensor_index_maps, vec_is_zero, vstack, zero_vec)
 from .flatmodel import (ExtendedFlatModel, GradedSubalgebra, full_subalgebra)
 
 
@@ -63,6 +62,19 @@ class CochainLayout:
     def indices(self, *names: str) -> list:
         """The coordinates of the named blocks, block after block."""
         return [i for name in names for i in range(*self.block_slice(name))]
+
+    def values(self, name: str, cochains: ExactMatrix) -> ExactMatrix:
+        """The block `name` of each column of `cochains` read as a target x
+        source matrix, the columns' blocks interleaved: column s C + c holds
+        the value of the c-th cochain on the s-th source basis element, for
+        C = cochains.cols."""
+        src, tgt = self.sizes[name]
+        lo = self.offsets[name]
+        if not src:
+            return ExactMatrix(tgt, 0)
+        return hstack([cochains.select_rows(range(lo + s * tgt,
+                                                  lo + (s + 1) * tgt))
+                       for s in range(src)])
 
 
 # ---------------------------------------------------------------------------
@@ -262,18 +274,28 @@ _CLOSURE = ("{} leaves the coefficient module; subalgebra closure must have "
             "been violated")
 
 
-def _coordinate_matrix(space: Subspace, images: ExactMatrix, message: str,
-                       stack: int = 1) -> ExactMatrix:
+def coordinate_matrix(space: Subspace, images: ExactMatrix,
+                      stack: int = 1) -> Optional[ExactMatrix]:
     """The coordinates in `space` of the columns of `images`, each column
-    `stack` ambient vectors one after the other, in the same layout.  Against
-    the RREF basis the coordinates are the entries at its pivot columns, and
-    one product with the basis certifies all of them: raises
-    DimensionMismatch(message) if a vector leaves `space`."""
+    `stack` ambient vectors one after the other, in the same layout, or None
+    when a vector leaves `space`.  Against the RREF basis the coordinates
+    are the entries at its pivot columns, and one product with the basis
+    certifies all of them."""
     amb, pivots = space.ambient_dim, space.basis.pivot_columns()
     coords = images.select_rows([k * amb + p for k in range(stack)
                                  for p in pivots])
     if kron(ExactMatrix.identity(stack),
             space.basis.transpose()) @ coords != images:
+        return None
+    return coords
+
+
+def _coordinate_matrix(space: Subspace, images: ExactMatrix, message: str,
+                       stack: int = 1) -> ExactMatrix:
+    """coordinate_matrix, raising DimensionMismatch(message) if a vector
+    leaves `space`."""
+    coords = coordinate_matrix(space, images, stack)
+    if coords is None:
         raise DimensionMismatch(message)
     return coords
 
@@ -468,49 +490,10 @@ class Cochain22:
             raise DimensionMismatch("coefficient vector has the wrong length")
         self.cx = cx
         self.coeffs = tuple(coeffs)
-        self._lay = cx.layouts[2]
 
-    def _tgt(self, name: str, src: int, dim: int) -> tuple:
-        lay = self._lay
-        off = lay.index(name, src, 0)
-        return tuple(self.coeffs[off:off + dim])
-
-    def alpha(self, a: int, b: int) -> tuple:
-        """alpha(v_a, v_b) in Wv coordinates (source basis indices)."""
-        if a == b:
-            return zero_vec(self.cx.dWv)
-        if a < b:
-            return self._tgt("alpha", self.cx.w2v.index(a, b), self.cx.dWv)
-        return vec_scale(self._tgt("alpha", self.cx.w2v.index(b, a),
-                                   self.cx.dWv), -1)
-
-    def beta(self, a: int, i: int) -> tuple:
-        return self._tgt("beta", a * self.cx.nsp + i, self.cx.dWs)
-
-    def gamma_pair(self, i: int, j: int) -> tuple:
-        return self._tgt("gamma", self.cx.s2.index(i, j), self.cx.dWso)
-
-    def rho_pair(self, i: int, j: int) -> tuple:
-        return self._tgt("rho", self.cx.s2.index(i, j), self.cx.dWr)
-
-    # bilinear evaluations on source-coordinate vectors
-    def beta_vec(self, vcoords: Sequence[Fraction],
-                 scoords: Sequence[Fraction]) -> tuple:
-        return lincomb(((cv * cs, self.beta(a, i))
-                        for a, cv in enumerate(vcoords) if cv
-                        for i, cs in enumerate(scoords) if cs), self.cx.dWs)
-
-    def gamma_vec(self, x: Sequence[Fraction],
-                  y: Sequence[Fraction]) -> tuple:
-        return self._sym_eval(self.gamma_pair, self.cx.dWso, x, y)
-
-    def rho_vec(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> tuple:
-        return self._sym_eval(self.rho_pair, self.cx.dWr, x, y)
-
-    def _sym_eval(self, pair_fn, dim, x, y) -> tuple:
-        return lincomb(((ci * cj, pair_fn(i, j))
-                        for i, ci in enumerate(x) if ci
-                        for j, cj in enumerate(y) if cj), dim)
+    def column(self) -> ExactMatrix:
+        """The coefficients as a one-column matrix."""
+        return ExactMatrix.from_columns([self.coeffs], len(self.coeffs))
 
     def is_cocycle(self) -> bool:
         image = self.cx.differentials[2].apply(self.coeffs)
@@ -758,25 +741,37 @@ class FullModelCohomology:
         return self._invariant[key]
 
     def _invariant_normalised(self, h_gens, rp_gens) -> Subspace:
-        cx = self.complex
-        lay = cx.layouts[2]
+        lay = self.complex.layouts[2]
         basis = self.normalised_space
-        if basis.dim == 0:
+        actors = [tuple(h) + zero_vec(self.model.dim_r) for h in h_gens] + \
+                 [zero_vec(self.model.dim_so) + tuple(r) for r in rp_gens]
+        if basis.dim == 0 or not actors:
             return basis
-        actors = [(h, zero_vec(self.model.dim_r)) for h in h_gens] + \
-                 [(zero_vec(self.model.dim_so), r) for r in rp_gens]
-        if not actors:
-            return basis
-        picked = lay.indices("beta", "rho")
-        ops = [CochainAction(cx, so_c, r_c) for so_c, r_c in actors]
-        columns = basis.basis.transpose()
-        # the beta and rho rows of the action on each basis vector
-        kernel = vstack([op.apply_many(columns).select_rows(picked)
-                         for op in ops]).kernel()
-        basis_vecs = basis.basis_vectors()
-        return Subspace.from_vectors(lay.dim, [
-            lincomb(zip(kernel.basis.row_tuple(k), basis_vecs), lay.dim)
-            for k in range(kernel.dim)])
+        dim = basis.dim
+        # the beta and rho rows of each actor on every basis vector, the
+        # actors' blocks stacked
+        moved = self.act(
+            ExactMatrix.from_columns(actors, len(actors[0])),
+            basis.basis.transpose()).select_rows(lay.indices("beta", "rho"))
+        kernel = vstack([moved.select_columns(range(a * dim, (a + 1) * dim))
+                         for a in range(len(actors))]).kernel()
+        return Subspace(lay.dim, (kernel.basis @ basis.basis).rref())
+
+    def act(self, X: ExactMatrix, cochains: ExactMatrix) -> ExactMatrix:
+        """x_a . phi_c on C^{2,2} of the full complex, at column a C + c,
+        for the columns x_a of X (so(V) then r coordinates) and the C
+        columns phi_c of `cochains`.  The full subalgebra's basis is the
+        unit one, so each x_a combines the basis operators of
+        subalgebra_actions with its coordinates: each operator needed is
+        applied to all of `cochains` at once, and one whose coefficient is
+        zero in every x_a is neither built nor applied."""
+        cx = self.complex
+        used = [k for k in range(X.rows) if not X.select_rows([k]).is_zero()]
+        if not used:
+            return ExactMatrix(cx.layouts[2].dim, X.cols * cochains.cols)
+        moved = hstack([op.apply_many(cochains) for op in _actions(cx, used)])
+        return moved @ kron(X.select_rows(used),
+                            ExactMatrix.identity(cochains.cols))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
+from pairwise_oracles import lam_matrices
 from spencerkit.certs import Certificate, ProbeReport
 from spencerkit.cliffspin import _M64, Signature, _splitmix64, \
     build_clifford_rep, build_dirac_current, spin_generators
@@ -16,7 +17,7 @@ from spencerkit.deform import _gauge_shift, check_admissibility, \
 from spencerkit.errors import DimensionMismatch, NotClosed
 from spencerkit.exactla import AffineSolver, ExactMatrix, Subspace, \
     basis_vec, hstack, rat_str, vec_add, vec_is_zero, zero_vec
-from spencerkit.flatmodel import EndoSubalgebra, _add_scaled, _stabiliser, \
+from spencerkit.flatmodel import EndoSubalgebra, _stabiliser, \
     build_extended_flat_model, full_subalgebra, jacobi_triples, \
     make_graded_subalgebra, random_subspace, stabiliser_in_so
 from spencerkit.spencer import FullModelCohomology, inclusion_matrix, \
@@ -253,8 +254,8 @@ def implied_identity_failures(datum, theta):
         a.commutator(tables[1][b][c]).is_zero()
         for a in sub.rp_mats for b, c in pairs)
     # lambda(e_a) acts on V and theta1 by lambda1, on theta2 by lambda2
-    lam = [(datum.lam1_matrix(a),) * 2 + (datum.lam2_matrix(a),)
-           for a in range(n)]
+    lam = [(on_v, on_v, r_on_s) for on_v, _, r_on_s in
+           (lam_matrices(datum, a) for a in range(n))]
     lam_bianchi = all(
         (act(k, lam[a][0], lam[a][k + 1], b, c)
          + act(k, lam[b][0], lam[b][k + 1], c, a)
@@ -266,11 +267,29 @@ def implied_identity_failures(datum, theta):
         ("lambda_bianchi", lam_bianchi)) if not holds]
 
 
+def add_scaled(out, v, c):
+    """out += c v on sparse vectors, dropping the entries that cancel."""
+    for k, w in v.items():
+        t = out.get(k, Fraction(0)) + c * w
+        if t:
+            out[k] = t
+        elif k in out:
+            del out[k]
+
+
 def bracket_vec(tensor, i, v):
     """[x_i, v] for a sparse rational coefficient vector v."""
     out = {}
     for j, c in v.items():
-        _add_scaled(out, tensor.bracket(i, j), c)
+        add_scaled(out, tensor.bracket(i, j), c)
+    return out
+
+
+def vec_bracket(tensor, v, k):
+    """[v, x_k] for a sparse rational coefficient vector v."""
+    out = {}
+    for i, c in v.items():
+        add_scaled(out, tensor.bracket(i, k), c)
     return out
 
 
@@ -306,8 +325,8 @@ def fraction_jacobi_check(tensor):
     for i, j, k in jacobi_triples(par):
         sgn = -1 if (par[i] * par[j]) % 2 else 1
         acc = bracket_vec(tensor, i, tensor.bracket(j, k))
-        _add_scaled(acc, tensor.vec_bracket(tensor.bracket(i, j), k), -1)
-        _add_scaled(acc, bracket_vec(tensor, j, tensor.bracket(i, k)), -sgn)
+        add_scaled(acc, vec_bracket(tensor, tensor.bracket(i, j), k), -1)
+        add_scaled(acc, bracket_vec(tensor, j, tensor.bracket(i, k)), -sgn)
         if acc:
             t = sorted(acc)[0]
             return Certificate(

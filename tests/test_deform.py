@@ -10,6 +10,7 @@ from instances import (GRID, admissible_cocycles_from_invariant,
                        get_full_subalgebra, get_fullco, get_model,
                        get_sampled_subalgebra, implied_identity_failures,
                        invariant_basis, kappa_value, representatives)
+from pairwise_oracles import lam2_coords
 from spencerkit.deform import (AdmissibleDatum, NotAdmissible,
                                _certify_delta, _check_assoc_graded,
                                _deformed_bracket, _delta_cochains,
@@ -138,6 +139,34 @@ class TestAdmissibility:
             Subspace.full(3), Subspace.trivial(0))
         with pytest.raises(NotHighlySusy):
             check_admissibility(sub, (), get_fullco(2, 1, 1))
+
+    def test_non_transitive_subalgebra_keeps_the_faithful_ideal(self):
+        # d=3, N=5, S' the first three copies of the spinor module, r' its
+        # stabiliser: the rotations of the last two copies act trivially on
+        # S', so r' is replaced by the ideal acting faithfully on it, read
+        # in R-symmetry coordinates; the per-matrix route is the oracle
+        from spencerkit.cliffspin import Signature, build_clifford_rep, \
+            build_dirac_current
+        from spencerkit.deform import ensure_transitive
+        from spencerkit.flatmodel import EndoSubalgebra, \
+            build_extended_flat_model, faithful_split
+        from instances import stabiliser_in_r
+        rep = build_clifford_rep(Signature(2, 1), 5)
+        model = build_extended_flat_model(rep, build_dirac_current(rep))
+        Sp = Subspace.from_vectors(model.dim_s, [basis_vec(model.dim_s, i)
+                                                 for i in range(6)])
+        sub = make_graded_subalgebra(model, Subspace.full(model.dim_v), Sp,
+                                     stabiliser_in_so(model, Sp),
+                                     stabiliser_in_r(model, Sp))
+        assert sub.highly_susy and not sub.transitive
+        replaced, flag = ensure_transitive(sub)
+        assert flag and replaced.transitive
+        rpp, ann = faithful_split(
+            EndoSubalgebra.from_matrices(model.dim_s, sub.rp_mats), Sp)
+        assert ann.dim == sub.rp.dim - rpp.dim > 0
+        assert replaced.rp == Subspace.from_vectors(
+            model.dim_r, [model.r.coordinates(m) for m in rpp.matrices])
+        assert ensure_transitive(replaced) == (replaced, False)
 
     def test_skew_current_rejected(self):
         # the whole Spencer/deformation pipeline is symmetric-current only;
@@ -571,7 +600,7 @@ class TestRealisability:
         assert sub.rp.dim == 1
         shifted = None
         for cand in gauge_shifted_data(datum):
-            if any(not vec_is_zero(cand.lam2_coords(b))
+            if any(not vec_is_zero(lam2_coords(cand, b))
                    for b in range(datum.model.dim_v)):
                 shifted = cand
                 break
@@ -580,7 +609,7 @@ class TestRealisability:
         assert report.realisable
         assert report.witness is not shifted
         for b in range(datum.model.dim_v):
-            assert vec_is_zero(report.witness.lam2_coords(b))
+            assert vec_is_zero(lam2_coords(report.witness, b))
 
 
 class TestGaugeShiftKeepsAdmissibility:

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from instances import GRID, annihilator_in_so, bracket_vec, \
     entrywise_r_symmetry_algebra, entrywise_schur_algebra, \
     fraction_jacobi_check, get_current, get_full_subalgebra, get_model, \
-    get_rep, get_sampled_subalgebra, kappa_value, stabiliser_in_r
+    get_rep, get_sampled_subalgebra, kappa_value, stabiliser_in_r, \
+    vec_bracket
 from spencerkit.cliffspin import Signature, build_clifford_rep, \
     build_dirac_current, spin_generators
 from spencerkit.errors import JacobiViolation, NotClosed, NotCompactForm
@@ -150,8 +151,8 @@ class TestExtendedFlatModel:
         for x in range(total):
             for y in range(total):
                 acc = bracket_vec(tensor, a, tensor.bracket(x, y))
-                for k, v in tensor.vec_bracket(tensor.bracket(a, x),
-                                               y).items():
+                for k, v in vec_bracket(tensor, tensor.bracket(a, x),
+                                        y).items():
                     acc[k] = acc.get(k, Fraction(0)) - v
                 a_y = tensor.bracket(a, y)
                 for k, v in a_y.items():
@@ -450,8 +451,8 @@ def _ordered_jacobi_check(tensor):
             sgn = -1 if par[i] * par[j] else 1
             for k in range(n):
                 acc = bracket_vec(tensor, i, tensor.bracket(j, k))
-                for t, v in tensor.vec_bracket(tensor.bracket(i, j),
-                                               k).items():
+                for t, v in vec_bracket(tensor, tensor.bracket(i, j),
+                                        k).items():
                     acc[t] = acc.get(t, 0) - v
                 for t, v in bracket_vec(tensor, j,
                                         tensor.bracket(i, k)).items():

@@ -545,6 +545,60 @@ class TestCli:
         out.write_text(json.dumps(report))
         assert main(["verify", str(out)]) == 3
 
+    def test_verify_names_the_stage_and_key_that_differ(self, tmp_path,
+                                                        capsys):
+        # one value of the README example's report changed: verify still
+        # exits 3, and names the stage and the key path inside it
+        out = tmp_path / "report.json"
+        path = self._write(tmp_path, dict(README_EXAMPLE,
+                                          output_path=str(out)))
+        assert main(["run", path]) == 0
+        report = json.loads(out.read_text())
+        stage = report["stages"][-1]
+        assert stage["name"] == "reconstruction"
+        stage["data"]["R0"][0][1][0] = "7"
+        out.write_bytes(report_bytes(report))
+        capsys.readouterr()
+        assert main(["verify", str(out)]) == 3
+        assert capsys.readouterr().out == (
+            "verify: FAIL (re-run differs from the stored report at stage "
+            "'reconstruction': data.R0[0][1][0])\n")
+
+    def test_verify_names_a_difference_outside_the_stages(self, tmp_path,
+                                                          capsys):
+        out = tmp_path / "report.json"
+        path = self._write(tmp_path, base_config(output_path=str(out)))
+        assert main(["run", path]) == 0
+        report = json.loads(out.read_text())
+        report["result"] = "negative"
+        out.write_bytes(report_bytes(report))
+        capsys.readouterr()
+        assert main(["verify", str(out)]) == 3
+        assert "at report: result)" in capsys.readouterr().out
+        # the same content written in another layout differs only there
+        out.write_text(json.dumps(json.loads(report_bytes(
+            run_pipeline(base_config(output_path=str(out)))))))
+        assert main(["verify", str(out)]) == 3
+        assert "at formatting only)" in capsys.readouterr().out
+
+    def test_library_runs_are_silent(self, capsys):
+        report = run_pipeline(README_EXAMPLE)
+        assert report["result"] == "pass"
+        assert capsys.readouterr() == ("", "")
+
+    def test_cli_prints_each_stage_with_its_time(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        path = self._write(tmp_path, base_config(output_path=str(out)))
+        assert main(["run", "--no-cache", path]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert [line.split(":")[0] for line in lines[:-1]] == [
+            f"[spencerkit] stage {name}" for name in STAGES]
+        assert all(line.endswith("s)") and ": pass (" in line
+                   for line in lines[:-1])
+        # the seconds never reach the report: its bytes are a library run's
+        assert out.read_bytes() == report_bytes(run_pipeline(
+            base_config(output_path=str(out))))
+
     def test_cohomology_command(self, tmp_path, capsys):
         path = self._write(tmp_path, base_config())
         assert main(["cohomology", path]) == 0

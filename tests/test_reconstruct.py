@@ -66,19 +66,6 @@ class TestNomizuMap:
             assert nomizu.matrix.rows == deformation.subalgebra.model.dim_so \
                 + deformation.subalgebra.model.dim_r
 
-
-    def test_basis_matrices_built_once(self):
-        deformation = realisable_deformations(3, 1, 1)[0]
-        nomizu = build_nomizu_map(deformation)
-        model = deformation.subalgebra.model
-        nso = model.dim_so
-        for x in range(nomizu.matrix.cols):
-            phi = nomizu.apply(basis_vec(nomizu.matrix.cols, x))
-            so_mat, r_mat = nomizu.basis_matrices(x)
-            assert so_mat == model.so_matrix(phi[:nso])
-            assert r_mat == model.r_matrix(phi[nso:])
-            assert nomizu.basis_matrices(x)[0] is so_mat
-
     def test_torsion_detected_on_ordered_pairs(self):
         # lambda1(e_0) moved by E_0: the torsion-free criterion fails, and
         # its witness is a pair x < y
