@@ -158,6 +158,74 @@ def _combination(terms: Iterable[tuple]) -> dict:
     return {j: v for j, v in acc.items() if v}
 
 
+def _null_vectors(rows: Sequence[dict], cols: int) -> list:
+    """Integer vectors spanning {x : M x = 0} for the M with integer rows
+    `rows` (a row's denominator does not change the kernel), from one
+    forward elimination of M^T.  Column j of M enters as a row of M^T
+    tagged with e_j; the row and its tag are reduced together, so the tag
+    is always the combination of M's columns that the row is, and a column
+    that reduces to zero leaves its tag in the kernel.  The order follows
+    M's sparsity: lead positions are M's rows by ascending nonzero count,
+    and columns enter by ascending nonzero count, ties by index both ways."""
+    ranked = sorted((i for i, r in enumerate(rows) if r),
+                    key=lambda i: len(rows[i]))
+    tcols = [dict() for _ in range(cols)]
+    for k, i in enumerate(ranked):
+        for j, v in rows[i].items():
+            tcols[j][k] = v
+    pivots: dict = {}
+    null = []
+    for j in sorted(range(cols), key=lambda j: len(tcols[j])):
+        # the row and its tag are this loop's own until the row is stored
+        # as a pivot, so they are reduced in place
+        row, tag = tcols[j], {j: 1}
+        while row:
+            lead = min(row)
+            piv = pivots.get(lead)
+            if piv is None:
+                pivots[lead] = (row, tag)
+                break
+            prow, ptag = piv
+            a, b = prow[lead], -row[lead]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            _scale_add(row, prow, a, b)
+            _scale_add(tag, ptag, a, b)
+            if a != 1:
+                # scaling is what puts a common factor on the pair
+                _strip_pair(row, tag)
+        else:
+            null.append(tag)
+    return null
+
+
+def _scale_add(row: dict, other: dict, a: int, b: int) -> None:
+    """row <- a*row + b*other, in place, over integer sparse rows."""
+    if a != 1:
+        for c in row:
+            row[c] *= a
+    get = row.get
+    for c, v in other.items():
+        w = get(c, 0) + b * v
+        if w:
+            row[c] = w
+        else:
+            del row[c]
+
+
+def _strip_pair(row: dict, tag: dict) -> None:
+    """Divide both rows, in place, by the content they have in common."""
+    g = 0
+    for part in (row, tag):
+        for v in part.values():
+            g = gcd(g, v)
+            if g == 1:
+                return
+    for part in (row, tag):
+        for c in part:
+            part[c] //= g
+
+
 # ---------------------------------------------------------------------------
 # matrices
 # ---------------------------------------------------------------------------
@@ -169,7 +237,7 @@ class ExactMatrix:
     A row dict is never changed once its matrix is built, so matrices may
     share them."""
 
-    __slots__ = ("rows", "cols", "_rows", "_dens", "_rref")
+    __slots__ = ("rows", "cols", "_rows", "_dens", "_rref", "_kernel")
 
     def __init__(self, rows: int, cols: int,
                  entries: Optional[Iterable[tuple]] = None):
@@ -195,6 +263,7 @@ class ExactMatrix:
         self._rows = data
         self._dens = dens
         self._rref = None
+        self._kernel = None
 
     @classmethod
     def _of(cls, rows: int, cols: int, pairs: list) -> "ExactMatrix":
@@ -206,6 +275,7 @@ class ExactMatrix:
         out._rows = [row for row, _ in pairs]
         out._dens = [den for _, den in pairs]
         out._rref = None
+        out._kernel = None
         return out
 
     @classmethod
@@ -394,11 +464,29 @@ class ExactMatrix:
         return self._rref
 
     def rank(self) -> int:
+        if self._rref is None and self._kernel is not None:
+            # rank-nullity spares an elimination after kernel()
+            return self.cols - self._kernel.dim
         return len(self.pivot_columns())
 
     def kernel(self) -> "Subspace":
-        """Canonical basis of the right kernel {x : Mx = 0}."""
-        rref, pivots, _ = self._rref_data()
+        """Canonical basis of the right kernel {x : Mx = 0}, kept on the
+        matrix.  It is read off the RREF when that is kept, and otherwise
+        comes from one forward elimination of the transpose
+        (`_null_vectors`)."""
+        if self._kernel is None:
+            if self._rref is None:
+                pairs = [(v, 1) for v in _null_vectors(self._rows, self.cols)]
+            else:
+                pairs = self._null_vectors_from_rref()
+            mat = ExactMatrix._of(len(pairs), self.cols, pairs)
+            self._kernel = Subspace(self.cols, mat.rref())
+        return self._kernel
+
+    def _null_vectors_from_rref(self) -> list:
+        """One kernel vector per free column, as (ints, den), off the kept
+        RREF."""
+        rref, pivots, _ = self._rref
         # x_f = 1 on a free column f, and x_pc = -rref[k, f] on the pivot
         # column pc of row k; every entry of row k off pc is on a free column
         hits = {f: [] for f in range(self.cols)}
@@ -415,8 +503,7 @@ class ExactMatrix:
             for pc, v, d in col:
                 vec[pc] = -v * (L // d)
             pairs.append(_normal(vec, L))
-        mat = ExactMatrix._of(len(pairs), self.cols, pairs)
-        return Subspace(self.cols, mat.rref())
+        return pairs
 
     def row_space(self) -> "Subspace":
         return Subspace(self.cols, self.rref())
@@ -790,53 +877,66 @@ class AffineSolver:
         return [None if x is None else tuple(x) for x in out]
 
 
-def hom_apply(blocks: Sequence[tuple], M: ExactMatrix) -> ExactMatrix:
-    """phi -> T phi - phi D on every column of M, with the rows of M cut
+class HomAction:
+    """phi -> T phi - phi D on every column of a matrix whose rows are cut
     into source-major Hom(source, target) blocks, one per (T, D) pair: the
-    product of M with the block diagonal of kron(I, T) - kron(D^T, I),
-    without forming it.  Entry (s, t) of a block is
-    sum_u T[t, u] phi[s, u] - sum_u D[u, s] phi[u, t], a combination of
-    rows of M, summed over the lcm of their denominators.  Only the nonzero
-    rows of M are read: each is scattered to the entries it feeds."""
-    if M.rows != sum(T.rows * D.rows for T, D in blocks):
-        raise DimensionMismatch("hom_apply: rows do not fit the blocks")
-    m_rows, m_dens = M._rows, M._dens
-    pairs = [({}, 1)] * M.rows
-    off = 0
-    for T, D in blocks:
-        nt = T.rows
-        size = D.rows * nt
-        # row t of T is over td[t] and column s of D over dd[s]; t_cols[u]
-        # lists column u of T and d_rows[u] row u of D, as (index, int)
-        Dt = D.transpose()
-        td, dd = T._dens, Dt._dens
-        t_cols = [[] for _ in range(nt)]
-        for t, tn in enumerate(T._rows):
-            for u, c in tn.items():
-                t_cols[u].append((t, c))
-        d_rows = [[] for _ in range(D.rows)]
-        for s, dn in enumerate(Dt._rows):
-            for u, c in dn.items():
-                d_rows[u].append((s, c))
-        # entry (s, t) of the block -> its terms (coefficient, row of M)
-        terms: dict = {}
-        for k in range(off, off + size):
-            if m_rows[k]:
-                a, b = divmod(k - off, nt)
-                # row k is phi[a, b]: phi[s, u] for (s, u) = (a, b) and
-                # phi[u, t] for (u, t) = (a, b)
-                for t, c in t_cols[b]:
-                    terms.setdefault(a * nt + t, []).append((c * dd[a], k))
-                for s, c in d_rows[a]:
-                    terms.setdefault(s * nt + b, []).append((-c * td[b], k))
-        for loc, tl in terms.items():
-            s, t = divmod(loc, nt)
-            L = lcm(*[m_dens[k] for _, k in tl])
-            pairs[off + loc] = _normal(_combination(
-                (c * (L // m_dens[k]), m_rows[k]) for c, k in tl),
-                td[t] * dd[s] * L)
-        off += size
-    return ExactMatrix._of(M.rows, M.cols, pairs)
+    product with the block diagonal of kron(I, T) - kron(D^T, I), without
+    forming it.  The index lists of T and D are built once, here, and every
+    `apply` reads them."""
+
+    __slots__ = ("blocks", "_tables")
+
+    def __init__(self, blocks: Sequence[tuple]):
+        self.blocks = tuple(blocks)
+        tables = []
+        for T, D in self.blocks:
+            # row t of T is over td[t] and column s of D over dd[s]; t_cols[u]
+            # lists column u of T and d_rows[u] row u of D, as (index, int)
+            Dt = D.transpose()
+            t_cols = [[] for _ in range(T.rows)]
+            for t, tn in enumerate(T._rows):
+                for u, c in tn.items():
+                    t_cols[u].append((t, c))
+            d_rows = [[] for _ in range(D.rows)]
+            for s, dn in enumerate(Dt._rows):
+                for u, c in dn.items():
+                    d_rows[u].append((s, c))
+            tables.append((T.rows, D.rows * T.rows, T._dens, Dt._dens,
+                           t_cols, d_rows))
+        self._tables = tuple(tables)
+
+    def apply(self, M: ExactMatrix) -> ExactMatrix:
+        """Entry (s, t) of a block is sum_u T[t, u] phi[s, u] -
+        sum_u D[u, s] phi[u, t], a combination of rows of M, summed over the
+        lcm of their denominators.  Only the nonzero rows of M are read:
+        each is scattered to the entries it feeds."""
+        if M.rows != sum(size for _, size, *_ in self._tables):
+            raise DimensionMismatch("HomAction: rows do not fit the blocks")
+        m_rows, m_dens = M._rows, M._dens
+        pairs = [({}, 1)] * M.rows
+        off = 0
+        for nt, size, td, dd, t_cols, d_rows in self._tables:
+            # entry (s, t) of the block -> its terms (coefficient, row of M)
+            terms: dict = {}
+            for k in range(off, off + size):
+                if m_rows[k]:
+                    a, b = divmod(k - off, nt)
+                    # row k is phi[a, b]: phi[s, u] for (s, u) = (a, b) and
+                    # phi[u, t] for (u, t) = (a, b)
+                    for t, c in t_cols[b]:
+                        terms.setdefault(a * nt + t, []).append((c * dd[a],
+                                                                 k))
+                    for s, c in d_rows[a]:
+                        terms.setdefault(s * nt + b, []).append((-c * td[b],
+                                                                 k))
+            for loc, tl in terms.items():
+                s, t = divmod(loc, nt)
+                L = lcm(*[m_dens[k] for _, k in tl])
+                pairs[off + loc] = _normal(_combination(
+                    (c * (L // m_dens[k]), m_rows[k]) for c, k in tl),
+                    td[t] * dd[s] * L)
+            off += size
+        return ExactMatrix._of(M.rows, M.cols, pairs)
 
 
 def flatten_columns(mats: Sequence[ExactMatrix], rows: int,

@@ -24,11 +24,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (DimensionMismatch, KappaZero, NoEquivariantSplitting,
                      NotHighlySusy, NotSymmetric, OracleMismatch)
-from .exactla import (AffineSolver, ExactMatrix, NoSolution, Subspace,
-                      block_diag, cyclic_embedding, flatten_columns,
-                      hom_apply, hstack, kron, lincomb, pair_action,
-                      pair_embedding, pair_map, solve_affine,
-                      tensor_index_maps, vec_is_zero, vstack, zero_vec)
+from .exactla import (AffineSolver, ExactMatrix, HomAction, NoSolution,
+                      Subspace, block_diag, cyclic_embedding, flatten_columns,
+                      hstack, kron, lincomb, pair_action, pair_embedding,
+                      pair_map, solve_affine, tensor_index_maps, vec_is_zero,
+                      vstack, zero_vec)
 from .flatmodel import (ExtendedFlatModel, GradedSubalgebra, full_subalgebra)
 
 
@@ -363,12 +363,13 @@ class CochainAction:
     acting on V-, S-, so- and r-valued targets by the action, the action,
     the commutator and the commutator respectively.  Each block of the
     layout is a Hom(source, target) block Phi, mapped to T Phi - Phi D for
-    T the action on the target and D the one on the source; `blocks` holds
-    the four (T, D) pairs.  `apply` and `apply_many` use them directly, and
-    `matrix` assembles the full matrix from them.
+    T the action on the target and D the one on the source; `hom` holds
+    the four (T, D) pairs with their index lists, built once.  `apply` and
+    `apply_many` use them directly, and `matrix` assembles the full matrix
+    from them.
     """
 
-    __slots__ = ("layout", "blocks")
+    __slots__ = ("layout", "hom")
 
     def __init__(self, cx: SpencerComplex, so_coords: Sequence[Fraction],
                  r_coords: Sequence[Fraction]):
@@ -414,15 +415,15 @@ class CochainAction:
         on_vs = (kron(srcV, ExactMatrix.identity(cx.nsp)) +
                  kron(ExactMatrix.identity(cx.nvp), srcS))
         on_s2 = pair_action(cx.s2, srcS)
-        self.blocks = ((tgtV, pair_action(cx.w2v, srcV)), (tgtS, on_vs),
-                       (tgtSO, on_s2), (tgtR, on_s2))
+        self.hom = HomAction(((tgtV, pair_action(cx.w2v, srcV)),
+                              (tgtS, on_vs), (tgtSO, on_s2), (tgtR, on_s2)))
 
     def apply_many(self, M: ExactMatrix) -> ExactMatrix:
         """X applied to each column of M."""
         if M.rows != self.layout.dim:
             raise DimensionMismatch("apply_many: columns are not C^{2,2} "
                                     "cochains")
-        return hom_apply(self.blocks, M)
+        return self.hom.apply(M)
 
     def apply(self, vec: Sequence[Fraction]) -> tuple:
         """X.phi for one cochain phi."""
@@ -431,7 +432,7 @@ class CochainAction:
 
     def matrix(self) -> ExactMatrix:
         """The matrix of X on C^{2,2}, assembled with kron."""
-        return block_diag([_hom_action(T, D) for T, D in self.blocks])
+        return block_diag([_hom_action(T, D) for T, D in self.hom.blocks])
 
 
 def cochain_action_matrix(cx: SpencerComplex, so_coords: Sequence[Fraction],

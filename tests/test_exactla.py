@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spencerkit.errors import DimensionMismatch
-from spencerkit.exactla import (AffineSolver, ExactMatrix, NoSolution,
-                                ParticularSolution, Subspace, block_diag,
-                                cyclic_embedding, flatten_columns, hom_apply,
+from spencerkit.exactla import (AffineSolver, ExactMatrix, HomAction,
+                                NoSolution, ParticularSolution, Subspace,
+                                block_diag, cyclic_embedding, flatten_columns,
                                 is_positive_definite, kron, ldlt_pivots,
                                 lincomb, pair_action, pair_embedding,
                                 pair_map, rat, rat_str, solve_affine,
@@ -323,13 +323,13 @@ def test_hom_apply_equals_the_kron_matrix(blocks_and_M):
     matrix = block_diag([kron(ExactMatrix.identity(D.rows), T) -
                          kron(D.transpose(), ExactMatrix.identity(T.rows))
                          for T, D in blocks])
-    assert hom_apply(blocks, M) == matrix @ M
+    assert HomAction(blocks).apply(M) == matrix @ M
 
 
 def test_hom_apply_rejects_rows_that_do_not_fit():
     with pytest.raises(DimensionMismatch):
-        hom_apply([(ExactMatrix.identity(2), ExactMatrix.identity(2))],
-                  ExactMatrix(3, 1))
+        HomAction([(ExactMatrix.identity(2), ExactMatrix.identity(2))]).apply(
+            ExactMatrix(3, 1))
 
 
 @settings(max_examples=50, deadline=None)

@@ -2,7 +2,9 @@
 ints over one denominator, equals the Fraction-storage oracle in
 `fraction_exactla` entrywise, on random rational matrices with negative
 entries, denominators up to 12, and zero rows and columns; and every
-matrix it returns is in the canonical integer form."""
+matrix it returns is in the canonical integer form.  Kernels are checked
+in both orders, before the RREF (one elimination of the transpose) and
+after it (read off the kept RREF)."""
 
 from fractions import Fraction
 from math import gcd
@@ -10,8 +12,8 @@ from math import gcd
 from hypothesis import given, settings, strategies as st
 
 import fraction_exactla as fx
-from spencerkit.exactla import (AffineSolver, ExactMatrix, Subspace,
-                                block_diag, hom_apply, hstack, kron, lincomb,
+from spencerkit.exactla import (AffineSolver, ExactMatrix, HomAction,
+                                Subspace, block_diag, hstack, kron, lincomb,
                                 pair_map, solve_affine, tensor_index_maps,
                                 vstack)
 
@@ -143,11 +145,20 @@ def greedy_rows(oracle):
 
 
 def assert_same_elimination(a, ao):
-    """RREF, pivot columns, kernel and kept row basis equal the oracle's."""
-    assert_same(a.rref(), ao.rref())
-    assert a.pivot_columns() == ao.pivot_columns()
-    assert_same(a.kernel().basis, ao.kernel().basis)
-    assert a.row_basis() == greedy_rows(ao)
+    """RREF, pivot columns, rank, kernel and kept row basis equal the
+    oracle's, in both orders: on a fresh copy of `a` the kernel comes first,
+    from its own elimination of the transpose, and on `a` the RREF comes
+    first and the kernel is read off it."""
+    twin = ExactMatrix.from_rows([a.row_tuple(i) for i in range(a.rows)],
+                                 cols=a.cols)
+    kernel = ao.kernel().basis
+    assert_same(twin.kernel().basis, kernel)
+    for m in (twin, a):
+        assert m.rank() == ao.rank()
+        assert_same(m.rref(), ao.rref())
+        assert m.pivot_columns() == ao.pivot_columns()
+        assert m.row_basis() == greedy_rows(ao)
+        assert_same(m.kernel().basis, kernel)
 
 
 @EXAMPLES
@@ -198,6 +209,52 @@ def test_tall_rref_kernel_and_row_basis(drawn):
     rank, a, ao = drawn
     assert_same_elimination(a, ao)
     assert a.rank() == rank
+
+
+@st.composite
+def with_dependent_columns(draw):
+    """A matrix of up to 14 rows and 12 columns, tall or wide: random
+    columns, with zero columns, scaled copies and sums of two earlier
+    columns among them, in a random order; then zero rows, and each row
+    over a drawn denominator.  The shapes 0 x n and n x 0 and the all-zero
+    matrix are drawn too.  As an ExactMatrix and as the oracle's."""
+    rows, cols = draw(st.integers(0, 14)), draw(st.integers(0, 12))
+    columns = []
+    for _ in range(cols):
+        kind = draw(st.sampled_from(("random", "zero", "scaled", "sum")))
+        if kind == "zero":
+            col = [Fraction(0)] * rows
+        elif kind == "scaled" and columns:
+            q = draw(nonzero)
+            col = [q * x for x in draw(st.sampled_from(columns))]
+        elif kind == "sum" and columns:
+            col = [x + y for x, y in zip(draw(st.sampled_from(columns)),
+                                         draw(st.sampled_from(columns)))]
+        else:
+            col = [draw(entries) for _ in range(rows)]
+        columns.append(col)
+    columns = draw(st.permutations(columns))
+    zero_rows = draw(st.sets(st.integers(0, rows - 1), max_size=3)) \
+        if rows else set()
+    if draw(st.integers(0, 9)) == 0:
+        zero_rows = set(range(rows))
+    data = []
+    for i in range(rows):
+        q = Fraction(1, draw(st.integers(1, 12)))
+        data.append([Fraction(0) if i in zero_rows else q * col[i]
+                     for col in columns])
+    return (ExactMatrix.from_rows(data, cols=cols),
+            fx.FractionMatrix.from_rows(data, cols=cols))
+
+
+@EXAMPLES
+@given(with_dependent_columns())
+def test_kernel_with_dependent_columns(pair):
+    # the kernels of these come from the dependent and zero columns, and
+    # from the columns past the rank of a wide matrix
+    a, ao = pair
+    assert_same_elimination(a, ao)
+    assert a.kernel().dim == a.cols - ao.rank()
 
 
 @EXAMPLES
@@ -273,15 +330,15 @@ def hom_blocks(draw):
 @given(hom_blocks())
 def test_hom_apply(blocks_and_M):
     blocks, (M, Mo) = blocks_and_M
-    assert_same(hom_apply([(T, D) for (T, _), (D, _) in blocks], M),
+    assert_same(HomAction([(T, D) for (T, _), (D, _) in blocks]).apply(M),
                 fx.hom_apply([(To, Do) for (_, To), (_, Do) in blocks], Mo))
 
 
 @settings(max_examples=80, deadline=None)
 @given(hom_blocks(), st.data())
 def test_hom_apply_on_mostly_zero_rows(blocks_and_M, data):
-    # hom_apply reads only the nonzero rows of M: keep at most two of them,
-    # M = 0 included
+    # HomAction.apply reads only the nonzero rows of M: keep at most two of
+    # them, M = 0 included
     blocks, (M, _) = blocks_and_M
     keep = data.draw(st.sets(st.integers(0, M.rows - 1), max_size=2)) \
         if M.rows else set()
@@ -289,7 +346,7 @@ def test_hom_apply_on_mostly_zero_rows(blocks_and_M, data):
             for i in range(M.rows)]
     sparse = ExactMatrix.from_rows(rows, cols=M.cols)
     exact_blocks = [(T, D) for (T, _), (D, _) in blocks]
-    got = hom_apply(exact_blocks, sparse)
+    got = HomAction(exact_blocks).apply(sparse)
     assert_same(got, fx.hom_apply([(To, Do) for (_, To), (_, Do) in blocks],
                                   fx.FractionMatrix.from_rows(rows,
                                                               cols=M.cols)))
