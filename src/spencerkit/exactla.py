@@ -279,6 +279,23 @@ class ExactMatrix:
         return out
 
     @classmethod
+    def from_int_rows(cls, cols: int, pairs: Iterable[tuple]
+                      ) -> "ExactMatrix":
+        """The matrix whose row i is pairs[i] = (ints, den): an int dict
+        with no zero values over a denominator den > 0, brought to canonical
+        form."""
+        pairs = [_normal(row, den) for row, den in pairs]
+        return cls._of(len(pairs), cols, pairs)
+
+    def int_rows(self) -> tuple:
+        """(D, rows): row i is rows[i] / D, for D the lcm of the row
+        denominators and rows[i] an int dict.  A row already over D is the
+        matrix's own dict, which must not be changed."""
+        D = lcm(*self._dens)
+        return D, [r if d == D else {j: v * (D // d) for j, v in r.items()}
+                   for r, d in zip(self._rows, self._dens)]
+
+    @classmethod
     def from_rows(cls, rows_data: Sequence[Sequence[RationalLike]],
                   cols: Optional[int] = None) -> "ExactMatrix":
         nrows = len(rows_data)
@@ -1102,24 +1119,6 @@ def pair_embedding(table: IndexTable) -> ExactMatrix:
     for col, (i, j) in enumerate(table.tuples):
         entries += [(i * n + j, col, 1), (j * n + i, col, swap)]
     return _summed(n * n, table.size, entries)
-
-
-def cyclic_embedding(table3: IndexTable, table2: IndexTable) -> ExactMatrix:
-    """(|table2| * n) x |table3| matrix of
-    (i, j, k) -> e_ij (x) e_k + e_jk (x) e_i + e_ki (x) e_j, with e_ij the
-    table2 coordinate of the pair (signed for wedge tables: e_ki = -e_ik)
-    and e_p (x) e_k at p * n + k.  The tables are sym3 with sym2, or wedge3
-    with wedge2, over the same n."""
-    kinds = (table3.kind, table2.kind)
-    if kinds not in (("sym3", "sym2"), ("wedge3", "wedge2")) or \
-            table3.dims != table2.dims:
-        raise DimensionMismatch("cyclic_embedding expects sym3 with sym2 or "
-                                "wedge3 with wedge2 tables of one size")
-    n = table2.dims[0]
-    entries = [(table2.index(x, y) * n + z, col, table2.sign(x, y))
-               for col, (i, j, k) in enumerate(table3.tuples)
-               for (x, y, z) in ((i, j, k), (j, k, i), (k, i, j))]
-    return _summed(n * table2.size, table3.size, entries)
 
 
 def _summed(rows: int, cols: int, entries) -> ExactMatrix:

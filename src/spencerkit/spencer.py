@@ -14,21 +14,27 @@ coordinate fastest.  Degree-2 blocks:
 Degree-4 blocks: p=2: ("theta_so", wedge2 V'), ("theta_r", wedge2 V');
 p=3: ("vvv", wedge3 V'), ("vvs", wedge2 V' x S'), ("vss_so", V' x sym2 S'),
 ("vss_r", V' x sym2 S').
+
+Each differential is written row by row in that layout, with no Kronecker
+product: a row is one int dict, filled from the index tables and from the
+structure tables of `_precompute` (and kappa(S', .) on the beta-values),
+each scaled once to the lcm of its row denominators, and closed by one
+normalisation, so it is the canonical row of the matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (DimensionMismatch, KappaZero, NoEquivariantSplitting,
                      NotHighlySusy, NotSymmetric, OracleMismatch)
 from .exactla import (AffineSolver, ExactMatrix, HomAction, NoSolution,
-                      Subspace, block_diag, cyclic_embedding, flatten_columns,
-                      hstack, kron, lincomb, pair_action, pair_embedding,
-                      pair_map, solve_affine, tensor_index_maps, vec_is_zero,
-                      vstack, zero_vec)
+                      Subspace, block_diag, flatten_columns, hstack, kron,
+                      lincomb, pair_action, pair_map, solve_affine,
+                      tensor_index_maps, vec_is_zero, vstack, zero_vec)
 from .flatmodel import (ExtendedFlatModel, GradedSubalgebra, full_subalgebra)
 
 
@@ -132,15 +138,14 @@ class SpencerComplex:
     # -- structure matrices ---------------------------------------------------
 
     def _precompute(self):
-        """Set the bases and index tables, and return the structure matrices
-        every differential is built from, each block source-major as in the
-        layouts:
+        """Set the bases and index tables, and return the structure tables
+        every differential is written from, each as ExactMatrix.int_rows
+        gives it, (D, rows) with row i = rows[i] / D, and each certified to
+        stay in its module by _coordinate_matrix:
 
-        K (nvp x |sym2 S'|): column p is kappa(s_I, s_J) in V' coordinates;
-        W = kron(I, K^T) Q (nvp |sym2 S'| x |wedge2 V'|): the source map
-            phi -> phi(v_c, kappa(s_I, s_J)) of a wedge2 V' block;
+        K^T (|sym2 S'| x nvp): row p is kappa(s_I, s_J) in V' coordinates;
         M_V (nvp dWv x dWso): column t is the t-th Wso element acting
-            V' -> Wv;
+            V' -> Wv, row b dWv + x its x-th coordinate on v_b;
         M_S^so (nsp dWs x dWso), M_S^r (nsp dWs x dWr): the same on S' -> Ws.
         """
         sub, model = self.subalgebra, self.model
@@ -155,8 +160,6 @@ class SpencerComplex:
         self.Wr_mats = tuple(map(model.r_matrix, self.Wr.basis_vectors()))
         K = _coordinate_matrix(sub.Vp, sub.kappa_sp,
                                _CLOSURE.format("kappa(S',S')"))
-        W = kron(ExactMatrix.identity(self.nvp), K.transpose()) @ \
-            pair_embedding(self.w2v)
         Vb, Sb = sub.Vp.basis, sub.Sp.basis
 
         def images(basis, mats):  # column t: mats[t] on each basis vector
@@ -170,14 +173,41 @@ class SpencerComplex:
             _CLOSURE.format("h.S'"), self.nsp)
         M_Sr = _coordinate_matrix(self.Ws, images(Sb, self.Wr_mats),
                                   _CLOSURE.format("r'.S'"), self.nsp)
-        return K, W, M_V, M_Sso, M_Sr
+        return tuple(m.int_rows() for m in (K.transpose(), M_V, M_Sso, M_Sr))
+
+    def _wedge_piece(self, K: list, p: int, c: int, off: int, stride: int,
+                     sign: int) -> tuple:
+        """The piece (columns, values) that puts sign phi(v_c, kappa_p) on a
+        wedge2 V' block whose wedge2 index q sits at column off + q stride:
+        K[p] = (a's, values) is kappa_p = sum_a K[p][a] v_a, and
+        phi(v_c, v_a) = +-phi_q for q = {c, a}, + when c < a."""
+        index = self.w2v.index
+        terms = [(off + index(c, a) * stride, v if c < a else -v)
+                 for a, v in zip(*K[p]) if a != c]
+        return (tuple(q for q, _ in terms),
+                tuple(sign * v for _, v in terms))
+
+    def _on_spinors(self, n: int, M_Sso: tuple, M_Sr: tuple,
+                    r_off: int) -> list:
+        """The rows of Phi -> Phi(x_q).s_i for Phi an so-valued block at
+        column 0 plus an r-valued block at column r_off, both on n sources
+        x_q: row (q, i, y) is the y-th Ws coordinate of
+        (Phi_so(x_q) + Phi_r(x_q)).s_i."""
+        L = lcm(M_Sso[0], M_Sr[0])
+        Sso, Sr = _over(L, M_Sso), _over(L, M_Sr)
+        rows = []
+        for q in range(n):
+            for so, r in zip(Sso, Sr):
+                row = dict(_at(q * self.dWso, so))
+                row.update(_at(r_off + q * self.dWr, r))
+                rows.append((row, L))
+        return rows
 
     # -- degree 2 -------------------------------------------------------------
 
-    def _build_degree2(self, K, W, M_V, M_Sso, M_Sr):
+    def _build_degree2(self, Kt, M_V, M_Sso, M_Sr):
         nvp, nsp, s2 = self.nvp, self.nsp, self.s2.size
         dWv, dWs, dWso, dWr = self.dWv, self.dWs, self.dWso, self.dWr
-        eye = ExactMatrix.identity
         lay1 = CochainLayout([("lambda_so", nvp, dWso),
                               ("lambda_r", nvp, dWr)])
         lay2 = CochainLayout([("alpha", self.w2v.size, dWv),
@@ -197,47 +227,80 @@ class SpencerComplex:
         C = _coordinate_matrix(
             self.Wv, kappa_s.select_rows([a * nsp + i for i in range(nsp)
                                           for a in range(n)]),
-            _CLOSURE.format("kappa(S', beta-value)"), nsp)
-        Kt = K.transpose()
-        Qt = pair_embedding(self.w2v).transpose()
-        Sigma_t = pair_embedding(self.s2).transpose()
-        Tt = cyclic_embedding(s3, self.s2).transpose()
-        # d(lambda)(v, w) = lambda(v)w - lambda(w)v, d(lambda)(v, s) =
-        # lambda(v).s, d(lambda)(s, s) = -lambda(kappa(s, s))
-        self.differentials[1] = _assemble(lay2, lay1, {
-            ("alpha", "lambda_so"):
-                kron(Qt, eye(dWv)) @ kron(eye(nvp), M_V),
-            ("beta", "lambda_so"): kron(eye(nvp), M_Sso),
-            ("beta", "lambda_r"): kron(eye(nvp), M_Sr),
-            ("gamma", "lambda_so"): kron(Kt, eye(dWso)).scale(-1),
-            ("rho", "lambda_r"): kron(Kt, eye(dWr)).scale(-1)})
-        # vss: alpha(kappa(s, s), v) + kappa(s, beta(v, s)) symmetrised +
+            _CLOSURE.format("kappa(S', beta-value)"), nsp).int_rows()
+        lr = lay1.offsets["lambda_r"]
+        rows = []
+        # d(lambda)(v, w) = lambda(v)w - lambda(w)v
+        L = M_V[0]
+        MV, MV_neg = _over(L, M_V), _over(L, M_V, -1)
+        for i, j in self.w2v.tuples:
+            for x in range(dWv):
+                row = dict(_at(i * dWso, MV[j * dWv + x]))
+                row.update(_at(j * dWso, MV_neg[i * dWv + x]))
+                rows.append((row, L))
+        # d(lambda)(v, s) = lambda(v).s
+        rows += self._on_spinors(nvp, M_Sso, M_Sr, lr)
+        # d(lambda)(s, s) = -lambda(kappa(s, s)), at column off + a dW + t
+        L = Kt[0]
+        K = _over(L, Kt)
+        for off, dW in ((0, dWso), (lr, dWr)):
+            for cols, vals in K:
+                piece = (tuple(off + a * dW for a in cols),
+                         tuple(-v for v in vals))
+                rows += [(dict(_at(t, piece)), L) for t in range(dW)]
+        self.differentials[1] = _from_rows(lay2, lay1, rows)
+        # vss: -alpha(v, kappa(s, s)) + kappa(s, beta(v, s)) symmetrised +
         # gamma(s, s)v; sss: the cyclic sums of beta(kappa(s, s), s),
         # gamma(s, s).s and rho(s, s).s
-
-        def gamma_band(b):  # gamma(s, s)v_b, from the rows of M_V for v_b
-            A_b = kron(ExactMatrix(1, nvp, [(0, b, 1)]), eye(dWv)) @ M_V
-            return kron(eye(s2), A_b)
-
-        # V' = 0 (a null S') leaves no vss rows but gamma columns
-        vss_gamma = (vstack([gamma_band(b) for b in range(nvp)]) if nvp
-                     else ExactMatrix(0, s2 * dWso))
-        sss_of = kron(Tt, eye(dWs))
-        self.differentials[2] = _assemble(lay3, lay2, {
-            ("vss", "alpha"): kron(W, eye(dWv)).scale(-1),
-            ("vss", "beta"): kron(eye(nvp), kron(Sigma_t, eye(dWv)) @
-                                  kron(eye(nsp), C)),
-            ("vss", "gamma"): vss_gamma,
-            ("sss", "beta"): kron(Tt @ kron(Kt, eye(nsp)), eye(dWs)),
-            ("sss", "gamma"): sss_of @ kron(eye(s2), M_Sso),
-            ("sss", "rho"): sss_of @ kron(eye(s2), M_Sr)})
+        ob, og, orho = (lay2.offsets[b] for b in ("beta", "gamma", "rho"))
+        L = lcm(Kt[0], M_V[0], C[0])
+        K, MV = _over(L, Kt), _over(L, M_V)
+        Cs, Cs2 = _over(L, C), _over(L, C, 2)
+        rows = []
+        for c in range(nvp):
+            for p, (I, J) in enumerate(self.s2.tuples):
+                alpha = self._wedge_piece(K, p, c, 0, dWv, -1)
+                bI = ob + (c * nsp + I) * dWs
+                bJ = ob + (c * nsp + J) * dWs
+                g = og + p * dWso
+                for x in range(dWv):
+                    row = dict(_at(x, alpha))
+                    if I == J:
+                        row.update(_at(bI, Cs2[I * dWv + x]))
+                    else:
+                        row.update(_at(bI, Cs[J * dWv + x]))
+                        row.update(_at(bJ, Cs[I * dWv + x]))
+                    row.update(_at(g, MV[c * dWv + x]))
+                    rows.append((row, L))
+        L = lcm(Kt[0], M_Sso[0], M_Sr[0])
+        # by multiplicity 1, 2 or 3 of a leg
+        K = [None] + [_over(L, Kt, mu) for mu in (1, 2, 3)]
+        Sso = [None] + [_over(L, M_Sso, mu) for mu in (1, 2, 3)]
+        Sr = [None] + [_over(L, M_Sr, mu) for mu in (1, 2, 3)]
+        for m in s3.tuples:
+            # each distinct leg z of m, with its multiplicity, the sym2
+            # index p of the other two legs, and beta(kappa_p, s_z) at
+            # column ob + (a nsp + z) dWs
+            legs = []
+            for z in sorted(set(m)):
+                mu, p = m.count(z), self.s2.index(*_without(m, z))
+                cols, vals = K[mu][p]
+                legs.append((z * dWs, mu, p, (tuple(
+                    ob + (a * nsp + z) * dWs for a in cols), vals)))
+            for y in range(dWs):
+                row = {}
+                for zy, mu, p, beta in legs:
+                    row.update(_at(y, beta))
+                    row.update(_at(og + p * dWso, Sso[mu][zy + y]))
+                    row.update(_at(orho + p * dWr, Sr[mu][zy + y]))
+                rows.append((row, L))
+        self.differentials[2] = _from_rows(lay3, lay2, rows)
 
     # -- degree 4 -------------------------------------------------------------
 
-    def _build_degree4(self, K, W, M_V, M_Sso, M_Sr):
+    def _build_degree4(self, Kt, M_V, M_Sso, M_Sr):
         nvp, nsp, w2 = self.nvp, self.nsp, self.w2v.size
         dWv, dWs, dWso, dWr = self.dWv, self.dWs, self.dWso, self.dWr
-        eye = ExactMatrix.identity
         w3 = tensor_index_maps(nvp, "wedge3")
         lay1 = CochainLayout([])
         lay2 = CochainLayout([("theta_so", w2, dWso),
@@ -248,16 +311,31 @@ class SpencerComplex:
                               ("vss_r", nvp * self.s2.size, dWr)])
         self.layouts = {1: lay1, 2: lay2, 3: lay3}
         self.differentials[1] = ExactMatrix(lay2.dim, 0)
-        # vvv: theta(u, v)w + theta(v, w)u + theta(w, u)v; vvs: theta(u, v).s;
+        index, lr = self.w2v.index, lay2.offsets["theta_r"]
+        rows = []
+        # vvv: theta(u, v)w + theta(v, w)u + theta(w, u)v, theta(w, u) =
+        # -theta(u, w)
+        L = M_V[0]
+        MV, MV_neg = _over(L, M_V), _over(L, M_V, -1)
+        for i, j, k in w3.tuples:
+            qi, qj, qk = (index(j, k) * dWso, index(i, k) * dWso,
+                          index(i, j) * dWso)
+            for x in range(dWv):
+                row = dict(_at(qk, MV[k * dWv + x]))
+                row.update(_at(qi, MV[i * dWv + x]))
+                row.update(_at(qj, MV_neg[j * dWv + x]))
+                rows.append((row, L))
+        # vvs: theta(u, v).s
+        rows += self._on_spinors(w2, M_Sso, M_Sr, lr)
         # vss: theta(v, kappa(s, s))
-        T_wedge_t = cyclic_embedding(w3, self.w2v).transpose()
-        self.differentials[2] = _assemble(lay3, lay2, {
-            ("vvv", "theta_so"):
-                kron(T_wedge_t, eye(dWv)) @ kron(eye(w2), M_V),
-            ("vvs", "theta_so"): kron(eye(w2), M_Sso),
-            ("vvs", "theta_r"): kron(eye(w2), M_Sr),
-            ("vss_so", "theta_so"): kron(W, eye(dWso)),
-            ("vss_r", "theta_r"): kron(W, eye(dWr))})
+        L = Kt[0]
+        K = _over(L, Kt)
+        for off, dW in ((0, dWso), (lr, dWr)):
+            for c in range(nvp):
+                for p in range(self.s2.size):
+                    theta = self._wedge_piece(K, p, c, off, dW, 1)
+                    rows += [(dict(_at(t, theta)), L) for t in range(dW)]
+        self.differentials[2] = _from_rows(lay3, lay2, rows)
 
     def _verify_complex(self):
         d1, d2 = self.differentials[1], self.differentials[2]
@@ -300,20 +378,34 @@ def _coordinate_matrix(space: Subspace, images: ExactMatrix, message: str,
     return coords
 
 
-def _assemble(out: CochainLayout, inp: CochainLayout,
-              blocks: Dict[Tuple[str, str], ExactMatrix]) -> ExactMatrix:
-    """The out.dim x inp.dim matrix whose (row block, column block) is
-    blocks[(row name, column name)], zero where absent."""
-    def block(r, c):
-        (rs, rt), (cs, ct) = out.sizes[r], inp.sizes[c]
-        m = blocks.get((r, c))
-        if m is None:
-            return ExactMatrix(rs * rt, cs * ct)
-        if (m.rows, m.cols) != (rs * rt, cs * ct):
-            raise DimensionMismatch(f"block ({r}, {c}) has the wrong shape")
-        return m
-    return vstack([hstack([block(r, c) for c, _, _ in inp.blocks])
-                   for r, _, _ in out.blocks])
+def _from_rows(out: CochainLayout, inp: CochainLayout,
+               rows: list) -> ExactMatrix:
+    """The out.dim x inp.dim differential whose rows, in the order of `out`,
+    are (int dict, denominator) pairs."""
+    if len(rows) != out.dim:
+        raise DimensionMismatch(f"{len(rows)} rows written for a layout of "
+                                f"dimension {out.dim}")
+    return ExactMatrix.from_int_rows(inp.dim, rows)
+
+
+def _over(L: int, table: tuple, k: int = 1) -> list:
+    """The rows of a structure table (D, rows) times k over the denominator
+    L, a multiple of D, each as a piece (columns, values) of two tuples."""
+    D, rows = table
+    f = k * (L // D)
+    return [(tuple(r), tuple(v * f for v in r.values())) for r in rows]
+
+
+def _at(off: int, piece: tuple):
+    """The (column, value) pairs of a piece moved right by off columns."""
+    cols, vals = piece
+    return zip(map(off.__add__, cols), vals)
+
+
+def _without(legs: tuple, z: int) -> tuple:
+    """The sorted tuple `legs` with one copy of z taken out."""
+    k = legs.index(z)
+    return legs[:k] + legs[k + 1:]
 
 
 def build_spencer_complex(subalgebra: GradedSubalgebra, degree: int,
@@ -602,14 +694,33 @@ class SpinorSquareSplitting:
     r_equivariant: bool
 
 
-def build_splitting(model: ExtendedFlatModel) -> SpinorSquareSplitting:
-    """Equivariant right inverse of kappa, computed by an exact affine solve.
+def build_splitting(full: GradedSubalgebra) -> SpinorSquareSplitting:
+    """Equivariant right inverse of kappa on the model of the maximal
+    subalgebra `full`, computed by an exact affine solve.
 
-    The constraints are kappa o section = Id and equivariance under every
-    spin generator; equivariance under r is also requested and dropped (and
+    The constraints are kappa o section = Id and equivariance under the Lie
+    generators of so(V) (full.h_generators); equivariance under the
+    generators of r (full.rp_generators) is also requested and dropped (and
     reported) when the combined system is infeasible, which can happen when
     r is not semisimple.
+
+    Generators give the section that every basis element would.  A section
+    is equivariant under X when X.section(v) = section(X v) for every v;
+    that is linear in X, and holds for [X, Y] when it holds for X and Y,
+    because both actions are representations.  So it holds under the
+    algebra that the generators generate exactly when it holds under them,
+    and the generator rows have the same affine solution set as the rows of
+    every basis element, with r or without it.  One system is then feasible
+    exactly when the other is, so the r-fallback is taken in the same
+    cases.  The rows of the augmented RREF of a consistent system [A | b]
+    span the affine relations that hold on its solution set, so equal
+    solution sets give equal augmented RREFs, and the canonical solution,
+    the section and the projector do not change.
     """
+    if not full.maximal():
+        raise DimensionMismatch("the splitting is built from the maximal "
+                                "subalgebra's generators")
+    model = full.model
     if model.current.is_zero:
         raise KappaZero("the Dirac current vanishes identically")
     n = model.dim_v
@@ -619,9 +730,10 @@ def build_splitting(model: ExtendedFlatModel) -> SpinorSquareSplitting:
     # block; equivariance under (E, A) is A.section(e_b) - section(E e_b) = 0,
     # with E = 0 for r
     eye_n = ExactMatrix.identity(n)
-    so_rows = [_hom_action(pair_action(s2, sig), e_mat)
-               for e_mat, sig in zip(model.gens.e_mats, model.gens.sigma)]
-    r_rows = [kron(eye_n, pair_action(s2, m)) for m in model.r.matrices]
+    so_rows = [_hom_action(pair_action(s2, full.h_spin[k]), full.h_so[k])
+               for k in full.h_generators]
+    r_rows = [kron(eye_n, pair_action(s2, full.rp_mats[k]))
+              for k in full.rp_generators]
     identity = [Fraction(1 if a == b else 0) for b in range(n)
                 for a in range(n)]
 
@@ -680,7 +792,7 @@ class FullModelCohomology:
         self.full_subalgebra = full_subalgebra(model)
         self.complex = spencer_complex(self.full_subalgebra, 2)
         self.h22 = compute_cohomology(self.complex, 2)
-        self.splitting = build_splitting(model)
+        self.splitting = build_splitting(self.full_subalgebra)
         self.normalised_space = self._normalised_space()
         self._invariant: Dict[tuple, Subspace] = {}
         self.restriction_kernels: Dict[tuple, "RestrictionKernelReport"] = {}

@@ -7,12 +7,13 @@ from hypothesis import given, settings, strategies as st
 from spencerkit.errors import DimensionMismatch
 from spencerkit.exactla import (AffineSolver, ExactMatrix, HomAction,
                                 NoSolution, ParticularSolution, Subspace,
-                                block_diag, cyclic_embedding, flatten_columns,
+                                block_diag, flatten_columns,
                                 is_positive_definite, kron, ldlt_pivots,
                                 lincomb, pair_action, pair_embedding,
                                 pair_map, rat, rat_str, solve_affine,
                                 tensor_index_maps, vec, vec_add, vec_is_zero,
                                 vec_scale, vstack, zero_vec)
+from kron_differentials import cyclic_embedding
 
 
 def _rows(m):
@@ -345,6 +346,24 @@ def test_flatten_columns_reads_each_matrix_row_by_row(rows, cols, data):
 def test_flatten_columns_rejects_a_wrong_shape():
     with pytest.raises(DimensionMismatch):
         flatten_columns([ExactMatrix.identity(2)], 2, 3)
+
+
+def test_int_rows_put_every_row_over_the_lcm():
+    M = ExactMatrix.from_rows([["1/2", 0, 1], [0, 0, 0], ["2/3", 1, 0]])
+    D, rows = M.int_rows()
+    assert D == 6
+    assert rows == [{0: 3, 2: 6}, {}, {0: 4, 1: 6}]
+    assert ExactMatrix(0, 3).int_rows() == (1, [])
+
+
+def test_from_int_rows_gives_the_canonical_matrix():
+    # rows over denominators that share a factor with every entry, or not
+    M = ExactMatrix.from_int_rows(3, [({0: 3, 2: 6}, 6), ({}, 4),
+                                      ({0: 4, 1: 6}, 6), ({1: -5}, 1)])
+    assert M == ExactMatrix.from_rows([["1/2", 0, 1], [0, 0, 0],
+                                       ["2/3", 1, 0], [0, -5, 0]])
+    D, rows = M.int_rows()
+    assert ExactMatrix.from_int_rows(3, [(r, D) for r in rows]) == M
 
 
 class TestAffineSolver:

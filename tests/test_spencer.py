@@ -19,7 +19,7 @@ from spencerkit.exactla import (AffineSolver, ExactMatrix, NoSolution,
                                 vec_scale, vec_sub, vstack, zero_vec)
 from spencerkit.cliffspin import (Signature, build_clifford_rep,
                                   build_dirac_current)
-from spencerkit.flatmodel import (build_extended_flat_model,
+from spencerkit.flatmodel import (build_extended_flat_model, full_subalgebra,
                                   make_graded_subalgebra, stabiliser_in_so)
 from spencerkit.spencer import (CochainAction, Cochain22,
                                 FullModelCohomology, build_spencer_complex,
@@ -377,7 +377,7 @@ class TestInjectivityLemmas:
 class TestSplitting:
     def test_d3_bijective_kappa_inverse(self):
         model = get_model(2, 1, 1)
-        split = build_splitting(model)
+        split = build_splitting(get_full_subalgebra(2, 1, 1))
         kappa = model.current.component_matrix()
         assert (kappa @ split.section) == ExactMatrix.identity(3)
         # kappa is square and bijective here, so the section is its inverse
@@ -408,6 +408,30 @@ class TestSplitting:
             rhs = split.section @ model.gens.e_mats[k]
             assert lhs == rhs
 
+    @pytest.mark.parametrize("s,t,N", GRID + ((4, 1, 1),))
+    def test_r_equivariance(self, s, t, N):
+        # the solve asks for equivariance under the Lie generators of r
+        # alone; every basis element of r must then annihilate the section
+        from spencerkit.exactla import pair_action, tensor_index_maps
+        model = get_model(s, t, N)
+        split = get_fullco(s, t, N).splitting
+        s2 = tensor_index_maps(model.dim_s, "sym2")
+        # a section that dropped r-equivariance promises nothing here
+        for m in model.r.matrices if split.r_equivariant else ():
+            assert (pair_action(s2, m) @ split.section).is_zero()
+
+    def test_r_equivariance_is_checked_on_a_nonabelian_r(self):
+        # the check above says something beyond the generators where r
+        # needs fewer generators than its dimension
+        full = get_full_subalgebra(3, 1, 2)
+        assert get_fullco(3, 1, 2).splitting.r_equivariant
+        assert len(full.rp_generators) < full.model.dim_r
+
+    def test_non_maximal_subalgebra_rejected(self):
+        # the generators of a smaller h say nothing about all of so(V)
+        with pytest.raises(DimensionMismatch):
+            build_splitting(get_sampled_subalgebra(3, 1, 1, 0))
+
     def test_zero_current_rejected(self):
         from spencerkit.cliffspin import build_dirac_current
         from spencerkit.flatmodel import build_extended_flat_model
@@ -416,7 +440,7 @@ class TestSplitting:
         zero = build_dirac_current(rep, [ExactMatrix.zeros(2, 2)] * 3)
         model = build_extended_flat_model(rep, zero)
         with pytest.raises(KappaZero):
-            build_splitting(model)
+            build_splitting(full_subalgebra(model))
 
 
 class NotACocycle(Exception):
