@@ -80,7 +80,7 @@ class AdmissibleDatum:
         blocks once per datum and kept."""
         if self._lam is None:
             lay = self.mixed_complex.layouts[1]
-            lam = ExactMatrix.from_columns([self.lam], lay.dim)
+            lam = ExactMatrix.from_rows([self.lam])
             self._lam = vstack([lay.values("lambda_so", lam),
                                 lay.values("lambda_r", lam)])
         return self._lam
@@ -92,7 +92,7 @@ class AdmissibleDatum:
         second times its Sym^2 S coordinates."""
         if self._hat_blocks is None:
             self._hat_blocks = _cochain_blocks(self.fullco.complex,
-                                               self.hat.cochain.column())
+                                               self.hat.cochain.row())
         return self._hat_blocks
 
     def acted_hats(self) -> tuple:
@@ -102,7 +102,7 @@ class AdmissibleDatum:
         complex applied to hat and combined by lambda."""
         if self._acted is None:
             self._acted = _cochain_blocks(self.fullco.complex, self.fullco.act(
-                self.lam_matrix(), self.hat.cochain.column()))
+                self.lam_matrix(), self.hat.cochain.row()))
         return self._acted
 
     def odd_brackets(self) -> tuple:
@@ -148,11 +148,11 @@ class AdmissibleDatum:
 
 
 def _cochain_blocks(cx: SpencerComplex, cochains: ExactMatrix) -> tuple:
-    """(beta, gamma over rho) of each column of `cochains`, cochains of the
+    """(beta, gamma over rho) of each row of `cochains`, cochains of the
     full complex, read as matrices by CochainLayout.values: column
     (a ns + i) C + c of the first is beta_c(e_a, e_i), and column P C + c of
     the second is (gamma_c, rho_c) on the P-th Sym^2 S basis element, for
-    C = cochains.cols."""
+    C = cochains.rows."""
     lay = cx.layouts[2]
     return (lay.values("beta", cochains),
             vstack([lay.values("gamma", cochains),
@@ -356,9 +356,9 @@ def _certify_delta(datum: AdmissibleDatum, chi: ExactMatrix) -> None:
     ops = subalgebra_actions(cx)
     if not ops:
         return
-    mu = datum.mu_minus.column()
-    k = first_nonzero_column(d21 @ chi - hstack([op.apply_many(mu)
-                                                 for op in ops]))
+    mu = datum.mu_minus.row()
+    k = first_nonzero_column(d21 @ chi - vstack([op.apply_rows(mu)
+                                                 for op in ops]).transpose())
     if k is not None:
         h_dim = datum.subalgebra.h.dim
         X = f"h[{k}]" if k < h_dim else f"r'[{k - h_dim}]"
@@ -605,7 +605,7 @@ def _alpha(datum: AdmissibleDatum) -> ExactMatrix:
     """The alpha block of mu as one matrix: column b n + c holds
     alpha(v_b, v_c), V' = V being highly supersymmetric."""
     cx = datum.sub_complex
-    return cx.layouts[2].values("alpha", datum.mu_minus.column()) @ \
+    return cx.layouts[2].values("alpha", datum.mu_minus.row()) @ \
         pair_embedding(cx.w2v).transpose()
 
 
@@ -1032,7 +1032,7 @@ def compute_envelope(fullco: FullModelCohomology, sub: GradedSubalgebra,
         raise NotHighlySusy("envelopes require dim S' > (dim S)/2")
     dirac_kernel = sub.kappa_sp.kernel()
     nso = model.dim_so
-    _, gamma_rho = _cochain_blocks(fullco.complex, hat.cochain.column())
+    _, gamma_rho = _cochain_blocks(fullco.complex, hat.cochain.row())
     # column k: (gamma-hat, rho-hat) on the k-th Dirac kernel basis vector
     values = gamma_rho @ _spinor_squares(sub) @ \
         dirac_kernel.basis.transpose()
@@ -1060,7 +1060,7 @@ def _envelope_candidate(fullco: FullModelCohomology, Sp: Subspace,
     preserves_sp = coordinate_matrix(
         Sp, model.bracket_matrix("a0", "S", "S")
         @ kron(X, Sp.basis.transpose())) is not None
-    preserves_cocycle = fullco.act(X, hat.cochain.column()).is_zero()
+    preserves_cocycle = fullco.act(X, hat.cochain.row()).is_zero()
     so_part = env.intersect(Subspace(
         nso + model.dim_r,
         hstack([ExactMatrix.identity(nso),

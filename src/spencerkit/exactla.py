@@ -14,6 +14,7 @@ helpers return Fractions.  No floating point appears anywhere.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
@@ -895,64 +896,61 @@ class AffineSolver:
 
 
 class HomAction:
-    """phi -> T phi - phi D on every column of a matrix whose rows are cut
+    """phi -> T phi - phi D on every row of a matrix whose columns are cut
     into source-major Hom(source, target) blocks, one per (T, D) pair: the
-    product with the block diagonal of kron(I, T) - kron(D^T, I), without
-    forming it.  The index lists of T and D are built once, here, and every
-    `apply` reads them."""
+    product of each row with the transpose of the block diagonal of
+    kron(I, T) - kron(D^T, I), without forming it.  The index tables are
+    built once, here, with every entry of every T and D over one common
+    denominator, and every `apply_rows` reads them."""
 
-    __slots__ = ("blocks", "_tables")
+    __slots__ = ("blocks", "_den", "_dim", "_starts", "_tables")
 
     def __init__(self, blocks: Sequence[tuple]):
         self.blocks = tuple(blocks)
-        tables = []
+        L = lcm(*[d for T, D in self.blocks for d in T._dens + D._dens])
+        starts, tables, off = [], [], 0
         for T, D in self.blocks:
-            # row t of T is over td[t] and column s of D over dd[s]; t_cols[u]
-            # lists column u of T and d_rows[u] row u of D, as (index, int)
-            Dt = D.transpose()
-            t_cols = [[] for _ in range(T.rows)]
-            for t, tn in enumerate(T._rows):
-                for u, c in tn.items():
-                    t_cols[u].append((t, c))
-            d_rows = [[] for _ in range(D.rows)]
-            for s, dn in enumerate(Dt._rows):
-                for u, c in dn.items():
-                    d_rows[u].append((s, c))
-            tables.append((T.rows, D.rows * T.rows, T._dens, Dt._dens,
-                           t_cols, d_rows))
-        self._tables = tuple(tables)
+            # entry phi[a, b] of the block feeds (a, t) through t_cols[b],
+            # the (t, L T[t, b]) of column b of T, and (s, b) through
+            # d_rows[a], the (s nt, -L D[a, s]) of row a of D
+            nt = T.rows
+            t_cols = [[] for _ in range(nt)]
+            for t, (row, d) in enumerate(zip(T._rows, T._dens)):
+                for u, c in row.items():
+                    t_cols[u].append((t, c * (L // d)))
+            d_rows = [[(s * nt, -c * (L // d)) for s, c in row.items()]
+                      for row, d in zip(D._rows, D._dens)]
+            starts.append(off)
+            tables.append((off, nt, t_cols, d_rows))
+            off += D.rows * nt
+        self._den, self._dim = L, off
+        self._starts, self._tables = starts, tables
 
-    def apply(self, M: ExactMatrix) -> ExactMatrix:
-        """Entry (s, t) of a block is sum_u T[t, u] phi[s, u] -
-        sum_u D[u, s] phi[u, t], a combination of rows of M, summed over the
-        lcm of their denominators.  Only the nonzero rows of M are read:
-        each is scattered to the entries it feeds."""
-        if M.rows != sum(size for _, size, *_ in self._tables):
-            raise DimensionMismatch("HomAction: rows do not fit the blocks")
-        m_rows, m_dens = M._rows, M._dens
-        pairs = [({}, 1)] * M.rows
-        off = 0
-        for nt, size, td, dd, t_cols, d_rows in self._tables:
-            # entry (s, t) of the block -> its terms (coefficient, row of M)
-            terms: dict = {}
-            for k in range(off, off + size):
-                if m_rows[k]:
-                    a, b = divmod(k - off, nt)
-                    # row k is phi[a, b]: phi[s, u] for (s, u) = (a, b) and
-                    # phi[u, t] for (u, t) = (a, b)
-                    for t, c in t_cols[b]:
-                        terms.setdefault(a * nt + t, []).append((c * dd[a],
-                                                                 k))
-                    for s, c in d_rows[a]:
-                        terms.setdefault(s * nt + b, []).append((-c * td[b],
-                                                                 k))
-            for loc, tl in terms.items():
-                s, t = divmod(loc, nt)
-                L = lcm(*[m_dens[k] for _, k in tl])
-                pairs[off + loc] = _normal(_combination(
-                    (c * (L // m_dens[k]), m_rows[k]) for c, k in tl),
-                    td[t] * dd[s] * L)
-            off += size
+    def apply_rows(self, M: ExactMatrix) -> ExactMatrix:
+        """Each row of M mapped, one cochain per row.  Entry (s, t) of a
+        block is sum_u T[t, u] phi[s, u] - sum_u D[u, s] phi[u, t]: each
+        nonzero entry of a row is scattered to the entries it feeds, and the
+        row is summed over its denominator times the tables' one."""
+        if M.cols != self._dim:
+            raise DimensionMismatch("HomAction: columns do not fit the "
+                                    "blocks")
+        starts, tables, L = self._starts, self._tables, self._den
+        pairs = []
+        for row, d in zip(M._rows, M._dens):
+            acc: dict = {}
+            get = acc.get
+            for k, v in row.items():
+                # the last block starting at or before k holds it: a block
+                # of size 0 starts where the next one does
+                off, nt, t_cols, d_rows = tables[bisect_right(starts, k) - 1]
+                a, b = divmod(k - off, nt)
+                base = off + a * nt
+                for t, c in t_cols[b]:
+                    acc[base + t] = get(base + t, 0) + c * v
+                base = off + b
+                for s, c in d_rows[a]:
+                    acc[base + s] = get(base + s, 0) + c * v
+            pairs.append(_normal({j: v for j, v in acc.items() if v}, d * L))
         return ExactMatrix._of(M.rows, M.cols, pairs)
 
 

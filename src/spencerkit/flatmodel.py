@@ -291,6 +291,8 @@ class ExtendedFlatModel:
         self.tensor = self._build_tensor()
         # the blocks of the bracket read by bracket_matrix, each built once
         self._bracket_blocks: dict = {}
+        # the maximal graded subalgebra, built once by make_graded_subalgebra
+        self.maximal_subalgebra: Optional["GradedSubalgebra"] = None
         # Spencer complexes of this model's subalgebras, each built once by
         # spencer.spencer_complex; the pipeline drops them at the end of a
         # run, all but the full model's degree-2 complex, which it keeps with
@@ -553,10 +555,22 @@ def kappa_restriction_matrix(model: ExtendedFlatModel,
 def make_graded_subalgebra(model: ExtendedFlatModel, Vp: Subspace,
                            Sp: Subspace, h: Subspace,
                            rp: Subspace) -> GradedSubalgebra:
-    """Validate all closure conditions and compute the flags."""
+    """Validate all closure conditions and compute the flags.  When all four
+    subspaces are full the subalgebra is the maximal one, built on first use
+    and kept on the model."""
     if Vp.ambient_dim != model.dim_v or Sp.ambient_dim != model.dim_s \
             or h.ambient_dim != model.dim_so or rp.ambient_dim != model.dim_r:
         raise DimensionMismatch("subspace ambients do not match the model")
+    if all(W.dim == W.ambient_dim for W in (Vp, Sp, h, rp)):
+        if model.maximal_subalgebra is None:
+            model.maximal_subalgebra = _graded_subalgebra(model, Vp, Sp, h,
+                                                          rp)
+        return model.maximal_subalgebra
+    return _graded_subalgebra(model, Vp, Sp, h, rp)
+
+
+def _graded_subalgebra(model: ExtendedFlatModel, Vp: Subspace, Sp: Subspace,
+                       h: Subspace, rp: Subspace) -> GradedSubalgebra:
     svecs = Sp.basis_vectors()
     # kappa(Sym^2 S') inside V'
     kappa_sp = kappa_restriction_matrix(model, Sp)

@@ -175,9 +175,11 @@ def _drop_complexes(model, keep=None) -> None:
 
 def clear_kept_model() -> None:
     """Empty the slot, so that the next run builds and certifies every
-    signature-level object afresh."""
+    signature-level object afresh.  The model's maximal subalgebra refers
+    back to it, so it is dropped too."""
     if "model" in _KEPT:
         _drop_complexes(_KEPT["model"])
+        _KEPT["model"].maximal_subalgebra = None
     _KEPT.clear()
 
 

@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (DimensionMismatch, KappaZero, NoEquivariantSplitting,
                      NotHighlySusy, NotSymmetric, OracleMismatch)
-from .exactla import (AffineSolver, ExactMatrix, HomAction, NoSolution,
+from .exactla import (ExactMatrix, HomAction, NoSolution,
                       Subspace, block_diag, flatten_columns, hstack, kron,
                       lincomb, pair_action, pair_map, solve_affine,
                       tensor_index_maps, vec_is_zero, vstack, zero_vec)
@@ -70,16 +70,16 @@ class CochainLayout:
         return [i for name in names for i in range(*self.block_slice(name))]
 
     def values(self, name: str, cochains: ExactMatrix) -> ExactMatrix:
-        """The block `name` of each column of `cochains` read as a target x
-        source matrix, the columns' blocks interleaved: column s C + c holds
-        the value of the c-th cochain on the s-th source basis element, for
-        C = cochains.cols."""
+        """The block `name` of each row of `cochains`, one cochain per row,
+        read as a target x source matrix, the cochains' blocks interleaved:
+        column s C + c holds the value of the c-th cochain on the s-th
+        source basis element, for C = cochains.rows."""
         src, tgt = self.sizes[name]
         lo = self.offsets[name]
         if not src:
             return ExactMatrix(tgt, 0)
-        return hstack([cochains.select_rows(range(lo + s * tgt,
-                                                  lo + (s + 1) * tgt))
+        block = cochains.select_columns(range(lo, lo + src * tgt)).transpose()
+        return hstack([block.select_rows(range(s * tgt, (s + 1) * tgt))
                        for s in range(src)])
 
 
@@ -352,20 +352,27 @@ _CLOSURE = ("{} leaves the coefficient module; subalgebra closure must have "
             "been violated")
 
 
-def coordinate_matrix(space: Subspace, images: ExactMatrix,
-                      stack: int = 1) -> Optional[ExactMatrix]:
-    """The coordinates in `space` of the columns of `images`, each column
-    `stack` ambient vectors one after the other, in the same layout, or None
-    when a vector leaves `space`.  Against the RREF basis the coordinates
-    are the entries at its pivot columns, and one product with the basis
-    certifies all of them."""
+def coordinate_rows(space: Subspace, images: ExactMatrix,
+                    stack: int = 1) -> Optional[ExactMatrix]:
+    """The coordinates in `space` of the rows of `images`, each row `stack`
+    ambient vectors one after the other, in the same layout, or None when a
+    vector leaves `space`.  Against the RREF basis the coordinates are the
+    entries at its pivot columns, and one product with the basis certifies
+    all of them."""
     amb, pivots = space.ambient_dim, space.basis.pivot_columns()
-    coords = images.select_rows([k * amb + p for k in range(stack)
-                                 for p in pivots])
-    if kron(ExactMatrix.identity(stack),
-            space.basis.transpose()) @ coords != images:
+    coords = images.select_columns([k * amb + p for k in range(stack)
+                                    for p in pivots])
+    if coords @ kron(ExactMatrix.identity(stack), space.basis) != images:
         return None
     return coords
+
+
+def coordinate_matrix(space: Subspace, images: ExactMatrix,
+                      stack: int = 1) -> Optional[ExactMatrix]:
+    """coordinate_rows on the columns of `images`: the coordinates of each
+    column as a column, or None when a vector leaves `space`."""
+    coords = coordinate_rows(space, images.transpose(), stack)
+    return None if coords is None else coords.transpose()
 
 
 def _coordinate_matrix(space: Subspace, images: ExactMatrix, message: str,
@@ -449,16 +456,17 @@ def _degree2_layout(cx: SpencerComplex) -> CochainLayout:
 
 
 class CochainAction:
-    """X.phi on C^{2,2} for X = (so element, r element), as an operator.
+    """X.phi on C^{2,2} for X = (so element, r element), as an operator on
+    cochains held as rows, one cochain per row.
 
     (X.phi)(args) = X.(phi(args)) - sum_k phi(..., X.arg_k, ...), with X
     acting on V-, S-, so- and r-valued targets by the action, the action,
     the commutator and the commutator respectively.  Each block of the
     layout is a Hom(source, target) block Phi, mapped to T Phi - Phi D for
     T the action on the target and D the one on the source; `hom` holds
-    the four (T, D) pairs with their index lists, built once.  `apply` and
-    `apply_many` use them directly, and `matrix` assembles the full matrix
-    from them.
+    the four (T, D) pairs with their index tables, built once.
+    `apply_rows` maps each row of a matrix through them, and `matrix`
+    assembles the full matrix from the same pairs.
     """
 
     __slots__ = ("layout", "hom")
@@ -466,20 +474,22 @@ class CochainAction:
     def __init__(self, cx: SpencerComplex, so_coords: Sequence[Fraction],
                  r_coords: Sequence[Fraction]):
         model = cx.model
-        self._build(cx, model.so_matrix(so_coords),
-                    model.spin_matrix(so_coords), model.r_matrix(r_coords))
+        self._build(cx, tuple(so_coords) + tuple(r_coords),
+                    model.so_matrix(so_coords), model.spin_matrix(so_coords),
+                    model.r_matrix(r_coords))
 
     @classmethod
-    def from_matrices(cls, cx: SpencerComplex, on_v: ExactMatrix,
-                      on_s: ExactMatrix, r_on_s: ExactMatrix
-                      ) -> "CochainAction":
-        """The action of the so element with matrices on_v on V and on_s on
-        S, plus the r element with matrix r_on_s on S."""
+    def from_matrices(cls, cx: SpencerComplex, x: Sequence[Fraction],
+                      on_v: ExactMatrix, on_s: ExactMatrix,
+                      r_on_s: ExactMatrix) -> "CochainAction":
+        """The action of X with so(V) + r coordinates x, whose so part has
+        matrices on_v on V and on_s on S and whose r part has matrix r_on_s
+        on S."""
         op = cls.__new__(cls)
-        op._build(cx, on_v, on_s, r_on_s)
+        op._build(cx, x, on_v, on_s, r_on_s)
         return op
 
-    def _build(self, cx, on_v, on_s, r_on_s) -> None:
+    def _build(self, cx, x, on_v, on_s, r_on_s) -> None:
         self.layout = _degree2_layout(cx)
         model, sub = cx.model, cx.subalgebra
         act_s = on_s + r_on_s
@@ -490,37 +500,33 @@ class CochainAction:
                                       f"action of X leaves {what}")
 
         # source-argument actions in source coordinates, then the target
-        # value actions in target coordinates
+        # value actions in target coordinates; on the so- and r-targets X
+        # acts by ad X, read off the structure constants B of so(V) + r
         srcV = endo(sub.Vp, on_v @ sub.Vp.basis.transpose(), "V'")
         srcS = endo(sub.Sp, act_s @ sub.Sp.basis.transpose(), "S'")
         tgtV = endo(cx.Wv, on_v @ cx.Wv.basis.transpose(), "the V-target")
         tgtS = endo(cx.Ws, act_s @ cx.Ws.basis.transpose(), "the S-target")
-        tgtSO = endo(cx.Wso, ExactMatrix.from_columns(
-            [model.gens.so_coordinates(on_v.commutator(w))
-             for w in cx.Wso_mats], model.dim_so), "the so-target")
-        ns = model.dim_s
-        r_comms = _coordinate_matrix(
-            model.r.basis, flatten_columns(
-                [r_on_s.commutator(w) for w in cx.Wr_mats], ns, ns),
-            "commutator leaves the R-symmetry algebra")
-        tgtR = endo(cx.Wr, r_comms, "the r-target")
+        nso = model.dim_so
+        ad = model.bracket_matrix("a0", "a0", "a0") @ kron(
+            ExactMatrix.from_columns([x], len(x)),
+            ExactMatrix.identity(len(x)))
+        tgtSO = endo(cx.Wso, ad.select_rows(range(nso)).select_columns(
+            range(nso)) @ cx.Wso.basis.transpose(), "the so-target")
+        on_r = range(nso, len(x))
+        tgtR = endo(cx.Wr, ad.select_rows(on_r).select_columns(on_r)
+                    @ cx.Wr.basis.transpose(), "the r-target")
         on_vs = (kron(srcV, ExactMatrix.identity(cx.nsp)) +
                  kron(ExactMatrix.identity(cx.nvp), srcS))
         on_s2 = pair_action(cx.s2, srcS)
         self.hom = HomAction(((tgtV, pair_action(cx.w2v, srcV)),
                               (tgtS, on_vs), (tgtSO, on_s2), (tgtR, on_s2)))
 
-    def apply_many(self, M: ExactMatrix) -> ExactMatrix:
-        """X applied to each column of M."""
-        if M.rows != self.layout.dim:
-            raise DimensionMismatch("apply_many: columns are not C^{2,2} "
+    def apply_rows(self, M: ExactMatrix) -> ExactMatrix:
+        """X applied to each row of M, a C^{2,2} cochain per row."""
+        if M.cols != self.layout.dim:
+            raise DimensionMismatch("apply_rows: rows are not C^{2,2} "
                                     "cochains")
-        return self.hom.apply(M)
-
-    def apply(self, vec: Sequence[Fraction]) -> tuple:
-        """X.phi for one cochain phi."""
-        col = self.apply_many(ExactMatrix.from_columns([vec], len(vec)))
-        return tuple(col.entry(i, 0) for i in range(col.rows))
+        return self.hom.apply_rows(M)
 
     def matrix(self) -> ExactMatrix:
         """The matrix of X on C^{2,2}, assembled with kron."""
@@ -561,11 +567,14 @@ def _actions(cx: SpencerComplex, indices) -> tuple:
         if k in cx.actions:
             continue
         if k < sub.h.dim:
-            op = CochainAction.from_matrices(cx, sub.h_so[k], sub.h_spin[k],
-                                             zero_s)
+            x = sub.h.basis.row_tuple(k) + zero_vec(model.dim_r)
+            op = CochainAction.from_matrices(cx, x, sub.h_so[k],
+                                             sub.h_spin[k], zero_s)
         else:
-            op = CochainAction.from_matrices(cx, zero_v, zero_s,
-                                             sub.rp_mats[k - sub.h.dim])
+            p = k - sub.h.dim
+            x = zero_vec(model.dim_so) + sub.rp.basis.row_tuple(p)
+            op = CochainAction.from_matrices(cx, x, zero_v, zero_s,
+                                             sub.rp_mats[p])
         cx.actions[k] = op
     return tuple(cx.actions[k] for k in indices)
 
@@ -584,9 +593,9 @@ class Cochain22:
         self.cx = cx
         self.coeffs = tuple(coeffs)
 
-    def column(self) -> ExactMatrix:
-        """The coefficients as a one-column matrix."""
-        return ExactMatrix.from_columns([self.coeffs], len(self.coeffs))
+    def row(self) -> ExactMatrix:
+        """The coefficients as a one-row matrix."""
+        return ExactMatrix.from_rows([self.coeffs])
 
     def is_cocycle(self) -> bool:
         image = self.cx.differentials[2].apply(self.coeffs)
@@ -623,19 +632,32 @@ class CohomologyReport:
         return self._actions
 
     def _action_matrices(self) -> tuple:
+        """Every generator acts on the representative rows at once; the
+        acted rows' Z coordinates are read and certified by coordinate_rows,
+        and their coordinates on [R; B], a basis of Z, come from one
+        elimination of [[R; B]^T | C^T] in Z coordinates: its RREF is
+        [I | X^T], and the first dH rows of X^T are on the classes."""
         if self.bidegree[1] != 2 or not self.rep_rows:
             return ()
-        R = self._representative_rows().transpose()
-        solver = AffineSolver(hstack([R, self.boundaries.basis.transpose()]))
-        actions = []
-        for op in generator_actions(self.complex):
-            X, failed = solver.solve_matrix(op.apply_many(R))
-            if failed:
-                raise OracleMismatch(
-                    "a0-action does not preserve the cocycle space")
-            # the coordinates on the representatives; the rest are on B
-            actions.append(X.select_rows(range(self.dim_h)))
-        return tuple(actions)
+        ops = generator_actions(self.complex)
+        if not ops:
+            return ()
+        Z, R, dh = self.cocycles, self._representative_rows(), self.dim_h
+        C = coordinate_rows(Z, vstack([op.apply_rows(R) for op in ops]))
+        if C is None:
+            raise OracleMismatch(
+                "a0-action does not preserve the cocycle space")
+        # [R; B] at Z's pivot columns is [R; B] in Z coordinates
+        RB = vstack([R, self.boundaries.basis]).select_columns(
+            Z.basis.pivot_columns())
+        aug = vstack([RB, C]).transpose()
+        if aug.pivot_columns() != tuple(range(Z.dim)):
+            raise OracleMismatch("the representatives and the coboundaries "
+                                 "are not a basis of the cocycles")
+        on_reps = aug.rref().select_rows(range(dh))
+        return tuple(on_reps.select_columns(range(Z.dim + g * dh,
+                                                  Z.dim + (g + 1) * dh))
+                     for g in range(len(ops)))
 
     def _representative_rows(self) -> ExactMatrix:
         """The representatives as the rows of one matrix."""
@@ -861,30 +883,30 @@ class FullModelCohomology:
         if basis.dim == 0 or not actors:
             return basis
         dim = basis.dim
-        # the beta and rho rows of each actor on every basis vector, the
-        # actors' blocks stacked
+        # the beta and rho coordinates of each actor on every basis vector,
+        # row a dim + c; side by side per actor, one row per basis vector
         moved = self.act(
             ExactMatrix.from_columns(actors, len(actors[0])),
-            basis.basis.transpose()).select_rows(lay.indices("beta", "rho"))
-        kernel = vstack([moved.select_columns(range(a * dim, (a + 1) * dim))
-                         for a in range(len(actors))]).kernel()
+            basis.basis).select_columns(lay.indices("beta", "rho"))
+        kernel = hstack([moved.select_rows(range(a * dim, (a + 1) * dim))
+                         for a in range(len(actors))]).transpose().kernel()
         return Subspace(lay.dim, (kernel.basis @ basis.basis).rref())
 
     def act(self, X: ExactMatrix, cochains: ExactMatrix) -> ExactMatrix:
-        """x_a . phi_c on C^{2,2} of the full complex, at column a C + c,
-        for the columns x_a of X (so(V) then r coordinates) and the C
-        columns phi_c of `cochains`.  The full subalgebra's basis is the
-        unit one, so each x_a combines the basis operators of
+        """x_a . phi_c on C^{2,2} of the full complex, at row a C + c, for
+        the columns x_a of X (so(V) then r coordinates) and the C rows
+        phi_c of `cochains`, one cochain per row.  The full subalgebra's
+        basis is the unit one, so each x_a combines the basis operators of
         subalgebra_actions with its coordinates: each operator needed is
         applied to all of `cochains` at once, and one whose coefficient is
         zero in every x_a is neither built nor applied."""
         cx = self.complex
         used = [k for k in range(X.rows) if not X.select_rows([k]).is_zero()]
         if not used:
-            return ExactMatrix(cx.layouts[2].dim, X.cols * cochains.cols)
-        moved = hstack([op.apply_many(cochains) for op in _actions(cx, used)])
-        return moved @ kron(X.select_rows(used),
-                            ExactMatrix.identity(cochains.cols))
+            return ExactMatrix(X.cols * cochains.rows, cx.layouts[2].dim)
+        moved = vstack([op.apply_rows(cochains) for op in _actions(cx, used)])
+        return kron(X.select_rows(used).transpose(),
+                    ExactMatrix.identity(cochains.rows)) @ moved
 
 
 # ---------------------------------------------------------------------------

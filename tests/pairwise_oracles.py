@@ -7,6 +7,7 @@ a Fraction vector evaluated one basis pair at a time."""
 
 from fractions import Fraction
 
+from column_actions import apply_vector
 from spencerkit.deform import DeltaMap, ThetaData
 from spencerkit.errors import CurvatureMismatch, EquivarianceViolation, \
     OracleMismatch, TorsionViolation
@@ -94,14 +95,34 @@ def rho_vec(z, x, y):
 def acted_hats(datum):
     """lambda(v_b) . hat per direction, one CochainAction built each."""
     cx = datum.fullco.complex
-    return [Cochain22(cx, CochainAction.from_matrices(
-        cx, *lam_matrices(datum, b)).apply(datum.hat.coeffs))
+    return [Cochain22(cx, apply_vector(CochainAction(
+        cx, lam1_coords(datum, b), lam2_coords(datum, b)), datum.hat.coeffs))
         for b in range(datum.model.dim_v)]
 
 
 # ---------------------------------------------------------------------------
 # delta, theta and theta in a0
 # ---------------------------------------------------------------------------
+
+
+def commutator_targets(cx, so_coords, r_coords):
+    """The so- and r-target blocks of the CochainAction of X = (so_coords,
+    r_coords) on the complex cx, from commutators: X acts on each Wso basis
+    element w by [X_so, w], read back through so_coordinates, and on each
+    Wr basis element by [X_r, w], read back through the R-symmetry
+    algebra's coordinates, both then in Wso and Wr coordinates."""
+    model = cx.model
+    on_v, r_on_s = model.so_matrix(so_coords), model.r_matrix(r_coords)
+
+    def coords(space, columns):
+        return ExactMatrix.from_columns(
+            [space.coordinates(c) for c in columns], space.dim)
+
+    so = coords(cx.Wso, [model.gens.so_coordinates(on_v.commutator(w))
+                         for w in cx.Wso_mats])
+    r = coords(cx.Wr, [model.r.coordinates(r_on_s.commutator(w))
+                       for w in cx.Wr_mats])
+    return so, r
 
 
 def solve_delta(datum):

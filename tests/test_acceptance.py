@@ -118,9 +118,9 @@ def test_criterion_6_delta_dual_route():
             # form solve_delta certified, whose r' columns have a zero h
             # block (delta3 = 0)
             cx = datum.sub_complex
-            mu = datum.mu_minus.coeffs
-            rhs = ExactMatrix.from_columns(
-                [op.apply(mu) for op in subalgebra_actions(cx)], len(mu))
+            mu = datum.mu_minus.row()
+            rhs = vstack([op.apply_rows(mu)
+                          for op in subalgebra_actions(cx)]).transpose()
             chis = AffineSolver(cx.differentials[1]).solve_many(rhs)
             assert None not in chis
             lay1 = cx.layouts[1]

@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import column_actions
 import pairwise_oracles as oracle
 from instances import (GRID, admissible_cocycles_from_invariant,
                        admissible_data_for_cell, get_fullco, get_model,
@@ -110,16 +111,20 @@ class TestCombinedOperators:
         actors = [tuple(Fraction(rnd.randint(-2, 2), rnd.randint(1, 3))
                         if rnd.random() < 0.6 else Fraction(0)
                         for _ in range(m)) for _ in range(3)]
-        cochains = ExactMatrix(dim, 2, [
-            (rnd.randrange(dim), c, Fraction(rnd.randint(-3, 3), 2))
+        cochains = ExactMatrix(2, dim, [
+            (c, rnd.randrange(dim), Fraction(rnd.randint(-3, 3), 2))
             for c in range(2) for _ in range(12)])
-        got = fullco.act(ExactMatrix.from_columns(actors, m), cochains)
+        X = ExactMatrix.from_columns(actors, m)
+        got = fullco.act(X, cochains)
         for a, x in enumerate(actors):
             want = CochainAction(cx, x[:model.dim_so],
-                                 x[model.dim_so:]).apply_many(cochains)
-            assert got.select_columns(range(2 * a, 2 * a + 2)) == want
+                                 x[model.dim_so:]).apply_rows(cochains)
+            assert got.select_rows(range(2 * a, 2 * a + 2)) == want
+        # the column form of the oracle gives the same cochains
+        assert got.transpose() == column_actions.act(fullco, X,
+                                                     cochains.transpose())
         # no actor: no operator is needed
-        assert fullco.act(ExactMatrix(m, 0), cochains).cols == 0
+        assert fullco.act(ExactMatrix(m, 0), cochains).rows == 0
 
 
 def sampled_311_data(seeds=range(3, 9)):

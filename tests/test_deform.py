@@ -10,6 +10,7 @@ from instances import (GRID, admissible_cocycles_from_invariant,
                        get_full_subalgebra, get_fullco, get_model,
                        get_sampled_subalgebra, implied_identity_failures,
                        invariant_basis, kappa_value, representatives)
+from column_actions import apply_vector
 from pairwise_oracles import lam2_coords
 from spencerkit.deform import (AdmissibleDatum, NotAdmissible,
                                _certify_delta, _check_assoc_graded,
@@ -95,7 +96,7 @@ class TestAdmissibility:
         gens = subalgebra_actions(cx)
         candidate = None
         for rep_vec in representatives(co):
-            if not all(co.boundaries.contains(op.apply(rep_vec))
+            if not all(co.boundaries.contains(apply_vector(op, rep_vec))
                        for op in gens):
                 candidate = rep_vec
                 break

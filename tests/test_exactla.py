@@ -13,6 +13,7 @@ from spencerkit.exactla import (AffineSolver, ExactMatrix, HomAction,
                                 pair_map, rat, rat_str, solve_affine,
                                 tensor_index_maps, vec, vec_add, vec_is_zero,
                                 vec_scale, vstack, zero_vec)
+from column_actions import apply_columns
 from kron_differentials import cyclic_embedding
 
 
@@ -306,14 +307,14 @@ def rational_matrices(draw, rows, cols):
 
 @st.composite
 def hom_blocks(draw):
-    """(T, D) pairs of random square blocks and a matrix M whose rows fit
-    them."""
+    """(T, D) pairs of random square blocks, some of size 0, and a matrix M
+    whose columns fit them, one cochain per row."""
     sizes = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
                           max_size=3))
     blocks = [(draw(rational_matrices(tgt, tgt)),
                draw(rational_matrices(src, src))) for tgt, src in sizes]
-    rows = sum(tgt * src for tgt, src in sizes)
-    M = draw(rational_matrices(rows, draw(st.integers(0, 3))))
+    cols = sum(tgt * src for tgt, src in sizes)
+    M = draw(rational_matrices(draw(st.integers(0, 3)), cols))
     return blocks, M
 
 
@@ -324,13 +325,22 @@ def test_hom_apply_equals_the_kron_matrix(blocks_and_M):
     matrix = block_diag([kron(ExactMatrix.identity(D.rows), T) -
                          kron(D.transpose(), ExactMatrix.identity(T.rows))
                          for T, D in blocks])
-    assert HomAction(blocks).apply(M) == matrix @ M
+    assert HomAction(blocks).apply_rows(M) == M @ matrix.transpose()
+
+
+@settings(max_examples=80, deadline=None)
+@given(hom_blocks())
+def test_row_apply_equals_the_column_apply(blocks_and_M):
+    # the row form against the column form it replaced, on the transpose
+    blocks, M = blocks_and_M
+    assert HomAction(blocks).apply_rows(M).transpose() == \
+        apply_columns(blocks, M.transpose())
 
 
 def test_hom_apply_rejects_rows_that_do_not_fit():
     with pytest.raises(DimensionMismatch):
-        HomAction([(ExactMatrix.identity(2), ExactMatrix.identity(2))]).apply(
-            ExactMatrix(3, 1))
+        HomAction([(ExactMatrix.identity(2),
+                    ExactMatrix.identity(2))]).apply_rows(ExactMatrix(1, 3))
 
 
 @settings(max_examples=50, deadline=None)

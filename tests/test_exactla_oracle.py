@@ -330,15 +330,19 @@ def hom_blocks(draw):
 @given(hom_blocks())
 def test_hom_apply(blocks_and_M):
     blocks, (M, Mo) = blocks_and_M
-    assert_same(HomAction([(T, D) for (T, _), (D, _) in blocks]).apply(M),
-                fx.hom_apply([(To, Do) for (_, To), (_, Do) in blocks], Mo))
+    # the row form on M^T, one cochain per row, against the Fraction
+    # oracle's columns
+    got = HomAction([(T, D) for (T, _), (D, _) in blocks]).apply_rows(
+        M.transpose()).transpose()
+    assert_same(got, fx.hom_apply([(To, Do) for (_, To), (_, Do) in blocks],
+                                  Mo))
 
 
 @settings(max_examples=80, deadline=None)
 @given(hom_blocks(), st.data())
 def test_hom_apply_on_mostly_zero_rows(blocks_and_M, data):
-    # HomAction.apply reads only the nonzero rows of M: keep at most two of
-    # them, M = 0 included
+    # HomAction.apply_rows reads only the nonzero entries of each row of
+    # M^T: keep at most two rows of M, M = 0 included
     blocks, (M, _) = blocks_and_M
     keep = data.draw(st.sets(st.integers(0, M.rows - 1), max_size=2)) \
         if M.rows else set()
@@ -346,7 +350,7 @@ def test_hom_apply_on_mostly_zero_rows(blocks_and_M, data):
             for i in range(M.rows)]
     sparse = ExactMatrix.from_rows(rows, cols=M.cols)
     exact_blocks = [(T, D) for (T, _), (D, _) in blocks]
-    got = HomAction(exact_blocks).apply(sparse)
+    got = HomAction(exact_blocks).apply_rows(sparse.transpose()).transpose()
     assert_same(got, fx.hom_apply([(To, Do) for (_, To), (_, Do) in blocks],
                                   fx.FractionMatrix.from_rows(rows,
                                                               cols=M.cols)))

@@ -211,6 +211,33 @@ class TestGradedSubalgebras:
         assert sub.Sp.dim == 3 and sub.highly_susy
         assert sub.homogeneity_rank == 4
 
+    @pytest.mark.parametrize("s,t,N", [(2, 1, 1), (3, 1, 2)])
+    def test_maximal_subalgebra_built_once_per_model(self, s, t, N):
+        # four full subspaces, however they are spanned, give the model's
+        # kept maximal subalgebra; anything less builds a new one
+        from spencerkit.flatmodel import _graded_subalgebra
+        rep = get_rep(s, t, N)
+        model = build_extended_flat_model(rep, get_current(s, t, N))
+        assert model.maximal_subalgebra is None
+        full = full_subalgebra(model)
+        assert model.maximal_subalgebra is full
+        ns = model.dim_s
+        respanned = Subspace.from_vectors(ns, [
+            [1 if j <= i else 0 for j in range(ns)] for i in range(ns)])
+        assert make_graded_subalgebra(
+            model, Subspace.full(model.dim_v), respanned,
+            Subspace.full(model.dim_so), Subspace.full(model.dim_r)) is full
+        fresh = _graded_subalgebra(model, *full.key)
+        assert fresh == full and fresh.h_generators == full.h_generators
+        assert (fresh.highly_susy, fresh.transitive, fresh.homogeneity_rank) \
+            == (full.highly_susy, full.transitive, full.homogeneity_rank)
+        no_r = (Subspace.full(model.dim_v), Subspace.full(ns),
+                Subspace.full(model.dim_so), Subspace.trivial(model.dim_r))
+        if model.dim_r:
+            assert make_graded_subalgebra(model, *no_r) is not \
+                make_graded_subalgebra(model, *no_r)
+        assert model.maximal_subalgebra is full
+
     def test_degenerate_subalgebra_valid(self):
         model = get_model(3, 1, 1)
         sub = make_graded_subalgebra(

@@ -189,8 +189,8 @@ class TestBuildOnce:
         restrict = flatmodel.kappa_restriction_matrix
 
         def counting_make(*args):
-            made.append(args)
-            return make(*args)
+            made.append(make(*args))
+            return made[-1]
 
         def counting_restrict(*args):
             restricted.append(args)
@@ -203,9 +203,11 @@ class TestBuildOnce:
                             counting_restrict)
         report = run_pipeline(base_config())
         assert report["result"] == "pass"
-        # kappa on Sym^2 S' once per subalgebra; the kappa(s_i, .) block of
-        # the degree-2 differential is built from products, not pointwise
-        assert len(restricted) == len(made) > 0
+        # kappa on Sym^2 S' once per subalgebra, and the maximal one, asked
+        # for by the subalgebra stage and by the full model's cohomology, is
+        # built once; the kappa(s_i, .) block of the degree-2 differential is
+        # built from products, not pointwise
+        assert len(made) > len(restricted) == len(set(map(id, made))) == 1
 
     def test_full_model_h22_is_the_maximal_subalgebra_report(
             self, monkeypatch):
@@ -534,6 +536,33 @@ class TestCli:
         _counting(monkeypatch, pipeline, "build_extended_flat_model", counts)
         assert main(["verify", str(out)]) == 0
         assert counts == {"build_extended_flat_model": 1}
+
+    def test_cohomology_exits_3_when_the_action_leaves_the_cocycles(
+            self, tmp_path, monkeypatch, capsys):
+        # an operator whose image of every cochain is a basis cochain that
+        # is not a cocycle: the a0-action on H fails its membership
+        # certificate, and the subcommand exits 3 naming it
+        from spencerkit import spencer
+        from spencerkit.exactla import ExactMatrix
+
+        class Leak:
+            def __init__(self, cx):
+                d22 = cx.differentials[2]
+                self.k = next(j for j in range(d22.cols)
+                              if not d22.select_columns([j]).is_zero())
+
+            def apply_rows(self, M):
+                return ExactMatrix(M.rows, M.cols,
+                                   [(i, self.k, 1) for i in range(M.rows)])
+
+        monkeypatch.setattr(spencer, "generator_actions",
+                            lambda cx: [Leak(cx)])
+        path = self._write(tmp_path, base_config())
+        capsys.readouterr()
+        assert main(["cohomology", path]) == 3
+        err = capsys.readouterr().err
+        assert "stage 'cohomology'" in err and \
+            "a0-action does not preserve the cocycle space" in err
 
     def test_verify_detects_tampering(self, tmp_path):
         out = tmp_path / "report.json"

@@ -9,6 +9,7 @@ from instances import (GRID, HIGH_SUSY_DIM, get_full_subalgebra, get_fullco,
                        get_model, get_sampled_subalgebra, invariant_basis,
                        kappa_value, random_highly_susy_subalgebra,
                        representatives, stabiliser_in_r)
+import column_actions
 from pairwise_oracles import beta_vec, rho_vec
 from spencerkit.errors import (DimensionMismatch, KappaZero, NotHighlySusy,
                                OracleMismatch)
@@ -31,13 +32,14 @@ from spencerkit.spencer import (CochainAction, Cochain22,
 
 
 class _MatrixAction:
-    """A stand-in for a CochainAction that applies a given matrix."""
+    """A stand-in for a CochainAction that applies a given matrix to each
+    row."""
 
     def __init__(self, matrix):
         self.matrix = matrix
 
-    def apply_many(self, M):
-        return self.matrix @ M
+    def apply_rows(self, M):
+        return M @ self.matrix.transpose()
 
 
 class TestComplexConstruction:
@@ -670,12 +672,13 @@ class TestComplexMemo:
     def test_equal_subspaces_share_one_complex(self):
         # a separately built subalgebra with equal subspaces is the same key,
         # and the full model's own complex is the maximal subalgebra's, with
-        # values in itself or in the model
+        # values in itself or in the model; make_graded_subalgebra returns
+        # the model's kept maximal subalgebra, so build one past it
+        from spencerkit.flatmodel import _graded_subalgebra
         model = get_model(2, 1, 2)
         full = get_full_subalgebra(2, 1, 2)
-        again = make_graded_subalgebra(model, Subspace.full(3),
-                                       Subspace.full(4), Subspace.full(3),
-                                       Subspace.full(1))
+        again = _graded_subalgebra(model, Subspace.full(3), Subspace.full(4),
+                                   Subspace.full(3), Subspace.full(1))
         assert again is not full
         cx = spencer.spencer_complex(full, 2)
         assert spencer.spencer_complex(again, 2) is cx
@@ -845,16 +848,16 @@ class TestCochainAction:
              lincomb(zip(coeffs, [r for _, r in gens]), sub.model.dim_r))
         dim = cx.layouts[2].dim
         rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
-        cols = data.draw(st.integers(0, 3))
-        M = ExactMatrix(dim, cols, [
+        count = data.draw(st.integers(0, 3))
+        M = ExactMatrix(count, dim, [
             (i, j, Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
-            for i in range(dim) for j in range(cols) if rng.random() < 0.3])
+            for i in range(count) for j in range(dim) if rng.random() < 0.3])
         op = CochainAction(cx, *X)
         matrix = cochain_action_matrix(cx, *X)
-        assert op.apply_many(M) == matrix @ M
-        v = tuple(M.entry(i, 0) for i in range(dim)) if cols else \
-            zero_vec(dim)
-        assert op.apply(v) == matrix.apply(v)
+        got = op.apply_rows(M)
+        assert got == M @ matrix.transpose()
+        assert got.transpose() == column_actions.apply_many(op,
+                                                            M.transpose())
 
     @pytest.mark.parametrize("s,t,N,kind", [(3, 1, 1, "maximal"),
                                             (3, 1, 1, "sampled"),
@@ -891,7 +894,7 @@ class TestCochainAction:
         solver = AffineSolver(hstack([R, co.boundaries.basis.transpose()]))
         expected = []
         for op in spencer.generator_actions(co.complex):
-            X = solver.solve_many(op.apply_many(R))
+            X = solver.solve_many(column_actions.apply_many(op, R))
             expected.append(ExactMatrix(dim_h, dim_h, [
                 (i, j, x[i]) for j, x in enumerate(X) for i in range(dim_h)]))
         assert co.action_matrices == tuple(expected)
@@ -924,10 +927,9 @@ class TestCochainAction:
     def test_wrong_length_is_a_dimension_mismatch(self):
         cx = spencer.spencer_complex(get_full_subalgebra(2, 1, 1), 2)
         op = subalgebra_actions(cx)[0]
-        with pytest.raises(DimensionMismatch):
-            op.apply_many(ExactMatrix(cx.layouts[2].dim + 1, 1))
-        with pytest.raises(DimensionMismatch):
-            op.apply(zero_vec(cx.layouts[2].dim - 1))
+        for cols in (cx.layouts[2].dim + 1, cx.layouts[2].dim - 1):
+            with pytest.raises(DimensionMismatch):
+                op.apply_rows(ExactMatrix(1, cols))
 
 
 def _basis_invariant_classes(co):
@@ -940,8 +942,8 @@ def _basis_invariant_classes(co):
     span = hstack([ExactMatrix.from_columns(reps, dim), B.basis.transpose()])
     blocks = []
     for X in _isotropy_generators(co.complex.subalgebra):
-        image = CochainAction(co.complex, *X).apply_many(
-            ExactMatrix.from_columns(reps, dim))
+        image = column_actions.apply_many(
+            CochainAction(co.complex, *X), ExactMatrix.from_columns(reps, dim))
         cols = []
         for j in range(dim_h):
             sol = solve_affine(span, [image.entry(i, j) for i in range(dim)])
@@ -963,7 +965,8 @@ def _basis_invariant_normalised(fullco, sub):
            for X in _isotropy_generators(sub)]
     if not ops or N.dim == 0:
         return N
-    kernel = vstack([op.apply_many(cols) for op in ops]).kernel()
+    kernel = vstack([column_actions.apply_many(op, cols)
+                     for op in ops]).kernel()
     dim = N.ambient_dim
     return Subspace.from_vectors(dim, [
         lincomb(zip(kernel.basis.row_tuple(k), N.basis_vectors()), dim)
