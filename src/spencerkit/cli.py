@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from .cache import (cache_list, cache_lookup, cache_remove, cache_store,
                     config_hash)
@@ -24,13 +25,19 @@ EXIT_INTERNAL = 3
 
 
 def _load_json(path: str) -> dict:
+    """The JSON object a config or report file holds; any other file is a
+    config error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"no such file: {path}")
     except json.JSONDecodeError as err:
         raise ConfigError(f"invalid JSON in {path}: {err}")
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path} must hold a JSON object, not "
+                          f"{type(data).__name__}")
+    return data
 
 
 def _print_stage(name: str, status: str, seconds: float) -> None:
@@ -151,7 +158,10 @@ def _cache(args) -> int:
     return EXIT_PASS
 
 
-def main(argv=None) -> int:
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call to main and shared by
+    every later one in the process."""
     parser = argparse.ArgumentParser(
         prog="spencerkit",
         description="Exact computations with extended flat model "
@@ -177,7 +187,11 @@ def main(argv=None) -> int:
     p_cache.add_argument("key", nargs="?")
     p_cache.add_argument("--all", action="store_true")
     p_cache.set_defaults(func=_cache)
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as err:

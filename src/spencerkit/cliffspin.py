@@ -179,29 +179,6 @@ class SpinGenerators:
     def dim(self) -> int:
         return len(self.pairs)
 
-    def so_matrix(self, coords: Sequence[Fraction]) -> ExactMatrix:
-        """The element of so(V) with the given E_ij coordinates, on V."""
-        n = self.rep.dim_v
-        out = ExactMatrix.zeros(n, n)
-        for k, c in enumerate(coords):
-            if c:
-                out = out + self.e_mats[k].scale(c)
-        return out
-
-    def spin_matrix(self, coords: Sequence[Fraction]) -> ExactMatrix:
-        """The same element acting on S through the sigma basis."""
-        ns = self.rep.spinor_dim
-        out = ExactMatrix.zeros(ns, ns)
-        for k, c in enumerate(coords):
-            if c:
-                out = out + self.sigma[k].scale(c)
-        return out
-
-    def so_coordinates(self, mat: ExactMatrix) -> tuple:
-        """E_ij coordinates of an so(V) matrix (entries above the diagonal)."""
-        eta = self.rep.signature.eta()
-        return tuple(mat.entry(i, j) / eta[j] for (i, j) in self.pairs)
-
 
 @lru_cache(maxsize=None)
 def _spin_generators_cached(rep: CliffordRep) -> SpinGenerators:
@@ -228,10 +205,6 @@ class DiracCurrent:
     @property
     def is_zero(self) -> bool:
         return all(k.is_zero() for k in self.components)
-
-    def value_basis(self, i: int, j: int) -> tuple:
-        """kappa(e_i, e_j) on spinor basis vectors."""
-        return tuple(k.entry(i, j) for k in self.components)
 
     def component_matrix(self) -> ExactMatrix:
         """dim V x dim Sym^2 S matrix of kappa against the pair basis (dim V x

@@ -16,22 +16,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .certs import Certificate
 from .errors import (FiltrationViolation, JacobiViolation,
                      NotHighlySusy, NotSymmetric, OracleMismatch)
 from .exactla import (AffineSolver, ExactMatrix, NoSolution, Subspace,
-                      block_diag, flatten_columns, hstack, kron, lincomb,
-                      pair_action, pair_embedding, pair_map, rat_str,
-                      solve_affine, tensor_index_maps, vec_add, vec_is_zero,
-                      vec_scale, vec_sub, vstack, zero_vec)
+                      block_diag, coordinate_matrix, flatten_columns, hstack,
+                      kron, pair_action, pair_embedding, pair_map, rat_str,
+                      solve_affine, tensor_index_maps, vec_is_zero, vstack)
 from .flatmodel import (EndoSubalgebra, ExtendedFlatModel, GradedBracketTensor,
                         GradedSubalgebra, faithful_split, graded_jacobi_check,
                         make_graded_subalgebra)
 from .spencer import (Cochain22, FullModelCohomology,
-                      NormalisedCocycle, SpencerComplex, coordinate_matrix,
-                      inclusion_matrix,
+                      NormalisedCocycle, SpencerComplex, inclusion_matrix,
                       restriction_kernel_report, restriction_matrix,
                       spencer_complex, subalgebra_actions)
 
@@ -265,13 +263,12 @@ def check_admissibility(sub: GradedSubalgebra,
     sol = solve_affine(system, target)
     if isinstance(sol, NoSolution):
         return NotAdmissible(combination=sol.combination, rhs=sol.rhs)
-    hat_coeffs = lincomb(zip(sol.x[:inv.dim], inv.basis_vectors()),
-                         fullco.complex.layouts[2].dim)
+    hat = ExactMatrix.from_rows([sol.x[:inv.dim]], cols=inv.dim) @ inv.basis
     lam = tuple(sol.x[inv.dim:])
     datum = AdmissibleDatum(
         subalgebra=sub, fullco=fullco, sub_complex=sub_cx,
         mixed_complex=mixed_cx, mu_minus=mu,
-        hat=NormalisedCocycle(Cochain22(fullco.complex, hat_coeffs)),
+        hat=NormalisedCocycle(Cochain22(fullco.complex, hat.row_tuple(0))),
         lam=lam, r_prime_replaced=replaced)
     # the membership properties the defining relation implies
     datum.odd_brackets()
@@ -675,12 +672,12 @@ def _deformed_bracket(datum: AdmissibleDatum, th1_h: list,
     off_s, off_h, off_r = n, n + nsp, n + nsp + dh
     table: dict = {}
 
-    def put(i, j, chunks):
+    def put(i, j, chunks, sign=1):
         vecd = {}
         for off, coords in chunks:
             for t, c in enumerate(coords):
                 if c:
-                    vecd[off + t] = c
+                    vecd[off + t] = sign * c
         if vecd:
             table[(i, j)] = vecd
 
@@ -708,18 +705,18 @@ def _deformed_bracket(datum: AdmissibleDatum, th1_h: list,
             chunks = [(0, on_v[k * n + b]), (off_h, delta.delta1[k][b]),
                       (off_r, delta.delta2[k][b])]
             put(off_h + k, b, chunks)
-            put(b, off_h + k, [(o, vec_scale(c, -1)) for o, c in chunks])
+            put(b, off_h + k, chunks, -1)
     for p in range(dr):
         for b in range(n):
             chunks = [(off_r, delta.delta4[p][b])]
             put(off_r + p, b, chunks)
-            put(b, off_r + p, [(o, vec_scale(c, -1)) for o, c in chunks])
+            put(b, off_r + p, chunks, -1)
     # [h, S'], [r', S']
     for k in range(dh + dr):
         for i in range(nsp):
             val = on_s[k * nsp + i]
             put(off_h + k, off_s + i, [(off_s, val)])
-            put(off_s + i, off_h + k, [(off_s, vec_scale(val, -1))])
+            put(off_s + i, off_h + k, [(off_s, val)], -1)
     # [S', S'] = kappa + (gamma-hat - lambda1 kappa) + (rho-hat - lambda2 kappa)
     # and [V, S'] = beta-hat + lambda1 . s + lambda2 s
     vs, ss = datum.odd_brackets()
@@ -730,7 +727,7 @@ def _deformed_bracket(datum: AdmissibleDatum, th1_h: list,
     for b in range(n):
         for i, coords in enumerate(vs[b]):
             put(b, off_s + i, [(off_s, coords)])
-            put(off_s + i, b, [(off_s, vec_scale(coords, -1))])
+            put(off_s + i, b, [(off_s, coords)], -1)
     # [V, V] = alpha + theta-corrections
     alpha = column_tuples(_alpha(datum))
     for b in range(n):
@@ -834,11 +831,13 @@ def _check_assoc_graded(datum: AdmissibleDatum,
 # ---------------------------------------------------------------------------
 
 
-def class_gauge_generators(datum: AdmissibleDatum) -> List[tuple]:
+def class_gauge_generators(datum: AdmissibleDatum
+                           ) -> Tuple[ExactMatrix, ExactMatrix]:
     """Generators (k, lambda_k) of the full gauge freedom of the normalised
-    cocycle within a fixed admissible class: k runs over a basis of the
-    invariant part of ker(i^*), and lambda_k is the unique coboundary witness
-    with d(lambda_k) = i^*(k), so (hat, lam) -> (hat + k, lam - lambda_k).
+    cocycle within a fixed admissible class, as two matrices with one
+    generator per row: k runs over a basis of the invariant part of
+    ker(i^*), and lambda_k is the unique coboundary witness with
+    d(lambda_k) = i^*(k), so (hat, lam) -> (hat + k, lam - lambda_k).
 
     For k in the componentwise restriction kernel, i^*(k) = 0 and lambda_k
     vanishes; the extra generators (when the two kernels differ) carry a
@@ -849,19 +848,21 @@ def class_gauge_generators(datum: AdmissibleDatum) -> List[tuple]:
     inv = fullco.invariant_normalised(*sub.generator_coords())
     gauge = report.via_istar.intersect(inv)
     res = restriction_matrix(fullco.complex, datum.mixed_complex)
-    lams = AffineSolver(datum.mixed_complex.differentials[1]).solve_many(
-        res @ gauge.basis.transpose())
-    if None in lams:
+    lams, failed = AffineSolver(datum.mixed_complex.differentials[1]
+                                ).solve_matrix(res @ gauge.basis.transpose())
+    if failed:
         raise OracleMismatch("gauge generator restriction is not a "
                              "coboundary")
-    return list(zip(gauge.basis_vectors(), lams))
+    return gauge.basis, lams.transpose()
 
 
-def _gauge_shift(datum: AdmissibleDatum, generators: List[tuple],
+def _gauge_shift(datum: AdmissibleDatum,
+                 generators: Tuple[ExactMatrix, ExactMatrix],
                  coeffs: Sequence[Fraction], nu: Sequence[Fraction],
                  inc: ExactMatrix) -> AdmissibleDatum:
     """The datum moved by k = sum_g coeffs_g k_g along the class gauge
-    generators (k_g, lambda_g) and by nu in C^{2,1}(a_-; a):
+    generators (the rows k_g and lambda_g of class_gauge_generators) and by
+    nu in C^{2,1}(a_-; a), each a product of the row coeffs or nu:
 
         (mu, hat, lambda) -> (mu + d(nu), hat + k, lambda - lambda_k + i_*(nu))
 
@@ -871,19 +872,20 @@ def _gauge_shift(datum: AdmissibleDatum, generators: List[tuple],
     if vec_is_zero(coeffs) and vec_is_zero(nu):
         return datum
     cxs = datum.sub_complex
-    hat, lam = datum.hat.coeffs, datum.lam
-    k = lincomb(zip(coeffs, [kvec for kvec, _ in generators]), len(hat))
-    lam_k = lincomb(zip(coeffs, [lam_g for _, lam_g in generators]),
-                    len(lam))
+    K, lams = generators
+    c = ExactMatrix.from_rows([coeffs], cols=K.rows)
+    nu_row = ExactMatrix.from_rows([nu], cols=inc.cols)
+    mu = datum.mu_minus.row() + nu_row @ cxs.differentials[1].transpose()
+    hat = datum.hat.cochain.row() + c @ K
+    lam = (ExactMatrix.from_rows([datum.lam]) - c @ lams
+           + nu_row @ inc.transpose())
     return AdmissibleDatum(
         subalgebra=datum.subalgebra, fullco=datum.fullco, sub_complex=cxs,
         mixed_complex=datum.mixed_complex,
-        mu_minus=Cochain22(cxs, vec_add(datum.mu_minus.coeffs,
-                                        cxs.differentials[1].apply(nu))),
+        mu_minus=Cochain22(cxs, mu.row_tuple(0)),
         hat=NormalisedCocycle(Cochain22(datum.fullco.complex,
-                                        vec_add(hat, k))),
-        lam=vec_add(vec_sub(lam, lam_k), inc.apply(nu)),
-        r_prime_replaced=datum.r_prime_replaced)
+                                        hat.row_tuple(0))),
+        lam=lam.row_tuple(0), r_prime_replaced=datum.r_prime_replaced)
 
 
 @dataclass
@@ -915,17 +917,15 @@ def check_geometric_realisability(datum: AdmissibleDatum
                                    "kappa")
     theta2_zero = theta.theta2_zero
     generators = class_gauge_generators(datum)
-    G = len(generators)
+    G = generators[0].rows
     lay_sub = datum.sub_complex.layouts[1]
     inc = inclusion_matrix(datum.sub_complex, datum.mixed_complex, 1)
     # the lambda_r block of lambda - sum_g s_g lambda_g + i_*(nu) vanishes,
     # for unknowns (s_g, then nu in the lambda_r block of C^{2,1}(a_-; a))
     nu_block = lay_sub.indices("lambda_r")
     r_rows = datum.mixed_complex.layouts[1].indices("lambda_r")
-    system = hstack([
-        ExactMatrix.from_columns([lam_g for _, lam_g in generators],
-                                 len(datum.lam)).scale(-1),
-        inc.select_columns(nu_block)]).select_rows(r_rows)
+    system = hstack([generators[1].transpose().scale(-1),
+                     inc.select_columns(nu_block)]).select_rows(r_rows)
     sol = solve_affine(system, [-datum.lam[i] for i in r_rows])
     lambda2_ok = not isinstance(sol, NoSolution)
     if not (theta2_zero and lambda2_ok):
@@ -986,7 +986,7 @@ def deformation_report(datum: AdmissibleDatum,
 
 
 def zero_cocycle(sub: GradedSubalgebra) -> tuple:
-    return zero_vec(spencer_complex(sub, 2).layouts[2].dim)
+    return (Fraction(0),) * spencer_complex(sub, 2).layouts[2].dim
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ Every operation works on it: eliminations are fraction-free, canonical
 forms are reduced row echelon with sorted pivot columns, so equality of
 subspaces is literal equality of entries, and `fractions.Fraction` appears
 only at the API boundary: the constructors take ints, Fractions and "p/q"
-strings, and `entry`, `row_tuple`, `apply`, the solvers and the vector
-helpers return Fractions.  No floating point appears anywhere.
+strings, and `entry`, `row_tuple`, `apply` and the solvers return
+Fractions.  No floating point appears anywhere.
 """
 
 from __future__ import annotations
@@ -344,6 +344,24 @@ class ExactMatrix:
             _normal({where[j]: v for j, v in r.items() if j in where}, d)
             for r, d in zip(self._rows, self._dens)])
 
+    def reshape(self, rows: int, cols: int) -> "ExactMatrix":
+        """The rows x cols matrix with the same entries, read row by row."""
+        if rows * cols != self.rows * self.cols:
+            raise DimensionMismatch("reshape: the sizes differ")
+        # each new row over the lcm of the denominators of the rows it reads
+        parts = [dict() for _ in range(rows)]
+        for i, (r, d) in enumerate(zip(self._rows, self._dens)):
+            base = i * self.cols
+            for j, v in r.items():
+                k, m = divmod(base + j, cols)
+                parts[k][m] = (v, d)
+        pairs = []
+        for part in parts:
+            L = lcm(*[d for _, d in part.values()])
+            pairs.append(_normal({m: v * (L // d)
+                                  for m, (v, d) in part.items()}, L))
+        return ExactMatrix._of(rows, cols, pairs)
+
     def nnz(self) -> int:
         return sum(len(r) for r in self._rows)
 
@@ -618,43 +636,8 @@ def vec(values: Sequence[RationalLike]) -> tuple:
     return tuple(rat(v) for v in values)
 
 
-def vec_add(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def vec_sub(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def vec_scale(a: Sequence[Fraction], c: RationalLike) -> tuple:
-    q = rat(c)
-    return tuple(x * q for x in a)
-
-
-def lincomb(terms: Iterable[tuple], dim: int) -> tuple:
-    """Exact sum of c*v over `(c, v)` pairs, as a tuple of `dim` Fractions.
-
-    A pair with c == 0 is skipped without reading v; an empty sum is the
-    zero vector."""
-    out = [Fraction(0)] * dim
-    for c, v in terms:
-        if c:
-            if len(v) != dim:
-                raise DimensionMismatch("lincomb: vector has the wrong length")
-            out = [o + c * x if x else o for o, x in zip(out, v)]
-    return tuple(out)
-
-
 def vec_is_zero(a: Sequence[Fraction]) -> bool:
     return all(x == 0 for x in a)
-
-
-def zero_vec(n: int) -> tuple:
-    return (Fraction(0),) * n
-
-
-def basis_vec(n: int, i: int) -> tuple:
-    return tuple(Fraction(1) if j == i else Fraction(0) for j in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -693,44 +676,28 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.rows
 
-    def basis_vectors(self) -> list:
-        return [self.basis.row_tuple(i) for i in range(self.dim)]
-
     def coordinates(self, vector: Sequence[RationalLike]) -> Optional[tuple]:
         """Coefficients of `vector` against the RREF basis, or None."""
         if len(vector) != self.ambient_dim:
             raise DimensionMismatch("vector has the wrong length")
-        v, dv = _rational_row(vector)
-        basis = self.basis
-        # the coordinates are v[pivots], so with the basis rows b_k / d_k the
-        # residual times dv L, L the lcm of the d_k read, is an integer row
-        coords = [v.get(c, 0) for c in basis.pivot_columns()]
-        L = lcm(*[d for c, d in zip(coords, basis._dens) if c])
-        if _combination([(L, v)] + [(-c * (L // d), row) for c, row, d in
-                                    zip(coords, basis._rows, basis._dens)
-                                    if c]):
-            return None
-        return tuple(_fraction(c, dv) if c else _ZERO for c in coords)
+        coords = coordinate_rows(self, ExactMatrix.from_rows([vector]))
+        return None if coords is None else coords.row_tuple(0)
 
     def contains(self, vector: Sequence[RationalLike]) -> bool:
         return self.coordinates(vector) is not None
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(other.basis.row_tuple(i))
-                   for i in range(other.dim))
+        return coordinate_rows(self, other.basis) is not None
 
     def intersect(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatch("intersection: ambient dims differ")
         # x = B1^T u = B2^T w; solve for (u, w) in the kernel of [B1^T | -B2^T]
+        # and expand every u at once: the rows u^T B1
         joint = hstack([self.basis.transpose(),
                         other.basis.transpose().scale(-1)])
-        sol = joint.kernel()
-        own = self.basis_vectors()
-        vectors = [lincomb(zip(sol.basis.row_tuple(k)[: self.dim], own),
-                           self.ambient_dim)
-                   for k in range(sol.dim)]
-        return Subspace.from_vectors(self.ambient_dim, vectors)
+        own = joint.kernel().basis.select_columns(range(self.dim))
+        return Subspace(self.ambient_dim, (own @ self.basis).rref())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subspace):
@@ -743,6 +710,45 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
+
+
+def coordinate_rows(space: Subspace, images: ExactMatrix,
+                    stack: int = 1) -> Optional[ExactMatrix]:
+    """The coordinates in `space` of the rows of `images`, each row `stack`
+    ambient vectors one after the other, in the same layout, or None when a
+    vector leaves `space`.  Against the RREF basis the coordinates are the
+    entries at its pivot columns, and one product with the basis certifies
+    all of them; the basis of the whole space is the identity, so there the
+    coordinates are the rows themselves."""
+    amb = space.ambient_dim
+    if images.cols != stack * amb:
+        raise DimensionMismatch("coordinate_rows: rows do not fit the space")
+    if space.dim == amb:
+        return images
+    pivots = space.basis.pivot_columns()
+    coords = images.select_columns([k * amb + p for k in range(stack)
+                                    for p in pivots])
+    if coords @ kron(ExactMatrix.identity(stack), space.basis) != images:
+        return None
+    return coords
+
+
+def coordinate_matrix(space: Subspace, images: ExactMatrix,
+                      stack: int = 1) -> Optional[ExactMatrix]:
+    """coordinate_rows on the columns of `images`: the coordinates of each
+    column as a column, or None when a vector leaves `space`."""
+    if space.dim == space.ambient_dim and images.rows == stack * space.dim:
+        return images
+    coords = coordinate_rows(space, images.transpose(), stack)
+    return None if coords is None else coords.transpose()
+
+
+def first_row_outside(space: Subspace, images: ExactMatrix) -> Optional[int]:
+    """The index of the first row of `images` that leaves `space`, or None:
+    the first nonzero row of the residual after the pivot coordinates."""
+    residual = images - images.select_columns(
+        space.basis.pivot_columns()) @ space.basis
+    return next((i for i, row in enumerate(residual._rows) if row), None)
 
 
 # ---------------------------------------------------------------------------
@@ -796,7 +802,7 @@ def solve_affine(A: ExactMatrix, b: Sequence[RationalLike]):
     if x is not None:
         return ParticularSolution(x=x)
     y = _canonical_solution(_augmented(aug.transpose(),
-                                       basis_vec(A.cols + 1, A.cols)))
+                                       [0] * A.cols + [1]))
     if y is None:
         raise OracleMismatch("solve_affine: neither a solution nor an "
                              "inconsistency certificate exists")
@@ -826,10 +832,9 @@ class AffineSolver:
     unique, so it is x[pivots] = P^-1 b[rows].
     `solve_matrix` computes that for a batch of right-hand sides, as the
     columns of one matrix, and certifies the whole batch with one exact
-    product A X == Y; `solve_many` gives the same solutions as tuples, None
-    for a column without one, and `solve_affine` gives its NoSolution
-    certificate.  A is factored at the first solve, so a solver that is
-    never asked costs nothing.
+    product A X == Y; `solve_affine` gives the NoSolution certificate of a
+    column without a solution.  A is factored at the first solve, so a
+    solver that is never asked costs nothing.
     """
 
     __slots__ = ("A", "_pivots", "_rows", "_inv")
@@ -880,19 +885,6 @@ class AffineSolver:
                 failed.update(j for j in ar.keys() | yr.keys()
                               if ar.get(j, 0) * yd != yr.get(j, 0) * ad)
         return X, failed
-
-    def solve_many(self, Y: ExactMatrix) -> list:
-        """The canonical solution of A x = y for each column y of Y, as a
-        tuple, or None for a column that has none: solve_matrix, column by
-        column."""
-        X, failed = self.solve_matrix(Y)
-        out = [None if j in failed else [_ZERO] * X.rows
-               for j in range(Y.cols)]
-        for i, (row, d) in enumerate(zip(X._rows, X._dens)):
-            for j, v in row.items():
-                if out[j] is not None:
-                    out[j][i] = _fraction(v, d)
-        return [None if x is None else tuple(x) for x in out]
 
 
 class HomAction:
@@ -1098,9 +1090,33 @@ def pair_map(out_table: IndexTable, in_table: IndexTable,
 
 def pair_action(table: IndexTable, X: ExactMatrix) -> ExactMatrix:
     """Action of an endomorphism X on a sym2 or wedge2 table:
-    X.(e_i * e_j) = (X e_i) * e_j + e_i * (X e_j)."""
-    eye = ExactMatrix.identity(X.rows)
-    return pair_map(table, table, X, eye) + pair_map(table, table, eye, X)
+    X.(e_i * e_j) = (X e_i) * e_j + e_i * (X e_j), that is
+    pair_map(X, I) + pair_map(I, X) in one pass, column (i, j) read off
+    columns i and j of X alone."""
+    if table.kind not in ("sym2", "wedge2"):
+        raise DimensionMismatch("pair_action expects a sym2 or wedge2 table")
+    if (X.rows, X.cols) != (table.dims[0],) * 2:
+        raise DimensionMismatch("pair_action: matrix does not fit the table")
+    cols = X.transpose()
+    index, sign = table.index, table.sign
+    # built one column at a time, as the rows of the transpose
+    pairs = []
+    for i, j in table.tuples:
+        di, dj = cols._dens[i], cols._dens[j]
+        L = lcm(di, dj)
+        acc: dict = {}
+        for k, a in cols._rows[i].items():
+            s = sign(k, j)
+            if s:
+                p = index(k, j)
+                acc[p] = acc.get(p, 0) + s * a * (L // di)
+        for l, b in cols._rows[j].items():
+            s = sign(i, l)
+            if s:
+                p = index(i, l)
+                acc[p] = acc.get(p, 0) + s * b * (L // dj)
+        pairs.append(_normal({p: c for p, c in acc.items() if c}, L))
+    return ExactMatrix._of(table.size, table.size, pairs).transpose()
 
 
 def pair_embedding(table: IndexTable) -> ExactMatrix:

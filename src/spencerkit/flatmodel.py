@@ -12,10 +12,10 @@ from .certs import Certificate
 from .cliffspin import CliffordRep, DiracCurrent, spin_generators
 from .errors import (DimensionMismatch, JacobiViolation, NotClosed,
                      NotCompactForm)
-from .exactla import (ExactMatrix, Subspace, basis_vec, block_diag,
-                      is_positive_definite, kron, lincomb, pair_map, rat_str,
-                      scaled_rows, tensor_index_maps, vec_scale, vstack,
-                      zero_vec)
+from .exactla import (ExactMatrix, Subspace, block_diag, coordinate_rows,
+                      first_row_outside, hstack, is_positive_definite,
+                      kron, pair_map, rat_str, scaled_rows, tensor_index_maps,
+                      vstack)
 
 
 # ---------------------------------------------------------------------------
@@ -24,68 +24,64 @@ from .exactla import (ExactMatrix, Subspace, basis_vec, block_diag,
 
 
 class EndoSubalgebra:
-    """A commutator-closed subspace of End(S), held by a canonical basis."""
+    """A commutator-closed subspace of End(S), held by a canonical basis.
+    An element is flattened row by row, so the basis rows are the flattened
+    `matrices`."""
 
     def __init__(self, spinor_dim: int, basis: Subspace):
         self.spinor_dim = spinor_dim
         self.basis = basis
+        n = spinor_dim
         self.matrices: List[ExactMatrix] = [
-            _unflatten(spinor_dim, basis.basis.row_tuple(i))
-            for i in range(basis.dim)
-        ]
+            basis.basis.select_rows([i]).reshape(n, n)
+            for i in range(basis.dim)]
+        # bracket_table[i][j] holds the coordinates of [m_i, m_j]
         self.bracket_table: List[List[tuple]] = []
-        for a in self.matrices:
-            row = []
-            for b in self.matrices:
-                coords = self.coordinates(a.commutator(b))
-                if coords is None:
-                    raise NotClosed("endomorphism algebra not closed under "
-                                    "commutator",
-                                    witness=a.commutator(b).to_serialisable())
-                row.append(coords)
-            self.bracket_table.append(row)
+        if not self.matrices:
+            return
+        comms = commutator_rows(self.matrices, basis.basis)
+        coords = coordinate_rows(basis, comms)
+        if coords is None:
+            bad = first_row_outside(basis, comms)
+            raise NotClosed("endomorphism algebra not closed under "
+                            "commutator", witness=comms.select_rows(
+                                [bad]).reshape(n, n).to_serialisable())
+        k = basis.dim
+        self.bracket_table = [[coords.row_tuple(i * k + j) for j in range(k)]
+                              for i in range(k)]
 
     @classmethod
     def from_matrices(cls, spinor_dim: int,
                       matrices: Sequence[ExactMatrix]) -> "EndoSubalgebra":
-        vectors = [_flatten(m) for m in matrices]
-        return cls(spinor_dim, Subspace.from_vectors(spinor_dim ** 2, vectors))
+        flat = vstack([ExactMatrix(0, spinor_dim ** 2)] +
+                      [m.reshape(1, spinor_dim ** 2) for m in matrices])
+        return cls(spinor_dim, flat.row_space())
 
     @property
     def dim(self) -> int:
         return self.basis.dim
 
     def coordinates(self, mat: ExactMatrix) -> Optional[tuple]:
-        return self.basis.coordinates(_flatten(mat))
+        coords = coordinate_rows(self.basis,
+                                 mat.reshape(1, self.spinor_dim ** 2))
+        return None if coords is None else coords.row_tuple(0)
 
     def contains(self, mat: ExactMatrix) -> bool:
         return self.coordinates(mat) is not None
-
-    def matrix_of(self, coords: Sequence[Fraction]) -> ExactMatrix:
-        out = ExactMatrix.zeros(self.spinor_dim, self.spinor_dim)
-        for c, m in zip(coords, self.matrices):
-            if c:
-                out = out + m.scale(c)
-        return out
-
-    def bracket_coords(self, x: Sequence[Fraction],
-                       y: Sequence[Fraction]) -> tuple:
-        return lincomb(((xi * yj, self.bracket_table[i][j])
-                        for i, xi in enumerate(x) if xi
-                        for j, yj in enumerate(y) if yj), self.dim)
 
     def __repr__(self):
         return f"EndoSubalgebra(dim={self.dim}, on S^{self.spinor_dim})"
 
 
-def _flatten(mat: ExactMatrix) -> tuple:
-    return tuple(v for i in range(mat.rows) for v in mat.row_tuple(i))
-
-
-def _unflatten(n: int, flat: Sequence[Fraction]) -> ExactMatrix:
-    return ExactMatrix(n, n, [(i, j, flat[i * n + j])
-                              for i in range(n) for j in range(n)
-                              if flat[i * n + j]])
+def commutator_rows(mats: Sequence[ExactMatrix],
+                    flat: ExactMatrix) -> ExactMatrix:
+    """Row i f + j is [m_i, n_j] flattened row by row, for the square
+    matrices m_i and the f matrices n_j whose flattenings are the rows of
+    `flat`: one product of the stacked blocks, since
+    vec(n_j)^T (m_i^T (x) I - I (x) m_i) is vec(m_i n_j - n_j m_i)^T."""
+    eye = ExactMatrix.identity(mats[0].rows)
+    return kron(ExactMatrix.identity(len(mats)), flat) @ vstack(
+        [kron(m.transpose(), eye) - kron(eye, m) for m in mats])
 
 
 def compute_schur_algebra(rep: CliffordRep) -> EndoSubalgebra:
@@ -338,45 +334,53 @@ class ExtendedFlatModel:
             if vecd:
                 table[(i, j)] = vecd
 
+        def put_pair(i, j, chunk):
+            """[x_i, x_j] = chunk and [x_j, x_i] = -chunk."""
+            put(i, j, chunk)
+            put(j, i, {k: -v for k, v in chunk.items()})
+
+        def rows_of(mat, off):
+            """The nonzero entries of each row of mat, at off + column."""
+            D, rows = mat.int_rows()
+            return [{off + k: Fraction(v, D) for k, v in row.items()}
+                    for row in rows]
+
         gens = self.gens
-        # [so, so]
+        # [so, so]: every commutator of the E_ij at once, in E_ij
+        # coordinates, read off entry (i, j) above the diagonal, which E_ij
+        # alone meets, with the value eta_j = 1 / eta_j
+        if nso:
+            eta = self.rep.signature.eta()
+            read = ExactMatrix(nv * nv, nso, [
+                (i * nv + j, k, eta[j])
+                for k, (i, j) in enumerate(gens.pairs)])
+            so_so = commutator_rows(gens.e_mats, vstack(
+                [e.reshape(1, nv * nv) for e in gens.e_mats])) @ read
+            for ab, row in enumerate(rows_of(so_so, off_so)):
+                put(off_so + ab // nso, off_so + ab % nso, row)
+        # [so, V] and [so, S]: column i of each generator's matrix
         for a in range(nso):
-            for b in range(nso):
-                comm = gens.e_mats[a].commutator(gens.e_mats[b])
-                coords = gens.so_coordinates(comm)
-                put(off_so + a, off_so + b,
-                    {off_so + k: c for k, c in enumerate(coords)})
-        # [so, V] and [so, S]
-        for a in range(nso):
-            emat, smat = gens.e_mats[a], gens.sigma[a]
-            for i in range(nv):
-                put(off_so + a, i,
-                    {k: emat.entry(k, i) for k in range(nv)})
-                put(i, off_so + a,
-                    {k: -emat.entry(k, i) for k in range(nv)})
-            for i in range(ns):
-                put(off_so + a, off_s + i,
-                    {off_s + k: smat.entry(k, i) for k in range(ns)})
-                put(off_s + i, off_so + a,
-                    {off_s + k: -smat.entry(k, i) for k in range(ns)})
+            for i, col in enumerate(rows_of(gens.e_mats[a].transpose(), 0)):
+                put_pair(off_so + a, i, col)
+            for i, col in enumerate(rows_of(gens.sigma[a].transpose(),
+                                            off_s)):
+                put_pair(off_so + a, off_s + i, col)
         # [r, r], [r, S]
         for p in range(nr):
             for q in range(nr):
                 coords = self.r.bracket_table[p][q]
                 put(off_r + p, off_r + q,
                     {off_r + k: c for k, c in enumerate(coords)})
-            mat = self.r.matrices[p]
-            for i in range(ns):
-                put(off_r + p, off_s + i,
-                    {off_s + k: mat.entry(k, i) for k in range(ns)})
-                put(off_s + i, off_r + p,
-                    {off_s + k: -mat.entry(k, i) for k in range(ns)})
+            for i, col in enumerate(rows_of(self.r.matrices[p].transpose(),
+                                            off_s)):
+                put_pair(off_r + p, off_s + i, col)
         # [S, S] = kappa (symmetric current: symmetric bracket of odd elements;
-        # skew current: antisymmetric bracket of even elements)
-        for i in range(ns):
-            for j in range(ns):
-                val = self.current.value_basis(i, j)
-                put(off_s + i, off_s + j, {a: val[a] for a in range(nv)})
+        # skew current: antisymmetric bracket of even elements): entry (i, j)
+        # of the component K_a
+        for a, K in enumerate(self.current.components):
+            for i, row in enumerate(rows_of(K, off_s)):
+                for j, v in row.items():
+                    table.setdefault((off_s + i, j), {})[a] = v
         return GradedBracketTensor(
             component_names=("V", "S", "so", "r"),
             component_dims=(nv, ns, nso, nr),
@@ -407,16 +411,24 @@ class ExtendedFlatModel:
                     [i * n + j for i in rows for j in cols])
         return self._bracket_blocks[key]
 
-    # -- actions -------------------------------------------------------------
-
-    def so_matrix(self, coords: Sequence[Fraction]) -> ExactMatrix:
-        return self.gens.so_matrix(coords)
-
-    def spin_matrix(self, coords: Sequence[Fraction]) -> ExactMatrix:
-        return self.gens.spin_matrix(coords)
-
-    def r_matrix(self, coords: Sequence[Fraction]) -> ExactMatrix:
-        return self.r.matrix_of(coords)
+    def element_matrices(self, X: ExactMatrix, part: str) -> tuple:
+        """The matrices M with [x, y] = M y on `part` (V or S) of the
+        elements x whose so(V) + r coordinates are the rows of X: one
+        product with the table whose row a is the a0 basis element x_a's
+        matrix flattened row by row, read off bracket_matrix("a0", part,
+        part) on first use and kept on the model."""
+        d = len(self._part(part))
+        key = ("actions", part)
+        if key not in self._bracket_blocks:
+            # row a d + j of the transpose is M_a e_j, so read row by row
+            # it holds each M_a transposed
+            self._bracket_blocks[key] = self.bracket_matrix(
+                "a0", part, part).transpose().reshape(
+                    len(self._part("a0")), d * d).select_columns(
+                        [j * d + i for i in range(d) for j in range(d)])
+        flat = X @ self._bracket_blocks[key]
+        return tuple(flat.select_rows([k]).reshape(d, d)
+                     for k in range(flat.rows))
 
     def to_json(self) -> dict:
         names = {"V": (self.off_v, self.dim_v), "S": (self.off_s, self.dim_s),
@@ -571,123 +583,122 @@ def make_graded_subalgebra(model: ExtendedFlatModel, Vp: Subspace,
 
 def _graded_subalgebra(model: ExtendedFlatModel, Vp: Subspace, Sp: Subspace,
                        h: Subspace, rp: Subspace) -> GradedSubalgebra:
-    svecs = Sp.basis_vectors()
-    # kappa(Sym^2 S') inside V'
+    """Each closure and preservation condition is read off one product over
+    the model's basis tables (bracket_matrix) and certified by
+    coordinate_rows, in the order: kappa(S', S') in V', h closed, r'
+    closed, h preserving V' and S' (element by element, V' first), r'
+    preserving S'.  The first that fails raises NotClosed with the first
+    vector that leaves as its witness."""
+    nso, nr, nv = model.dim_so, model.dim_r, model.dim_v
+    dh, dr = h.dim, rp.dim
+    # the h-basis and the r'-basis as rows, and as columns, in so(V) + r
+    # coordinates
+    H = hstack([h.basis, ExactMatrix(dh, nr)])
+    R = hstack([ExactMatrix(dr, nso), rp.basis])
+    Xh, Xr = H.transpose(), R.transpose()
     kappa_sp = kappa_restriction_matrix(model, Sp)
-    kappas = kappa_sp.transpose()
-    for p in range(kappas.rows):
-        image = kappas.row_tuple(p)
-        if not Vp.contains(image):
-            raise NotClosed("kappa(S', S') leaves V'",
-                            witness=[rat_str(c) for c in image])
-    # h closed under commutator
-    h_so = tuple(model.so_matrix(x) for x in h.basis_vectors())
-    h_brackets = [[None] * h.dim for _ in range(h.dim)]
-    for i, A in enumerate(h_so):
-        for j in range(i, h.dim):
-            comm = A.commutator(h_so[j])
-            coords = h.coordinates(model.gens.so_coordinates(comm))
-            if coords is None:
-                raise NotClosed("h is not closed under the commutator",
-                                witness=comm.to_serialisable())
-            h_brackets[j][i] = vec_scale(coords, -1)
-            h_brackets[i][j] = coords
-    # r' closed under commutator
-    rp_brackets = [[None] * rp.dim for _ in range(rp.dim)]
-    for i in range(rp.dim):
-        for j in range(i, rp.dim):
-            coords = model.r.bracket_coords(rp.basis.row_tuple(i),
-                                            rp.basis.row_tuple(j))
-            rp_coords = rp.coordinates(coords)
-            if rp_coords is None:
-                raise NotClosed("r' is not closed under the commutator",
-                                witness=[rat_str(c) for c in coords])
-            rp_brackets[j][i] = vec_scale(rp_coords, -1)
-            rp_brackets[i][j] = rp_coords
-    # h preserves V' and S'
-    h_spin = tuple(model.spin_matrix(x) for x in h.basis_vectors())
-    for A, AS in zip(h_so, h_spin):
-        for v in Vp.basis_vectors():
-            if not Vp.contains(A.apply(v)):
-                raise NotClosed("h does not preserve V'",
-                                witness=[rat_str(c) for c in A.apply(v)])
-        for s in svecs:
-            if not Sp.contains(AS.apply(s)):
-                raise NotClosed("h does not preserve S'",
-                                witness=[rat_str(c) for c in AS.apply(s)])
-    # r' preserves S' (it acts trivially on V)
-    rp_mats = tuple(model.r_matrix(x) for x in rp.basis_vectors())
-    for a in rp_mats:
-        for s in svecs:
-            if not Sp.contains(a.apply(s)):
-                raise NotClosed("r' does not preserve S'",
-                                witness=[rat_str(c) for c in a.apply(s)])
+    _require([("kappa(S', S') leaves V'", Vp, kappa_sp.transpose(), 1)])
+    # row k d + l: [x_k, x_l], in so(V) coordinates for h and in r
+    # coordinates for r'
+    B = model.bracket_matrix("a0", "a0", "a0")
+    h_table, = _require([("h is not closed under the commutator", h,
+                          (B @ kron(Xh, Xh)).select_rows(
+                              range(nso)).transpose(), 1)])
+    rp_table, = _require([("r' is not closed under the commutator", rp,
+                           (B @ kron(Xr, Xr)).select_rows(
+                               range(nso, nso + nr)).transpose(), 1)])
+    h_so = model.element_matrices(H, "V")
+    h_spin = model.element_matrices(H, "S")
+    rp_mats = model.element_matrices(R, "S")
+    # row k dim W' + b: x_k on the b-th basis vector of W'
+    h_vp = _on_rows(h_so, Vp.basis)
+    h_sp = _on_rows(h_spin, Sp.basis)
+    rp_sp = _on_rows(rp_mats, Sp.basis)
+    _require([("h does not preserve V'", Vp, h_vp, Vp.dim),
+              ("h does not preserve S'", Sp, h_sp, Sp.dim)])
+    _require([("r' does not preserve S'", Sp, rp_sp, Sp.dim)])
     sub = GradedSubalgebra(model=model, Vp=Vp, Sp=Sp, h=h, rp=rp,
                            kappa_sp=kappa_sp, h_so=h_so, h_spin=h_spin,
                            rp_mats=rp_mats,
-                           h_brackets=tuple(map(tuple, h_brackets)),
-                           rp_brackets=tuple(map(tuple, rp_brackets)),
-                           h_generators=lie_generating_subset(h_brackets),
-                           rp_generators=lie_generating_subset(rp_brackets))
+                           h_brackets=_structure_constants(h_table, dh),
+                           rp_brackets=_structure_constants(rp_table, dr),
+                           h_generators=lie_generating_subset(h_table),
+                           rp_generators=lie_generating_subset(rp_table))
     sub.homogeneity_rank = kappa_sp.rank()
     sub.highly_susy = (2 * Sp.dim > model.dim_s
                        and Vp.dim == model.dim_v)
-    # transitivity: h + r' acts faithfully on V' + S'
-    ann_dim = _a0_annihilator_dim(sub)
+    # transitivity: h + r' acts faithfully on V' + S' (r' is zero on V);
+    # row k holds x_k on every basis vector of V', then of S'
+    dk = dh + dr
+    ann_dim = dk - hstack([
+        _per_element(vstack([h_vp, ExactMatrix(dr * Vp.dim, nv)]), dk),
+        _per_element(vstack([h_sp, rp_sp]), dk)]).rank() if dk else 0
     sub.transitive = sub.highly_susy and ann_dim == 0
     return sub
 
 
-def lie_generating_subset(brackets: Sequence[Sequence[Sequence[Fraction]]]
-                          ) -> tuple:
+def _require(checks: Sequence[tuple]) -> list:
+    """The coordinate_rows of each check (condition, space, rows, block),
+    or NotClosed naming the check that fails first.  Rows k block to
+    (k + 1) block - 1 are the vectors of element k; the elements are taken
+    in turn and, for each, its checks in the order given.  The witness is
+    the first row that leaves its space."""
+    coords = [coordinate_rows(space, rows) for _, space, rows, _ in checks]
+    failures = []
+    for order, ((condition, space, rows, block), c) in enumerate(
+            zip(checks, coords)):
+        if c is None:
+            i = first_row_outside(space, rows)
+            failures.append((i // block, order, i, condition, rows))
+    if failures:
+        _, _, i, condition, rows = min(failures)
+        raise NotClosed(condition,
+                        witness=[rat_str(c) for c in rows.row_tuple(i)])
+    return coords
+
+
+def _structure_constants(table: ExactMatrix, dim: int) -> tuple:
+    """table[k dim + l], the coordinates of [x_k, x_l], as [k][l]."""
+    return tuple(tuple(table.row_tuple(k * dim + l) for l in range(dim))
+                 for k in range(dim))
+
+
+def _per_element(rows: ExactMatrix, count: int) -> ExactMatrix:
+    """Row k: the k-th of `count` equal blocks of `rows`, read row by
+    row."""
+    return rows.reshape(count, rows.rows * rows.cols // count)
+
+
+def lie_generating_subset(table: ExactMatrix) -> tuple:
     """Indices of basis elements that generate the Lie algebra whose
-    structure constants are brackets[k][l] (the coordinates of [x_k, x_l]).
+    structure constants are the rows of `table`: row k dim + l holds the
+    coordinates of [x_k, x_l].
 
     Greedy and exact: x_k is taken when it lies outside the subalgebra
     generated by the elements taken before it.  That subalgebra is the
     smallest subspace containing them and closed under their adjoint
-    actions, since right-normed brackets of generators span it."""
-    dim = len(brackets)
+    actions, since right-normed brackets of generators span it.  Its RREF
+    rows w are closed by products: block g of `table` is ad(x_g)^T, so
+    w ad(x_g)^T is [x_g, w], for every row and every chosen g at once,
+    until the rank stops growing."""
+    dim = table.cols
     chosen: List[int] = []
     closure = Subspace.trivial(dim)
     for k in range(dim):
-        if closure.contains(basis_vec(dim, k)):
+        unit = [int(j == k) for j in range(dim)]
+        if closure.contains(unit):
             continue
         chosen.append(k)
-        vectors = closure.basis_vectors() + [basis_vec(dim, k)]
-        closure = Subspace.from_vectors(dim, vectors)
-        todo = list(vectors)
-        while todo:
-            w = todo.pop()
-            for g in chosen:
-                v = lincomb(((c, brackets[g][l]) for l, c in enumerate(w)
-                             if c), dim)
-                if not closure.contains(v):
-                    vectors.append(v)
-                    todo.append(v)
-                    closure = Subspace.from_vectors(dim, vectors)
+        ads = [table.select_rows(range(g * dim, (g + 1) * dim))
+               for g in chosen]
+        span = vstack([closure.basis, ExactMatrix.from_rows([unit])]).rref()
+        while True:
+            grown = vstack([span] + [span @ ad for ad in ads]).rref()
+            if grown.rows == span.rows:
+                break
+            span = grown
+        closure = Subspace(dim, span)
     return tuple(chosen)
-
-
-def _a0_annihilator_dim(sub: GradedSubalgebra) -> int:
-    """Dimension of the annihilator of V' + S' inside h + r', which acts on
-    V + S block-diagonally."""
-    nv, ns = sub.model.dim_v, sub.model.dim_s
-    mats = ([block_diag([A, AS]) for A, AS in zip(sub.h_so, sub.h_spin)] +
-            [block_diag([ExactMatrix(nv, nv), a]) for a in sub.rp_mats])
-    vectors = ([v + zero_vec(ns) for v in sub.Vp.basis_vectors()] +
-               [zero_vec(nv) + s for s in sub.Sp.basis_vectors()])
-    return _annihilator(mats, vectors).dim
-
-
-def _annihilator(mats: Sequence[ExactMatrix],
-                 vectors: Sequence[Sequence[Fraction]]) -> Subspace:
-    """Coefficient vectors c with sum_k c_k m_k v = 0 for every v: the kernel
-    of the system with one row per coordinate of the images m_k v."""
-    rows = []
-    for v in vectors:
-        rows.extend(zip(*(m.apply(v) for m in mats)))
-    return ExactMatrix.from_rows(rows, cols=len(mats)).kernel()
 
 
 def stabiliser_in_so(model: ExtendedFlatModel, Sp: Subspace) -> Subspace:
@@ -695,28 +706,24 @@ def stabiliser_in_so(model: ExtendedFlatModel, Sp: Subspace) -> Subspace:
     return _stabiliser(model.gens.sigma, model.dim_so, Sp)
 
 
+def _on_rows(mats: Sequence[ExactMatrix], W: ExactMatrix) -> ExactMatrix:
+    """Row k W.rows + b: the k-th matrix on the b-th row of W, one product
+    over the stacked transposes."""
+    return kron(ExactMatrix.identity(len(mats)), W) @ vstack(
+        [ExactMatrix(0, W.cols)] + [m.transpose() for m in mats])
+
+
 def _stabiliser(mats: Sequence[ExactMatrix], dim: int,
                 Sp: Subspace) -> Subspace:
+    """The c with sum_k c_k mats[k] preserving S': the combinations that
+    annihilate every residual modulo S' of the images m_k s, each image
+    less its pivot coordinates times the RREF basis."""
     if dim == 0:
         return Subspace.trivial(0)
-    ns = Sp.ambient_dim
-    pivots = Sp.basis.pivot_columns()
-    rows = []
-    for s in Sp.basis_vectors():
-        images = [m.apply(s) for m in mats]
-        for k in range(dim):
-            w = list(images[k])
-            # residual of w modulo S' (RREF basis: subtract pivot coords)
-            for bi, pc in enumerate(pivots):
-                c = w[pc]
-                if c:
-                    brow = Sp.basis.row_tuple(bi)
-                    for idx in range(ns):
-                        w[idx] -= c * brow[idx]
-            images[k] = tuple(w)
-        for i in range(ns):
-            rows.append([images[k][i] for k in range(dim)])
-    return ExactMatrix.from_rows(rows, cols=dim).kernel()
+    images = _on_rows(mats, Sp.basis)
+    residual = images - images.select_columns(
+        Sp.basis.pivot_columns()) @ Sp.basis
+    return _per_element(residual, dim).transpose().kernel()
 
 
 def random_subspace(ambient_dim: int, dim: int, seed: int,
@@ -754,16 +761,15 @@ def faithful_split(rp: EndoSubalgebra,
 
     The inner product is the negated trace form of the action on S; it must
     be positive-definite (checked by exact LDL^T pivots), which is the
-    compactness hypothesis.
+    compactness hypothesis.  Each membership certificate is one product:
+    the basis on S', and the commutators of the bases.
     """
     ns = rp.spinor_dim
     if Sp.ambient_dim != ns:
         raise DimensionMismatch("S' lives in the wrong spinor module")
-    for a in rp.matrices:
-        for s in Sp.basis_vectors():
-            if not Sp.contains(a.apply(s)):
-                raise NotClosed("r' does not preserve S'",
-                                witness=[rat_str(c) for c in a.apply(s)])
+    # row m dim S' + b: the m-th basis element of r' on s_b
+    on_sp = _on_rows(rp.matrices, Sp.basis)
+    _require([("r' does not preserve S'", Sp, on_sp, 1)])
     k = rp.dim
     if k == 0:
         return rp, EndoSubalgebra.from_matrices(ns, [])
@@ -772,36 +778,28 @@ def faithful_split(rp: EndoSubalgebra,
     if not is_positive_definite(gram):
         raise NotCompactForm("negated trace form on r' is not positive-definite")
     # annihilator of S' inside r'
-    ann_coords = _annihilator(rp.matrices, Sp.basis_vectors())
+    ann_coords = _per_element(on_sp, k).transpose().kernel()
     # orthogonal complement of the annihilator under the trace form
     if ann_coords.dim == 0:
         rpp_coords = Subspace.full(k)
     else:
-        rows = [(gram @ ann_coords.basis.transpose()).transpose().row_tuple(i)
-                for i in range(ann_coords.dim)]
-        rpp_coords = ExactMatrix.from_rows(rows, cols=k).kernel()
-    ann = EndoSubalgebra.from_matrices(
-        ns, [rp.matrix_of(ann_coords.basis.row_tuple(i))
-             for i in range(ann_coords.dim)])
-    rpp = EndoSubalgebra.from_matrices(
-        ns, [rp.matrix_of(rpp_coords.basis.row_tuple(i))
-             for i in range(rpp_coords.dim)])
-    # direct-sum and ideal certificates, entrywise
+        rpp_coords = (gram @ ann_coords.basis.transpose()).transpose().kernel()
+    flat = rp.basis.basis
+    ann = EndoSubalgebra(ns, (ann_coords.basis @ flat).row_space())
+    rpp = EndoSubalgebra(ns, (rpp_coords.basis @ flat).row_space())
+    # direct-sum and ideal certificates
     if rpp.dim + ann.dim != k or rpp.basis.intersect(ann.basis).dim != 0:
         raise NotClosed("r' does not split as r'' + ann")
-    for a in rpp.matrices:
-        for b in ann.matrices:
-            if not a.commutator(b).is_zero():
-                raise NotClosed("[r'', ann] is nonzero",
-                                witness=a.commutator(b).to_serialisable())
-    for a in rp.matrices:
-        for b in ann.matrices:
-            if not ann.contains(a.commutator(b)):
-                raise NotClosed("ann is not an ideal of r'")
-        for b in rpp.matrices:
-            if not rpp.contains(a.commutator(b)):
-                raise NotClosed("r'' is not an ideal of r'")
+    if rpp.dim and ann.dim:
+        _require([("[r'', ann] is nonzero", Subspace.trivial(ns * ns),
+                   commutator_rows(rpp.matrices, ann.basis.basis), 1)])
+    # row m f + j: [a_m, b_j] for the m-th basis element a_m of r'
+    _require([("ann is not an ideal of r'", ann.basis,
+               commutator_rows(rp.matrices, ann.basis.basis), ann.dim),
+              ("r'' is not an ideal of r'", rpp.basis,
+               commutator_rows(rp.matrices, rpp.basis.basis), rpp.dim)])
     # r'' acts faithfully on S'
-    if _annihilator(rpp.matrices, Sp.basis_vectors()).dim != 0:
+    if rpp.dim and _per_element(_on_rows(rpp.matrices, Sp.basis),
+                                rpp.dim).rank() != rpp.dim:
         raise NotClosed("r'' fails to act faithfully on S'")
     return rpp, ann

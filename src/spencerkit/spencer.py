@@ -31,10 +31,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (DimensionMismatch, KappaZero, NoEquivariantSplitting,
                      NotHighlySusy, NotSymmetric, OracleMismatch)
-from .exactla import (ExactMatrix, HomAction, NoSolution,
-                      Subspace, block_diag, flatten_columns, hstack, kron,
-                      lincomb, pair_action, pair_map, solve_affine,
-                      tensor_index_maps, vec_is_zero, vstack, zero_vec)
+from .exactla import (ExactMatrix, HomAction, NoSolution, Subspace,
+                      block_diag, coordinate_matrix, coordinate_rows,
+                      flatten_columns, hstack, kron, pair_action, pair_map,
+                      solve_affine, tensor_index_maps, vec_is_zero, vstack)
 from .flatmodel import (ExtendedFlatModel, GradedSubalgebra, full_subalgebra)
 
 
@@ -154,10 +154,12 @@ class SpencerComplex:
         self.s2 = tensor_index_maps(self.nsp, "sym2")
         self.dWv, self.dWs = self.Wv.dim, self.Ws.dim
         self.dWso, self.dWr = self.Wso.dim, self.Wr.dim
-        Wso_vecs = self.Wso.basis_vectors()
-        # the target bases of the so- and r-valued blocks as matrices
-        self.Wso_mats = tuple(map(model.so_matrix, Wso_vecs))
-        self.Wr_mats = tuple(map(model.r_matrix, self.Wr.basis_vectors()))
+        # the target bases of the so- and r-valued blocks, in so(V) + r
+        # coordinates and as matrices
+        so_rows = hstack([self.Wso.basis, ExactMatrix(self.dWso, model.dim_r)])
+        r_rows = hstack([ExactMatrix(self.dWr, model.dim_so), self.Wr.basis])
+        self.Wso_mats = model.element_matrices(so_rows, "V")
+        self.Wr_mats = model.element_matrices(r_rows, "S")
         K = _coordinate_matrix(sub.Vp, sub.kappa_sp,
                                _CLOSURE.format("kappa(S',S')"))
         Vb, Sb = sub.Vp.basis, sub.Sp.basis
@@ -169,7 +171,7 @@ class SpencerComplex:
         M_V = _coordinate_matrix(self.Wv, images(Vb, self.Wso_mats),
                                  _CLOSURE.format("h.V'"), self.nvp)
         M_Sso = _coordinate_matrix(
-            self.Ws, images(Sb, map(model.spin_matrix, Wso_vecs)),
+            self.Ws, images(Sb, model.element_matrices(so_rows, "S")),
             _CLOSURE.format("h.S'"), self.nsp)
         M_Sr = _coordinate_matrix(self.Ws, images(Sb, self.Wr_mats),
                                   _CLOSURE.format("r'.S'"), self.nsp)
@@ -352,29 +354,6 @@ _CLOSURE = ("{} leaves the coefficient module; subalgebra closure must have "
             "been violated")
 
 
-def coordinate_rows(space: Subspace, images: ExactMatrix,
-                    stack: int = 1) -> Optional[ExactMatrix]:
-    """The coordinates in `space` of the rows of `images`, each row `stack`
-    ambient vectors one after the other, in the same layout, or None when a
-    vector leaves `space`.  Against the RREF basis the coordinates are the
-    entries at its pivot columns, and one product with the basis certifies
-    all of them."""
-    amb, pivots = space.ambient_dim, space.basis.pivot_columns()
-    coords = images.select_columns([k * amb + p for k in range(stack)
-                                    for p in pivots])
-    if coords @ kron(ExactMatrix.identity(stack), space.basis) != images:
-        return None
-    return coords
-
-
-def coordinate_matrix(space: Subspace, images: ExactMatrix,
-                      stack: int = 1) -> Optional[ExactMatrix]:
-    """coordinate_rows on the columns of `images`: the coordinates of each
-    column as a column, or None when a vector leaves `space`."""
-    coords = coordinate_rows(space, images.transpose(), stack)
-    return None if coords is None else coords.transpose()
-
-
 def _coordinate_matrix(space: Subspace, images: ExactMatrix, message: str,
                        stack: int = 1) -> ExactMatrix:
     """coordinate_matrix, raising DimensionMismatch(message) if a vector
@@ -473,26 +452,24 @@ class CochainAction:
 
     def __init__(self, cx: SpencerComplex, so_coords: Sequence[Fraction],
                  r_coords: Sequence[Fraction]):
-        model = cx.model
-        self._build(cx, tuple(so_coords) + tuple(r_coords),
-                    model.so_matrix(so_coords), model.spin_matrix(so_coords),
-                    model.r_matrix(r_coords))
+        row = ExactMatrix.from_rows([tuple(so_coords) + tuple(r_coords)])
+        (on_v,) = cx.model.element_matrices(row, "V")
+        (on_s,) = cx.model.element_matrices(row, "S")
+        self._build(cx, row.transpose(), on_v, on_s)
 
     @classmethod
-    def from_matrices(cls, cx: SpencerComplex, x: Sequence[Fraction],
-                      on_v: ExactMatrix, on_s: ExactMatrix,
-                      r_on_s: ExactMatrix) -> "CochainAction":
-        """The action of X with so(V) + r coordinates x, whose so part has
-        matrices on_v on V and on_s on S and whose r part has matrix r_on_s
-        on S."""
+    def from_matrices(cls, cx: SpencerComplex, x: ExactMatrix,
+                      on_v: ExactMatrix, on_s: ExactMatrix
+                      ) -> "CochainAction":
+        """The action of X with so(V) + r coordinates the column x and
+        matrices on_v on V and on_s on S."""
         op = cls.__new__(cls)
-        op._build(cx, x, on_v, on_s, r_on_s)
+        op._build(cx, x, on_v, on_s)
         return op
 
-    def _build(self, cx, x, on_v, on_s, r_on_s) -> None:
+    def _build(self, cx, x, on_v, on_s) -> None:
         self.layout = _degree2_layout(cx)
         model, sub = cx.model, cx.subalgebra
-        act_s = on_s + r_on_s
 
         def endo(space: Subspace, images: ExactMatrix,
                  what: str) -> ExactMatrix:
@@ -503,16 +480,15 @@ class CochainAction:
         # value actions in target coordinates; on the so- and r-targets X
         # acts by ad X, read off the structure constants B of so(V) + r
         srcV = endo(sub.Vp, on_v @ sub.Vp.basis.transpose(), "V'")
-        srcS = endo(sub.Sp, act_s @ sub.Sp.basis.transpose(), "S'")
+        srcS = endo(sub.Sp, on_s @ sub.Sp.basis.transpose(), "S'")
         tgtV = endo(cx.Wv, on_v @ cx.Wv.basis.transpose(), "the V-target")
-        tgtS = endo(cx.Ws, act_s @ cx.Ws.basis.transpose(), "the S-target")
+        tgtS = endo(cx.Ws, on_s @ cx.Ws.basis.transpose(), "the S-target")
         nso = model.dim_so
         ad = model.bracket_matrix("a0", "a0", "a0") @ kron(
-            ExactMatrix.from_columns([x], len(x)),
-            ExactMatrix.identity(len(x)))
+            x, ExactMatrix.identity(x.rows))
         tgtSO = endo(cx.Wso, ad.select_rows(range(nso)).select_columns(
             range(nso)) @ cx.Wso.basis.transpose(), "the so-target")
-        on_r = range(nso, len(x))
+        on_r = range(nso, x.rows)
         tgtR = endo(cx.Wr, ad.select_rows(on_r).select_columns(on_r)
                     @ cx.Wr.basis.transpose(), "the r-target")
         on_vs = (kron(srcV, ExactMatrix.identity(cx.nsp)) +
@@ -562,19 +538,17 @@ def _actions(cx: SpencerComplex, indices) -> tuple:
     _degree2_layout(cx)
     sub, model = cx.subalgebra, cx.model
     zero_v = ExactMatrix(model.dim_v, model.dim_v)
-    zero_s = ExactMatrix(model.dim_s, model.dim_s)
+    X = sub.a0_basis()
     for k in indices:
         if k in cx.actions:
             continue
+        x = X.select_columns([k])
         if k < sub.h.dim:
-            x = sub.h.basis.row_tuple(k) + zero_vec(model.dim_r)
             op = CochainAction.from_matrices(cx, x, sub.h_so[k],
-                                             sub.h_spin[k], zero_s)
+                                             sub.h_spin[k])
         else:
-            p = k - sub.h.dim
-            x = zero_vec(model.dim_so) + sub.rp.basis.row_tuple(p)
-            op = CochainAction.from_matrices(cx, x, zero_v, zero_s,
-                                             sub.rp_mats[p])
+            op = CochainAction.from_matrices(cx, x, zero_v,
+                                             sub.rp_mats[k - sub.h.dim])
         cx.actions[k] = op
     return tuple(cx.actions[k] for k in indices)
 
@@ -878,18 +852,19 @@ class FullModelCohomology:
     def _invariant_normalised(self, h_gens, rp_gens) -> Subspace:
         lay = self.complex.layouts[2]
         basis = self.normalised_space
-        actors = [tuple(h) + zero_vec(self.model.dim_r) for h in h_gens] + \
-                 [zero_vec(self.model.dim_so) + tuple(r) for r in rp_gens]
-        if basis.dim == 0 or not actors:
+        model = self.model
+        # the actors as the columns of X, so(V) then r coordinates
+        X = block_diag([ExactMatrix.from_columns(h_gens, model.dim_so),
+                        ExactMatrix.from_columns(rp_gens, model.dim_r)])
+        if basis.dim == 0 or not X.cols:
             return basis
         dim = basis.dim
         # the beta and rho coordinates of each actor on every basis vector,
         # row a dim + c; side by side per actor, one row per basis vector
-        moved = self.act(
-            ExactMatrix.from_columns(actors, len(actors[0])),
-            basis.basis).select_columns(lay.indices("beta", "rho"))
+        moved = self.act(X, basis.basis).select_columns(
+            lay.indices("beta", "rho"))
         kernel = hstack([moved.select_rows(range(a * dim, (a + 1) * dim))
-                         for a in range(len(actors))]).transpose().kernel()
+                         for a in range(X.cols)]).transpose().kernel()
         return Subspace(lay.dim, (kernel.basis @ basis.basis).rref())
 
     def act(self, X: ExactMatrix, cochains: ExactMatrix) -> ExactMatrix:
@@ -994,34 +969,26 @@ def _restriction_kernel_report(sub: GradedSubalgebra,
                             "supersymmetric subalgebra")
     cx = fullco.complex
     lay = cx.layouts[2]
-    basis = fullco.normalised_space
-
-    if basis.dim == 0:
+    N = fullco.normalised_space
+    if N.dim == 0:
         trivial = Subspace.trivial(lay.dim)
         return RestrictionKernelReport(trivial, trivial)
-    basis_vecs = basis.basis_vectors()
-
-    def expand(coeff):
-        return lincomb(zip(coeff, basis_vecs), lay.dim)
-
     mixed = spencer_complex(sub, 2, values="full")
-    restrict = restriction_matrix(cx, mixed)
-    lifted = restrict @ basis.basis.transpose()   # columns = restrictions
+    # columns = restrictions; on a maximal subalgebra i^* is the identity
+    lifted = N.basis.transpose()
+    if not sub.maximal():
+        lifted = restriction_matrix(cx, mixed) @ lifted
+
+    def expand(kernel: ExactMatrix) -> Subspace:
+        """The span of the rows of kernel N, kernel in N coordinates."""
+        return Subspace(lay.dim, (kernel @ N.basis).rref())
+
     # the componentwise kernel: beta on V' x S' (V' = V) and rho on Sym^2 S'
-    kernel = lifted.select_rows(
-        mixed.layouts[2].indices("beta", "rho")).kernel()
-    direct = Subspace.from_vectors(
-        lay.dim, [expand(kernel.basis.row_tuple(k))
-                  for k in range(kernel.dim)])
+    direct = expand(lifted.select_rows(
+        mixed.layouts[2].indices("beta", "rho")).kernel().basis)
     # the kernel of i^* into H^{2,2}(a_-; model)
-    joint = hstack([lifted, mixed.differentials[1]])
-    ker = joint.kernel()
-    vecs2 = []
-    for k in range(ker.dim):
-        coeff = ker.basis.row_tuple(k)[:basis.dim]
-        if not vec_is_zero(coeff):
-            vecs2.append(expand(coeff))
-    via_istar = Subspace.from_vectors(lay.dim, vecs2)
+    ker = hstack([lifted, mixed.differentials[1]]).kernel()
+    via_istar = expand(ker.basis.select_columns(range(N.dim)))
     if not via_istar.contains_subspace(direct):
         raise OracleMismatch("componentwise restriction kernel is not "
                              "contained in ker(i^*); implementation bug")

@@ -6,11 +6,12 @@ functions below use it, and `AffineSolver`, the way `CohomologyReport`,
 `FullModelCohomology.act` and `FullModelCohomology.invariant_normalised`
 did before they acted on rows."""
 
+from fractions import Fraction
 from math import lcm
 
 from spencerkit.errors import DimensionMismatch, OracleMismatch
-from spencerkit.exactla import (AffineSolver, ExactMatrix, Subspace, _normal,
-                                _combination, hstack, kron, vstack, zero_vec)
+from spencerkit.exactla import AffineSolver, ExactMatrix, Subspace, _normal, \
+    _combination, hstack, kron, vstack
 from spencerkit.spencer import _actions, generator_actions
 
 
@@ -118,8 +119,8 @@ def invariant_normalised(fullco, h_gens, rp_gens):
     lay = fullco.complex.layouts[2]
     basis = fullco.normalised_space
     model = fullco.model
-    actors = [tuple(h) + zero_vec(model.dim_r) for h in h_gens] + \
-             [zero_vec(model.dim_so) + tuple(r) for r in rp_gens]
+    actors = [tuple(h) + (Fraction(0),) * model.dim_r for h in h_gens] + \
+             [(Fraction(0),) * model.dim_so + tuple(r) for r in rp_gens]
     if basis.dim == 0 or not actors:
         return basis
     dim = basis.dim

@@ -13,10 +13,10 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
+from pairwise_oracles import basis_vec, lincomb
 from spencerkit.errors import DimensionMismatch, OracleMismatch
-from spencerkit.exactla import (IndexTable, NoSolution, ParticularSolution,
-                                RationalLike, basis_vec, lincomb, rat,
-                                rat_str)
+from spencerkit.exactla import IndexTable, NoSolution, ParticularSolution, \
+    RationalLike, rat, rat_str
 
 _ZERO = Fraction(0)
 

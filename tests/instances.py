@@ -8,7 +8,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from pairwise_oracles import lam_matrices
+from pairwise_oracles import basis_vec, basis_vectors, lam_matrices, \
+    matrix_of, r_matrix, so_matrix, solve_many, vec_add, zero_vec
 from spencerkit.certs import Certificate, ProbeReport
 from spencerkit.cliffspin import _M64, Signature, _splitmix64, \
     build_clifford_rep, build_dirac_current, spin_generators
@@ -16,7 +17,7 @@ from spencerkit.deform import _gauge_shift, check_admissibility, \
     class_gauge_generators
 from spencerkit.errors import DimensionMismatch, NotClosed
 from spencerkit.exactla import AffineSolver, ExactMatrix, Subspace, \
-    basis_vec, hstack, rat_str, vec_add, vec_is_zero, zero_vec
+    hstack, rat_str, vec_is_zero
 from spencerkit.flatmodel import EndoSubalgebra, _stabiliser, \
     build_extended_flat_model, full_subalgebra, jacobi_triples, \
     make_graded_subalgebra, random_subspace, stabiliser_in_so
@@ -59,7 +60,7 @@ def annihilator_in_so(model, Sp):
     """{A in so(V) : A . s = 0 for all s in S'}: the kernel of the system
     with one row per coordinate of the images sigma_k s."""
     rows = []
-    for s in Sp.basis_vectors():
+    for s in basis_vectors(Sp):
         rows.extend(zip(*(sig.apply(s) for sig in model.gens.sigma)))
     return ExactMatrix.from_rows(rows, cols=len(model.gens.sigma)).kernel()
 
@@ -77,7 +78,7 @@ def admissible_cocycles_from_invariant(sub, fullco, hats):
         ExactMatrix.from_columns(hats, fullco.complex.layouts[2].dim)
     dim = sub_cx.layouts[2].dim
     return [None if x is None else x[:dim]
-            for x in solver.solve_many(targets)]
+            for x in solve_many(solver, targets)]
 
 
 def gauge_shifted_data(datum, max_shifts=None):
@@ -90,7 +91,7 @@ def gauge_shifted_data(datum, max_shifts=None):
     lay1 = cxs.layouts[1]
     inc = inclusion_matrix(cxs, datum.mixed_complex, 1)
     generators = class_gauge_generators(datum)
-    G = len(generators)
+    G = generators[0].rows
     zero_nu = zero_vec(lay1.dim)
     shifts = [(basis_vec(G, g), zero_nu) for g in range(G)]
     shifts += [(zero_vec(G), basis_vec(lay1.dim, lay1.index(name, b, t)))
@@ -209,7 +210,7 @@ def first_bianchi_holds(table, model):
     so(V) coordinates on V x V (theta1, or the curvature R0)."""
     n = model.dim_v
     e = [basis_vec(n, b) for b in range(n)]
-    mats = [[model.so_matrix(x) for x in row] for row in table]
+    mats = [[so_matrix(model, x) for x in row] for row in table]
     return all(vec_is_zero(vec_add(vec_add(mats[a][b].apply(e[c]),
                                            mats[b][c].apply(e[a])),
                                    mats[c][a].apply(e[b])))
@@ -225,8 +226,8 @@ def implied_identity_failures(datum, theta):
     n = model.dim_v
     e = [basis_vec(n, b) for b in range(n)]
     # theta1 as so(V) matrices on V, theta2 as r matrices on S
-    tables = ([[model.so_matrix(x) for x in row] for row in theta.theta1],
-              [[model.r_matrix(x) for x in row] for row in theta.theta2])
+    tables = ([[so_matrix(model, x) for x in row] for row in theta.theta1],
+              [[r_matrix(model, x) for x in row] for row in theta.theta2])
 
     def form(k, x, y):
         """theta_k(x, y) as a matrix."""
@@ -415,4 +416,4 @@ def entrywise_r_symmetry_algebra(rep, current):
                              for B in schur.matrices])
     sol = ExactMatrix.from_rows(rows, cols=schur.dim).kernel()
     return EndoSubalgebra.from_matrices(
-        ns, [schur.matrix_of(sol.basis.row_tuple(k)) for k in range(sol.dim)])
+        ns, [matrix_of(schur, sol.basis.row_tuple(k)) for k in range(sol.dim)])

@@ -5,6 +5,7 @@ differential is a product of `kron`s with identities, and `_assemble` stacks
 the blocks.  `kron_differentials(cx)` rebuilds the structure matrices of the
 complex `cx` and returns the differentials {1: d1, 2: d2} this way."""
 
+from pairwise_oracles import basis_vectors, spin_matrix
 from spencerkit.errors import DimensionMismatch
 from spencerkit.exactla import (ExactMatrix, flatten_columns, hstack, kron,
                                 pair_embedding, tensor_index_maps, vstack)
@@ -64,7 +65,8 @@ def structure_matrices(cx):
     M_V = _coordinate_matrix(cx.Wv, images(Vb, cx.Wso_mats),
                              _CLOSURE.format("h.V'"), cx.nvp)
     M_Sso = _coordinate_matrix(
-        cx.Ws, images(Sb, map(model.spin_matrix, cx.Wso.basis_vectors())),
+        cx.Ws, images(Sb, [spin_matrix(model, x)
+                           for x in basis_vectors(cx.Wso)]),
         _CLOSURE.format("h.S'"), cx.nsp)
     M_Sr = _coordinate_matrix(cx.Ws, images(Sb, cx.Wr_mats),
                               _CLOSURE.format("r'.S'"), cx.nsp)

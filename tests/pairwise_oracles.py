@@ -1,21 +1,369 @@
-"""The per-pair routines that `deform` and `reconstruct` replaced with
+"""The per-pair and per-vector routines that the package replaced with
 products over the flat model's basis tables, kept as test oracles the way
 `fraction_exactla` serves `exactla`: every bracket is a matrix commutator
 read back through `so_coordinates` or the R-symmetry algebra's
-`coordinates`, every action a matrix built for one element, and every value
-a Fraction vector evaluated one basis pair at a time."""
+`coordinates`, every action a matrix built for one element, every
+membership one vector at a time, and every value a Fraction vector
+evaluated one basis pair at a time.  The Fraction vector helpers the
+package used to carry are here too."""
 
 from fractions import Fraction
 
 from column_actions import apply_vector
 from spencerkit.deform import DeltaMap, ThetaData
-from spencerkit.errors import CurvatureMismatch, EquivarianceViolation, \
-    OracleMismatch, TorsionViolation
-from spencerkit.exactla import AffineSolver, ExactMatrix, basis_vec, \
-    lincomb, tensor_index_maps, vec_add, vec_is_zero, vec_scale, vec_sub, \
-    zero_vec
+from spencerkit.errors import CurvatureMismatch, DimensionMismatch, \
+    EquivarianceViolation, NotClosed, OracleMismatch, TorsionViolation
+from spencerkit.exactla import AffineSolver, ExactMatrix, Subspace, \
+    block_diag, hstack, rat_str, tensor_index_maps, vec_is_zero
+from spencerkit.flatmodel import EndoSubalgebra, kappa_restriction_matrix
 from spencerkit.reconstruct import CurvatureAtOrigin
-from spencerkit.spencer import CochainAction, Cochain22
+from spencerkit.spencer import CochainAction, Cochain22, restriction_matrix, \
+    spencer_complex
+
+
+# ---------------------------------------------------------------------------
+# Fraction vectors
+# ---------------------------------------------------------------------------
+
+
+def vec_add(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def vec_sub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def vec_scale(a, c):
+    q = Fraction(c)
+    return tuple(x * q for x in a)
+
+
+def lincomb(terms, dim):
+    """Exact sum of c*v over `(c, v)` pairs, as a tuple of `dim` Fractions.
+
+    A pair with c == 0 is skipped without reading v; an empty sum is the
+    zero vector."""
+    out = [Fraction(0)] * dim
+    for c, v in terms:
+        if c:
+            if len(v) != dim:
+                raise DimensionMismatch("lincomb: vector has the wrong length")
+            out = [o + c * x if x else o for o, x in zip(out, v)]
+    return tuple(out)
+
+
+def basis_vectors(space):
+    """The RREF basis of a Subspace as Fraction tuples."""
+    return [space.basis.row_tuple(i) for i in range(space.dim)]
+
+
+def zero_vec(n):
+    return (Fraction(0),) * n
+
+
+def basis_vec(n, i):
+    return tuple(Fraction(1) if j == i else Fraction(0) for j in range(n))
+
+
+def solve_many(solver, Y):
+    """The canonical solution of A x = y for each column y of Y, as a
+    tuple, or None for a column that has none: AffineSolver.solve_matrix,
+    column by column."""
+    X, failed = solver.solve_matrix(Y)
+    T = X.transpose()
+    return [None if j in failed else T.row_tuple(j) for j in range(Y.cols)]
+
+
+# ---------------------------------------------------------------------------
+# brackets read back one pair at a time
+# ---------------------------------------------------------------------------
+
+
+def so_matrix(model, coords):
+    """The element of so(V) with the given E_ij coordinates, on V: the
+    E_ij matrices scaled and summed one by one."""
+    n = model.dim_v
+    out = ExactMatrix.zeros(n, n)
+    for k, c in enumerate(coords):
+        if c:
+            out = out + model.gens.e_mats[k].scale(c)
+    return out
+
+
+def spin_matrix(model, coords):
+    """The same element acting on S through the sigma basis."""
+    ns = model.dim_s
+    out = ExactMatrix.zeros(ns, ns)
+    for k, c in enumerate(coords):
+        if c:
+            out = out + model.gens.sigma[k].scale(c)
+    return out
+
+
+def matrix_of(alg, coords):
+    """The element of an EndoSubalgebra with the given coordinates, its
+    basis matrices scaled and summed one by one."""
+    out = ExactMatrix.zeros(alg.spinor_dim, alg.spinor_dim)
+    for c, m in zip(coords, alg.matrices):
+        if c:
+            out = out + m.scale(c)
+    return out
+
+
+def r_matrix(model, coords):
+    """The element of r with the given coordinates, on S."""
+    return matrix_of(model.r, coords)
+
+
+def so_coordinates(model, mat):
+    """E_ij coordinates of an so(V) matrix (entries above the diagonal)."""
+    eta = model.rep.signature.eta()
+    return tuple(mat.entry(i, j) / eta[j] for (i, j) in model.gens.pairs)
+
+
+def bracket_coords(alg, x, y):
+    """The coordinates of [x, y] in an EndoSubalgebra, from its bracket
+    table."""
+    return lincomb(((xi * yj, alg.bracket_table[i][j])
+                    for i, xi in enumerate(x) if xi
+                    for j, yj in enumerate(y) if yj), alg.dim)
+
+
+def endo_bracket_table(alg):
+    """EndoSubalgebra.bracket_table, one commutator at a time, each read
+    back through the algebra's coordinates."""
+    return [[alg.coordinates(a.commutator(b)) for b in alg.matrices]
+            for a in alg.matrices]
+
+
+def so_so_table(model):
+    """The [so, so] block of the flat model's bracket, one commutator of
+    the E_ij at a time: {(a, b): so(V) coordinates of [E_a, E_b]}."""
+    e = model.gens.e_mats
+    return {(a, b): so_coordinates(model, e[a].commutator(e[b]))
+            for a in range(len(e)) for b in range(len(e))}
+
+
+# ---------------------------------------------------------------------------
+# graded subalgebras, one pair and one vector at a time
+# ---------------------------------------------------------------------------
+
+
+def lie_generating_subset(brackets):
+    """flatmodel.lie_generating_subset on nested structure constants
+    brackets[k][l], one vector and one Subspace.from_vectors at a time."""
+    dim = len(brackets)
+    chosen = []
+    closure = Subspace.trivial(dim)
+    for k in range(dim):
+        if closure.contains(basis_vec(dim, k)):
+            continue
+        chosen.append(k)
+        vectors = basis_vectors(closure) + [basis_vec(dim, k)]
+        closure = Subspace.from_vectors(dim, vectors)
+        todo = list(vectors)
+        while todo:
+            w = todo.pop()
+            for g in chosen:
+                v = lincomb(((c, brackets[g][l]) for l, c in enumerate(w)
+                             if c), dim)
+                if not closure.contains(v):
+                    vectors.append(v)
+                    todo.append(v)
+                    closure = Subspace.from_vectors(dim, vectors)
+    return tuple(chosen)
+
+
+def _annihilator(mats, vectors):
+    """Coefficient vectors c with sum_k c_k m_k v = 0 for every v."""
+    rows = []
+    for v in vectors:
+        rows.extend(zip(*(m.apply(v) for m in mats)))
+    return ExactMatrix.from_rows(rows, cols=len(mats)).kernel()
+
+
+def subalgebra_data(model, Vp, Sp, h, rp):
+    """What make_graded_subalgebra computes, pair by pair and vector by
+    vector, checking the closure conditions in the same order: a dict of
+    the structure constants, Lie generators and flags, or NotClosed."""
+    svecs = basis_vectors(Sp)
+    kappa_sp = kappa_restriction_matrix(model, Sp)
+    kappas = kappa_sp.transpose()
+    for p in range(kappas.rows):
+        image = kappas.row_tuple(p)
+        if not Vp.contains(image):
+            raise NotClosed("kappa(S', S') leaves V'",
+                            witness=[rat_str(c) for c in image])
+    h_so = [so_matrix(model, x) for x in basis_vectors(h)]
+    h_brackets = [[None] * h.dim for _ in range(h.dim)]
+    for i, A in enumerate(h_so):
+        for j in range(i, h.dim):
+            comm = A.commutator(h_so[j])
+            coords = h.coordinates(so_coordinates(model, comm))
+            if coords is None:
+                raise NotClosed("h is not closed under the commutator",
+                                witness=comm.to_serialisable())
+            h_brackets[j][i] = vec_scale(coords, -1)
+            h_brackets[i][j] = coords
+    rp_brackets = [[None] * rp.dim for _ in range(rp.dim)]
+    for i in range(rp.dim):
+        for j in range(i, rp.dim):
+            coords = bracket_coords(model.r, rp.basis.row_tuple(i),
+                                    rp.basis.row_tuple(j))
+            rp_coords = rp.coordinates(coords)
+            if rp_coords is None:
+                raise NotClosed("r' is not closed under the commutator",
+                                witness=[rat_str(c) for c in coords])
+            rp_brackets[j][i] = vec_scale(rp_coords, -1)
+            rp_brackets[i][j] = rp_coords
+    h_spin = [spin_matrix(model, x) for x in basis_vectors(h)]
+    for A, AS in zip(h_so, h_spin):
+        for v in basis_vectors(Vp):
+            if not Vp.contains(A.apply(v)):
+                raise NotClosed("h does not preserve V'",
+                                witness=[rat_str(c) for c in A.apply(v)])
+        for s in svecs:
+            if not Sp.contains(AS.apply(s)):
+                raise NotClosed("h does not preserve S'",
+                                witness=[rat_str(c) for c in AS.apply(s)])
+    rp_mats = [r_matrix(model, x) for x in basis_vectors(rp)]
+    for a in rp_mats:
+        for s in svecs:
+            if not Sp.contains(a.apply(s)):
+                raise NotClosed("r' does not preserve S'",
+                                witness=[rat_str(c) for c in a.apply(s)])
+    nv, ns = model.dim_v, model.dim_s
+    mats = ([block_diag([A, AS]) for A, AS in zip(h_so, h_spin)] +
+            [block_diag([ExactMatrix(nv, nv), a]) for a in rp_mats])
+    vectors = ([v + zero_vec(ns) for v in basis_vectors(Vp)] +
+               [zero_vec(nv) + s for s in svecs])
+    highly_susy = 2 * Sp.dim > ns and Vp.dim == nv
+    return {"h_so": tuple(h_so), "h_spin": tuple(h_spin),
+            "rp_mats": tuple(rp_mats), "kappa_sp": kappa_sp,
+            "h_brackets": tuple(map(tuple, h_brackets)),
+            "rp_brackets": tuple(map(tuple, rp_brackets)),
+            "h_generators": lie_generating_subset(h_brackets),
+            "rp_generators": lie_generating_subset(rp_brackets),
+            "homogeneity_rank": kappa_sp.rank(),
+            "highly_susy": highly_susy,
+            "transitive": highly_susy and _annihilator(mats,
+                                                       vectors).dim == 0}
+
+
+def stabiliser(mats, dim, Sp):
+    """flatmodel._stabiliser with the residual of each image taken vector
+    by vector."""
+    if dim == 0:
+        return Subspace.trivial(0)
+    ns = Sp.ambient_dim
+    pivots = Sp.basis.pivot_columns()
+    rows = []
+    for s in basis_vectors(Sp):
+        images = [m.apply(s) for m in mats]
+        for k in range(dim):
+            w = list(images[k])
+            for bi, pc in enumerate(pivots):
+                c = w[pc]
+                if c:
+                    brow = Sp.basis.row_tuple(bi)
+                    for idx in range(ns):
+                        w[idx] -= c * brow[idx]
+            images[k] = tuple(w)
+        for i in range(ns):
+            rows.append([images[k][i] for k in range(dim)])
+    return ExactMatrix.from_rows(rows, cols=dim).kernel()
+
+
+def faithful_split(rp, Sp):
+    """flatmodel.faithful_split with every membership checked vector by
+    vector and every commutator one pair at a time; returns (r'', ann) or
+    raises NotClosed with the same condition."""
+    ns = rp.spinor_dim
+    for a in rp.matrices:
+        for s in basis_vectors(Sp):
+            if not Sp.contains(a.apply(s)):
+                raise NotClosed("r' does not preserve S'",
+                                witness=[rat_str(c) for c in a.apply(s)])
+    k = rp.dim
+    if k == 0:
+        return rp, EndoSubalgebra.from_matrices(ns, [])
+    gram = ExactMatrix(k, k, [(i, j, -(rp.matrices[i] @ rp.matrices[j])
+                               .trace()) for i in range(k) for j in range(k)])
+    ann_coords = _annihilator(rp.matrices, basis_vectors(Sp))
+    if ann_coords.dim == 0:
+        rpp_coords = Subspace.full(k)
+    else:
+        rows = [(gram @ ann_coords.basis.transpose()).transpose().row_tuple(i)
+                for i in range(ann_coords.dim)]
+        rpp_coords = ExactMatrix.from_rows(rows, cols=k).kernel()
+    ann = EndoSubalgebra.from_matrices(
+        ns, [matrix_of(rp, ann_coords.basis.row_tuple(i))
+             for i in range(ann_coords.dim)])
+    rpp = EndoSubalgebra.from_matrices(
+        ns, [matrix_of(rp, rpp_coords.basis.row_tuple(i))
+             for i in range(rpp_coords.dim)])
+    if rpp.dim + ann.dim != k or rpp.basis.intersect(ann.basis).dim != 0:
+        raise NotClosed("r' does not split as r'' + ann")
+    for a in rpp.matrices:
+        for b in ann.matrices:
+            if not a.commutator(b).is_zero():
+                raise NotClosed("[r'', ann] is nonzero")
+    for a in rp.matrices:
+        for b in ann.matrices:
+            if not ann.contains(a.commutator(b)):
+                raise NotClosed("ann is not an ideal of r'")
+        for b in rpp.matrices:
+            if not rpp.contains(a.commutator(b)):
+                raise NotClosed("r'' is not an ideal of r'")
+    if _annihilator(rpp.matrices, basis_vectors(Sp)).dim != 0:
+        raise NotClosed("r'' fails to act faithfully on S'")
+    return rpp, ann
+
+
+def gauge_shift(datum, generators, coeffs, nu, inc):
+    """deform._gauge_shift on Fraction vectors: the generators' rows
+    combined by lincomb and every sum taken entry by entry; returns
+    (mu, hat, lambda) of the moved datum."""
+    K, lams = generators
+    k = lincomb(zip(coeffs, map(K.row_tuple, range(K.rows))),
+                len(datum.hat.coeffs))
+    lam_k = lincomb(zip(coeffs, map(lams.row_tuple, range(lams.rows))),
+                    len(datum.lam))
+    d1 = datum.sub_complex.differentials[1]
+    return (vec_add(datum.mu_minus.coeffs, d1.apply(nu)),
+            vec_add(datum.hat.coeffs, k),
+            vec_add(vec_sub(datum.lam, lam_k), inc.apply(nu)))
+
+
+def restriction_kernels(sub, fullco):
+    """(direct, via_istar) of restriction_kernel_report, each kernel vector
+    expanded by lincomb over the normalised basis, through the restriction
+    matrix on a maximal subalgebra too."""
+    cx = fullco.complex
+    lay = cx.layouts[2]
+    basis = fullco.normalised_space
+    if basis.dim == 0:
+        return Subspace.trivial(lay.dim), Subspace.trivial(lay.dim)
+    basis_vecs = basis_vectors(basis)
+
+    def expand(coeff):
+        return lincomb(zip(coeff, basis_vecs), lay.dim)
+
+    mixed = spencer_complex(sub, 2, values="full")
+    lifted = restriction_matrix(cx, mixed) @ basis.basis.transpose()
+    kernel = lifted.select_rows(
+        mixed.layouts[2].indices("beta", "rho")).kernel()
+    direct = Subspace.from_vectors(
+        lay.dim, [expand(kernel.basis.row_tuple(k))
+                  for k in range(kernel.dim)])
+    ker = hstack([lifted, mixed.differentials[1]]).kernel()
+    vecs = [expand(ker.basis.row_tuple(k)[:basis.dim])
+            for k in range(ker.dim)]
+    via_istar = Subspace.from_vectors(
+        lay.dim, [v for v in vecs if not vec_is_zero(v)])
+    assert all(via_istar.contains(v) for v in basis_vectors(direct))
+    return direct, via_istar
 
 
 # ---------------------------------------------------------------------------
@@ -40,9 +388,9 @@ def lam2_coords(datum, b):
 def lam_matrices(datum, b):
     """(lambda1(e_b) on V, lambda1(e_b) on S, lambda2(e_b) on S)."""
     model = datum.model
-    return (model.so_matrix(lam1_coords(datum, b)),
-            model.spin_matrix(lam1_coords(datum, b)),
-            model.r_matrix(lam2_coords(datum, b)))
+    return (so_matrix(model, lam1_coords(datum, b)),
+            spin_matrix(model, lam1_coords(datum, b)),
+            r_matrix(model, lam2_coords(datum, b)))
 
 
 def lam1_vec(datum, vcoords):
@@ -112,13 +460,13 @@ def commutator_targets(cx, so_coords, r_coords):
     Wr basis element by [X_r, w], read back through the R-symmetry
     algebra's coordinates, both then in Wso and Wr coordinates."""
     model = cx.model
-    on_v, r_on_s = model.so_matrix(so_coords), model.r_matrix(r_coords)
+    on_v, r_on_s = so_matrix(model, so_coords), r_matrix(model, r_coords)
 
     def coords(space, columns):
         return ExactMatrix.from_columns(
             [space.coordinates(c) for c in columns], space.dim)
 
-    so = coords(cx.Wso, [model.gens.so_coordinates(on_v.commutator(w))
+    so = coords(cx.Wso, [so_coordinates(model, on_v.commutator(w))
                          for w in cx.Wso_mats])
     r = coords(cx.Wr, [model.r.coordinates(r_on_s.commutator(w))
                        for w in cx.Wr_mats])
@@ -137,8 +485,8 @@ def solve_delta(datum):
         for b in range(n):
             av = A_v.apply(basis_vec(n, b))
             val1 = vec_sub(
-                model.gens.so_coordinates(
-                    A_v.commutator(lam_matrices(datum, b)[0])),
+                so_coordinates(model,
+                               A_v.commutator(lam_matrices(datum, b)[0])),
                 lam1_vec(datum, av))
             c1 = sub.h.coordinates(val1)
             c2 = sub.rp.coordinates(vec_scale(lam2_vec(datum, av), -1))
@@ -167,7 +515,7 @@ def compute_theta(datum):
     model = datum.model
     hat = datum.hat.cochain
     acted = acted_hats(datum)
-    svecs = sub.Sp.basis_vectors()
+    svecs = basis_vectors(sub.Sp)
     pairs = tensor_index_maps(len(svecs), "sym2")
     n = model.dim_v
     th1, th2 = [], []
@@ -190,11 +538,12 @@ def compute_theta(datum):
     annihilated = all(
         vec_is_zero(lincomb(zip(d, th1[b]), model.dim_so))
         and vec_is_zero(lincomb(zip(d, th2[b]), model.dim_r))
-        for d in dirac_kernel.basis_vectors() for b in range(n))
+        for d in basis_vectors(dirac_kernel) for b in range(n))
     theta1 = theta2 = None
     alternating = second_rel = False
     if annihilated:
-        preimages = AffineSolver(kappa_sp).solve_many(ExactMatrix.identity(n))
+        preimages = solve_many(AffineSolver(kappa_sp),
+                               ExactMatrix.identity(n))
         if None in preimages:
             raise OracleMismatch("kappa restricted to Sym^2 S' is not "
                                  "surjective on a highly susy subalgebra")
@@ -225,7 +574,7 @@ def second_defining_relation(datum, th1_spinor, theta1):
         for c in range(n)]
     for b in range(n):
         for c in range(b + 1, n):
-            mat = model.so_matrix(theta1[b][c])
+            mat = so_matrix(model, theta1[b][c])
             for p in range(kappas.rows):
                 lhs = mat.apply(kappas.row_tuple(p))
                 rhs = vec_sub(on_e[c].apply(th1_spinor[b][p]),
@@ -245,10 +594,10 @@ def spinor_identity_witness(datum, theta):
     n = model.dim_v
     for b in range(n):
         for c in range(b + 1, n):
-            sp_mat = model.spin_matrix(theta.theta1[b][c])
-            r_mat = model.r_matrix(theta.theta2[b][c])
+            sp_mat = spin_matrix(model, theta.theta1[b][c])
+            r_mat = r_matrix(model, theta.theta2[b][c])
             vb, vc = basis_vec(n, b), basis_vec(n, c)
-            for k, s in enumerate(sub.Sp.basis_vectors()):
+            for k, s in enumerate(basis_vectors(sub.Sp)):
                 lhs = vec_add(sp_mat.apply(s), r_mat.apply(s))
                 rhs = vec_sub(beta_vec(hat, vb, beta_vec(hat, vc, s)),
                               beta_vec(hat, vc, beta_vec(hat, vb, s)))
@@ -272,8 +621,8 @@ def theta_in_a0(datum, theta):
             alpha_bc = alpha(mu, b, c)
             lb, lc = lam_matrices(datum, b), lam_matrices(datum, c)
             v1 = vec_sub(theta.theta1[b][c], lam1_vec(datum, alpha_bc))
-            v1 = vec_add(v1, model.gens.so_coordinates(
-                lb[0].commutator(lc[0])))
+            v1 = vec_add(v1, so_coordinates(model,
+                                            lb[0].commutator(lc[0])))
             rc = model.r.coordinates(lb[2].commutator(lc[2]))
             if rc is None:
                 raise OracleMismatch("[lambda2, lambda2] leaves r")
@@ -316,14 +665,14 @@ def basis_matrices(nomizu, x):
     """(so(V) matrix on V, r matrix on S) of Phi(x_x)."""
     model = nomizu.deformation.subalgebra.model
     phi = nomizu.apply(basis_vec(nomizu.matrix.cols, x))
-    return (model.so_matrix(phi[:model.dim_so]),
-            model.r_matrix(phi[model.dim_so:]))
+    return (so_matrix(model, phi[:model.dim_so]),
+            r_matrix(model, phi[model.dim_so:]))
 
 
 def _commutator_coords(model, a, b):
     """[a, b] for two (so matrix, r matrix) pairs, in so(V) + r
     coordinates."""
-    so_comm = model.gens.so_coordinates(a[0].commutator(b[0]))
+    so_comm = so_coordinates(model, a[0].commutator(b[0]))
     r_comm = model.r.coordinates(a[1].commutator(b[1]))
     if r_comm is None:
         raise CurvatureMismatch("commutator leaves the R-symmetry algebra")

@@ -18,6 +18,8 @@ import pairwise_oracles as oracle
 from instances import (GRID, admissible_cocycles_from_invariant,
                        admissible_data_for_cell, get_fullco, get_model,
                        get_sampled_subalgebra, invariant_basis)
+from pairwise_oracles import r_matrix, so_coordinates, so_matrix, \
+    spin_matrix, vec_add
 from spencerkit.deform import (_theta_in_a0, build_filtered_deformation,
                                check_admissibility,
                                check_geometric_realisability,
@@ -25,7 +27,7 @@ from spencerkit.deform import (_theta_in_a0, build_filtered_deformation,
                                solve_delta)
 from spencerkit.errors import (CurvatureMismatch, EquivarianceViolation,
                                NotHighlySusy, TorsionViolation)
-from spencerkit.exactla import ExactMatrix, kron, vec_add
+from spencerkit.exactla import ExactMatrix, kron
 from spencerkit.reconstruct import (_verify_equivariance,
                                     _verify_torsion_free, build_nomizu_map,
                                     curvature_at_origin)
@@ -35,10 +37,10 @@ from spencerkit.spencer import CochainAction
 def commutator_coords(model, x, y):
     """[x, y] in so(V) + r coordinates through matrix commutators."""
     nso = model.dim_so
-    so = model.gens.so_coordinates(
-        model.so_matrix(x[:nso]).commutator(model.so_matrix(y[:nso])))
+    so = so_coordinates(
+        model, so_matrix(model, x[:nso]).commutator(so_matrix(model, y[:nso])))
     r = model.r.coordinates(
-        model.r_matrix(x[nso:]).commutator(model.r_matrix(y[nso:])))
+        r_matrix(model, x[nso:]).commutator(r_matrix(model, y[nso:])))
     assert r is not None
     return tuple(so) + tuple(r)
 
@@ -75,9 +77,9 @@ class TestStructureConstants:
         for k in range(m):
             x = unit(m, k)
             assert on_v @ kron(column(x), ExactMatrix.identity(n)) == \
-                model.so_matrix(x[:nso])
+                so_matrix(model, x[:nso])
             assert on_s @ kron(column(x), ExactMatrix.identity(ns)) == \
-                model.spin_matrix(x[:nso]) + model.r_matrix(x[nso:])
+                spin_matrix(model, x[:nso]) + r_matrix(model, x[nso:])
         # [v, x] = -x.v
         v_on = model.bracket_matrix("V", "a0", "V")
         swap = [k * m + j for j in range(m) for k in range(n)]

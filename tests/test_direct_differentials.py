@@ -11,7 +11,8 @@ from instances import (GRID, HIGH_SUSY_DIM, get_full_subalgebra, get_model,
                        random_highly_susy_subalgebra)
 from kron_differentials import (kappa_on_targets, kron_differentials,
                                 structure_matrices)
-from spencerkit.exactla import Subspace, basis_vec, vec_is_zero
+from pairwise_oracles import basis_vec, basis_vectors
+from spencerkit.exactla import Subspace, vec_is_zero
 from spencerkit.flatmodel import make_graded_subalgebra, stabiliser_in_so
 from spencerkit.spencer import build_spencer_complex
 
@@ -69,7 +70,7 @@ def _short_vector_subalgebra(nvp):
         if Vp.dim == nvp:
             break
         if not Vp.contains(v):
-            Vp = Subspace.from_vectors(model.dim_v, Vp.basis_vectors() + [v])
+            Vp = Subspace.from_vectors(model.dim_v, basis_vectors(Vp) + [v])
     assert Vp.dim == nvp
     return make_graded_subalgebra(
         model, Vp, Subspace.from_vectors(model.dim_s, [s]),

@@ -4,15 +4,14 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pairwise_oracles import basis_vectors, lincomb, solve_many, vec_add, \
+    vec_scale, zero_vec
 from spencerkit.errors import DimensionMismatch
-from spencerkit.exactla import (AffineSolver, ExactMatrix, HomAction,
-                                NoSolution, ParticularSolution, Subspace,
-                                block_diag, flatten_columns,
-                                is_positive_definite, kron, ldlt_pivots,
-                                lincomb, pair_action, pair_embedding,
-                                pair_map, rat, rat_str, solve_affine,
-                                tensor_index_maps, vec, vec_add, vec_is_zero,
-                                vec_scale, vstack, zero_vec)
+from spencerkit.exactla import AffineSolver, ExactMatrix, HomAction, \
+    NoSolution, ParticularSolution, Subspace, block_diag, flatten_columns, \
+    is_positive_definite, kron, ldlt_pivots, pair_action, pair_embedding, \
+    pair_map, rat, rat_str, solve_affine, tensor_index_maps, vec, \
+    vec_is_zero, vstack
 from column_actions import apply_columns
 from kron_differentials import cyclic_embedding
 
@@ -244,7 +243,7 @@ def test_affine_solver_equals_solve_affine(system):
     A, rhs = system
     solver = AffineSolver(A)
     for b in rhs:
-        x, = solver.solve_many(ExactMatrix.from_columns([b], A.rows))
+        x, = solve_many(solver, ExactMatrix.from_columns([b], A.rows))
         sol = solve_affine(A, b)
         assert x == (None if isinstance(sol, NoSolution) else sol.x)
 
@@ -253,7 +252,7 @@ def test_affine_solver_equals_solve_affine(system):
 @given(systems(min_rhs=0))
 def test_solve_many_equals_solve_affine_per_column(system):
     A, rhs = system
-    got = AffineSolver(A).solve_many(ExactMatrix.from_columns(rhs, A.rows))
+    got = solve_many(AffineSolver(A), ExactMatrix.from_columns(rhs, A.rows))
     assert len(got) == len(rhs)
     for x, b in zip(got, rhs):
         sol = solve_affine(A, b)
@@ -268,7 +267,7 @@ class TestSolveMany:
         A = ExactMatrix.from_rows([[1, 1], [1, 1], [0, 2]])
         Y = ExactMatrix.from_columns([vec([1, 1, 0]), vec([1, 2, 0]),
                                       vec(["1/2", "1/2", "1/3"])], 3)
-        assert AffineSolver(A).solve_many(Y) == [
+        assert solve_many(AffineSolver(A), Y) == [
             vec([1, 0]), None, vec(["1/3", "1/6"])]
 
     def test_solve_matrix_columns_and_failures(self):
@@ -285,17 +284,17 @@ class TestSolveMany:
 
     def test_no_columns(self):
         A = ExactMatrix.from_rows([[1, 2], [3, 4]])
-        assert AffineSolver(A).solve_many(ExactMatrix(2, 0)) == []
+        assert solve_many(AffineSolver(A), ExactMatrix(2, 0)) == []
 
     def test_rank_zero(self):
         solver = AffineSolver(ExactMatrix.zeros(2, 3))
         Y = ExactMatrix.from_columns([vec([0, 0]), vec([0, "1/2"])], 2)
-        assert solver.solve_many(Y) == [vec([0, 0, 0]), None]
+        assert solve_many(solver, Y) == [vec([0, 0, 0]), None]
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            AffineSolver(ExactMatrix.identity(2)).solve_many(
-                ExactMatrix(3, 1))
+            solve_many(AffineSolver(ExactMatrix.identity(2)),
+                       ExactMatrix(3, 1))
 
 
 @st.composite
@@ -380,29 +379,29 @@ class TestAffineSolver:
     def test_rank_deficient_canonical_solution(self):
         A = ExactMatrix.from_rows([[1, 2, 3], [2, 4, 6], [0, 0, 1]])
         b = vec([1, 2, 5])
-        x, = AffineSolver(A).solve_many(ExactMatrix.from_columns([b], 3))
+        x, = solve_many(AffineSolver(A), ExactMatrix.from_columns([b], 3))
         assert x == solve_affine(A, b).x
         assert x == vec([-14, 0, 5])     # free column 1 set to zero
 
     def test_none_where_solve_affine_has_a_certificate(self):
         A = ExactMatrix.from_rows([[1, 1], [1, 1], [0, 2]])
         rhs = (vec([1, 2, 0]), vec([1, 1, "1/3"]))
-        got = AffineSolver(A).solve_many(ExactMatrix.from_columns(rhs, 3))
+        got = solve_many(AffineSolver(A), ExactMatrix.from_columns(rhs, 3))
         assert got[0] is None
         assert isinstance(solve_affine(A, rhs[0]), NoSolution)
         assert got[1] == solve_affine(A, rhs[1]).x
 
     def test_empty_shapes(self):
-        assert AffineSolver(ExactMatrix(0, 3)).solve_many(
-            ExactMatrix(0, 1)) == [vec([0, 0, 0])]
+        assert solve_many(AffineSolver(ExactMatrix(0, 3)),
+                          ExactMatrix(0, 1)) == [vec([0, 0, 0])]
         solver = AffineSolver(ExactMatrix(2, 0))
-        assert solver.solve_many(ExactMatrix.from_columns(
+        assert solve_many(solver, ExactMatrix.from_columns(
             [vec([0, 0]), vec([0, 1])], 2)) == [(), None]
 
     def test_accepts_rational_likes(self):
         A = ExactMatrix.from_rows([[2, 0], [0, 3]])
-        x, = AffineSolver(A).solve_many(
-            ExactMatrix.from_columns([[1, "1/2"]], 2))
+        x, = solve_many(AffineSolver(A),
+                        ExactMatrix.from_columns([[1, "1/2"]], 2))
         assert x == (Fraction(1, 2), Fraction(1, 6))
 
 
@@ -424,7 +423,7 @@ class TestSubspace:
         a = Subspace.from_vectors(3, [[1, 0, 0], [0, 1, 0]])
         b = Subspace.from_vectors(3, [[0, 1, 0], [0, 0, 1]])
         assert Subspace.from_vectors(
-            3, a.basis_vectors() + b.basis_vectors()).dim == 3
+            3, basis_vectors(a) + basis_vectors(b)).dim == 3
         meet = a.intersect(b)
         assert meet.dim == 1
         assert meet.contains([0, 1, 0])
@@ -494,6 +493,23 @@ def test_pair_map_is_functorial(kind, mats):
     # the action is the derivative of the induced map: a Lie homomorphism
     assert pair_action(t, M).commutator(pair_action(t, N)) == \
         pair_action(t, M.commutator(N))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["sym2", "wedge2"]),
+       st.integers(min_value=0, max_value=4).flatmap(
+           lambda n: st.lists(st.lists(
+               st.builds(Fraction, small_entries, st.integers(1, 4)),
+               min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_pair_action_is_pair_map_with_the_identity_on_either_side(kind,
+                                                                  rows):
+    # the one-pass action against its definition, columns over different
+    # denominators
+    M = ExactMatrix.from_rows(rows, cols=len(rows))
+    t = tensor_index_maps(M.rows, kind)
+    eye = ExactMatrix.identity(M.rows)
+    assert pair_action(t, M) == \
+        pair_map(t, t, M, eye) + pair_map(t, t, eye, M)
 
 
 @settings(max_examples=60, deadline=None)

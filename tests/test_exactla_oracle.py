@@ -12,10 +12,10 @@ from math import gcd
 from hypothesis import given, settings, strategies as st
 
 import fraction_exactla as fx
-from spencerkit.exactla import (AffineSolver, ExactMatrix, HomAction,
-                                Subspace, block_diag, hstack, kron, lincomb,
-                                pair_map, solve_affine, tensor_index_maps,
-                                vstack)
+from pairwise_oracles import basis_vectors, lincomb, solve_many
+from spencerkit.exactla import AffineSolver, ExactMatrix, HomAction, \
+    Subspace, block_diag, hstack, kron, pair_map, solve_affine, \
+    tensor_index_maps, vstack
 
 EXAMPLES = settings(max_examples=150, deadline=None)
 
@@ -268,7 +268,7 @@ def test_tall_solve_many(drawn, k, data):
             data.draw(st.sampled_from((0, 1))))
     yo = fx.FractionMatrix.from_rows(
         [list(y.row_tuple(i)) for i in range(a.rows)], cols=k)
-    assert AffineSolver(a).solve_many(y) == \
+    assert solve_many(AffineSolver(a), y) == \
         fx.FractionAffineSolver(ao).solve_many(yo)
 
 
@@ -285,13 +285,36 @@ def test_coordinates(r, c, data):
     # a vector of the span, and one that is mostly not in it
     coeffs = data.draw(st.lists(nonzero, min_size=space.dim,
                                 max_size=space.dim))
-    inside = lincomb(zip(coeffs, space.basis_vectors()), a.cols)
+    inside = lincomb(zip(coeffs, basis_vectors(space)), a.cols)
     other = data.draw(st.lists(entries, min_size=a.cols, max_size=a.cols))
     for v in (inside, other):
         got = space.coordinates(v)
         assert got == oracle.coordinates(v)
         assert got is None or all(type(x) is Fraction for x in got)
     assert space.coordinates(inside) == tuple(coeffs)
+
+
+@EXAMPLES
+@given(st.data(), dims, dims, dims, dims)
+def test_intersect_and_contains_subspace(data, n, r1, r2, k):
+    # the product routes against the oracle's vector by vector ones, on two
+    # random row spaces, a subspace of the first, the trivial and the full
+    # space, each paired with every other and with itself
+    (a, ao), (b, bo) = data.draw(pairs(r1, n)), data.draw(pairs(r2, n))
+    (c, co) = data.draw(pairs(k, r1))
+    spaces = [(a.row_space(), ao.row_space()), (b.row_space(), bo.row_space()),
+              ((c @ a).row_space(), (co @ ao).row_space()),
+              (Subspace.trivial(n), fx.FractionSubspace.trivial(n)),
+              (Subspace.full(n), fx.FractionSubspace.full(n))]
+    for x, xo in spaces:
+        for y, yo in spaces:
+            meet = x.intersect(y)
+            assert_same(meet.basis, xo.intersect(yo).basis)
+            assert meet == y.intersect(x)
+            assert x.contains_subspace(y) == xo.contains_subspace(yo)
+            assert x.contains_subspace(meet)
+        assert x.intersect(x) == x and x.contains_subspace(x)
+    assert spaces[0][0].contains_subspace(spaces[2][0])
 
 
 @EXAMPLES
@@ -305,7 +328,7 @@ def test_solve_many(data, r, c, k):
             data.draw(st.sampled_from((0, 1))))
     yo = fx.FractionMatrix.from_rows(
         [list(y.row_tuple(i)) for i in range(r)], cols=k)
-    got = AffineSolver(a).solve_many(y)
+    got = solve_many(AffineSolver(a), y)
     assert got == fx.FractionAffineSolver(ao).solve_many(yo)
     assert all(x is None or all(type(v) is Fraction for v in x)
                for x in got)

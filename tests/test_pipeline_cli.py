@@ -494,6 +494,30 @@ class TestCli:
         assert main(["run", path]) == 2
         assert main(["run", str(tmp_path / "missing.json")]) == 2
 
+    @pytest.mark.parametrize("top", [[], "config", ["config"], 3, None])
+    def test_cohomology_on_a_non_object_config_exit_2(self, tmp_path, capsys,
+                                                      top):
+        # the subcommand sets the config's checks before validating it, so
+        # a top level that is not an object must be refused before that
+        path = self._write(tmp_path, top)
+        assert main(["cohomology", path]) == 2
+        assert "must hold a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("top", ["config", ["config"], []])
+    def test_verify_on_a_non_object_report_exit_2(self, tmp_path, capsys,
+                                                  top):
+        path = self._write(tmp_path, top, name="report.json")
+        assert main(["verify", path]) == 2
+        assert "must hold a JSON object" in capsys.readouterr().err
+
+    def test_parser_is_built_once_per_process(self):
+        from spencerkit import cli
+        cli._parser.cache_clear()
+        for _ in range(3):
+            assert main(["cache", "ls"]) == 0
+        info = cli._parser.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
     def test_negative_exit_1(self, tmp_path):
         config = base_config(N=2, seed=5)
         config["subalgebra"] = {"S_prime": {"random": {"dim": 3, "seed": 5}},

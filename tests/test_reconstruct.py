@@ -4,13 +4,13 @@ import pytest
 
 from instances import GRID, admissible_data_for_cell, first_bianchi_holds, \
     get_full_subalgebra, get_fullco
+from pairwise_oracles import basis_vec, vec_add, vec_scale
 from spencerkit.deform import (build_filtered_deformation,
                                check_admissibility,
                                check_geometric_realisability,
                                check_integrability, zero_cocycle)
 from spencerkit.errors import CurvatureMismatch, TorsionViolation
-from spencerkit.exactla import ExactMatrix, basis_vec, vec_add, \
-    vec_is_zero, vec_scale
+from spencerkit.exactla import ExactMatrix, vec_is_zero
 from spencerkit.reconstruct import (UNCHECKED_HYPOTHESES,
                                     _verify_torsion_free, build_nomizu_map,
                                     curvature_at_origin,
