@@ -10,11 +10,17 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import sys
 import tempfile
 from typing import Optional
 
 from . import BASIS_VERSION, __version__
+from .errors import ConfigError
+
+# the form config_hash produces: a key names a file in the cache directory
+# and nothing outside it
+_KEY = re.compile(r"[0-9a-f]{64}")
 
 
 def canonical_json(data) -> str:
@@ -36,6 +42,9 @@ def cache_dir() -> str:
 
 
 def _paths(key: str):
+    if not _KEY.fullmatch(key):
+        raise ConfigError(f"not a cache key: {key!r} (a key is 64 "
+                          "lowercase hex digits)")
     base = cache_dir()
     return os.path.join(base, key + ".json"), os.path.join(base,
                                                            key + ".sha256")
@@ -83,13 +92,13 @@ def cache_list() -> list:
     if not os.path.isdir(base):
         return []
     return sorted(name[:-5] for name in os.listdir(base)
-                  if name.endswith(".json"))
+                  if name.endswith(".json") and _KEY.fullmatch(name[:-5]))
 
 
 def cache_remove(key: Optional[str] = None) -> int:
     """Remove one entry, or all entries when key is None; returns a count."""
     removed = 0
-    keys = [key] if key else cache_list()
+    keys = cache_list() if key is None else [key]
     for k in keys:
         for path in _paths(k):
             if os.path.exists(path):

@@ -26,8 +26,8 @@ from .exactla import (AffineSolver, ExactMatrix, NoSolution, Subspace,
                       kron, pair_action, pair_embedding, pair_map, rat_str,
                       solve_affine, tensor_index_maps, vec_is_zero, vstack)
 from .flatmodel import (EndoSubalgebra, ExtendedFlatModel, GradedBracketTensor,
-                        GradedSubalgebra, faithful_split, graded_jacobi_check,
-                        make_graded_subalgebra)
+                        GradedSubalgebra, bracket_from_blocks, faithful_split,
+                        graded_jacobi_check, make_graded_subalgebra)
 from .spencer import (Cochain22, FullModelCohomology,
                       NormalisedCocycle, SpencerComplex, inclusion_matrix,
                       restriction_kernel_report, restriction_matrix,
@@ -104,14 +104,17 @@ class AdmissibleDatum:
         return self._acted
 
     def odd_brackets(self) -> tuple:
-        """The deformed brackets with a spinor argument, as (vs, ss).
+        """The deformed brackets with a spinor argument, as two coordinate
+        matrices (vs, ss), kept on the datum.
 
-        vs[b][i] holds the S' coordinates of [v_b, s_i] = beta-hat(v_b, s_i)
-        + lambda1(v_b).s_i + lambda2(v_b) s_i.  ss lists (i, j, kappa, h, r')
-        for i <= j, where h and r' are the coordinates of gamma-hat(s_i, s_j)
-        - lambda1(kappa) and rho-hat(s_i, s_j) - lambda2(kappa).  The
-        defining relation of the datum implies every membership, so a value
-        outside the subalgebra raises OracleMismatch.
+        Column b dim S' + i of vs holds the S' coordinates of [v_b, s_i] =
+        beta-hat(v_b, s_i) + lambda1(v_b).s_i + lambda2(v_b) s_i.  Column p
+        of ss holds the h then r' coordinates of gamma-hat(s_i, s_j) -
+        lambda1(kappa) and rho-hat(s_i, s_j) - lambda2(kappa), for the p-th
+        sym2 pair (i, j) of S'; the V part of [s_i, s_j] is column p of
+        kappa_sp.  The defining relation of the datum implies every
+        membership, so a value outside the subalgebra raises
+        OracleMismatch.
         """
         if self._odd is None:
             sub, model = self.subalgebra, self.model
@@ -134,14 +137,7 @@ class AdmissibleDatum:
                 range(nso, values.rows)))
             if rr is None:
                 raise OracleMismatch("rho-hat correction leaves r'")
-            nsp = sub.Sp.dim
-            vs_cols = column_tuples(vs)
-            pairs = tensor_index_maps(nsp, "sym2").tuples
-            self._odd = (
-                [vs_cols[b * nsp:(b + 1) * nsp] for b in range(n)],
-                [(i, j, kv, g, r) for (i, j), kv, g, r in zip(
-                    pairs, column_tuples(sub.kappa_sp), column_tuples(gh),
-                    column_tuples(rr))])
+            self._odd = (vs, vstack([gh, rr]))
         return self._odd
 
 
@@ -184,7 +180,7 @@ def _coordinates_in(spaces: Sequence[Subspace], images: ExactMatrix
 
 def column_tuples(M: ExactMatrix) -> list:
     """The columns of M as tuples of Fractions, for the values a report or
-    a table of Fractions keeps."""
+    a witness keeps."""
     T = M.transpose()
     return [T.row_tuple(j) for j in range(T.rows)]
 
@@ -283,11 +279,11 @@ def check_admissibility(sub: GradedSubalgebra,
 
 @dataclass
 class DeltaMap:
-    """Degree-2 deformation map on a0 x V: values in h/r' coordinates.  The
-    h part of [r', V] is zero; _certify_delta proves it."""
-    delta1: list   # [h index][v index] -> h coords
-    delta2: list   # [h index][v index] -> r' coords
-    delta4: list   # [r' index][v index] -> r' coords
+    """Degree-2 deformation map on a0 x V, as one matrix: column k n + b
+    holds delta(X_k, e_b) in h then r' coordinates, X_k over the h-basis
+    then the r'-basis and n = dim V.  The h rows of an r' column (delta3)
+    are zero, since [r', V] = 0 and [r', so(V)] = 0 in the flat model."""
+    matrix: ExactMatrix
 
 
 def solve_delta(datum: AdmissibleDatum) -> DeltaMap:
@@ -303,7 +299,7 @@ def solve_delta(datum: AdmissibleDatum) -> DeltaMap:
 def _solve_delta(datum: AdmissibleDatum) -> DeltaMap:
     sub = datum.subalgebra
     model = datum.model
-    n, dh = model.dim_v, sub.h.dim
+    n = model.dim_v
     lam = datum.lam_matrix()
     X = sub.a0_basis()
     # column k n + b: delta(X_k, e_b) = [X_k, lambda(e_b)] - lambda(X_k e_b),
@@ -314,31 +310,23 @@ def _solve_delta(datum: AdmissibleDatum) -> DeltaMap:
     coords = _coordinates_in((sub.h, sub.rp), values)
     if coords is None:
         raise OracleMismatch("closed-form delta leaves a0")
-    cols = column_tuples(coords)
-    # the h coordinates of an r'-column, delta3, are zero: [r', V] = 0 and
-    # [r', so(V)] = 0 in the flat model
-    blocks = [[(col[:dh], col[dh:]) for col in cols[k * n:(k + 1) * n]]
-              for k in range(coords.rows)]
-    delta = DeltaMap(
-        delta1=[[h for h, _ in row] for row in blocks[:dh]],
-        delta2=[[r for _, r in row] for row in blocks[:dh]],
-        delta4=[[r for _, r in row] for row in blocks[dh:]])
+    delta = DeltaMap(coords)
     _certify_delta(datum, _delta_cochains(datum, delta))
     return delta
 
 
 def _delta_cochains(datum: AdmissibleDatum, delta: DeltaMap) -> ExactMatrix:
     """chi_X in C^{2,1} of the subalgebra's complex, one column per h-basis
-    then r'-basis element X: delta1 and delta2 for h; delta4 for r', whose h
-    block (delta3) is zero."""
-    lay1 = datum.sub_complex.layouts[1]
-    columns = ([(("lambda_so", r1), ("lambda_r", r2))
-                for r1, r2 in zip(delta.delta1, delta.delta2)] +
-               [(("lambda_r", r4),) for r4 in delta.delta4])
-    return ExactMatrix(lay1.dim, len(columns), [
-        (lay1.index(name, b, t), k, x)
-        for k, blocks in enumerate(columns) for name, rows in blocks
-        for b, vals in enumerate(rows) for t, x in enumerate(vals) if x])
+    then r'-basis element X: its lambda_so block, at b dim h + t, is the h
+    coordinate t of delta(X, e_b), and its lambda_r block the r'
+    coordinates likewise.  The transpose of delta's h rows holds that
+    coordinate at row k n + b, so read as dim a0 rows its row k is the
+    lambda_so block of chi_{X_k}; the r' rows give the lambda_r blocks."""
+    n, dh = datum.model.dim_v, datum.subalgebra.h.dim
+    M = delta.matrix
+    return hstack([M.select_rows(part).transpose().reshape(
+        M.rows, n * len(part)) for part in (range(dh), range(dh, M.rows))
+    ]).transpose()
 
 
 def _certify_delta(datum: AdmissibleDatum, chi: ExactMatrix) -> None:
@@ -370,31 +358,25 @@ def _certify_delta(datum: AdmissibleDatum, chi: ExactMatrix) -> None:
 
 @dataclass
 class ThetaData:
-    """Quartic deformation data: the spinor-argument maps and, when they
-    annihilate the Dirac kernel, the induced alternating maps on V x V."""
-    theta1_spinor: list     # [v index][S'-pair index] -> so coords
-    theta2_spinor: list     # [v index][S'-pair index] -> r coords
+    """Quartic deformation data: whether the spinor-argument maps annihilate
+    the Dirac kernel and, when they do, the induced alternating maps on
+    V x V as matrices: column b n + c of theta1 holds theta1(v_b, v_c) in
+    so(V) coordinates, and of theta2 theta2(v_b, v_c) in r coordinates."""
     dirac_kernel_annihilated: bool
     dirac_kernel_dim: int
-    theta1: Optional[list]  # [b][c] -> so coords, alternating
-    theta2: Optional[list]  # [b][c] -> r coords, alternating
+    theta1: Optional[ExactMatrix]
+    theta2: Optional[ExactMatrix]
     alternating_verified: bool = False
     second_relation_consistent: bool = False
 
     def matrix(self) -> ExactMatrix:
-        """theta1 over theta2 as one matrix: column b n + c holds
-        (theta1, theta2)(v_b, v_c) in so(V) + r coordinates."""
-        return ExactMatrix.from_columns(
-            [tuple(t1) + tuple(t2)
-             for row1, row2 in zip(self.theta1, self.theta2)
-             for t1, t2 in zip(row1, row2)],
-            len(self.theta1[0][0]) + len(self.theta2[0][0]))
+        """theta1 over theta2: column b n + c holds (theta1, theta2)(v_b,
+        v_c) in so(V) + r coordinates."""
+        return vstack([self.theta1, self.theta2])
 
     @property
     def theta2_zero(self) -> bool:
-        if self.theta2 is None:
-            return False
-        return all(vec_is_zero(v) for row in self.theta2 for v in row)
+        return self.theta2 is not None and self.theta2.is_zero()
 
 
 def compute_theta(datum: AdmissibleDatum) -> ThetaData:
@@ -404,31 +386,35 @@ def compute_theta(datum: AdmissibleDatum) -> ThetaData:
     return datum._theta
 
 
-def _compute_theta(datum: AdmissibleDatum) -> ThetaData:
-    """Assemble the spinor-argument theta maps, decide whether they kill the
-    Dirac kernel, and if so solve for the alternating maps on V x V.
+def _spinor_theta(datum: AdmissibleDatum) -> ExactMatrix:
+    """The spinor-argument theta maps: row b m + k, column p holds
+    coordinate k of Theta(v_b; s_i, s_j), for m = dim so + dim r and (i, j)
+    the p-th sym2 pair of S'.
 
     Theta(v_b; s, s') = (gamma-hat, rho-hat)(s, beta-hat(v_b, s')) +
     (s <-> s') - (lambda(v_b).hat)_(gamma, rho)(s, s'): its first term is
     gamma-hat over rho-hat after beta-hat(v_b, .) acting on Sym^2 S, so the
     values on every S' pair come from one product per direction."""
-    sub = datum.subalgebra
     model = datum.model
-    n, nso, ns = model.dim_v, model.dim_so, model.dim_s
+    n, ns = model.dim_v, model.dim_s
     s2 = tensor_index_maps(ns, "sym2")
     beta, gamma_rho = datum.hat_blocks()
     _, acted = datum.acted_hats()
-    # rows b m + k, column p: coordinate k of Theta(v_b; s_i, s_j), for m =
-    # dim so + dim r and (i, j) the p-th sym2 pair of S'
-    spinor = vstack([
+    return vstack([
         gamma_rho @ pair_action(s2, beta.select_columns(
             range(b * ns, (b + 1) * ns)))
         - acted.select_columns(range(b, acted.cols, n))
-        for b in range(n)]) @ _spinor_squares(sub)
-    kappa_sp = sub.kappa_sp
+        for b in range(n)]) @ _spinor_squares(datum.subalgebra)
+
+
+def _compute_theta(datum: AdmissibleDatum) -> ThetaData:
+    """Decide whether the spinor-argument theta maps kill the Dirac kernel,
+    and if so solve for the alternating maps on V x V."""
+    n, nso = datum.model.dim_v, datum.model.dim_so
+    spinor = _spinor_theta(datum)
+    kappa_sp = datum.subalgebra.kappa_sp
     dirac_kernel = kappa_sp.kernel()
     annihilated = (spinor @ dirac_kernel.basis.transpose()).is_zero()
-    th1, th2 = _direction_tables(spinor, n, nso)
     theta1 = theta2 = None
     alternating = False
     second_rel = False
@@ -438,29 +424,18 @@ def _compute_theta(datum: AdmissibleDatum) -> ThetaData:
         if failed:
             raise OracleMismatch("kappa restricted to Sym^2 S' is not "
                                  "surjective on a highly susy subalgebra")
-        stacked = spinor @ preimages
-        theta1, theta2 = _direction_tables(stacked, n, nso)
-        theta = _side_by_side(stacked, n)
+        theta = _side_by_side(spinor @ preimages, n)
+        theta1 = theta.select_rows(range(nso))
+        theta2 = theta.select_rows(range(nso, theta.rows))
         alternating = theta == theta.select_columns(
             [c * n + b for b in range(n) for c in range(n)]).scale(-1)
         second_rel = _second_defining_relation(
             datum, _side_by_side(spinor, n), theta)
-    return ThetaData(theta1_spinor=th1, theta2_spinor=th2,
-                     dirac_kernel_annihilated=annihilated,
+    return ThetaData(dirac_kernel_annihilated=annihilated,
                      dirac_kernel_dim=dirac_kernel.dim,
                      theta1=theta1, theta2=theta2,
                      alternating_verified=alternating,
                      second_relation_consistent=second_rel)
-
-
-def _direction_tables(M: ExactMatrix, n: int, nso: int) -> tuple:
-    """The so(V) and r tables [b][j] of M, whose rows b m + k hold the m =
-    dim so + dim r coordinates of the b-th direction's value at column j."""
-    m = M.rows // n
-    cols = column_tuples(M)
-    return ([[col[b * m:b * m + nso] for col in cols] for b in range(n)],
-            [[col[b * m + nso:(b + 1) * m] for col in cols]
-             for b in range(n)])
 
 
 def _side_by_side(M: ExactMatrix, n: int) -> ExactMatrix:
@@ -591,7 +566,7 @@ def _check_integrability(datum: AdmissibleDatum) -> IntegrabilityReport:
                                  "fails; implementation bug")
     # theta in h / r' coordinates, then the Jacobi identity of the deformed
     # bracket: the quadratic system, a0-invariance and both Bianchi identities
-    tensor = _deformed_bracket(datum, *_theta_in_a0(datum, theta))
+    tensor = _deformed_bracket(datum, _theta_in_a0(datum, theta))
     jacobi = graded_jacobi_check(tensor)
     if not jacobi.passed:
         raise JacobiViolation(jacobi.detail, triple=jacobi.witness)
@@ -606,13 +581,12 @@ def _alpha(datum: AdmissibleDatum) -> ExactMatrix:
         pair_embedding(cx.w2v).transpose()
 
 
-def _theta_in_a0(datum: AdmissibleDatum, theta: ThetaData):
-    """theta (un-tilded) in h / r' coordinates: column b n + c of theta -
+def _theta_in_a0(datum: AdmissibleDatum, theta: ThetaData) -> ExactMatrix:
+    """theta (un-tilded) in h then r' coordinates, column b n + c: theta -
     lambda(alpha) + [lambda, lambda] lies in h + r', a theorem whose
     failure raises OracleMismatch."""
     sub = datum.subalgebra
     model = datum.model
-    n, dh = model.dim_v, sub.h.dim
     lam = datum.lam_matrix()
     coords = _coordinates_in((sub.h, sub.rp),
                              theta.matrix() - lam @ _alpha(datum)
@@ -620,9 +594,7 @@ def _theta_in_a0(datum: AdmissibleDatum, theta: ThetaData):
                              @ kron(lam, lam))
     if coords is None:
         raise OracleMismatch("theta fails the a0-membership theorem")
-    cols = column_tuples(coords)
-    return ([[cols[b * n + c][:dh] for c in range(n)] for b in range(n)],
-            [[cols[b * n + c][dh:] for c in range(n)] for b in range(n)])
+    return coords
 
 
 # ---------------------------------------------------------------------------
@@ -647,10 +619,6 @@ class FilteredDeformation:
     def dims(self) -> tuple:
         return self.tensor.component_dims
 
-    @property
-    def total_dim(self) -> int:
-        return self.tensor.total_dim
-
     def to_json(self) -> dict:
         return {
             "dims": {"V": self.dims[0], "S'": self.dims[1],
@@ -661,87 +629,51 @@ class FilteredDeformation:
 
 
 
-def _deformed_bracket(datum: AdmissibleDatum, th1_h: list,
-                      th2_rp: list) -> GradedBracketTensor:
-    """The deformed bracket table on V + S' + (h + r'), from the datum's
-    delta and odd brackets and theta in h / r' coordinates."""
+def _deformed_bracket(datum: AdmissibleDatum,
+                      theta_a0: ExactMatrix) -> GradedBracketTensor:
+    """The deformed bracket on V + S' + (h + r'), placed as blocks: the
+    structure constants of h and of r' ([h, r'] = 0), the a0 basis X acting
+    on V by A_V (X (x) I) and on S' in its coordinates, delta, [S', S'] =
+    kappa plus the odd brackets' h + r' part, [V, S'] the odd brackets, and
+    [V, V] = alpha + theta in h + r' coordinates."""
     sub = datum.subalgebra
     model = datum.model
     n, nsp = model.dim_v, sub.Sp.dim
     dh, dr = sub.h.dim, sub.rp.dim
-    off_s, off_h, off_r = n, n + nsp, n + nsp + dh
-    table: dict = {}
-
-    def put(i, j, chunks, sign=1):
-        vecd = {}
-        for off, coords in chunks:
-            for t, c in enumerate(coords):
-                if c:
-                    vecd[off + t] = sign * c
-        if vecd:
-            table[(i, j)] = vecd
-
+    total = n + nsp + dh + dr
+    V, S = range(n), range(n, n + nsp)
+    h, rp = range(n + nsp, n + nsp + dh), range(n + nsp + dh, total)
+    a0 = range(n + nsp, total)
     # column k n + b: X_k e_b, and column k nsp + i: the S' coordinates of
     # X_k s_i, X_k over the h-basis then the r'-basis
     X = sub.a0_basis()
-    on_v = column_tuples(model.bracket_matrix("a0", "V", "V")
-                         @ kron(X, ExactMatrix.identity(n)))
     on_s = coordinate_matrix(sub.Sp, model.bracket_matrix("a0", "S", "S")
                              @ kron(X, sub.Sp.basis.transpose()))
     if on_s is None:
         raise OracleMismatch("bracket value leaves S'")
-    on_s = column_tuples(on_s)
-    # [h, h], [h, r'] = 0, [r', r']
-    for k in range(dh):
-        for l in range(dh):
-            put(off_h + k, off_h + l, [(off_h, sub.h_brackets[k][l])])
-    for p in range(dr):
-        for q in range(dr):
-            put(off_r + p, off_r + q, [(off_r, sub.rp_brackets[p][q])])
-    # [h, V] = Av + delta1 + delta2 ;  [r', V] = delta4
-    delta = solve_delta(datum)
-    for k in range(dh):
-        for b in range(n):
-            chunks = [(0, on_v[k * n + b]), (off_h, delta.delta1[k][b]),
-                      (off_r, delta.delta2[k][b])]
-            put(off_h + k, b, chunks)
-            put(b, off_h + k, chunks, -1)
-    for p in range(dr):
-        for b in range(n):
-            chunks = [(off_r, delta.delta4[p][b])]
-            put(off_r + p, b, chunks)
-            put(b, off_r + p, chunks, -1)
-    # [h, S'], [r', S']
-    for k in range(dh + dr):
-        for i in range(nsp):
-            val = on_s[k * nsp + i]
-            put(off_h + k, off_s + i, [(off_s, val)])
-            put(off_s + i, off_h + k, [(off_s, val)], -1)
-    # [S', S'] = kappa + (gamma-hat - lambda1 kappa) + (rho-hat - lambda2 kappa)
-    # and [V, S'] = beta-hat + lambda1 . s + lambda2 s
     vs, ss = datum.odd_brackets()
-    for i, j, kv, gh, rr in ss:
-        chunks = [(0, kv), (off_h, gh), (off_r, rr)]
-        put(off_s + i, off_s + j, chunks)
-        put(off_s + j, off_s + i, chunks)
-    for b in range(n):
-        for i, coords in enumerate(vs[b]):
-            put(b, off_s + i, [(off_s, coords)])
-            put(off_s + i, b, [(off_s, coords)], -1)
-    # [V, V] = alpha + theta-corrections
-    alpha = column_tuples(_alpha(datum))
-    for b in range(n):
-        for c in range(n):
-            if b == c:
-                continue
-            chunks = [(0, alpha[b * n + c]), (off_h, th1_h[b][c]),
-                      (off_r, th2_rp[b][c])]
-            put(b, c, chunks)
-    parities = tuple([0] * n + [1] * nsp + [0] * (dh + dr))
+    # a value on the sym2 pairs of S' read on the ordered pairs: column
+    # i nsp + j is the unit vector of the pair (i, j) in either order
+    index = tensor_index_maps(nsp, "sym2").index
+    ordered = ExactMatrix(sub.kappa_sp.cols, nsp * nsp, [
+        (index(i, j), i * nsp + j, 1) for i in range(nsp)
+        for j in range(nsp)])
+    blocks = [
+        (h, h, h, sub.h_brackets.transpose()),
+        (rp, rp, rp, sub.rp_brackets.transpose()),
+        (a0, V, V, model.bracket_matrix("a0", "V", "V")
+         @ kron(X, ExactMatrix.identity(n))),
+        (a0, V, a0, solve_delta(datum).matrix),
+        (a0, S, S, on_s),
+        (S, S, V, sub.kappa_sp @ ordered),
+        (S, S, a0, ss @ ordered),
+        (V, S, S, vs),
+        (V, V, V, _alpha(datum)),
+        (V, V, a0, theta_a0)]
     return GradedBracketTensor(
-        component_names=("V", "S'", "h", "r'"),
         component_dims=(n, nsp, dh, dr),
-        parities=parities, degrees=None, table=table)
+        parities=tuple([0] * n + [1] * nsp + [0] * (dh + dr)),
+        degrees=None, matrix=bracket_from_blocks(total, blocks))
 
 
 def build_filtered_deformation(datum: AdmissibleDatum) -> FilteredDeformation:
@@ -789,13 +721,13 @@ def _check_assoc_graded(datum: AdmissibleDatum,
     # vectors of V, S', h and r', in their coordinates
     spaces = (sub.Vp, sub.Sp, sub.h, sub.rp)
     emb = block_diag([space.basis.transpose() for space in spaces])
-    expected = _coordinates_in(spaces, model.tensor.matrix() @ kron(emb, emb))
+    expected = _coordinates_in(spaces, model.tensor.matrix @ kron(emb, emb))
     if expected is None:
         raise OracleMismatch("graded bracket leaves the subalgebra")
     total = tensor.total_dim
     pairs = [(i, j) for i in range(total) for j in range(i, total)]
     picked = [i * total + j for i, j in pairs]
-    got = tensor.matrix().select_columns(picked)
+    got = tensor.matrix.select_columns(picked)
     expected = expected.select_columns(picked)
     # what must vanish at level shift 0, at 2 or 4, and elsewhere
     outside = ("bracket component outside the defining sequence "

@@ -13,9 +13,9 @@ from .cliffspin import CliffordRep, DiracCurrent, spin_generators
 from .errors import (DimensionMismatch, JacobiViolation, NotClosed,
                      NotCompactForm)
 from .exactla import (ExactMatrix, Subspace, block_diag, coordinate_rows,
-                      first_row_outside, hstack, is_positive_definite,
-                      kron, pair_map, rat_str, scaled_rows, tensor_index_maps,
-                      vstack)
+                      first_row_outside, flatten_columns, hstack,
+                      is_positive_definite, kron, pair_map, rat_str,
+                      tensor_index_maps, vstack)
 
 
 # ---------------------------------------------------------------------------
@@ -35,8 +35,8 @@ class EndoSubalgebra:
         self.matrices: List[ExactMatrix] = [
             basis.basis.select_rows([i]).reshape(n, n)
             for i in range(basis.dim)]
-        # bracket_table[i][j] holds the coordinates of [m_i, m_j]
-        self.bracket_table: List[List[tuple]] = []
+        # row i dim + j holds the coordinates of [m_i, m_j]
+        self.bracket_table = ExactMatrix(0, 0)
         if not self.matrices:
             return
         comms = commutator_rows(self.matrices, basis.basis)
@@ -46,9 +46,7 @@ class EndoSubalgebra:
             raise NotClosed("endomorphism algebra not closed under "
                             "commutator", witness=comms.select_rows(
                                 [bad]).reshape(n, n).to_serialisable())
-        k = basis.dim
-        self.bracket_table = [[coords.row_tuple(i * k + j) for j in range(k)]
-                              for i in range(k)]
+        self.bracket_table = coords
 
     @classmethod
     def from_matrices(cls, spinor_dim: int,
@@ -60,14 +58,6 @@ class EndoSubalgebra:
     @property
     def dim(self) -> int:
         return self.basis.dim
-
-    def coordinates(self, mat: ExactMatrix) -> Optional[tuple]:
-        coords = coordinate_rows(self.basis,
-                                 mat.reshape(1, self.spinor_dim ** 2))
-        return None if coords is None else coords.row_tuple(0)
-
-    def contains(self, mat: ExactMatrix) -> bool:
-        return self.coordinates(mat) is not None
 
     def __repr__(self):
         return f"EndoSubalgebra(dim={self.dim}, on S^{self.spinor_dim})"
@@ -134,46 +124,49 @@ def _preserves(mat: ExactMatrix, sigma: Sequence[ExactMatrix],
 
 @dataclass
 class GradedBracketTensor:
-    """A bracket on a finite graded super vector space, as a full ordered
-    table of sparse structure-constant vectors."""
-    component_names: tuple      # e.g. ("V", "S", "so", "r")
+    """A bracket on a finite graded super vector space, as one n x n^2
+    structure-constant matrix M with [x, y] = M (x (x) y): column i n + j
+    holds [x_i, x_j]."""
     component_dims: tuple
     parities: tuple             # per flat basis index: 0 even, 1 odd
     degrees: Optional[tuple]    # per flat basis index, or None if filtered
-    table: dict                 # (i, j) -> {k: Fraction}
-    _matrix: Optional[ExactMatrix] = field(default=None, init=False,
-                                           repr=False, compare=False)
+    matrix: ExactMatrix
 
     @property
     def total_dim(self) -> int:
         return sum(self.component_dims)
 
-    def matrix(self) -> ExactMatrix:
-        """The table as one n x n^2 matrix M with [x, y] = M (x (x) y): its
-        column i n + j holds [x_i, x_j].  Built on first use and kept."""
-        if self._matrix is None:
-            n = self.total_dim
-            self._matrix = ExactMatrix(n, n * n, [
-                (k, i * n + j, c) for (i, j), row in self.table.items()
-                for k, c in row.items()])
-        return self._matrix
 
-    def offsets(self) -> tuple:
-        out = []
-        acc = 0
-        for d in self.component_dims:
-            out.append(acc)
-            acc += d
-        return tuple(out)
+def bracket_from_blocks(n: int, blocks: Sequence[tuple]) -> ExactMatrix:
+    """The n x n^2 matrix M of a bracket on an n-dimensional space from
+    blocks (left, right, out, B): ranges of basis indices and a matrix with
+    [x, y]_out = B (x_left (x) y_right), so M is the sum of the
+    i_out B (p_left (x) p_right) for the coordinate projections p and
+    inclusions i.  A block on two different ranges holds one order of the
+    pair, one of whose elements is even; its partner [y, x] = -[x, y] is
+    the same matrix with the columns i n + j and j n + i exchanged."""
+    def project(part: range) -> ExactMatrix:
+        return ExactMatrix(len(part), n, [(a, i, 1)
+                                          for a, i in enumerate(part)])
 
-    def bracket(self, i: int, j: int) -> dict:
-        return self.table.get((i, j), {})
+    same = once = ExactMatrix(n, n * n)
+    for left, right, out, B in blocks:
+        term = project(out).transpose() @ B @ kron(project(left),
+                                                    project(right))
+        if left == right:
+            same = same + term
+        else:
+            once = once + term
+    return same + once - once.select_columns(
+        [j * n + i for i in range(n) for j in range(n)])
 
 
-def _accumulate(acc: dict, coeffs: dict, rows: dict, scale: int) -> None:
-    """acc += scale * sum_m coeffs[m] rows[m] on sparse integer vectors."""
+def _accumulate(acc: dict, coeffs: dict, rows: list, base: int,
+                stride: int, scale: int) -> None:
+    """acc += scale * sum_m coeffs[m] rows[base + m stride] on sparse
+    integer vectors."""
     for m, c in coeffs.items():
-        row = rows.get(m)
+        row = rows[base + m * stride]
         if row:
             c *= scale
             for t, w in row.items():
@@ -205,22 +198,21 @@ def graded_jacobi_check(tensor: GradedBracketTensor) -> Certificate:
     the triples of `jacobi_triples` are exhaustive: J vanishes on them if and
     only if it vanishes on all n^3 ordered ones.
 
-    Both passes read the table scaled once to integers over the lcm L of its
-    denominators.  J is quadratic in the table, so L^2 J is evaluated in
-    integer arithmetic, and a violation's defect is reported as the
-    rational acc / L^2.  The scaled table lives only for the call.
+    Both passes read the integer rows of M^T, over the lcm L of M's
+    denominators, once: row i n + j is L [x_i, x_j].  J is quadratic in
+    the bracket, so L^2 J is evaluated in integer arithmetic, and a
+    violation's defect is reported as the rational acc / L^2.  The scaled
+    rows live only for the call.
     """
     n = tensor.total_dim
     par = tensor.parities
     deg = tensor.degrees
-    L, rows = scaled_rows(tensor.table.values())
-    table = dict(zip(tensor.table, rows))
-    empty: dict = {}
+    L, rows = tensor.matrix.transpose().int_rows()
     for i in range(n):
         for j in range(n):
-            bij = table.get((i, j), empty)
+            bij = rows[i * n + j]
             sign = -1 if (par[i] * par[j]) % 2 == 0 else 1
-            bji = table.get((j, i), empty)
+            bji = rows[j * n + i]
             for k in set(bij) | set(bji):
                 if bij.get(k, 0) != sign * bji.get(k, 0):
                     return Certificate(
@@ -240,17 +232,13 @@ def graded_jacobi_check(tensor: GradedBracketTensor) -> Certificate:
                             False, "bracket does not respect the Z-degree",
                             witness={"pair": (i, j), "target": k,
                                      "degree": deg[k], "expected": want})
-    # [x_i, x_m] = left[i][m] and [x_m, x_k] = right[k][m]
-    left: list = [{} for _ in range(n)]
-    right: list = [{} for _ in range(n)]
-    for (i, j), row in table.items():
-        left[i][j] = right[j][i] = row
+    # [x_i, x_m] is rows[i n + m] and [x_m, x_k] is rows[m n + k]
     for i, j, k in jacobi_triples(par):
         sgn = -1 if (par[i] * par[j]) % 2 else 1
         acc: dict = {}
-        _accumulate(acc, table.get((j, k), empty), left[i], 1)
-        _accumulate(acc, table.get((i, j), empty), right[k], -1)
-        _accumulate(acc, table.get((i, k), empty), left[j], -sgn)
+        _accumulate(acc, rows[j * n + k], rows, i * n, 1, 1)
+        _accumulate(acc, rows[i * n + j], rows, k, n, -1)
+        _accumulate(acc, rows[i * n + k], rows, j * n, 1, -sgn)
         nonzero = [t for t, v in acc.items() if v]
         if nonzero:
             t = min(nonzero)
@@ -322,33 +310,24 @@ class ExtendedFlatModel:
                 "so": self.dim_so, "r": self.dim_r}
 
     def _build_tensor(self) -> GradedBracketTensor:
+        """The flat brackets placed as blocks: [so, so] in E_ij coordinates,
+        so(V) on V and S by the generator and sigma matrices, [r, r] by the
+        R-symmetry algebra's table, r on S by its matrices, and [S, S] =
+        kappa, whose component a is K_a flattened row by row (a symmetric
+        bracket of odd spinors for a symmetric current, an antisymmetric one
+        of even spinors for a skew current)."""
         nv, ns, nso, nr = self.dim_v, self.dim_s, self.dim_so, self.dim_r
-        off_s, off_so, off_r = self.off_s, self.off_so, self.off_r
         spar = 1 if self.odd_spinors else 0
         parities = tuple([0] * nv + [spar] * ns + [0] * (nso + nr))
         degrees = tuple([-2] * nv + [-1] * ns + [0] * (nso + nr))
-        table: dict = {}
-
-        def put(i, j, chunk):
-            vecd = {k: v for k, v in chunk.items() if v}
-            if vecd:
-                table[(i, j)] = vecd
-
-        def put_pair(i, j, chunk):
-            """[x_i, x_j] = chunk and [x_j, x_i] = -chunk."""
-            put(i, j, chunk)
-            put(j, i, {k: -v for k, v in chunk.items()})
-
-        def rows_of(mat, off):
-            """The nonzero entries of each row of mat, at off + column."""
-            D, rows = mat.int_rows()
-            return [{off + k: Fraction(v, D) for k, v in row.items()}
-                    for row in rows]
-
+        V, S = self._part("V"), self._part("S")
+        so = range(self.off_so, self.off_r)
+        r = range(self.off_r, self.total_dim)
         gens = self.gens
         # [so, so]: every commutator of the E_ij at once, in E_ij
         # coordinates, read off entry (i, j) above the diagonal, which E_ij
         # alone meets, with the value eta_j = 1 / eta_j
+        so_so = ExactMatrix(0, 0)
         if nso:
             eta = self.rep.signature.eta()
             read = ExactMatrix(nv * nv, nso, [
@@ -356,35 +335,19 @@ class ExtendedFlatModel:
                 for k, (i, j) in enumerate(gens.pairs)])
             so_so = commutator_rows(gens.e_mats, vstack(
                 [e.reshape(1, nv * nv) for e in gens.e_mats])) @ read
-            for ab, row in enumerate(rows_of(so_so, off_so)):
-                put(off_so + ab // nso, off_so + ab % nso, row)
-        # [so, V] and [so, S]: column i of each generator's matrix
-        for a in range(nso):
-            for i, col in enumerate(rows_of(gens.e_mats[a].transpose(), 0)):
-                put_pair(off_so + a, i, col)
-            for i, col in enumerate(rows_of(gens.sigma[a].transpose(),
-                                            off_s)):
-                put_pair(off_so + a, off_s + i, col)
-        # [r, r], [r, S]
-        for p in range(nr):
-            for q in range(nr):
-                coords = self.r.bracket_table[p][q]
-                put(off_r + p, off_r + q,
-                    {off_r + k: c for k, c in enumerate(coords)})
-            for i, col in enumerate(rows_of(self.r.matrices[p].transpose(),
-                                            off_s)):
-                put_pair(off_r + p, off_s + i, col)
-        # [S, S] = kappa (symmetric current: symmetric bracket of odd elements;
-        # skew current: antisymmetric bracket of even elements): entry (i, j)
-        # of the component K_a
-        for a, K in enumerate(self.current.components):
-            for i, row in enumerate(rows_of(K, off_s)):
-                for j, v in row.items():
-                    table.setdefault((off_s + i, j), {})[a] = v
+        # column a d + i of an action block is x_a on the i-th basis vector
+        blocks = [
+            (so, so, so, so_so.transpose()),
+            (so, V, V, hstack([ExactMatrix(nv, 0), *gens.e_mats])),
+            (so, S, S, hstack([ExactMatrix(ns, 0), *gens.sigma])),
+            (r, r, r, self.r.bracket_table.transpose()),
+            (r, S, S, hstack([ExactMatrix(ns, 0), *self.r.matrices])),
+            (S, S, V, flatten_columns(self.current.components, ns,
+                                      ns).transpose())]
         return GradedBracketTensor(
-            component_names=("V", "S", "so", "r"),
-            component_dims=(nv, ns, nso, nr),
-            parities=parities, degrees=degrees, table=table)
+            component_dims=(nv, ns, nso, nr), parities=parities,
+            degrees=degrees,
+            matrix=bracket_from_blocks(self.total_dim, blocks))
 
     # -- basis tables --------------------------------------------------------
 
@@ -406,7 +369,7 @@ class ExtendedFlatModel:
         if key not in self._bracket_blocks:
             n = self.total_dim
             rows, cols = self._part(left), self._part(right)
-            self._bracket_blocks[key] = self.tensor.matrix().select_rows(
+            self._bracket_blocks[key] = self.tensor.matrix.select_rows(
                 self._part(out)).select_columns(
                     [i * n + j for i in rows for j in cols])
         return self._bracket_blocks[key]
@@ -429,32 +392,6 @@ class ExtendedFlatModel:
         flat = X @ self._bracket_blocks[key]
         return tuple(flat.select_rows([k]).reshape(d, d)
                      for k in range(flat.rows))
-
-    def to_json(self) -> dict:
-        names = {"V": (self.off_v, self.dim_v), "S": (self.off_s, self.dim_s),
-                 "A": (self.off_so, self.dim_so), "r": (self.off_r, self.dim_r)}
-        out: dict = {"dims": self.dims, "odd_spinors": self.odd_spinors,
-                     "brackets": {}}
-        pairs = [("A", "A", "A", "AA"), ("A", "r", "r", "Ar"),
-                 ("r", "r", "r", "rr"), ("A", "V", "V", "AV"),
-                 ("A", "S", "S", "AS"), ("r", "V", "V", "rV"),
-                 ("r", "S", "S", "rS"), ("S", "S", "V", "SS_V"),
-                 ("S", "S", "A", "SS_A"), ("S", "S", "r", "SS_r"),
-                 ("V", "S", "S", "VS"), ("V", "V", "V", "VV")]
-        for c1, c2, c3, key in pairs:
-            o1, d1 = names[c1]
-            o2, d2 = names[c2]
-            o3, d3 = names[c3]
-            tensor = []
-            for i in range(d1):
-                rows = []
-                for j in range(d2):
-                    chunk = self.tensor.bracket(o1 + i, o2 + j)
-                    rows.append([rat_str(chunk.get(o3 + k, Fraction(0)))
-                                 for k in range(d3)])
-                tensor.append(rows)
-            out["brackets"][key] = tensor
-        return out
 
 
 def build_extended_flat_model(rep: CliffordRep, current: DiracCurrent,
@@ -496,9 +433,9 @@ class GradedSubalgebra:
     The structure the closure checks read is built once and kept: kappa_sp
     (see kappa_restriction_matrix), the h basis acting on V (h_so) and on S
     (h_spin), the r' basis acting on S (rp_mats), and the structure
-    constants of h and r' in their own bases (h_brackets[k][l] holds the h
-    coordinates of [h_k, h_l], rp_brackets likewise).  It is determined by
-    the subspaces, so it takes no part in equality.
+    constants of h and r' in their own bases (row k dim h + l of h_brackets
+    holds the h coordinates of [h_k, h_l], rp_brackets likewise).  It is
+    determined by the subspaces, so it takes no part in equality.
 
     h_generators and rp_generators index a subset of the h-basis and of the
     r'-basis that generates h and r' as Lie algebras (lie_generating_subset).
@@ -515,8 +452,8 @@ class GradedSubalgebra:
     h_so: tuple = field(repr=False, compare=False)
     h_spin: tuple = field(repr=False, compare=False)
     rp_mats: tuple = field(repr=False, compare=False)
-    h_brackets: tuple = field(repr=False, compare=False)
-    rp_brackets: tuple = field(repr=False, compare=False)
+    h_brackets: ExactMatrix = field(repr=False, compare=False)
+    rp_brackets: ExactMatrix = field(repr=False, compare=False)
     h_generators: tuple = field(repr=False, compare=False)
     rp_generators: tuple = field(repr=False, compare=False)
     highly_susy: bool = False
@@ -620,8 +557,7 @@ def _graded_subalgebra(model: ExtendedFlatModel, Vp: Subspace, Sp: Subspace,
     sub = GradedSubalgebra(model=model, Vp=Vp, Sp=Sp, h=h, rp=rp,
                            kappa_sp=kappa_sp, h_so=h_so, h_spin=h_spin,
                            rp_mats=rp_mats,
-                           h_brackets=_structure_constants(h_table, dh),
-                           rp_brackets=_structure_constants(rp_table, dr),
+                           h_brackets=h_table, rp_brackets=rp_table,
                            h_generators=lie_generating_subset(h_table),
                            rp_generators=lie_generating_subset(rp_table))
     sub.homogeneity_rank = kappa_sp.rank()
@@ -655,12 +591,6 @@ def _require(checks: Sequence[tuple]) -> list:
         raise NotClosed(condition,
                         witness=[rat_str(c) for c in rows.row_tuple(i)])
     return coords
-
-
-def _structure_constants(table: ExactMatrix, dim: int) -> tuple:
-    """table[k dim + l], the coordinates of [x_k, x_l], as [k][l]."""
-    return tuple(tuple(table.row_tuple(k * dim + l) for l in range(dim))
-                 for k in range(dim))
 
 
 def _per_element(rows: ExactMatrix, count: int) -> ExactMatrix:

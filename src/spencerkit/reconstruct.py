@@ -5,8 +5,6 @@ equivariance, and the curvature values at the origin."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence
 
 from .deform import FilteredDeformation, column_tuples, first_nonzero_column
 from .errors import (CurvatureMismatch, EquivarianceViolation,
@@ -23,9 +21,6 @@ class NomizuMap:
     deformation: FilteredDeformation
     matrix: ExactMatrix   # (dim so + dim r) x (dim V + dim h + dim r')
 
-    def apply(self, coords: Sequence[Fraction]) -> tuple:
-        return self.matrix.apply(coords)
-
 
 def _even_brackets(deformation: FilteredDeformation) -> ExactMatrix:
     """The bracket of g0 = V + h + r' as one matrix: column x d + y holds
@@ -34,7 +29,7 @@ def _even_brackets(deformation: FilteredDeformation) -> ExactMatrix:
     total = deformation.tensor.total_dim
     # the even coordinates sit at V, then h and r' after S' in the tensor
     even = [*range(n), *range(n + nsp, total)]
-    table = deformation.tensor.matrix().select_columns(
+    table = deformation.tensor.matrix.select_columns(
         [x * total + y for x in even for y in even])
     if not table.select_rows(range(n, n + nsp)).is_zero():
         raise CurvatureMismatch("even-even bracket has an odd component")

@@ -8,8 +8,9 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from pairwise_oracles import basis_vec, basis_vectors, lam_matrices, \
-    matrix_of, r_matrix, so_matrix, solve_many, vec_add, zero_vec
+from pairwise_oracles import basis_vec, basis_vectors, bracket_table, \
+    lam_matrices, matrix_of, pair_table, r_matrix, so_matrix, solve_many, \
+    vec_add, zero_vec
 from spencerkit.certs import Certificate, ProbeReport
 from spencerkit.cliffspin import _M64, Signature, _splitmix64, \
     build_clifford_rep, build_dirac_current, spin_generators
@@ -225,9 +226,11 @@ def implied_identity_failures(datum, theta):
     model, sub = datum.model, datum.subalgebra
     n = model.dim_v
     e = [basis_vec(n, b) for b in range(n)]
+    theta1 = pair_table(theta.theta1, n)
     # theta1 as so(V) matrices on V, theta2 as r matrices on S
-    tables = ([[so_matrix(model, x) for x in row] for row in theta.theta1],
-              [[r_matrix(model, x) for x in row] for row in theta.theta2])
+    tables = ([[so_matrix(model, x) for x in row] for row in theta1],
+              [[r_matrix(model, x) for x in row]
+               for row in pair_table(theta.theta2, n)])
 
     def form(k, x, y):
         """theta_k(x, y) as a matrix."""
@@ -264,7 +267,7 @@ def implied_identity_failures(datum, theta):
         for k in (0, 1) for a, b, c in combinations(range(n), 3))
     return [name for name, holds in (
         ("a0_invariance", invariant),
-        ("bianchi_theta1", first_bianchi_holds(theta.theta1, model)),
+        ("bianchi_theta1", first_bianchi_holds(theta1, model)),
         ("lambda_bianchi", lam_bianchi)) if not holds]
 
 
@@ -278,32 +281,35 @@ def add_scaled(out, v, c):
             del out[k]
 
 
-def bracket_vec(tensor, i, v):
-    """[x_i, v] for a sparse rational coefficient vector v."""
+def bracket_vec(table, i, v):
+    """[x_i, v] for a sparse rational coefficient vector v, from a
+    bracket_table."""
     out = {}
     for j, c in v.items():
-        add_scaled(out, tensor.bracket(i, j), c)
+        add_scaled(out, table.get((i, j), {}), c)
     return out
 
 
-def vec_bracket(tensor, v, k):
-    """[v, x_k] for a sparse rational coefficient vector v."""
+def vec_bracket(table, v, k):
+    """[v, x_k] for a sparse rational coefficient vector v, from a
+    bracket_table."""
     out = {}
     for i, c in v.items():
-        add_scaled(out, tensor.bracket(i, k), c)
+        add_scaled(out, table.get((i, k), {}), c)
     return out
 
 
 def fraction_jacobi_check(tensor):
     """graded_jacobi_check evaluated entry by entry in Fraction arithmetic
-    on the tensor's own table: the oracle of the integer-scaled check,
+    on the tensor's bracket_table: the oracle of the integer-scaled check,
     certificate for certificate."""
     n, par, deg = tensor.total_dim, tensor.parities, tensor.degrees
+    table = bracket_table(tensor)
     for i in range(n):
         for j in range(n):
-            bij = tensor.bracket(i, j)
+            bij = table.get((i, j), {})
             sign = -1 if (par[i] * par[j]) % 2 == 0 else 1
-            bji = tensor.bracket(j, i)
+            bji = table.get((j, i), {})
             for k in set(bij) | set(bji):
                 if bij.get(k, Fraction(0)) != sign * bji.get(k, Fraction(0)):
                     return Certificate(
@@ -325,9 +331,9 @@ def fraction_jacobi_check(tensor):
                                      "degree": deg[k], "expected": want})
     for i, j, k in jacobi_triples(par):
         sgn = -1 if (par[i] * par[j]) % 2 else 1
-        acc = bracket_vec(tensor, i, tensor.bracket(j, k))
-        add_scaled(acc, vec_bracket(tensor, tensor.bracket(i, j), k), -1)
-        add_scaled(acc, bracket_vec(tensor, j, tensor.bracket(i, k)), -sgn)
+        acc = bracket_vec(table, i, table.get((j, k), {}))
+        add_scaled(acc, vec_bracket(table, table.get((i, j), {}), k), -1)
+        add_scaled(acc, bracket_vec(table, j, table.get((i, k), {})), -sgn)
         if acc:
             t = sorted(acc)[0]
             return Certificate(

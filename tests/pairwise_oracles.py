@@ -1,20 +1,26 @@
 """The per-pair and per-vector routines that the package replaced with
 products over the flat model's basis tables, kept as test oracles the way
 `fraction_exactla` serves `exactla`: every bracket is a matrix commutator
-read back through `so_coordinates` or the R-symmetry algebra's
-`coordinates`, every action a matrix built for one element, every
-membership one vector at a time, and every value a Fraction vector
-evaluated one basis pair at a time.  The Fraction vector helpers the
-package used to carry are here too."""
+read back through `so_coordinates` or `endo_coordinates`, every action a
+matrix built for one element, every membership one vector at a time, and
+every value a Fraction vector evaluated one basis pair at a time.  The
+Fraction vector helpers the package used to carry are here too, and the
+nested Fraction tables the package once kept for brackets, delta and
+theta, with the table assembly of the flat model's and the deformed
+bracket that the block-placed structure-constant matrices replaced."""
 
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 from column_actions import apply_vector
-from spencerkit.deform import DeltaMap, ThetaData
+import spencerkit.deform as deform
+from spencerkit.deform import column_tuples
 from spencerkit.errors import CurvatureMismatch, DimensionMismatch, \
     EquivarianceViolation, NotClosed, OracleMismatch, TorsionViolation
 from spencerkit.exactla import AffineSolver, ExactMatrix, Subspace, \
-    block_diag, hstack, rat_str, tensor_index_maps, vec_is_zero
+    block_diag, coordinate_matrix, hstack, kron, rat_str, \
+    tensor_index_maps, vec_is_zero
 from spencerkit.flatmodel import EndoSubalgebra, kappa_restriction_matrix
 from spencerkit.reconstruct import CurvatureAtOrigin
 from spencerkit.spencer import CochainAction, Cochain22, restriction_matrix, \
@@ -116,6 +122,18 @@ def r_matrix(model, coords):
     return matrix_of(model.r, coords)
 
 
+def endo_coordinates(alg, mat):
+    """The coordinates of an End(S) matrix in an EndoSubalgebra, or None
+    when it lies outside: the matrix flattened row by row, read against
+    the basis."""
+    n = alg.spinor_dim
+    return alg.basis.coordinates(mat.reshape(1, n * n).row_tuple(0))
+
+
+def endo_contains(alg, mat):
+    return endo_coordinates(alg, mat) is not None
+
+
 def so_coordinates(model, mat):
     """E_ij coordinates of an so(V) matrix (entries above the diagonal)."""
     eta = model.rep.signature.eta()
@@ -124,17 +142,25 @@ def so_coordinates(model, mat):
 
 def bracket_coords(alg, x, y):
     """The coordinates of [x, y] in an EndoSubalgebra, from its bracket
-    table."""
-    return lincomb(((xi * yj, alg.bracket_table[i][j])
+    table, whose row i dim + j holds [m_i, m_j]."""
+    k = alg.dim
+    return lincomb(((xi * yj, alg.bracket_table.row_tuple(i * k + j))
                     for i, xi in enumerate(x) if xi
-                    for j, yj in enumerate(y) if yj), alg.dim)
+                    for j, yj in enumerate(y) if yj), k)
 
 
 def endo_bracket_table(alg):
-    """EndoSubalgebra.bracket_table, one commutator at a time, each read
-    back through the algebra's coordinates."""
-    return [[alg.coordinates(a.commutator(b)) for b in alg.matrices]
+    """EndoSubalgebra.bracket_table as nested coordinates [i][j], one
+    commutator at a time, each read back through endo_coordinates."""
+    return [[endo_coordinates(alg, a.commutator(b)) for b in alg.matrices]
             for a in alg.matrices]
+
+
+def nested_matrix(table, dim):
+    """The nested coordinates table[i][j], each of length dim, as the rows
+    i len(table) + j of one matrix."""
+    return ExactMatrix.from_rows([c for row in table for c in row],
+                                 cols=dim)
 
 
 def so_so_table(model):
@@ -241,8 +267,8 @@ def subalgebra_data(model, Vp, Sp, h, rp):
     highly_susy = 2 * Sp.dim > ns and Vp.dim == nv
     return {"h_so": tuple(h_so), "h_spin": tuple(h_spin),
             "rp_mats": tuple(rp_mats), "kappa_sp": kappa_sp,
-            "h_brackets": tuple(map(tuple, h_brackets)),
-            "rp_brackets": tuple(map(tuple, rp_brackets)),
+            "h_brackets": nested_matrix(h_brackets, h.dim),
+            "rp_brackets": nested_matrix(rp_brackets, rp.dim),
             "h_generators": lie_generating_subset(h_brackets),
             "rp_generators": lie_generating_subset(rp_brackets),
             "homogeneity_rank": kappa_sp.rank(),
@@ -311,10 +337,10 @@ def faithful_split(rp, Sp):
                 raise NotClosed("[r'', ann] is nonzero")
     for a in rp.matrices:
         for b in ann.matrices:
-            if not ann.contains(a.commutator(b)):
+            if not endo_contains(ann, a.commutator(b)):
                 raise NotClosed("ann is not an ideal of r'")
         for b in rpp.matrices:
-            if not rpp.contains(a.commutator(b)):
+            if not endo_contains(rpp, a.commutator(b)):
                 raise NotClosed("r'' is not an ideal of r'")
     if _annihilator(rpp.matrices, basis_vectors(Sp)).dim != 0:
         raise NotClosed("r'' fails to act faithfully on S'")
@@ -468,7 +494,7 @@ def commutator_targets(cx, so_coords, r_coords):
 
     so = coords(cx.Wso, [so_coordinates(model, on_v.commutator(w))
                          for w in cx.Wso_mats])
-    r = coords(cx.Wr, [model.r.coordinates(r_on_s.commutator(w))
+    r = coords(cx.Wr, [endo_coordinates(model.r, r_on_s.commutator(w))
                        for w in cx.Wr_mats])
     return so, r
 
@@ -500,17 +526,18 @@ def solve_delta(datum):
         row4 = []
         for b in range(n):
             comm = a_m.commutator(lam_matrices(datum, b)[2])
-            cc = model.r.coordinates(comm)
+            cc = endo_coordinates(model.r, comm)
             c4 = sub.rp.coordinates(cc) if cc is not None else None
             if c4 is None:
                 raise OracleMismatch("closed-form delta4 leaves r'")
             row4.append(c4)
         delta4.append(row4)
-    return DeltaMap(delta1=delta1, delta2=delta2, delta4=delta4)
+    return DeltaTables(delta1=delta1, delta2=delta2, delta4=delta4)
 
 
 def compute_theta(datum):
-    """The theta maps, Theta(v_b; s_i, s_j) evaluated pair by pair."""
+    """The theta maps, Theta(v_b; s_i, s_j) evaluated pair by pair, as
+    ThetaTables."""
     sub = datum.subalgebra
     model = datum.model
     hat = datum.hat.cochain
@@ -556,12 +583,12 @@ def compute_theta(datum):
             and vec_is_zero(vec_add(theta2[b][c], theta2[c][b]))
             for b in range(n) for c in range(b, n))
         second_rel = second_defining_relation(datum, th1, theta1)
-    return ThetaData(theta1_spinor=th1, theta2_spinor=th2,
-                     dirac_kernel_annihilated=annihilated,
-                     dirac_kernel_dim=dirac_kernel.dim,
-                     theta1=theta1, theta2=theta2,
-                     alternating_verified=alternating,
-                     second_relation_consistent=second_rel)
+    return ThetaTables(theta1_spinor=th1, theta2_spinor=th2,
+                       dirac_kernel_annihilated=annihilated,
+                       dirac_kernel_dim=dirac_kernel.dim,
+                       theta1=theta1, theta2=theta2,
+                       alternating_verified=alternating,
+                       second_relation_consistent=second_rel)
 
 
 def second_defining_relation(datum, th1_spinor, theta1):
@@ -592,10 +619,11 @@ def spinor_identity_witness(datum, theta):
     hat = datum.hat.cochain
     acted = acted_hats(datum)
     n = model.dim_v
+    theta1, theta2 = pair_table(theta.theta1, n), pair_table(theta.theta2, n)
     for b in range(n):
         for c in range(b + 1, n):
-            sp_mat = spin_matrix(model, theta.theta1[b][c])
-            r_mat = r_matrix(model, theta.theta2[b][c])
+            sp_mat = spin_matrix(model, theta1[b][c])
+            r_mat = r_matrix(model, theta2[b][c])
             vb, vc = basis_vec(n, b), basis_vec(n, c)
             for k, s in enumerate(basis_vectors(sub.Sp)):
                 lhs = vec_add(sp_mat.apply(s), r_mat.apply(s))
@@ -609,24 +637,26 @@ def spinor_identity_witness(datum, theta):
 
 
 def theta_in_a0(datum, theta):
-    """theta - lambda(alpha) + [lambda, lambda] in h / r' coordinates."""
+    """theta - lambda(alpha) + [lambda, lambda] in h / r' coordinates, as
+    the nested tables [b][c] (th1_h, th2_rp)."""
     sub = datum.subalgebra
     model = datum.model
     n = model.dim_v
     mu = datum.mu_minus
+    theta1, theta2 = pair_table(theta.theta1, n), pair_table(theta.theta2, n)
     th1_h = [[None] * n for _ in range(n)]
     th2_rp = [[None] * n for _ in range(n)]
     for b in range(n):
         for c in range(n):
             alpha_bc = alpha(mu, b, c)
             lb, lc = lam_matrices(datum, b), lam_matrices(datum, c)
-            v1 = vec_sub(theta.theta1[b][c], lam1_vec(datum, alpha_bc))
+            v1 = vec_sub(theta1[b][c], lam1_vec(datum, alpha_bc))
             v1 = vec_add(v1, so_coordinates(model,
                                             lb[0].commutator(lc[0])))
-            rc = model.r.coordinates(lb[2].commutator(lc[2]))
+            rc = endo_coordinates(model.r, lb[2].commutator(lc[2]))
             if rc is None:
                 raise OracleMismatch("[lambda2, lambda2] leaves r")
-            v2 = vec_add(vec_sub(theta.theta2[b][c],
+            v2 = vec_add(vec_sub(theta2[b][c],
                                  lam2_vec(datum, alpha_bc)), rc)
             c1, c2 = sub.h.coordinates(v1), sub.rp.coordinates(v2)
             if c1 is None or c2 is None:
@@ -645,26 +675,31 @@ def _even_dims(deformation):
     return n, nsp, n + dh + dr
 
 
-def even_bracket(deformation, x, y):
+def even_bracket(deformation, table, x, y):
     """[x, y] of two even elements in (V | h | r') coordinates, from the
-    deformed tensor's table."""
+    deformed tensor's bracket_table."""
     n, nsp, dim = _even_dims(deformation)
     flat = [*range(n), *range(n + nsp, n + nsp + dim - n)]
     value = {}
     for i, cx in zip(flat, x):
         for j, cy in zip(flat, y):
             if cx and cy:
-                for k, c in deformation.tensor.bracket(i, j).items():
+                for k, c in table.get((i, j), {}).items():
                     value[k] = value.get(k, Fraction(0)) + cx * cy * c
     if any(n <= k < n + nsp and c for k, c in value.items()):
         raise CurvatureMismatch("even-even bracket has an odd component")
     return tuple(value.get(k, Fraction(0)) for k in flat)
 
 
+def nomizu_apply(nomizu, coords):
+    """The Nomizu map on one vector of g0 = V + h + r'."""
+    return nomizu.matrix.apply(coords)
+
+
 def basis_matrices(nomizu, x):
     """(so(V) matrix on V, r matrix on S) of Phi(x_x)."""
     model = nomizu.deformation.subalgebra.model
-    phi = nomizu.apply(basis_vec(nomizu.matrix.cols, x))
+    phi = nomizu_apply(nomizu, basis_vec(nomizu.matrix.cols, x))
     return (so_matrix(model, phi[:model.dim_so]),
             r_matrix(model, phi[model.dim_so:]))
 
@@ -673,7 +708,7 @@ def _commutator_coords(model, a, b):
     """[a, b] for two (so matrix, r matrix) pairs, in so(V) + r
     coordinates."""
     so_comm = so_coordinates(model, a[0].commutator(b[0]))
-    r_comm = model.r.coordinates(a[1].commutator(b[1]))
+    r_comm = endo_coordinates(model.r, a[1].commutator(b[1]))
     if r_comm is None:
         raise CurvatureMismatch("commutator leaves the R-symmetry algebra")
     return tuple(so_comm) + tuple(r_comm)
@@ -683,11 +718,12 @@ def verify_equivariance(nomizu):
     """Phi(ad_X y) = ad_{Phi X} Phi(y), generator by generator."""
     deformation = nomizu.deformation
     model = deformation.subalgebra.model
+    table = bracket_table(deformation.tensor)
     n, _, dim = _even_dims(deformation)
     for a in range(n, dim):
         for x in range(dim):
-            lhs = nomizu.apply(even_bracket(deformation, basis_vec(dim, a),
-                                            basis_vec(dim, x)))
+            lhs = nomizu_apply(nomizu, even_bracket(
+                deformation, table, basis_vec(dim, a), basis_vec(dim, x)))
             if tuple(lhs) != _commutator_coords(
                     model, basis_matrices(nomizu, a),
                     basis_matrices(nomizu, x)):
@@ -698,6 +734,7 @@ def verify_equivariance(nomizu):
 def verify_torsion_free(nomizu):
     """The torsion-free criterion on the basis pairs x < y."""
     deformation = nomizu.deformation
+    table = bracket_table(deformation.tensor)
     n, _, dim = _even_dims(deformation)
     for x in range(dim):
         xbar = basis_vec(dim, x)[:n]
@@ -705,7 +742,8 @@ def verify_torsion_free(nomizu):
             ybar = basis_vec(dim, y)[:n]
             val = vec_sub(basis_matrices(nomizu, x)[0].apply(ybar),
                           basis_matrices(nomizu, y)[0].apply(xbar))
-            val = vec_sub(val, even_bracket(deformation, basis_vec(dim, x),
+            val = vec_sub(val, even_bracket(deformation, table,
+                                            basis_vec(dim, x),
                                             basis_vec(dim, y))[:n])
             if not vec_is_zero(val):
                 raise TorsionViolation(
@@ -717,14 +755,16 @@ def curvature_at_origin(deformation, nomizu):
     on horizontal pairs and zero on vertical ones."""
     model = deformation.subalgebra.model
     theta = deformation.theta
+    table = bracket_table(deformation.tensor)
     n, _, dim = _even_dims(deformation)
     nso = model.dim_so
+    theta1, theta2 = pair_table(theta.theta1, n), pair_table(theta.theta2, n)
 
     def wang(x, y):
         comm = _commutator_coords(model, basis_matrices(nomizu, x),
                                   basis_matrices(nomizu, y))
-        phi_br = nomizu.apply(even_bracket(deformation, basis_vec(dim, x),
-                                           basis_vec(dim, y)))
+        phi_br = nomizu_apply(nomizu, even_bracket(
+            deformation, table, basis_vec(dim, x), basis_vec(dim, y)))
         out = tuple(a - b for a, b in zip(comm, phi_br))
         return out[:nso], out[nso:]
 
@@ -733,8 +773,8 @@ def curvature_at_origin(deformation, nomizu):
     for b in range(n):
         for c in range(n):
             got_so, got_r = wang(b, c)
-            if got_so != vec_scale(theta.theta1[b][c], -1) or \
-                    got_r != vec_scale(theta.theta2[b][c], -1):
+            if got_so != vec_scale(theta1[b][c], -1) or \
+                    got_r != vec_scale(theta2[b][c], -1):
                 raise CurvatureMismatch(
                     f"Wang curvature differs from -theta at pair ({b},{c})")
             R0[b][c], F0[b][c] = got_so, got_r
@@ -745,3 +785,241 @@ def curvature_at_origin(deformation, nomizu):
                 raise CurvatureMismatch(
                     f"curvature does not vanish on vertical pair ({x},{y})")
     return CurvatureAtOrigin(R0=R0, F0=F0)
+
+
+# ---------------------------------------------------------------------------
+# brackets, delta and theta as nested Fraction tables
+# ---------------------------------------------------------------------------
+
+
+def bracket_table(tensor):
+    """The bracket of a GradedBracketTensor as {(i, j): {k: Fraction}}, the
+    nonzero entries of each nonzero column i n + j of its matrix, k in
+    increasing order."""
+    n = tensor.total_dim
+    T = tensor.matrix.transpose()
+    table = {}
+    for col in range(T.rows):
+        row = {k: v for k, v in enumerate(T.row_tuple(col)) if v}
+        if row:
+            table[divmod(col, n)] = row
+    return table
+
+
+def table_matrix(n, table):
+    """The n x n^2 matrix whose column i n + j is table[(i, j)]."""
+    return ExactMatrix(n, n * n, [(k, i * n + j, c)
+                                  for (i, j), row in table.items()
+                                  for k, c in row.items()])
+
+
+def pair_table(M, n):
+    """The columns of M, column b n + c holding a value on (v_b, v_c), as
+    a nested table [b][c] of Fraction tuples."""
+    cols = column_tuples(M)
+    return [[cols[b * n + c] for c in range(n)] for b in range(n)]
+
+
+def structure_constants(table, dim):
+    """table[k dim + l], the coordinates of [x_k, x_l], as [k][l]."""
+    return tuple(tuple(table.row_tuple(k * dim + l) for l in range(dim))
+                 for k in range(dim))
+
+
+@dataclass
+class DeltaTables:
+    """delta as the nested tables the package once kept."""
+    delta1: list   # [h index][v index] -> h coords
+    delta2: list   # [h index][v index] -> r' coords
+    delta4: list   # [r' index][v index] -> r' coords
+
+
+def delta_tables(datum, delta):
+    """The DeltaMap's matrix split into delta1, delta2 and delta4, read
+    column by column; the h coordinates of an r'-column (delta3) are left
+    out."""
+    n, dh = datum.model.dim_v, datum.subalgebra.h.dim
+    cols = column_tuples(delta.matrix)
+    blocks = [[(col[:dh], col[dh:]) for col in cols[k * n:(k + 1) * n]]
+              for k in range(delta.matrix.rows)]
+    return DeltaTables(
+        delta1=[[h for h, _ in row] for row in blocks[:dh]],
+        delta2=[[r for _, r in row] for row in blocks[:dh]],
+        delta4=[[r for _, r in row] for row in blocks[dh:]])
+
+
+@dataclass
+class ThetaTables:
+    """The theta maps as the nested tables the package once kept."""
+    theta1_spinor: list     # [v index][S'-pair index] -> so coords
+    theta2_spinor: list     # [v index][S'-pair index] -> r coords
+    dirac_kernel_annihilated: bool
+    dirac_kernel_dim: int
+    theta1: Optional[list]  # [b][c] -> so coords, alternating
+    theta2: Optional[list]  # [b][c] -> r coords, alternating
+    alternating_verified: bool = False
+    second_relation_consistent: bool = False
+
+
+def direction_tables(M, n, nso):
+    """The so(V) and r tables [b][j] of M, whose rows b m + k hold the m =
+    dim so + dim r coordinates of the b-th direction's value at column j."""
+    m = M.rows // n
+    cols = column_tuples(M)
+    return ([[col[b * m:b * m + nso] for col in cols] for b in range(n)],
+            [[col[b * m + nso:(b + 1) * m] for col in cols]
+             for b in range(n)])
+
+
+def theta_tables(datum, theta):
+    """A ThetaData, with the spinor-argument maps the package computes on
+    the way, as ThetaTables."""
+    n = datum.model.dim_v
+    th1, th2 = direction_tables(deform._spinor_theta(datum), n,
+                                datum.model.dim_so)
+    annihilated = theta.theta1 is not None
+    return ThetaTables(
+        theta1_spinor=th1, theta2_spinor=th2,
+        dirac_kernel_annihilated=theta.dirac_kernel_annihilated,
+        dirac_kernel_dim=theta.dirac_kernel_dim,
+        theta1=pair_table(theta.theta1, n) if annihilated else None,
+        theta2=pair_table(theta.theta2, n) if annihilated else None,
+        alternating_verified=theta.alternating_verified,
+        second_relation_consistent=theta.second_relation_consistent)
+
+
+def flat_model_table(model):
+    """The flat model's bracket as {(i, j): {k: Fraction}}, put pair by
+    pair: [so, so] and [r, r] from commutators read back one at a time,
+    so(V) and r on V and S column by column of each generator's matrix,
+    and [S, S] = kappa entry by entry of each component."""
+    nv, ns, nso, nr = model.dim_v, model.dim_s, model.dim_so, model.dim_r
+    off_s, off_so, off_r = model.off_s, model.off_so, model.off_r
+    table = {}
+
+    def put(i, j, chunk):
+        vecd = {k: v for k, v in chunk.items() if v}
+        if vecd:
+            table[(i, j)] = vecd
+
+    def put_pair(i, j, chunk):
+        """[x_i, x_j] = chunk and [x_j, x_i] = -chunk."""
+        put(i, j, chunk)
+        put(j, i, {k: -v for k, v in chunk.items()})
+
+    def cols_of(mat, off):
+        """The entries of each column of mat, at off + row."""
+        T = mat.transpose()
+        return [{off + k: v for k, v in enumerate(T.row_tuple(i))}
+                for i in range(T.rows)]
+
+    gens = model.gens
+    for (a, b), coords in so_so_table(model).items():
+        put(off_so + a, off_so + b,
+            {off_so + k: c for k, c in enumerate(coords)})
+    for a in range(nso):
+        for i, col in enumerate(cols_of(gens.e_mats[a], 0)):
+            put_pair(off_so + a, i, col)
+        for i, col in enumerate(cols_of(gens.sigma[a], off_s)):
+            put_pair(off_so + a, off_s + i, col)
+    r_table = endo_bracket_table(model.r)
+    for p in range(nr):
+        for q in range(nr):
+            put(off_r + p, off_r + q,
+                {off_r + k: c for k, c in enumerate(r_table[p][q])})
+        for i, col in enumerate(cols_of(model.r.matrices[p], off_s)):
+            put_pair(off_r + p, off_s + i, col)
+    for a, K in enumerate(model.current.components):
+        for i in range(ns):
+            for j in range(ns):
+                v = K.entry(i, j)
+                if v:
+                    table.setdefault((off_s + i, off_s + j), {})[a] = v
+    return table
+
+
+def odd_bracket_tables(datum):
+    """AdmissibleDatum.odd_brackets as nested tables (vs, ss): vs[b][i]
+    the S' coordinates of [v_b, s_i], and ss the (i, j, kappa, h, r')
+    of each sym2 pair i <= j of S'."""
+    sub = datum.subalgebra
+    n, nsp, dh = datum.model.dim_v, sub.Sp.dim, sub.h.dim
+    vs, ss = datum.odd_brackets()
+    vs_cols = column_tuples(vs)
+    pairs = tensor_index_maps(nsp, "sym2").tuples
+    return ([vs_cols[b * nsp:(b + 1) * nsp] for b in range(n)],
+            [(i, j, kv, c[:dh], c[dh:]) for (i, j), kv, c in zip(
+                pairs, column_tuples(sub.kappa_sp), column_tuples(ss))])
+
+
+def deformed_bracket_table(datum, theta_a0):
+    """The deformed bracket on V + S' + (h + r') as {(i, j): {k:
+    Fraction}}, put pair by pair from the nested tables of the structure
+    constants, delta, the odd brackets, alpha and theta in h + r'
+    coordinates (the matrix theta_a0, column b n + c)."""
+    sub = datum.subalgebra
+    model = datum.model
+    n, nsp = model.dim_v, sub.Sp.dim
+    dh, dr = sub.h.dim, sub.rp.dim
+    off_s, off_h, off_r = n, n + nsp, n + nsp + dh
+    table = {}
+
+    def put(i, j, chunks, sign=1):
+        vecd = {}
+        for off, coords in chunks:
+            for t, c in enumerate(coords):
+                if c:
+                    vecd[off + t] = sign * c
+        if vecd:
+            table[(i, j)] = vecd
+
+    X = sub.a0_basis()
+    on_v = column_tuples(model.bracket_matrix("a0", "V", "V")
+                         @ kron(X, ExactMatrix.identity(n)))
+    on_s = coordinate_matrix(sub.Sp, model.bracket_matrix("a0", "S", "S")
+                             @ kron(X, sub.Sp.basis.transpose()))
+    on_s = column_tuples(on_s)
+    h_brackets = structure_constants(sub.h_brackets, dh)
+    rp_brackets = structure_constants(sub.rp_brackets, dr)
+    for k in range(dh):
+        for l in range(dh):
+            put(off_h + k, off_h + l, [(off_h, h_brackets[k][l])])
+    for p in range(dr):
+        for q in range(dr):
+            put(off_r + p, off_r + q, [(off_r, rp_brackets[p][q])])
+    delta = delta_tables(datum, deform.solve_delta(datum))
+    for k in range(dh):
+        for b in range(n):
+            chunks = [(0, on_v[k * n + b]), (off_h, delta.delta1[k][b]),
+                      (off_r, delta.delta2[k][b])]
+            put(off_h + k, b, chunks)
+            put(b, off_h + k, chunks, -1)
+    for p in range(dr):
+        for b in range(n):
+            chunks = [(off_r, delta.delta4[p][b])]
+            put(off_r + p, b, chunks)
+            put(b, off_r + p, chunks, -1)
+    for k in range(dh + dr):
+        for i in range(nsp):
+            val = on_s[k * nsp + i]
+            put(off_h + k, off_s + i, [(off_s, val)])
+            put(off_s + i, off_h + k, [(off_s, val)], -1)
+    vs, ss = odd_bracket_tables(datum)
+    for i, j, kv, gh, rr in ss:
+        chunks = [(0, kv), (off_h, gh), (off_r, rr)]
+        put(off_s + i, off_s + j, chunks)
+        put(off_s + j, off_s + i, chunks)
+    for b in range(n):
+        for i, coords in enumerate(vs[b]):
+            put(b, off_s + i, [(off_s, coords)])
+            put(off_s + i, b, [(off_s, coords)], -1)
+    alpha = column_tuples(deform._alpha(datum))
+    th = pair_table(theta_a0, n)
+    for b in range(n):
+        for c in range(n):
+            if b == c:
+                continue
+            chunks = [(0, alpha[b * n + c]), (off_h, th[b][c][:dh]),
+                      (off_r, th[b][c][dh:])]
+            put(b, c, chunks)
+    return table

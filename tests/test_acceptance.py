@@ -13,7 +13,7 @@ from instances import (GRID, HIGH_SUSY_DIM, admissible_data_for_cell,
                        annihilator_in_so, gauge_shifted_data,
                        get_full_subalgebra, get_fullco, get_model,
                        get_sampled_subalgebra)
-from pairwise_oracles import solve_many
+from pairwise_oracles import bracket_table, solve_many
 from spencerkit.cache import config_hash
 from spencerkit.deform import (_delta_cochains, build_filtered_deformation,
                                check_admissibility,
@@ -150,7 +150,7 @@ def test_criterion_7_integration_round_trip():
         real = check_geometric_realisability(datum)
         assert real.realisable
         levels = deformation.filtration_levels
-        for (i, j), chunk in deformation.tensor.table.items():
+        for (i, j), chunk in bracket_table(deformation.tensor).items():
             for k in chunk:
                 assert levels[k] == levels[i] + levels[j], \
                     "zero class must reproduce the graded bracket"

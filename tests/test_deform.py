@@ -1,7 +1,6 @@
 import dataclasses
 import gc
 import weakref
-from fractions import Fraction
 
 import pytest
 
@@ -11,9 +10,10 @@ from instances import (GRID, admissible_cocycles_from_invariant,
                        get_sampled_subalgebra, implied_identity_failures,
                        invariant_basis, kappa_value, representatives)
 from column_actions import apply_vector
-from pairwise_oracles import basis_vec, basis_vectors, lam2_coords, lincomb, \
-    vec_add, vec_scale, zero_vec
-from spencerkit.deform import (AdmissibleDatum, NotAdmissible,
+from pairwise_oracles import basis_vec, basis_vectors, bracket_table, \
+    endo_coordinates, lam2_coords, lincomb, pair_table, vec_add, vec_scale, \
+    zero_vec
+from spencerkit.deform import (AdmissibleDatum, DeltaMap, NotAdmissible,
                                _certify_delta, _check_assoc_graded,
                                _deformed_bracket, _delta_cochains,
                                _theta_in_a0, build_filtered_deformation,
@@ -167,7 +167,7 @@ class TestAdmissibility:
             EndoSubalgebra.from_matrices(model.dim_s, sub.rp_mats), Sp)
         assert ann.dim == sub.rp.dim - rpp.dim > 0
         assert replaced.rp == Subspace.from_vectors(
-            model.dim_r, [model.r.coordinates(m) for m in rpp.matrices])
+            model.dim_r, [endo_coordinates(model.r, m) for m in rpp.matrices])
         assert ensure_transitive(replaced) == (replaced, False)
 
     def test_skew_current_rejected(self):
@@ -209,27 +209,36 @@ def everywhere(count, n, dim):
             for t in range(dim)]
 
 
+def delta_blocks(sub):
+    """(rows, dim, row, block) of each block of delta's matrix: coordinate t
+    of delta1[k][b] (delta(h_k, e_b) in h), delta2[k][b] (in r'),
+    delta4[k][b] (delta(r'_k, e_b) in r') and of the zero delta3[k][b] (in
+    h), for k < rows and t < dim, is the entry (row + t, (block + k) n +
+    b)."""
+    dh, dr = sub.h.dim, sub.rp.dim
+    return {"delta1": (dh, dh, 0, 0), "delta2": (dh, dr, dh, 0),
+            "delta4": (dr, dr, dh, dh), "delta3": (dr, dh, 0, dh)}
+
+
+def moved_delta(datum, which, k, b, t):
+    """The datum's delta with e_t added to entry [k][b] of block `which`."""
+    M = solve_delta(datum).matrix
+    _, _, row, block = delta_blocks(datum.subalgebra)[which]
+    col = (block + k) * datum.model.dim_v + b
+    return DeltaMap(M + ExactMatrix(M.rows, M.cols, [(row + t, col, 1)]))
+
+
 def delta_mutations(datum, positions):
     """((table, k, b, t), chi) per single-entry mutation of the closed-form
     delta: e_t added to entry [k][b] of delta1, delta2 or delta4, or put at
     entry [k][b] of the zero delta3 block (the h part of r'-column k), for
     the (k, b, t) that positions(rows, n, dim) yields."""
-    delta = solve_delta(datum)
-    sub, n = datum.subalgebra, datum.model.dim_v
-    for which, rows, dim in (("delta1", sub.h.dim, sub.h.dim),
-                             ("delta2", sub.h.dim, sub.rp.dim),
-                             ("delta4", sub.rp.dim, sub.rp.dim)):
-        for k, b, t in positions(rows, n, dim):
-            table = [list(row) for row in getattr(delta, which)]
-            table[k][b] = vec_add(table[k][b], basis_vec(dim, t))
+    blocks = delta_blocks(datum.subalgebra)
+    for which in ("delta1", "delta2", "delta4", "delta3"):
+        rows, dim, _, _ = blocks[which]
+        for k, b, t in positions(rows, datum.model.dim_v, dim):
             yield (which, k, b, t), _delta_cochains(
-                datum, dataclasses.replace(delta, **{which: table}))
-    chi = _delta_cochains(datum, delta)
-    lay1 = datum.sub_complex.layouts[1]
-    for k, b, t in positions(sub.rp.dim, n, sub.h.dim):
-        yield ("delta3", k, b, t), chi + ExactMatrix(
-            chi.rows, chi.cols,
-            [(lay1.index("lambda_so", b, t), sub.h.dim + k, 1)])
+                datum, moved_delta(datum, which, k, b, t))
 
 
 class TestDelta:
@@ -237,11 +246,7 @@ class TestDelta:
         sub = get_full_subalgebra(2, 1, 1)
         datum = check_admissibility(sub, zero_cocycle(sub),
                                     get_fullco(2, 1, 1))
-        delta = solve_delta(datum)
-        for row in delta.delta1:
-            assert all(vec_is_zero(v) for v in row)
-        for row in delta.delta2 + delta.delta4:
-            assert all(vec_is_zero(v) for v in row)
+        assert solve_delta(datum).matrix.is_zero()
 
     @pytest.mark.parametrize("s,t,N", GRID)
     def test_dual_route_on_generated_instances(self, s, t, N):
@@ -300,7 +305,7 @@ class TestTheta:
         theta = compute_theta(datum)
         assert theta.dirac_kernel_annihilated
         assert theta.theta2_zero
-        assert all(vec_is_zero(v) for row in theta.theta1 for v in row)
+        assert theta.theta1.is_zero()
 
     def test_bijective_kappa_vacuous_annihilation(self):
         # d=3 N=1: the Dirac kernel vanishes, theta = Theta o kappa^{-1}
@@ -316,10 +321,11 @@ class TestTheta:
         datum = nonzero_datum(2, 1, 2)
         theta = compute_theta(datum)
         model = datum.model
+        theta2 = pair_table(theta.theta2, model.dim_v)
         for s in basis_vectors(datum.subalgebra.Sp):
             kv = kappa_value(model.current, s, s)
             assert vec_is_zero(lincomb(
-                ((x * y, theta.theta2[b][c])
+                ((x * y, theta2[b][c])
                  for b, x in enumerate(kv) for c, y in enumerate(kv)),
                 model.dim_r))
 
@@ -341,12 +347,9 @@ class TestIntegrability:
         # the quadratic system is the Jacobi identity of the deformed
         # bracket: a delta entry moved by e_0 must fail it
         datum = zero_datum(2, 1, 2)
-        delta = solve_delta(datum)
-        table = [list(row) for row in getattr(delta, which)]
-        assert table and table[0]
-        table[0][0] = vec_add(table[0][0], basis_vec(len(table[0][0]), 0))
-        broken = with_derived(
-            datum, delta=dataclasses.replace(delta, **{which: table}))
+        rows, dim, _, _ = delta_blocks(datum.subalgebra)[which]
+        assert rows and dim
+        broken = with_derived(datum, delta=moved_delta(datum, which, 0, 0, 0))
         with pytest.raises(JacobiViolation) as err:
             check_integrability(broken)
         assert err.value.triple is not None
@@ -360,17 +363,14 @@ class TestIntegrability:
             for datum in admissible_data_for_cell(*cell):
                 if not compute_theta(datum).dirac_kernel_annihilated:
                     continue
-                delta = solve_delta(datum)
+                n = datum.model.dim_v
                 for which in ("delta1", "delta2", "delta4"):
-                    table = getattr(delta, which)
-                    if not (table and table[0] and len(table[0][0])):
+                    rows, dim, _, _ = delta_blocks(datum.subalgebra)[which]
+                    if not (rows and n and dim):
                         continue
-                    for b in sorted({0, len(table[0]) - 1}):
-                        bad = [list(row) for row in table]
-                        bad[0][b] = vec_add(bad[0][b],
-                                            basis_vec(len(bad[0][b]), 0))
-                        broken = with_derived(datum, delta=dataclasses.replace(
-                            delta, **{which: bad}))
+                    for b in sorted({0, n - 1}):
+                        broken = with_derived(datum, delta=moved_delta(
+                            datum, which, 0, b, 0))
                         tried += 1
                         try:
                             check_integrability(broken)
@@ -381,13 +381,10 @@ class TestIntegrability:
     def test_perturbed_theta_fails_with_witness(self):
         datum = nonzero_datum(3, 1, 1)
         theta = compute_theta(datum)
-        bad1 = [list(row) for row in theta.theta1]
-        bump = list(bad1[0][1])
-        bump[0] += 1
-        bad1[0][1] = tuple(bump)
-        down = list(bad1[1][0])
-        down[0] -= 1
-        bad1[1][0] = tuple(down)
+        # theta1(v_0, v_1) moved by E_0, and theta1(v_1, v_0) back
+        n = datum.model.dim_v
+        bad1 = theta.theta1 + ExactMatrix(theta.theta1.rows, n * n,
+                                          [(0, 1, 1), (0, n, -1)])
         broken = with_derived(
             datum, theta=dataclasses.replace(theta, theta1=bad1))
         report = check_integrability(broken)
@@ -423,20 +420,18 @@ class TestIntegrability:
             n = datum.model.dim_v
             for which in ("theta1", "theta2"):
                 table = getattr(theta, which)
-                dim = len(table[0][0])
+                dim = table.rows
                 for b, c in sorted({(0, 1), (0, n - 1), (n - 2, n - 1)}):
                     for unit in sorted({0, dim - 1}) if dim else ():
-                        bad = [list(row) for row in table]
-                        bad[b][c] = vec_add(bad[b][c], basis_vec(dim, unit))
-                        bad[c][b] = vec_add(bad[c][b], vec_scale(
-                            basis_vec(dim, unit), -1))
+                        bad = table + ExactMatrix(dim, n * n, [
+                            (unit, b * n + c, 1), (unit, c * n + b, -1)])
                         broken = dataclasses.replace(theta, **{which: bad})
                         tried += 1
                         for name in implied_identity_failures(datum, broken):
                             oracle[name] = oracle.get(name, 0) + 1
                         try:
                             tensor = _deformed_bracket(
-                                datum, *_theta_in_a0(datum, broken))
+                                datum, _theta_in_a0(datum, broken))
                         except OracleMismatch:
                             caught += 1
                             continue
@@ -454,7 +449,7 @@ class TestFilteredDeformation:
         deformation = build_filtered_deformation(datum)
         # with zero datum every bracket is degree-preserving
         levels = deformation.filtration_levels
-        for (i, j), chunk in deformation.tensor.table.items():
+        for (i, j), chunk in bracket_table(deformation.tensor).items():
             for k in chunk:
                 assert levels[k] == levels[i] + levels[j]
 
@@ -473,6 +468,14 @@ class TestFilteredDeformation:
                 "detail": "[F^i, F^j] inside F^{i+j} for all levels"}
 
     @staticmethod
+    def _set(tensor, entries):
+        """The tensor with [x_i, x_j]_k set to c for each ((i, j), k, c)."""
+        n, M = tensor.total_dim, tensor.matrix
+        return dataclasses.replace(tensor, matrix=M + ExactMatrix(
+            n, n * n, [(k, i * n + j, c - M.entry(k, i * n + j))
+                       for (i, j), k, c in entries]))
+
+    @staticmethod
     def _zero_deformation_211():
         sub = get_full_subalgebra(2, 1, 1)
         datum = check_admissibility(sub, zero_cocycle(sub),
@@ -486,18 +489,18 @@ class TestFilteredDeformation:
         # decide it on a super-antisymmetric table
         deformation = self._zero_deformation_211()
         tensor, levels = deformation.tensor, deformation.filtration_levels
-        off_h = tensor.offsets()[2]
-        (i, j), k = next(((pair, k) for pair, chunk in tensor.table.items()
+        off_s = tensor.component_dims[0]
+        off_h = off_s + tensor.component_dims[1]
+        table = bracket_table(tensor)
+        (i, j), k = next(((pair, k) for pair, chunk in table.items()
                           if pair[0] == off_h and pair[1] < off_h
-                          for k in chunk if k < tensor.offsets()[1]))
-        table = {pair: dict(chunk) for pair, chunk in tensor.table.items()}
-        table[(i, j)][k] *= 2
-        cert = graded_jacobi_check(dataclasses.replace(tensor, table=table))
+                          for k in chunk if k < off_s))
+        once = self._set(tensor, [((i, j), k, 2 * table[(i, j)][k])])
+        cert = graded_jacobi_check(once)
         assert not cert.passed
         assert cert.detail == "super-antisymmetry violated"
-        table[(j, i)][k] *= 2
-        cert = _check_assoc_graded(deformation.datum, dataclasses.replace(
-            tensor, table=table), levels)
+        cert = _check_assoc_graded(deformation.datum, self._set(
+            once, [((j, i), k, 2 * table[(j, i)][k])]), levels)
         assert not cert.passed
         assert cert.detail == "associated graded differs from the subalgebra"
         assert cert.witness == {"pair": (j, i), "target": k}
@@ -508,12 +511,10 @@ class TestFilteredDeformation:
         # sequence, which is why it carries the filtration certificate
         deformation = self._zero_deformation_211()
         tensor, levels = deformation.tensor, deformation.filtration_levels
-        off_h = tensor.offsets()[2]
-        table = {pair: dict(chunk) for pair, chunk in tensor.table.items()}
-        table.setdefault((off_h, off_h + 1), {})[0] = Fraction(1)
-        table.setdefault((off_h + 1, off_h), {})[0] = Fraction(-1)
-        cert = _check_assoc_graded(deformation.datum, dataclasses.replace(
-            tensor, table=table), levels)
+        off_h = sum(tensor.component_dims[:2])
+        cert = _check_assoc_graded(deformation.datum, self._set(
+            tensor, [((off_h, off_h + 1), 0, 1), ((off_h + 1, off_h), 0, -1)]),
+            levels)
         assert not cert.passed
         assert cert.detail == ("bracket component outside the defining "
                                "sequence (mu, theta, 0, ...)")
@@ -523,11 +524,9 @@ class TestFilteredDeformation:
         # [V, V] -> S' raises the level by 3, outside (mu, theta, 0, ...)
         deformation = self._zero_deformation_211()
         tensor, levels = deformation.tensor, deformation.filtration_levels
-        off_s = tensor.offsets()[1]
-        table = {pair: dict(chunk) for pair, chunk in tensor.table.items()}
-        table.setdefault((0, 1), {})[off_s] = Fraction(1)
-        cert = _check_assoc_graded(deformation.datum, dataclasses.replace(
-            tensor, table=table), levels)
+        off_s = tensor.component_dims[0]
+        cert = _check_assoc_graded(deformation.datum, self._set(
+            tensor, [((0, 1), off_s, 1)]), levels)
         assert not cert.passed
         assert cert.detail == ("bracket component outside the defining "
                                "sequence (mu, theta, 0, ...)")
@@ -581,14 +580,12 @@ class TestRealisability:
         datum = nonzero_datum(2, 1, 2)
         theta = compute_theta(datum)
         assert datum.model.dim_r > 0
-        bad2 = [[tuple([Fraction(1)] * datum.model.dim_r)
-                 if b != c else zero_vec(datum.model.dim_r)
-                 for c in range(datum.model.dim_v)]
-                for b in range(datum.model.dim_v)]
-        # keep it alternating
-        for b in range(datum.model.dim_v):
-            for c in range(b):
-                bad2[b][c] = vec_scale(bad2[c][b], -1)
+        # every coordinate 1 on the pairs b < c, and -1 on their partners
+        n = datum.model.dim_v
+        bad2 = ExactMatrix(datum.model.dim_r, n * n, [
+            (t, b * n + c, 1 if b < c else -1)
+            for t in range(datum.model.dim_r)
+            for b in range(n) for c in range(n) if b != c])
         report = check_geometric_realisability(with_derived(
             datum, theta=dataclasses.replace(theta, theta2=bad2)))
         assert not report.realisable

@@ -448,6 +448,25 @@ class TestCache:
         assert cache_lookup(key) is None
         assert "corrupt" in capsys.readouterr().err
 
+    def test_rm_takes_only_a_config_hash(self, capsys):
+        # a key names a file inside the cache directory: "../victim" is a
+        # config error that deletes nothing, and a real key is still removed
+        base = os.environ["SPENCERKIT_CACHE_DIR"]
+        os.makedirs(base, exist_ok=True)
+        victim = os.path.join(base, os.pardir, "victim.json")
+        with open(victim, "wb") as fh:
+            fh.write(b"keep")
+        key = config_hash(base_config())
+        cache_store(key, b"payload")
+        for bad in ("../victim", key.upper(), key[:-1], key + "0", ""):
+            assert main(["cache", "rm", bad]) == 2
+            assert "not a cache key" in capsys.readouterr().err
+        with open(victim, "rb") as fh:
+            assert fh.read() == b"keep"
+        assert cache_lookup(key) == b"payload"
+        assert main(["cache", "rm", key]) == 0
+        assert cache_lookup(key) is None and cache_list() == []
+
     def test_version_in_key_preimage(self):
         config = base_config()
         key = config_hash(config)

@@ -2,26 +2,36 @@
 per-pair and per-vector routes they replaced (`pairwise_oracles`): the
 graded subalgebra data, the closure failures and their order, the
 stabilisers, the faithful splitting of r', the restriction-kernel spaces,
-the End(S) and so(V) bracket tables, and the gauge shifts."""
+the End(S) and so(V) bracket tables, the flat model's and the deformed
+bracket placed as blocks against their pair-by-pair table assembly, and
+the gauge shifts."""
 
 import random
 
 import pytest
 
 import pairwise_oracles as oracle
-from instances import (GRID, admissible_data_for_cell, get_full_subalgebra,
-                       get_fullco, get_model, get_sampled_subalgebra,
+import spencerkit.pipeline as pipeline
+from instances import (GRID, admissible_cocycles_from_invariant,
+                       admissible_data_for_cell, get_current,
+                       get_full_subalgebra, get_fullco, get_model, get_rep,
+                       get_sampled_subalgebra, invariant_basis,
                        random_highly_susy_subalgebra, stabiliser_in_r)
 from spencerkit.cliffspin import Signature, build_clifford_rep, \
     build_dirac_current
-from spencerkit.deform import _gauge_shift, class_gauge_generators
+from spencerkit.deform import (_gauge_shift, _theta_in_a0,
+                               check_admissibility, check_integrability,
+                               class_gauge_generators, compute_theta,
+                               zero_cocycle)
 from spencerkit.errors import NotClosed
-from spencerkit.exactla import ExactMatrix, Subspace
+from spencerkit.exactla import ExactMatrix, Subspace, kron
 from spencerkit.flatmodel import (EndoSubalgebra, _graded_subalgebra,
                                   build_extended_flat_model,
                                   compute_schur_algebra, faithful_split,
+                                  full_subalgebra, make_graded_subalgebra,
                                   random_subspace, stabiliser_in_so)
-from spencerkit.spencer import _restriction_kernel_report, inclusion_matrix
+from spencerkit.spencer import (FullModelCohomology,
+                                _restriction_kernel_report, inclusion_matrix)
 
 CELLS = GRID + ((4, 1, 1),)
 SAMPLED_DIM = {(4, 1, 1): 5}
@@ -204,11 +214,131 @@ def test_bracket_tables_equal_the_commutators(s, t, N):
     rep = build_clifford_rep(Signature(s, t), N)
     model = build_extended_flat_model(rep, build_dirac_current(rep))
     for alg in (compute_schur_algebra(rep), model.r):
-        assert alg.bracket_table == oracle.endo_bracket_table(alg)
+        assert alg.bracket_table == oracle.nested_matrix(
+            oracle.endo_bracket_table(alg), alg.dim)
     off = model.off_so
+    table = oracle.bracket_table(model.tensor)
     for (a, b), coords in oracle.so_so_table(model).items():
-        got = model.tensor.bracket(off + a, off + b)
+        got = table.get((off + a, off + b), {})
         assert got == {off + k: c for k, c in enumerate(coords) if c}
+
+
+def _flat_model(s, t, N, skew=False):
+    """The flat model of a cell, with the skew current eps (x) kappa of
+    the (s, t, 1) cell when asked (N = 2)."""
+    if (s, t, N) in CELLS and not skew:
+        return get_model(s, t, N)
+    rep = get_rep(s, t, N)
+    current = build_dirac_current(rep)
+    if skew:
+        eps = ExactMatrix.from_rows([[0, 1], [-1, 0]])
+        current = build_dirac_current(rep, [
+            kron(eps, k) for k in get_current(s, t, 1).components])
+    return build_extended_flat_model(rep, current)
+
+
+# the grid, (4,1,1), r = so(3) at (2,1,3), and the edge cells: (1,0,1) has
+# so(V) = r = 0 and dim S = 1, (0,1,1) so(V) = 0 and r = u(1)
+@pytest.mark.parametrize("s,t,N,skew", [(*cell, False) for cell in CELLS] +
+                         [(2, 1, 3, False), (1, 0, 1, False),
+                          (0, 1, 1, False), (2, 1, 2, True)])
+def test_flat_model_matrix_equals_its_table_assembly(s, t, N, skew):
+    model = _flat_model(s, t, N, skew)
+    assert model.odd_spinors != skew
+    assert model.tensor.matrix == oracle.table_matrix(
+        model.total_dim, oracle.flat_model_table(model))
+
+
+def _assert_deformed_bracket_is_its_table(datum):
+    """The deformed bracket of an integrable datum, entry for entry, is the
+    pair-by-pair table assembly of the same structure constants, delta,
+    odd brackets, alpha and theta."""
+    report = check_integrability(datum)
+    assert report.passed
+    theta_a0 = _theta_in_a0(datum, compute_theta(datum))
+    tensor = report.tensor
+    assert tensor.matrix == oracle.table_matrix(
+        tensor.total_dim, oracle.deformed_bracket_table(datum, theta_a0))
+
+
+def _integrable_data(sub, fullco):
+    """The zero class and every admissible class of the invariant basis on
+    a subalgebra, the integrable ones."""
+    mus = [zero_cocycle(sub)] + admissible_cocycles_from_invariant(
+        sub, fullco, invariant_basis(fullco, sub))
+    data = [check_admissibility(sub, mu, fullco) for mu in mus
+            if mu is not None]
+    return [datum for datum in data
+            if hasattr(datum, "hat") and check_integrability(datum).passed]
+
+
+@pytest.mark.parametrize("s,t,N", CELLS)
+def test_deformed_bracket_equals_its_table_assembly(s, t, N):
+    # the maximal subalgebra and stabiliser subalgebras at seeds 0-2, each
+    # with the zero class and the admissible invariant classes, and the
+    # grid's generated data; on these only the zero class integrates at
+    # (3,1,2) and (4,1,1)
+    fullco = get_fullco(s, t, N)
+    data = [datum for sub in _subalgebras(s, t, N)
+            for datum in _integrable_data(sub, fullco)]
+    if (s, t, N) in GRID:
+        data += [datum for datum in admissible_data_for_cell(s, t, N)
+                 if check_integrability(datum).passed]
+    for datum in data:
+        _assert_deformed_bracket_is_its_table(datum)
+    assert len(data) >= 4
+    assert any(any(datum.mu_minus.coeffs) for datum in data) == \
+        ((s, t, N) not in ((3, 1, 2), (4, 1, 1)))
+
+
+def test_deformed_bracket_of_the_readme_example(monkeypatch):
+    # the README example through the pipeline, its datum taken at the
+    # deformation stage
+    data = []
+
+    def keep(datum):
+        data.append(datum)
+        return build(datum)
+
+    build = pipeline.build_filtered_deformation
+    monkeypatch.setattr(pipeline, "build_filtered_deformation", keep)
+    report = pipeline.run_pipeline({
+        "signature": {"s": 3, "t": 1}, "N": 1,
+        "dirac_current": {"kind": "standard"},
+        "subalgebra": {"S_prime": {"random": {"dim": 3, "seed": 7}},
+                       "h": "stabiliser", "r_prime": "zero"},
+        "cocycle": {"basis_element": 0}, "seed": 7})
+    assert report["result"] == "pass"
+    datum, = data
+    assert any(datum.mu_minus.coeffs)
+    _assert_deformed_bracket_is_its_table(datum)
+
+
+@pytest.mark.parametrize("case", ["h=r'=0 at (2,1,1)", "h=r'=0 at (3,1,1)",
+                                  "h=0 at (0,1,1)",
+                                  "h=r'=0 and dim S'=1 at (1,0,1)"])
+def test_deformed_bracket_on_the_edge_cases(case):
+    # a zero h or r', or a one-dimensional S', leaves blocks of the
+    # deformed bracket empty
+    if case.endswith("(0,1,1)") or case.endswith("(1,0,1)"):
+        cell = (0, 1, 1) if case.endswith("(0,1,1)") else (1, 0, 1)
+        model = _flat_model(*cell)
+        fullco = FullModelCohomology(model)
+        sub = full_subalgebra(model)
+    else:
+        cell = (2, 1, 1) if "(2,1,1)" in case else (3, 1, 1)
+        model, fullco = get_model(*cell), get_fullco(*cell)
+        sub = make_graded_subalgebra(
+            model, Subspace.full(model.dim_v), Subspace.full(model.dim_s),
+            Subspace.trivial(model.dim_so), Subspace.trivial(model.dim_r))
+    data = _integrable_data(sub, fullco)
+    assert data
+    for datum in data:
+        dims = datum.subalgebra.dims
+        assert dims["h"] == 0
+        assert (dims["r'"] == 0) == ("r'=0" in case)
+        assert (dims["S'"] == 1) == ("dim S'=1" in case)
+        _assert_deformed_bracket_is_its_table(datum)
 
 
 @pytest.mark.parametrize("s,t,N", GRID)
