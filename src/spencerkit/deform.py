@@ -30,8 +30,8 @@ from .flatmodel import (EndoSubalgebra, ExtendedFlatModel, GradedBracketTensor,
                         graded_jacobi_check, make_graded_subalgebra)
 from .spencer import (Cochain22, FullModelCohomology,
                       NormalisedCocycle, SpencerComplex, inclusion_matrix,
-                      restriction_kernel_report, restriction_matrix,
-                      spencer_complex, subalgebra_actions)
+                      restrict, restriction_kernel_report, spencer_complex,
+                      subalgebra_actions)
 
 
 # ---------------------------------------------------------------------------
@@ -242,18 +242,21 @@ def check_admissibility(sub: GradedSubalgebra,
                             "subalgebra")
     sub, replaced = ensure_transitive(sub)
     # the subalgebra's complexes with values in itself and in the model (one
-    # complex, with i_* and i^* the identity, on a maximal subalgebra)
+    # complex, with i_* and i^* the identity, on a maximal subalgebra, where
+    # the cochains are used as they are)
     sub_cx = spencer_complex(sub, 2)
     mixed_cx = spencer_complex(sub, 2, values="full")
     mu = Cochain22(sub_cx, mu_coeffs)
     if not mu.is_cocycle():
         raise OracleMismatch("admissibility input is not a Spencer cocycle")
     inv = fullco.invariant_normalised(*sub.generator_coords())
-    target = inclusion_matrix(sub_cx, mixed_cx).apply(mu.coeffs)
+    target = mu.coeffs
+    if not sub.maximal():
+        target = inclusion_matrix(sub_cx, mixed_cx).apply(target)
     columns = []
     if inv.dim:
-        columns.append(restriction_matrix(fullco.complex, mixed_cx)
-                       @ inv.basis.transpose())
+        columns.append(restrict(fullco.complex, mixed_cx,
+                                inv.basis.transpose()))
     columns.append(mixed_cx.differentials[1])
     system = hstack(columns) if len(columns) > 1 else columns[0]
     sol = solve_affine(system, target)
@@ -779,9 +782,10 @@ def class_gauge_generators(datum: AdmissibleDatum
     report = restriction_kernel_report(sub, fullco)
     inv = fullco.invariant_normalised(*sub.generator_coords())
     gauge = report.via_istar.intersect(inv)
-    res = restriction_matrix(fullco.complex, datum.mixed_complex)
     lams, failed = AffineSolver(datum.mixed_complex.differentials[1]
-                                ).solve_matrix(res @ gauge.basis.transpose())
+                                ).solve_matrix(restrict(
+                                    fullco.complex, datum.mixed_complex,
+                                    gauge.basis.transpose()))
     if failed:
         raise OracleMismatch("gauge generator restriction is not a "
                              "coboundary")
@@ -791,7 +795,7 @@ def class_gauge_generators(datum: AdmissibleDatum
 def _gauge_shift(datum: AdmissibleDatum,
                  generators: Tuple[ExactMatrix, ExactMatrix],
                  coeffs: Sequence[Fraction], nu: Sequence[Fraction],
-                 inc: ExactMatrix) -> AdmissibleDatum:
+                 inc: Optional[ExactMatrix]) -> AdmissibleDatum:
     """The datum moved by k = sum_g coeffs_g k_g along the class gauge
     generators (the rows k_g and lambda_g of class_gauge_generators) and by
     nu in C^{2,1}(a_-; a), each a product of the row coeffs or nu:
@@ -799,18 +803,19 @@ def _gauge_shift(datum: AdmissibleDatum,
         (mu, hat, lambda) -> (mu + d(nu), hat + k, lambda - lambda_k + i_*(nu))
 
     with lambda_k = sum_g coeffs_g lambda_g and `inc` the inclusion i_* on
-    C^{2,1}.  The image keeps i_*(mu) = i^*(hat) + d(lambda).  The zero
-    shift is the datum itself, with everything already derived on it."""
+    C^{2,1}, or None for the identity, on a maximal subalgebra.  The image
+    keeps i_*(mu) = i^*(hat) + d(lambda).  The zero shift is the datum
+    itself, with everything already derived on it."""
     if vec_is_zero(coeffs) and vec_is_zero(nu):
         return datum
     cxs = datum.sub_complex
     K, lams = generators
     c = ExactMatrix.from_rows([coeffs], cols=K.rows)
-    nu_row = ExactMatrix.from_rows([nu], cols=inc.cols)
+    nu_row = ExactMatrix.from_rows([nu], cols=cxs.layouts[1].dim)
     mu = datum.mu_minus.row() + nu_row @ cxs.differentials[1].transpose()
     hat = datum.hat.cochain.row() + c @ K
     lam = (ExactMatrix.from_rows([datum.lam]) - c @ lams
-           + nu_row @ inc.transpose())
+           + (nu_row if inc is None else nu_row @ inc.transpose()))
     return AdmissibleDatum(
         subalgebra=datum.subalgebra, fullco=datum.fullco, sub_complex=cxs,
         mixed_complex=datum.mixed_complex,
@@ -851,13 +856,19 @@ def check_geometric_realisability(datum: AdmissibleDatum
     generators = class_gauge_generators(datum)
     G = generators[0].rows
     lay_sub = datum.sub_complex.layouts[1]
-    inc = inclusion_matrix(datum.sub_complex, datum.mixed_complex, 1)
     # the lambda_r block of lambda - sum_g s_g lambda_g + i_*(nu) vanishes,
-    # for unknowns (s_g, then nu in the lambda_r block of C^{2,1}(a_-; a))
+    # for unknowns (s_g, then nu in the lambda_r block of C^{2,1}(a_-; a));
+    # on a maximal subalgebra i_* is the identity, and nu is used as it is
     nu_block = lay_sub.indices("lambda_r")
     r_rows = datum.mixed_complex.layouts[1].indices("lambda_r")
-    system = hstack([generators[1].transpose().scale(-1),
-                     inc.select_columns(nu_block)]).select_rows(r_rows)
+    if datum.subalgebra.maximal():
+        inc = None
+        on_nu = ExactMatrix.identity(len(r_rows))
+    else:
+        inc = inclusion_matrix(datum.sub_complex, datum.mixed_complex, 1)
+        on_nu = inc.select_columns(nu_block).select_rows(r_rows)
+    system = hstack([generators[1].transpose().scale(-1).select_rows(r_rows),
+                     on_nu])
     sol = solve_affine(system, [-datum.lam[i] for i in r_rows])
     lambda2_ok = not isinstance(sol, NoSolution)
     if not (theta2_zero and lambda2_ok):

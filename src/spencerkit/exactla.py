@@ -167,7 +167,11 @@ def _null_vectors(rows: Sequence[dict], cols: int) -> list:
     is always the combination of M's columns that the row is, and a column
     that reduces to zero leaves its tag in the kernel.  The order follows
     M's sparsity: lead positions are M's rows by ascending nonzero count,
-    and columns enter by ascending nonzero count, ties by index both ways."""
+    ties by index, and columns enter by ascending nonzero count, ties by
+    descending index.  A tag holds its own column and the columns that
+    entered before it, so within a count the tag's lowest column is its
+    own: the null tags come out nearly in echelon form, and the RREF that
+    kernel() closes with has little left to eliminate."""
     ranked = sorted((i for i, r in enumerate(rows) if r),
                     key=lambda i: len(rows[i]))
     tcols = [dict() for _ in range(cols)]
@@ -176,7 +180,7 @@ def _null_vectors(rows: Sequence[dict], cols: int) -> list:
             tcols[j][k] = v
     pivots: dict = {}
     null = []
-    for j in sorted(range(cols), key=lambda j: len(tcols[j])):
+    for j in sorted(range(cols), key=lambda j: (len(tcols[j]), -j)):
         # the row and its tag are this loop's own until the row is stored
         # as a pivot, so they are reduced in place
         row, tag = tcols[j], {j: 1}

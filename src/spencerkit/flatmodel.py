@@ -6,6 +6,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
 from .certs import Certificate
@@ -140,25 +141,29 @@ class GradedBracketTensor:
 def bracket_from_blocks(n: int, blocks: Sequence[tuple]) -> ExactMatrix:
     """The n x n^2 matrix M of a bracket on an n-dimensional space from
     blocks (left, right, out, B): ranges of basis indices and a matrix with
-    [x, y]_out = B (x_left (x) y_right), so M is the sum of the
-    i_out B (p_left (x) p_right) for the coordinate projections p and
-    inclusions i.  A block on two different ranges holds one order of the
-    pair, one of whose elements is even; its partner [y, x] = -[x, y] is
-    the same matrix with the columns i n + j and j n + i exchanged."""
-    def project(part: range) -> ExactMatrix:
-        return ExactMatrix(len(part), n, [(a, i, 1)
-                                          for a, i in enumerate(part)])
-
-    same = once = ExactMatrix(n, n * n)
-    for left, right, out, B in blocks:
-        term = project(out).transpose() @ B @ kron(project(left),
-                                                    project(right))
-        if left == right:
-            same = same + term
-        else:
-            once = once + term
-    return same + once - once.select_columns(
-        [j * n + i for i in range(n) for j in range(n)])
+    [x, y]_out = B (x_left (x) y_right).  M is B's entries relabelled: row
+    r of B goes to row out[r] of M, and its column a |right| + b to column
+    left[a] n + right[b], the entries of blocks that meet adding up.  A
+    block on two different ranges holds one order of the pair, one of whose
+    elements is even; its partner [y, x] = -[x, y] is the same entry, negated,
+    at column right[b] n + left[a]."""
+    tables = [(left, right, out) + B.int_rows() for left, right, out, B
+              in blocks]
+    L = lcm(*[D for *_, D, _ in tables])
+    acc = [dict() for _ in range(n)]
+    for left, right, out, D, rows in tables:
+        f = L // D
+        cols = [i * n + j for i in left for j in right]
+        partner = None if left == right else \
+            [j * n + i for i in left for j in right]
+        for r, row in zip(out, rows):
+            target = acc[r]
+            for c, v in row.items():
+                target[cols[c]] = target.get(cols[c], 0) + f * v
+                if partner:
+                    target[partner[c]] = target.get(partner[c], 0) - f * v
+    return ExactMatrix.from_int_rows(
+        n * n, [({j: v for j, v in row.items() if v}, L) for row in acc])
 
 
 def _accumulate(acc: dict, coeffs: dict, rows: list, base: int,
@@ -374,12 +379,10 @@ class ExtendedFlatModel:
                     [i * n + j for i in rows for j in cols])
         return self._bracket_blocks[key]
 
-    def element_matrices(self, X: ExactMatrix, part: str) -> tuple:
-        """The matrices M with [x, y] = M y on `part` (V or S) of the
-        elements x whose so(V) + r coordinates are the rows of X: one
-        product with the table whose row a is the a0 basis element x_a's
-        matrix flattened row by row, read off bracket_matrix("a0", part,
-        part) on first use and kept on the model."""
+    def action_table(self, part: str) -> ExactMatrix:
+        """The table whose row a is the a0 basis element x_a's matrix on
+        `part` (V or S) flattened row by row, read off bracket_matrix("a0",
+        part, part) on first use and kept on the model."""
         d = len(self._part(part))
         key = ("actions", part)
         if key not in self._bracket_blocks:
@@ -389,9 +392,32 @@ class ExtendedFlatModel:
                 "a0", part, part).transpose().reshape(
                     len(self._part("a0")), d * d).select_columns(
                         [j * d + i for i in range(d) for j in range(d)])
-        flat = X @ self._bracket_blocks[key]
+        return self._bracket_blocks[key]
+
+    def element_matrices(self, X: ExactMatrix, part: str) -> tuple:
+        """The matrices M with [x, y] = M y on `part` (V or S) of the
+        elements x whose so(V) + r coordinates are the rows of X: one
+        product with action_table."""
+        d = len(self._part(part))
+        flat = X @ self.action_table(part)
         return tuple(flat.select_rows([k]).reshape(d, d)
                      for k in range(flat.rows))
+
+    def element_images(self, X: ExactMatrix, part: str,
+                       basis: ExactMatrix) -> ExactMatrix:
+        """Column t holds x_t v_b at rows b d .. b d + d - 1, for the
+        elements x_t whose so(V) + r coordinates are the rows of X and the
+        rows v_b of `basis`, vectors of `part` (V or S) of dimension d: one
+        product with action_table, then one with I (x) basis^T unless the
+        basis is the unit one, and a relabelling of the columns."""
+        d, nb = basis.cols, basis.rows
+        # row t: x_t's matrix M_t, entry (y, j) at column y d + j
+        flat = X @ self.action_table(part)
+        if basis != ExactMatrix.identity(d):
+            # row t: M_t basis^T, entry (y, b) at column y nb + b
+            flat = flat @ kron(ExactMatrix.identity(d), basis.transpose())
+        return flat.select_columns([y * nb + b for b in range(nb)
+                                    for y in range(d)]).transpose()
 
 
 def build_extended_flat_model(rep: CliffordRep, current: DiracCurrent,

@@ -8,10 +8,11 @@ status and wall-clock time go to the caller's `on_stage`, never into the
 report.
 
 The objects that depend only on the signature, N and the Dirac current (the
-current, the Schur and R-symmetry algebras, the extended flat model and its
-FullModelCohomology) are kept in one slot for the next run: consecutive
-configs on one signature build them once.  A config with another key
-empties the slot first, and `clear_kept_model` empties it on request.
+current, its causality probe per (samples, seed), the Schur and R-symmetry
+algebras, the extended flat model and its FullModelCohomology) are kept in
+one slot for the next run: consecutive configs on one signature build them
+once.  A config with another key empties the slot first, and
+`clear_kept_model` empties it on request.
 """
 
 from __future__ import annotations
@@ -285,8 +286,12 @@ def _stage_dirac_current(config, state):
             "rank": current.component_matrix().rank(),
             "surjective": current.surjective}
     if state["sig"].lorentzian and current.symmetry == "symmetric":
-        probe = causality_probe(current, state["sig"], samples=128,
-                                seed=config["seed"])
+        # the probe depends on the signature, the current and its sampling,
+        # so one is kept per (samples, seed) with the current
+        probe = _kept(("causality_probe", 128, config["seed"]),
+                      lambda: causality_probe(current, state["sig"],
+                                              samples=128,
+                                              seed=config["seed"]))
         data["causality_probe"] = probe.to_json()
     return data
 

@@ -32,9 +32,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import (DimensionMismatch, KappaZero, NoEquivariantSplitting,
                      NotHighlySusy, NotSymmetric, OracleMismatch)
 from .exactla import (ExactMatrix, HomAction, NoSolution, Subspace,
-                      block_diag, coordinate_matrix, coordinate_rows,
-                      flatten_columns, hstack, kron, pair_action, pair_map,
-                      solve_affine, tensor_index_maps, vec_is_zero, vstack)
+                      block_diag, coordinate_matrix, coordinate_rows, hstack,
+                      kron, pair_action, pair_map, solve_affine,
+                      tensor_index_maps, vec_is_zero, vstack)
 from .flatmodel import (ExtendedFlatModel, GradedSubalgebra, full_subalgebra)
 
 
@@ -158,22 +158,17 @@ class SpencerComplex:
         # coordinates and as matrices
         so_rows = hstack([self.Wso.basis, ExactMatrix(self.dWso, model.dim_r)])
         r_rows = hstack([ExactMatrix(self.dWr, model.dim_so), self.Wr.basis])
-        self.Wso_mats = model.element_matrices(so_rows, "V")
-        self.Wr_mats = model.element_matrices(r_rows, "S")
         K = _coordinate_matrix(sub.Vp, sub.kappa_sp,
                                _CLOSURE.format("kappa(S',S')"))
         Vb, Sb = sub.Vp.basis, sub.Sp.basis
-
-        def images(basis, mats):  # column t: mats[t] on each basis vector
-            return flatten_columns([basis @ m.transpose() for m in mats],
-                                   basis.rows, basis.cols)
-
-        M_V = _coordinate_matrix(self.Wv, images(Vb, self.Wso_mats),
+        M_V = _coordinate_matrix(self.Wv,
+                                 model.element_images(so_rows, "V", Vb),
                                  _CLOSURE.format("h.V'"), self.nvp)
-        M_Sso = _coordinate_matrix(
-            self.Ws, images(Sb, model.element_matrices(so_rows, "S")),
-            _CLOSURE.format("h.S'"), self.nsp)
-        M_Sr = _coordinate_matrix(self.Ws, images(Sb, self.Wr_mats),
+        M_Sso = _coordinate_matrix(self.Ws,
+                                   model.element_images(so_rows, "S", Sb),
+                                   _CLOSURE.format("h.S'"), self.nsp)
+        M_Sr = _coordinate_matrix(self.Ws,
+                                  model.element_images(r_rows, "S", Sb),
                                   _CLOSURE.format("r'.S'"), self.nsp)
         return tuple(m.int_rows() for m in (K.transpose(), M_V, M_Sso, M_Sr))
 
@@ -593,6 +588,8 @@ class CohomologyReport:
     complex: SpencerComplex = field(repr=False, compare=False)
     _actions: Optional[tuple] = field(default=None, init=False, repr=False,
                                       compare=False)
+    _invariant: Optional[list] = field(default=None, init=False, repr=False,
+                                       compare=False)
 
     @property
     def action_matrices(self) -> tuple:
@@ -638,7 +635,13 @@ class CohomologyReport:
         return self.cocycles.basis.select_rows(self.rep_rows)
 
     def invariant_classes(self) -> list:
-        """Coefficient vectors spanning the a0-invariant part of H."""
+        """Coefficient vectors spanning the a0-invariant part of H, computed
+        on first read and kept on the report."""
+        if self._invariant is None:
+            self._invariant = self._invariant_classes()
+        return self._invariant
+
+    def _invariant_classes(self) -> list:
         if self.dim_h == 0:
             return []
         if not self.action_matrices:
@@ -649,10 +652,25 @@ class CohomologyReport:
         return [classes.row_tuple(k) for k in range(classes.rows)]
 
 
+def z_coordinates(Z: Subspace, rows: ExactMatrix) -> ExactMatrix:
+    """The coordinates in Z of rows that lie in Z: against its RREF basis,
+    their entries at its pivot columns."""
+    return rows.select_columns(Z.basis.pivot_columns())
+
+
 def compute_cohomology(cx: SpencerComplex, p: int) -> CohomologyReport:
     """Z, B and H at homological degree p, with canonical representatives,
     computed on first use and kept on the complex; the a0-action on H is the
-    report's action_matrices."""
+    report's action_matrices.
+
+    The representatives are the Z basis rows each independent of B and of
+    the Z rows before it.  In Z coordinates row i is e_i, and e_i lies in
+    B + span(e_j : j < i) exactly when some vector of B has its last
+    nonzero coordinate at i, so the representatives are the rows off the
+    last-nonzero positions of B, read as the pivots of B's Z coordinates
+    with the columns reversed.  B's Z coordinates are its entries at Z's
+    pivot columns because B lies in Z, which _verify_complex certified
+    (d_p d_{p-1} = 0) when the complex was built."""
     if p in cx.cohomology:
         return cx.cohomology[p]
     if p not in (1, 2):
@@ -664,10 +682,9 @@ def compute_cohomology(cx: SpencerComplex, p: int) -> CohomologyReport:
         d_in = cx.differentials[1]
     Z = d_out.kernel()
     B = d_in.column_space()
-    # the row basis is the greedy one, so its Z rows extend B one new class
-    # at a time
-    rows = vstack([B.basis, Z.basis]).row_basis()
-    rep_rows = tuple(i - B.dim for i in rows if i >= B.dim)
+    last = {Z.dim - 1 - c for c in z_coordinates(Z, B.basis).select_columns(
+        range(Z.dim - 1, -1, -1)).pivot_columns()}
+    rep_rows = tuple(i for i in range(Z.dim) if i not in last)
     cx.cohomology[p] = CohomologyReport(
         bidegree=(cx.degree, p), dim_z=Z.dim, dim_b=B.dim,
         dim_h=Z.dim - B.dim, cocycles=Z, boundaries=B,
@@ -816,11 +833,15 @@ class FullModelCohomology:
     def _normalised_space(self) -> Subspace:
         """Cocycles with alpha = 0 and rho o section = 0, the kernel of the
         constraint rows on Z mapped back through Z's basis, certified to
-        complement the coboundaries: rank [B; N] = dim B + dim N = dim Z."""
+        complement the coboundaries: rank [B; N] = dim B + dim N = dim Z.
+        The rank is taken in Z coordinates (z_coordinates), where [B; N] is
+        square, and kept as self.split: B lies in Z by the certificate
+        d2 d1 = 0 of every build, and N by construction."""
         Z, B = self.h22.cocycles, self.h22.boundaries
         on_z = vstack(self._constraint_rows()) @ Z.basis.transpose()
         N = Subspace(Z.ambient_dim, (on_z.kernel().basis @ Z.basis).rref())
-        rank = vstack([B.basis, N.basis]).rank()
+        self.split = z_coordinates(Z, vstack([B.basis, N.basis]))
+        rank = self.split.rank()
         if not rank == B.dim + N.dim == Z.dim:
             raise OracleMismatch(
                 f"Z = B + N is not a direct sum: rank [B; N] = {rank}, "
@@ -833,11 +854,14 @@ class FullModelCohomology:
         """Normalised cocycles annihilated on the nose by every given so and
         r element, kept per argument.  Pass Lie generators of h and r'
         (GradedSubalgebra.generator_coords): what they annihilate, their
-        brackets annihilate too.
+        brackets annihilate too.  For the full subalgebra's own generators,
+        while N is a submodule for them, the space is read off the kept
+        invariant classes of H^{2,2} (_derived_invariant); for any other
+        generators it is computed directly (_invariant_normalised).
 
-        The kernel is computed from the beta and rho coordinates of the
-        action alone; the alpha and gamma coordinates then vanish too.  For
-        X in a0 and a normalised cocycle phi, psi = X.phi is a cocycle,
+        The direct kernel is computed from the beta and rho coordinates of
+        the action alone; the alpha and gamma coordinates then vanish too.
+        For X in a0 and a normalised cocycle phi, psi = X.phi is a cocycle,
         because d is a0-equivariant, and the action maps each block of the
         layout to itself, so alpha(psi) = X.alpha(phi) = 0.  With alpha,
         beta and rho of psi zero, the vss component of d(psi) = 0 (V' = V
@@ -846,10 +870,60 @@ class FullModelCohomology:
         """
         key = (tuple(map(tuple, h_gens)), tuple(map(tuple, rp_gens)))
         if key not in self._invariant:
-            self._invariant[key] = self._invariant_normalised(*key)
+            if self._reads_classes(key):
+                self._invariant[key] = self._derived_invariant()
+            else:
+                self._invariant[key] = self._invariant_normalised(*key)
         return self._invariant[key]
 
+    def _reads_classes(self, key: tuple) -> bool:
+        """Whether N^{a0} for the generators `key` is read off the kept
+        invariant classes: the generators are the full subalgebra's own,
+        and N is a submodule for them.  The so(V) generators always keep N
+        (the section is so(V)-equivariant), and the r generators keep it
+        when the section is r-equivariant too."""
+        h_gens, rp_gens = self.full_subalgebra.generator_coords()
+        own = (tuple(map(tuple, h_gens)), tuple(map(tuple, rp_gens)))
+        return key == own and (self.splitting.r_equivariant or not rp_gens)
+
+    def _derived_invariant(self) -> Subspace:
+        """N^{a0} read off the invariant part of H^{2,2}: the normalised
+        representative of each invariant class, from the [B; N] basis of Z
+        in Z coordinates (self.split), each certified to be annihilated on
+        the nose by every Lie generator.
+
+        Nothing is missed.  A generator X keeps N: it acts on each block of
+        the layout, so alpha(X.phi) = X.alpha(phi) = 0, and on the rho block
+        (X.rho)(sigma(v)) = [X, rho(sigma(v))] - rho(X.sigma(v)), with
+        X.sigma(v) = sigma(X v) for the section sigma equivariant under X,
+        so rho o sigma = 0 gives (X.rho) o sigma = 0.  B is a submodule (d
+        is a0-equivariant) and Z = B + N is direct (certified above), so
+        the projection Z -> H restricts to an isomorphism of a0-modules
+        N -> H.  It maps N^{a0} onto H^{a0}, the classes the generators'
+        action matrices annihilate, and the normalised representative of
+        a class is its preimage.  The derived vectors are therefore a basis
+        of N^{a0}, and its canonical RREF is the direct route's."""
+        lay = self.complex.layouts[2]
+        Z = self.h22.cocycles
+        classes = self.h22.invariant_classes()
+        if not classes:
+            return Subspace.trivial(lay.dim)
+        C = z_coordinates(Z, ExactMatrix.from_rows(classes, lay.dim))
+        # [B; N]^T x = c per class: the RREF of [[B; N]^T | C^T] is
+        # [I | X^T], and rows dim B onwards of X^T are on N's basis
+        solved = hstack([self.split.transpose(), C.transpose()]).rref()
+        on_n = solved.select_rows(range(self.h22.dim_b, Z.dim)).select_columns(
+            range(Z.dim, Z.dim + len(classes)))
+        derived = on_n.transpose() @ self.normalised_space.basis
+        for op in generator_actions(self.complex):
+            if not op.apply_rows(derived).is_zero():
+                raise OracleMismatch("a normalised representative of an "
+                                     "invariant class is not invariant")
+        return Subspace(lay.dim, derived.rref())
+
     def _invariant_normalised(self, h_gens, rp_gens) -> Subspace:
+        """The direct route: the kernel of the actors' beta and rho
+        coordinates on N's basis."""
         lay = self.complex.layouts[2]
         basis = self.normalised_space
         model = self.model
@@ -907,6 +981,16 @@ def restriction_matrix(full_cx: SpencerComplex,
     return block_diag([kron(M.transpose(), ExactMatrix.identity(tgt))
                        for M, (_, _, tgt) in zip(sources,
                                                  full_cx.layouts[2].blocks)])
+
+
+def restrict(full_cx: SpencerComplex, mixed_cx: SpencerComplex,
+             cochains: ExactMatrix) -> ExactMatrix:
+    """i^* on the columns of `cochains`, full-model cochains of degree 2.
+    On a maximal subalgebra i^* is the identity, and the cochains are
+    returned as they are, with no restriction_matrix formed."""
+    if mixed_cx.subalgebra.maximal():
+        return cochains
+    return restriction_matrix(full_cx, mixed_cx) @ cochains
 
 
 def inclusion_matrix(sub_cx: SpencerComplex, mixed_cx: SpencerComplex,
@@ -974,10 +1058,8 @@ def _restriction_kernel_report(sub: GradedSubalgebra,
         trivial = Subspace.trivial(lay.dim)
         return RestrictionKernelReport(trivial, trivial)
     mixed = spencer_complex(sub, 2, values="full")
-    # columns = restrictions; on a maximal subalgebra i^* is the identity
-    lifted = N.basis.transpose()
-    if not sub.maximal():
-        lifted = restriction_matrix(cx, mixed) @ lifted
+    # columns = restrictions
+    lifted = restrict(cx, mixed, N.basis.transpose())
 
     def expand(kernel: ExactMatrix) -> Subspace:
         """The span of the rows of kernel N, kernel in N coordinates."""

@@ -5,7 +5,7 @@ differential is a product of `kron`s with identities, and `_assemble` stacks
 the blocks.  `kron_differentials(cx)` rebuilds the structure matrices of the
 complex `cx` and returns the differentials {1: d1, 2: d2} this way."""
 
-from pairwise_oracles import basis_vectors, spin_matrix
+from pairwise_oracles import basis_vectors, r_matrix, so_matrix, spin_matrix
 from spencerkit.errors import DimensionMismatch
 from spencerkit.exactla import (ExactMatrix, flatten_columns, hstack, kron,
                                 pair_embedding, tensor_index_maps, vstack)
@@ -62,14 +62,18 @@ def structure_matrices(cx):
         return flatten_columns([basis @ m.transpose() for m in mats],
                                basis.rows, basis.cols)
 
-    M_V = _coordinate_matrix(cx.Wv, images(Vb, cx.Wso_mats),
-                             _CLOSURE.format("h.V'"), cx.nvp)
+    M_V = _coordinate_matrix(
+        cx.Wv, images(Vb, [so_matrix(model, x)
+                           for x in basis_vectors(cx.Wso)]),
+        _CLOSURE.format("h.V'"), cx.nvp)
     M_Sso = _coordinate_matrix(
         cx.Ws, images(Sb, [spin_matrix(model, x)
                            for x in basis_vectors(cx.Wso)]),
         _CLOSURE.format("h.S'"), cx.nsp)
-    M_Sr = _coordinate_matrix(cx.Ws, images(Sb, cx.Wr_mats),
-                              _CLOSURE.format("r'.S'"), cx.nsp)
+    M_Sr = _coordinate_matrix(
+        cx.Ws, images(Sb, [r_matrix(model, x)
+                           for x in basis_vectors(cx.Wr)]),
+        _CLOSURE.format("r'.S'"), cx.nsp)
     return K, W, M_V, M_Sso, M_Sr
 
 

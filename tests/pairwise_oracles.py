@@ -492,10 +492,10 @@ def commutator_targets(cx, so_coords, r_coords):
         return ExactMatrix.from_columns(
             [space.coordinates(c) for c in columns], space.dim)
 
-    so = coords(cx.Wso, [so_coordinates(model, on_v.commutator(w))
-                         for w in cx.Wso_mats])
-    r = coords(cx.Wr, [endo_coordinates(model.r, r_on_s.commutator(w))
-                       for w in cx.Wr_mats])
+    so = coords(cx.Wso, [so_coordinates(model, on_v.commutator(
+        so_matrix(model, w))) for w in basis_vectors(cx.Wso)])
+    r = coords(cx.Wr, [endo_coordinates(model.r, r_on_s.commutator(
+        r_matrix(model, w))) for w in basis_vectors(cx.Wr)])
     return so, r
 
 

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import fraction_exactla as fx
 from pairwise_oracles import basis_vectors, lincomb, solve_many
+from rref_kernel import ascending_kernel, fresh
 from spencerkit.exactla import AffineSolver, ExactMatrix, HomAction, \
     Subspace, block_diag, hstack, kron, pair_map, solve_affine, \
     tensor_index_maps, vstack
@@ -255,6 +256,17 @@ def test_kernel_with_dependent_columns(pair):
     a, ao = pair
     assert_same_elimination(a, ao)
     assert a.kernel().dim == a.cols - ao.rank()
+
+
+@EXAMPLES
+@given(st.one_of(pairs(), tall().map(lambda d: d[1:]),
+                 with_dependent_columns()))
+def test_kernel_equals_the_ascending_column_order(pair):
+    # the transpose's columns enter with ties in nonzero count broken by
+    # descending index; the order they entered in before, by ascending
+    # index, gives the same canonical kernel
+    a, _ = pair
+    assert fresh(a).kernel() == ascending_kernel(a)
 
 
 @EXAMPLES
