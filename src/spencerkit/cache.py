@@ -42,10 +42,14 @@ def cache_dir() -> str:
 
 
 def _paths(key: str):
+    """The report and checksum paths of a key; a config error when the
+    cache directory is an existing file or other non-directory."""
     if not _KEY.fullmatch(key):
         raise ConfigError(f"not a cache key: {key!r} (a key is 64 "
                           "lowercase hex digits)")
     base = cache_dir()
+    if os.path.exists(base) and not os.path.isdir(base):
+        raise ConfigError(f"the cache directory {base} is not a directory")
     return os.path.join(base, key + ".json"), os.path.join(base,
                                                            key + ".sha256")
 
@@ -69,10 +73,15 @@ def cache_lookup(key: str) -> Optional[bytes]:
 
 
 def cache_store(key: str, blob: bytes) -> None:
-    """Atomic write (temp file then rename) of the report and its checksum."""
-    base = cache_dir()
-    os.makedirs(base, exist_ok=True)
+    """Atomic write (temp file then rename) of the report and its checksum.
+    A cache directory that cannot be made is a config error."""
     report_path, sum_path = _paths(key)
+    base = cache_dir()
+    try:
+        os.makedirs(base, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"cannot make the cache directory {base}: "
+                          f"{err.strerror or err}") from err
     digest = hashlib.sha256(blob).hexdigest()
     for path, payload in ((report_path, blob),
                           (sum_path, (digest + "\n").encode("ascii"))):

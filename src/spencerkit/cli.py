@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import lru_cache
 
@@ -84,11 +85,29 @@ def _where_differs(stored: dict, fresh: dict) -> str:
     return "formatting only" if found is None else f"report: {found}"
 
 
+def _check_output_path(config: dict) -> None:
+    """A config error, raised before any stage runs, when the report could
+    not be written to output_path: it names a directory, or its directory
+    does not exist."""
+    path = config.get("output_path")
+    if not path:
+        return
+    if os.path.isdir(path):
+        raise ConfigError(f"output_path {path} is a directory")
+    parent = os.path.dirname(path) or os.curdir
+    if not os.path.isdir(parent):
+        raise ConfigError(f"output_path {path}: no directory {parent}")
+
+
 def _emit(report: dict, blob: bytes, config: dict) -> None:
     path = config.get("output_path")
     if path:
-        with open(path, "wb") as fh:
-            fh.write(blob)
+        try:
+            with open(path, "wb") as fh:
+                fh.write(blob)
+        except OSError as err:
+            raise ConfigError(f"cannot write the report to {path}: "
+                              f"{err.strerror or err}") from err
         print(f"[spencerkit] report written to {path}", file=sys.stderr)
     else:
         sys.stdout.buffer.write(blob)
@@ -96,6 +115,7 @@ def _emit(report: dict, blob: bytes, config: dict) -> None:
 
 def _run(args) -> int:
     config = validate_config(_load_json(args.config))
+    _check_output_path(config)
     key = config_hash(config)
     if not args.no_cache:
         cached = cache_lookup(key)

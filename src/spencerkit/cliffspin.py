@@ -53,9 +53,6 @@ class Signature:
     def eta(self) -> tuple:
         return tuple([Fraction(-1)] * self.t + [Fraction(1)] * self.s)
 
-    def to_json(self) -> dict:
-        return {"s": self.s, "t": self.t}
-
 
 @lru_cache(maxsize=None)
 def _base_rep(s: int, t: int):
@@ -110,15 +107,6 @@ class CliffordRep:
                                           if g.entry(i, j)]))
         return tuple(out)
 
-    def to_json(self) -> dict:
-        return {
-            "signature": self.signature.to_json(),
-            "N": self.N,
-            "spinor_dim": self.spinor_dim,
-            "gammas": [g.to_serialisable() for g in self.gammas],
-            "convention": CONVENTION,
-        }
-
 
 def build_clifford_rep(sig: Signature, N: int = 1) -> CliffordRep:
     """Rational gamma matrices for `sig`, N-extended as diagonal blocks."""
@@ -160,6 +148,16 @@ class SpinGenerators:
 
     E_ij (i<j) acts on V by E_ij e_b = e_i eta_jb - e_j eta_ib and is realised
     on spinors by sigma_ij = (1/4)[gamma_i, gamma_j].
+
+    `chain` indexes the chain E_01, E_12, ..., E_{d-2,d-1} in `pairs`; it
+    generates so(V) as a Lie algebra, since [E_ij, E_jk] = eta_jj E_ik for
+    distinct i, j, k, so E_ik = eta_jj [E_ij, E_jk] with j = k - 1 builds
+    every E_ik, i < k, from the chain by induction on k - i, and sigma
+    brackets as E does.  A condition that is linear in the generator and
+    closed under brackets, such as commuting with a matrix, preserving a
+    bilinear form, or annihilating a vector of a representation, therefore
+    holds on all of so(V) exactly when it holds on the chain, and its
+    solution space is the same.
     """
 
     def __init__(self, rep: CliffordRep):
@@ -174,6 +172,12 @@ class SpinGenerators:
                                                   (j, i, -eta[i])]))
             comm = rep.gammas[i].commutator(rep.gammas[j])
             self.sigma.append(comm.scale(Fraction(1, 4)))
+        self.chain = tuple(self.pairs.index((i, i + 1))
+                           for i in range(n - 1))
+
+    def chain_sigma(self) -> List[ExactMatrix]:
+        """sigma of the chain generators."""
+        return [self.sigma[k] for k in self.chain]
 
     @property
     def dim(self) -> int:
@@ -225,17 +229,6 @@ class DiracCurrent:
     def surjective(self) -> bool:
         return self.component_matrix().rank() == self.rep.dim_v
 
-    @property
-    def degenerate(self) -> bool:
-        return not self.surjective
-
-    def to_json(self) -> dict:
-        out = self.rep.to_json()
-        out["kappa"] = [k.to_serialisable() for k in self.components]
-        out["symmetry"] = self.symmetry
-        out["degenerate"] = self.degenerate
-        return out
-
 
 def _symmetry_of(components: Sequence[ExactMatrix]) -> str:
     symmetric = all(k == k.transpose() for k in components)
@@ -249,12 +242,24 @@ def _symmetry_of(components: Sequence[ExactMatrix]) -> str:
     raise NotEquivariant("tensor is neither symmetric nor skew-symmetric")
 
 
+def _base_block(rep: CliffordRep) -> CliffordRep:
+    """The N = 1 block of rep, which is rep itself when N = 1 (so its spin
+    generators are the kept ones)."""
+    if rep.N == 1:
+        return rep
+    m = rep.base_spinor_dim
+    return CliffordRep(rep.signature, 1, m, m, rep.base_gammas())
+
+
 def _invariant_pairings(rep: CliffordRep) -> Subspace:
     """Solutions C of sigma^T C + C sigma = 0 with every C gamma_a symmetric,
-    on the N = 1 base block."""
+    on the N = 1 base block.  The generators that preserve C form a Lie
+    algebra, so the chain generators (SpinGenerators) give the same
+    solutions as every sigma_ij."""
     m = rep.base_spinor_dim
-    base = rep.base_gammas()
-    gens = SpinGenerators(CliffordRep(rep.signature, 1, m, m, base))
+    block = _base_block(rep)
+    base = block.gammas
+    gens = spin_generators(block)
     # the unknowns are C row-major, so kron(A, B) maps C to A C B^T
     eye = ExactMatrix.identity(m)
     skew = ExactMatrix.identity(m * m) - ExactMatrix(
@@ -262,7 +267,7 @@ def _invariant_pairings(rep: CliffordRep) -> Subspace:
                        for i in range(m) for j in range(m)])
     return vstack(
         [kron(sig.transpose(), eye) + kron(eye, sig.transpose())
-         for sig in gens.sigma] +
+         for sig in gens.chain_sigma()] +
         [skew @ kron(eye, g.transpose()) for g in base]).kernel()
 
 
@@ -293,7 +298,7 @@ def _standard_pairing(rep: CliffordRep) -> ExactMatrix:
         if k > 0:
             candidates.append(running)
 
-    base_rep = CliffordRep(rep.signature, 1, m, m, rep.base_gammas())
+    base_rep = _base_block(rep)
     surjective = []
     for c in candidates:
         cur = _current_from_pairing(base_rep, c)
@@ -350,15 +355,18 @@ def build_dirac_current(rep: CliffordRep, pairing="standard") -> DiracCurrent:
 
 
 def check_equivariance(current: DiracCurrent, rep: CliffordRep) -> Certificate:
-    """kappa(sigma x, y) + kappa(x, sigma y) = E.kappa(x, y) for every spin
-    generator, checked entrywise; the certificate carries the first failure."""
+    """kappa(sigma x, y) + kappa(x, sigma y) = E.kappa(x, y) for the chain
+    generators (SpinGenerators.chain), checked entrywise; the certificate
+    carries the first failure.  The elements of so(V) that annihilate kappa
+    under its Hom(S (x) S, V) action form a Lie algebra, so kappa is
+    equivariant under all of so(V) exactly when it is under the chain."""
     if len(current.components) != rep.dim_v or any(
             k.rows != rep.spinor_dim for k in current.components):
         raise DimensionMismatch("current does not match representation")
     gens = spin_generators(rep)
     n = rep.dim_v
-    for gidx, (pair, sig_mat, e_mat) in enumerate(
-            zip(gens.pairs, gens.sigma, gens.e_mats)):
+    for k in gens.chain:
+        pair, sig_mat, e_mat = gens.pairs[k], gens.sigma[k], gens.e_mats[k]
         sig_t = sig_mat.transpose()
         for a in range(n):
             lhs = sig_t @ current.components[a] + current.components[a] @ sig_mat

@@ -732,7 +732,9 @@ def coordinate_rows(space: Subspace, images: ExactMatrix,
     pivots = space.basis.pivot_columns()
     coords = images.select_columns([k * amb + p for k in range(stack)
                                     for p in pivots])
-    if coords @ kron(ExactMatrix.identity(stack), space.basis) != images:
+    basis = space.basis if stack == 1 else kron(ExactMatrix.identity(stack),
+                                                space.basis)
+    if coords @ basis != images:
         return None
     return coords
 

@@ -77,15 +77,17 @@ def commutator_rows(mats: Sequence[ExactMatrix],
 
 def compute_schur_algebra(rep: CliffordRep) -> EndoSubalgebra:
     """Canonical basis of the commutant of the spin generators in End(S):
-    the kernel of a -> [a, sigma] for every spin generator sigma, on the
-    row-major vec(a), with vec(a sigma) = (I (x) sigma^T) vec(a) and
-    vec(sigma a) = (sigma (x) I) vec(a)."""
+    the kernel of a -> [a, sigma] for every chain generator sigma
+    (SpinGenerators.chain), on the row-major vec(a), with vec(a sigma) =
+    (I (x) sigma^T) vec(a) and vec(sigma a) = (sigma (x) I) vec(a).  What
+    commutes with two matrices commutes with their commutator, and the
+    chain generates so(V), so this is the commutant of every sigma_ij."""
     ns = rep.spinor_dim
     eye = ExactMatrix.identity(ns)
     # the empty block keeps the column count when there is no generator
     system = vstack([ExactMatrix(0, ns * ns)] +
                     [kron(eye, sig.transpose()) - kron(sig, eye)
-                     for sig in spin_generators(rep).sigma])
+                     for sig in spin_generators(rep).chain_sigma()])
     return EndoSubalgebra(ns, system.kernel())
 
 
@@ -112,8 +114,9 @@ def compute_r_symmetry_algebra(schur: EndoSubalgebra,
 def _preserves(mat: ExactMatrix, sigma: Sequence[ExactMatrix],
                components: Sequence[ExactMatrix]) -> bool:
     """Whether mat satisfies the defining equations of the R-symmetry
-    algebra: [mat, sigma] = 0 for every spin generator and
-    mat^T K + K mat = 0 for every component K of the current."""
+    algebra: [mat, sigma] = 0 for every given spin generator (the chain
+    generators suffice, see compute_schur_algebra) and mat^T K + K mat = 0
+    for every component K of the current."""
     return all(mat @ sig == sig @ mat for sig in sigma) and \
         all((mat.transpose() @ K + K @ mat).is_zero() for K in components)
 
@@ -429,7 +432,7 @@ def build_extended_flat_model(rep: CliffordRep, current: DiracCurrent,
     if r is None:
         r = compute_r_symmetry_algebra(compute_schur_algebra(rep), current)
     else:
-        sigma = spin_generators(rep).sigma
+        sigma = spin_generators(rep).chain_sigma()
         for mat in r.matrices:
             if not _preserves(mat, sigma, current.components):
                 raise NotClosed(

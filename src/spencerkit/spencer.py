@@ -27,7 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 from .errors import (DimensionMismatch, KappaZero, NoEquivariantSplitting,
                      NotHighlySusy, NotSymmetric, OracleMismatch)
@@ -56,9 +57,6 @@ class CochainLayout:
             self.sizes[name] = (src, tgt)
             acc += src * tgt
         self.dim = acc
-
-    def index(self, name: str, src: int, tgt: int) -> int:
-        return self.offsets[name] + src * self.sizes[name][1] + tgt
 
     def block_slice(self, name: str) -> Tuple[int, int]:
         src, tgt = self.sizes[name]
@@ -518,13 +516,29 @@ def subalgebra_actions(cx: SpencerComplex) -> tuple:
     return _actions(cx, range(sub.h.dim + sub.rp.dim))
 
 
-def generator_actions(cx: SpencerComplex) -> tuple:
+def generator_actions(cx: SpencerComplex) -> Iterator[CochainAction]:
     """The operators of subalgebra_actions for the Lie generators of h and
-    r' (GradedSubalgebra.h_generators, rp_generators) alone: an invariance
-    check needs no more."""
+    r' (GradedSubalgebra.h_generators, rp_generators) alone, each built when
+    the iteration reaches it: an invariance check needs no more, and one
+    that settles early builds no further operator.  h and r' generators
+    alternate, h first, the rest of the longer list last: on the maximal
+    (4,1,1), (3,1,2) and (5,1,1) cells CohomologyReport.invariant_classes
+    then acts on 77, 63 and 166 rows and builds 5, 5 and 6 operators,
+    against 79, 70 and 161 rows and 6, 5 and 8 operators h then r'."""
+    _degree2_layout(cx)
     sub = cx.subalgebra
-    return _actions(cx, sub.h_generators + tuple(
-        sub.h.dim + p for p in sub.rp_generators))
+    h = sub.h_generators
+    rp = tuple(sub.h.dim + p for p in sub.rp_generators)
+    for k in _alternate(h, rp):
+        yield _actions(cx, (k,))[0]
+
+
+def _alternate(first: tuple, second: tuple) -> tuple:
+    """first[0], second[0], first[1], second[1], ..., then the rest of the
+    longer tuple."""
+    n = min(len(first), len(second))
+    return tuple(k for pair in zip(first, second) for k in pair) + \
+        first[n:] + second[n:]
 
 
 def _actions(cx: SpencerComplex, indices) -> tuple:
@@ -578,6 +592,10 @@ class Cochain22:
 
 @dataclass
 class CohomologyReport:
+    """Z, B and H at one bidegree.  `rep_rows` are the rows of Z's basis
+    that represent the classes, and `boundary_echelon` is the RREF of B's
+    Z coordinates with the columns reversed, which compute_cohomology forms
+    to pick them (see there): it reads the class of any cocycle."""
     bidegree: Tuple[int, int]
     dim_z: int
     dim_b: int
@@ -585,54 +603,35 @@ class CohomologyReport:
     cocycles: Subspace
     boundaries: Subspace
     rep_rows: tuple               # the cocycle basis rows, one per class
+    boundary_echelon: ExactMatrix = field(repr=False, compare=False)
     complex: SpencerComplex = field(repr=False, compare=False)
-    _actions: Optional[tuple] = field(default=None, init=False, repr=False,
-                                      compare=False)
     _invariant: Optional[list] = field(default=None, init=False, repr=False,
                                        compare=False)
-
-    @property
-    def action_matrices(self) -> tuple:
-        """One dH x dH ExactMatrix per Lie generator of a0 (those of
-        generator_actions, h then r'), computed on first read and kept on the
-        report; empty at homological degree 1 and when H = 0.  The action on
-        H is a representation, so the classes these annihilate are the
-        a0-invariant ones."""
-        if self._actions is None:
-            self._actions = self._action_matrices()
-        return self._actions
-
-    def _action_matrices(self) -> tuple:
-        """Every generator acts on the representative rows at once; the
-        acted rows' Z coordinates are read and certified by coordinate_rows,
-        and their coordinates on [R; B], a basis of Z, come from one
-        elimination of [[R; B]^T | C^T] in Z coordinates: its RREF is
-        [I | X^T], and the first dH rows of X^T are on the classes."""
-        if self.bidegree[1] != 2 or not self.rep_rows:
-            return ()
-        ops = generator_actions(self.complex)
-        if not ops:
-            return ()
-        Z, R, dh = self.cocycles, self._representative_rows(), self.dim_h
-        C = coordinate_rows(Z, vstack([op.apply_rows(R) for op in ops]))
-        if C is None:
-            raise OracleMismatch(
-                "a0-action does not preserve the cocycle space")
-        # [R; B] at Z's pivot columns is [R; B] in Z coordinates
-        RB = vstack([R, self.boundaries.basis]).select_columns(
-            Z.basis.pivot_columns())
-        aug = vstack([RB, C]).transpose()
-        if aug.pivot_columns() != tuple(range(Z.dim)):
-            raise OracleMismatch("the representatives and the coboundaries "
-                                 "are not a basis of the cocycles")
-        on_reps = aug.rref().select_rows(range(dh))
-        return tuple(on_reps.select_columns(range(Z.dim + g * dh,
-                                                  Z.dim + (g + 1) * dh))
-                     for g in range(len(ops)))
 
     def _representative_rows(self) -> ExactMatrix:
         """The representatives as the rows of one matrix."""
         return self.cocycles.basis.select_rows(self.rep_rows)
+
+    def class_reader(self) -> Callable[[ExactMatrix], ExactMatrix]:
+        """A map from rows in Z coordinates to the coordinates of their
+        classes on the representatives.  In the reversed columns the
+        echelon's pivots sit at B's last-nonzero positions, the complement
+        of rep_rows, and each pivot column is a unit column; so a row z
+        less z at the pivots times the echelon is z's reduction modulo B,
+        with zeros at the pivots, and its entries at rep_rows are the
+        class coordinates, since there the representatives are the unit
+        rows of Z coordinates."""
+        E = self.boundary_echelon
+        last = self.dim_z - 1
+        pivots = E.pivot_columns()
+        reps = [last - i for i in self.rep_rows]
+        on_reps = E.select_columns(reps)
+
+        def read(C: ExactMatrix) -> ExactMatrix:
+            rev = C.select_columns(range(last, -1, -1))
+            return rev.select_columns(reps) - \
+                rev.select_columns(pivots) @ on_reps
+        return read
 
     def invariant_classes(self) -> list:
         """Coefficient vectors spanning the a0-invariant part of H, computed
@@ -642,13 +641,39 @@ class CohomologyReport:
         return self._invariant
 
     def _invariant_classes(self) -> list:
+        """The classes annihilated by every Lie generator of a0, one
+        generator at a time.  W holds, in class coordinates, a basis of the
+        classes annihilated by the generators applied so far; the next
+        generator acts on the rows W R alone (R the representatives), the
+        acted rows are certified to lie in Z by coordinate_rows, their
+        classes are read by class_reader, and W keeps the combinations
+        whose classes vanish.  The action on H is a representation, so what
+        the generators annihilate is the invariant part; after the last
+        generator W spans the kernel of the generators' stacked action
+        matrices on H.  W is that kernel's canonical basis, its RREF: it
+        starts as the identity, and a product K W of RREF matrices is in
+        RREF, since row i of K W has the entries of K at W's pivot columns,
+        and nothing before the pivot of W's row that K's row i starts at.
+        Once W is empty no further operator is built."""
         if self.dim_h == 0:
             return []
-        if not self.action_matrices:
-            kernel = Subspace.full(self.dim_h)
-        else:
-            kernel = vstack(list(self.action_matrices)).kernel()
-        classes = kernel.basis @ self._representative_rows()
+        Z = self.cocycles
+        W = ExactMatrix.identity(self.dim_h)
+        rows = self._representative_rows()
+        if self.bidegree[1] == 2:
+            read = self.class_reader()
+            for op in generator_actions(self.complex):
+                C = coordinate_rows(Z, op.apply_rows(rows))
+                if C is None:
+                    raise OracleMismatch(
+                        "a0-action does not preserve the cocycle space")
+                keep = read(C).transpose().kernel().basis
+                if keep.rows == W.rows:
+                    continue
+                W, rows = keep @ W, keep @ rows
+                if not W.rows:
+                    return []
+        classes = W @ self._representative_rows()
         return [classes.row_tuple(k) for k in range(classes.rows)]
 
 
@@ -660,8 +685,8 @@ def z_coordinates(Z: Subspace, rows: ExactMatrix) -> ExactMatrix:
 
 def compute_cohomology(cx: SpencerComplex, p: int) -> CohomologyReport:
     """Z, B and H at homological degree p, with canonical representatives,
-    computed on first use and kept on the complex; the a0-action on H is the
-    report's action_matrices.
+    computed on first use and kept on the complex; the a0-invariant classes
+    are the report's invariant_classes.
 
     The representatives are the Z basis rows each independent of B and of
     the Z rows before it.  In Z coordinates row i is e_i, and e_i lies in
@@ -682,13 +707,14 @@ def compute_cohomology(cx: SpencerComplex, p: int) -> CohomologyReport:
         d_in = cx.differentials[1]
     Z = d_out.kernel()
     B = d_in.column_space()
-    last = {Z.dim - 1 - c for c in z_coordinates(Z, B.basis).select_columns(
-        range(Z.dim - 1, -1, -1)).pivot_columns()}
+    echelon = z_coordinates(Z, B.basis).select_columns(
+        range(Z.dim - 1, -1, -1)).rref()
+    last = {Z.dim - 1 - c for c in echelon.pivot_columns()}
     rep_rows = tuple(i for i in range(Z.dim) if i not in last)
     cx.cohomology[p] = CohomologyReport(
         bidegree=(cx.degree, p), dim_z=Z.dim, dim_b=B.dim,
         dim_h=Z.dim - B.dim, cocycles=Z, boundaries=B,
-        rep_rows=rep_rows, complex=cx)
+        rep_rows=rep_rows, boundary_echelon=echelon, complex=cx)
     return cx.cohomology[p]
 
 
@@ -1048,13 +1074,24 @@ def restriction_kernel_report(sub: GradedSubalgebra,
 def _restriction_kernel_report(sub: GradedSubalgebra,
                                fullco: FullModelCohomology
                                ) -> RestrictionKernelReport:
+    """Both descriptions of the restriction-kernel space of `sub`.
+
+    On a maximal subalgebra both are the zero space, and nothing is
+    eliminated.  There i^* is the identity and the model-valued complex is
+    the full one, so the i^* route gives N meet B: the normalised cocycles
+    whose classes vanish in H^{2,2}.  That is 0, because Z = B + N is
+    direct, which FullModelCohomology certified (rank [B; N] = dim B +
+    dim N).  The componentwise kernel lies inside it, as certified below on
+    every other subalgebra; directly, a normalised cocycle with beta and
+    rho zero on V x S has gamma zero too (see
+    FullModelCohomology.invariant_normalised), so it is zero."""
     if not sub.highly_susy:
         raise NotHighlySusy("the restriction-kernel space needs a highly "
                             "supersymmetric subalgebra")
     cx = fullco.complex
     lay = cx.layouts[2]
     N = fullco.normalised_space
-    if N.dim == 0:
+    if N.dim == 0 or sub.maximal():
         trivial = Subspace.trivial(lay.dim)
         return RestrictionKernelReport(trivial, trivial)
     mixed = spencer_complex(sub, 2, values="full")

@@ -4,15 +4,22 @@ with one cochain per row, kept as the test oracle the way
 column of a matrix through the (T, D) blocks of a `HomAction`, and the
 functions below use it, and `AffineSolver`, the way `CohomologyReport`,
 `FullModelCohomology.act` and `FullModelCohomology.invariant_normalised`
-did before they acted on rows."""
+did before they acted on rows.
+
+Beside it, the row form that `CohomologyReport` used before it took the
+generators one at a time: `row_action_matrices` acts with every Lie
+generator on all the representatives and reads the classes from one
+elimination against [R; B], and `row_invariant_classes` takes the kernel
+of the stacked matrices."""
 
 from fractions import Fraction
 from math import lcm
 
 from spencerkit.errors import DimensionMismatch, OracleMismatch
 from spencerkit.exactla import AffineSolver, ExactMatrix, Subspace, _normal, \
-    _combination, hstack, kron, vstack
-from spencerkit.spencer import _actions, generator_actions
+    _combination, coordinate_rows, hstack, kron, vstack
+from spencerkit import spencer
+from spencerkit.spencer import _actions
 
 
 def apply_columns(blocks, M):
@@ -81,7 +88,7 @@ def action_matrices(co):
     R = co.cocycles.basis.select_rows(co.rep_rows).transpose()
     solver = AffineSolver(hstack([R, co.boundaries.basis.transpose()]))
     actions = []
-    for op in generator_actions(co.complex):
+    for op in spencer.generator_actions(co.complex):
         X, failed = solver.solve_matrix(apply_many(op, R))
         if failed:
             raise OracleMismatch(
@@ -90,14 +97,56 @@ def action_matrices(co):
     return tuple(actions)
 
 
-def invariant_classes(co):
-    """CohomologyReport.invariant_classes from action_matrices."""
+def row_action_matrices(co):
+    """The a0-action on H of a CohomologyReport in the row form, one
+    dH x dH matrix per Lie generator, column j the class of X.r_j: every
+    generator acts on the representative rows at once; the acted rows' Z
+    coordinates are read and certified by coordinate_rows, and their
+    coordinates on [R; B], a basis of Z, come from one elimination of
+    [[R; B]^T | C^T] in Z coordinates: its RREF is [I | X^T], and the
+    first dH rows of X^T are on the classes."""
+    if co.bidegree[1] != 2 or not co.rep_rows:
+        return ()
+    ops = tuple(spencer.generator_actions(co.complex))
+    if not ops:
+        return ()
+    Z, dh = co.cocycles, co.dim_h
+    R = Z.basis.select_rows(co.rep_rows)
+    C = coordinate_rows(Z, vstack([op.apply_rows(R) for op in ops]))
+    if C is None:
+        raise OracleMismatch(
+            "a0-action does not preserve the cocycle space")
+    # [R; B] at Z's pivot columns is [R; B] in Z coordinates
+    RB = vstack([R, co.boundaries.basis]).select_columns(
+        Z.basis.pivot_columns())
+    aug = vstack([RB, C]).transpose()
+    if aug.pivot_columns() != tuple(range(Z.dim)):
+        raise OracleMismatch("the representatives and the coboundaries "
+                             "are not a basis of the cocycles")
+    on_reps = aug.rref().select_rows(range(dh))
+    return tuple(on_reps.select_columns(range(Z.dim + g * dh,
+                                              Z.dim + (g + 1) * dh))
+                 for g in range(len(ops)))
+
+
+def _kernel_classes(co, mats):
+    """The classes the action matrices `mats` all annihilate, as cochains:
+    the kernel of the stacked matrices on the representatives."""
     if co.dim_h == 0:
         return []
-    mats = action_matrices(co)
     kernel = vstack(list(mats)).kernel() if mats else Subspace.full(co.dim_h)
     classes = kernel.basis @ co.cocycles.basis.select_rows(co.rep_rows)
     return [classes.row_tuple(k) for k in range(classes.rows)]
+
+
+def invariant_classes(co):
+    """CohomologyReport.invariant_classes from the column action_matrices."""
+    return _kernel_classes(co, action_matrices(co) if co.dim_h else ())
+
+
+def row_invariant_classes(co):
+    """CohomologyReport.invariant_classes from row_action_matrices."""
+    return _kernel_classes(co, row_action_matrices(co) if co.dim_h else ())
 
 
 def act(fullco, X, cochains):

@@ -9,8 +9,8 @@ from functools import lru_cache
 from itertools import combinations
 
 from pairwise_oracles import basis_vec, basis_vectors, bracket_table, \
-    lam_matrices, matrix_of, pair_table, r_matrix, so_matrix, solve_many, \
-    vec_add, zero_vec
+    lam_matrices, layout_index, matrix_of, pair_table, r_matrix, so_matrix, \
+    solve_many, vec_add, zero_vec
 from spencerkit.certs import Certificate, ProbeReport
 from spencerkit.cliffspin import _M64, Signature, _splitmix64, \
     build_clifford_rep, build_dirac_current, spin_generators
@@ -95,7 +95,8 @@ def gauge_shifted_data(datum, max_shifts=None):
     G = generators[0].rows
     zero_nu = zero_vec(lay1.dim)
     shifts = [(basis_vec(G, g), zero_nu) for g in range(G)]
-    shifts += [(zero_vec(G), basis_vec(lay1.dim, lay1.index(name, b, t)))
+    shifts += [(zero_vec(G),
+                basis_vec(lay1.dim, layout_index(lay1, name, b, t)))
                for b in range(datum.model.dim_v)
                for name, dim in (("lambda_so", sub.h.dim),
                                  ("lambda_r", sub.rp.dim))

@@ -397,9 +397,15 @@ def restriction_kernels(sub, fullco):
 # ---------------------------------------------------------------------------
 
 
+def layout_index(lay, name, src, tgt=0):
+    """The flat coordinate of target `tgt` at source `src` in block `name`
+    of a CochainLayout."""
+    return lay.offsets[name] + src * lay.sizes[name][1] + tgt
+
+
 def lam1_coords(datum, b):
     """lambda1(e_b) in so(V) coordinates."""
-    off = datum.mixed_complex.layouts[1].index("lambda_so", b, 0)
+    off = layout_index(datum.mixed_complex.layouts[1], "lambda_so", b)
     return tuple(datum.lam[off:off + datum.model.dim_so])
 
 
@@ -407,7 +413,7 @@ def lam2_coords(datum, b):
     """lambda2(e_b) in r coordinates."""
     if datum.model.dim_r == 0:
         return ()
-    off = datum.mixed_complex.layouts[1].index("lambda_r", b, 0)
+    off = layout_index(datum.mixed_complex.layouts[1], "lambda_r", b)
     return tuple(datum.lam[off:off + datum.model.dim_r])
 
 
@@ -439,7 +445,7 @@ def alpha(z, a, b):
 
 
 def _target(z, name, src, dim):
-    off = z.cx.layouts[2].index(name, src, 0)
+    off = layout_index(z.cx.layouts[2], name, src)
     return tuple(z.coeffs[off:off + dim])
 
 

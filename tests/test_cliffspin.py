@@ -102,13 +102,13 @@ class TestDiracCurrent:
         cur = get_current(2, 1, 1)
         assert cur.symmetry == "symmetric"
         assert cur.component_matrix().rank() == 3
-        assert not cur.degenerate
+        assert cur.surjective
 
     def test_zero_tensor_accepted_degenerate(self):
         rep = get_rep(2, 1, 1)
         zero = [ExactMatrix.zeros(2, 2) for _ in range(3)]
         cur = build_dirac_current(rep, zero)
-        assert cur.is_zero and cur.degenerate
+        assert cur.is_zero and not cur.surjective
         assert check_equivariance(cur, rep).passed
 
     def test_scaling_preserves_equivariance_and_symmetry(self):
@@ -238,12 +238,3 @@ class TestCausalityProbe:
         a = causality_probe(cur, Signature(3, 1), samples=64, seed=9)
         b = causality_probe(cur, Signature(3, 1), samples=64, seed=9)
         assert a.to_json() == b.to_json()
-
-
-def test_serialisation_shape():
-    cur = get_current(2, 1, 1)
-    blob = cur.to_json()
-    assert blob["signature"] == {"s": 2, "t": 1}
-    assert blob["symmetry"] == "symmetric"
-    assert blob["N"] == 1
-    assert isinstance(blob["kappa"][0][0][0], str)

@@ -9,6 +9,7 @@ import spencerkit
 from spencerkit import __version__
 from spencerkit.cache import (cache_list, cache_lookup, cache_remove,
                               cache_store, canonical_json, config_hash)
+from spencerkit import cli as cli_module
 from spencerkit.cli import main
 from spencerkit.errors import ConfigError
 from spencerkit.pipeline import (STAGES, report_bytes, run_pipeline,
@@ -687,6 +688,61 @@ class TestCli:
         assert main(["cache", "rm", keys[0]]) == 0
         assert main(["cache", "ls"]) == 0
         assert capsys.readouterr().out.split() == []
+
+    @pytest.mark.parametrize("where", ["directory", "missing parent"])
+    def test_unwritable_output_path_exit_2_before_any_stage(
+            self, tmp_path, capsys, where):
+        if where == "directory":
+            out = tmp_path / "reports"
+            out.mkdir()
+        else:
+            out = tmp_path / "missing" / "report.json"
+        path = self._write(tmp_path, base_config(output_path=str(out)))
+        capsys.readouterr()
+        assert main(["run", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: output_path ") and \
+            str(out) in err
+        assert "stage" not in err and cache_list() == []
+
+    def test_failed_report_write_exit_2(self, tmp_path, capsys,
+                                        monkeypatch):
+        # a write that fails after the checks, as on a full disk, is a
+        # config error naming the path, not a traceback
+        out = tmp_path / "report.json"
+        path = self._write(tmp_path, base_config(output_path=str(out)))
+
+        def full_disk(file, mode="r", *args, **kwargs):
+            if "w" in mode:
+                raise OSError(28, "No space left on device")
+            return open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(cli_module, "open", full_disk, raising=False)
+        capsys.readouterr()
+        assert main(["run", path]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: cannot write the report to {out}: No space " \
+            "left on device" in err
+
+    def test_cache_dir_naming_a_file_exit_2_before_any_stage(
+            self, tmp_path, capsys, monkeypatch):
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("")
+        monkeypatch.setenv("SPENCERKIT_CACHE_DIR", str(blocker))
+        path = self._write(tmp_path, base_config())
+        capsys.readouterr()
+        assert main(["run", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: the cache directory {blocker} "
+                              "is not a directory")
+        assert "stage" not in err
+        # a cache directory under a file cannot be made: also exit 2
+        monkeypatch.setenv("SPENCERKIT_CACHE_DIR", str(blocker / "cache"))
+        with pytest.raises(ConfigError, match="cannot make the cache "
+                                              "directory"):
+            cache_store("0" * 64, b"{}")
+        # --no-cache never touches it
+        assert main(["run", path, "--no-cache"]) == 0
 
     @pytest.mark.parametrize("dim", [5, -1])
     def test_random_dim_out_of_range_exit_2(self, tmp_path, dim):

@@ -1,9 +1,10 @@
 """The a0-action on C^{2,2} with one cochain per row against the column form
-it replaced (`column_actions`): the action matrices on H^{2,2}, the
-invariant classes, the invariant normalised cocycles and the combined
-operators of `FullModelCohomology.act`, on every grid cell, (4,1,1),
-sampled and coordinate stabiliser subalgebras, and the edge cases: H = 0,
-no generators (h = r' = 0), V' = 0, r' = 0 and dim S' = 1."""
+it replaced (`column_actions`): the action matrices on H^{2,2} in the row
+and the column form, the invariant classes, found one generator at a time,
+against the kernels of both, the invariant normalised cocycles and the
+combined operators of `FullModelCohomology.act`, on every grid cell,
+(4,1,1), sampled and coordinate stabiliser subalgebras, and the edge cases:
+H = 0, no generators (h = r' = 0), V' = 0, r' = 0 and dim S' = 1."""
 
 import random
 from fractions import Fraction
@@ -83,8 +84,10 @@ def test_action_matrices_and_classes_match_the_column_route(name, values):
     sub = _CASES[name]()
     co = spencer.compute_cohomology(spencer.spencer_complex(sub, 2, values),
                                     2)
-    assert co.action_matrices == column_actions.action_matrices(co)
-    assert co.invariant_classes() == column_actions.invariant_classes(co)
+    assert column_actions.row_action_matrices(co) == \
+        column_actions.action_matrices(co)
+    assert co.invariant_classes() == column_actions.invariant_classes(co) \
+        == column_actions.row_invariant_classes(co)
 
 
 @pytest.mark.parametrize("name", sorted(_CASES))
@@ -130,11 +133,12 @@ def test_the_edge_cases_are_what_they_claim():
     assert h0.dim_h == 0
     none = _CASES["311-h=r'=0"]()
     assert not none.h_generators and not none.rp_generators
-    assert spencer.compute_cohomology(spencer.spencer_complex(none, 2),
-                                      2).action_matrices == ()
+    co = spencer.compute_cohomology(spencer.spencer_complex(none, 2), 2)
+    assert co.dim_h and column_actions.row_action_matrices(co) == ()
+    assert len(co.invariant_classes()) == co.dim_h
     null = _CASES["221-V'=0"]()
     assert null.Vp.dim == 0 and null.Sp.dim == 1 and null.h.dim
     no_r = spencer.spencer_complex(_CASES["311-r'=0"](), 2)
     assert no_r.dWr == 0 and no_r.model.dim_r and \
-        spencer.generator_actions(no_r)
+        tuple(spencer.generator_actions(no_r))
     assert _CASES["211-dimS'=1"]().Sp.dim == 1

@@ -11,8 +11,9 @@ from instances import (GRID, HIGH_SUSY_DIM, get_full_subalgebra, get_fullco,
                        representatives, stabiliser_in_r)
 import column_actions
 from pairwise_oracles import basis_vec, basis_vectors, beta_vec, \
-    bracket_coords, lincomb, r_matrix, rho_vec, so_coordinates, so_matrix, \
-    solve_many, spin_matrix, vec_add, vec_scale, vec_sub, zero_vec
+    bracket_coords, layout_index, lincomb, r_matrix, rho_vec, \
+    so_coordinates, so_matrix, solve_many, spin_matrix, vec_add, vec_scale, \
+    vec_sub, zero_vec
 from spencerkit.errors import (DimensionMismatch, KappaZero, NotHighlySusy,
                                OracleMismatch)
 from spencerkit import spencer
@@ -93,7 +94,7 @@ class TestComplexConstruction:
 
 def _block(lay, coeffs, name, src):
     """The target coordinates of block `name` at source index `src`."""
-    off = lay.index(name, src, 0)
+    off = layout_index(lay, name, src)
     return tuple(coeffs[off:off + lay.sizes[name][1]])
 
 
@@ -283,9 +284,9 @@ class TestCohomology:
     def test_action_matrices_shape(self):
         sub = get_sampled_subalgebra(3, 1, 1, 7)
         co = compute_cohomology(build_spencer_complex(sub, 2), 2)
-        assert len(co.action_matrices) == \
-            len(sub.h_generators) + len(sub.rp_generators)
-        for m in co.action_matrices:
+        mats = column_actions.row_action_matrices(co)
+        assert len(mats) == len(sub.h_generators) + len(sub.rp_generators)
+        for m in mats:
             assert m.rows == co.dim_h == m.cols
 
     def test_action_computed_on_first_read_and_kept(self, monkeypatch):
@@ -300,16 +301,28 @@ class TestCohomology:
         monkeypatch.setattr(spencer, "generator_actions", counting)
         co = compute_cohomology(cx, 2)
         assert built == []
-        first = co.action_matrices
-        assert co.action_matrices is first and built == [cx]
+        first = co.invariant_classes()
+        assert co.invariant_classes() is first and built == [cx]
 
     def test_identity_action_gives_identity_matrices(self, monkeypatch):
+        # the identity annihilates no class
         cx = build_spencer_complex(get_sampled_subalgebra(3, 1, 1, 7), 2)
         monkeypatch.setattr(spencer, "generator_actions",
                             lambda _cx: [_MatrixAction(
                                 ExactMatrix.identity(cx.layouts[2].dim))])
         co = compute_cohomology(cx, 2)
-        assert co.action_matrices == (ExactMatrix.identity(co.dim_h),)
+        assert co.dim_h and co.invariant_classes() == []
+        assert column_actions.row_action_matrices(co) == \
+            (ExactMatrix.identity(co.dim_h),)
+
+    def test_zero_action_keeps_every_class(self, monkeypatch):
+        cx = build_spencer_complex(get_sampled_subalgebra(3, 1, 1, 7), 2)
+        dim = cx.layouts[2].dim
+        monkeypatch.setattr(spencer, "generator_actions",
+                            lambda _cx: [_MatrixAction(ExactMatrix(dim,
+                                                                   dim))])
+        co = compute_cohomology(cx, 2)
+        assert co.invariant_classes() == list(representatives(co))
 
     def test_action_leaving_the_cocycles_is_an_oracle_mismatch(
             self, monkeypatch):
@@ -324,7 +337,7 @@ class TestCohomology:
                             lambda _cx: [_MatrixAction(leak)])
         co = compute_cohomology(cx, 2)
         with pytest.raises(OracleMismatch, match="a0-action"):
-            co.action_matrices
+            co.invariant_classes()
 
 
 class TestInjectivityLemmas:
@@ -759,11 +772,15 @@ def _isotropy_generators(sub):
 
 
 def _lie_generators(sub):
-    """(so, r) coordinates of the Lie generators, h then r'."""
+    """(so, r) coordinates of the Lie generators in the order of
+    generator_actions: h and r' generators alternate, h first, the rest of
+    the longer list last."""
     h_gens, rp_gens = sub.generator_coords()
     model = sub.model
-    return ([(h, zero_vec(model.dim_r)) for h in h_gens] +
-            [(zero_vec(model.dim_so), r) for r in rp_gens])
+    h = [(g, zero_vec(model.dim_r)) for g in h_gens]
+    r = [(zero_vec(model.dim_so), g) for g in rp_gens]
+    n = min(len(h), len(r))
+    return [x for pair in zip(h, r) for x in pair] + h[n:] + r[n:]
 
 
 def _sub_of(s, t, N, kind):
@@ -870,9 +887,10 @@ class TestCochainAction:
         co = compute_cohomology(cx, 2)
         reps = representatives(co)
         gens = _lie_generators(sub)
-        assert reps and len(co.action_matrices) == len(gens)
+        mats = column_actions.row_action_matrices(co)
+        assert reps and len(mats) == len(gens)
         dim = cx.layouts[2].dim
-        for X, M in zip(gens, co.action_matrices):
+        for X, M in zip(gens, mats):
             g = cochain_action_matrix(cx, *X)
             for j, r in enumerate(reps):
                 rest = vec_sub(g.apply(r), lincomb(
@@ -897,7 +915,7 @@ class TestCochainAction:
             X = solve_many(solver, column_actions.apply_many(op, R))
             expected.append(ExactMatrix(dim_h, dim_h, [
                 (i, j, x[i]) for j, x in enumerate(X) for i in range(dim_h)]))
-        assert co.action_matrices == tuple(expected)
+        assert column_actions.row_action_matrices(co) == tuple(expected)
 
     def test_operators_are_kept_on_the_complex(self):
         sub = get_sampled_subalgebra(3, 1, 1, 7)
@@ -920,7 +938,7 @@ class TestCochainAction:
         co = compute_cohomology(cx, 2)
         assert co.dim_h == 6
         with pytest.raises(DimensionMismatch, match=r"C\^\{2,2\} only"):
-            co.action_matrices
+            co.invariant_classes()
         with pytest.raises(DimensionMismatch, match=r"C\^\{2,2\} only"):
             CochainAction(cx, basis_vec(3, 0), ())
 
@@ -989,7 +1007,7 @@ class TestLieGeneratorInvariance:
         co = compute_cohomology(spencer.spencer_complex(sub, 2), 2)
         assert co.invariant_classes() == _basis_invariant_classes(co)
         if co.dim_h:
-            assert len(co.action_matrices) == \
+            assert len(column_actions.row_action_matrices(co)) == \
                 len(sub.h_generators) + len(sub.rp_generators)
 
     @pytest.mark.parametrize("s,t,N,seed", _SUBALGEBRA_CASES)
@@ -1026,8 +1044,8 @@ class TestLieGeneratorInvariance:
         sub = get_full_subalgebra(3, 1, 2)
         cx = spencer.spencer_complex(sub, 2)
         co = compute_cohomology(cx, 2)
-        assert co.dim_h and len(co.action_matrices) == 5
-        assert len(spencer.generator_actions(cx)) == 5
+        assert co.dim_h and len(column_actions.row_action_matrices(co)) == 5
+        assert len(tuple(spencer.generator_actions(cx))) == 5
         assert len(subalgebra_actions(cx)) == 10
         # the generators' operators are the basis ones, built once
         ops = subalgebra_actions(cx)
