@@ -21,10 +21,11 @@ from typing import Optional, Sequence, Tuple
 from .certs import Certificate
 from .errors import (FiltrationViolation, JacobiViolation,
                      NotHighlySusy, NotSymmetric, OracleMismatch)
-from .exactla import (AffineSolver, ExactMatrix, NoSolution, Subspace,
-                      block_diag, coordinate_matrix, flatten_columns, hstack,
-                      kron, pair_action, pair_embedding, pair_map, rat_str,
-                      solve_affine, tensor_index_maps, vec_is_zero, vstack)
+from .exactla import (ExactMatrix, NoSolution, Subspace, block_diag,
+                      coordinate_matrix, flatten_columns, hstack, kron,
+                      pair_action, pair_embedding, pair_map, rat_str,
+                      solve_affine, solve_matrix, tensor_index_maps,
+                      vec_is_zero, vstack)
 from .flatmodel import (EndoSubalgebra, ExtendedFlatModel, GradedBracketTensor,
                         GradedSubalgebra, bracket_from_blocks, faithful_split,
                         graded_jacobi_check, make_graded_subalgebra)
@@ -162,22 +163,6 @@ def _spinor_squares(sub: GradedSubalgebra) -> ExactMatrix:
                     tensor_index_maps(sub.Sp.dim, "sym2"), E, E)
 
 
-def _coordinates_in(spaces: Sequence[Subspace], images: ExactMatrix
-                    ) -> Optional[ExactMatrix]:
-    """coordinate_matrix in the direct sum of `spaces`, whose ambient
-    spaces the rows of `images` run through one after the other: the
-    coordinates in each, stacked, or None when a column leaves the sum."""
-    out, lo = [], 0
-    for space in spaces:
-        coords = coordinate_matrix(space, images.select_rows(
-            range(lo, lo + space.ambient_dim)))
-        if coords is None:
-            return None
-        out.append(coords)
-        lo += space.ambient_dim
-    return vstack(out)
-
-
 def column_tuples(M: ExactMatrix) -> list:
     """The columns of M as tuples of Fractions, for the values a report or
     a witness keeps."""
@@ -262,8 +247,8 @@ def check_admissibility(sub: GradedSubalgebra,
     sol = solve_affine(system, target)
     if isinstance(sol, NoSolution):
         return NotAdmissible(combination=sol.combination, rhs=sol.rhs)
-    hat = ExactMatrix.from_rows([sol.x[:inv.dim]], cols=inv.dim) @ inv.basis
-    lam = tuple(sol.x[inv.dim:])
+    hat = ExactMatrix.from_rows([sol[:inv.dim]], cols=inv.dim) @ inv.basis
+    lam = sol[inv.dim:]
     datum = AdmissibleDatum(
         subalgebra=sub, fullco=fullco, sub_complex=sub_cx,
         mixed_complex=mixed_cx, mu_minus=mu,
@@ -310,7 +295,7 @@ def _solve_delta(datum: AdmissibleDatum) -> DeltaMap:
     values = model.bracket_matrix("a0", "a0", "a0") @ kron(X, lam) - \
         lam @ model.bracket_matrix("a0", "V", "V") @ kron(
             X, ExactMatrix.identity(n))
-    coords = _coordinates_in((sub.h, sub.rp), values)
+    coords = coordinate_matrix(Subspace.direct_sum((sub.h, sub.rp)), values)
     if coords is None:
         raise OracleMismatch("closed-form delta leaves a0")
     delta = DeltaMap(coords)
@@ -422,8 +407,7 @@ def _compute_theta(datum: AdmissibleDatum) -> ThetaData:
     alternating = False
     second_rel = False
     if annihilated:
-        preimages, failed = AffineSolver(kappa_sp).solve_matrix(
-            ExactMatrix.identity(n))
+        preimages, failed = solve_matrix(kappa_sp, ExactMatrix.identity(n))
         if failed:
             raise OracleMismatch("kappa restricted to Sym^2 S' is not "
                                  "surjective on a highly susy subalgebra")
@@ -591,10 +575,10 @@ def _theta_in_a0(datum: AdmissibleDatum, theta: ThetaData) -> ExactMatrix:
     sub = datum.subalgebra
     model = datum.model
     lam = datum.lam_matrix()
-    coords = _coordinates_in((sub.h, sub.rp),
-                             theta.matrix() - lam @ _alpha(datum)
-                             + model.bracket_matrix("a0", "a0", "a0")
-                             @ kron(lam, lam))
+    coords = coordinate_matrix(Subspace.direct_sum((sub.h, sub.rp)),
+                               theta.matrix() - lam @ _alpha(datum)
+                               + model.bracket_matrix("a0", "a0", "a0")
+                               @ kron(lam, lam))
     if coords is None:
         raise OracleMismatch("theta fails the a0-membership theorem")
     return coords
@@ -722,9 +706,9 @@ def _check_assoc_graded(datum: AdmissibleDatum,
     sub = datum.subalgebra
     # the graded brackets: the flat model's bracket of the embedded basis
     # vectors of V, S', h and r', in their coordinates
-    spaces = (sub.Vp, sub.Sp, sub.h, sub.rp)
-    emb = block_diag([space.basis.transpose() for space in spaces])
-    expected = _coordinates_in(spaces, model.tensor.matrix @ kron(emb, emb))
+    space = Subspace.direct_sum((sub.Vp, sub.Sp, sub.h, sub.rp))
+    emb = space.basis.transpose()
+    expected = coordinate_matrix(space, model.tensor.matrix @ kron(emb, emb))
     if expected is None:
         raise OracleMismatch("graded bracket leaves the subalgebra")
     total = tensor.total_dim
@@ -782,10 +766,9 @@ def class_gauge_generators(datum: AdmissibleDatum
     report = restriction_kernel_report(sub, fullco)
     inv = fullco.invariant_normalised(*sub.generator_coords())
     gauge = report.via_istar.intersect(inv)
-    lams, failed = AffineSolver(datum.mixed_complex.differentials[1]
-                                ).solve_matrix(restrict(
-                                    fullco.complex, datum.mixed_complex,
-                                    gauge.basis.transpose()))
+    lams, failed = solve_matrix(datum.mixed_complex.differentials[1],
+                                restrict(fullco.complex, datum.mixed_complex,
+                                         gauge.basis.transpose()))
     if failed:
         raise OracleMismatch("gauge generator restriction is not a "
                              "coboundary")
@@ -881,9 +864,9 @@ def check_geometric_realisability(datum: AdmissibleDatum
                                    detail="; ".join(detail))
     # build the witness representative
     nu = [Fraction(0)] * lay_sub.dim
-    for i, x in zip(nu_block, sol.x[G:]):
+    for i, x in zip(nu_block, sol[G:]):
         nu[i] = x
-    witness = _gauge_shift(datum, generators, sol.x[:G], nu, inc)
+    witness = _gauge_shift(datum, generators, sol[:G], nu, inc)
     if not vec_is_zero([witness.lam[i] for i in r_rows]):
         raise OracleMismatch("witness gauge failed to kill lambda2")
     theta_w = compute_theta(witness)

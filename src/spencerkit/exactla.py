@@ -8,8 +8,13 @@ Every operation works on it: eliminations are fraction-free, canonical
 forms are reduced row echelon with sorted pivot columns, so equality of
 subspaces is literal equality of entries, and `fractions.Fraction` appears
 only at the API boundary: the constructors take ints, Fractions and "p/q"
-strings, and `entry`, `row_tuple`, `apply` and the solvers return
+strings, and `entry`, `row_tuple`, `apply` and `solve_affine` return
 Fractions.  No floating point appears anywhere.
+
+Every linear system is solved one way: `solve_matrix` reads the canonical
+solution of each right-hand side off one RREF of [A | Y] and certifies the
+batch with one exact product A X == Y; `solve_affine` is that on one
+column, with its inconsistency certificate solved and checked the same way.
 """
 
 from __future__ import annotations
@@ -114,23 +119,20 @@ def _rational_row(values: Iterable) -> tuple:
     return ints, den
 
 
-def _echelon(keyed_rows: Iterable[tuple]) -> tuple:
-    """Forward elimination of (key, integer row) pairs, in order: maps pivot
-    column -> stripped integer row, and lists the keys of the rows that
-    became pivots, each independent of the rows before it."""
+def _echelon(rows: Iterable[dict]) -> dict:
+    """Forward elimination of integer rows, in order: maps pivot column ->
+    stripped integer row."""
     pivots: dict = {}
-    kept = []
-    for key, row in keyed_rows:
+    for row in rows:
         while row:
             lead = min(row)
             piv = pivots.get(lead)
             if piv is None:
                 pivots[lead] = _strip_row(row)
-                kept.append(key)
                 break
             row = _strip_row(_axpy(row, piv, piv[lead], -row[lead]))
         # fully reduced rows vanish and are dropped
-    return pivots, kept
+    return pivots
 
 
 def _back_substitute(pivots: dict) -> None:
@@ -472,35 +474,28 @@ class ExactMatrix:
     def pivot_columns(self) -> tuple:
         return self._rref_data()[1]
 
-    def row_basis(self) -> tuple:
-        """The indices of the rows each independent of the rows before
-        it: a basis of the row space, found by the elimination."""
-        return self._rref_data()[2]
-
     def _rref_data(self):
-        """(RREF, its pivot columns, the indices of a row basis): the basis
-        is the greedy one, each row independent of the rows before it."""
+        """(RREF, its pivot columns)."""
         if self._rref is None:
-            # the rows' denominators do not change the row space, nor which
-            # rows are independent
+            # the rows' denominators do not change the row space
             rows = [i for i, r in enumerate(self._rows) if r]
             if len(rows) > self.cols:
-                # tall: the pivot columns of the transpose's echelon are the
-                # greedy row basis, and only those rows are eliminated
+                # tall: the pivot columns of the transpose's echelon are
+                # independent rows that span the row space, and only those
+                # rows are eliminated
                 tcols = [dict() for _ in range(self.cols)]
                 for i in rows:
                     for j, v in self._rows[i].items():
                         tcols[j][i] = v
-                rows = sorted(_echelon(enumerate(tcols))[0])
-            pivots, kept = _echelon((i, self._rows[i]) for i in rows)
+                rows = sorted(_echelon(tcols))
+            pivots = _echelon(self._rows[i] for i in rows)
             # row k of the RREF is the stripped pivot row over its leading
             # entry
             _back_substitute(pivots)
             cols = sorted(pivots)
             out = ExactMatrix._of(len(cols), self.cols,
                                   [(pivots[c], pivots[c][c]) for c in cols])
-            out._rref = (out, tuple(cols), tuple(range(len(cols))))
-            self._rref = (out, tuple(cols), tuple(kept))
+            out._rref = self._rref = (out, tuple(cols))
         return self._rref
 
     def rank(self) -> int:
@@ -526,7 +521,7 @@ class ExactMatrix:
     def _null_vectors_from_rref(self) -> list:
         """One kernel vector per free column, as (ints, den), off the kept
         RREF."""
-        rref, pivots, _ = self._rref
+        rref, pivots = self._rref
         # x_f = 1 on a free column f, and x_pc = -rref[k, f] on the pivot
         # column pc of row k; every entry of row k off pc is on a free column
         hits = {f: [] for f in range(self.cols)}
@@ -676,6 +671,13 @@ class Subspace:
     def trivial(cls, ambient_dim: int) -> "Subspace":
         return cls(ambient_dim, ExactMatrix(0, ambient_dim))
 
+    @classmethod
+    def direct_sum(cls, spaces: Sequence["Subspace"]) -> "Subspace":
+        """The sum of `spaces` in the sum of their ambient spaces, taken one
+        after the other: its RREF basis is the block diagonal of theirs."""
+        return cls(sum(s.ambient_dim for s in spaces),
+                   block_diag([s.basis for s in spaces]))
+
     @property
     def dim(self) -> int:
         return self.basis.rows
@@ -763,56 +765,72 @@ def first_row_outside(space: Subspace, images: ExactMatrix) -> Optional[int]:
 
 
 @dataclass(frozen=True)
-class ParticularSolution:
-    x: tuple
-
-
-@dataclass(frozen=True)
 class NoSolution:
     """Inconsistency certificate: y with y^T A = 0 and y . b = rhs = 1."""
     combination: tuple     # y, one coefficient per row of A
     rhs: Fraction          # y . b
 
 
-def _augmented(A: ExactMatrix, b: Sequence[RationalLike]) -> ExactMatrix:
-    """[A | b]."""
-    return hstack([A, ExactMatrix.from_columns([b], A.rows)])
-
-
-def _canonical_solution(aug: ExactMatrix) -> Optional[tuple]:
-    """x with [A | b] (x, -1) = 0 and the free variables (relative to the
-    sorted-pivot RREF of A) zero, or None when the system is inconsistent."""
-    bcol = aug.cols - 1
-    rref, pivots, _ = aug._rref_data()
-    if bcol in pivots:
-        return None
-    x = [_ZERO] * bcol
+def _read_solutions(A: ExactMatrix, Y: ExactMatrix) -> ExactMatrix:
+    """X with column j the canonical solution of A x = y_j (the free
+    variables, relative to the sorted-pivot RREF of A, zero) when there is
+    one: the RREF of [A | Y] is the RREF of A on A's columns, and its rows
+    with a pivot there give x[pivot] for every column at once."""
+    n = A.cols
+    rref, pivots = hstack([A, Y])._rref_data()
+    x_full = [({}, 1)] * n
     for pc, row, d in zip(pivots, rref._rows, rref._dens):
-        v = row.get(bcol)
-        if v:
-            x[pc] = _fraction(v, d)
-    return tuple(x)
+        if pc >= n:
+            break
+        x_full[pc] = _normal({j - n: v for j, v in row.items() if j >= n}, d)
+    return ExactMatrix._of(n, Y.cols, x_full)
+
+
+def solve_matrix(A: ExactMatrix, Y: ExactMatrix) -> tuple:
+    """(X, failed): column j of X is the canonical solution of A x = y for
+    column y of Y, and `failed` is the set of the columns that have none
+    (their columns of X solve nothing).
+
+    X is read off one RREF of [A | Y], and one exact product A X == Y,
+    checked on every column, certifies the batch.  A column that fails the
+    check has no solution: had it one, the canonical one would be unique
+    and equal to the one read off.  An empty Y needs no elimination."""
+    if Y.rows != A.rows:
+        raise DimensionMismatch("solve_matrix: right-hand sides differ in "
+                                "length from the rows")
+    if not Y.cols:
+        return ExactMatrix(A.cols, 0), set()
+    X = _read_solutions(A, Y)
+    failed = set()
+    for (ar, ad), yr, yd in zip(_product(A, X), Y._rows, Y._dens):
+        if ad != yd or ar != yr:
+            failed.update(j for j in ar.keys() | yr.keys()
+                          if ar.get(j, 0) * yd != yr.get(j, 0) * ad)
+    return X, failed
 
 
 def solve_affine(A: ExactMatrix, b: Sequence[RationalLike]):
-    """Exact x with Ax = b, or a NoSolution certificate.
+    """The canonical solution of Ax = b as a tuple, or a NoSolution
+    certificate: solve_matrix on the one column b.
 
-    The particular solution is canonical: free variables (relative to the
-    sorted-pivot RREF) are set to zero.  The certificate y is computed only
-    when there is no x, as the canonical solution of [A^T; b^T] y = e_last.
+    The certificate y is computed only when there is no x, as solve_matrix
+    of [A^T; b^T] y = e_last, whose product check certifies y^T A = 0 and
+    y . b = 1.
     """
     if A.rows != len(b):
         raise DimensionMismatch("solve_affine: rhs length differs from rows")
-    aug = _augmented(A, b)
-    x = _canonical_solution(aug)
-    if x is not None:
-        return ParticularSolution(x=x)
-    y = _canonical_solution(_augmented(aug.transpose(),
-                                       [0] * A.cols + [1]))
-    if y is None:
+    B = ExactMatrix.from_columns([b], A.rows)
+    X, failed = solve_matrix(A, B)
+    if not failed:
+        return X.transpose().row_tuple(0)
+    Y, failed = solve_matrix(hstack([A, B]).transpose(),
+                             ExactMatrix(A.cols + 1, 1, [(A.cols, 0, 1)]))
+    if failed:
         raise OracleMismatch("solve_affine: neither a solution nor an "
                              "inconsistency certificate exists")
-    return NoSolution(combination=y, rhs=Fraction(1))
+    y = Y.transpose().row_tuple(0)
+    return NoSolution(combination=y, rhs=sum(
+        (q * rat(v) for q, v in zip(y, b)), _ZERO))
 
 
 def scaled_rows(rows: Iterable[dict]) -> tuple:
@@ -827,70 +845,6 @@ def scaled_rows(rows: Iterable[dict]) -> tuple:
                 L = lcm(L, v.denominator)
     return L, [{j: v.numerator * (L // v.denominator) for j, v in row.items()}
                for row in rows]
-
-
-class AffineSolver:
-    """Factor A once, then solve Ax = b for many right-hand sides.
-
-    Let P be A restricted to the r rows of the row basis its elimination
-    keeps and to the pivot columns of its RREF; P is invertible.  The
-    canonical solution (free variables zero) of a consistent system is
-    unique, so it is x[pivots] = P^-1 b[rows].
-    `solve_matrix` computes that for a batch of right-hand sides, as the
-    columns of one matrix, and certifies the whole batch with one exact
-    product A X == Y; `solve_affine` gives the NoSolution certificate of a
-    column without a solution.  A is factored at the first solve, so a
-    solver that is never asked costs nothing.
-    """
-
-    __slots__ = ("A", "_pivots", "_rows", "_inv")
-
-    def __init__(self, A: ExactMatrix):
-        self.A = A
-        self._inv = None
-
-    def _factor(self) -> None:
-        # the row basis of A's elimination: its rows restricted to the pivot
-        # columns stay independent, since on the row space of A that
-        # restriction is one-to-one
-        pivots, rows = self.A.pivot_columns(), self.A.row_basis()
-        r = len(pivots)
-        P = self.A.select_rows(rows).select_columns(pivots)
-        # [P | I], row i over the denominator d of row i of P
-        aug = ExactMatrix._of(r, 2 * r, [({**row, r + i: d}, d) for i, (row, d)
-                                         in enumerate(zip(P._rows, P._dens))])
-        # the RREF of [P | I] is [I | P^-1]
-        self._inv = aug.rref().select_columns(range(r, 2 * r))
-        self._pivots = pivots
-        self._rows = rows
-
-    def solve_matrix(self, Y: ExactMatrix) -> tuple:
-        """(X, failed): column j of X is the canonical solution of A x = y
-        for column y of Y, and `failed` is the set of the columns that have
-        none (their columns of X solve nothing).
-
-        X[pivots] = P^-1 Y[rows] is one product of integer-scaled rows, and
-        one exact product A X == Y, checked on every column, certifies the
-        batch.  A column that fails the check has no solution: had it one,
-        the canonical one would be unique and equal to P^-1 y[rows]."""
-        A = self.A
-        if Y.rows != A.rows:
-            raise DimensionMismatch("AffineSolver: right-hand sides differ "
-                                    "in length from the rows")
-        if self._inv is None:
-            self._factor()
-        # X[pivots], and X with its zero rows
-        x_full = [({}, 1)] * A.cols
-        for pc, pair in zip(self._pivots,
-                            _product(self._inv, Y.select_rows(self._rows))):
-            x_full[pc] = pair
-        X = ExactMatrix._of(A.cols, Y.cols, x_full)
-        failed = set()
-        for (ar, ad), yr, yd in zip(_product(A, X), Y._rows, Y._dens):
-            if ad != yd or ar != yr:
-                failed.update(j for j in ar.keys() | yr.keys()
-                              if ar.get(j, 0) * yd != yr.get(j, 0) * ad)
-        return X, failed
 
 
 class HomAction:

@@ -35,7 +35,7 @@ from .errors import (DimensionMismatch, KappaZero, NoEquivariantSplitting,
 from .exactla import (ExactMatrix, HomAction, NoSolution, Subspace,
                       block_diag, coordinate_matrix, coordinate_rows, hstack,
                       kron, pair_action, pair_map, solve_affine,
-                      tensor_index_maps, vec_is_zero, vstack)
+                      solve_matrix, tensor_index_maps, vec_is_zero, vstack)
 from .flatmodel import (ExtendedFlatModel, GradedSubalgebra, full_subalgebra)
 
 
@@ -436,31 +436,16 @@ class CochainAction:
     the commutator and the commutator respectively.  Each block of the
     layout is a Hom(source, target) block Phi, mapped to T Phi - Phi D for
     T the action on the target and D the one on the source; `hom` holds
-    the four (T, D) pairs with their index tables, built once.
-    `apply_rows` maps each row of a matrix through them, and `matrix`
-    assembles the full matrix from the same pairs.
+    the four (T, D) pairs with their index tables, built once, and
+    `apply_rows` maps each row of a matrix through them.  X is given by
+    its so(V) + r coordinates, the column x, and its matrices on_v on V
+    and on_s on S.
     """
 
     __slots__ = ("layout", "hom")
 
-    def __init__(self, cx: SpencerComplex, so_coords: Sequence[Fraction],
-                 r_coords: Sequence[Fraction]):
-        row = ExactMatrix.from_rows([tuple(so_coords) + tuple(r_coords)])
-        (on_v,) = cx.model.element_matrices(row, "V")
-        (on_s,) = cx.model.element_matrices(row, "S")
-        self._build(cx, row.transpose(), on_v, on_s)
-
-    @classmethod
-    def from_matrices(cls, cx: SpencerComplex, x: ExactMatrix,
-                      on_v: ExactMatrix, on_s: ExactMatrix
-                      ) -> "CochainAction":
-        """The action of X with so(V) + r coordinates the column x and
-        matrices on_v on V and on_s on S."""
-        op = cls.__new__(cls)
-        op._build(cx, x, on_v, on_s)
-        return op
-
-    def _build(self, cx, x, on_v, on_s) -> None:
+    def __init__(self, cx: SpencerComplex, x: ExactMatrix,
+                 on_v: ExactMatrix, on_s: ExactMatrix):
         self.layout = _degree2_layout(cx)
         model, sub = cx.model, cx.subalgebra
 
@@ -496,16 +481,6 @@ class CochainAction:
             raise DimensionMismatch("apply_rows: rows are not C^{2,2} "
                                     "cochains")
         return self.hom.apply_rows(M)
-
-    def matrix(self) -> ExactMatrix:
-        """The matrix of X on C^{2,2}, assembled with kron."""
-        return block_diag([_hom_action(T, D) for T, D in self.hom.blocks])
-
-
-def cochain_action_matrix(cx: SpencerComplex, so_coords: Sequence[Fraction],
-                          r_coords: Sequence[Fraction]) -> ExactMatrix:
-    """Matrix of X.phi on C^{2,2}: CochainAction(...).matrix()."""
-    return CochainAction(cx, so_coords, r_coords).matrix()
 
 
 def subalgebra_actions(cx: SpencerComplex) -> tuple:
@@ -553,11 +528,9 @@ def _actions(cx: SpencerComplex, indices) -> tuple:
             continue
         x = X.select_columns([k])
         if k < sub.h.dim:
-            op = CochainAction.from_matrices(cx, x, sub.h_so[k],
-                                             sub.h_spin[k])
+            op = CochainAction(cx, x, sub.h_so[k], sub.h_spin[k])
         else:
-            op = CochainAction.from_matrices(cx, x, zero_v,
-                                             sub.rp_mats[k - sub.h.dim])
+            op = CochainAction(cx, x, zero_v, sub.rp_mats[k - sub.h.dim])
         cx.actions[k] = op
     return tuple(cx.actions[k] for k in indices)
 
@@ -789,10 +762,10 @@ def build_splitting(full: GradedSubalgebra) -> SpinorSquareSplitting:
         if isinstance(sol, NoSolution):
             raise NoEquivariantSplitting(
                 "no so(V)-equivariant section of kappa exists")
-    section = ExactMatrix(s2.size, n, [(p, b, sol.x[b * s2.size + p])
+    section = ExactMatrix(s2.size, n, [(p, b, sol[b * s2.size + p])
                                        for b in range(n)
                                        for p in range(s2.size)
-                                       if sol.x[b * s2.size + p]])
+                                       if sol[b * s2.size + p]])
     projector = ExactMatrix.identity(s2.size) - (section @ kappa_mat)
     if not (projector @ projector - projector).is_zero():
         raise OracleMismatch("splitting projector is not idempotent")
@@ -935,12 +908,12 @@ class FullModelCohomology:
         if not classes:
             return Subspace.trivial(lay.dim)
         C = z_coordinates(Z, ExactMatrix.from_rows(classes, lay.dim))
-        # [B; N]^T x = c per class: the RREF of [[B; N]^T | C^T] is
-        # [I | X^T], and rows dim B onwards of X^T are on N's basis
-        solved = hstack([self.split.transpose(), C.transpose()]).rref()
-        on_n = solved.select_rows(range(self.h22.dim_b, Z.dim)).select_columns(
-            range(Z.dim, Z.dim + len(classes)))
-        derived = on_n.transpose() @ self.normalised_space.basis
+        # [B; N]^T x = c per class: rows dim B onwards of x are on N's basis
+        X, failed = solve_matrix(self.split.transpose(), C.transpose())
+        if failed:
+            raise OracleMismatch("an invariant class is not in Z = B + N")
+        derived = X.select_rows(range(self.h22.dim_b, Z.dim)).transpose() \
+            @ self.normalised_space.basis
         for op in generator_actions(self.complex):
             if not op.apply_rows(derived).is_zero():
                 raise OracleMismatch("a normalised representative of an "

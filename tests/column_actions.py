@@ -2,9 +2,13 @@
 with one cochain per row, kept as the test oracle the way
 `kron_differentials` serves the differentials: `apply_columns` maps each
 column of a matrix through the (T, D) blocks of a `HomAction`, and the
-functions below use it, and `AffineSolver`, the way `CohomologyReport`,
+functions below use it, and `solve_matrix`, the way `CohomologyReport`,
 `FullModelCohomology.act` and `FullModelCohomology.invariant_normalised`
 did before they acted on rows.
+
+`cochain_action` builds the operator of an element given by its so(V) and
+r coordinates, and `cochain_action_matrix` assembles its matrix on
+C^{2,2} with kron: the Kronecker-product oracle of `CochainAction`.
 
 Beside it, the row form that `CohomologyReport` used before it took the
 generators one at a time: `row_action_matrices` acts with every Lie
@@ -16,10 +20,32 @@ from fractions import Fraction
 from math import lcm
 
 from spencerkit.errors import DimensionMismatch, OracleMismatch
-from spencerkit.exactla import AffineSolver, ExactMatrix, Subspace, _normal, \
-    _combination, coordinate_rows, hstack, kron, vstack
+from spencerkit.exactla import ExactMatrix, Subspace, _normal, \
+    _combination, block_diag, coordinate_rows, hstack, kron, solve_matrix, \
+    vstack
 from spencerkit import spencer
-from spencerkit.spencer import _actions
+from spencerkit.spencer import CochainAction, _actions, _hom_action
+
+
+def cochain_action(cx, so_coords, r_coords):
+    """The CochainAction on C^{2,2} of cx of the element with the given
+    so(V) and r coordinates, its matrices on V and S read off the flat
+    model."""
+    row = ExactMatrix.from_rows([tuple(so_coords) + tuple(r_coords)])
+    (on_v,) = cx.model.element_matrices(row, "V")
+    (on_s,) = cx.model.element_matrices(row, "S")
+    return CochainAction(cx, row.transpose(), on_v, on_s)
+
+
+def action_matrix(op):
+    """The matrix of a CochainAction on C^{2,2}, assembled with kron from
+    its (T, D) blocks."""
+    return block_diag([_hom_action(T, D) for T, D in op.hom.blocks])
+
+
+def cochain_action_matrix(cx, so_coords, r_coords):
+    """The matrix of X.phi on C^{2,2}: action_matrix of cochain_action."""
+    return action_matrix(cochain_action(cx, so_coords, r_coords))
 
 
 def apply_columns(blocks, M):
@@ -81,15 +107,15 @@ def apply_many(op, M):
 def action_matrices(co):
     """The a0-action on H of a CohomologyReport, one dH x dH matrix per Lie
     generator: per generator, one apply_many on the representatives as
-    columns and one AffineSolver.solve_matrix against [R | B^T], whose
-    first dH rows are the coordinates on the representatives."""
+    columns and one solve_matrix against [R | B^T], whose first dH rows
+    are the coordinates on the representatives."""
     if co.bidegree[1] != 2 or not co.rep_rows:
         return ()
     R = co.cocycles.basis.select_rows(co.rep_rows).transpose()
-    solver = AffineSolver(hstack([R, co.boundaries.basis.transpose()]))
+    RB = hstack([R, co.boundaries.basis.transpose()])
     actions = []
     for op in spencer.generator_actions(co.complex):
-        X, failed = solver.solve_matrix(apply_many(op, R))
+        X, failed = solve_matrix(RB, apply_many(op, R))
         if failed:
             raise OracleMismatch(
                 "a0-action does not preserve the cocycle space")

@@ -5,7 +5,7 @@ took before it was derived once, kept as test oracles:
   and rho coordinates on the normalised basis, for every generator set
   (the package keeps it for all but the full subalgebra's own generators);
 - `greedy_rep_rows`: the representatives as the Z rows of the greedy row
-  basis of [B; Z];
+  basis of [B; Z], found on the Fraction oracle;
 - `kron_admissibility`, `kron_gauge_generators` and `kron_realisability`:
   the admissibility system, the class gauge generators and the lambda2
   elimination with i^* and i_* formed as Kronecker-product matrices on
@@ -13,10 +13,11 @@ took before it was derived once, kept as test oracles:
 
 from fractions import Fraction
 
+import fraction_exactla as fx
 import pairwise_oracles
 from spencerkit.deform import _gauge_shift, ensure_transitive
-from spencerkit.exactla import AffineSolver, ExactMatrix, NoSolution, \
-    Subspace, block_diag, hstack, solve_affine, vstack
+from spencerkit.exactla import ExactMatrix, NoSolution, Subspace, \
+    block_diag, hstack, solve_affine, solve_matrix, vstack
 from spencerkit.spencer import inclusion_matrix, restriction_matrix, \
     spencer_complex
 
@@ -44,7 +45,9 @@ def greedy_rep_rows(co):
     """The indices of the Z basis rows that the greedy row basis of
     [B; Z] keeps after B."""
     B = co.boundaries
-    rows = vstack([B.basis, co.cocycles.basis]).row_basis()
+    M = vstack([B.basis, co.cocycles.basis])
+    rows = fx.greedy_rows(fx.FractionMatrix(M.rows, M.cols, [
+        (i, j, M.entry(i, j)) for i in range(M.rows) for j in M._rows[i]]))
     return tuple(i - B.dim for i in rows if i >= B.dim)
 
 
@@ -65,8 +68,8 @@ def kron_admissibility(sub, mu_coeffs, fullco):
     sol = solve_affine(hstack(columns), target)
     if isinstance(sol, NoSolution):
         return None
-    hat = ExactMatrix.from_rows([sol.x[:inv.dim]], cols=inv.dim) @ inv.basis
-    return hat.row_tuple(0), tuple(sol.x[inv.dim:])
+    hat = ExactMatrix.from_rows([sol[:inv.dim]], cols=inv.dim) @ inv.basis
+    return hat.row_tuple(0), sol[inv.dim:]
 
 
 def kron_gauge_generators(datum):
@@ -78,8 +81,8 @@ def kron_gauge_generators(datum):
     inv = direct_invariant_normalised(fullco, *sub.generator_coords())
     gauge = via_istar.intersect(inv)
     res = restriction_matrix(fullco.complex, datum.mixed_complex)
-    lams, failed = AffineSolver(datum.mixed_complex.differentials[1]
-                                ).solve_matrix(res @ gauge.basis.transpose())
+    lams, failed = solve_matrix(datum.mixed_complex.differentials[1],
+                                res @ gauge.basis.transpose())
     assert not failed
     return gauge.basis, lams.transpose()
 
@@ -100,6 +103,6 @@ def kron_realisability(datum):
     if isinstance(sol, NoSolution):
         return None
     nu = [Fraction(0)] * lay_sub.dim
-    for i, x in zip(nu_block, sol.x[G:]):
+    for i, x in zip(nu_block, sol[G:]):
         nu[i] = x
-    return _gauge_shift(datum, generators, sol.x[:G], nu, inc)
+    return _gauge_shift(datum, generators, sol[:G], nu, inc)

@@ -4,8 +4,8 @@ the oracle of its integer-scaled matrices: every entry here is a
 each operation is the entrywise definition.  `test_exactla_oracle.py`
 checks that every matrix operation of the package equals the one here.
 
-Only the matrix layer is here; vectors, index tables and the solution
-dataclasses are shared with the package."""
+Only the matrix layer is here; vectors, index tables and the NoSolution
+certificate are shared with the package."""
 
 from __future__ import annotations
 
@@ -15,8 +15,8 @@ from typing import Iterable, Optional, Sequence
 
 from pairwise_oracles import basis_vec, lincomb
 from spencerkit.errors import DimensionMismatch, OracleMismatch
-from spencerkit.exactla import IndexTable, NoSolution, ParticularSolution, \
-    RationalLike, rat, rat_str
+from spencerkit.exactla import IndexTable, NoSolution, RationalLike, rat, \
+    rat_str
 
 _ZERO = Fraction(0)
 
@@ -72,6 +72,24 @@ def _echelon(int_rows: Iterable[dict]) -> dict:
             row = _strip_row(_axpy(row, piv, piv[lead], -row[lead]))
         # fully reduced rows vanish and are dropped
     return pivots
+
+
+def greedy_rows(M: "FractionMatrix") -> tuple:
+    """The indices of the rows of M each independent of the rows before it,
+    a basis of its row space: a row is kept when forward elimination
+    against the rows kept before it leaves it nonzero."""
+    pivots, kept = {}, []
+    for i, row in enumerate(M._rows):
+        row = _to_int_row(row)
+        while row:
+            lead = min(row)
+            piv = pivots.get(lead)
+            if piv is None:
+                pivots[lead] = row
+                kept.append(i)
+                break
+            row = _strip_row(_axpy(row, piv, piv[lead], -row[lead]))
+    return tuple(kept)
 
 
 def _back_substitute(pivots: dict) -> dict:
@@ -493,7 +511,7 @@ def _canonical_solution(aug: FractionMatrix) -> Optional[tuple]:
 
 
 def solve_affine(A: FractionMatrix, b: Sequence[RationalLike]):
-    """Exact x with Ax = b, or a NoSolution certificate.
+    """Exact x with Ax = b, as a tuple, or a NoSolution certificate.
 
     The particular solution is canonical: free variables (relative to the
     sorted-pivot RREF) are set to zero.  The certificate y is computed only
@@ -504,7 +522,7 @@ def solve_affine(A: FractionMatrix, b: Sequence[RationalLike]):
     aug = _augmented(A, b)
     x = _canonical_solution(aug)
     if x is not None:
-        return ParticularSolution(x=x)
+        return x
     y = _canonical_solution(_augmented(aug.transpose(),
                                        basis_vec(A.cols + 1, A.cols)))
     if y is None:
@@ -540,11 +558,8 @@ class FractionAffineSolver:
     its RREF; P is invertible.  The canonical solution (free variables zero)
     of a consistent system is unique, so it is x[pivots] = P^-1 b[rows].
     `solve_many` computes that for a batch of right-hand sides and certifies
-    the whole batch with one exact product A X == Y; `solve` is one column
-    of it, with a failed check handed to `solve_affine` for its NoSolution
-    certificate, so its result always equals `solve_affine(A, b)`.  A is
-    factored at the first solve, so a solver that is never asked costs
-    nothing.
+    the whole batch with one exact product A X == Y.  A is factored at the
+    first solve, so a solver that is never asked costs nothing.
     """
 
     __slots__ = ("A", "_pivots", "_rows", "_inv", "_scaled")
@@ -610,14 +625,6 @@ class FractionAffineSolver:
                 if out[j] is not None:
                     out[j][pc] = Fraction(s, L * dens[j])
         return [None if x is None else tuple(x) for x in out]
-
-    def solve(self, b: Sequence[RationalLike]):
-        if self.A.rows != len(b):
-            raise DimensionMismatch("solve: rhs length differs from rows")
-        x, = self.solve_many(FractionMatrix.from_columns([b], len(b)))
-        if x is None:
-            return solve_affine(self.A, b)
-        return ParticularSolution(x=x)
 
 
 def _scaled_columns(M: FractionMatrix) -> tuple:

@@ -17,7 +17,7 @@ from spencerkit.cliffspin import _M64, Signature, _splitmix64, \
 from spencerkit.deform import _gauge_shift, check_admissibility, \
     class_gauge_generators
 from spencerkit.errors import DimensionMismatch, NotClosed
-from spencerkit.exactla import AffineSolver, ExactMatrix, Subspace, \
+from spencerkit.exactla import ExactMatrix, Subspace, \
     hstack, rat_str, vec_is_zero
 from spencerkit.flatmodel import EndoSubalgebra, _stabiliser, \
     build_extended_flat_model, full_subalgebra, jacobi_triples, \
@@ -69,17 +69,17 @@ def annihilator_in_so(model, Sp):
 def admissible_cocycles_from_invariant(sub, fullco, hats):
     """For each invariant normalised cocycle in `hats`, a cocycle on the
     subalgebra matching it up to a coboundary, or None when the restriction
-    system is infeasible; the system [i_* | -d21] is factored once for all
+    system is infeasible; the system [i_* | -d21] is solved once for all
     hats, and each class found is admissible by construction."""
     sub_cx = spencer_complex(sub, 2)
     mixed_cx = spencer_complex(sub, 2, values="full")
-    solver = AffineSolver(hstack([inclusion_matrix(sub_cx, mixed_cx),
-                                  mixed_cx.differentials[1].scale(-1)]))
+    system = hstack([inclusion_matrix(sub_cx, mixed_cx),
+                     mixed_cx.differentials[1].scale(-1)])
     targets = restriction_matrix(fullco.complex, mixed_cx) @ \
         ExactMatrix.from_columns(hats, fullco.complex.layouts[2].dim)
     dim = sub_cx.layouts[2].dim
     return [None if x is None else x[:dim]
-            for x in solve_many(solver, targets)]
+            for x in solve_many(system, targets)]
 
 
 def gauge_shifted_data(datum, max_shifts=None):

@@ -13,17 +13,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from column_actions import apply_vector
+from column_actions import apply_vector, cochain_action
 import spencerkit.deform as deform
 from spencerkit.deform import column_tuples
 from spencerkit.errors import CurvatureMismatch, DimensionMismatch, \
     EquivarianceViolation, NotClosed, OracleMismatch, TorsionViolation
-from spencerkit.exactla import AffineSolver, ExactMatrix, Subspace, \
-    block_diag, coordinate_matrix, hstack, kron, rat_str, \
+from spencerkit.exactla import ExactMatrix, Subspace, block_diag, \
+    coordinate_matrix, hstack, kron, rat_str, solve_matrix, \
     tensor_index_maps, vec_is_zero
 from spencerkit.flatmodel import EndoSubalgebra, kappa_restriction_matrix
 from spencerkit.reconstruct import CurvatureAtOrigin
-from spencerkit.spencer import CochainAction, Cochain22, restriction_matrix, \
+from spencerkit.spencer import Cochain22, restriction_matrix, \
     spencer_complex
 
 
@@ -72,11 +72,11 @@ def basis_vec(n, i):
     return tuple(Fraction(1) if j == i else Fraction(0) for j in range(n))
 
 
-def solve_many(solver, Y):
+def solve_many(A, Y):
     """The canonical solution of A x = y for each column y of Y, as a
-    tuple, or None for a column that has none: AffineSolver.solve_matrix,
-    column by column."""
-    X, failed = solver.solve_matrix(Y)
+    tuple, or None for a column that has none: solve_matrix, column by
+    column."""
+    X, failed = solve_matrix(A, Y)
     T = X.transpose()
     return [None if j in failed else T.row_tuple(j) for j in range(Y.cols)]
 
@@ -475,7 +475,7 @@ def rho_vec(z, x, y):
 def acted_hats(datum):
     """lambda(v_b) . hat per direction, one CochainAction built each."""
     cx = datum.fullco.complex
-    return [Cochain22(cx, apply_vector(CochainAction(
+    return [Cochain22(cx, apply_vector(cochain_action(
         cx, lam1_coords(datum, b), lam2_coords(datum, b)), datum.hat.coeffs))
         for b in range(datum.model.dim_v)]
 
@@ -575,8 +575,7 @@ def compute_theta(datum):
     theta1 = theta2 = None
     alternating = second_rel = False
     if annihilated:
-        preimages = solve_many(AffineSolver(kappa_sp),
-                               ExactMatrix.identity(n))
+        preimages = solve_many(kappa_sp, ExactMatrix.identity(n))
         if None in preimages:
             raise OracleMismatch("kappa restricted to Sym^2 S' is not "
                                  "surjective on a highly susy subalgebra")

@@ -19,7 +19,7 @@ def fresh(M: ExactMatrix) -> ExactMatrix:
 def rref_kernel(M: ExactMatrix) -> Subspace:
     """Canonical basis of {x : Mx = 0}, read off a fresh RREF of M; M itself
     keeps nothing."""
-    rref, pivots, _ = fresh(M)._rref_data()
+    rref, pivots = fresh(M)._rref_data()
     # x_f = 1 on a free column f, and x_pc = -rref[k, f] on the pivot
     # column pc of row k; every entry of row k off pc is on a free column
     hits = {f: [] for f in range(M.cols)}

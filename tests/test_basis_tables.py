@@ -31,7 +31,6 @@ from spencerkit.exactla import ExactMatrix, kron
 from spencerkit.reconstruct import (_verify_equivariance,
                                     _verify_torsion_free, build_nomizu_map,
                                     curvature_at_origin)
-from spencerkit.spencer import CochainAction
 
 
 def commutator_coords(model, x, y):
@@ -119,8 +118,8 @@ class TestCombinedOperators:
         X = ExactMatrix.from_columns(actors, m)
         got = fullco.act(X, cochains)
         for a, x in enumerate(actors):
-            want = CochainAction(cx, x[:model.dim_so],
-                                 x[model.dim_so:]).apply_rows(cochains)
+            want = column_actions.cochain_action(
+                cx, x[:model.dim_so], x[model.dim_so:]).apply_rows(cochains)
             assert got.select_rows(range(2 * a, 2 * a + 2)) == want
         # the column form of the oracle gives the same cochains
         assert got.transpose() == column_actions.act(fullco, X,

@@ -1,9 +1,13 @@
-"""Every function, method and class defined in `src/spencerkit` is referenced
-somewhere in `src/spencerkit`: code that nothing in the package calls is
-deleted, or moved into the tests when they need it.  Matching is by name: a
-function or class is referenced by any read of its name, and a method only
-by an attribute read (`obj.name`), so a local function of the same name
-does not keep a method alive.
+"""Every function, method and class defined in `src/spencerkit` is reached
+from where the program starts, `cli.main` and the code at module level
+(imports aside): code that nothing reached calls is deleted, or moved into
+the tests when they need it.  A definition is reached when reached code
+reads it; the body of a function or method is reached with it, and a class
+brings its class body and its dunder methods, so a definition that only
+unreached definitions read is dead too.  Matching is by name: a function or
+class is read by any read of its name, and a method only by an attribute
+read (`obj.name`), so a local function of the same name does not keep a
+method alive.
 
 A method whose name one class alone defines is kept alive by any read of
 that name.  Where several classes define the name, a read counts for the
@@ -19,10 +23,9 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "spencerkit"
 
-# cochain_action_matrix assembles the isotropy action on cochains as one
-# matrix from the blocks that CochainAction applies; the package never forms
-# that matrix, and the tests keep it as the oracle of CochainAction
-ALLOWED = {"cochain_action_matrix"}
+# names kept although nothing in the package reaches them, each with the
+# reason why
+ALLOWED = set()
 
 # shared method name -> (classes whose method unresolved reads keep alive,
 # why those reads cannot be resolved)
@@ -81,18 +84,21 @@ def _field_types(cls, classes):
 
 
 def _scan():
-    """((kind, name, class of a method) -> where it is first defined, the
-    names read bare or imported, name -> the classes its resolved attribute
-    reads name, the names read as attributes with no resolved receiver, and
-    name -> the classes defining a method of that name)."""
+    """((kind, name, class of a method) -> where it is first defined,
+    name -> the classes its resolved attribute reads name, the names read
+    as attributes with no resolved receiver, name -> the classes defining a
+    method of that name, and the reads of each piece of code: definition
+    key, or None for module-level code -> (bare names, attribute name ->
+    resolved classes, unresolved attribute names))."""
     trees = {path: ast.parse(path.read_text(), filename=str(path))
              for path in sorted(SRC.glob("*.py"))}
     classes = {node.name: node for tree in trees.values()
                for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
     fields = {name: _field_types(node, classes)
               for name, node in classes.items()}
-    defined, names, owners = {}, set(), {}
+    defined, owners = {}, {}
     resolved, unresolved = {}, set()
+    reads = {}
 
     def receiver(value, cls, params):
         if isinstance(value, ast.Name):
@@ -109,9 +115,10 @@ def _scan():
             return fields.get(owner, {}).get(value.attr) if owner else None
         return None
 
-    def visit(node, path, cls, params):
+    def visit(node, path, cls, params, key):
+        here = reads.setdefault(key, (set(), {}, set()))
         for child in ast.iter_child_nodes(node):
-            inner_cls, inner_params = cls, params
+            inner_cls, inner_params, inner_key = cls, params, key
             if isinstance(child, ast.ClassDef):
                 inner_cls = child.name
                 for item in child.body:
@@ -130,6 +137,13 @@ def _scan():
                     owner = node.name if kind == "method" else None
                     defined.setdefault((kind, child.name, owner),
                                        f"{path.name}:{child.lineno}")
+                    if key is None or kind == "method":
+                        # a nested function is read with its enclosing
+                        # definition
+                        inner_key = (kind, child.name, owner)
+                elif isinstance(node, ast.ClassDef):
+                    # a dunder method is reached with its class
+                    inner_key = ("class", node.name, None)
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 args = child.args
                 inner_params = dict(params)
@@ -138,20 +152,20 @@ def _scan():
                     if kind:
                         inner_params[arg.arg] = kind
             if isinstance(child, ast.Name):
-                names.add(child.id)
-            elif isinstance(child, ast.alias):
-                names.add(child.name)
+                here[0].add(child.id)
             elif isinstance(child, ast.Attribute):
                 owner = receiver(child.value, cls, params)
                 if owner:
                     resolved.setdefault(child.attr, set()).add(owner)
+                    here[1].setdefault(child.attr, set()).add(owner)
                 else:
                     unresolved.add(child.attr)
-            visit(child, path, inner_cls, inner_params)
+                    here[2].add(child.attr)
+            visit(child, path, inner_cls, inner_params, inner_key)
 
     for path, tree in trees.items():
-        visit(tree, path, None, {})
-    return defined, names, resolved, unresolved, owners
+        visit(tree, path, None, {}, None)
+    return defined, resolved, unresolved, owners, reads
 
 
 def _method_alive(name, cls, resolved, unresolved, owners):
@@ -162,38 +176,53 @@ def _method_alive(name, cls, resolved, unresolved, owners):
     return name in unresolved and cls in SHARED.get(name, (set(),))[0]
 
 
-def _unreferenced():
-    defined, names, resolved, unresolved, owners = _scan()
-    out = {}
-    for (kind, name, owner), where in defined.items():
-        if kind == "method":
-            if not _method_alive(name, owner, resolved, unresolved, owners):
-                out[(kind, f"{owner}.{name}")] = where
-        elif name not in names and name not in resolved \
-                and name not in unresolved:
-            out[(kind, name)] = where
-    return out
+def _unreached():
+    """The definitions that no code reached from `cli.main` or from module
+    level reads: key -> where it is defined."""
+    defined, _resolved, _unresolved, owners, reads = _scan()
+    main = ("function", "main", None)
+    assert main in defined, "cli.main is gone"
+    reached, todo = set(), [None, main]
+    while todo:
+        key = todo.pop()
+        if key in reached:
+            continue
+        reached.add(key)
+        bare, on_resolved, on_unresolved = reads.get(key, (set(), {}, set()))
+        found = [(k, n, None) for n in bare | set(on_resolved) |
+                 on_unresolved for k in ("function", "class")]
+        for name, classes in on_resolved.items():
+            found += [("method", name, c) for c in classes]
+        for name in set(on_resolved) | on_unresolved:
+            found += [("method", name, c) for c in owners.get(name, ())
+                      if _method_alive(name, c, on_resolved,
+                                       on_unresolved, owners)]
+        todo += [k for k in found if k in defined and k not in reached]
+    return {key: where for key, where in defined.items()
+            if key not in reached}
 
 
-def test_every_function_in_src_is_referenced_in_src():
-    unreferenced = sorted(f"{kind} {name} ({where})"
-                          for (kind, name), where in _unreferenced().items()
-                          if name not in ALLOWED)
-    assert not unreferenced, ("defined in src/spencerkit but referenced "
-                              f"nowhere in it: {', '.join(unreferenced)}")
+def test_every_definition_in_src_is_reached_from_the_cli():
+    unreached = sorted(
+        f"{kind} {name if owner is None else f'{owner}.{name}'} ({where})"
+        for (kind, name, owner), where in _unreached().items()
+        if name not in ALLOWED)
+    assert not unreached, ("defined in src/spencerkit but read only by "
+                           "code that cli.main and module-level code never "
+                           f"reach: {', '.join(unreached)}")
 
 
 def test_allowlist_is_current():
     # an allowed name that is gone, or has gained a caller, leaves the list
-    unreferenced = {name for _, name in _unreferenced()}
-    assert ALLOWED <= unreferenced
+    unreached = {name for _, name, _ in _unreached()}
+    assert ALLOWED <= unreached
 
 
 def test_shared_names_are_current():
     # SHARED lists exactly the names several classes define that are read
     # through an unresolved receiver, and for each only defining classes
     # whose method no resolved read reaches
-    _defined, _names, resolved, unresolved, owners = _scan()
+    _defined, resolved, unresolved, owners, _reads = _scan()
     needed = {name for name, classes in owners.items()
               if len(classes) > 1 and name in unresolved
               and classes - resolved.get(name, set())}

@@ -110,7 +110,7 @@ class TestAdmissibility:
                                             (3, 1, 1, 1)])
     def test_cocycles_from_invariant_match_one_solve_per_hat(self, s, t, N,
                                                              seed):
-        # one factorisation for all hats gives what one solve_affine per hat
+        # one solve_matrix for all hats gives what one solve_affine per hat
         # gives, with None exactly where that is infeasible
         fullco = get_fullco(s, t, N)
         sub = (get_full_subalgebra(s, t, N) if seed is None
@@ -130,7 +130,7 @@ class TestAdmissibility:
             if isinstance(sol, NoSolution):
                 assert mu is None
             else:
-                assert mu == sol.x[:sub_cx.layouts[2].dim]
+                assert mu == sol[:sub_cx.layouts[2].dim]
         assert got[-2] is not None    # the zero class
         assert admissible_cocycles_from_invariant(sub, fullco, []) == []
 

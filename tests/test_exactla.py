@@ -4,14 +4,15 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fraction_exactla as fx
 from pairwise_oracles import basis_vectors, lincomb, solve_many, vec_add, \
     vec_scale, zero_vec
-from spencerkit.errors import DimensionMismatch
-from spencerkit.exactla import AffineSolver, ExactMatrix, HomAction, \
-    NoSolution, ParticularSolution, Subspace, block_diag, flatten_columns, \
-    is_positive_definite, kron, ldlt_pivots, pair_action, pair_embedding, \
-    pair_map, rat, rat_str, solve_affine, tensor_index_maps, vec, \
-    vec_is_zero, vstack
+from spencerkit import exactla
+from spencerkit.errors import DimensionMismatch, OracleMismatch
+from spencerkit.exactla import ExactMatrix, HomAction, NoSolution, \
+    Subspace, block_diag, flatten_columns, is_positive_definite, kron, \
+    ldlt_pivots, pair_action, pair_embedding, pair_map, rat, rat_str, \
+    solve_affine, solve_matrix, tensor_index_maps, vec, vec_is_zero, vstack
 from column_actions import apply_columns
 from kron_differentials import cyclic_embedding
 
@@ -55,17 +56,17 @@ def assert_certifies(sol, A, b):
 class TestSolveAffine:
     def test_identity(self):
         sol = solve_affine(ExactMatrix.identity(3), vec([5, -2, 7]))
-        assert isinstance(sol, ParticularSolution)
-        assert sol.x == vec([5, -2, 7])
+        assert sol == vec([5, -2, 7])
+        assert all(type(x) is Fraction for x in sol)
 
     def test_trivial_system(self):
         sol = solve_affine(ExactMatrix.zeros(2, 2), vec([0, 0]))
-        assert sol.x == vec([0, 0])
+        assert sol == vec([0, 0])
 
     def test_back_substitution(self):
         sol = solve_affine(ExactMatrix.from_rows([[1, 1], [0, 1]]),
                            vec([3, 1]))
-        assert sol.x == vec([2, 1])
+        assert sol == vec([2, 1])
 
     def test_inconsistent(self):
         A = ExactMatrix.from_rows([[1, 1], [1, 1]])
@@ -78,6 +79,45 @@ class TestSolveAffine:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             solve_affine(ExactMatrix.identity(2), vec([1, 2, 3]))
+
+
+class TestNoSolutionCertificate:
+    # an infeasible system whose certificate y is read off by solve_matrix
+    # like any solution, and checked by its product: a wrong y raises
+    A = ExactMatrix.from_rows([[1, 1], [1, 1], [0, 2]])
+    b = vec([1, 2, 0])
+
+    def _read_certificate(self, monkeypatch, change):
+        # `change` is applied to the X that solve_matrix reads off for the
+        # certificate system [A^T; b^T] y = e_last, the second solve
+        read, calls = exactla._read_solutions, []
+
+        def patched(A, Y):
+            calls.append(A)
+            X = read(A, Y)
+            return change(X) if len(calls) == 2 else X
+
+        monkeypatch.setattr(exactla, "_read_solutions", patched)
+        sol = solve_affine(self.A, self.b)
+        assert len(calls) == 2
+        return sol
+
+    def test_a_true_certificate_passes(self, monkeypatch):
+        sol = self._read_certificate(monkeypatch, lambda X: X)
+        assert isinstance(sol, NoSolution)
+        assert_certifies(sol, self.A, self.b)
+        assert sol.combination == vec([-1, 1, 0])
+
+    @pytest.mark.parametrize("change", [
+        # y . b = 2, and y^T A = 0 still
+        lambda X: X.scale(2),
+        # y^T A != 0
+        lambda X: X + ExactMatrix(3, 1, [(2, 0, 1)]),
+        # the zero vector
+        lambda X: ExactMatrix(3, 1)])
+    def test_a_wrong_certificate_raises(self, monkeypatch, change):
+        with pytest.raises(OracleMismatch, match="inconsistency certificate"):
+            self._read_certificate(monkeypatch, change)
 
 
 class TestIndexTables:
@@ -157,7 +197,7 @@ def test_solvability_matches_rank_criterion(m, rhs):
         assert_certifies(sol, m, b)
     else:
         assert augmented.rank() == m.rank()
-        assert m.apply(sol.x) == b
+        assert m.apply(sol) == b
 
 
 small_rationals = st.fractions(min_value=-4, max_value=4,
@@ -236,30 +276,33 @@ def systems(draw, max_dim=5, min_rhs=1):
     return A, rhs
 
 
+def _oracle(m):
+    """An ExactMatrix as the Fraction oracle's matrix."""
+    return fx.FractionMatrix.from_rows(
+        [m.row_tuple(i) for i in range(m.rows)], cols=m.cols)
+
+
 @settings(max_examples=150, deadline=None)
 @given(systems())
-def test_affine_solver_equals_solve_affine(system):
-    # one solver, factored once, asked one column at a time
+def test_solve_affine_equals_the_fraction_oracle(system):
+    # one column at a time, through solve_matrix and through solve_affine,
+    # certificates included
     A, rhs = system
-    solver = AffineSolver(A)
     for b in rhs:
-        x, = solve_many(solver, ExactMatrix.from_columns([b], A.rows))
-        sol = solve_affine(A, b)
-        assert x == (None if isinstance(sol, NoSolution) else sol.x)
+        x, = solve_many(A, ExactMatrix.from_columns([b], A.rows))
+        sol = fx.solve_affine(_oracle(A), b)
+        assert x == (None if isinstance(sol, NoSolution) else sol)
+        assert solve_affine(A, b) == sol
 
 
 @settings(max_examples=150, deadline=None)
 @given(systems(min_rhs=0))
-def test_solve_many_equals_solve_affine_per_column(system):
+def test_solve_many_equals_the_fraction_oracle(system):
     A, rhs = system
-    got = solve_many(AffineSolver(A), ExactMatrix.from_columns(rhs, A.rows))
+    Y = ExactMatrix.from_columns(rhs, A.rows)
+    got = solve_many(A, Y)
     assert len(got) == len(rhs)
-    for x, b in zip(got, rhs):
-        sol = solve_affine(A, b)
-        if isinstance(sol, NoSolution):
-            assert x is None
-        else:
-            assert x == sol.x
+    assert got == fx.FractionAffineSolver(_oracle(A)).solve_many(_oracle(Y))
 
 
 class TestSolveMany:
@@ -267,7 +310,7 @@ class TestSolveMany:
         A = ExactMatrix.from_rows([[1, 1], [1, 1], [0, 2]])
         Y = ExactMatrix.from_columns([vec([1, 1, 0]), vec([1, 2, 0]),
                                       vec(["1/2", "1/2", "1/3"])], 3)
-        assert solve_many(AffineSolver(A), Y) == [
+        assert solve_many(A, Y) == [
             vec([1, 0]), None, vec(["1/3", "1/6"])]
 
     def test_solve_matrix_columns_and_failures(self):
@@ -276,7 +319,7 @@ class TestSolveMany:
         A = ExactMatrix.from_rows([[1, 1], [1, 1], [0, 2]])
         Y = ExactMatrix.from_columns([vec([1, 1, 0]), vec([1, 2, 0]),
                                       vec(["1/2", "1/2", "1/3"])], 3)
-        X, failed = AffineSolver(A).solve_matrix(Y)
+        X, failed = solve_matrix(A, Y)
         assert failed == {1}
         assert X.select_columns([0, 2]) == ExactMatrix.from_columns(
             [vec([1, 0]), vec(["1/3", "1/6"])], 2)
@@ -284,17 +327,26 @@ class TestSolveMany:
 
     def test_no_columns(self):
         A = ExactMatrix.from_rows([[1, 2], [3, 4]])
-        assert solve_many(AffineSolver(A), ExactMatrix(2, 0)) == []
+        assert solve_many(A, ExactMatrix(2, 0)) == []
+
+    def test_no_columns_need_no_elimination(self, monkeypatch):
+        def refused(self):
+            raise AssertionError("an empty batch was eliminated")
+
+        monkeypatch.setattr(ExactMatrix, "_rref_data", refused)
+        A = ExactMatrix.from_rows([[1, 2], [3, 4], [5, 6]])
+        X, failed = solve_matrix(A, ExactMatrix(3, 0))
+        assert (X.rows, X.cols, failed) == (2, 0, set())
+        assert A._rref is None
 
     def test_rank_zero(self):
-        solver = AffineSolver(ExactMatrix.zeros(2, 3))
         Y = ExactMatrix.from_columns([vec([0, 0]), vec([0, "1/2"])], 2)
-        assert solve_many(solver, Y) == [vec([0, 0, 0]), None]
+        assert solve_many(ExactMatrix.zeros(2, 3), Y) == [vec([0, 0, 0]),
+                                                           None]
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            solve_many(AffineSolver(ExactMatrix.identity(2)),
-                       ExactMatrix(3, 1))
+            solve_many(ExactMatrix.identity(2), ExactMatrix(3, 1))
 
 
 @st.composite
@@ -375,33 +427,41 @@ def test_from_int_rows_gives_the_canonical_matrix():
     assert ExactMatrix.from_int_rows(3, [(r, D) for r in rows]) == M
 
 
-class TestAffineSolver:
+class TestSolveMatrix:
     def test_rank_deficient_canonical_solution(self):
         A = ExactMatrix.from_rows([[1, 2, 3], [2, 4, 6], [0, 0, 1]])
         b = vec([1, 2, 5])
-        x, = solve_many(AffineSolver(A), ExactMatrix.from_columns([b], 3))
-        assert x == solve_affine(A, b).x
+        x, = solve_many(A, ExactMatrix.from_columns([b], 3))
+        assert x == solve_affine(A, b)
         assert x == vec([-14, 0, 5])     # free column 1 set to zero
 
     def test_none_where_solve_affine_has_a_certificate(self):
         A = ExactMatrix.from_rows([[1, 1], [1, 1], [0, 2]])
         rhs = (vec([1, 2, 0]), vec([1, 1, "1/3"]))
-        got = solve_many(AffineSolver(A), ExactMatrix.from_columns(rhs, 3))
+        got = solve_many(A, ExactMatrix.from_columns(rhs, 3))
         assert got[0] is None
         assert isinstance(solve_affine(A, rhs[0]), NoSolution)
-        assert got[1] == solve_affine(A, rhs[1]).x
+        assert got[1] == solve_affine(A, rhs[1])
+
+    def test_a_repeated_infeasible_column_fails_too(self):
+        # the second copy of an infeasible column is no pivot of [A | Y],
+        # and the product check still finds it
+        A = ExactMatrix.from_rows([[1, 0], [0, 0]])
+        y = vec([1, 1])
+        Y = ExactMatrix.from_columns([y, y, vec([2, 0])], 2)
+        X, failed = solve_matrix(A, Y)
+        assert failed == {0, 1}
+        assert solve_many(A, Y)[2] == vec([2, 0])
 
     def test_empty_shapes(self):
-        assert solve_many(AffineSolver(ExactMatrix(0, 3)),
+        assert solve_many(ExactMatrix(0, 3),
                           ExactMatrix(0, 1)) == [vec([0, 0, 0])]
-        solver = AffineSolver(ExactMatrix(2, 0))
-        assert solve_many(solver, ExactMatrix.from_columns(
+        assert solve_many(ExactMatrix(2, 0), ExactMatrix.from_columns(
             [vec([0, 0]), vec([0, 1])], 2)) == [(), None]
 
     def test_accepts_rational_likes(self):
         A = ExactMatrix.from_rows([[2, 0], [0, 3]])
-        x, = solve_many(AffineSolver(A),
-                        ExactMatrix.from_columns([[1, "1/2"]], 2))
+        x, = solve_many(A, ExactMatrix.from_columns([[1, "1/2"]], 2))
         assert x == (Fraction(1, 2), Fraction(1, 6))
 
 
